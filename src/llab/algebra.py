@@ -3,8 +3,14 @@
 Forms are represented exactly on the bitmask basis: a degree-k form on a
 2n-dimensional space stores one complex coefficient per k-element subset of
 {1..2n}, subsets encoded as integer bitmasks and ordered by increasing mask
-value.  All operations are pure; `KForm` and `CompatibleTriple` are immutable
-after construction and safe to share across threads.
+value.  A `KForm` may also hold a batch of m forms as a (C(2n,k), m) array,
+one form per column; every linear operation acts column by column.  All
+operations are pure; `KForm` and `CompatibleTriple` are immutable after
+construction and safe to share across threads.
+
+Every operator matrix of a triple lives in its `Ops` bundle (`t.ops`), built
+block by block on first use and freed with the triple, so the per-form
+functions below are single matrix products.
 
 Coefficients are complex throughout.  Real forms are a subspace recognised by
 `KForm.is_real`, because the (p,q) type decomposition is intrinsically
@@ -13,10 +19,12 @@ complex; see CONVENTIONS.md for the orientation and J-action conventions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -24,6 +32,7 @@ import numpy as np
 __all__ = [
     "KForm",
     "CompatibleTriple",
+    "Ops",
     "BigradedForm",
     "basis_masks",
     "mask_to_indices",
@@ -109,7 +118,7 @@ def merge_sign(mask_a: int, mask_b: int) -> int:
 # ---------------------------------------------------------------------------
 
 class KForm:
-    """Immutable degree-k exterior form with complex coefficients.
+    """Immutable degree-k exterior form (or batch of forms), complex coefficients.
 
     Parameters
     ----------
@@ -117,8 +126,9 @@ class KForm:
         Half-dimension; the underlying space is R^{2n}.
     k : int
         Form degree, 0 <= k <= 2n.
-    data : array_like of complex, length C(2n, k)
-        Coefficients over `basis_masks(2n, k)`.
+    data : array_like of complex, shape (C(2n, k),) or (C(2n, k), m)
+        Coefficients over `basis_masks(2n, k)`; a 2-D array is a batch of
+        m forms, one per column.
     """
 
     __slots__ = ("n", "k", "data")
@@ -130,7 +140,7 @@ class KForm:
             raise ValueError(f"degree {k} out of range [0, {2 * n}]")
         arr = np.asarray(data, dtype=complex)
         want = math.comb(2 * n, k)
-        if arr.shape != (want,):
+        if arr.ndim not in (1, 2) or arr.shape[0] != want:
             raise ValueError(f"expected {want} coefficients for (n={n}, k={k}), got {arr.shape}")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -142,10 +152,6 @@ class KForm:
         raise AttributeError("KForm is immutable")
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(n: int, k: int) -> "KForm":
-        return KForm(n, k, np.zeros(math.comb(2 * n, k), dtype=complex))
 
     @staticmethod
     def basis(n: int, indices: Iterable[int]) -> "KForm":
@@ -210,8 +216,8 @@ class KForm:
         return KForm(self.n, self.k, -self.data)
 
     def __repr__(self):
-        nz = sum(1 for c in self.data if c != 0)
-        return f"KForm(n={self.n}, k={self.k}, {nz} nonzero of {len(self.data)})"
+        nz = int(np.count_nonzero(self.data))
+        return f"KForm(n={self.n}, k={self.k}, {nz} nonzero of {self.data.size})"
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +265,19 @@ class CompatibleTriple:
             raise ValueError("g is not positive definite")
         return res
 
+    @cached_property
+    def ops(self) -> "Ops":
+        """This triple's operator bundle: blocks are built on first use and
+        live exactly as long as the triple."""
+        return Ops(self)
+
     @property
     def omega_inv(self) -> np.ndarray:
-        return _omega_inv(self)
+        return np.linalg.inv(self.omega)
 
     @property
     def g_inv(self) -> np.ndarray:
-        return _g_inv(self)
+        return np.linalg.inv(self.g)
 
     @property
     def sqrt_det_g(self) -> float:
@@ -288,14 +300,6 @@ class CompatibleTriple:
         for _ in range(self.n):
             out = wedge(out, w)
         return out * (1.0 / math.factorial(self.n))
-
-
-def _omega_inv(t: CompatibleTriple) -> np.ndarray:
-    return np.linalg.inv(t.omega)
-
-
-def _g_inv(t: CompatibleTriple) -> np.ndarray:
-    return np.linalg.inv(t.g)
 
 
 def build_standard_triple(n: int) -> CompatibleTriple:
@@ -389,162 +393,320 @@ def contract_vector(a: KForm, v: np.ndarray) -> KForm:
     if a.k == 0:
         return KForm(a.n, 0, [0.0])
     dim = 2 * a.n
-    out = np.zeros(math.comb(dim, a.k - 1), dtype=complex)
-    index = _mask_index(dim, a.k - 1)
-    for ia, ma in enumerate(basis_masks(dim, a.k)):
-        ca = a.data[ia]
-        if ca == 0:
-            continue
-        pos = 0
-        m = ma
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1  # 0-based generator
-            if v[i] != 0:
-                out[index[ma ^ low]] += ((-1) ** pos) * v[i] * ca
-            pos += 1
-            m ^= low
-    return KForm(a.n, a.k - 1, out)
+    M = sum(v[i] * _contraction_matrix(dim, a.k, i) for i in range(dim))
+    return KForm(a.n, a.k - 1, M @ a.data)
 
 
-def _minor_gram(h: np.ndarray, dim: int, k: int) -> np.ndarray:
-    """Gram matrix on Lambda^k induced by a bilinear form h on covectors:
-    G[I, J] = det h[I, J] over basis masks."""
-    masks = basis_masks(dim, k)
+def _compound(M: np.ndarray, dim: int, k: int) -> np.ndarray:
+    """k-th compound of a (dim x dim) matrix: C[I, J] = det M[I, J] over the
+    degree-k basis masks.
+
+    For a bilinear form h on covectors this is the Gram matrix h induces on
+    Lambda^k; for the matrix of a covector map (columns = images) it is the
+    induced map on Lambda^k.
+    """
     if k == 0:
-        return np.ones((1, 1))
-    idx_sets = [np.array(mask_to_indices(m)) - 1 for m in masks]
-    G = np.empty((len(masks), len(masks)))
-    for i, I in enumerate(idx_sets):
-        hi = h[np.ix_(I, range(dim))]
-        for j, Jx in enumerate(idx_sets):
-            G[i, j] = np.linalg.det(hi[:, Jx]) if k > 1 else hi[0, Jx[0]]
-    return G
+        return np.ones((1, 1), dtype=M.dtype)
+    if k == 1:
+        return np.array(M)  # the degree-1 masks list the generators in order
+    idx = np.array([mask_to_indices(m) for m in basis_masks(dim, k)]) - 1
+    return np.linalg.det(M[idx[:, None, :, None], idx[None, :, None, :]])
 
 
 @lru_cache(maxsize=None)
-def _gram_cache(triple_key, which: str, k: int) -> np.ndarray:
-    t: CompatibleTriple = triple_key.triple
-    h = t.g_inv if which == "g" else t.omega_inv
-    G = _minor_gram(h, 2 * t.n, k)
-    G.flags.writeable = False
-    return G
+def _contraction_matrix(dim: int, k: int, axis: int) -> np.ndarray:
+    """Matrix of the interior product with the basis vector e_{axis+1} on Lambda^k."""
+    rows = _mask_index(dim, k - 1)
+    M = np.zeros((len(rows), math.comb(dim, k)))
+    bit = 1 << axis
+    for c, m in enumerate(basis_masks(dim, k)):
+        if m & bit:
+            M[rows[m ^ bit], c] = -1.0 if (m & (bit - 1)).bit_count() & 1 else 1.0
+    M.flags.writeable = False
+    return M
 
 
-class _TripleKey:
-    """Hashable identity wrapper so per-triple matrices can be lru_cached."""
+# ---------------------------------------------------------------------------
+# the operator bundle of a triple
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("triple",)
+def _block(build):
+    """Make an `Ops` builder lazy: its result is kept, read-only, in the
+    bundle's block dict under (name, *args) and built only on first use."""
 
-    def __init__(self, triple: CompatibleTriple):
-        self.triple = triple
+    @functools.wraps(build)
+    def get(self, *args):
+        key = (build.__name__,) + args
+        out = self._blocks.get(key)
+        if out is None:
+            out = build(self, *args)
+            for M in out.values() if isinstance(out, dict) else [out]:
+                if isinstance(M, np.ndarray):
+                    M.flags.writeable = False
+            self._blocks[key] = out
+        return out
 
-    def __hash__(self):
-        return hash((self.triple.n, self.triple.omega.tobytes(), self.triple.J.tobytes()))
+    return get
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, _TripleKey)
-            and self.triple.n == other.triple.n
-            and np.array_equal(self.triple.omega, other.triple.omega)
-            and np.array_equal(self.triple.J, other.triple.J)
-            and np.array_equal(self.triple.g, other.triple.g)
-        )
 
+class Ops:
+    """Every operator matrix of one triple, built block by block on first use.
+
+    Per-degree blocks act on Lambda^k coefficient vectors (or column batches):
+    Gram matrices, the two stars, the J-pullback, the (p,q) projectors and
+    Weil operator, L^r, Lambda and the primitive basis.  The full-algebra
+    matrices (`G`, `Ginv`, `L`, `Lam`, `W`, `pq_proj`) are indexed by mask
+    over all 4^n basis forms, as the torus model needs them.  Nothing is
+    built eagerly, and the bundle is freed with its triple.
+    """
+
+    def __init__(self, t: CompatibleTriple):
+        self.t = t
+        self.dim = 2 * t.n
+        self.size = 1 << self.dim
+        self._blocks: dict = {}
+
+    # -- metric and symplectic pairings -------------------------------------
+
+    @_block
+    def gram(self, k: int) -> np.ndarray:
+        """Gram matrix of the g-inner product on Lambda^k (real symmetric PD)."""
+        return _compound(self.t.g_inv, self.dim, k)
+
+    @_block
+    def omega_gram(self, k: int) -> np.ndarray:
+        """Gram-type matrix of the omega^{-1} pairing on Lambda^k."""
+        return _compound(self.t.omega_inv, self.dim, k)
+
+    @property
+    @_block
+    def vol(self) -> float:
+        # The stars are taken w.r.t. the orientation induced by omega: the
+        # volume form is omega^n/n!, whose top coefficient is the *signed*
+        # Pfaffian of omega (= +/- sqrt(det g) for compatible triples).  Using
+        # the positive coordinate orientation instead silently flips the star
+        # on orientation-reversing triples and breaks every one-star identity.
+        return float(self.t.volume_form().data[0].real)
+
+    def _star(self, gram: np.ndarray, k: int) -> np.ndarray:
+        """The star built from `gram` on Lambda^k: alpha ^ star(beta) =
+        gram(alpha, beta) vol."""
+        index_c = _mask_index(self.dim, self.dim - k)
+        top = self.size - 1
+        S = np.zeros((len(index_c), gram.shape[1]))
+        Gv = gram * self.vol
+        for i, m in enumerate(basis_masks(self.dim, k)):
+            comp = top ^ m
+            S[index_c[comp], :] += merge_sign(m, comp) * Gv[i, :]
+        return S
+
+    @_block
+    def star(self, k: int) -> np.ndarray:
+        """Hodge star Lambda^k -> Lambda^{2n-k}."""
+        if np.min(np.linalg.eigvalsh(self.t.g)) <= 0:
+            raise ValueError("degenerate metric")
+        return self._star(self.gram(k), k)
+
+    @_block
+    def sstar(self, k: int) -> np.ndarray:
+        """Symplectic star Lambda^k -> Lambda^{2n-k}."""
+        return self._star(self.omega_gram(k), k)
+
+    # -- J and the type decomposition ---------------------------------------
+
+    @_block
+    def jpull(self, k: int) -> np.ndarray:
+        """Pullback along J on Lambda^k; c -> c o J has coefficient matrix J^T."""
+        return _compound(self.t.J.T, self.dim, k)
+
+    @property
+    @_block
+    def frame(self) -> np.ndarray:
+        """Columns: a (1,0) coframe phi^1..phi^n followed by its conjugates,
+        expressed in the real covector basis.  J phi = i phi."""
+        n = self.t.n
+        w, v = np.linalg.eig(self.t.J.T)
+        cols = [v[:, i] for i in range(2 * n) if abs(w[i] - 1j) < 1e-9]
+        if len(cols) != n:
+            raise ValueError("J action on covectors does not split into +/- i eigenspaces")
+        P = np.empty((2 * n, 2 * n), dtype=complex)
+        for a, c in enumerate(cols):
+            c = c / np.linalg.norm(c)
+            P[:, a] = c
+            P[:, n + a] = np.conj(c)
+        return P
+
+    @_block
+    def pq(self, k: int) -> dict:
+        """Matrices of Pi^{p,q} on Lambda^k for each p+q = k."""
+        n = self.t.n
+        C = _compound(self.frame, self.dim, k)
+        Cinv = np.linalg.inv(C)
+        low = (1 << n) - 1
+        out = {}
+        for p in range(max(0, k - n), min(k, n) + 1):
+            sel = np.array([1.0 if (m & low).bit_count() == p else 0.0 for m in basis_masks(self.dim, k)])
+            out[(p, k - p)] = C @ (sel[:, None] * Cinv)
+        return out
+
+    @_block
+    def weil(self, k: int) -> np.ndarray:
+        """J-Weil operator on Lambda^k: i^{p-q} on the (p,q)-part."""
+        out = np.zeros((math.comb(self.dim, k),) * 2, dtype=complex)
+        for (p, q), M in self.pq(k).items():
+            out = out + (1j ** ((p - q) % 4)) * M
+        return out
+
+    # -- the Lefschetz sl(2) ------------------------------------------------
+
+    @_block
+    def lpow(self, k: int, r: int) -> np.ndarray:
+        """L^r : Lambda^k -> Lambda^{k+2r}; degrees above 2n have no rows."""
+        if r == 0:
+            return np.eye(math.comb(self.dim, k))
+        if r > 1:
+            return self.lpow(k + 2 * (r - 1), 1) @ self.lpow(k, r - 1)
+        rows = _mask_index(self.dim, k + 2)
+        M = np.zeros((len(rows), math.comb(self.dim, k)))
+        w = self.t.omega
+        pairs = [(i, j) for i in range(self.dim) for j in range(i + 1, self.dim) if w[i, j] != 0]
+        for c, m in enumerate(basis_masks(self.dim, k)):
+            for i, j in pairs:
+                bits = (1 << i) | (1 << j)
+                if not m & bits:
+                    M[rows[m | bits], c] += w[i, j] * merge_sign(bits, m)
+        return M
+
+    @_block
+    def lam(self, k: int) -> np.ndarray:
+        """Lambda = (1/2) (omega^{-1})^{ij} i_{e_i} i_{e_j} : Lambda^k -> Lambda^{k-2}, k >= 2."""
+        w = self.t.omega_inv
+        M = np.zeros((math.comb(self.dim, k - 2), math.comb(self.dim, k)))
+        for i in range(self.dim):
+            Ci = _contraction_matrix(self.dim, k - 1, i)
+            for j in range(self.dim):
+                if w[i, j] != 0:
+                    M += 0.5 * w[i, j] * (Ci @ _contraction_matrix(self.dim, k, j))
+        return M
+
+    @_block
+    def prim(self, k: int) -> np.ndarray:
+        """Orthonormal (columns) basis of the primitive subspace P^k, k <= n."""
+        if k > self.t.n:
+            raise ValueError(f"no primitive forms in degree {k} > n = {self.t.n}")
+        if k < 2:
+            return np.eye(math.comb(self.dim, k))
+        _, s, Vt = np.linalg.svd(self.lam(k))  # kernel of Lambda
+        rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
+        return Vt[rank:].T.copy()
+
+    # -- the full algebra, mask-indexed -------------------------------------
+
+    @_block
+    def masks(self, k: int) -> np.ndarray:
+        """Full-algebra positions (the masks) of the degree-k basis forms."""
+        return np.array(basis_masks(self.dim, k), dtype=int)
+
+    def _full(self, block, shift: int) -> np.ndarray:
+        """The full-algebra matrix with the blocks Lambda^k -> Lambda^{k+shift}."""
+        out = np.zeros((self.size, self.size))
+        for k in range(self.dim + 1):
+            if 0 <= k + shift <= self.dim:
+                out[np.ix_(self.masks(k + shift), self.masks(k))] = block(k)
+        return out
+
+    @property
+    @_block
+    def G(self) -> np.ndarray:
+        return self._full(self.gram, 0)
+
+    @property
+    @_block
+    def Ginv(self) -> np.ndarray:
+        return np.linalg.inv(self.G)
+
+    @property
+    @_block
+    def L(self) -> np.ndarray:
+        return self._full(lambda k: self.lpow(k, 1), 2)
+
+    @property
+    @_block
+    def Lam(self) -> np.ndarray:
+        return self._full(self.lam, -2)
+
+    @property
+    @_block
+    def W(self) -> np.ndarray:
+        """W[j] = e^{j+1} ^ . on the full algebra."""
+        W = np.zeros((self.dim, self.size, self.size))
+        for j in range(self.dim):
+            b = 1 << j
+            for m in range(self.size):
+                if not m & b:
+                    W[j, m | b, m] = merge_sign(b, m)
+        return W
+
+    @property
+    @_block
+    def pq_proj(self) -> dict:
+        """Pi^{p,q} on the full algebra (zero outside degree p + q)."""
+        out = {}
+        for k in range(self.dim + 1):
+            mk = self.masks(k)
+            for pq, M in self.pq(k).items():
+                full = np.zeros((self.size, self.size), dtype=complex)
+                full[np.ix_(mk, mk)] = M
+                out[pq] = full
+        return out
+
+    def adjoint(self, A: np.ndarray) -> np.ndarray:
+        """g-adjoint on the full algebra w.r.t. <a,b> = a^T G conj(b)."""
+        return self.Ginv @ A.conj().T @ self.G
+
+
+# ---------------------------------------------------------------------------
+# per-form operators: one product with a block of t.ops
+# ---------------------------------------------------------------------------
 
 def metric_gram(t: CompatibleTriple, k: int) -> np.ndarray:
     """Gram matrix of the g-inner product on Lambda^k (real symmetric PD)."""
-    return _gram_cache(_TripleKey(t), "g", k)
+    return t.ops.gram(k)
 
 
-def omega_gram(t: CompatibleTriple, k: int) -> np.ndarray:
-    """Gram-type matrix of the omega^{-1} pairing on Lambda^k (k-symmetric)."""
-    return _gram_cache(_TripleKey(t), "omega", k)
+def _column_sums(x: np.ndarray):
+    """Sum over the coefficient axis: a number for one form, an array for a batch."""
+    s = np.sum(x, axis=0)
+    return complex(s) if x.ndim == 1 else s
 
 
-def inner(a: KForm, b: KForm, t: CompatibleTriple) -> complex:
-    """Hermitian pointwise inner product <a, b>, conjugate-linear in b."""
+def inner(a: KForm, b: KForm, t: CompatibleTriple):
+    """Hermitian pointwise inner product <a, b>, conjugate-linear in b
+    (one value per column for batches)."""
     a._check_compatible(b)
-    G = metric_gram(t, a.k)
-    return complex(a.data @ G @ np.conj(b.data))
+    return _column_sums(a.data * (metric_gram(t, a.k) @ np.conj(b.data)))
 
 
-def inner_bilinear(a: KForm, b: KForm, t: CompatibleTriple) -> complex:
+def inner_bilinear(a: KForm, b: KForm, t: CompatibleTriple):
     """Complex-bilinear extension of the g-inner product (no conjugation)."""
     a._check_compatible(b)
-    G = metric_gram(t, a.k)
-    return complex(a.data @ G @ b.data)
+    return _column_sums(a.data * (metric_gram(t, a.k) @ b.data))
 
 
-def norm(a: KForm, t: CompatibleTriple) -> float:
-    return float(np.sqrt(max(inner(a, a, t).real, 0.0)))
-
-
-def _star_matrix(t: CompatibleTriple, k: int, gram: np.ndarray, vol_coeff: float) -> np.ndarray:
-    """Matrix of the star built from `gram` on Lambda^k: alpha ^ star(beta) =
-    gram(alpha, beta) * vol_coeff * e_top."""
-    dim = 2 * t.n
-    masks_k = basis_masks(dim, k)
-    index_c = _mask_index(dim, dim - k)
-    top = (1 << dim) - 1
-    S = np.zeros((math.comb(dim, dim - k), math.comb(dim, k)))
-    Gv = gram * vol_coeff
-    for i, m in enumerate(masks_k):
-        comp = top ^ m
-        S[index_c[comp], :] += merge_sign(m, comp) * Gv[i, :]
-    return S
-
-
-@lru_cache(maxsize=None)
-def _hodge_star_matrix(triple_key, k: int) -> np.ndarray:
-    t = triple_key.triple
-    # The star is taken w.r.t. the orientation induced by omega: the volume
-    # form is omega^n/n!, whose top coefficient is the *signed* Pfaffian of
-    # omega (= +/- sqrt(det g) for compatible triples).  Using the positive
-    # coordinate orientation instead silently flips the star on
-    # orientation-reversing triples and breaks every one-star identity.
-    vol_coeff = float(t.volume_form().data[0].real)
-    S = _star_matrix(t, k, _gram_cache(triple_key, "g", k), vol_coeff)
-    S.flags.writeable = False
-    return S
+def norm(a: KForm, t: CompatibleTriple):
+    """Metric norm (one value per column for batches)."""
+    out = np.sqrt(np.maximum(np.real(inner(a, a, t)), 0.0))
+    return float(out) if a.data.ndim == 1 else out
 
 
 def hodge_star(a: KForm, t: CompatibleTriple) -> KForm:
     """Riemannian Hodge star (complex-linear extension): <a,b> dvol = a ^ *b."""
-    if np.min(np.linalg.eigvalsh(t.g)) <= 0:
-        raise ValueError("degenerate metric")
-    S = _hodge_star_matrix(_TripleKey(t), a.k)
-    return KForm(a.n, 2 * a.n - a.k, S @ a.data)
-
-
-def _compound_matrix(M: np.ndarray, dim: int, k: int) -> np.ndarray:
-    """Induced matrix on Lambda^k of a covector map with matrix M
-    (columns = images of basis covectors in the old basis)."""
-    masks = basis_masks(dim, k)
-    if k == 0:
-        return np.ones((1, 1), dtype=M.dtype)
-    idx = [np.array(mask_to_indices(m)) - 1 for m in masks]
-    C = np.empty((len(masks), len(masks)), dtype=M.dtype)
-    for col, Jx in enumerate(idx):
-        sub = M[:, Jx]
-        for row, I in enumerate(idx):
-            C[row, col] = np.linalg.det(sub[I, :]) if k > 1 else sub[I[0], 0]
-    return C
-
-
-@lru_cache(maxsize=None)
-def _j_action_matrix(triple_key, k: int) -> np.ndarray:
-    t = triple_key.triple
-    # covector pullback c -> c o J has coefficient matrix J^T
-    C = _compound_matrix(t.J.T.copy(), 2 * t.n, k)
-    C.flags.writeable = False
-    return C
+    return KForm(a.n, 2 * a.n - a.k, t.ops.star(a.k) @ a.data)
 
 
 def j_action(a: KForm, t: CompatibleTriple) -> KForm:
     """(J a)(u_1, ..., u_k) = a(J u_1, ..., J u_k): pullback along J."""
-    C = _j_action_matrix(_TripleKey(t), a.k)
-    return KForm(a.n, a.k, C @ a.data)
+    return KForm(a.n, a.k, t.ops.jpull(a.k) @ a.data)
 
 
 # ---------------------------------------------------------------------------
@@ -582,65 +744,20 @@ class BigradedForm:
         return out
 
 
-@lru_cache(maxsize=None)
-def _complex_frame(triple_key) -> np.ndarray:
-    """Columns: a (1,0) coframe phi^1..phi^n followed by its conjugates,
-    expressed in the real covector basis.  J phi = i phi."""
-    t = triple_key.triple
-    n = t.n
-    Mcov = t.J.T
-    w, v = np.linalg.eig(Mcov)
-    cols = [v[:, i] for i in range(2 * n) if abs(w[i] - 1j) < 1e-9]
-    if len(cols) != n:
-        raise ValueError("J action on covectors does not split into +/- i eigenspaces")
-    P = np.empty((2 * n, 2 * n), dtype=complex)
-    for a, c in enumerate(cols):
-        c = c / np.linalg.norm(c)
-        P[:, a] = c
-        P[:, n + a] = np.conj(c)
-    P.flags.writeable = False
-    return P
-
-
-@lru_cache(maxsize=None)
-def _pq_projectors(triple_key, k: int) -> dict:
-    """Matrices of Pi^{p,q} on Lambda^k for each p+q = k."""
-    t = triple_key.triple
-    n, dim = t.n, 2 * t.n
-    P = _complex_frame(triple_key)
-    C = _compound_matrix(np.asarray(P), dim, k)
-    Cinv = np.linalg.inv(C)
-    masks = basis_masks(dim, k)
-    low = (1 << n) - 1
-    out = {}
-    for p in range(max(0, k - n), min(k, n) + 1):
-        q = k - p
-        sel = np.array([1.0 if (m & low).bit_count() == p else 0.0 for m in masks])
-        M = C @ (sel[:, None] * Cinv)
-        M.flags.writeable = False
-        out[(p, q)] = M
-    return out
-
-
 def pq_decompose(a: KForm, t: CompatibleTriple) -> BigradedForm:
     """Split a into its Pi^{p,q} projections with respect to t's J."""
-    projs = _pq_projectors(_TripleKey(t), a.k)
-    comps = {pq: KForm(a.n, a.k, M @ a.data) for pq, M in projs.items()}
+    comps = {pq: KForm(a.n, a.k, M @ a.data) for pq, M in t.ops.pq(a.k).items()}
     return BigradedForm(k=a.k, components=comps)
 
 
 def pq_projector_matrices(t: CompatibleTriple, k: int) -> dict:
     """The Pi^{p,q} matrices on Lambda^k (read-only views)."""
-    return dict(_pq_projectors(_TripleKey(t), k))
+    return dict(t.ops.pq(k))
 
 
 def weil_operator(a: KForm, t: CompatibleTriple) -> KForm:
     """J-Weil operator: multiplies the (p,q)-part by i^{p-q}."""
-    projs = _pq_projectors(_TripleKey(t), a.k)
-    out = np.zeros_like(a.data)
-    for (p, q), M in projs.items():
-        out = out + (1j ** ((p - q) % 4)) * (M @ a.data)
-    return KForm(a.n, a.k, out)
+    return KForm(a.n, a.k, t.ops.weil(a.k) @ a.data)
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +766,8 @@ def weil_operator(a: KForm, t: CompatibleTriple) -> KForm:
 
 def form_to_json(a: KForm) -> dict:
     """`{"n":, "k":, "coeffs": [{"idx": [...], "re":, "im":}]}`; exact floats."""
+    if a.data.ndim != 1:
+        raise ValueError(f"the wire format holds one form, got a batch of {a.data.shape[1]}")
     coeffs = []
     for m, c in zip(basis_masks(2 * a.n, a.k), a.data):
         if c != 0:
@@ -656,13 +775,35 @@ def form_to_json(a: KForm) -> dict:
     return {"n": a.n, "k": a.k, "coeffs": coeffs}
 
 
+def _is_number(x, kind=numbers.Real) -> bool:
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def form_from_json(obj: dict) -> KForm:
+    """Parse the wire format; a bad coefficient entry raises ValueError
+    naming the entry and the problem."""
     n, k = int(obj["n"]), int(obj["k"])
     data = np.zeros(math.comb(2 * n, k), dtype=complex)
     index = _mask_index(2 * n, k)
-    for entry in obj["coeffs"]:
-        mask = indices_to_mask(entry["idx"])
-        data[index[mask]] = complex(entry["re"], entry.get("im", 0.0))
+    for pos, entry in enumerate(obj["coeffs"]):
+        where = f"coeffs[{pos}]"
+        if not isinstance(entry, dict) or "idx" not in entry or "re" not in entry:
+            raise ValueError(f"{where}: expected an object with 'idx' and 're'")
+        idx = entry["idx"]
+        if not isinstance(idx, (list, tuple)) or not all(_is_number(i, numbers.Integral) for i in idx):
+            raise ValueError(f"{where}: 'idx' must be a list of integers, got {idx!r}")
+        if len(idx) != k:
+            raise ValueError(f"{where}: {len(idx)} indices for a degree-{k} form")
+        bad = [i for i in idx if not 1 <= i <= 2 * n]
+        if bad:
+            raise ValueError(f"{where}: index {bad[0]} outside 1..{2 * n}")
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"{where}: indices {idx} are repeated or not ascending")
+        re, im = entry["re"], entry.get("im", 0.0)
+        for name, v in (("re", re), ("im", im)):
+            if not _is_number(v):
+                raise ValueError(f"{where}: coefficient '{name}' must be a number, got {v!r}")
+        data[index[indices_to_mask(idx)]] = complex(re, im)
     return KForm(n, k, data)
 
 

@@ -106,7 +106,7 @@ def _operator_identity_residuals(n_arena: int, m: int, seed: int = 20260303) -> 
     from llab.torus import build_fourier_complex
 
     fc = build_fourier_complex(n_arena, 0, build_standard_triple(n_arena))
-    mach = fc.machinery
+    mach = fc.triple.ops
     rng = np.random.default_rng(seed)
     modes = [tuple(v) for v in rng.integers(-3, 4, size=(4, 2 * n_arena)) if np.any(v)]
     modes.insert(0, (1,) + (0,) * (2 * n_arena - 1))

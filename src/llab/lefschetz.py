@@ -1,25 +1,30 @@
 """Lefschetz sl(2) calculus on the exterior algebra of a compatible triple.
 
 Implements the operator pair (L, Lambda), the symplectic star, primitivity
-tests, the primitive (Lefschetz) decomposition, and residual checks for the
-identities that the `verify-identities` suite exercises:
+tests, the primitive (Lefschetz) decomposition, and the identities that the
+`verify-identities` suite exercises, each written once as a residual:
 
-* star conjugation      Lambda = star_s o L o star_s
+* star conjugation      Lambda = star_s o L o star_s,  star_s o star_s = id
+* Hodge conjugation     Lambda = (-1)^k star o L o star
+* Weil operator         J-pullback = sum_{p,q} i^{p-q} Pi^{p,q}
 * Weil relation         star(L^r B)/r! = (-1)^{k(k+1)/2} L^{n-k-r} W(B)/(n-k-r)!
 * commutator formula    [L^i, Lambda] = i (k - n + i - 1) L^{i-1}   on degree k
+* primitivity pair      Lambda B = 0 and L^{n-k+1} B = 0 together
 * inner-product scaling <L^i b, L^i a> = i!(n-k-i+j)!/((i-j)!(n-k-i)!) <L^{i-j} b, L^{i-j} a>
+* decomposition round trip and cross-degree orthogonality of L^p x, L^q y
 
 Lambda is *defined* by double contraction with omega^{-1}; its agreement with
 the metric adjoint of L and with the star conjugation is verified, not
-assumed.  All operators are realised as cached matrices per (triple, degree),
-so sweeping thousands of forms costs dense mat-vecs only.
+assumed.  The operator matrices live in the triple's bundle `t.ops`.  Every
+residual takes a single form or a column batch (`KForm` data of shape
+(C(2n,k), m)) and returns the worst column, so the suite and the unit tests
+call the same functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -27,15 +32,10 @@ import numpy as np
 from llab.algebra import (
     CompatibleTriple,
     KForm,
-    _TripleKey,
-    _star_matrix,
-    basis_masks,
-    contract_vector,
+    hodge_star,
     inner,
-    merge_sign,
-    metric_gram,
+    j_action,
     norm,
-    omega_gram,
     weil_operator,
 )
 
@@ -50,111 +50,49 @@ __all__ = [
     "weil_relation_residual",
     "weil_specialization_constant",
     "star_conjugation_residual",
+    "symplectic_star_involution_residual",
+    "hodge_star_conjugation_residual",
+    "weil_operator_residual",
     "commutator_check",
     "commutator_residual",
+    "primitivity_residuals",
     "inner_scaling_check",
+    "inner_scaling_residual",
+    "cross_term_residual",
     "lefschetz_power_matrix",
     "primitive_basis",
     "random_primitive",
 ]
 
-
-# ---------------------------------------------------------------------------
-# cached operator matrices
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _L_matrix(tkey: _TripleKey, k: int) -> np.ndarray:
-    """Matrix of omega ^ . : Lambda^k -> Lambda^{k+2}."""
-    t = tkey.triple
-    dim = 2 * t.n
-    rows = basis_masks(dim, k + 2)
-    cols = basis_masks(dim, k)
-    row_index = {m: i for i, m in enumerate(rows)}
-    M = np.zeros((len(rows), len(cols)))
-    pairs = [
-        (i, j, t.omega[i, j])
-        for i in range(dim)
-        for j in range(i + 1, dim)
-        if t.omega[i, j] != 0
-    ]
-    for c, m in enumerate(cols):
-        for i, j, w in pairs:
-            bits = (1 << i) | (1 << j)
-            if m & bits:
-                continue
-            M[row_index[m | bits], c] += w * merge_sign(bits, m)
-    M.flags.writeable = False
-    return M
-
-
-@lru_cache(maxsize=None)
-def _contraction_matrix(n: int, k: int, axis: int) -> np.ndarray:
-    """Matrix of the interior product with the basis vector e_{axis+1}."""
-    dim = 2 * n
-    cols = basis_masks(dim, k)
-    M = np.zeros((math.comb(dim, k - 1), len(cols)))
-    v = np.zeros(dim)
-    v[axis] = 1.0
-    for c, m in enumerate(cols):
-        data = np.zeros(len(cols))
-        data[c] = 1.0
-        out = contract_vector(KForm(n, k, data), v)
-        M[:, c] = out.data.real
-    M.flags.writeable = False
-    return M
-
-
-@lru_cache(maxsize=None)
-def _Lambda_matrix(tkey: _TripleKey, k: int) -> np.ndarray:
-    """Matrix of Lambda = (1/2) (omega^{-1})^{ij} i_{e_i} i_{e_j} on Lambda^k."""
-    t = tkey.triple
-    dim = 2 * t.n
-    w = t.omega_inv
-    M = np.zeros((math.comb(dim, k - 2), math.comb(dim, k)))
-    for i in range(dim):
-        Ci = _contraction_matrix(t.n, k - 1, i)
-        for j in range(dim):
-            if w[i, j] != 0:
-                M += 0.5 * w[i, j] * (Ci @ _contraction_matrix(t.n, k, j))
-    M.flags.writeable = False
-    return M
-
-
-@lru_cache(maxsize=None)
-def _symplectic_star_matrix(tkey: _TripleKey, k: int) -> np.ndarray:
-    t = tkey.triple
-    vol_coeff = float(t.volume_form().data[0].real)
-    S = _star_matrix(t, k, omega_gram(t, k), vol_coeff)
-    S.flags.writeable = False
-    return S
-
-
-def lefschetz_power_matrix(t: CompatibleTriple, k: int, r: int) -> np.ndarray:
-    """Matrix of L^r : Lambda^k -> Lambda^{k+2r} (r >= 0)."""
-    key = _TripleKey(t)
-    M = np.eye(math.comb(2 * t.n, k))
-    for s in range(r):
-        M = _L_matrix(key, k + 2 * s) @ M
-    return M
+_TINY = 1e-300
 
 
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
 
+def lefschetz_power_matrix(t: CompatibleTriple, k: int, r: int) -> np.ndarray:
+    """Matrix of L^r : Lambda^k -> Lambda^{k+2r} (r >= 0)."""
+    return t.ops.lpow(k, r)
+
+
+def _power(a: KForm, r: int, t: CompatibleTriple) -> KForm:
+    """L^r a (the target degree must stay inside the algebra)."""
+    return KForm(a.n, a.k + 2 * r, lefschetz_power_matrix(t, a.k, r) @ a.data)
+
+
 def lefschetz_L(a: KForm, t: CompatibleTriple) -> KForm:
     """L(a) = omega ^ a.  Raises if the target degree exceeds 2n."""
     if a.k + 2 > 2 * a.n:
         raise ValueError(f"L maps degree {a.k} out of the algebra (n={a.n})")
-    return KForm(a.n, a.k + 2, _L_matrix(_TripleKey(t), a.k) @ a.data)
+    return _power(a, 1, t)
 
 
 def dual_lefschetz(a: KForm, t: CompatibleTriple) -> KForm:
     """Lambda(a), the omega^{-1} double contraction.  Zero on degrees < 2."""
     if a.k < 2:
-        return KForm.zero(a.n, 0)
-    return KForm(a.n, a.k - 2, _Lambda_matrix(_TripleKey(t), a.k) @ a.data)
+        return KForm(a.n, 0, np.zeros((1,) + a.data.shape[1:]))
+    return KForm(a.n, a.k - 2, t.ops.lam(a.k) @ a.data)
 
 
 def symplectic_star(a: KForm, t: CompatibleTriple) -> KForm:
@@ -163,8 +101,7 @@ def symplectic_star(a: KForm, t: CompatibleTriple) -> KForm:
     The pairing is extended to degree k by Gram minors of omega^{-1} and is
     complex-bilinear (no conjugation); star_s o star_s = id.
     """
-    S = _symplectic_star_matrix(_TripleKey(t), a.k)
-    return KForm(a.n, 2 * a.n - a.k, S @ a.data)
+    return KForm(a.n, 2 * a.n - a.k, t.ops.sstar(a.k) @ a.data)
 
 
 class PrimitivityResult(NamedTuple):
@@ -199,8 +136,7 @@ def is_primitive(a: KForm, t: CompatibleTriple, tol: float = 1e-12) -> Primitivi
     lam_norm = norm(dual_lefschetz(a, t), t)
     ok = lam_norm <= tol * scale
     if 2 * n - k + 2 <= 2 * n:  # k >= 2: L^{n-k+1} stays inside the algebra
-        P = lefschetz_power_matrix(t, k, n - k + 1)
-        power_norm = norm(KForm(n, 2 * n - k + 2, P @ a.data), t)
+        power_norm = norm(_power(a, n - k + 1, t), t)
     else:
         power_norm = 0.0  # L^{n-k+1} overflows the top degree: the zero map
     ok_power = power_norm <= tol * scale * 4.0 ** n
@@ -216,12 +152,20 @@ def is_primitive(a: KForm, t: CompatibleTriple, tol: float = 1e-12) -> Primitivi
 # primitive decomposition
 # ---------------------------------------------------------------------------
 
+def _rel_max(delta: np.ndarray, ref: np.ndarray) -> float:
+    """Worst column of max|delta| / max(1, max|ref|); a single form is one column."""
+    num = np.max(np.abs(delta), axis=0, initial=0.0)
+    den = np.maximum(np.max(np.abs(ref), axis=0, initial=0.0), 1.0)
+    return float(np.max(num / den, initial=0.0))
+
+
 @dataclass(frozen=True)
 class LefschetzComponents:
     """Primitive decomposition a = sum_r L^r beta_r, beta_r in P^{k-2r}.
 
-    `components` maps r -> beta_r (a primitive (k-2r)-form).  The expansion
-    starts at r = max(0, k-n) and ends at floor(k/2).
+    `components` maps r -> beta_r (a primitive (k-2r)-form, or a batch of
+    them when a is a batch).  The expansion starts at r = max(0, k-n) and
+    ends at floor(k/2).
     """
 
     k: int
@@ -230,20 +174,16 @@ class LefschetzComponents:
     def reconstruct(self, t: CompatibleTriple) -> KForm:
         out = None
         for r, beta in self.components.items():
-            term = KForm(
-                beta.n,
-                self.k,
-                lefschetz_power_matrix(t, beta.k, r) @ beta.data,
-            )
+            term = _power(beta, r, t)
             out = term if out is None else out + term
         if out is None:
             raise ValueError("empty decomposition")
         return out
 
     def residual(self, a: KForm, t: CompatibleTriple) -> float:
-        diff = self.reconstruct(t) - a
-        scale = max(1.0, float(np.max(np.abs(a.data), initial=0.0)))
-        return float(np.max(np.abs(diff.data), initial=0.0)) / scale
+        """Round-trip residual: the worst column of max|reconstruction - a|
+        relative to max(1, max|a|)."""
+        return _rel_max(self.reconstruct(t).data - a.data, a.data)
 
 
 def _ladder_coeff(n: int, k: int, s: int, r: int) -> float:
@@ -261,46 +201,30 @@ def primitive_decompose(a: KForm, t: CompatibleTriple) -> LefschetzComponents:
     Applying Lambda^s to the expansion gives an upper-triangular system in the
     beta_r with nonzero diagonal c(s;s) = s! (n-k+2s)!/(n-k+s)!, solved from
     the deepest level downward.  Exact for any k; for k > n the sum starts at
-    r = k - n.
+    r = k - n.  A batch is decomposed column by column in one pass.
     """
     n, k = a.n, a.k
     r_min = max(0, k - n)
     r_max = k // 2
-    key = _TripleKey(t)
 
-    # Lambda-iterates of a
-    iterates = {0: a.data}
-    cur = a
-    for s in range(1, r_max + 1):
-        cur = dual_lefschetz(cur, t)
-        iterates[s] = cur.data
+    iterates = [a]  # Lambda^s a
+    for _ in range(r_max):
+        iterates.append(dual_lefschetz(iterates[-1], t))
 
     comps: dict[int, KForm] = {}
     for r in range(r_max, r_min - 1, -1):
-        rhs = iterates[r].copy()
+        rhs = iterates[r].data
         for rp in range(r + 1, r_max + 1):
             c = _ladder_coeff(n, k, r, rp)
-            if c == 0.0 or (rp not in comps):
-                continue
-            beta = comps[rp]
-            rhs -= c * (lefschetz_power_matrix(t, beta.k, rp - r) @ beta.data)
-        diag = _ladder_coeff(n, k, r, r)
-        comps[r] = KForm(n, k - 2 * r, rhs / diag)
+            if c != 0.0:
+                rhs = rhs - c * _power(comps[rp], rp - r, t).data
+        comps[r] = KForm(n, k - 2 * r, rhs / _ladder_coeff(n, k, r, r))
     return LefschetzComponents(k=k, components=dict(sorted(comps.items())))
 
 
 def primitive_basis(t: CompatibleTriple, k: int) -> np.ndarray:
     """Orthonormal (columns) basis of the primitive subspace P^k, k <= n."""
-    if k > t.n:
-        raise ValueError(f"no primitive forms in degree {k} > n = {t.n}")
-    if k < 2:
-        dim = math.comb(2 * t.n, k)
-        return np.eye(dim)
-    Lam = _Lambda_matrix(_TripleKey(t), k)
-    # kernel via SVD
-    _, s, Vt = np.linalg.svd(Lam)
-    rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
-    return Vt[rank:].T.copy()
+    return t.ops.prim(k)
 
 
 def random_primitive(t: CompatibleTriple, k: int, rng: np.random.Generator) -> KForm:
@@ -312,34 +236,52 @@ def random_primitive(t: CompatibleTriple, k: int, rng: np.random.Generator) -> K
 
 
 # ---------------------------------------------------------------------------
-# identity residuals
+# identity residuals (single forms or column batches; worst column returned)
 # ---------------------------------------------------------------------------
 
-def _rel_max(x: np.ndarray, scale: float) -> float:
-    return float(np.max(np.abs(x), initial=0.0)) / max(scale, 1.0)
+def _lambda_conjugation(a: KForm, t: CompatibleTriple, star, sign: int) -> float:
+    """Residual of Lambda(a) = sign * star(L(star(a))) (both zero for k < 2)."""
+    lam = dual_lefschetz(a, t)
+    if a.k < 2:
+        # star(a) sits too high for L; Lambda already returns exact zero
+        return _rel_max(lam.data, a.data)
+    rhs = star(lefschetz_L(star(a, t), t), t)
+    return _rel_max(lam.data - sign * rhs.data, a.data)
+
+
+def star_conjugation_residual(a: KForm, t: CompatibleTriple) -> float:
+    """Residual of Lambda(a) = star_s(L(star_s(a))) (both zero for k < 2)."""
+    return _lambda_conjugation(a, t, symplectic_star, 1)
+
+
+def hodge_star_conjugation_residual(a: KForm, t: CompatibleTriple) -> float:
+    """Residual of Lambda(a) = (-1)^k star(L(star(a))) (both zero for k < 2)."""
+    return _lambda_conjugation(a, t, hodge_star, (-1) ** a.k)
+
+
+def symplectic_star_involution_residual(a: KForm, t: CompatibleTriple) -> float:
+    """Residual of star_s(star_s(a)) = a."""
+    return _rel_max(symplectic_star(symplectic_star(a, t), t).data - a.data, a.data)
+
+
+def weil_operator_residual(a: KForm, t: CompatibleTriple) -> float:
+    """Residual of J-pullback = Weil operator (the (p,q)-phase sum) on a."""
+    return _rel_max(j_action(a, t).data - weil_operator(a, t).data, a.data)
 
 
 def weil_relation_residual(beta: KForm, r: int, t: CompatibleTriple) -> float:
     """Residual of star(L^r beta)/r! = (-1)^{k(k+1)/2} L^{n-k-r} W(beta)/(n-k-r)!
 
-    for primitive beta of degree k, 0 <= r <= n - k.  Returns the max-abs
-    coefficient difference relative to the max-abs of the left side.
+    for primitive beta of degree k, 0 <= r <= n - k, relative to beta's
+    max-abs coefficient.
     """
-    from llab.algebra import hodge_star  # local to avoid cycle in doc order
-
     n, k = beta.n, beta.k
     if not 0 <= r <= n - k:
         raise ValueError(f"need 0 <= r <= n-k, got r={r}, n={n}, k={k}")
-    Lr = lefschetz_power_matrix(t, k, r)
-    lhs = hodge_star(KForm(n, k + 2 * r, Lr @ beta.data), t) * (1.0 / math.factorial(r))
+    lhs = hodge_star(_power(beta, r, t), t).data / math.factorial(r)
     sign = (-1) ** ((k * (k + 1) // 2) % 2)
-    w = weil_operator(beta, t)
-    Lpow = lefschetz_power_matrix(t, k, n - k - r)
-    rhs = KForm(n, 2 * n - k - 2 * r, Lpow @ w.data) * (
-        sign / math.factorial(n - k - r)
-    )
-    scale = float(np.max(np.abs(lhs.data), initial=0.0))
-    return _rel_max(lhs.data - rhs.data, scale)
+    rhs = sign * _power(weil_operator(beta, t), n - k - r, t).data / math.factorial(n - k - r)
+    return _rel_max(lhs - rhs, beta.data)
 
 
 def weil_specialization_constant(n: int, p: int, q: int) -> complex:
@@ -358,18 +300,6 @@ def weil_specialization_constant(n: int, p: int, q: int) -> complex:
     return (1j) ** ((p - q) % 4) * sign / math.factorial(n - k)
 
 
-def star_conjugation_residual(a: KForm, t: CompatibleTriple) -> float:
-    """Residual of Lambda(a) = star_s(L(star_s(a))) (both zero for k < 2)."""
-    lam = dual_lefschetz(a, t)
-    if a.k < 2:
-        # both sides vanish identically; Lambda already returns exact zero
-        return _rel_max(lam.data, float(np.max(np.abs(a.data), initial=0.0)))
-    s1 = symplectic_star(a, t)
-    rhs = symplectic_star(lefschetz_L(s1, t), t)
-    scale = float(np.max(np.abs(a.data), initial=0.0))
-    return _rel_max(lam.data - rhs.data, scale)
-
-
 def commutator_check(a: KForm, i: int, t: CompatibleTriple) -> float:
     """Residual of [L^i, Lambda] a = i (k - n + i - 1) L^{i-1} a on degree k.
 
@@ -379,54 +309,61 @@ def commutator_check(a: KForm, i: int, t: CompatibleTriple) -> float:
     n, k = a.n, a.k
     if i < 1:
         raise ValueError("need i >= 1")
-    out_k = k + 2 * (i - 1)
-    if out_k > 2 * n:
+    if k + 2 * (i - 1) > 2 * n:
         return 0.0  # every term of the identity overflows the top degree
-    key = _TripleKey(t)
-    out_dim = math.comb(2 * n, out_k)
-    if k + 2 * i <= 2 * n:
-        Li_k = lefschetz_power_matrix(t, k, i)       # on Lambda^k
-        lam_Li = _Lambda_matrix(key, k + 2 * i) @ (Li_k @ a.data)
-    else:
-        lam_Li = np.zeros(out_dim, dtype=complex)    # L^i a lies above degree 2n
+    rhs = i * (k - n + i - 1) * _power(a, i - 1, t).data
+    lhs = np.zeros_like(rhs)  # [L^i, Lambda] = L^i Lambda - Lambda L^i
     if k >= 2:
-        Li_km2 = lefschetz_power_matrix(t, k - 2, i)
-        Li_lam = Li_km2 @ (_Lambda_matrix(key, k) @ a.data)
-    else:
-        Li_lam = np.zeros(out_dim, dtype=complex)
-    lhs = Li_lam - lam_Li  # [L^i, Lambda] = L^i Lambda - Lambda L^i
-    rhs = i * (k - n + i - 1) * (lefschetz_power_matrix(t, k, i - 1) @ a.data)
-    scale = float(np.max(np.abs(a.data), initial=0.0))
-    return _rel_max(lhs - rhs, scale)
+        lhs = lhs + _power(dual_lefschetz(a, t), i, t).data
+    if k + 2 * i <= 2 * n:  # otherwise L^i a lies above degree 2n
+        lhs = lhs - dual_lefschetz(_power(a, i, t), t).data
+    return _rel_max(lhs - rhs, a.data)
 
 
 #: Residual-style alias of :func:`commutator_check` (same callable).
 commutator_residual = commutator_check
 
 
-def inner_scaling_check(
-    beta: KForm, alpha: KForm, i: int, j: int, t: CompatibleTriple
-) -> tuple[complex, complex]:
+def primitivity_residuals(beta: KForm, t: CompatibleTriple) -> tuple[float, float]:
+    """Residuals of the two primitivity characterizations, (Lambda beta,
+    L^{n-k+1} beta), for a primitive k-form beta, k <= n: both vanish."""
+    n, k = beta.n, beta.k
+    lam = _rel_max(dual_lefschetz(beta, t).data, beta.data)
+    power = _rel_max(lefschetz_power_matrix(t, k, n - k + 1) @ beta.data, beta.data)
+    return lam, power
+
+
+def inner_scaling_check(beta: KForm, alpha: KForm, i: int, j: int, t: CompatibleTriple):
     """Return (lhs, rhs) of the primitive-pair inner-product scaling law
 
         <L^i beta, L^i alpha> = [i! (n-k-i+j)! / ((i-j)! (n-k-i)!)] <L^{i-j} beta, L^{i-j} alpha>
 
-    for primitive alpha, beta of equal degree k, 0 <= j <= i <= n - k.
+    for primitive alpha, beta of equal degree k, 0 <= j <= i <= n - k
+    (one value per column for batches).
     """
     n, k = beta.n, beta.k
     if alpha.k != k or alpha.n != n:
         raise ValueError("alpha and beta must share degree and dimension")
     if not (0 <= j <= i <= n - k):
         raise ValueError(f"need 0 <= j <= i <= n-k; got i={i}, j={j}, n-k={n - k}")
-    Li = lefschetz_power_matrix(t, k, i)
-    Lij = lefschetz_power_matrix(t, k, i - j)
-    bi = KForm(n, k + 2 * i, Li @ beta.data)
-    ai = KForm(n, k + 2 * i, Li @ alpha.data)
-    bj = KForm(n, k + 2 * (i - j), Lij @ beta.data)
-    aj = KForm(n, k + 2 * (i - j), Lij @ alpha.data)
     factor = (
         math.factorial(i)
         * math.factorial(n - k - i + j)
         / (math.factorial(i - j) * math.factorial(n - k - i))
     )
-    return inner(bi, ai, t), factor * inner(bj, aj, t)
+    lhs = inner(_power(beta, i, t), _power(alpha, i, t), t)
+    return lhs, factor * inner(_power(beta, i - j, t), _power(alpha, i - j, t), t)
+
+
+def inner_scaling_residual(beta: KForm, alpha: KForm, i: int, j: int, t: CompatibleTriple) -> float:
+    """Worst column of |lhs - rhs| / max(1, |lhs|) for :func:`inner_scaling_check`."""
+    lhs, rhs = inner_scaling_check(beta, alpha, i, j, t)
+    return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0), initial=0.0))
+
+
+def cross_term_residual(x: KForm, p: int, y: KForm, q: int, t: CompatibleTriple) -> float:
+    """Worst column of |<L^p x, L^q y>| / (||L^p x|| ||L^q y||) for primitive
+    x, y with x.k + 2p = y.k + 2q: distinct Lefschetz levels are orthogonal."""
+    X, Y = _power(x, p, t), _power(y, q, t)
+    cos = np.abs(inner(X, Y, t)) / np.maximum(norm(X, t) * norm(Y, t), _TINY)
+    return float(np.max(cos, initial=0.0))

@@ -24,6 +24,11 @@ from pathlib import Path
 CSV_SCHEMA_VERSION = 1
 CSV_COLUMNS = ("schema_version", "suite", "group", "name", "value")
 
+# params that only route a run (worker threads, the mesh cache directory):
+# they never change its numbers, so neither the hash nor the report's
+# config carries them
+ROUTING_PARAMS = ("threads", "cache_dir")
+
 
 def code_version() -> str:
     from llab import __version__
@@ -37,7 +42,8 @@ class SuiteConfig:
 
     `params` holds the suite-specific knobs (n values, cutoffs, mesh
     sizes, ...).  The hash covers suite, params, seed and tolerance --
-    the semantic content -- and ignores output routing.
+    the semantic content -- and ignores routing: output directory and
+    formats, and the ROUTING_PARAMS entries of params.
     """
 
     suite: str
@@ -57,7 +63,7 @@ class SuiteConfig:
             "suite": self.suite,
             "seed": self.seed,
             "tolerance": self.tolerance,
-            "params": self.params,
+            "params": {k: v for k, v in self.params.items() if k not in ROUTING_PARAMS},
         }
 
     def config_hash(self) -> str:

@@ -5,9 +5,11 @@ spawn-key lists ([seed, n, k] style), so a config fully determines the
 draws and two runs of the same config produce identical residuals, bit
 for bit.  Residuals are max-abs, relative to the input scale.
 
-The identity suite checks, per (n, k) cell and per random batch:
+The identity suite checks, per (n, k) cell and per random batch, the
+identities implemented once in `llab.lefschetz`:
   * Weil relation on primitive forms (star vs Lefschetz power of J(beta))
   * Lambda = star_s L star_s and star_s involutivity
+  * Lambda = (-1)^k star L star
   * the J-pullback operator equals the (p,q)-phase sum
   * [L^i, Lambda] = i (k - n + i - 1) L^{i-1} for i <= 3
   * both primitivity characterizations vanish together
@@ -24,26 +26,20 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from llab.algebra import (
-    CompatibleTriple,
-    KForm,
-    build_standard_triple,
-    hodge_star,
-    j_action,
-    metric_gram,
-    random_compatible_triple,
-    weil_operator,
-)
+from llab.algebra import CompatibleTriple, KForm, build_standard_triple, random_compatible_triple
 from llab.lefschetz import (
-    dual_lefschetz,
-    lefschetz_L,
-    lefschetz_power_matrix,
+    commutator_check,
+    cross_term_residual,
+    hodge_star_conjugation_residual,
+    inner_scaling_residual,
     primitive_basis,
     primitive_decompose,
-    symplectic_star,
+    primitivity_residuals,
+    star_conjugation_residual,
+    symplectic_star_involution_residual,
+    weil_operator_residual,
+    weil_relation_residual,
 )
-
-_TINY = 1e-300
 
 
 def thread_count() -> int:
@@ -59,19 +55,17 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def _op_matrix(f, n: int, k: int) -> np.ndarray:
-    """Matrix of a linear KForm operation on degree k via basis images."""
-    dim = math.comb(2 * n, k)
-    eye = np.eye(dim)
-    cols = [f(KForm(n, k, eye[:, i])).data for i in range(dim)]
-    return np.column_stack(cols) if cols else np.zeros((0, 0))
-
-
-def _col_rel_max(delta: np.ndarray, ref: np.ndarray) -> float:
-    """max over columns of ||delta_col||_inf / max(||ref_col||_inf, 1)."""
-    num = np.max(np.abs(delta), axis=0, initial=0.0)
-    den = np.maximum(np.max(np.abs(ref), axis=0, initial=0.0), 1.0)
-    return float(np.max(num / den, initial=0.0))
+def _per_n(run_n, n_values, threads: int | None) -> dict:
+    """{"n<n>": run_n(n)} in increasing n, on up to `threads` workers
+    (default thread_count()); the order never depends on completion."""
+    n_values = tuple(n_values)
+    workers = threads if threads is not None else thread_count()
+    if workers > 1 and len(n_values) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            results = dict(zip(n_values, ex.map(run_n, n_values)))
+    else:
+        results = {n: run_n(n) for n in n_values}
+    return {f"n{n}": results[n] for n in sorted(results)}
 
 
 def _random_batch(rng: np.random.Generator, dim: int, cases: int) -> np.ndarray:
@@ -87,132 +81,45 @@ def _cell_residuals(
     rng: np.random.Generator,
     roundtrip_cases: int,
 ) -> dict[str, float]:
-    """All identity residuals for one (triple, degree) cell."""
+    """All identity residuals for one (triple, degree) cell, each the worst
+    column of one seeded batch."""
     out: dict[str, float] = {}
-    dim = math.comb(2 * n, k)
-    X = _random_batch(rng, dim, cases)
-
-    # operator matrices on this degree (built through the public form ops)
-    S_s = _op_matrix(lambda a: symplectic_star(a, t), n, k)
-    S_s_back = _op_matrix(lambda a: symplectic_star(a, t), n, 2 * n - k)
-    out["symplectic_star_involution"] = _col_rel_max((S_s_back @ S_s - np.eye(dim)) @ X, X)
-
-    Lam = (
-        _op_matrix(lambda a: dual_lefschetz(a, t), n, k)
-        if k >= 2
-        else np.zeros((math.comb(2 * n, max(k - 2, 0)), dim))
-    )
-    if k >= 2:
-        # Lambda = star_s L star_s (degree bookkeeping: star_s lands in 2n-k,
-        # L pushes to 2n-k+2, star_s back down to k-2)
-        L_up = _op_matrix(lambda a: lefschetz_L(a, t), n, 2 * n - k)
-        S_down = _op_matrix(lambda a: symplectic_star(a, t), n, 2 * n - k + 2)
-        out["symplectic_star_conjugation"] = _col_rel_max((Lam - S_down @ L_up @ S_s) @ X, X)
-    else:
-        out["symplectic_star_conjugation"] = _col_rel_max(Lam @ X, X)
-
-    # Hodge-star conjugation: Lambda = (-1)^k star L star on degree k
-    if k >= 2:
-        St = _op_matrix(lambda a: hodge_star(a, t), n, k)
-        L_up_h = _op_matrix(lambda a: lefschetz_L(a, t), n, 2 * n - k)
-        St_down = _op_matrix(lambda a: hodge_star(a, t), n, 2 * n - k + 2)
-        sign = (-1) ** k
-        out["hodge_star_conjugation"] = _col_rel_max((Lam - sign * St_down @ L_up_h @ St) @ X, X)
-    else:
-        out["hodge_star_conjugation"] = _col_rel_max(Lam @ X, X)
-
-    # Weil operator: J-pullback route vs (p,q)-phase route
-    Jp = _op_matrix(lambda a: j_action(a, t), n, k)
-    Wm = _op_matrix(lambda a: weil_operator(a, t), n, k)
-    out["weil_operator_consistency"] = _col_rel_max((Jp - Wm) @ X, X)
-
-    # commutators [L^i, Lambda] for i <= 3 (inside the algebra)
-    for i in (1, 2, 3):
-        if k + 2 * i > 2 * n:
-            continue
-        Li = lefschetz_power_matrix(t, k, i)
-        Lam_top = _op_matrix(lambda a: dual_lefschetz(a, t), n, k + 2 * i)
-        lam_Li = Lam_top @ Li
-        if k >= 2:
-            Li_lam = lefschetz_power_matrix(t, k - 2, i) @ Lam
-        else:
-            Li_lam = np.zeros_like(lam_Li)
-        rhs = i * (k - n + i - 1) * lefschetz_power_matrix(t, k, i - 1)
-        out[f"commutator_i{i}"] = _col_rel_max((Li_lam - lam_Li - rhs) @ X, X)
+    X = KForm(n, k, _random_batch(rng, math.comb(2 * n, k), cases))
+    out["symplectic_star_involution"] = symplectic_star_involution_residual(X, t)
+    out["symplectic_star_conjugation"] = star_conjugation_residual(X, t)
+    out["hodge_star_conjugation"] = hodge_star_conjugation_residual(X, t)
+    out["weil_operator_consistency"] = weil_operator_residual(X, t)
+    for i in (1, 2, 3):  # inside the algebra
+        if k + 2 * i <= 2 * n:
+            out[f"commutator_i{i}"] = commutator_check(X, i, t)
 
     # primitive-only identities
     if k <= n:
         P = primitive_basis(t, k)
-        B = P @ _random_batch(rng, P.shape[1], cases)
+        B = KForm(n, k, P @ _random_batch(rng, P.shape[1], cases))
+        out["primitivity_lambda"], out["primitivity_power"] = primitivity_residuals(B, t)
+        out["weil_relation"] = max(weil_relation_residual(B, r, t) for r in range(n - k + 1))
+        B2 = KForm(n, k, P @ _random_batch(rng, P.shape[1], cases))
+        out["inner_scaling"] = max(
+            inner_scaling_residual(B, B2, i, j, t) for i in range(n - k + 1) for j in range(i + 1)
+        )
 
-        # Def.-style equivalence: both primitivity witnesses vanish
-        lam_res = _col_rel_max(Lam @ B, B) if k >= 2 else 0.0
-        Lpow = lefschetz_power_matrix(t, k, n - k + 1)
-        out["primitivity_lambda"] = lam_res
-        out["primitivity_power"] = _col_rel_max(Lpow @ B, B)
-
-        # Weil relation per Lefschetz power r
-        Wmat = Wm if P.shape[0] == Wm.shape[1] else _op_matrix(lambda a: weil_operator(a, t), n, k)
-        sign = (-1) ** ((k * (k + 1) // 2) % 2)
-        worst = 0.0
-        for r in range(0, n - k + 1):
-            Lr = lefschetz_power_matrix(t, k, r)
-            St_up = _op_matrix(lambda a: hodge_star(a, t), n, k + 2 * r)
-            lhs = St_up @ Lr / math.factorial(r)
-            rhs = sign * lefschetz_power_matrix(t, k, n - k - r) @ Wmat / math.factorial(n - k - r)
-            worst = max(worst, _col_rel_max((lhs - rhs) @ B, B))
-        out["weil_relation"] = worst
-
-        # inner-product scaling law on primitive pairs
-        B2 = P @ _random_batch(rng, P.shape[1], cases)
-        worst = 0.0
-        for i in range(0, n - k + 1):
-            Li = lefschetz_power_matrix(t, k, i)
-            Gi = metric_gram(t, k + 2 * i)
-            lhs = np.einsum("ic,ij,jc->c", Li @ B, Gi, np.conj(Li @ B2))
-            for j in range(0, i + 1):
-                Lij = lefschetz_power_matrix(t, k, i - j)
-                Gj = metric_gram(t, k + 2 * (i - j))
-                rhs = np.einsum("ic,ij,jc->c", Lij @ B, Gj, np.conj(Lij @ B2))
-                factor = (
-                    math.factorial(i)
-                    * math.factorial(n - k - i + j)
-                    / (math.factorial(i - j) * math.factorial(n - k - i))
-                )
-                scale = np.maximum(np.abs(lhs), 1.0)
-                worst = max(worst, float(np.max(np.abs(lhs - factor * rhs) / scale, initial=0.0)))
-        out["inner_scaling"] = worst
-
-    # decomposition round-trip (per-form; exercises the production code path)
-    worst = 0.0
-    for c in range(min(cases, roundtrip_cases)):
-        a = KForm(n, k, X[:, c])
-        comps = primitive_decompose(a, t)
-        worst = max(worst, comps.residual(a, t))
-    out["decomposition_roundtrip"] = worst
+    A = KForm(n, k, X.data[:, : min(cases, roundtrip_cases)])
+    out["decomposition_roundtrip"] = primitive_decompose(A, t).residual(A, t)
 
     # cross-degree orthogonality <L^p x, L^q y> = 0, p != q; levels below
     # k - n carry structurally-zero components (L^p kills them) and are
     # excluded, mirroring the decomposition's valid range
-    r_min = max(0, k - n)
-    pairs = [
-        (p, q)
-        for p in range(r_min, k // 2 + 1)
-        for q in range(r_min, k // 2 + 1)
-        if p != q
-    ]
+    levels = range(max(0, k - n), k // 2 + 1)
+    pairs = [(p, q) for p in levels for q in levels if p != q]
     if pairs:
-        G = metric_gram(t, k)
         worst = 0.0
         for p, q in pairs:
             Pp = primitive_basis(t, k - 2 * p)
             Pq = primitive_basis(t, k - 2 * q)
-            Xp = lefschetz_power_matrix(t, k - 2 * p, p) @ (Pp @ _random_batch(rng, Pp.shape[1], cross_cases))
-            Yq = lefschetz_power_matrix(t, k - 2 * q, q) @ (Pq @ _random_batch(rng, Pq.shape[1], cross_cases))
-            vals = np.einsum("ic,ij,jc->c", Xp, G, np.conj(Yq))
-            nx = np.sqrt(np.abs(np.einsum("ic,ij,jc->c", Xp, G, np.conj(Xp))))
-            ny = np.sqrt(np.abs(np.einsum("ic,ij,jc->c", Yq, G, np.conj(Yq))))
-            worst = max(worst, float(np.max(np.abs(vals) / np.maximum(nx * ny, _TINY), initial=0.0)))
+            x = KForm(n, k - 2 * p, Pp @ _random_batch(rng, Pp.shape[1], cross_cases))
+            y = KForm(n, k - 2 * q, Pq @ _random_batch(rng, Pq.shape[1], cross_cases))
+            worst = max(worst, cross_term_residual(x, p, y, q, t))
         out["cross_term_orthogonality"] = worst
     return out
 
@@ -239,7 +146,7 @@ def identity_suite(
     if cases < 0 or cross_cases < 0:
         raise ValueError("case counts must be nonnegative")
 
-    def run_n(n: int) -> tuple[str, dict]:
+    def run_n(n: int) -> dict:
         t_std = build_standard_triple(n)
         rng_triple = np.random.default_rng([seed, n, 10_000])
         t_rnd = random_compatible_triple(n, rng_triple)
@@ -260,20 +167,9 @@ def identity_suite(
             for name, v in res_rnd.items():
                 merged[f"{name}[random_triple]"] = v
             cell[f"k{k}"] = merged
-        return f"n{n}", cell
+        return cell
 
-    workers = threads if threads is not None else thread_count()
-    cells: dict[str, dict] = {}
-    if workers > 1 and len(n_values) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for key, cell in ex.map(run_n, n_values):
-                cells[key] = cell
-    else:
-        for n in n_values:
-            key, cell = run_n(n)
-            cells[key] = cell
-    # deterministic ordering regardless of completion order
-    cells = {k: cells[k] for k in sorted(cells, key=lambda s: int(s[1:]))}
+    cells = _per_n(run_n, n_values, threads)
 
     flat = [v for cell in cells.values() for res in cell.values() for v in res.values()]
     max_residual = max(flat) if flat else None
@@ -308,7 +204,6 @@ def torus_suite(
     """Fourier-model verification: harmonic dimensions, the bigraded
     refinement, the two norm identities, the anti-invariant measurement,
     and the self-dual relation, per n."""
-    from llab.algebra import build_standard_triple
     from llab.torus import (
         anti_invariant_suite,
         build_fourier_complex,
@@ -321,7 +216,7 @@ def torus_suite(
         verify_p7_decomposition,
     )
 
-    def run_n(n: int) -> tuple[str, dict]:
+    def run_n(n: int) -> dict:
         t = build_standard_triple(n)
         fc = build_fourier_complex(n, N, t)
         block: dict = {"n": n, "N": N, "modes": len(fc.modes)}
@@ -333,27 +228,16 @@ def torus_suite(
         p7 = {}
         for p in range(0, n + 1):
             for q in range(0, n + 1):
-                r = verify_p7_decomposition(fc, p, q)
-                p7[f"{p},{q}"] = r
+                p7[f"{p},{q}"] = verify_p7_decomposition(fc, p, q, tol)
         block["p7"] = p7
-        block["lemma_L8"] = verify_lemma_L8(fc, samples, seed)
-        block["lemma_L10"] = verify_lemma_L10(fc, samples, seed)
-        block["kahler_identity"] = verify_kahler_identity(fc, samples)
-        block["anti_invariant"] = anti_invariant_suite(fc)
-        block["self_dual"] = self_dual_invariant_relation(fc, samples)
-        return f"n{n}", block
+        block["lemma_L8"] = verify_lemma_L8(fc, samples, seed, tol)
+        block["lemma_L10"] = verify_lemma_L10(fc, samples, seed, tol)
+        block["kahler_identity"] = verify_kahler_identity(fc, samples, tol)
+        block["anti_invariant"] = anti_invariant_suite(fc, tol)
+        block["self_dual"] = self_dual_invariant_relation(fc, samples, tol)
+        return block
 
-    workers = threads if threads is not None else thread_count()
-    blocks: dict[str, dict] = {}
-    if workers > 1 and len(tuple(n_values)) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for key, b in ex.map(run_n, n_values):
-                blocks[key] = b
-    else:
-        for n in n_values:
-            key, b = run_n(n)
-            blocks[key] = b
-    blocks = {k: blocks[k] for k in sorted(blocks, key=lambda s: int(s[1:]))}
+    blocks = _per_n(run_n, n_values, threads)
 
     residuals: list[float] = []
     checks: dict[str, bool] = {}

@@ -24,22 +24,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from llab.algebra import (
     CompatibleTriple,
     KForm,
-    _TripleKey,
-    basis_masks,
     hodge_star,
-    merge_sign,
-    metric_gram,
     pq_projector_matrices,
     wedge,
 )
-from llab.lefschetz import _L_matrix, _Lambda_matrix
 
 __all__ = [
     "FourierComplex",
@@ -56,71 +50,10 @@ __all__ = [
     "check_complex",
 ]
 
-TOL_SUITE = 1e-10
 
-
-# ---------------------------------------------------------------------------
-# full-exterior-algebra machinery (xi-independent)
-# ---------------------------------------------------------------------------
-
-class _Machinery:
-    """Dense mask-indexed operators on the full algebra of one triple."""
-
-    def __init__(self, t: CompatibleTriple):
-        self.t = t
-        n = t.n
-        dim = 2 * n
-        size = 1 << dim
-        self.size = size
-        self.deg = np.array([m.bit_count() for m in range(size)])
-        self.masks_by_degree = [np.array(basis_masks(dim, k), dtype=int) for k in range(dim + 1)]
-
-        # wedge-with-e^j matrices on the full algebra
-        self.W = []
-        for j in range(dim):
-            b = 1 << j
-            Wj = np.zeros((size, size))
-            for m in range(size):
-                if not m & b:
-                    Wj[m | b, m] = merge_sign(b, m)
-            self.W.append(Wj)
-
-        key = _TripleKey(t)
-        self.G = np.zeros((size, size))
-        self.L = np.zeros((size, size))
-        self.Lam = np.zeros((size, size))
-        for k in range(dim + 1):
-            mk = self.masks_by_degree[k]
-            self.G[np.ix_(mk, mk)] = metric_gram(t, k)
-            if k + 2 <= dim:
-                self.L[np.ix_(self.masks_by_degree[k + 2], mk)] = _L_matrix(key, k)
-            if k >= 2:
-                self.Lam[np.ix_(self.masks_by_degree[k - 2], mk)] = _Lambda_matrix(key, k)
-        self.Ginv = np.linalg.inv(self.G)
-
-        # bidegree projectors, summed over k into full-algebra matrices
-        self.pq_proj: dict[tuple[int, int], np.ndarray] = {}
-        for k in range(dim + 1):
-            mk = self.masks_by_degree[k]
-            for (p, q), M in pq_projector_matrices(t, k).items():
-                full = np.zeros((size, size), dtype=complex)
-                full[np.ix_(mk, mk)] = M
-                self.pq_proj[(p, q)] = full
-
-    def adjoint(self, A: np.ndarray) -> np.ndarray:
-        """g-adjoint w.r.t. the Hermitian pairing <a,b> = a^T G conj(b)."""
-        return self.Ginv @ A.conj().T @ self.G
-
-    def degree_block(self, A: np.ndarray, k_out: int, k_in: int) -> np.ndarray:
-        return A[np.ix_(self.masks_by_degree[k_out], self.masks_by_degree[k_in])]
-
-    def embed(self, a: KForm) -> np.ndarray:
-        v = np.zeros(self.size, dtype=complex)
-        v[self.masks_by_degree[a.k]] = a.data
-        return v
-
-    def extract(self, v: np.ndarray, k: int) -> KForm:
-        return KForm(self.t.n, k, v[self.masks_by_degree[k]])
+def _degree_block(alg, A: np.ndarray, k_out: int, k_in: int) -> np.ndarray:
+    """The Lambda^{k_in} -> Lambda^{k_out} block of a full-algebra matrix."""
+    return A[np.ix_(alg.masks(k_out), alg.masks(k_in))]
 
 
 @dataclass(frozen=True)
@@ -145,8 +78,9 @@ class FourierComplex:
     """Finite Fourier truncation of the de Rham complex of (T^{2n}, t).
 
     Modes are all integer vectors with sup-norm <= N, in lexicographic
-    order; per-mode operators are built lazily from 2n cached wedge matrices
-    and are exact up to roundoff.
+    order; per-mode operators are built lazily from the 2n wedge matrices of
+    the triple's full-algebra operators (`triple.ops`) and are exact up to
+    roundoff.
     """
 
     n: int
@@ -154,21 +88,17 @@ class FourierComplex:
     triple: CompatibleTriple
     modes: tuple = field(repr=False)
 
-    @cached_property
-    def machinery(self) -> _Machinery:
-        return _Machinery(self.triple)
-
     def mode_ops(self, xi) -> _ModeOps:
         xi = tuple(int(x) for x in xi)
-        M = self.machinery
+        alg = self.triple.ops
         c = 2j * np.pi * np.asarray(xi, dtype=float)
-        d = np.zeros((M.size, M.size), dtype=complex)
+        d = np.zeros((alg.size, alg.size), dtype=complex)
         for j, cj in enumerate(c):
             if cj != 0:
-                d = d + cj * M.W[j]
-        d_star = M.adjoint(d)
-        d_lambda = d @ M.Lam - M.Lam @ d
-        d_lambda_star = M.adjoint(d_lambda)
+                d = d + cj * alg.W[j]
+        d_star = alg.adjoint(d)
+        d_lambda = d @ alg.Lam - alg.Lam @ d
+        d_lambda_star = alg.adjoint(d_lambda)
         lap = d @ d_star + d_star @ d
         dee = d_star @ d + d_lambda_star @ d_lambda
         return _ModeOps(xi, d, d_star, d_lambda, d_lambda_star, lap, dee)
@@ -184,16 +114,18 @@ class FourierComplex:
         pq: tuple | None = None,
     ) -> "TorusForm":
         """Mode-sparse random k-form; optionally projected to pure type (p,q)."""
-        M = self.machinery
+        alg = self.triple.ops
+        mk = alg.masks(k)
         n_active = min(active_modes, len(self.modes))
         chosen = rng.choice(len(self.modes), size=n_active, replace=False)
         comps = {}
         for ci in sorted(chosen):
             xi = self.modes[ci]
-            a = rng.standard_normal(M.size) + 1j * rng.standard_normal(M.size)
-            v = np.where(M.deg == k, a, 0.0)
+            a = rng.standard_normal(alg.size) + 1j * rng.standard_normal(alg.size)
+            v = np.zeros(alg.size, dtype=complex)
+            v[mk] = a[mk]
             if pq is not None:
-                v = M.pq_proj[pq] @ v
+                v = alg.pq_proj[pq] @ v
             if np.max(np.abs(v)) > 0:
                 comps[xi] = v
         return TorusForm(self, comps)
@@ -217,7 +149,7 @@ class TorusForm:
         return TorusForm(self.fc, {xi: A @ v for xi, v in self.comps.items()})
 
     def inner(self, other: "TorusForm") -> complex:
-        G = self.fc.machinery.G
+        G = self.fc.triple.ops.G
         total = 0.0 + 0.0j
         for xi, v in self.comps.items():
             w = other.comps.get(xi)
@@ -330,14 +262,14 @@ def harmonic_space(fc: FourierComplex, k: int) -> HarmonicSpaceReport:
     """
     if not 0 <= k <= 2 * fc.n:
         raise ValueError(f"degree {k} out of range")
-    M = fc.machinery
-    mk = M.masks_by_degree[k]
+    alg = fc.triple.ops
+    mk = alg.masks(k)
     nonzero_kernel = 0
     basis = None
     for xi in fc.modes:
         if any(xi):
             ops = fc.mode_ops(xi)
-            lap_k = M.degree_block(ops.laplacian, k, k)
+            lap_k = _degree_block(alg, ops.laplacian, k, k)
             kern = _kernel_basis(lap_k)
             nonzero_kernel += kern.shape[1]
         else:
@@ -367,9 +299,7 @@ def harmonic_space(fc: FourierComplex, k: int) -> HarmonicSpaceReport:
 
     inv_dim = anti_dim = None
     if k == 2:
-        from llab.algebra import _j_action_matrix
-
-        Jk = _j_action_matrix(_TripleKey(fc.triple), 2)
+        Jk = alg.jpull(2)
         inv_dim = int(np.linalg.matrix_rank(0.5 * (np.eye(len(mk)) + Jk), tol=1e-8))
         anti_dim = int(np.linalg.matrix_rank(0.5 * (np.eye(len(mk)) - Jk), tol=1e-8))
 
@@ -394,7 +324,7 @@ def harmonic_space(fc: FourierComplex, k: int) -> HarmonicSpaceReport:
 # decomposition and identity suites
 # ---------------------------------------------------------------------------
 
-def verify_p7_decomposition(fc: FourierComplex, p: int, q: int, tol: float = TOL_SUITE) -> dict:
+def verify_p7_decomposition(fc: FourierComplex, p: int, q: int, tol: float = 1e-10) -> dict:
     """Check H^{p,q} = sum_r L^r (primitive H^{p-r,q-r}) on the harmonic block.
 
     Computes both sides as explicit bases at xi = 0, asserts equal dimension
@@ -479,7 +409,7 @@ def verify_p7_decomposition(fc: FourierComplex, p: int, q: int, tol: float = TOL
     return report
 
 
-def verify_lemma_L8(fc: FourierComplex, samples: int, seed: int) -> dict:
+def verify_lemma_L8(fc: FourierComplex, samples: int, seed: int, tol: float = 1e-10) -> dict:
     """|  ||d^Lambda a||^2 - ||d* a||^2 | / ||a||^2 over random pure-type forms."""
     worst = 0.0
     cases = 0
@@ -496,24 +426,25 @@ def verify_lemma_L8(fc: FourierComplex, samples: int, seed: int) -> dict:
         rhs = a.apply("d_star").norm_sq()
         worst = max(worst, abs(lhs - rhs) / ns)
         cases += 1
-    return {"samples": cases, "max_residual": worst, "passed": bool(worst < TOL_SUITE)}
+    return {"samples": cases, "max_residual": worst, "passed": bool(worst < tol)}
 
 
 def _primitive_components(fc: FourierComplex, a: TorusForm, k: int) -> dict:
     """Per-mode Lefschetz components of a degree-k TorusForm: r -> TorusForm."""
     from llab.lefschetz import primitive_decompose
 
-    M = fc.machinery
+    alg = fc.triple.ops
     out: dict[int, dict] = {}
     for xi, v in a.comps.items():
-        form = M.extract(v, k)
-        dec = primitive_decompose(form, fc.triple)
+        dec = primitive_decompose(KForm(fc.n, k, v[alg.masks(k)]), fc.triple)
         for r, beta in dec.components.items():
-            out.setdefault(r, {})[xi] = M.embed(beta)
+            full = np.zeros(alg.size, dtype=complex)
+            full[alg.masks(beta.k)] = beta.data
+            out.setdefault(r, {})[xi] = full
     return {r: TorusForm(fc, comps) for r, comps in out.items()}
 
 
-def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int) -> dict:
+def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1e-10) -> dict:
     """Cross-term orthogonality and norm equivalence over Lefschetz components.
 
     For random finite-mode k-forms a = sum_r L^r b_r:
@@ -522,6 +453,7 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int) -> dict:
         c_min, c_max of sum_r ||d b_r||^2 (the constants are reported, not
         asserted, per degree).
     """
+    L = fc.triple.ops.L
     results = {}
     worst_cross = 0.0
     for k in range(2 * fc.n + 1):
@@ -537,13 +469,13 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int) -> dict:
                 Db = comps[r1].apply("dee")
                 Lp_Db = Db
                 for _ in range(r1):
-                    Lp_Db = Lp_Db.apply_matrix(fc.machinery.L)
+                    Lp_Db = Lp_Db.apply_matrix(L)
                 for r2 in keys:
                     if r2 == r1:
                         continue
                     Lq_b = comps[r2]
                     for _ in range(r2):
-                        Lq_b = Lq_b.apply_matrix(fc.machinery.L)
+                        Lq_b = Lq_b.apply_matrix(L)
                     worst_cross = max(worst_cross, abs(Lp_Db.inner(Lq_b)) / scale)
             num = a.apply("d").norm_sq() + a.apply("d_lambda").norm_sq()
             den = sum(comps[r].apply("d").norm_sq() for r in keys)
@@ -555,17 +487,17 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int) -> dict:
     return {
         "max_cross_term": worst_cross,
         "equivalence_constants": results,
-        "passed": bool(worst_cross < TOL_SUITE),
+        "passed": bool(worst_cross < tol),
     }
 
 
-def verify_kahler_identity(fc: FourierComplex, samples: int) -> dict:
+def verify_kahler_identity(fc: FourierComplex, samples: int, tol: float = 1e-10) -> dict:
     """Delta_d = 2 Delta_dbar per mode (constant J is integrable on T^{2n}).
 
     dbar is assembled independently as sum_{p,q} Pi^{p,q+1} d Pi^{p,q}; the
     report also measures bidegree leakage of Delta_d and Delta_dbar.
     """
-    M = fc.machinery
+    alg = fc.triple.ops
     rng = np.random.default_rng(2 * fc.n + fc.N)  # deterministic; no seed in contract
     worst = 0.0
     leak_dbar = 0.0
@@ -575,17 +507,17 @@ def verify_kahler_identity(fc: FourierComplex, samples: int) -> dict:
         xi = fc.modes[mode_idx]
         ops = fc.mode_ops(xi)
         dbar = np.zeros_like(ops.d)
-        for (p, q), P in M.pq_proj.items():
-            tgt = M.pq_proj.get((p, q + 1))
+        for (p, q), P in alg.pq_proj.items():
+            tgt = alg.pq_proj.get((p, q + 1))
             if tgt is not None:
                 dbar = dbar + tgt @ ops.d @ P
-        dbar_star = M.adjoint(dbar)
+        dbar_star = alg.adjoint(dbar)
         lap_dbar = dbar @ dbar_star + dbar_star @ dbar
         diff = ops.laplacian - 2.0 * lap_dbar
         scale = max(1.0, float(np.max(np.abs(ops.laplacian))))
         worst = max(worst, float(np.max(np.abs(diff))) / scale)
-        for (p, q), P in M.pq_proj.items():
-            for (p2, q2), P2 in M.pq_proj.items():
+        for (p, q), P in alg.pq_proj.items():
+            for (p2, q2), P2 in alg.pq_proj.items():
                 if (p2, q2) != (p, q):
                     leak_dbar = max(leak_dbar, float(np.max(np.abs(P2 @ lap_dbar @ P))) / scale)
                     leak_lap = max(leak_lap, float(np.max(np.abs(P2 @ ops.laplacian @ P))) / scale)
@@ -594,11 +526,11 @@ def verify_kahler_identity(fc: FourierComplex, samples: int) -> dict:
         "max_residual": worst,
         "max_bidegree_leakage_dbar": leak_dbar,
         "max_bidegree_leakage_delta": leak_lap,
-        "passed": bool(worst < TOL_SUITE and leak_dbar < TOL_SUITE and leak_lap < TOL_SUITE),
+        "passed": bool(worst < tol and leak_dbar < tol and leak_lap < tol),
     }
 
 
-def anti_invariant_suite(fc: FourierComplex) -> dict:
+def anti_invariant_suite(fc: FourierComplex, tol: float = 1e-10) -> dict:
     """Anti-invariant (J a = -a) 2-form checks.
 
     (i) For a basis of constant anti-invariant 2-forms, measures the star
@@ -610,15 +542,13 @@ def anti_invariant_suite(fc: FourierComplex) -> dict:
         everything is harmonic.
     (iii) Reports the invariant/anti-invariant dimension split.
     """
-    from llab.algebra import _j_action_matrix
-
     n = fc.n
     if n < 2:
         raise ValueError("anti-invariant star identity needs n >= 2")
     t = fc.triple
-    M = fc.machinery
-    m2 = M.masks_by_degree[2]
-    J2 = _j_action_matrix(_TripleKey(t), 2)
+    alg = t.ops
+    m2 = alg.masks(2)
+    J2 = alg.jpull(2)
     # J2^2 = I on 2-forms; split by the (possibly oblique) projectors (I -+ J2)/2
     eye = np.eye(len(m2))
     anti = _image_basis(0.5 * (eye - J2))
@@ -639,17 +569,17 @@ def anti_invariant_suite(fc: FourierComplex) -> dict:
         scale = max(1.0, float(np.max(np.abs(star_a.data))))
         res_a = max(res_a, float(np.max(np.abs(star_a.data - ca * wedge_pow.data))) / scale)
         res_b = max(res_b, float(np.max(np.abs(star_a.data - cb * wedge_pow.data))) / scale)
-    if res_a < TOL_SUITE and res_b < TOL_SUITE:
+    if res_a < tol and res_b < tol:
         matches = "both (coincide at n=2)"
-    elif res_a < TOL_SUITE:
+    elif res_a < tol:
         matches = "1/(n-2)!"
-    elif res_b < TOL_SUITE:
+    elif res_b < tol:
         matches = "1/(n-1)!"
     else:
         matches = "neither"
 
     # (ii) closed anti-invariant => harmonic, mode by mode
-    anti_full = np.zeros((M.size, anti_dim), dtype=complex)
+    anti_full = np.zeros((alg.size, anti_dim), dtype=complex)
     anti_full[m2, :] = anti
     worst_harm = 0.0
     nonzero_closed_dim = 0
@@ -681,13 +611,13 @@ def anti_invariant_suite(fc: FourierComplex) -> dict:
         "max_harmonicity_residual": worst_harm,
         "passed": bool(
             matches != "neither"
-            and worst_harm < TOL_SUITE
+            and worst_harm < tol
             and anti_dim + inv_dim == math.comb(2 * n, 2)
         ),
     }
 
 
-def self_dual_invariant_relation(fc: FourierComplex, samples: int) -> dict:
+def self_dual_invariant_relation(fc: FourierComplex, samples: int, tol: float = 1e-10) -> dict:
     """Closed J-invariant 2-forms a+ = f om + a0 (a0 primitive (1,1)).
 
     Per sampled mode, solves the closedness constraint d(f om + a0) = 0 in
@@ -702,8 +632,8 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int) -> dict:
     n = fc.n
     if n < 2:
         raise ValueError("needs n >= 2")
-    M = fc.machinery
     t = fc.triple
+    alg = t.ops
     rng = np.random.default_rng(97 + 2 * n + fc.N)
 
     # coefficient space: f (1 complex dof) + primitive (1,1) basis
@@ -714,8 +644,8 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int) -> dict:
     prim11 = u[:, :rank]                       # basis of P^{1,1}, dim n^2 - 1
     omega_vec = t.omega_form().data
 
-    m2 = M.masks_by_degree[2]
-    cand = np.zeros((M.size, 1 + rank), dtype=complex)
+    m2 = alg.masks(2)
+    cand = np.zeros((alg.size, 1 + rank), dtype=complex)
     cand[m2, 0] = omega_vec
     cand[m2, 1:] = prim11
 
@@ -742,12 +672,12 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int) -> dict:
         a_plus = cand @ coeffs               # closed invariant 2-form, this mode
         a0 = cand[:, 1:] @ coeffs[1:]
         # f is the 0-form f_coef e^{2 pi i xi x}; df lives on the same mode
-        f_vec = np.zeros(M.size, dtype=complex)
+        f_vec = np.zeros(alg.size, dtype=complex)
         f_vec[0] = f_coef
         df = ops.d @ f_vec
-        nd_f = float((df @ M.G @ np.conj(df)).real)
+        nd_f = float((df @ alg.G @ np.conj(df)).real)
         da0 = ops.d @ a0
-        nd_a0 = float((da0 @ M.G @ np.conj(da0)).real)
+        nd_a0 = float((da0 @ alg.G @ np.conj(da0)).real)
         if nd_f > 1e-12:
             n_nontrivial += 1
             worst_ratio_dev = max(worst_ratio_dev, abs(nd_a0 / nd_f - (n - 1)))
@@ -758,10 +688,10 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int) -> dict:
             )
         # measured coefficient in d^Lambda(f omega) = c df, any mode with df != 0
         if nd_f > 1e-12:
-            fom = np.zeros(M.size, dtype=complex)
+            fom = np.zeros(alg.size, dtype=complex)
             fom[m2] = f_coef * omega_vec
             dlam_fom = ops.d_lambda @ fom
-            c_meas = complex(dlam_fom @ M.G @ np.conj(df)) / nd_f
+            c_meas = complex(dlam_fom @ alg.G @ np.conj(df)) / nd_f
             worst_fomega = max(worst_fomega, abs(c_meas - 1.0))
             prop = dlam_fom - c_meas * df
             worst_fomega_prop = max(
@@ -777,7 +707,7 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int) -> dict:
         "d_lambda_f_omega_coefficient_minus_1": worst_fomega,
         "d_lambda_f_omega_proportionality_residual": worst_fomega_prop,
         "passed": bool(
-            n_nontrivial > 0 and worst_ratio_dev < TOL_SUITE and worst_dlam < TOL_SUITE
+            n_nontrivial > 0 and worst_ratio_dev < tol and worst_dlam < tol
         ),
     }
 
@@ -793,7 +723,7 @@ def check_complex(fc: FourierComplex, max_modes: int | None = 64) -> dict:
     [D, L] = [D, Lambda] = 0, the three-way Hodge decomposition dimension
     count, and harmonic <=> (closed and coclosed).  Returns worst residuals.
     """
-    M = fc.machinery
+    alg = fc.triple.ops
     rng = np.random.default_rng(0)
     modes = list(fc.modes)
     if max_modes is not None and len(modes) > max_modes:
@@ -811,36 +741,36 @@ def check_complex(fc: FourierComplex, max_modes: int | None = 64) -> dict:
         out["d_lambda_squared"] = max(
             out["d_lambda_squared"], float(np.max(np.abs(ops.d_lambda @ ops.d_lambda))) / sc
         )
-        a = rng.standard_normal(M.size) + 1j * rng.standard_normal(M.size)
-        b = rng.standard_normal(M.size) + 1j * rng.standard_normal(M.size)
-        lhs = (ops.d @ a) @ M.G @ np.conj(b)
-        rhs = a @ M.G @ np.conj(ops.d_star @ b)
+        a = rng.standard_normal(alg.size) + 1j * rng.standard_normal(alg.size)
+        b = rng.standard_normal(alg.size) + 1j * rng.standard_normal(alg.size)
+        lhs = (ops.d @ a) @ alg.G @ np.conj(b)
+        rhs = a @ alg.G @ np.conj(ops.d_star @ b)
         out["adjointness"] = max(
             out["adjointness"], abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
         )
         scD = max(1.0, float(np.max(np.abs(ops.dee))))
         out["commutator_L"] = max(
-            out["commutator_L"], float(np.max(np.abs(ops.dee @ M.L - M.L @ ops.dee))) / scD
+            out["commutator_L"], float(np.max(np.abs(ops.dee @ alg.L - alg.L @ ops.dee))) / scD
         )
         out["commutator_Lambda"] = max(
             out["commutator_Lambda"],
-            float(np.max(np.abs(ops.dee @ M.Lam - M.Lam @ ops.dee))) / scD,
+            float(np.max(np.abs(ops.dee @ alg.Lam - alg.Lam @ ops.dee))) / scD,
         )
         # Hodge decomposition per degree, and harmonic <=> closed & coclosed
         for k in range(2 * fc.n + 1):
-            lap_k = M.degree_block(ops.laplacian, k, k)
+            lap_k = _degree_block(alg, ops.laplacian, k, k)
             kb = _kernel_basis(lap_k)
             kern = kb.shape[1]
-            dk = M.degree_block(ops.d, k + 1, k) if k < 2 * fc.n else None
-            dkm = M.degree_block(ops.d, k, k - 1) if k > 0 else None
+            dk = _degree_block(alg, ops.d, k + 1, k) if k < 2 * fc.n else None
+            dkm = _degree_block(alg, ops.d, k, k - 1) if k > 0 else None
             im_d = np.linalg.matrix_rank(dkm, tol=1e-8) if dkm is not None and dkm.size else 0
             im_ds = np.linalg.matrix_rank(dk, tol=1e-8) if dk is not None and dk.size else 0
             if kern + im_d + im_ds != lap_k.shape[0]:
                 out["hodge_dim_mismatch"] += 1
             # (=>) harmonic basis is closed and coclosed
             if kb.size:
-                full = np.zeros((M.size, kb.shape[1]), dtype=complex)
-                full[M.masks_by_degree[k]] = kb
+                full = np.zeros((alg.size, kb.shape[1]), dtype=complex)
+                full[alg.masks(k)] = kb
                 r1 = float(np.max(np.abs(ops.d @ full)))
                 r2 = float(np.max(np.abs(ops.d_star @ full)))
                 out["harmonic_iff_closed_coclosed"] = max(
@@ -850,7 +780,7 @@ def check_complex(fc: FourierComplex, max_modes: int | None = 64) -> dict:
             rows = []
             if dk is not None and dk.size:
                 rows.append(dk)
-            ds_k = M.degree_block(ops.d_star, k - 1, k) if k > 0 else None
+            ds_k = _degree_block(alg, ops.d_star, k - 1, k) if k > 0 else None
             if ds_k is not None and ds_k.size:
                 rows.append(ds_k)
             if rows:

@@ -333,3 +333,78 @@ def test_defining_property_on_reversed_orientation(rng):
     top = wedge(a, hodge_star(KForm(1, 1, np.conj(b.data)), t))
     vol_coeff = complex(t.volume_form().data[0])
     assert complex(top.data[0]) == pytest.approx(inner(a, b, t) * vol_coeff, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the operator bundle: one compound helper, batches, lifetime
+# ---------------------------------------------------------------------------
+
+
+def test_compound_matches_minor_loop(rng):
+    # reference: one determinant per (I, J) pair of k-subsets
+    from llab.algebra import _compound
+
+    for n in (2, 3):
+        dim = 2 * n
+        M = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for k in range(dim + 1):
+            sets = [np.array(mask_to_indices(m), dtype=int) - 1 for m in basis_masks(dim, k)]
+
+            def minor(I, J):
+                if k == 0:
+                    return 1.0
+                if k == 1:
+                    return M[I[0], J[0]]
+                return np.linalg.det(M[np.ix_(I, J)])
+
+            ref = np.array([[minor(I, J) for J in sets] for I in sets])
+            assert np.array_equal(_compound(M, dim, k), ref)
+
+
+def test_batched_forms_act_column_by_column(rng):
+    t = random_compatible_triple(2, rng)
+    data = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    batch = KForm(2, 2, data)
+    star_b, norm_b = hodge_star(batch, t), norm(batch, t)
+    ip_b = inner(batch, batch.conjugate(), t)
+    for c in range(4):
+        a = KForm(2, 2, data[:, c])
+        assert np.allclose(star_b.data[:, c], hodge_star(a, t).data, rtol=0, atol=1e-13)
+        assert norm_b[c] == pytest.approx(norm(a, t), rel=1e-14)
+        assert ip_b[c] == pytest.approx(inner(a, a.conjugate(), t), rel=1e-14)
+    comps = pq_decompose(batch, t).components
+    assert comps[(1, 1)].data.shape == (6, 4)
+
+
+def test_operators_die_with_their_triple():
+    import gc
+    import weakref
+
+    import llab.algebra as algebra
+    import llab.lefschetz as lefschetz
+    from llab.lefschetz import primitive_decompose
+
+    def exercise(seed):
+        rng = np.random.default_rng(seed)
+        t = random_compatible_triple(3, rng)
+        a = KForm(3, 3, rng.standard_normal(20) + 1j * rng.standard_normal(20))
+        primitive_decompose(a, t)
+        pq_decompose(a, t)
+        hodge_star(a, t)
+        return weakref.ref(t)
+
+    def cache_sizes():
+        return {
+            (mod.__name__, name): obj.cache_info().currsize
+            for mod in (algebra, lefschetz)
+            for name, obj in vars(mod).items()
+            if callable(getattr(obj, "cache_info", None))
+        }
+
+    ref = exercise(0)
+    gc.collect()
+    assert ref() is None
+    before = cache_sizes()
+    for seed in range(1, 51):
+        exercise(seed)
+    assert cache_sizes() == before

@@ -39,7 +39,7 @@ TINY = {"n_values": (1, 2), "cases": 40, "cross_cases": 20}
 # ---------------------------------------------------------------------------
 
 
-def test_config_hash_ignores_routing(tmp_path):
+def test_config_hash_ignores_routing(tmp_path, capsys):
     a = SuiteConfig(suite="verify-identities", params={"cases": 3})
     b = SuiteConfig(
         suite="verify-identities",
@@ -50,6 +50,17 @@ def test_config_hash_ignores_routing(tmp_path):
     assert a.config_hash() == b.config_hash()
     c = SuiteConfig(suite="verify-identities", params={"cases": 4})
     assert a.config_hash() != c.config_hash()
+    routed = SuiteConfig(suite="verify-identities", params={"cases": 3, "threads": 2, "cache_dir": "x"})
+    assert routed.config_hash() == a.config_hash()
+    assert "cache_dir" not in routed.semantic_dict()["params"]
+
+    # the hash the CLI prints does not move with --threads
+    hashes = []
+    for threads in ("1", "2"):
+        argv = ["verify-identities", "--n", "1", "--cases", "2", "--cross-cases", "1", "--threads", threads]
+        assert main(argv) == 0
+        hashes.append(capsys.readouterr().out.rsplit("config ", 1)[1].split()[0])
+    assert hashes[0] == hashes[1]
 
 
 def test_config_rejects_unknown_format():
@@ -303,6 +314,33 @@ def test_decompose_cli_exit_codes(tmp_path):
     missing_keys = tmp_path / "mk.json"
     missing_keys.write_text(json.dumps({"form": {"n": 1, "k": 0, "coeffs": []}}))
     assert main(["decompose", str(missing_keys), str(tmp_path / "o4.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ({"idx": [1, 5], "re": 1.0}, "index 5 outside 1..4"),
+        ({"idx": [1, 2, 3], "re": 1.0}, "3 indices for a degree-2 form"),
+        ({"idx": [2, 1], "re": 1.0}, "repeated or not ascending"),
+        ({"idx": [2, 2], "re": 1.0}, "repeated or not ascending"),
+        ({"idx": [1, 2], "re": "x"}, "coefficient 're' must be a number"),
+        ({"idx": [1, 2], "re": 1.0, "im": [0]}, "coefficient 'im' must be a number"),
+    ],
+)
+def test_decompose_cli_exit_codes_bad_coeffs(tmp_path, capsys, entry, message):
+    bad = tmp_path / "bad.json"
+    form = {"n": 2, "k": 2, "coeffs": [{"idx": [3, 4], "re": 1.0}, entry]}
+    bad.write_text(json.dumps({"triple": {"standard": 2}, "form": form}))
+    assert main(["decompose", str(bad), str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert "coeffs[1]" in err and message in err
+
+
+def test_form_to_json_rejects_batches():
+    from llab.algebra import KForm, form_to_json
+
+    with pytest.raises(ValueError, match="one form"):
+        form_to_json(KForm(1, 1, np.ones((2, 3))))
 
 
 def test_identity_suite_orientation_reversing_seed():

@@ -23,16 +23,22 @@ from llab.algebra import (
 from llab.lefschetz import (
     commutator_check,
     commutator_residual,
+    cross_term_residual,
     dual_lefschetz,
+    hodge_star_conjugation_residual,
     inner_scaling_check,
+    inner_scaling_residual,
     is_primitive,
     lefschetz_L,
     lefschetz_power_matrix,
     primitive_basis,
     primitive_decompose,
+    primitivity_residuals,
     random_primitive,
     star_conjugation_residual,
     symplectic_star,
+    symplectic_star_involution_residual,
+    weil_operator_residual,
     weil_relation_residual,
     weil_specialization_constant,
 )
@@ -381,3 +387,84 @@ def test_weil_relation_on_orientation_reversing_triples(rng):
         b = random_primitive(t2, k, rng)
         for r in range(0, 2 - k + 1):
             assert weil_relation_residual(b, r, t2) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# the identity residuals the suite runs, on one form and on a batch
+# ---------------------------------------------------------------------------
+
+
+def _identity_residuals(a: KForm, t) -> dict:
+    """Every identity of the suite's cell on a (form or batch) a of degree k,
+    with primitive inputs drawn by lifting a's coefficients into P^j."""
+    n, k = a.n, a.k
+    out = {
+        "involution": symplectic_star_involution_residual(a, t),
+        "star_s": star_conjugation_residual(a, t),
+        "hodge": hodge_star_conjugation_residual(a, t),
+        "weil_op": weil_operator_residual(a, t),
+        "roundtrip": primitive_decompose(a, t).residual(a, t),
+    }
+    for i in (1, 2, 3):
+        out[f"comm{i}"] = commutator_check(a, i, t)
+
+    def prim(j, conj=False):
+        P = primitive_basis(t, j)
+        c = a.data[: P.shape[1]]
+        return KForm(n, j, P @ (np.conj(c) if conj else c))
+
+    if k <= n:
+        b, b2 = prim(k), prim(k, conj=True)
+        out["prim_lambda"], out["prim_power"] = primitivity_residuals(b, t)
+        for r in range(n - k + 1):
+            out[f"weil_rel{r}"] = weil_relation_residual(b, r, t)
+        for i in range(n - k + 1):
+            for j in range(i + 1):
+                out[f"scaling{i}{j}"] = inner_scaling_residual(b, b2, i, j, t)
+    levels = range(max(0, k - n), k // 2 + 1)
+    for p in levels:
+        for q in levels:
+            if p != q:
+                x, y = prim(k - 2 * p), prim(k - 2 * q, conj=True)
+                out[f"cross{p}{q}"] = cross_term_residual(x, p, y, q, t)
+    return out
+
+
+@pytest.mark.parametrize("which", ["standard", "random"])
+def test_identity_residuals_vanish_on_single_forms(which, std3, rng):
+    t = std3 if which == "standard" else random_compatible_triple(3, rng)
+    for k in range(7):
+        dim = math.comb(6, k)
+        a = KForm(3, k, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        res = _identity_residuals(a, t)
+        assert max(res.values()) < 1e-11, (k, res)
+
+
+def test_identity_residuals_of_a_batch_are_the_worst_column(rng):
+    t = random_compatible_triple(2, rng)
+    for k in range(5):
+        dim = math.comb(4, k)
+        data = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
+        batch = _identity_residuals(KForm(2, k, data), t)
+        cols = [_identity_residuals(KForm(2, k, data[:, c]), t) for c in range(5)]
+        for name, v in batch.items():
+            assert v == pytest.approx(max(c[name] for c in cols), abs=1e-15), (k, name)
+
+
+def test_batch_residual_finds_the_bad_column(std2, rng):
+    # a batch residual must not average away one broken column
+    from llab.lefschetz import LefschetzComponents
+
+    data = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    comps = dict(primitive_decompose(KForm(2, 2, data), std2).components)
+    scalar = comps[1].data.copy()
+    scalar[:, 1] += 1e-3  # perturb column 1 of the r=1 (scalar) level
+    comps[1] = KForm(2, 0, scalar)
+    batch_res = LefschetzComponents(k=2, components=comps).residual(KForm(2, 2, data), std2)
+    col = LefschetzComponents(k=2, components={r: KForm(2, c.k, c.data[:, 1]) for r, c in comps.items()})
+    assert batch_res > 1e-5
+    assert batch_res == col.residual(KForm(2, 2, data[:, 1]), std2)
+
+    mixed = np.stack([random_primitive(std2, 2, rng).data, _omega(std2).data], axis=1)
+    lam, _ = primitivity_residuals(KForm(2, 2, mixed), std2)
+    assert lam == pytest.approx(2.0, rel=1e-12)  # Lambda(omega) = n, max|omega| = 1

@@ -109,6 +109,17 @@ def test_lemma_L8(fc4):
     assert out["max_residual"] < 1e-10
 
 
+def test_torus_sub_verdicts_honour_tol():
+    from llab.suites import torus_suite
+
+    # every residual here is roundoff, above 1e-30 (L8 needs ~20 samples
+    # before one is nonzero); at the default tol all of them pass
+    for tol, want in ((1e-30, False), (1e-10, True)):
+        block = torus_suite(n_values=(2,), N=1, samples=20, tol=tol)["blocks"]["n2"]
+        for check in ("lemma_L8", "lemma_L10", "kahler_identity", "anti_invariant", "self_dual"):
+            assert block[check]["passed"] is want, (tol, check)
+
+
 def test_lemma_L10(fc4):
     out = verify_lemma_L10(fc4, samples=50, seed=3)
     assert out["passed"]
