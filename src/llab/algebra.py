@@ -455,7 +455,7 @@ class Ops:
     Per-degree blocks act on Lambda^k coefficient vectors (or column batches):
     Gram matrices, the two stars, the J-pullback, the (p,q) projectors and
     Weil operator, L^r, Lambda and the primitive basis.  The full-algebra
-    matrices (`G`, `Ginv`, `L`, `Lam`, `W`, `pq_proj`) are indexed by mask
+    matrices (`G`, `Ginv`, `L`, `Lam`, `F`, `W`, `pq_proj`) are indexed by mask
     over all 4^n basis forms, as the torus model needs them.  Nothing is
     built eagerly, and the bundle is freed with its triple.
     """
@@ -537,10 +537,16 @@ class Ops:
         return P
 
     @_block
+    def frame_compound(self, k: int) -> np.ndarray:
+        """Columns: the degree-k products of `frame`, in the real basis.  The
+        (p,q) forms are the columns whose mask has p bits below n."""
+        return _compound(self.frame, self.dim, k)
+
+    @_block
     def pq(self, k: int) -> dict:
         """Matrices of Pi^{p,q} on Lambda^k for each p+q = k."""
         n = self.t.n
-        C = _compound(self.frame, self.dim, k)
+        C = self.frame_compound(k)
         Cinv = np.linalg.inv(C)
         low = (1 << n) - 1
         out = {}
@@ -609,10 +615,10 @@ class Ops:
 
     def _full(self, block, shift: int) -> np.ndarray:
         """The full-algebra matrix with the blocks Lambda^k -> Lambda^{k+shift}."""
-        out = np.zeros((self.size, self.size))
-        for k in range(self.dim + 1):
-            if 0 <= k + shift <= self.dim:
-                out[np.ix_(self.masks(k + shift), self.masks(k))] = block(k)
+        blocks = {k: block(k) for k in range(self.dim + 1) if 0 <= k + shift <= self.dim}
+        out = np.zeros((self.size, self.size), dtype=np.result_type(*blocks.values()))
+        for k, B in blocks.items():
+            out[np.ix_(self.masks(k + shift), self.masks(k))] = B
         return out
 
     @property
@@ -634,6 +640,13 @@ class Ops:
     @_block
     def Lam(self) -> np.ndarray:
         return self._full(self.lam, -2)
+
+    @property
+    @_block
+    def F(self) -> np.ndarray:
+        """The bigraded frame: `frame_compound` on the full algebra, so that
+        F^{-1} A F is A in the (p,q) basis, where Pi^{p,q} selects coordinates."""
+        return self._full(self.frame_compound, 0)
 
     @property
     @_block
@@ -779,13 +792,30 @@ def _is_number(x, kind=numbers.Real) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
+def _field(obj, name: str, where: str, integer: bool = False):
+    """obj[name]; a ValueError names the field if obj is not a JSON object,
+    lacks it, or (integer=True) holds something other than an integer."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if name not in obj:
+        raise ValueError(f"{where}: missing field '{name}'")
+    if integer and not _is_number(obj[name], numbers.Integral):
+        raise ValueError(f"{where}: field '{name}' must be an integer, got {obj[name]!r}")
+    return obj[name]
+
+
 def form_from_json(obj: dict) -> KForm:
-    """Parse the wire format; a bad coefficient entry raises ValueError
-    naming the entry and the problem."""
-    n, k = int(obj["n"]), int(obj["k"])
+    """Parse the wire format; a missing or mistyped field, or a bad
+    coefficient entry, raises ValueError naming it and the problem."""
+    n, k = _field(obj, "n", "form", integer=True), _field(obj, "k", "form", integer=True)
+    if n < 1 or not 0 <= k <= 2 * n:
+        raise ValueError(f"form: need n >= 1 and 0 <= k <= 2n, got n={n}, k={k}")
+    coeffs = _field(obj, "coeffs", "form")
+    if not isinstance(coeffs, list):
+        raise ValueError(f"form: field 'coeffs' must be a list, got {type(coeffs).__name__}")
     data = np.zeros(math.comb(2 * n, k), dtype=complex)
     index = _mask_index(2 * n, k)
-    for pos, entry in enumerate(obj["coeffs"]):
+    for pos, entry in enumerate(coeffs):
         where = f"coeffs[{pos}]"
         if not isinstance(entry, dict) or "idx" not in entry or "re" not in entry:
             raise ValueError(f"{where}: expected an object with 'idx' and 're'")
@@ -816,19 +846,29 @@ def triple_to_json(t: CompatibleTriple) -> dict:
     }
 
 
+def _matrix_field(obj, name: str) -> np.ndarray:
+    v = _field(obj, name, "triple")
+    try:
+        m = np.array(v, dtype=float)
+    except (TypeError, ValueError):
+        m = None
+    if m is None or m.ndim != 2:
+        raise ValueError(f"triple: field '{name}' must be a matrix of numbers")
+    return m
+
+
 def triple_from_json(obj: dict) -> CompatibleTriple:
-    if "standard" in obj:
-        return build_standard_triple(int(obj["standard"]))
+    """Parse `{"standard": n}`, `{"omega":, "J":}` or `{"n":, "omega":, "J":,
+    "g":}`; a missing or mistyped field raises ValueError naming it."""
+    if isinstance(obj, dict) and "standard" in obj:
+        return build_standard_triple(_field(obj, "standard", "triple", integer=True))
+    omega, J = _matrix_field(obj, "omega"), _matrix_field(obj, "J")
     if "g" in obj:
-        t = CompatibleTriple(
-            n=int(obj["n"]),
-            omega=np.array(obj["omega"], dtype=float),
-            J=np.array(obj["J"], dtype=float),
-            g=np.array(obj["g"], dtype=float),
-        )
+        n = _field(obj, "n", "triple", integer=True)
+        t = CompatibleTriple(n=n, omega=omega, J=J, g=_matrix_field(obj, "g"))
         t.validate()
         return t
-    return triple_from_omega_j(np.array(obj["omega"], dtype=float), np.array(obj["J"], dtype=float))
+    return triple_from_omega_j(omega, J)
 
 
 def roundtrip_form_json(a: KForm) -> KForm:

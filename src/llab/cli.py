@@ -62,6 +62,7 @@ def run_suite(cfg: SuiteConfig) -> ReportBundle:
             seed=cfg.seed,
             cache_dir=p.get("cache_dir"),
             rel_tol=p.get("rel_tol", 1e-8),
+            tol=cfg.tolerance,
         )
     else:
         raise ValueError(f"unknown suite id {cfg.suite!r}")
@@ -96,13 +97,10 @@ def decompose_file(in_path, out_path) -> dict:
         raise ValueError('input must be {"triple": ..., "form": ...}')
 
     t = triple_from_json(obj["triple"])
-    fobj = obj["form"]
-    n, k = int(fobj["n"]), int(fobj["k"])
-    if not (0 <= k <= 2 * n):
-        raise ValueError(f"degree k={k} outside [0, {2 * n}]")
+    a = form_from_json(obj["form"])
+    n, k = a.n, a.k
     if n != t.n:
         raise ValueError(f"form dimension n={n} does not match triple n={t.n}")
-    a = form_from_json(fobj)
 
     lef = primitive_decompose(a, t)
     scale = max(norm(a, t), 1e-300)
@@ -183,7 +181,7 @@ def main(argv=None) -> int:
     if args.command == "decompose":
         try:
             out = decompose_file(args.input, args.output)
-        except (ValueError, OSError, KeyError) as e:
+        except (ValueError, OSError, KeyError, ArithmeticError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
         rs = out["reconstruction_residuals"]
@@ -225,7 +223,7 @@ def main(argv=None) -> int:
     )
     try:
         bundle = run_suite(cfg)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,17 +57,26 @@ def _degree_block(alg, A: np.ndarray, k_out: int, k_in: int) -> np.ndarray:
     return A[np.ix_(alg.masks(k_out), alg.masks(k_in))]
 
 
-@dataclass(frozen=True)
 class _ModeOps:
-    """All per-mode operator matrices for one frequency xi."""
+    """The operators of one frequency xi, each formed the first time it is
+    read: a first-order operator is its coefficient stack contracted with
+    2 pi i xi, and Delta_d and D are products of those."""
 
-    xi: tuple
-    d: np.ndarray
-    d_star: np.ndarray
-    d_lambda: np.ndarray
-    d_lambda_star: np.ndarray
-    laplacian: np.ndarray      # Delta_d = d d* + d* d
-    dee: np.ndarray            # D = d* d + d^{Lambda*} d^Lambda
+    def __init__(self, xi: tuple, coeffs: dict):
+        self.xi = xi
+        self._coeffs = coeffs
+
+    def _first_order(self, name: str) -> np.ndarray:
+        return (2j * np.pi) * np.tensordot(np.asarray(self.xi, dtype=float), self._coeffs[name], axes=1)
+
+    d = cached_property(lambda self: self._first_order("d"))
+    d_star = cached_property(lambda self: self._first_order("d_star"))
+    d_lambda = cached_property(lambda self: self._first_order("d_lambda"))
+    d_lambda_star = cached_property(lambda self: self._first_order("d_lambda_star"))
+    # Delta_d = d d* + d* d
+    laplacian = cached_property(lambda self: self.d @ self.d_star + self.d_star @ self.d)
+    # D = d* d + d^{Lambda*} d^Lambda
+    dee = cached_property(lambda self: self.d_star @ self.d + self.d_lambda_star @ self.d_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +88,10 @@ class FourierComplex:
     """Finite Fourier truncation of the de Rham complex of (T^{2n}, t).
 
     Modes are all integer vectors with sup-norm <= N, in lexicographic
-    order; per-mode operators are built lazily from the 2n wedge matrices of
-    the triple's full-algebra operators (`triple.ops`) and are exact up to
-    roundoff.
+    order.  Every first-order operator is linear in xi, so it is kept as
+    its 2n coefficient matrices (`coeffs`), built once from the triple's
+    full-algebra operators (`triple.ops`); `mode_ops` reads the operators
+    of one mode off them, exact up to roundoff.
     """
 
     n: int
@@ -88,23 +99,22 @@ class FourierComplex:
     triple: CompatibleTriple
     modes: tuple = field(repr=False)
 
-    def mode_ops(self, xi) -> _ModeOps:
-        xi = tuple(int(x) for x in xi)
+    @cached_property
+    def coeffs(self) -> dict:
+        """Real (2n, 4^n, 4^n) stacks A with op(xi) = sum_j 2 pi i xi_j A[j]
+        for d, d*, d^Lambda and d^{Lambda*}.  An adjoint's stack is minus
+        the adjoint of the operator's, as conj(2 pi i xi_j) = -2 pi i xi_j."""
         alg = self.triple.ops
-        c = 2j * np.pi * np.asarray(xi, dtype=float)
-        d = np.zeros((alg.size, alg.size), dtype=complex)
-        for j, cj in enumerate(c):
-            if cj != 0:
-                d = d + cj * alg.W[j]
-        d_star = alg.adjoint(d)
-        d_lambda = d @ alg.Lam - alg.Lam @ d
-        d_lambda_star = alg.adjoint(d_lambda)
-        lap = d @ d_star + d_star @ d
-        dee = d_star @ d + d_lambda_star @ d_lambda
-        return _ModeOps(xi, d, d_star, d_lambda, d_lambda_star, lap, dee)
+        d_lambda = alg.W @ alg.Lam - alg.Lam @ alg.W
+        return {
+            "d": alg.W,
+            "d_star": -np.stack([alg.adjoint(A) for A in alg.W]),
+            "d_lambda": d_lambda,
+            "d_lambda_star": -np.stack([alg.adjoint(A) for A in d_lambda]),
+        }
 
-    def zero_form(self) -> "TorusForm":
-        return TorusForm(self, {})
+    def mode_ops(self, xi) -> _ModeOps:
+        return _ModeOps(tuple(int(x) for x in xi), self.coeffs)
 
     def random_form(
         self,
@@ -160,26 +170,11 @@ class TorusForm:
     def norm_sq(self) -> float:
         return float(self.inner(self).real)
 
-    def __add__(self, other: "TorusForm") -> "TorusForm":
-        out = dict(self.comps)
-        for xi, w in other.comps.items():
-            out[xi] = out[xi] + w if xi in out else w
-        return TorusForm(self.fc, out)
-
-    def __sub__(self, other: "TorusForm") -> "TorusForm":
-        out = dict(self.comps)
-        for xi, w in other.comps.items():
-            out[xi] = out[xi] - w if xi in out else -w
-        return TorusForm(self.fc, out)
-
-    def max_abs(self) -> float:
-        return max((float(np.max(np.abs(v))) for v in self.comps.values()), default=0.0)
-
 
 def build_fourier_complex(n: int, N: int, t: CompatibleTriple) -> FourierComplex:
-    """Assemble the truncated complex; validates the triple and the per-mode
-    differential structure (d^2 = 0, (d^Lambda)^2 = 0) on a deterministic
-    sample of modes."""
+    """Assemble the truncated complex; validates the triple and the
+    differential structure: d^2 = 0 and (d^Lambda)^2 = 0 on every mode,
+    i.e. the 2n coefficient matrices of each pairwise anticommute."""
     if n < 1 or N < 0:
         raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
     if t.n != n:
@@ -187,20 +182,11 @@ def build_fourier_complex(n: int, N: int, t: CompatibleTriple) -> FourierComplex
     t.validate(tol=1e-10)
     modes = tuple(itertools.product(range(-N, N + 1), repeat=2 * n))
     fc = FourierComplex(n=n, N=N, triple=t, modes=modes)
-    # spot-check the complex structure on up to 16 modes incl. 0 and axes
-    sample = list(modes[:1])
-    for j in range(2 * n):
-        xi = [0] * 2 * n
-        xi[j] = min(1, N)
-        sample.append(tuple(xi))
-    sample.append(modes[-1])
-    for xi in sample[:16]:
-        ops = fc.mode_ops(xi)
-        scale = max(1.0, float(np.max(np.abs(ops.d))))
-        if np.max(np.abs(ops.d @ ops.d)) > 1e-12 * scale ** 2:
-            raise ArithmeticError(f"d^2 != 0 on mode {xi}")
-        if np.max(np.abs(ops.d_lambda @ ops.d_lambda)) > 1e-12 * scale ** 2:
-            raise ArithmeticError(f"(d^Lambda)^2 != 0 on mode {xi}")
+    for label, A in (("d", fc.coeffs["d"]), ("d^Lambda", fc.coeffs["d_lambda"])):
+        bound = 1e-12 * max(1.0, float(np.max(np.abs(A)))) ** 2
+        for j in range(2 * n):
+            if np.max(np.abs(A[j] @ A + A @ A[j])) > bound:
+                raise ArithmeticError(f"({label})^2 != 0: its e^{j + 1} coefficient does not anticommute")
     return fc
 
 
@@ -264,18 +250,21 @@ def harmonic_space(fc: FourierComplex, k: int) -> HarmonicSpaceReport:
         raise ValueError(f"degree {k} out of range")
     alg = fc.triple.ops
     mk = alg.masks(k)
-    nonzero_kernel = 0
-    basis = None
-    for xi in fc.modes:
-        if any(xi):
-            ops = fc.mode_ops(xi)
-            lap_k = _degree_block(alg, ops.laplacian, k, k)
-            kern = _kernel_basis(lap_k)
-            nonzero_kernel += kern.shape[1]
-        else:
-            # xi = 0: d vanishes, the whole degree block is harmonic
-            basis = np.eye(len(mk), dtype=complex)
-    total = (0 if basis is None else basis.shape[1]) + nonzero_kernel
+    # On Lambda^k, Delta_d(xi) = sum_{j,l} xi_j xi_l Q[j, l] with Q the degree-k
+    # block of (2 pi i)^2 (A_j B_l + B_j A_l), A and B the coefficient stacks
+    # of d and d*: d d* passes through degree k - 1, d* d through k + 1.
+    A, B = fc.coeffs["d"], fc.coeffs["d_star"]
+    Q = 0.0
+    for mid, first, second in ((k - 1, A, B), (k + 1, B, A)):
+        if 0 <= mid <= 2 * fc.n:
+            mm = alg.masks(mid)
+            Q = Q + np.einsum("jab,lbc->jlac", first[:, mk[:, None], mm], second[:, mm[:, None], mk])
+    xi = np.array([m for m in fc.modes if any(m)], dtype=float).reshape(-1, 2 * fc.n)
+    w = np.linalg.eigvalsh(np.tensordot(xi[:, :, None] * xi[:, None, :], -4 * np.pi ** 2 * Q, axes=2))
+    # the kernel threshold of _kernel_basis, one mode per row
+    nonzero_kernel = int(np.sum(w < 1e-8 * np.maximum(1.0, w[:, -1:])))
+    # xi = 0 is always a mode; d vanishes there, so its whole degree block is harmonic
+    total = len(mk) + nonzero_kernel
 
     residuals = {}
     bidegree = {}
@@ -453,7 +442,7 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1
         c_min, c_max of sum_r ||d b_r||^2 (the constants are reported, not
         asserted, per degree).
     """
-    L = fc.triple.ops.L
+    Lr = [np.linalg.matrix_power(fc.triple.ops.L, r) for r in range(fc.n + 1)]
     results = {}
     worst_cross = 0.0
     for k in range(2 * fc.n + 1):
@@ -465,18 +454,12 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1
             keys = sorted(comps)
             # cross terms
             scale = max(a.norm_sq(), 1.0)
-            for i, r1 in enumerate(keys):
-                Db = comps[r1].apply("dee")
-                Lp_Db = Db
-                for _ in range(r1):
-                    Lp_Db = Lp_Db.apply_matrix(L)
+            Lb = {r: comps[r].apply_matrix(Lr[r]) for r in keys}
+            for r1 in keys:
+                LDb = comps[r1].apply("dee").apply_matrix(Lr[r1])
                 for r2 in keys:
-                    if r2 == r1:
-                        continue
-                    Lq_b = comps[r2]
-                    for _ in range(r2):
-                        Lq_b = Lq_b.apply_matrix(L)
-                    worst_cross = max(worst_cross, abs(Lp_Db.inner(Lq_b)) / scale)
+                    if r2 != r1:
+                        worst_cross = max(worst_cross, abs(LDb.inner(Lb[r2])) / scale)
             num = a.apply("d").norm_sq() + a.apply("d_lambda").norm_sq()
             den = sum(comps[r].apply("d").norm_sq() for r in keys)
             if den > 1e-12:
@@ -494,33 +477,35 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1
 def verify_kahler_identity(fc: FourierComplex, samples: int, tol: float = 1e-10) -> dict:
     """Delta_d = 2 Delta_dbar per mode (constant J is integrable on T^{2n}).
 
-    dbar is assembled independently as sum_{p,q} Pi^{p,q+1} d Pi^{p,q}; the
-    report also measures bidegree leakage of Delta_d and Delta_dbar.
+    Works in the bigraded frame F (`triple.ops.F`), where Pi^{p,q} selects
+    the coordinates of type (p,q): dbar keeps the entries of d that raise q
+    by one, and the bidegree leakage of Delta_d and Delta_dbar is their
+    largest entry joining two types.
     """
     alg = fc.triple.ops
+    F = alg.F
+    Finv = np.linalg.inv(F)
+    low = (1 << fc.n) - 1
+    p = np.array([(m & low).bit_count() for m in range(alg.size)])
+    q = np.array([(m >> fc.n).bit_count() for m in range(alg.size)])
+    same_p = p[:, None] == p[None, :]
+    raises_q = same_p & (q[:, None] == q[None, :] + 1)
+    mixed = ~same_p | (q[:, None] != q[None, :])
     rng = np.random.default_rng(2 * fc.n + fc.N)  # deterministic; no seed in contract
     worst = 0.0
     leak_dbar = 0.0
     leak_lap = 0.0
     for idx in range(samples):
         mode_idx = int(rng.integers(0, len(fc.modes)))
-        xi = fc.modes[mode_idx]
-        ops = fc.mode_ops(xi)
-        dbar = np.zeros_like(ops.d)
-        for (p, q), P in alg.pq_proj.items():
-            tgt = alg.pq_proj.get((p, q + 1))
-            if tgt is not None:
-                dbar = dbar + tgt @ ops.d @ P
+        ops = fc.mode_ops(fc.modes[mode_idx])
+        dbar = F @ np.where(raises_q, Finv @ ops.d @ F, 0.0) @ Finv
         dbar_star = alg.adjoint(dbar)
         lap_dbar = dbar @ dbar_star + dbar_star @ dbar
         diff = ops.laplacian - 2.0 * lap_dbar
         scale = max(1.0, float(np.max(np.abs(ops.laplacian))))
         worst = max(worst, float(np.max(np.abs(diff))) / scale)
-        for (p, q), P in alg.pq_proj.items():
-            for (p2, q2), P2 in alg.pq_proj.items():
-                if (p2, q2) != (p, q):
-                    leak_dbar = max(leak_dbar, float(np.max(np.abs(P2 @ lap_dbar @ P))) / scale)
-                    leak_lap = max(leak_lap, float(np.max(np.abs(P2 @ ops.laplacian @ P))) / scale)
+        leak_dbar = max(leak_dbar, float(np.max(np.abs(Finv @ lap_dbar @ F)[mixed])) / scale)
+        leak_lap = max(leak_lap, float(np.max(np.abs(Finv @ ops.laplacian @ F)[mixed])) / scale)
     return {
         "samples": samples,
         "max_residual": worst,

@@ -232,6 +232,28 @@ def test_cli_torus_small(tmp_path):
     assert verdict_from_report(rep)
 
 
+def test_cli_hyperbolic_honours_tol(tmp_path, capsys):
+    argv = ["hyperbolic", "--R", "2", "--h", "0.3,0.2", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert "[PASS]" in capsys.readouterr().out
+    assert main(argv + ["--tol", "1e-300"]) == 1
+    assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_cli_hyperbolic_single_mesh_size_warns(tmp_path, capsys):
+    # one h per R: nothing is extrapolated, so nothing meets the oracle
+    assert main(["hyperbolic", "--R", "2", "--h", "0.3", "--out", str(tmp_path)]) == 0
+    assert "vacuous" in capsys.readouterr().out
+    body = load_report(tmp_path / "hyperbolic.json")["report"]
+    assert body["warning"] == "vacuous"
+    assert "oracle_agreement_3pct" not in body["checks"]
+
+
+def test_cli_numerical_failure_exits_two(capsys):
+    assert main(["hyperbolic", "--R", "2", "--h", "0.3", "--rel-tol", "1e-300"]) == 2
+    assert "residual certificates not met" in capsys.readouterr().err
+
+
 def test_cli_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(suite="nonsense"))
@@ -334,6 +356,27 @@ def test_decompose_cli_exit_codes_bad_coeffs(tmp_path, capsys, entry, message):
     assert main(["decompose", str(bad), str(tmp_path / "o.json")]) == 2
     err = capsys.readouterr().err
     assert "coeffs[1]" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"triple": {"standard": 2}, "form": {"n": 2, "k": 2}}, "form: missing field 'coeffs'"),
+        (
+            {"triple": {"J": [[0, 1], [-1, 0]]}, "form": {"n": 1, "k": 0, "coeffs": []}},
+            "triple: missing field 'omega'",
+        ),
+        (
+            {"triple": {"standard": 2}, "form": {"n": "two", "k": 2, "coeffs": []}},
+            "form: field 'n' must be an integer",
+        ),
+    ],
+)
+def test_decompose_cli_exit_codes_bad_fields(tmp_path, capsys, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["decompose", str(bad), str(tmp_path / "o.json")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_form_to_json_rejects_batches():

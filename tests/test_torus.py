@@ -13,7 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from llab.algebra import random_compatible_triple
 from llab.torus import (
+    FourierComplex,
     build_fourier_complex,
     check_complex,
     harmonic_space,
@@ -36,6 +38,75 @@ def test_build_validation(std2):
         build_fourier_complex(2, -1, std2)
     with pytest.raises(ValueError):
         build_fourier_complex(3, 1, std2)  # triple dimension mismatch
+
+
+@pytest.fixture(scope="module")
+def fc4_random():
+    """T^4 at cutoff N=1 with a random triple, whose metric is far from the
+    identity: the g-adjoint is not the conjugate transpose there."""
+    return build_fourier_complex(2, 1, random_compatible_triple(2, np.random.default_rng(5)))
+
+
+def _direct_mode_ops(fc, xi) -> dict:
+    """Reference: the six operators of mode xi built from scratch."""
+    alg = fc.triple.ops
+    d = sum(2j * np.pi * x * alg.W[j] for j, x in enumerate(xi))
+    d_star = alg.adjoint(d)
+    d_lambda = d @ alg.Lam - alg.Lam @ d
+    d_lambda_star = alg.adjoint(d_lambda)
+    return {
+        "d": d,
+        "d_star": d_star,
+        "d_lambda": d_lambda,
+        "d_lambda_star": d_lambda_star,
+        "laplacian": d @ d_star + d_star @ d,
+        "dee": d_star @ d + d_lambda_star @ d_lambda,
+    }
+
+
+@pytest.mark.parametrize("which", ["standard", "random"])
+def test_mode_ops_match_direct_construction(which, fc4, fc4_random):
+    fc = fc4 if which == "standard" else fc4_random
+    for xi in ((1, 0, 0, 0), (0, 0, 0, -1), (0, 1, -1, 0), fc.modes[0], fc.modes[-1]):
+        ops = fc.mode_ops(xi)
+        assert ops.xi == xi
+        for name, want in _direct_mode_ops(fc, xi).items():
+            got = getattr(ops, name)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (xi, name)
+    if which == "random":
+        ops = fc.mode_ops((1, 0, 0, 0))
+        assert np.max(np.abs(ops.d_star - ops.d.conj().T)) > 1e-2  # the metric matters here
+
+
+def test_torus_checks_on_a_random_triple(fc4_random):
+    fc = fc4_random
+    out = check_complex(fc)
+    for key in ("d_squared", "d_lambda_squared", "adjointness", "commutator_L", "commutator_Lambda"):
+        assert out[key] < 1e-11, (key, out[key])
+    assert out["hodge_dim_mismatch"] == 0
+    assert out["harmonic_iff_closed_coclosed"] < 1e-8
+    for k in range(5):
+        hs = harmonic_space(fc, k)
+        assert hs.total_dim == math.comb(4, k)
+        assert hs.nonzero_mode_kernel_dims == 0
+    for p in range(3):
+        for q in range(3):
+            assert verify_p7_decomposition(fc, p, q)["passed"], (p, q)
+    assert verify_lemma_L8(fc, samples=20, seed=3)["passed"]
+    assert verify_lemma_L10(fc, samples=20, seed=3)["passed"]
+    assert verify_kahler_identity(fc, samples=20)["passed"]
+
+
+def test_build_rejects_a_complex_whose_square_is_not_zero(std2, monkeypatch):
+    coeffs = FourierComplex.coeffs.func
+
+    def broken(fc):
+        c = coeffs(fc)
+        return dict(c, d=np.abs(c["d"]))  # drops the wedge signs
+
+    monkeypatch.setattr(FourierComplex, "coeffs", property(broken))
+    with pytest.raises(ArithmeticError, match=r"\(d\)\^2 != 0"):
+        build_fourier_complex(2, 0, std2)
 
 
 def test_check_complex_structure(fc4):
