@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from llab.reports import ReportBundle, SuiteConfig, dump_json_deterministic
+from llab.reports import DEFAULT_TOLERANCE, ReportBundle, SuiteConfig, dump_json_deterministic
 
 
 def _int_list(s: str) -> list[int]:
@@ -140,9 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="llab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, default_tol=1e-10):
+    def common(sp, suite):
         sp.add_argument("--seed", type=int, default=7)
-        sp.add_argument("--tol", type=float, default=default_tol)
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE[suite])
         sp.add_argument("--out", type=str, default=None, help="report output directory")
         sp.add_argument("--format", type=str, default="json", help="comma list: json,csv")
 
@@ -151,14 +151,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cases", type=int, default=1000)
     sp.add_argument("--cross-cases", type=int, default=500)
     sp.add_argument("--threads", type=int, default=None)
-    common(sp)
+    common(sp, "verify-identities")
 
     sp = sub.add_parser("torus", help="Fourier-model harmonic/identity suite")
     sp.add_argument("--n", type=_int_list, default=[2, 3])
     sp.add_argument("--N", type=int, default=1, help="frequency cutoff per coordinate")
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--threads", type=int, default=None)
-    common(sp)
+    common(sp, "torus")
 
     sp = sub.add_parser("hyperbolic", help="FEM spectral-gap suite on the disc")
     sp.add_argument("--R", type=_float_list, default=[2.0, 4.0])
@@ -167,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.6)
     sp.add_argument("--rel-tol", type=float, default=1e-8)
     sp.add_argument("--cache-dir", type=str, default=None)
-    common(sp, default_tol=1e-8)
+    common(sp, "hyperbolic")
 
     sp = sub.add_parser("decompose", help="Lefschetz + bidegree decomposition of a form file")
     sp.add_argument("input", type=str)
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     status = "PASS" if bundle.passed else "FAIL"
     warn = bundle.payload.get("warning")
     extra = f" (warning: {warn})" if warn else ""
-    mr = bundle.payload.get("max_residual")
+    mr = bundle.payload.get("max_residual", bundle.payload.get("verdict", {}).get("max_residual"))
     mr_s = f", max residual {mr:.3e}" if isinstance(mr, float) else ""
     print(f"[{status}] suite {cfg.suite}{mr_s}{extra}; config {cfg.config_hash()}")
     if cfg.out_dir:

@@ -126,43 +126,30 @@ class EdgeStructure:
 
 
 def edge_structure(mesh: DiscMesh) -> EdgeStructure:
+    """Build the edge complex of a mesh; `mesh.edge_structure` keeps one.
+
+    Edges are deduplicated on the scalar key lo * nv + hi, whose ascending
+    order is the lexicographic (lo, hi) order of the edge rows.
+    """
     t = mesh.triangles
     local = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1)  # (nt, 3, 2)
-    lo = local.min(axis=2)
-    hi = local.max(axis=2)
+    lo = local.min(axis=2).astype(np.int64)
+    hi = local.max(axis=2).astype(np.int64)
     signs = np.where(local[:, :, 0] < local[:, :, 1], 1, -1).astype(np.int8)
-    canon = np.stack([lo, hi], axis=2).reshape(-1, 2)
-    edges, inverse = np.unique(canon, axis=0, return_inverse=True)
+    nv = np.int64(mesh.n_vertices)
+    keys, inverse = np.unique((lo * nv + hi).ravel(), return_inverse=True)
+    edges = np.column_stack([keys // nv, keys % nv])
     tri_edges = inverse.reshape(-1, 3).astype(np.int64)
     counts = np.bincount(tri_edges.ravel(), minlength=len(edges))
     if counts.max() > 2:
         raise ArithmeticError("non-manifold edge in triangulation")
     boundary_edge = counts == 1
     return EdgeStructure(
-        edges=edges.astype(np.int64),
+        edges=edges,
         tri_edges=tri_edges,
         tri_signs=signs,
         boundary_edge=boundary_edge,
     )
-
-
-def _triangle_geometry(mesh: DiscMesh):
-    """Areas (positive), P1 gradients (nt, 3, 2), mu at edge midpoints (nt, 3)."""
-    p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    if area.min() <= 0:
-        raise ArithmeticError("triangle with non-positive orientation reached assembly")
-    # grad(lambda_i) = perp(p_{i+2} - p_{i+1}) / (2 area), perp(x, y) = (-y, x)
-    grads = np.empty((len(area), 3, 2))
-    for i in range(3):
-        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        grads[:, i, 0] = -e[:, 1] / (2.0 * area)
-        grads[:, i, 1] = e[:, 0] / (2.0 * area)
-    mids = mesh.edge_midpoints()
-    mu_mid = mesh.mu(mids.reshape(-1, 2)).reshape(-1, 3)
-    return area, grads, mu_mid
 
 
 def _coo_accumulate(rows, cols, vals, shape) -> sp.csr_matrix:
@@ -172,7 +159,7 @@ def _coo_accumulate(rows, cols, vals, shape) -> sp.csr_matrix:
 
 def stiffness_p1(mesh: DiscMesh) -> sp.csr_matrix:
     """Flat cotan stiffness; equals the Laplace-Beltrami stiffness in 2D."""
-    area, grads, _ = _triangle_geometry(mesh)
+    area, grads = mesh.geometry.area, mesh.geometry.grads
     t = mesh.triangles
     rows, cols, vals = [], [], []
     for i in range(3):
@@ -185,7 +172,7 @@ def stiffness_p1(mesh: DiscMesh) -> sp.csr_matrix:
 
 def mass_p1(mesh: DiscMesh) -> sp.csr_matrix:
     """mu-weighted consistent P1 mass, edge-midpoint quadrature."""
-    area, _, mu_mid = _triangle_geometry(mesh)
+    area, mu_mid = mesh.geometry.area, mesh.geometry.mu_mid
     t = mesh.triangles
     rows, cols, vals = [], [], []
     for i in range(3):
@@ -217,7 +204,7 @@ def incidence_d1(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
 
 def mass_whitney1(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
     """Euclidean Whitney 1-form mass (conformally invariant in 2D)."""
-    area, grads, _ = _triangle_geometry(mesh)
+    area, grads = mesh.geometry.area, mesh.geometry.grads
     pairs = [(0, 1), (1, 2), (2, 0)]  # local edge e -> (a, b)
     gdot = np.einsum("tix,tjx->tij", grads, grads)  # (nt, 3, 3)
     rows, cols, vals = [], [], []
@@ -238,7 +225,7 @@ def mass_whitney1(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
 
 def mass_whitney2(mesh: DiscMesh) -> sp.dia_matrix:
     """Diagonal 2-form mass: M2[T] = (1/area^2) * int_T mu^{-1} dA."""
-    area, _, mu_mid = _triangle_geometry(mesh)
+    area, mu_mid = mesh.geometry.area, mesh.geometry.mu_mid
     diag = (1.0 / mu_mid).sum(axis=1) / (3.0 * area)
     return sp.diags(diag)
 
@@ -259,7 +246,7 @@ def assemble_hodge_laplacian(
         Mi = M[idx][:, idx]
         return SparseSymmetricMatrix.from_scipy(Ki), SparseSymmetricMatrix.from_scipy(Mi)
     if k == 1:
-        es = edge_structure(mesh)
+        es = mesh.edge_structure
         D0 = incidence_d0(mesh, es)
         D1 = incidence_d1(mesh, es)
         M1 = mass_whitney1(mesh, es)

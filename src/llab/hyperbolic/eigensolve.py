@@ -132,7 +132,9 @@ def smallest_eigenpairs(
     rng = np.random.default_rng(seed)
     maxiter = min(maxiter, n - 1)
 
-    V = np.empty((n, maxiter + 1))
+    # column-major: only the columns the iteration reaches are ever touched,
+    # and every V[:, :j+1] product reads contiguous memory
+    V = np.empty((n, maxiter + 1), order="F")
     alphas: list[float] = []
     betas: list[float] = []
 
@@ -221,7 +223,7 @@ def min_ritz_value(A, iters: int = 80, seed: int = 7) -> float:
     if n <= _DENSE_CUTOFF:
         return float(np.linalg.eigvalsh(A.toarray()).min())
     rng = np.random.default_rng(seed)
-    V = np.empty((n, iters))
+    V = np.empty((n, iters), order="F")
     alphas, betas = [], []
     v = rng.standard_normal(n)
     V[:, 0] = v / np.linalg.norm(v)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from llab.hyperbolic.assembly import EdgeStructure, edge_structure, incidence_d1
+from llab.hyperbolic.assembly import EdgeStructure, incidence_d1
 from llab.hyperbolic.mesh import DiscMesh
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -99,16 +99,14 @@ def bounded_primitive(mesh: DiscMesh) -> PrimitiveOneForm:
     """
     if mesh.metric != "hyperbolic":
         raise ValueError("bounded primitive is defined for the hyperbolic metric only")
-    es = edge_structure(mesh)
+    es = mesh.edge_structure
+    geo = mesh.geometry
 
     edge_integrals = _edge_line_integrals(mesh, es, _theta_components)
 
     # continuum 2-form: d theta = -mu du dv (measured sign -1 in CCW (u,v))
     sign = -1
-    area = mesh.triangle_areas()
-    mids = mesh.edge_midpoints()
-    mu_mid = mesh.mu(mids.reshape(-1, 2)).reshape(-1, 3)
-    triangle_omega = sign * area / 3.0 * mu_mid.sum(axis=1)
+    triangle_omega = sign * geo.area / 3.0 * geo.mu_mid.sum(axis=1)
 
     D1 = incidence_d1(mesh, es)
     circulation = D1 @ edge_integrals
@@ -119,7 +117,7 @@ def bounded_primitive(mesh: DiscMesh) -> PrimitiveOneForm:
     stokes_rms = float(np.sqrt(np.mean(rel**2)))
 
     # |theta|_g should be identically 1; measure on vertices and midpoints
-    samples = np.vstack([mesh.vertices, mids.reshape(-1, 2)])
+    samples = np.vstack([mesh.vertices, geo.mids.reshape(-1, 2)])
     comp = _theta_components(samples)
     norms = np.sqrt((comp**2).sum(axis=1) / mesh.mu(samples))
     sup_norm = float(norms.max())
@@ -225,33 +223,29 @@ def cutoff_family(mesh: DiscMesh, eps: float) -> CutoffProfile:
 def _whitney_at_midpoints(mesh: DiscMesh, es: EdgeStructure, alpha: np.ndarray):
     """Whitney interpolation of edge dofs at the 3 edge midpoints per triangle.
 
-    Returns (values (nt, 3, 2), d_alpha_uv (nt,), area (nt,), mids (nt,3,2)).
+    Returns (values (nt, 3, 2), d_alpha_uv (nt,)).
     """
-    p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    grads = np.empty((len(area), 3, 2))
-    for i in range(3):
-        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        grads[:, i, 0] = -e[:, 1] / (2.0 * area)
-        grads[:, i, 1] = e[:, 0] / (2.0 * area)
-
+    area, grads = mesh.geometry.area, mesh.geometry.grads
     pairs = [(0, 1), (1, 2), (2, 0)]
     dofs = alpha[es.tri_edges] * es.tri_signs  # (nt, 3) in local orientation
-    vals = np.zeros((len(area), 3, 2))
+    # accumulate in (midpoint, component, triangle) order, so that every
+    # product runs over contiguous memory; each entry still sums the same
+    # products over e = 0, 1, 2 in that order
+    g = np.ascontiguousarray(grads.transpose(1, 2, 0))
+    d = np.ascontiguousarray(dofs.T)
+    acc = np.zeros((3, 2, len(area)))
     for e, (a, b) in enumerate(pairs):
         for m in range(3):
             la = _LAMBDA_MID[m, a]
             lb = _LAMBDA_MID[m, b]
-            w_e = la * grads[:, b] - lb * grads[:, a]
-            vals[:, m] += dofs[:, e, None] * w_e
+            w_e = la * g[b] - lb * g[a]
+            acc[m] += d[e] * w_e
+    vals = np.ascontiguousarray(acc.transpose(2, 0, 1))
     # d alpha is constant per triangle; its du^dv coefficient is the
     # circulation divided by the Euclidean area
     D1_local = dofs.sum(axis=1)
     d_alpha_uv = D1_local / area
-    mids = mesh.edge_midpoints()
-    return vals, d_alpha_uv, area, mids
+    return vals, d_alpha_uv
 
 
 def crossterm_constant(
@@ -269,15 +263,16 @@ def crossterm_constant(
     The sqrt-f constant is the load-bearing one: 2 f |df| <= 2 eps f <=
     2 eps sqrt(f) * sqrt(f) pointwise, then Cauchy-Schwarz.
     """
-    es = edge_structure(mesh)
+    es = mesh.edge_structure
     rng = np.random.default_rng(seed)
     eps = profile.eps
 
-    p_mid = mesh.edge_midpoints().reshape(-1, 2)
+    area, mu_mid = mesh.geometry.area, mesh.geometry.mu_mid
+    w = area[:, None] / 3.0  # quadrature weights per midpoint
+    p_mid = mesh.geometry.mids.reshape(-1, 2)
     rho_mid = mesh.geodesic_radius(p_mid)
     f_mid = profile.f_at(rho_mid).reshape(-1, 3)
     fp_mid = profile.df_at(rho_mid)
-    mu_mid = mesh.mu(p_mid).reshape(-1, 3)
 
     # Euclidean gradient of rho: d rho/d r_eucl * radial unit vector
     r = np.hypot(p_mid[:, 0], p_mid[:, 1])
@@ -293,8 +288,7 @@ def crossterm_constant(
     out_cf, out_csqrt = [], []
     for _ in range(n_samples):
         alpha = rng.standard_normal(es.n_edges)
-        vals, d_uv, area, _ = _whitney_at_midpoints(mesh, es, alpha)
-        w = area[:, None] / 3.0  # quadrature weights per midpoint
+        vals, d_uv = _whitney_at_midpoints(mesh, es, alpha)
 
         # (2 f df ^ alpha)_uv at midpoints
         wedge_uv = 2.0 * f_mid * (grad_f[:, :, 0] * vals[:, :, 1] - grad_f[:, :, 1] * vals[:, :, 0])
@@ -383,14 +377,14 @@ def annulus_decay(alpha: np.ndarray, mesh: DiscMesh, jmax: int | None = None) ->
     density is conformally invariant in 2D, so the integrals are plain
     Euclidean quadrature of the Whitney interpolant.
     """
-    es = edge_structure(mesh)
+    es = mesh.edge_structure
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (es.n_edges,):
         raise ValueError(f"alpha must have one dof per edge ({es.n_edges}), got {alpha.shape}")
     if jmax is None:
         jmax = int(np.ceil(mesh.R))
-    vals, _, area, _ = _whitney_at_midpoints(mesh, es, alpha)
-    tri_energy = (area / 3.0) * (vals**2).sum(axis=2).sum(axis=1)
+    vals, _ = _whitney_at_midpoints(mesh, es, alpha)
+    tri_energy = (mesh.geometry.area / 3.0) * (vals**2).sum(axis=2).sum(axis=1)
 
     rho_c = mesh.geodesic_radius(mesh.centroids())
     bins = np.floor(rho_c).astype(int)

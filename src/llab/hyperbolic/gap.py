@@ -327,12 +327,20 @@ def gap_sweep(
     the frozen table, and the derived bound.  With >= 2 mesh sizes per R
     the h -> 0 limit is extrapolated (measured order when >= 3 sizes are
     log-uniform, otherwise the P1 rate 2).
+
+    "finest_mesh" holds the (max R, min h) mesh, with what its solve
+    derived from it, for callers that measure more on it; it is not JSON
+    and is not part of a report.
     """
     rows = []
     per_R: dict[float, list[tuple[float, float]]] = {}
+    R_star, h_star = max(R_values), min(h_values)
+    finest_mesh = None
     for R in R_values:
         for h in h_values:
             mesh = cached_disc_mesh(R, h, cache_dir)
+            if R == R_star and h == h_star:
+                finest_mesh = mesh
             result = dirichlet_lambda1(mesh, k, rel_tol=rel_tol)
             lam = result.eigenvalues[0]
             oracle = SHOOTING_LAMBDA1.get(float(R)) if k == 0 else None
@@ -377,4 +385,4 @@ def gap_sweep(
             "oracle": oracle,
             "rel_err_vs_oracle": (abs(lam_ext - oracle) / oracle) if oracle else None,
         }
-    return {"rows": rows, "extrapolation": extrapolation, "k": k}
+    return {"rows": rows, "extrapolation": extrapolation, "k": k, "finest_mesh": finest_mesh}

@@ -17,7 +17,10 @@ from __future__ import annotations
 import io
 import os
 import struct
+import tempfile
+import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +31,27 @@ R_MAX = 12.0
 MIN_ANGLE_DEG = 15.0
 
 _CACHE_MAGIC = b"LLABMESH"
-_CACHE_VERSION = 2  # bump whenever the layout below changes
+_CACHE_VERSION = 3  # bump whenever the layout below changes
 
 
 class MeshBudgetError(ValueError):
     """Requested mesh would exceed the vertex budget."""
+
+
+@dataclass(frozen=True)
+class TriangleGeometry:
+    """Per-triangle quantities shared by assembly and quadrature.
+
+    area : (nt,) Euclidean areas, checked positive
+    grads : (nt, 3, 2) Euclidean gradients of the three P1 hats
+    mids : (nt, 3, 2) midpoints of edges (01, 12, 20)
+    mu_mid : (nt, 3) conformal factor at those midpoints
+    """
+
+    area: np.ndarray
+    grads: np.ndarray
+    mids: np.ndarray
+    mu_mid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -44,6 +63,11 @@ class DiscMesh:
     boundary : (nv,) bool, True on the outermost ring
     R, h : requested geodesic radius / target edge length
     metric : "hyperbolic" or "euclidean" (the latter only for oracle patches)
+
+    What is derived from the arrays is built on first use and kept on the
+    mesh, so it dies with it: `geometry` (areas, P1 gradients, edge
+    midpoints, mu at the midpoints) and `edge_structure` (the edge complex
+    of `assembly.edge_structure`).
     """
 
     vertices: np.ndarray
@@ -95,10 +119,31 @@ class DiscMesh:
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-    def edge_midpoints(self) -> np.ndarray:
-        """(nt, 3, 2) midpoints of edges (01, 12, 20) of each triangle."""
+    @cached_property
+    def geometry(self) -> TriangleGeometry:
+        """The mesh's `TriangleGeometry`; raises on a non-CCW triangle."""
+        area = self.triangle_areas()
+        if area.min() <= 0:
+            raise ArithmeticError("triangle with non-positive orientation in the mesh")
         p = self.vertices[self.triangles]
-        return 0.5 * np.stack([p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1)
+        # grad(lambda_i) = perp(p_{i+2} - p_{i+1}) / (2 area), perp(x, y) = (-y, x)
+        grads = np.empty((len(area), 3, 2))
+        for i in range(3):
+            e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+            grads[:, i, 0] = -e[:, 1] / (2.0 * area)
+            grads[:, i, 1] = e[:, 0] / (2.0 * area)
+        mids = 0.5 * np.stack([p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1)
+        mu_mid = self.mu(mids.reshape(-1, 2)).reshape(-1, 3)
+        return TriangleGeometry(*_read_only(area, grads, mids, mu_mid))
+
+    @cached_property
+    def edge_structure(self):
+        """The mesh's `assembly.EdgeStructure`."""
+        from llab.hyperbolic import assembly
+
+        es = assembly.edge_structure(self)
+        _read_only(es.edges, es.tri_edges, es.tri_signs, es.boundary_edge)
+        return es
 
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
@@ -123,6 +168,13 @@ class DiscMesh:
             "h": self.h,
             "metric": self.metric,
         }
+
+
+def _read_only(*arrays):
+    """Lock arrays that every reader of a mesh shares."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _ring_counts(R: float, h: float) -> tuple[int, list[int]]:
@@ -252,7 +304,7 @@ def square_patch(nx: int) -> DiscMesh:
 #
 # layout: magic(8) | version u32 | metric u8 | R f64 | h f64
 #         | nv u64 | nt u64 | vertices f64[nv*2] | triangles i32[nt*3]
-#         | boundary u8[nv]
+#         | boundary u8[nv] | crc32 u32 of everything before it
 # Little-endian throughout.  Version mismatches invalidate, never migrate.
 
 _METRIC_CODE = {"hyperbolic": 0, "euclidean": 1}
@@ -260,6 +312,8 @@ _METRIC_NAME = {v: k for k, v in _METRIC_CODE.items()}
 
 
 def save_mesh(mesh: DiscMesh, path: str | os.PathLike) -> None:
+    """Write the mesh atomically: a private temporary file, then a rename,
+    so concurrent writers of one path never interleave their bytes."""
     buf = io.BytesIO()
     buf.write(_CACHE_MAGIC)
     buf.write(struct.pack("<IBdd", _CACHE_VERSION, _METRIC_CODE[mesh.metric], mesh.R, mesh.h))
@@ -267,9 +321,16 @@ def save_mesh(mesh: DiscMesh, path: str | os.PathLike) -> None:
     buf.write(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
     buf.write(np.ascontiguousarray(mesh.triangles, dtype="<i4").tobytes())
     buf.write(np.ascontiguousarray(mesh.boundary, dtype=np.uint8).tobytes())
-    tmp = Path(path).with_suffix(".tmp")
-    tmp.write_bytes(buf.getvalue())
-    os.replace(tmp, path)
+    buf.write(struct.pack("<I", zlib.crc32(buf.getvalue())))
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def load_mesh(path: str | os.PathLike) -> DiscMesh:
@@ -283,6 +344,9 @@ def load_mesh(path: str | os.PathLike) -> DiscMesh:
         raise ValueError(
             f"{path}: cache version {version} != current {_CACHE_VERSION}; rebuild"
         )
+    (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
+    if zlib.crc32(raw[:-4]) != crc:
+        raise ValueError(f"{path}: checksum mismatch; rebuild")
     nv, nt = struct.unpack_from("<QQ", raw, off)
     off += struct.calcsize("<QQ")
     vertices = np.frombuffer(raw, dtype="<f8", count=nv * 2, offset=off).reshape(nv, 2).copy()
@@ -301,12 +365,16 @@ def load_mesh(path: str | os.PathLike) -> DiscMesh:
 
 
 def cached_disc_mesh(R: float, h: float, cache_dir: str | os.PathLike | None = None) -> DiscMesh:
-    """build_disc_mesh with a transparent on-disk cache."""
+    """build_disc_mesh with a transparent on-disk cache.
+
+    The file name carries R and h exactly (repr round-trips a float), so
+    two radii that differ in any bit get two files.
+    """
     if cache_dir is None:
         return build_disc_mesh(R, h)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    key = f"disc_R{R:g}_h{h:g}_v{_CACHE_VERSION}.llabmesh"
+    key = f"disc_R{float(R)!r}_h{float(h)!r}_v{_CACHE_VERSION}.llabmesh"
     path = cache_dir / key
     if path.exists():
         try:

@@ -24,6 +24,11 @@ from pathlib import Path
 CSV_SCHEMA_VERSION = 1
 CSV_COLUMNS = ("schema_version", "suite", "group", "name", "value")
 
+# the default tolerance of each suite's verdict, for the CLI and for a
+# SuiteConfig built without one: the identity and torus checks are exact
+# algebra, the hyperbolic residual is a Lanczos certificate at rel_tol 1e-8
+DEFAULT_TOLERANCE = {"verify-identities": 1e-10, "torus": 1e-10, "hyperbolic": 1e-8}
+
 # params that only route a run (worker threads, the mesh cache directory):
 # they never change its numbers, so neither the hash nor the report's
 # config carries them
@@ -43,17 +48,22 @@ class SuiteConfig:
     `params` holds the suite-specific knobs (n values, cutoffs, mesh
     sizes, ...).  The hash covers suite, params, seed and tolerance --
     the semantic content -- and ignores routing: output directory and
-    formats, and the ROUTING_PARAMS entries of params.
+    formats, and the ROUTING_PARAMS entries of params.  A tolerance left
+    at None becomes the suite's DEFAULT_TOLERANCE.
     """
 
     suite: str
     seed: int = 7
-    tolerance: float = 1e-10
+    tolerance: float | None = None
     params: dict = field(default_factory=dict)
     out_dir: str | None = None
     formats: tuple[str, ...] = ("json",)
 
     def __post_init__(self):
+        if self.tolerance is None:
+            if self.suite not in DEFAULT_TOLERANCE:
+                raise ValueError(f"unknown suite id {self.suite!r}")
+            object.__setattr__(self, "tolerance", DEFAULT_TOLERANCE[self.suite])
         bad = [f for f in self.formats if f not in ("json", "csv")]
         if bad:
             raise ValueError(f"unknown format(s) {bad}; expected json|csv")

@@ -40,6 +40,7 @@ from llab.lefschetz import (
     weil_operator_residual,
     weil_relation_residual,
 )
+from llab.reports import DEFAULT_TOLERANCE
 
 
 def thread_count() -> int:
@@ -129,7 +130,7 @@ def identity_suite(
     cases: int = 1000,
     cross_cases: int = 500,
     seed: int = 7,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOLERANCE["verify-identities"],
     random_triple_cases: int = 64,
     roundtrip_cases: int = 1000,
     threads: int | None = None,
@@ -198,7 +199,7 @@ def torus_suite(
     N: int = 1,
     samples: int = 100,
     seed: int = 7,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOLERANCE["torus"],
     threads: int | None = None,
 ) -> dict:
     """Fourier-model verification: harmonic dimensions, the bigraded
@@ -294,7 +295,7 @@ def hyperbolic_suite(
     seed: int = 7,
     cache_dir=None,
     rel_tol: float = 1e-8,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOLERANCE["hyperbolic"],
 ) -> dict:
     """FEM gap verification: derivation report, theta texture, the (R, h)
     sweep with extrapolation, cutoff feasibility, and annulus decay.  The
@@ -308,24 +309,22 @@ def hyperbolic_suite(
         cutoff_family,
         gap_sweep,
     )
-    from llab.hyperbolic.assembly import edge_structure, incidence_d0
+    from llab.hyperbolic.assembly import incidence_d0
     from llab.hyperbolic.forms import crossterm_constant
     from llab.hyperbolic.gap import gromov_bound_report
-    from llab.hyperbolic.mesh import cached_disc_mesh
 
     derivation = gromov_bound_report(1, k if k != 1 else 0)
     sweep = gap_sweep(R_values, h_values, k=k, cache_dir=cache_dir, rel_tol=rel_tol)
 
-    # texture and decay checks on the largest/finest mesh
-    R_star = max(R_values)
+    # texture and decay checks on the largest/finest mesh, taken from the
+    # sweep with the geometry its assembly built
+    mesh = sweep.pop("finest_mesh")
     h_star = min(h_values)
-    mesh = cached_disc_mesh(R_star, h_star, cache_dir)
     theta = bounded_primitive(mesh)
     profile = cutoff_family(mesh, eps)
     cross = crossterm_constant(mesh, profile, n_samples=4, seed=seed)
 
-    es = edge_structure(mesh)
-    D0 = incidence_d0(mesh, es)
+    D0 = incidence_d0(mesh, mesh.edge_structure)
     z = mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]
     alpha = D0 @ _np.real(z)
     decay = annulus_decay(alpha, mesh)

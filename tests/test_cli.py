@@ -15,10 +15,11 @@ import os
 import numpy as np
 import pytest
 
-from llab.cli import decompose_file, main, run_suite
+from llab.cli import _build_parser, decompose_file, main, run_suite
 from llab.reports import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
+    DEFAULT_TOLERANCE,
     ReportBundle,
     SuiteConfig,
     dump_json_deterministic,
@@ -61,6 +62,27 @@ def test_config_hash_ignores_routing(tmp_path, capsys):
         assert main(argv) == 0
         hashes.append(capsys.readouterr().out.rsplit("config ", 1)[1].split()[0])
     assert hashes[0] == hashes[1]
+
+
+def test_default_tolerance_is_one_table_per_suite():
+    parser = _build_parser()
+    for suite, tol in DEFAULT_TOLERANCE.items():
+        assert parser.parse_args([suite]).tol == tol
+        assert SuiteConfig(suite=suite).tolerance == tol
+    # a config built without a tolerance hashes as the CLI's default did
+    params = {"R_values": (2.0,), "h_values": (0.3, 0.2), "k": 0, "eps": 0.8}
+    assert SuiteConfig(suite="hyperbolic", params=params).config_hash() == "09086a6e3c6dba82"
+    with pytest.raises(ValueError):
+        SuiteConfig(suite="nonsense")
+
+
+def test_programmatic_hyperbolic_run_uses_its_suite_tolerance():
+    # worst residual / lambda1 here is about 6e-10: above the algebraic
+    # 1e-10, well below the hyperbolic default 1e-8 the CLI also uses
+    params = {"R_values": (2.0,), "h_values": (0.3, 0.2), "k": 0, "eps": 0.8}
+    bundle = run_suite(SuiteConfig(suite="hyperbolic", params=params))
+    assert bundle.payload["verdict"]["tolerance"] == 1e-8
+    assert bundle.passed
 
 
 def test_config_rejects_unknown_format():
@@ -237,7 +259,10 @@ def test_cli_hyperbolic_honours_tol(tmp_path, capsys):
     assert main(argv) == 0
     assert "[PASS]" in capsys.readouterr().out
     assert main(argv + ["--tol", "1e-300"]) == 1
-    assert "[FAIL]" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[FAIL]" in out
+    # the worst residual lives in the verdict and is printed from there
+    assert "max residual" in out
 
 
 def test_cli_hyperbolic_single_mesh_size_warns(tmp_path, capsys):

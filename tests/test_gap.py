@@ -171,3 +171,29 @@ def test_gap_sweep_small(tmp_path):
     assert ext["rel_err_vs_oracle"] < 0.01
     # meshes were cached along the way
     assert len(list(tmp_path.iterdir())) == 2
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_hyperbolic_suite_builds_each_mesh_and_edge_complex_once(monkeypatch, k):
+    from llab.hyperbolic import assembly, mesh
+    from llab.suites import hyperbolic_suite
+
+    built, edged = [], []
+    real_build, real_edges = mesh.build_disc_mesh, assembly.edge_structure
+
+    def counting_build(R, h):
+        built.append((R, h))
+        return real_build(R, h)
+
+    def counting_edges(m):
+        edged.append((m.R, m.h))
+        return real_edges(m)
+
+    monkeypatch.setattr(mesh, "build_disc_mesh", counting_build)
+    monkeypatch.setattr(assembly, "edge_structure", counting_edges)
+    hyperbolic_suite(R_values=(2.0, 3.0), h_values=(0.4, 0.3), k=k)
+    grid = [(R, h) for R in (2.0, 3.0) for h in (0.4, 0.3)]
+    assert built == grid
+    # k = 0 needs the edge complex only for the forms on the finest mesh;
+    # k = 1 assembles on it everywhere, and the forms reuse the finest one
+    assert edged == ([(3.0, 0.3)] if k == 0 else grid)

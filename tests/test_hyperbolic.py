@@ -8,8 +8,10 @@ primitive of the area form has pointwise norm identically 1.
 
 from __future__ import annotations
 
+import gc
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -39,6 +41,8 @@ from llab.hyperbolic.forms import (
     crossterm_constant,
     cutoff_family,
 )
+from llab.hyperbolic import assembly as assembly_mod
+from llab.hyperbolic import mesh as mesh_mod
 from llab.hyperbolic.mesh import (
     DiscMesh,
     MeshBudgetError,
@@ -84,6 +88,41 @@ def test_mesh_euler_characteristic(small_mesh):
     es = edge_structure(small_mesh)
     V, E, F = small_mesh.n_vertices, len(es.edges), small_mesh.n_triangles
     assert V - E + F == 1
+
+
+def _edge_structure_reference(mesh):
+    """Lexicographic 2-D unique over the canonical (low, high) edge rows."""
+    t = mesh.triangles
+    local = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1)
+    canon = np.stack([local.min(axis=2), local.max(axis=2)], axis=2).reshape(-1, 2)
+    edges, inverse = np.unique(canon, axis=0, return_inverse=True)
+    signs = np.where(local[:, :, 0] < local[:, :, 1], 1, -1)
+    return edges, inverse.reshape(-1, 3), signs
+
+
+@pytest.mark.parametrize("which", ["small_mesh", "fine_mesh", "square24"])
+def test_edge_structure_matches_lexicographic_unique(request, which):
+    mesh = request.getfixturevalue(which)
+    edges, tri_edges, signs = _edge_structure_reference(mesh)
+    es = edge_structure(mesh)
+    assert np.array_equal(es.edges, edges)
+    assert np.array_equal(es.tri_edges, tri_edges)
+    assert np.array_equal(es.tri_signs, signs)
+    assert np.array_equal(es.boundary_edge, np.bincount(tri_edges.ravel()) == 1)
+    assert es.edges.dtype == es.tri_edges.dtype == np.int64
+
+
+def test_mesh_derived_quantities_are_kept_and_die_with_the_mesh():
+    mesh = build_disc_mesh(R=1.5, h=0.3)
+    geo, es = mesh.geometry, mesh.edge_structure
+    assert mesh.geometry is geo and mesh.edge_structure is es
+    assert np.array_equal(geo.area, mesh.triangle_areas())
+    # shared by every reader, so nobody may write into them
+    assert not geo.grads.flags.writeable and not es.tri_edges.flags.writeable
+    refs = [weakref.ref(x) for x in (mesh, geo, es)]
+    del mesh, geo, es
+    gc.collect()
+    assert all(r() is None for r in refs)
 
 
 def test_predicted_vertex_count_matches(small_mesh):
@@ -159,6 +198,63 @@ def test_cache_version_mismatch_rejected(small_mesh, tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         load_mesh(p)
+
+
+def _count_builds(monkeypatch) -> list:
+    built = []
+    real = mesh_mod.build_disc_mesh
+
+    def counting(R, h):
+        built.append((R, h))
+        return real(R, h)
+
+    monkeypatch.setattr(mesh_mod, "build_disc_mesh", counting)
+    return built
+
+
+def test_close_radii_get_their_own_cache_files(tmp_path, monkeypatch):
+    built = _count_builds(monkeypatch)
+    radii = (2.0, 2.0000001)  # one file under a %g key
+    for _ in range(2):
+        for R in radii:
+            assert cached_disc_mesh(R, 0.5, cache_dir=tmp_path).R == R
+    assert built == [(R, 0.5) for R in radii]  # the second pass only hits
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_save_mesh_writes_through_a_private_temp_file(small_mesh, tmp_path, monkeypatch):
+    renamed = []
+    real_replace = mesh_mod.os.replace
+
+    def recording_replace(src, dst):
+        renamed.append((str(src), str(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(mesh_mod.os, "replace", recording_replace)
+    p = tmp_path / "m.llabmesh"
+    save_mesh(small_mesh, p)
+    save_mesh(small_mesh, p)
+    (src_a, dst_a), (src_b, dst_b) = renamed
+    assert dst_a == dst_b == str(p)
+    assert src_a != src_b and src_a != str(p).replace(".llabmesh", ".tmp")
+    assert [f.name for f in tmp_path.iterdir()] == ["m.llabmesh"]
+    assert np.array_equal(load_mesh(p).vertices, small_mesh.vertices)
+
+
+def test_flipped_payload_byte_rebuilds(tmp_path, monkeypatch):
+    m1 = cached_disc_mesh(1.5, 0.3, cache_dir=tmp_path)
+    cache_file = next(tmp_path.iterdir())
+    raw = bytearray(cache_file.read_bytes())
+    vertex_block = 8 + struct.calcsize("<IBdd") + struct.calcsize("<QQ")
+    raw[vertex_block + 3] ^= 0x10
+    cache_file.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="checksum"):
+        load_mesh(cache_file)
+    built = _count_builds(monkeypatch)
+    m2 = cached_disc_mesh(1.5, 0.3, cache_dir=tmp_path)
+    assert built == [(1.5, 0.3)]
+    assert np.array_equal(m1.vertices, m2.vertices)
+    assert np.array_equal(load_mesh(cache_file).vertices, m1.vertices)
 
 
 def test_corrupt_cache_rebuilds(tmp_path):
@@ -406,6 +502,27 @@ def test_crossterm_constant_within_proved_bound(fine_mesh):
     assert out["C_sqrtf_bound"] == 2.0
     assert out["C_sqrtf_max"] <= 2.0
     assert np.isfinite(out["C_f_max"])
+
+
+@pytest.mark.parametrize("which", ["small_mesh", "square24"])
+def test_whitney_at_midpoints_matches_triangle_major_loop(request, which, rng):
+    from llab.hyperbolic.forms import _LAMBDA_MID, _whitney_at_midpoints
+
+    mesh = request.getfixturevalue(which)
+    es = mesh.edge_structure
+    alpha = rng.standard_normal(es.n_edges)
+    # reference: the same products accumulated in (triangle, midpoint) order
+    grads = mesh.geometry.grads
+    dofs = alpha[es.tri_edges] * es.tri_signs
+    ref = np.zeros((mesh.n_triangles, 3, 2))
+    for e, (a, b) in enumerate([(0, 1), (1, 2), (2, 0)]):
+        for m in range(3):
+            w_e = _LAMBDA_MID[m, a] * grads[:, b] - _LAMBDA_MID[m, b] * grads[:, a]
+            ref[:, m] += dofs[:, e, None] * w_e
+    vals, d_uv = _whitney_at_midpoints(mesh, es, alpha)
+    assert np.array_equal(vals, ref)
+    assert vals.flags.c_contiguous
+    assert np.array_equal(d_uv, dofs.sum(axis=1) / mesh.geometry.area)
 
 
 # ---------------------------------------------------------------------------
