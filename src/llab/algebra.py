@@ -177,14 +177,6 @@ class KForm:
 
     # -- access -------------------------------------------------------------
 
-    def coeff(self, indices: Iterable[int]) -> complex:
-        mask = indices_to_mask(tuple(indices))
-        return complex(self.data[_mask_index(2 * self.n, self.k)[mask]])
-
-    def coeffs_dict(self) -> dict[tuple[int, ...], complex]:
-        masks = basis_masks(2 * self.n, self.k)
-        return {mask_to_indices(m): complex(c) for m, c in zip(masks, self.data) if c != 0}
-
     def is_real(self, tol: float = TOL) -> bool:
         return bool(np.max(np.abs(self.data.imag), initial=0.0) <= tol)
 
@@ -278,10 +270,6 @@ class CompatibleTriple:
     @property
     def g_inv(self) -> np.ndarray:
         return np.linalg.inv(self.g)
-
-    @property
-    def sqrt_det_g(self) -> float:
-        return float(np.sqrt(np.linalg.det(self.g)))
 
     def omega_form(self) -> KForm:
         """omega as a 2-form: sum_{i<j} omega_ij e^i ^ e^j."""
@@ -741,19 +729,6 @@ class BigradedForm:
         out = next(it)
         for c in it:
             out = out + c
-        return out
-
-    def real_components(self) -> dict:
-        """Real-convention components keyed by unordered type {p,q}:
-        entry (p,q) with p <= q is component(p,q) + component(q,p) (p != q)."""
-        out = {}
-        for (p, q), c in self.components.items():
-            if p > q:
-                continue
-            if p == q:
-                out[(p, q)] = c
-            else:
-                out[(p, q)] = c + self.components[(q, p)]
         return out
 
 

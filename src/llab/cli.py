@@ -60,7 +60,6 @@ def run_suite(cfg: SuiteConfig) -> ReportBundle:
             k=p.get("k", 0),
             eps=p.get("eps", 0.6),
             seed=cfg.seed,
-            cache_dir=p.get("cache_dir"),
             rel_tol=p.get("rel_tol", 1e-8),
             tol=cfg.tolerance,
         )
@@ -166,7 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=0, choices=(0, 1))
     sp.add_argument("--eps", type=float, default=0.6)
     sp.add_argument("--rel-tol", type=float, default=1e-8)
-    sp.add_argument("--cache-dir", type=str, default=None)
     common(sp, "hyperbolic")
 
     sp = sub.add_parser("decompose", help="Lefschetz + bidegree decomposition of a form file")
@@ -210,7 +208,6 @@ def main(argv=None) -> int:
             "k": args.k,
             "eps": args.eps,
             "rel_tol": args.rel_tol,
-            "cache_dir": args.cache_dir,
         }
 
     cfg = SuiteConfig(
@@ -230,9 +227,19 @@ def main(argv=None) -> int:
     status = "PASS" if bundle.passed else "FAIL"
     warn = bundle.payload.get("warning")
     extra = f" (warning: {warn})" if warn else ""
-    mr = bundle.payload.get("max_residual", bundle.payload.get("verdict", {}).get("max_residual"))
+    verdict = bundle.payload.get("verdict", {})
+    mr = bundle.payload.get("max_residual", verdict.get("max_residual"))
     mr_s = f", max residual {mr:.3e}" if isinstance(mr, float) else ""
-    print(f"[{status}] suite {cfg.suite}{mr_s}{extra}; config {cfg.config_hash()}")
+    failed = ""
+    if not bundle.passed:
+        # name what failed: the residual when it is over, and every false check
+        tol = verdict.get("tolerance")
+        if mr_s and tol is not None and not mr < tol:
+            mr_s += f" > tol {tol:g}"
+        names = [name for name, ok in verdict.get("checks", {}).items() if not ok]
+        if names:
+            failed = "; failed: " + ", ".join(names)
+    print(f"[{status}] suite {cfg.suite}{mr_s}{extra}{failed}; config {cfg.config_hash()}")
     if cfg.out_dir:
         print(f"reports written to {cfg.out_dir}/")
     return 0 if bundle.passed else 1

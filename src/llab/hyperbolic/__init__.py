@@ -1,6 +1,6 @@
 """FEM verification of the d(bounded) spectral gap on the Poincare disc."""
 
-from llab.hyperbolic.mesh import DiscMesh, build_disc_mesh, load_mesh, save_mesh, square_patch
+from llab.hyperbolic.mesh import DiscMesh, build_disc_mesh, square_patch
 from llab.hyperbolic.forms import (
     AnnulusDecayTable,
     CutoffProfile,
@@ -17,8 +17,6 @@ from llab.hyperbolic.gap import dirichlet_lambda1, gap_sweep, gromov_bound, grom
 __all__ = [
     "DiscMesh",
     "build_disc_mesh",
-    "load_mesh",
-    "save_mesh",
     "square_patch",
     "PrimitiveOneForm",
     "bounded_primitive",

@@ -84,12 +84,6 @@ class SparseSymmetricMatrix:
     def scale(self) -> float:
         return float(np.abs(self.data).max(initial=0.0))
 
-    def psd_certificate(self, iters: int = 80, seed: int = 7) -> float:
-        """Smallest Ritz value from a plain Lanczos run (>= lambda_min)."""
-        from llab.hyperbolic.eigensolve import min_ritz_value
-
-        return min_ritz_value(self.as_scipy(), iters=iters, seed=seed)
-
     def to_json_dict(self) -> dict:
         return {
             "dimension": self.dimension,

@@ -208,41 +208,3 @@ def _certify(lams, res, rel_tol, iterations: int) -> None:
             res,
             iterations,
         )
-
-
-def min_ritz_value(A, iters: int = 80, seed: int = 7) -> float:
-    """Smallest Ritz value of symmetric A from plain Lanczos.
-
-    Always >= lambda_min(A); used as a positive-semidefiniteness witness
-    (a negative return proves indefiniteness, a non-negative one is strong
-    evidence of PSD at the stated iteration count).
-    """
-    A = sp.csr_matrix(A)
-    n = A.shape[0]
-    iters = min(iters, n)
-    if n <= _DENSE_CUTOFF:
-        return float(np.linalg.eigvalsh(A.toarray()).min())
-    rng = np.random.default_rng(seed)
-    V = np.empty((n, iters), order="F")
-    alphas, betas = [], []
-    v = rng.standard_normal(n)
-    V[:, 0] = v / np.linalg.norm(v)
-    for j in range(iters):
-        w = A @ V[:, j]
-        alpha = float(w @ V[:, j])
-        w -= alpha * V[:, j]
-        if j > 0:
-            w -= betas[-1] * V[:, j - 1]
-        coef = V[:, : j + 1].T @ w
-        w -= V[:, : j + 1] @ coef
-        alphas.append(alpha)
-        beta = float(np.linalg.norm(w))
-        if beta <= 1e-14 * max(abs(alpha), 1.0) or j == iters - 1:
-            break
-        betas.append(beta)
-        V[:, j + 1] = w / beta
-    T = np.diag(alphas)
-    if betas:
-        off = np.array(betas[: len(alphas) - 1])
-        T += np.diag(off, 1) + np.diag(off, -1)
-    return float(np.linalg.eigvalsh(T).min())

@@ -30,7 +30,8 @@ import numpy as np
 
 from llab.algebra import KForm, build_standard_triple, norm, wedge
 from llab.hyperbolic.eigensolve import SpectralResult, smallest_eigenpairs
-from llab.hyperbolic.mesh import DiscMesh, cached_disc_mesh
+from llab.hyperbolic import mesh as mesh_mod
+from llab.hyperbolic.mesh import DiscMesh
 from llab.hyperbolic.oracle import SHOOTING_LAMBDA1
 from llab.lefschetz import lefschetz_power_matrix
 
@@ -318,7 +319,6 @@ def gap_sweep(
     R_values,
     h_values,
     k: int = 0,
-    cache_dir=None,
     rel_tol: float = 1e-8,
 ) -> dict:
     """lambda_1 over an (R, h) grid with Richardson extrapolation per R.
@@ -338,7 +338,8 @@ def gap_sweep(
     finest_mesh = None
     for R in R_values:
         for h in h_values:
-            mesh = cached_disc_mesh(R, h, cache_dir)
+            # looked up on its module, so a wrapped build_disc_mesh is the one called
+            mesh = mesh_mod.build_disc_mesh(R, h)
             if R == R_star and h == h_star:
                 finest_mesh = mesh
             result = dirichlet_lambda1(mesh, k, rel_tol=rel_tol)

@@ -2,36 +2,30 @@
 
 The mesh lives in the unit-disc coordinates (u, v); the metric is conformal,
 g = mu(z) (du^2 + dv^2) with mu = 4 / (1 - |z|^2)^2.  Conformality is what
-makes the construction cheap: Euclidean Delaunay on the pulled-back vertex
-set is automatically angle-correct for the hyperbolic metric, and the P1
-stiffness matrix needs no metric weights at all.
+makes the construction cheap: angles in the (u, v) picture are the
+hyperbolic angles, so triangles shaped well in the Euclidean coordinates
+are shaped well for the metric, and the P1 stiffness matrix needs no
+metric weights at all.
 
 Vertices are laid out on concentric geodesic circles rho = m * dr whose
 point counts track the circumference 2*pi*sinh(rho), so triangle geodesic
 diameters stay ~h all the way to the boundary even though the Euclidean
-picture crushes everything against |z| = 1.
+picture crushes everything against |z| = 1.  Each pair of neighbouring
+rings is stitched into a band of triangles by merging the edges of both
+rings in the angular order of their midpoints, and the centre is joined
+to the first ring by a fan.
 """
 
 from __future__ import annotations
 
-import io
-import os
-import struct
-import tempfile
-import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 VERTEX_BUDGET = 2_000_000
 R_MAX = 12.0
 MIN_ANGLE_DEG = 15.0
-
-_CACHE_MAGIC = b"LLABMESH"
-_CACHE_VERSION = 3  # bump whenever the layout below changes
 
 
 class MeshBudgetError(ValueError):
@@ -149,25 +143,16 @@ class DiscMesh:
         return self.vertices[self.triangles].mean(axis=1)
 
     def min_angle_degrees(self) -> float:
-        p = self.vertices[self.triangles]
-        angles = []
-        for i in range(3):
-            a = p[:, (i + 1) % 3] - p[:, i]
-            b = p[:, (i + 2) % 3] - p[:, i]
-            cosang = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-            angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-        return float(np.min(angles))
-
-    def stats(self) -> dict:
-        return {
-            "n_vertices": self.n_vertices,
-            "n_triangles": self.n_triangles,
-            "n_boundary": int(self.boundary.sum()),
-            "min_angle_deg": self.min_angle_degrees(),
-            "R": self.R,
-            "h": self.h,
-            "metric": self.metric,
-        }
+        t = self.triangles.T
+        x, y = self.vertices[:, 0][t], self.vertices[:, 1][t]  # (3, nt)
+        nxt, prev = [1, 2, 0], [2, 0, 1]
+        # e_i = p_{i+1} - p_i; the angle at vertex i lies between e_i and
+        # -e_{i-1}, and the smallest angle has the largest cosine, so one
+        # arccos is enough
+        ex, ey = x[nxt] - x, y[nxt] - y
+        sq = ex * ex + ey * ey
+        cos = -(ex * ex[prev] + ey * ey[prev]) / np.sqrt(sq * sq[prev])
+        return float(np.degrees(np.arccos(np.clip(cos.max(), -1.0, 1.0))))
 
 
 def _read_only(*arrays):
@@ -191,6 +176,40 @@ def _ring_counts(R: float, h: float) -> tuple[int, list[int]]:
 def predicted_vertex_count(R: float, h: float) -> int:
     _, counts = _ring_counts(R, h)
     return 1 + sum(counts)
+
+
+def _stitch_rings(counts: list[int]) -> np.ndarray:
+    """Triangles of the ring layout: a fan from the centre (vertex 0) to
+    ring 1, then one band per pair of neighbouring rings.
+
+    Ring m holds N = counts[m-1] vertices, numbered on from the rings inside
+    it, at the angles 2 pi (2j + s) / (2N) with stagger s = m % 2.  A band
+    merges the edges of both rings in the angular order of their midpoints;
+    each edge closes a CCW triangle with the vertex of the other ring whose
+    angle is nearest its midpoint.  Edge k of a ring, the one whose midpoint
+    sits at 2 pi (2k + 1 - s) / (2N), runs from vertex k - s to k - s + 1
+    (mod N).  The midpoints are compared exactly, as integers over the
+    common denominator 2 N_in N_out; on a tie the inner edge goes first.
+    """
+    starts = np.concatenate([[1], 1 + np.cumsum(counts[:-1])])
+    j = np.arange(counts[0])
+    bands = [np.column_stack([np.zeros_like(j), starts[0] + j, starts[0] + (j + 1) % counts[0]])]
+    for m in range(1, len(counts)):
+        n_in, n_out = counts[m - 1], counts[m]
+        s_in, s_out = m % 2, (m + 1) % 2  # ring m is the inner ring of band m
+        mid_in = (2 * np.arange(n_in) + 1 - s_in) * n_out
+        mid_out = (2 * np.arange(n_out) + 1 - s_out) * n_in
+        order = np.argsort(np.concatenate([mid_in, mid_out]), kind="stable")
+        inner = order < n_in
+        # edges of each ring merged before this one; the next edge of a
+        # ring starts at the last vertex that ring has reached
+        before_in = np.cumsum(inner) - inner
+        before_out = np.arange(n_in + n_out) - before_in
+        last_in = (before_in - s_in) % n_in
+        last_out = (before_out - s_out) % n_out
+        new = np.where(inner, starts[m - 1] + (last_in + 1) % n_in, starts[m] + (last_out + 1) % n_out)
+        bands.append(np.column_stack([starts[m - 1] + last_in, starts[m] + last_out, new]))
+    return np.vstack(bands).astype(np.int32)
 
 
 def build_disc_mesh(R: float, h: float) -> DiscMesh:
@@ -223,8 +242,7 @@ def build_disc_mesh(R: float, h: float) -> DiscMesh:
         pts.append(np.column_stack([r_eucl * np.cos(ang), r_eucl * np.sin(ang)]))
     vertices = np.vstack(pts)
 
-    tri = Delaunay(vertices)
-    triangles = tri.simplices.astype(np.int32)
+    triangles = _stitch_rings(counts)
 
     # enforce CCW orientation
     p = vertices[triangles]
@@ -235,7 +253,7 @@ def build_disc_mesh(R: float, h: float) -> DiscMesh:
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     signed = np.abs(signed)
     if signed.min() <= 0:
-        raise ArithmeticError("degenerate triangle in Delaunay output")
+        raise ArithmeticError("degenerate triangle in the stitched rings")
 
     boundary = np.zeros(len(vertices), dtype=bool)
     boundary[len(vertices) - counts[-1]:] = True
@@ -298,91 +316,3 @@ def square_patch(nx: int) -> DiscMesh:
         h=1.0 / nx,
         metric="euclidean",
     )
-
-
-# -- binary mesh cache ----------------------------------------------------
-#
-# layout: magic(8) | version u32 | metric u8 | R f64 | h f64
-#         | nv u64 | nt u64 | vertices f64[nv*2] | triangles i32[nt*3]
-#         | boundary u8[nv] | crc32 u32 of everything before it
-# Little-endian throughout.  Version mismatches invalidate, never migrate.
-
-_METRIC_CODE = {"hyperbolic": 0, "euclidean": 1}
-_METRIC_NAME = {v: k for k, v in _METRIC_CODE.items()}
-
-
-def save_mesh(mesh: DiscMesh, path: str | os.PathLike) -> None:
-    """Write the mesh atomically: a private temporary file, then a rename,
-    so concurrent writers of one path never interleave their bytes."""
-    buf = io.BytesIO()
-    buf.write(_CACHE_MAGIC)
-    buf.write(struct.pack("<IBdd", _CACHE_VERSION, _METRIC_CODE[mesh.metric], mesh.R, mesh.h))
-    buf.write(struct.pack("<QQ", mesh.n_vertices, mesh.n_triangles))
-    buf.write(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
-    buf.write(np.ascontiguousarray(mesh.triangles, dtype="<i4").tobytes())
-    buf.write(np.ascontiguousarray(mesh.boundary, dtype=np.uint8).tobytes())
-    buf.write(struct.pack("<I", zlib.crc32(buf.getvalue())))
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
-
-
-def load_mesh(path: str | os.PathLike) -> DiscMesh:
-    raw = Path(path).read_bytes()
-    if raw[:8] != _CACHE_MAGIC:
-        raise ValueError(f"{path}: not a mesh cache file")
-    off = 8
-    version, metric_code, R, h = struct.unpack_from("<IBdd", raw, off)
-    off += struct.calcsize("<IBdd")
-    if version != _CACHE_VERSION:
-        raise ValueError(
-            f"{path}: cache version {version} != current {_CACHE_VERSION}; rebuild"
-        )
-    (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if zlib.crc32(raw[:-4]) != crc:
-        raise ValueError(f"{path}: checksum mismatch; rebuild")
-    nv, nt = struct.unpack_from("<QQ", raw, off)
-    off += struct.calcsize("<QQ")
-    vertices = np.frombuffer(raw, dtype="<f8", count=nv * 2, offset=off).reshape(nv, 2).copy()
-    off += nv * 2 * 8
-    triangles = np.frombuffer(raw, dtype="<i4", count=nt * 3, offset=off).reshape(nt, 3).copy()
-    off += nt * 3 * 4
-    boundary = np.frombuffer(raw, dtype=np.uint8, count=nv, offset=off).astype(bool)
-    return DiscMesh(
-        vertices=vertices,
-        triangles=triangles,
-        boundary=boundary,
-        R=R,
-        h=h,
-        metric=_METRIC_NAME[metric_code],
-    )
-
-
-def cached_disc_mesh(R: float, h: float, cache_dir: str | os.PathLike | None = None) -> DiscMesh:
-    """build_disc_mesh with a transparent on-disk cache.
-
-    The file name carries R and h exactly (repr round-trips a float), so
-    two radii that differ in any bit get two files.
-    """
-    if cache_dir is None:
-        return build_disc_mesh(R, h)
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    key = f"disc_R{float(R)!r}_h{float(h)!r}_v{_CACHE_VERSION}.llabmesh"
-    path = cache_dir / key
-    if path.exists():
-        try:
-            mesh = load_mesh(path)
-            if mesh.R == R and mesh.h == h:
-                return mesh
-        except (ValueError, struct.error):
-            pass  # stale or corrupt cache entry; fall through and rebuild
-    mesh = build_disc_mesh(R, h)
-    save_mesh(mesh, path)
-    return mesh

@@ -17,7 +17,6 @@ decrease toward 1/4, the bottom of the spectrum of the full plane.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 # frozen shooting results (60 bisections, rtol 1e-10); see tests for the
 # consistency check that recomputes R=2 from scratch
@@ -33,6 +32,10 @@ SHOOTING_LAMBDA1: dict[float, float] = {
 
 def _zero_count(lam: float, R: float, rtol: float = 1e-10) -> int:
     """Number of zeros of the radial solution on (0, R]."""
+    # imported here: scipy.integrate pulls in scipy.optimize and
+    # scipy.spatial, which nothing else in the package needs
+    from scipy.integrate import solve_ivp
+
     rho0 = 1e-6
     # series near 0: u = 1 - lam rho^2/4 + O(rho^4) (2D radial Laplacian)
     y0 = [1.0 - lam * rho0**2 / 4.0, -lam * rho0 / 2.0]

@@ -29,10 +29,9 @@ CSV_COLUMNS = ("schema_version", "suite", "group", "name", "value")
 # algebra, the hyperbolic residual is a Lanczos certificate at rel_tol 1e-8
 DEFAULT_TOLERANCE = {"verify-identities": 1e-10, "torus": 1e-10, "hyperbolic": 1e-8}
 
-# params that only route a run (worker threads, the mesh cache directory):
-# they never change its numbers, so neither the hash nor the report's
-# config carries them
-ROUTING_PARAMS = ("threads", "cache_dir")
+# params that only route a run (worker threads): they never change its
+# numbers, so neither the hash nor the report's config carries them
+ROUTING_PARAMS = ("threads",)
 
 
 def code_version() -> str:

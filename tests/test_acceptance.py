@@ -17,7 +17,7 @@ import pytest
 from llab.algebra import build_standard_triple
 from llab.hyperbolic.forms import bounded_primitive
 from llab.hyperbolic.gap import gap_sweep, gromov_bound
-from llab.hyperbolic.mesh import cached_disc_mesh, predicted_vertex_count
+from llab.hyperbolic.mesh import predicted_vertex_count
 from llab.hyperbolic.oracle import SHOOTING_LAMBDA1
 from llab.reports import (
     SuiteConfig,
@@ -225,7 +225,7 @@ def test_criterion_5_L8_and_kahler(fc4_modes, fc6_modes):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_6_hyperbolic_gap(tmp_path):
+def test_criterion_6_hyperbolic_gap():
     R_values = (2.0, 4.0, 6.0)
     h_values = (0.2, 0.1)
 
@@ -235,8 +235,8 @@ def test_criterion_6_hyperbolic_gap(tmp_path):
             assert predicted_vertex_count(R, h) <= 5e5
 
     t0 = time.perf_counter()
-    sweep = gap_sweep(R_values=R_values, h_values=h_values, k=0, cache_dir=tmp_path)
-    theta = bounded_primitive(cached_disc_mesh(6.0, 0.1, tmp_path))
+    sweep = gap_sweep(R_values=R_values, h_values=h_values, k=0)
+    theta = bounded_primitive(sweep["finest_mesh"])
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0, f"runtime {elapsed:.1f}s exceeds budget"
 
@@ -326,10 +326,6 @@ def test_criterion_8_anti_invariant_constant(fc4_modes, fc6_modes):
 def test_criterion_9_determinism(tmp_path, suite, params):
     from llab.cli import run_suite
 
-    if suite == "hyperbolic":
-        # shared cache: the second run replays from cached meshes and must
-        # still produce identical bytes
-        params = dict(params, cache_dir=str(tmp_path / "cache"))
     payloads = []
     for tag in ("a", "b"):
         out = tmp_path / tag

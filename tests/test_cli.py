@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -51,9 +52,9 @@ def test_config_hash_ignores_routing(tmp_path, capsys):
     assert a.config_hash() == b.config_hash()
     c = SuiteConfig(suite="verify-identities", params={"cases": 4})
     assert a.config_hash() != c.config_hash()
-    routed = SuiteConfig(suite="verify-identities", params={"cases": 3, "threads": 2, "cache_dir": "x"})
+    routed = SuiteConfig(suite="verify-identities", params={"cases": 3, "threads": 2})
     assert routed.config_hash() == a.config_hash()
-    assert "cache_dir" not in routed.semantic_dict()["params"]
+    assert "threads" not in routed.semantic_dict()["params"]
 
     # the hash the CLI prints does not move with --threads
     hashes = []
@@ -254,15 +255,36 @@ def test_cli_torus_small(tmp_path):
     assert verdict_from_report(rep)
 
 
-def test_cli_hyperbolic_honours_tol(tmp_path, capsys):
-    argv = ["hyperbolic", "--R", "2", "--h", "0.3,0.2", "--cache-dir", str(tmp_path)]
+def test_cli_hyperbolic_honours_tol(capsys):
+    argv = ["hyperbolic", "--R", "2", "--h", "0.3,0.2"]
     assert main(argv) == 0
     assert "[PASS]" in capsys.readouterr().out
     assert main(argv + ["--tol", "1e-300"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out
-    # the worst residual lives in the verdict and is printed from there
-    assert "max residual" in out
+    # the worst residual lives in the verdict and is printed from there,
+    # with the tolerance it is over; every named check still holds
+    assert re.search(r"max residual \d\.\d{3}e-\d+ > tol 1e-300;", out)
+    assert "failed:" not in out
+
+
+def test_cli_fail_line_names_the_false_checks(capsys):
+    argv = ["torus", "--n", "2", "--N", "1", "--samples", "20", "--tol", "1e-30"]
+    assert main(argv) == 1
+    line = capsys.readouterr().out.strip()
+    failed = line.split("; failed: ", 1)[1].rsplit("; config ", 1)[0].split(", ")
+    assert "n2.self_dual" in failed and "n2.anti_invariant" in failed
+    assert all(name.startswith("n2.") for name in failed)
+    assert " > tol 1e-30;" in line
+
+
+def test_cli_torus_without_nontrivial_self_dual_cases_is_vacuous(tmp_path, capsys):
+    assert main(["torus", "--n", "2", "--N", "1", "--samples", "0", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS]" in out and "vacuous" in out
+    body = load_report(tmp_path / "torus.json")["report"]
+    assert body["blocks"]["n2"]["self_dual"]["nontrivial_cases"] == 0
+    assert body["warning"] == "vacuous"
 
 
 def test_cli_hyperbolic_single_mesh_size_warns(tmp_path, capsys):

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import gc
 import math
-import struct
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,6 @@ from llab.hyperbolic.assembly import (
 )
 from llab.hyperbolic.eigensolve import (
     LanczosNonConvergence,
-    min_ritz_value,
     smallest_eigenpairs,
 )
 from llab.hyperbolic.forms import (
@@ -42,15 +44,11 @@ from llab.hyperbolic.forms import (
     cutoff_family,
 )
 from llab.hyperbolic import assembly as assembly_mod
-from llab.hyperbolic import mesh as mesh_mod
 from llab.hyperbolic.mesh import (
     DiscMesh,
     MeshBudgetError,
     build_disc_mesh,
-    cached_disc_mesh,
-    load_mesh,
     predicted_vertex_count,
-    save_mesh,
     square_patch,
 )
 from llab.hyperbolic.oracle import (
@@ -88,6 +86,57 @@ def test_mesh_euler_characteristic(small_mesh):
     es = edge_structure(small_mesh)
     V, E, F = small_mesh.n_vertices, len(es.edges), small_mesh.n_triangles
     assert V - E + F == 1
+
+
+def _min_angle_reference(mesh):
+    """Smallest angle, from one arccos per angle."""
+    p = mesh.vertices[mesh.triangles]
+    angles = []
+    for i in range(3):
+        a = p[:, (i + 1) % 3] - p[:, i]
+        b = p[:, (i + 2) % 3] - p[:, i]
+        cosang = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+        angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+    return float(np.min(angles))
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1])
+@pytest.mark.parametrize("R", [2.0, 6.0])
+def test_stitched_disc_mesh_triangulates_the_outer_polygon(R, h):
+    m = build_disc_mesh(R, h)
+    assert m.triangle_areas().min() > 0  # every triangle CCW
+    t = m.triangles.astype(np.int64)
+    local = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    key = local.min(axis=1) * m.n_vertices + local.max(axis=1)
+    edges, count = np.unique(key, return_counts=True)
+    # interior edges lie in exactly two triangles, boundary edges in one,
+    # and the boundary edges are exactly those of the outer ring
+    assert set(np.unique(count).tolist()) == {1, 2}
+    ring = np.flatnonzero(m.boundary)
+    nxt = np.roll(ring, -1)
+    ring_keys = np.sort(np.minimum(ring, nxt) * m.n_vertices + np.maximum(ring, nxt))
+    assert np.array_equal(edges[count == 1], ring_keys)
+    assert m.n_vertices - len(edges) + m.n_triangles == 1
+    # the triangles tile the outer polygon: their areas add up to its area
+    N, r = len(ring), float(np.hypot(*m.vertices[ring[0]]))
+    assert m.triangle_areas().sum() == pytest.approx(0.5 * N * r**2 * np.sin(2 * np.pi / N), rel=1e-12)
+    assert m.min_angle_degrees() >= 15.0
+    assert m.min_angle_degrees() == pytest.approx(_min_angle_reference(m), abs=1e-9)
+
+
+def test_importing_the_hyperbolic_package_skips_scipy_spatial():
+    import llab
+
+    src = str(Path(llab.__file__).resolve().parents[1])
+    code = "import sys, llab.hyperbolic; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def _edge_structure_reference(mesh):
@@ -161,108 +210,6 @@ def test_square_patch_is_euclidean():
     assert np.allclose(sq.mu(sq.vertices), 1.0)
     assert sq.triangle_areas().min() > 0
     assert sq.n_vertices == 81
-
-
-# ---------------------------------------------------------------------------
-# mesh cache
-# ---------------------------------------------------------------------------
-
-
-def test_mesh_save_load_roundtrip(small_mesh, tmp_path):
-    p = tmp_path / "m.llabmesh"
-    save_mesh(small_mesh, p)
-    m2 = load_mesh(p)
-    assert np.array_equal(small_mesh.vertices, m2.vertices)
-    assert np.array_equal(small_mesh.triangles, m2.triangles)
-    assert np.array_equal(small_mesh.boundary, m2.boundary)
-    assert (m2.R, m2.h, m2.metric) == (small_mesh.R, small_mesh.h, small_mesh.metric)
-
-
-def test_cached_disc_mesh_hits_cache(tmp_path):
-    m1 = cached_disc_mesh(1.5, 0.3, cache_dir=tmp_path)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    m2 = cached_disc_mesh(1.5, 0.3, cache_dir=tmp_path)
-    assert np.array_equal(m1.vertices, m2.vertices)
-    # no cache dir -> plain build
-    m3 = cached_disc_mesh(1.5, 0.3, cache_dir=None)
-    assert np.array_equal(m1.vertices, m3.vertices)
-
-
-def test_cache_version_mismatch_rejected(small_mesh, tmp_path):
-    p = tmp_path / "m.llabmesh"
-    save_mesh(small_mesh, p)
-    raw = bytearray(p.read_bytes())
-    assert raw[:8] == b"LLABMESH"
-    raw[8] = raw[8] + 1  # bump the format version byte
-    p.write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
-        load_mesh(p)
-
-
-def _count_builds(monkeypatch) -> list:
-    built = []
-    real = mesh_mod.build_disc_mesh
-
-    def counting(R, h):
-        built.append((R, h))
-        return real(R, h)
-
-    monkeypatch.setattr(mesh_mod, "build_disc_mesh", counting)
-    return built
-
-
-def test_close_radii_get_their_own_cache_files(tmp_path, monkeypatch):
-    built = _count_builds(monkeypatch)
-    radii = (2.0, 2.0000001)  # one file under a %g key
-    for _ in range(2):
-        for R in radii:
-            assert cached_disc_mesh(R, 0.5, cache_dir=tmp_path).R == R
-    assert built == [(R, 0.5) for R in radii]  # the second pass only hits
-    assert len(list(tmp_path.iterdir())) == 2
-
-
-def test_save_mesh_writes_through_a_private_temp_file(small_mesh, tmp_path, monkeypatch):
-    renamed = []
-    real_replace = mesh_mod.os.replace
-
-    def recording_replace(src, dst):
-        renamed.append((str(src), str(dst)))
-        real_replace(src, dst)
-
-    monkeypatch.setattr(mesh_mod.os, "replace", recording_replace)
-    p = tmp_path / "m.llabmesh"
-    save_mesh(small_mesh, p)
-    save_mesh(small_mesh, p)
-    (src_a, dst_a), (src_b, dst_b) = renamed
-    assert dst_a == dst_b == str(p)
-    assert src_a != src_b and src_a != str(p).replace(".llabmesh", ".tmp")
-    assert [f.name for f in tmp_path.iterdir()] == ["m.llabmesh"]
-    assert np.array_equal(load_mesh(p).vertices, small_mesh.vertices)
-
-
-def test_flipped_payload_byte_rebuilds(tmp_path, monkeypatch):
-    m1 = cached_disc_mesh(1.5, 0.3, cache_dir=tmp_path)
-    cache_file = next(tmp_path.iterdir())
-    raw = bytearray(cache_file.read_bytes())
-    vertex_block = 8 + struct.calcsize("<IBdd") + struct.calcsize("<QQ")
-    raw[vertex_block + 3] ^= 0x10
-    cache_file.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="checksum"):
-        load_mesh(cache_file)
-    built = _count_builds(monkeypatch)
-    m2 = cached_disc_mesh(1.5, 0.3, cache_dir=tmp_path)
-    assert built == [(1.5, 0.3)]
-    assert np.array_equal(m1.vertices, m2.vertices)
-    assert np.array_equal(load_mesh(cache_file).vertices, m1.vertices)
-
-
-def test_corrupt_cache_rebuilds(tmp_path):
-    m1 = cached_disc_mesh(1.5, 0.3, cache_dir=tmp_path)
-    cache_file = next(tmp_path.iterdir())
-    cache_file.write_bytes(b"garbage not a mesh")
-    m2 = cached_disc_mesh(1.5, 0.3, cache_dir=tmp_path)  # silently rebuilt
-    assert np.array_equal(m1.vertices, m2.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +295,8 @@ def test_sparse_symmetric_wrapper(small_mesh):
     assert isinstance(A, SparseSymmetricMatrix)
     As = A.as_scipy()
     assert abs(As - As.T).max() == 0.0
-    cert = A.psd_certificate()
-    assert cert >= 0.0
+    # Dirichlet stiffness is positive definite: an exact dense spectrum
+    assert np.linalg.eigvalsh(As.toarray()).min() > 0.0
     d = A.to_json_dict()
     assert d["dimension"] == A.dimension and d["symmetric"]
     # from_scipy rejects visibly asymmetric input
@@ -406,11 +353,6 @@ def test_lanczos_nonconvergence_carries_best(small_mesh):
     assert len(err.best_eigenvalues) >= 1
     # the best estimate is still a decent eigenvalue
     assert err.best_eigenvalues[0] == pytest.approx(SHOOTING_LAMBDA1[2.0], rel=0.05)
-
-
-def test_min_ritz_value_positive(small_mesh):
-    A, _ = assemble_hodge_laplacian(small_mesh, k=0)
-    assert min_ritz_value(A.as_scipy()) > 0.0
 
 
 # ---------------------------------------------------------------------------
