@@ -108,10 +108,7 @@ class DiscMesh:
 
     def triangle_areas(self) -> np.ndarray:
         """Signed Euclidean areas (positive for the stored CCW orientation)."""
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return _signed_areas(self.vertices, self.triangles)
 
     @cached_property
     def geometry(self) -> TriangleGeometry:
@@ -153,6 +150,14 @@ class DiscMesh:
         sq = ex * ex + ey * ey
         cos = -(ex * ex[prev] + ey * ey[prev]) / np.sqrt(sq * sq[prev])
         return float(np.degrees(np.arccos(np.clip(cos.max(), -1.0, 1.0))))
+
+
+def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Signed Euclidean area of each triangle, positive when it is CCW."""
+    p = vertices[triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def _read_only(*arrays):
@@ -245,10 +250,7 @@ def build_disc_mesh(R: float, h: float) -> DiscMesh:
     triangles = _stitch_rings(counts)
 
     # enforce CCW orientation
-    p = vertices[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    signed = _signed_areas(vertices, triangles)
     flip = signed < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     signed = np.abs(signed)

@@ -282,9 +282,14 @@ def torus_suite(
         "verdict": verdict,
         "passed": evaluate_verdict(verdict),
     }
-    # zero samples, or sampled modes that all missed a nontrivial self-dual
-    # case, leave checks that passed on nothing
-    if not blocks or any(b["self_dual"]["nontrivial_cases"] == 0 for b in blocks.values()):
+    # zero samples, sampled modes that all missed a nontrivial self-dual
+    # case, or no L8 sample or L10 cross pair leave checks that passed on nothing
+    if not blocks or any(
+        b["self_dual"]["nontrivial_cases"] == 0
+        or b["lemma_L8"]["samples"] == 0
+        or b["lemma_L10"]["cross_cases"] == 0
+        for b in blocks.values()
+    ):
         report["warning"] = "vacuous"
     return report
 

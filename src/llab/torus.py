@@ -2,21 +2,20 @@
 
 A constant compatible triple makes every differential operator block-diagonal
 over Fourier modes xi in Z^{2n}: on the mode-xi block, d acts as the wedge
-with c(xi) = 2*pi*i * sum_j xi_j e^j.  This module realises the per-mode
-operators d, d* (g-adjoint), d^Lambda = d Lambda - Lambda d, the Hodge
-Laplacian Delta_d = dd* + d*d, and the degree-preserving operator
+with c(xi) = 2*pi*i * sum_j xi_j e^j.  The first-order operators d, d*
+(g-adjoint), d^Lambda = d Lambda - Lambda d and d^{Lambda*} are linear in xi
+and kept once as 2n coefficient matrices on the full exterior algebra
+(indexed by bitmasks); with them come Delta_d = dd* + d*d and
 
     D = d* d + d^{Lambda*} d^Lambda
 
-(whose commutation with L and Lambda is the engine behind the primitive
-decomposition of harmonic forms), and verifies the decomposition and identity
-suite on this compact model.
-
-Everything lives on the full exterior algebra indexed by bitmasks, so a
-per-mode operator is a single (4^n x 4^n) complex matrix; forms with several
-active modes are dicts {xi: coefficient vector}.  Harmonic content on a flat
-torus is exactly the xi = 0 block, which the harmonic-space scan confirms
-rather than assumes.
+(whose commutation with L and Lambda drives the primitive decomposition of
+harmonic forms).  The sampled identity checks act on column batches, one
+column per (form, active mode): an operator is one product with the
+Lambda^k -> Lambda^{k+-1} slice of its stack and a xi-weighted sum, with no
+per-mode matrix.  Only the per-mode matrix checks read 4^n x 4^n operators
+off `FourierComplex.mode_ops`.  Harmonic content on a flat torus is exactly
+the xi = 0 block, which the harmonic-space scan confirms rather than assumes.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from llab.algebra import (
 
 __all__ = [
     "FourierComplex",
-    "TorusForm",
     "HarmonicSpaceReport",
     "build_fourier_complex",
     "harmonic_space",
@@ -53,8 +51,12 @@ __all__ = [
 
 
 def _degree_block(alg, A: np.ndarray, k_out: int, k_in: int) -> np.ndarray:
-    """The Lambda^{k_in} -> Lambda^{k_out} block of a full-algebra matrix."""
-    return A[np.ix_(alg.masks(k_out), alg.masks(k_in))]
+    """The Lambda^{k_in} -> Lambda^{k_out} block of a full-algebra matrix, or
+    of each matrix of a stack."""
+    return A[..., alg.masks(k_out)[:, None], alg.masks(k_in)]
+
+
+_SHIFT = {"d": 1, "d_star": -1, "d_lambda": -1, "d_lambda_star": 1}  # degree change
 
 
 class _ModeOps:
@@ -116,59 +118,61 @@ class FourierComplex:
     def mode_ops(self, xi) -> _ModeOps:
         return _ModeOps(tuple(int(x) for x in xi), self.coeffs)
 
-    def random_form(
-        self,
-        k: int,
-        rng: np.random.Generator,
-        active_modes: int = 8,
-        pq: tuple | None = None,
-    ) -> "TorusForm":
-        """Mode-sparse random k-form; optionally projected to pure type (p,q)."""
+    def apply(self, name: str, k: int, xi: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """A first-order operator on a batch of degree-k columns, column c at
+        mode xi[c]: op(xi) v = 2 pi i sum_j xi_j (A_j v), with A the
+        Lambda^k -> Lambda^{k +- 1} slice of the stack.  One real product of
+        the reshaped slice with (Re, Im) of every column; no per-mode matrix."""
+        A = _degree_block(self.triple.ops, self.coeffs[name], k + _SHIFT[name], k)
+        V = np.ascontiguousarray(V, dtype=complex)
+        AV = (A.reshape(A.shape[0] * A.shape[1], A.shape[2]) @ V.view(float)).view(complex)
+        return (2j * np.pi) * np.einsum("jsm,mj->sm", AV.reshape(A.shape[0], A.shape[1], V.shape[1]), xi)
+
+    def random_form(self, k: int, rng: np.random.Generator, active_modes: int = 8,
+                    pq: tuple | None = None) -> dict:
+        """Mode-sparse random k-form {xi: Lambda^k coefficient vector};
+        optionally projected to pure type (p,q)."""
         alg = self.triple.ops
-        mk = alg.masks(k)
         n_active = min(active_modes, len(self.modes))
         chosen = rng.choice(len(self.modes), size=n_active, replace=False)
         comps = {}
         for ci in sorted(chosen):
             xi = self.modes[ci]
             a = rng.standard_normal(alg.size) + 1j * rng.standard_normal(alg.size)
-            v = np.zeros(alg.size, dtype=complex)
-            v[mk] = a[mk]
+            v = a[alg.masks(k)]
             if pq is not None:
-                v = alg.pq_proj[pq] @ v
+                v = alg.pq(k)[pq] @ v
             if np.max(np.abs(v)) > 0:
                 comps[xi] = v
-        return TorusForm(self, comps)
+        return comps
 
 
-@dataclass
-class TorusForm:
-    """A finite-mode form: {xi: full-algebra coefficient vector}."""
+class _Columns:
+    """Forms of one degree k as a column batch: `V` holds the Lambda^k
+    coefficients of every (form, active mode) pair (C(2n, k), m), `xi` the
+    pair's mode (m, 2n) and `owner` its form (m,)."""
 
-    fc: FourierComplex
-    comps: dict
+    def __init__(self, fc: FourierComplex, forms: list, k: int):
+        cols = [(i, xi, v) for i, a in enumerate(forms) for xi, v in a.items()]
+        self.fc, self.count = fc, len(forms)
+        self.owner = np.array([c[0] for c in cols], dtype=int)
+        self.xi = np.array([c[1] for c in cols], dtype=float).reshape(len(cols), 2 * fc.n)
+        self.V = np.array([c[2] for c in cols], dtype=complex).reshape(len(cols), math.comb(2 * fc.n, k)).T
 
-    def apply(self, opname: str) -> "TorusForm":
-        out = {}
-        for xi, v in self.comps.items():
-            ops = self.fc.mode_ops(xi)
-            out[xi] = getattr(ops, opname) @ v
-        return TorusForm(self.fc, out)
+    def apply(self, name: str, k: int, X: np.ndarray) -> np.ndarray:
+        return self.fc.apply(name, k, self.xi, X)
 
-    def apply_matrix(self, A: np.ndarray) -> "TorusForm":
-        return TorusForm(self.fc, {xi: A @ v for xi, v in self.comps.items()})
+    def inner(self, k: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """<x, y> = sum over modes of x^T G conj(y), one per form: the column
+        sums of X * (G_k conj(Y)), reduced by owner.  Zero outside 0 <= k <= 2n."""
+        if not 0 <= k <= 2 * self.fc.n:
+            return np.zeros(self.count, dtype=complex)
+        col = np.einsum("sm,sm->m", X, self.fc.triple.ops.gram(k) @ Y.conj())
+        return (np.bincount(self.owner, col.real, self.count)
+                + 1j * np.bincount(self.owner, col.imag, self.count))
 
-    def inner(self, other: "TorusForm") -> complex:
-        G = self.fc.triple.ops.G
-        total = 0.0 + 0.0j
-        for xi, v in self.comps.items():
-            w = other.comps.get(xi)
-            if w is not None:
-                total += v @ G @ np.conj(w)
-        return complex(total)
-
-    def norm_sq(self) -> float:
-        return float(self.inner(self).real)
+    def norm_sq(self, k: int, X: np.ndarray) -> np.ndarray:
+        return self.inner(k, X, X).real
 
 
 def build_fourier_complex(n: int, N: int, t: CompatibleTriple) -> FourierComplex:
@@ -384,7 +388,7 @@ def verify_p7_decomposition(fc: FourierComplex, p: int, q: int, tol: float = 1e-
             s = np.linalg.svd(B1.conj().T @ B2, compute_uv=False)
             angles[f"{r1}:{r2}"] = float(np.degrees(np.arccos(np.clip(np.max(s), 0, 1))))
 
-    report = {
+    return {
         "p": p,
         "q": q,
         "dim_hpq": dim_h,
@@ -395,42 +399,27 @@ def verify_p7_decomposition(fc: FourierComplex, p: int, q: int, tol: float = 1e-
         "min_principal_angle_deg": angles,
         "passed": bool(dim_sum == dim_h == rank_total and residual < tol),
     }
-    return report
 
 
 def verify_lemma_L8(fc: FourierComplex, samples: int, seed: int, tol: float = 1e-10) -> dict:
-    """|  ||d^Lambda a||^2 - ||d* a||^2 | / ||a||^2 over random pure-type forms."""
-    worst = 0.0
-    cases = 0
+    """|  ||d^Lambda a||^2 - ||d* a||^2 | / ||a||^2 over random pure-type forms,
+    the forms of each degree taken as one column batch."""
+    drawn: dict[int, list] = {}
     for idx in range(samples):
         rng = np.random.default_rng([seed, idx])
-        n = fc.n
-        p = int(rng.integers(0, n + 1))
-        q = int(rng.integers(0, n + 1))
-        a = fc.random_form(p + q, rng, pq=(p, q))
-        ns = a.norm_sq()
-        if ns < 1e-12:
-            continue
-        lhs = a.apply("d_lambda").norm_sq()
-        rhs = a.apply("d_star").norm_sq()
-        worst = max(worst, abs(lhs - rhs) / ns)
-        cases += 1
+        p = int(rng.integers(0, fc.n + 1))
+        q = int(rng.integers(0, fc.n + 1))
+        drawn.setdefault(p + q, []).append(fc.random_form(p + q, rng, pq=(p, q)))
+    worst = 0.0
+    cases = 0
+    for k, forms in drawn.items():
+        B = _Columns(fc, forms, k)
+        ns = B.norm_sq(k, B.V)
+        gap = B.norm_sq(k - 1, B.apply("d_lambda", k, B.V)) - B.norm_sq(k - 1, B.apply("d_star", k, B.V))
+        keep = ns >= 1e-12
+        worst = max(worst, float(np.max(np.abs(gap[keep]) / ns[keep], initial=0.0)))
+        cases += int(np.count_nonzero(keep))
     return {"samples": cases, "max_residual": worst, "passed": bool(worst < tol)}
-
-
-def _primitive_components(fc: FourierComplex, a: TorusForm, k: int) -> dict:
-    """Per-mode Lefschetz components of a degree-k TorusForm: r -> TorusForm."""
-    from llab.lefschetz import primitive_decompose
-
-    alg = fc.triple.ops
-    out: dict[int, dict] = {}
-    for xi, v in a.comps.items():
-        dec = primitive_decompose(KForm(fc.n, k, v[alg.masks(k)]), fc.triple)
-        for r, beta in dec.components.items():
-            full = np.zeros(alg.size, dtype=complex)
-            full[alg.masks(beta.k)] = beta.data
-            out.setdefault(r, {})[xi] = full
-    return {r: TorusForm(fc, comps) for r, comps in out.items()}
 
 
 def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1e-10) -> dict:
@@ -441,34 +430,45 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1
       * ||d a||^2 + ||d^Lambda a||^2 is bounded between measured multiples
         c_min, c_max of sum_r ||d b_r||^2 (the constants are reported, not
         asserted, per degree).
+    The samples of one degree are one column batch, decomposed by a single
+    `primitive_decompose`.  `cross_cases` counts the (sample, p != q) pairs
+    measured; with none, the orthogonality check passes on nothing.
     """
-    Lr = [np.linalg.matrix_power(fc.triple.ops.L, r) for r in range(fc.n + 1)]
+    from llab.lefschetz import primitive_decompose
+
+    alg = fc.triple.ops
     results = {}
     worst_cross = 0.0
+    cross_cases = 0
     for k in range(2 * fc.n + 1):
-        ratios = []
-        for idx in range(samples):
-            rng = np.random.default_rng([seed, k, idx])
-            a = fc.random_form(k, rng)
-            comps = _primitive_components(fc, a, k)
-            keys = sorted(comps)
-            # cross terms
-            scale = max(a.norm_sq(), 1.0)
-            Lb = {r: comps[r].apply_matrix(Lr[r]) for r in keys}
-            for r1 in keys:
-                LDb = comps[r1].apply("dee").apply_matrix(Lr[r1])
-                for r2 in keys:
-                    if r2 != r1:
-                        worst_cross = max(worst_cross, abs(LDb.inner(Lb[r2])) / scale)
-            num = a.apply("d").norm_sq() + a.apply("d_lambda").norm_sq()
-            den = sum(comps[r].apply("d").norm_sq() for r in keys)
-            if den > 1e-12:
-                ratios.append(num / den)
-        if ratios:
-            results[k] = {"c_min": float(min(ratios)), "c_max": float(max(ratios)),
-                          "samples": len(ratios)}
+        forms = [fc.random_form(k, np.random.default_rng([seed, k, idx])) for idx in range(samples)]
+        B = _Columns(fc, forms, k)
+        comps = {r: b.data for r, b in primitive_decompose(KForm(fc.n, k, B.V), fc.triple).components.items()}
+        scale = np.maximum(B.norm_sq(k, B.V), 1.0)
+        num = B.norm_sq(k + 1, B.apply("d", k, B.V)) + B.norm_sq(k - 1, B.apply("d_lambda", k, B.V))
+        den = np.zeros(samples)
+        Lb, LDb = {}, {}
+        for r, b in comps.items():
+            j = k - 2 * r
+            db = B.apply("d", j, b)
+            den += B.norm_sq(j + 1, db)
+            # D b = d*(d b) + d^{Lambda*}(d^Lambda b), one factor at a time
+            Db = B.apply("d_star", j + 1, db) + B.apply("d_lambda_star", j - 1, B.apply("d_lambda", j, b))
+            Lb[r], LDb[r] = alg.lpow(j, r) @ b, alg.lpow(j, r) @ Db
+        pairs = list(itertools.permutations(comps, 2))
+        for r1, r2 in pairs:
+            cross = np.abs(B.inner(k, LDb[r1], Lb[r2])) / scale
+            worst_cross = max(worst_cross, float(np.max(cross, initial=0.0)))
+        # a sample without an active mode has no components to pair
+        cross_cases += np.unique(B.owner).size * len(pairs)
+        keep = den > 1e-12
+        if keep.any():
+            ratios = num[keep] / den[keep]
+            results[k] = {"c_min": float(ratios.min()), "c_max": float(ratios.max()),
+                          "samples": int(keep.sum())}
     return {
         "max_cross_term": worst_cross,
+        "cross_cases": int(cross_cases),
         "equivalence_constants": results,
         "passed": bool(worst_cross < tol),
     }
@@ -522,7 +522,7 @@ def anti_invariant_suite(fc: FourierComplex, tol: float = 1e-10) -> dict:
         identity  *a = c * (a ^ omega^{n-2})  against both candidate
         normalizations c = 1/(n-2)! and c = 1/(n-1)!, reporting which
         matches (both coincide at n = 2).
-    (ii) Verifies per mode that closed anti-invariant forms are harmonic:
+    (ii) Verifies on every mode that closed anti-invariant forms are harmonic:
         for xi != 0 the closed anti-invariant subspace is {0}; at xi = 0
         everything is harmonic.
     (iii) Reports the invariant/anti-invariant dimension split.
@@ -563,26 +563,25 @@ def anti_invariant_suite(fc: FourierComplex, tol: float = 1e-10) -> dict:
     else:
         matches = "neither"
 
-    # (ii) closed anti-invariant => harmonic, mode by mode
-    anti_full = np.zeros((alg.size, anti_dim), dtype=complex)
-    anti_full[m2, :] = anti
-    worst_harm = 0.0
-    nonzero_closed_dim = 0
-    for xi in fc.modes:
-        ops = fc.mode_ops(xi)
-        dA = ops.d @ anti_full
-        if any(xi):
-            # closed anti-invariant subspace on this mode
-            _, s, Vt = np.linalg.svd(dA)
-            ker_dim = anti_dim - int(np.sum(s > 1e-8 * max(1.0, s[0])))
-            nonzero_closed_dim += ker_dim
-            if ker_dim:
-                K = Vt.conj().T[:, anti_dim - ker_dim:]
-                harm = ops.laplacian @ (anti_full @ K)
-                worst_harm = max(worst_harm, float(np.max(np.abs(harm))))
-        else:
-            harm = ops.laplacian @ anti_full
-            worst_harm = max(worst_harm, float(np.max(np.abs(harm))))
+    # (ii) closed anti-invariant => harmonic, every mode at once: the
+    # Lambda^2 -> Lambda^3 block of d(xi) on the anti-invariant basis, one
+    # batched SVD (C(2n, 3) >= anti_dim rows, so s has anti_dim entries).
+    # d(xi) / i has the same singular values and kernel, and stays real.
+    xi = np.array(fc.modes, dtype=float)
+    d_anti = np.tensordot(_degree_block(alg, fc.coeffs["d"], 3, 2), anti, axes=1)
+    dA = (2 * np.pi) * np.tensordot(xi, d_anti, axes=1)
+    s = np.linalg.svd(dA, compute_uv=False)
+    ker = anti_dim - np.sum(s > 1e-8 * np.maximum(1.0, s[:, :1]), axis=1)
+    nonzero_closed_dim = int(ker[xi.any(axis=1)].sum())
+    # Delta_d = d d* + d* d on each closed subspace that is not {0} (all of
+    # Lambda^2_- at xi = 0, where d vanishes)
+    at = np.flatnonzero(ker)
+    Vt = np.linalg.svd(dA[at])[2]
+    K = np.hstack([anti @ Vt[i, anti_dim - ker[m]:].conj().T for i, m in enumerate(at)])
+    kxi = np.repeat(xi[at], ker[at], axis=0)
+    harm = fc.apply("d", 1, kxi, fc.apply("d_star", 2, kxi, K)) + fc.apply(
+        "d_star", 3, kxi, fc.apply("d", 2, kxi, K))
+    worst_harm = float(np.max(np.abs(harm), initial=0.0))
 
     return {
         "n": n,
@@ -671,8 +670,7 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int, tol: float = 
                 worst_dlam,
                 float(np.max(np.abs(dlam - n * df))) / max(1.0, float(np.max(np.abs(df)))),
             )
-        # measured coefficient in d^Lambda(f omega) = c df, any mode with df != 0
-        if nd_f > 1e-12:
+            # measured coefficient in d^Lambda(f omega) = c df
             fom = np.zeros(alg.size, dtype=complex)
             fom[m2] = f_coef * omega_vec
             dlam_fom = ops.d_lambda @ fom
