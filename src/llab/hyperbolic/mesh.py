@@ -108,14 +108,17 @@ class DiscMesh:
 
     def triangle_areas(self) -> np.ndarray:
         """Signed Euclidean areas (positive for the stored CCW orientation)."""
-        return _signed_areas(self.vertices, self.triangles)
+        p = self.vertices[self.triangles]
+        d1 = p[:, 1] - p[:, 0]
+        d2 = p[:, 2] - p[:, 0]
+        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
     @cached_property
     def geometry(self) -> TriangleGeometry:
         """The mesh's `TriangleGeometry`; raises on a non-CCW triangle."""
         area = self.triangle_areas()
         if area.min() <= 0:
-            raise ArithmeticError("triangle with non-positive orientation in the mesh")
+            raise ArithmeticError("degenerate or clockwise triangle in the mesh")
         p = self.vertices[self.triangles]
         # grad(lambda_i) = perp(p_{i+2} - p_{i+1}) / (2 area), perp(x, y) = (-y, x)
         grads = np.empty((len(area), 3, 2))
@@ -150,14 +153,6 @@ class DiscMesh:
         sq = ex * ex + ey * ey
         cos = -(ex * ex[prev] + ey * ey[prev]) / np.sqrt(sq * sq[prev])
         return float(np.degrees(np.arccos(np.clip(cos.max(), -1.0, 1.0))))
-
-
-def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Signed Euclidean area of each triangle, positive when it is CCW."""
-    p = vertices[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def _read_only(*arrays):
@@ -221,7 +216,11 @@ def build_disc_mesh(R: float, h: float) -> DiscMesh:
     """Mesh the geodesic ball B(0, R) with target edge length h.
 
     Raises MeshBudgetError before allocating anything if the ring layout
-    would exceed the vertex budget, and ValueError on out-of-range (R, h).
+    would exceed the vertex budget, ValueError on out-of-range (R, h), and
+    ArithmeticError when a triangle's smallest angle is below MIN_ANGLE_DEG
+    (a degenerate triangle's is 0).  The stitched triangles are CCW by
+    construction; `geometry` computes their signed areas, once per mesh,
+    and raises on any that is not positive.
     """
     if not (0.0 < h < R):
         raise ValueError(f"need 0 < h < R, got h={h}, R={R}")
@@ -247,22 +246,12 @@ def build_disc_mesh(R: float, h: float) -> DiscMesh:
         pts.append(np.column_stack([r_eucl * np.cos(ang), r_eucl * np.sin(ang)]))
     vertices = np.vstack(pts)
 
-    triangles = _stitch_rings(counts)
-
-    # enforce CCW orientation
-    signed = _signed_areas(vertices, triangles)
-    flip = signed < 0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    signed = np.abs(signed)
-    if signed.min() <= 0:
-        raise ArithmeticError("degenerate triangle in the stitched rings")
-
     boundary = np.zeros(len(vertices), dtype=bool)
     boundary[len(vertices) - counts[-1]:] = True
 
     mesh = DiscMesh(
         vertices=vertices,
-        triangles=triangles,
+        triangles=_stitch_rings(counts),
         boundary=boundary,
         R=float(R),
         h=float(h),

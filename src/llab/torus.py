@@ -13,8 +13,10 @@ and kept once as 2n coefficient matrices on the full exterior algebra
 harmonic forms).  The sampled identity checks act on column batches, one
 column per (form, active mode): an operator is one product with the
 Lambda^k -> Lambda^{k+-1} slice of its stack and a xi-weighted sum, with no
-per-mode matrix.  Only the per-mode matrix checks read 4^n x 4^n operators
-off `FourierComplex.mode_ops`.  Harmonic content on a flat torus is exactly
+per-mode matrix; `check_complex` contracts each degree block with every
+sampled mode at once.  Only the Kahler Laplacian comparison and the
+self-dual relation read 4^n x 4^n operators off `FourierComplex.mode_ops`
+(as does `hyperbolic.gap`).  Harmonic content on a flat torus is exactly
 the xi = 0 block, which the harmonic-space scan confirms rather than assumes.
 """
 
@@ -62,7 +64,7 @@ _SHIFT = {"d": 1, "d_star": -1, "d_lambda": -1, "d_lambda_star": 1}  # degree ch
 class _ModeOps:
     """The operators of one frequency xi, each formed the first time it is
     read: a first-order operator is its coefficient stack contracted with
-    2 pi i xi, and Delta_d and D are products of those."""
+    2 pi i xi, and Delta_d is a product of those."""
 
     def __init__(self, xi: tuple, coeffs: dict):
         self.xi = xi
@@ -77,8 +79,6 @@ class _ModeOps:
     d_lambda_star = cached_property(lambda self: self._first_order("d_lambda_star"))
     # Delta_d = d d* + d* d
     laplacian = cached_property(lambda self: self.d @ self.d_star + self.d_star @ self.d)
-    # D = d* d + d^{Lambda*} d^Lambda
-    dee = cached_property(lambda self: self.d_star @ self.d + self.d_lambda_star @ self.d_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +131,17 @@ class FourierComplex:
     def random_form(self, k: int, rng: np.random.Generator, active_modes: int = 8,
                     pq: tuple | None = None) -> dict:
         """Mode-sparse random k-form {xi: Lambda^k coefficient vector};
-        optionally projected to pure type (p,q)."""
+        optionally projected to pure type (p,q).  The active modes' real and
+        imaginary parts are one draw, in the order of the modes."""
         alg = self.triple.ops
         n_active = min(active_modes, len(self.modes))
-        chosen = rng.choice(len(self.modes), size=n_active, replace=False)
-        comps = {}
-        for ci in sorted(chosen):
-            xi = self.modes[ci]
-            a = rng.standard_normal(alg.size) + 1j * rng.standard_normal(alg.size)
-            v = a[alg.masks(k)]
-            if pq is not None:
-                v = alg.pq(k)[pq] @ v
-            if np.max(np.abs(v)) > 0:
-                comps[xi] = v
-        return comps
+        chosen = np.sort(rng.choice(len(self.modes), size=n_active, replace=False))
+        z = rng.standard_normal((n_active, 2, alg.size))
+        V = (z[:, 0] + 1j * z[:, 1])[:, alg.masks(k)]
+        if pq is not None:
+            # one stacked product whose every mode is the matrix-vector product P v
+            V = (alg.pq(k)[pq] @ V[:, :, None])[:, :, 0]
+        return {self.modes[ci]: v for ci, v in zip(chosen, V) if np.max(np.abs(v)) > 0}
 
 
 class _Columns:
@@ -229,13 +226,6 @@ class HarmonicSpaceReport:
         }
 
 
-def _kernel_basis(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal kernel basis (columns) of a PSD Hermitian matrix."""
-    w, V = np.linalg.eigh(A)
-    scale = max(1.0, float(w[-1]) if len(w) else 1.0)
-    return V[:, w < tol * scale]
-
-
 def _image_basis(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of A."""
     u, s, _ = np.linalg.svd(A)
@@ -265,19 +255,15 @@ def harmonic_space(fc: FourierComplex, k: int) -> HarmonicSpaceReport:
             Q = Q + np.einsum("jab,lbc->jlac", first[:, mk[:, None], mm], second[:, mm[:, None], mk])
     xi = np.array([m for m in fc.modes if any(m)], dtype=float).reshape(-1, 2 * fc.n)
     w = np.linalg.eigvalsh(np.tensordot(xi[:, :, None] * xi[:, None, :], -4 * np.pi ** 2 * Q, axes=2))
-    # the kernel threshold of _kernel_basis, one mode per row
+    # the kernel threshold of check_complex, one mode per row
     nonzero_kernel = int(np.sum(w < 1e-8 * np.maximum(1.0, w[:, -1:])))
     # xi = 0 is always a mode; d vanishes there, so its whole degree block is harmonic
     total = len(mk) + nonzero_kernel
 
-    residuals = {}
-    bidegree = {}
-    for (p, q), P in pq_projector_matrices(fc.triple, k).items():
-        bidegree[(p, q)] = int(round(np.trace(P).real))
-    residuals["bidegree_trace_vs_rank"] = max(
-        abs(np.trace(P).real - np.linalg.matrix_rank(P, tol=1e-8))
-        for P in pq_projector_matrices(fc.triple, k).values()
-    )
+    projs = pq_projector_matrices(fc.triple, k)
+    bidegree = {pq: int(round(np.trace(P).real)) for pq, P in projs.items()}
+    residuals = {"bidegree_trace_vs_rank": max(
+        abs(np.trace(P).real - np.linalg.matrix_rank(P, tol=1e-8)) for P in projs.values())}
 
     from llab.lefschetz import lefschetz_power_matrix, primitive_basis
 
@@ -365,19 +351,13 @@ def verify_p7_decomposition(fc: FourierComplex, p: int, q: int, tol: float = 1e-
         blocks[r] = img
 
     dim_sum = sum(b.shape[1] for b in blocks.values())
-    stacked = (
-        np.hstack(list(blocks.values()))
-        if blocks
-        else np.zeros((H_basis.shape[0], 0), dtype=complex)
-    )
     # spanning: every block vector lies in H (residual), and ranks agree
-    if stacked.shape[1]:
+    residual, rank_total = 0.0, 0
+    if blocks:  # each block has a column
+        stacked = np.hstack(list(blocks.values()))
         proj = H_basis @ (H_basis.conj().T @ stacked)
         residual = float(np.max(np.abs(stacked - proj)) / max(1.0, np.max(np.abs(stacked))))
         rank_total = int(np.linalg.matrix_rank(stacked, tol=1e-8))
-    else:
-        residual = 0.0
-        rank_total = 0
 
     angles = {}
     keys = sorted(blocks)
@@ -704,72 +684,89 @@ def check_complex(fc: FourierComplex, max_modes: int | None = 64) -> dict:
     Checks, per mode: d^2 = 0, (d^Lambda)^2 = 0, adjointness of d*,
     [D, L] = [D, Lambda] = 0, the three-way Hodge decomposition dimension
     count, and harmonic <=> (closed and coclosed).  Returns worst residuals.
+    One degree at a time, every sampled mode at once, from the degree blocks
+    of the coefficient stacks: no per-mode matrix is formed.
     """
     alg = fc.triple.ops
+    top = 2 * fc.n
     rng = np.random.default_rng(0)
     modes = list(fc.modes)
     if max_modes is not None and len(modes) > max_modes:
         keep = rng.choice(len(modes), size=max_modes, replace=False)
-        modes = [fc.modes[i] for i in sorted(keep)] + [tuple([0] * 2 * fc.n)]
-    out = {
-        "d_squared": 0.0, "d_lambda_squared": 0.0, "adjointness": 0.0,
-        "commutator_L": 0.0, "commutator_Lambda": 0.0,
-        "hodge_dim_mismatch": 0, "harmonic_iff_closed_coclosed": 0.0,
-    }
-    for xi in modes:
-        ops = fc.mode_ops(xi)
-        sc = max(1.0, float(np.max(np.abs(ops.d))) ** 2)
-        out["d_squared"] = max(out["d_squared"], float(np.max(np.abs(ops.d @ ops.d))) / sc)
-        out["d_lambda_squared"] = max(
-            out["d_lambda_squared"], float(np.max(np.abs(ops.d_lambda @ ops.d_lambda))) / sc
-        )
-        a = rng.standard_normal(alg.size) + 1j * rng.standard_normal(alg.size)
-        b = rng.standard_normal(alg.size) + 1j * rng.standard_normal(alg.size)
-        lhs = (ops.d @ a) @ alg.G @ np.conj(b)
-        rhs = a @ alg.G @ np.conj(ops.d_star @ b)
-        out["adjointness"] = max(
-            out["adjointness"], abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-        )
-        scD = max(1.0, float(np.max(np.abs(ops.dee))))
-        out["commutator_L"] = max(
-            out["commutator_L"], float(np.max(np.abs(ops.dee @ alg.L - alg.L @ ops.dee))) / scD
-        )
-        out["commutator_Lambda"] = max(
-            out["commutator_Lambda"],
-            float(np.max(np.abs(ops.dee @ alg.Lam - alg.Lam @ ops.dee))) / scD,
-        )
-        # Hodge decomposition per degree, and harmonic <=> closed & coclosed
-        for k in range(2 * fc.n + 1):
-            lap_k = _degree_block(alg, ops.laplacian, k, k)
-            kb = _kernel_basis(lap_k)
-            kern = kb.shape[1]
-            dk = _degree_block(alg, ops.d, k + 1, k) if k < 2 * fc.n else None
-            dkm = _degree_block(alg, ops.d, k, k - 1) if k > 0 else None
-            im_d = np.linalg.matrix_rank(dkm, tol=1e-8) if dkm is not None and dkm.size else 0
-            im_ds = np.linalg.matrix_rank(dk, tol=1e-8) if dk is not None and dk.size else 0
-            if kern + im_d + im_ds != lap_k.shape[0]:
-                out["hodge_dim_mismatch"] += 1
-            # (=>) harmonic basis is closed and coclosed
-            if kb.size:
-                full = np.zeros((alg.size, kb.shape[1]), dtype=complex)
-                full[alg.masks(k)] = kb
-                r1 = float(np.max(np.abs(ops.d @ full)))
-                r2 = float(np.max(np.abs(ops.d_star @ full)))
-                out["harmonic_iff_closed_coclosed"] = max(
-                    out["harmonic_iff_closed_coclosed"], (r1 + r2) / np.sqrt(sc)
-                )
-            # (<=) the closed-and-coclosed subspace is no bigger than the kernel
-            rows = []
-            if dk is not None and dk.size:
-                rows.append(dk)
-            ds_k = _degree_block(alg, ops.d_star, k - 1, k) if k > 0 else None
-            if ds_k is not None and ds_k.size:
-                rows.append(ds_k)
-            if rows:
-                stack = np.vstack(rows)
-                both = stack.shape[1] - np.linalg.matrix_rank(stack, tol=1e-8)
-            else:
-                both = lap_k.shape[0]
-            if both != kern:
-                out["hodge_dim_mismatch"] += 1
+        modes = [fc.modes[i] for i in sorted(keep)] + [tuple([0] * top)]
+    xi = np.array(modes, dtype=float)
+    ab = rng.standard_normal((len(xi), 4, alg.size))  # per mode: Re a, Im a, Re b, Im b
+    a, b = ab[:, 0] + 1j * ab[:, 1], ab[:, 2] + 1j * ab[:, 3]
+
+    def edge(k):
+        """op(xi) / i between Lambda^k and Lambda^{k+1} at every mode, real
+        (modes, rows, cols): d and d^{Lambda*} up, d* and d^Lambda down."""
+        if 0 <= k < top:
+            return {name: (2 * np.pi) * np.tensordot(xi, _degree_block(alg, fc.coeffs[name], *(
+                (k + 1, k) if shift > 0 else (k, k + 1))), axes=1) for name, shift in _SHIFT.items()}
+
+    def rank(A):  # matrix_rank(A, tol=1e-8) per mode
+        return np.sum(np.linalg.svd(A, compute_uv=False) > 1e-8, axis=-1)
+
+    def inner(k, x, y):
+        return np.einsum("mi,ij,mj->m", x, alg.gram(k), y.conj())
+
+    def peak(A):
+        return np.abs(A).max(axis=(1, 2))
+
+    worst = {}  # per quantity, its largest entry so far at each mode
+
+    def note(key, per_mode, at=slice(None)):
+        seen = worst.setdefault(key, np.zeros(len(xi)))
+        seen[at] = np.maximum(seen[at], per_mode)
+
+    lhs = rhs = 0.0
+    mismatch = 0
+    dee, lo, hi = {}, None, edge(0)
+    for k in range(top + 1):
+        if k:
+            lo, hi = hi, edge(k)
+        mk, n_k = alg.masks(k), math.comb(top, k)
+        # op = i * block, so Delta_d = d d* + d* d and D = d* d + d^{Lambda*} d^Lambda
+        # on Lambda^k are minus sums of block products
+        lap, dee[k] = np.zeros((2, len(xi), n_k, n_k))
+        if lo:
+            lap -= lo["d"] @ lo["d_star"]
+            dee[k] -= lo["d_lambda_star"] @ lo["d_lambda"]
+        if hi:
+            lap -= hi["d_star"] @ hi["d"]
+            dee[k] -= hi["d_star"] @ hi["d"]
+            note("d", peak(hi["d"]))
+            # the Lambda^k -> Lambda^{k+1} parts of <d a, b> and <a, d* b>
+            a_k, b_up = a[:, mk], b[:, alg.masks(k + 1)]
+            lhs += inner(k + 1, 1j * np.einsum("mij,mj->mi", hi["d"], a_k), b_up)
+            rhs += inner(k, a_k, 1j * np.einsum("mij,mj->mi", hi["d_star"], b_up))
+        if lo and hi:
+            note("d_squared", peak(hi["d"] @ lo["d"]))
+            note("d_lambda_squared", peak(lo["d_lambda"] @ hi["d_lambda"]))
+        note("dee", peak(dee[k]))
+        if k >= 2:
+            L, Lam = alg.lpow(k - 2, 1), alg.lam(k)
+            note("commutator_L", peak(dee[k] @ L - L @ dee[k - 2]))
+            note("commutator_Lambda", peak(dee.pop(k - 2) @ Lam - Lam @ dee[k]))
+        # Hodge decomposition: ker Delta_d, im d and im d* fill Lambda^k
+        w, V = np.linalg.eigh(lap)
+        kern = np.sum(w < 1e-8 * np.maximum(1.0, w[:, -1:]), axis=1)
+        im_d, im_d_star = (rank(e["d"]) if e else 0 for e in (lo, hi))  # d* has the rank of d
+        mismatch += np.count_nonzero(kern + im_d + im_d_star != n_k)
+        # (=>) the kernel basis, the first kern columns of V, is closed and coclosed
+        at = np.flatnonzero(kern)
+        in_kernel = (np.arange(n_k) < kern[at, None])[:, None]
+        note("harmonic_iff_closed_coclosed", sum(peak(np.where(in_kernel, e[name][at] @ V[at], 0.0))
+                                                 for e, name in ((hi, "d"), (lo, "d_star")) if e), at)
+        # (<=) the closed-and-coclosed subspace is no bigger than the kernel
+        rows = np.concatenate([e[name] for e, name in ((hi, "d"), (lo, "d_star")) if e], axis=1)
+        mismatch += np.count_nonzero(n_k - rank(rows) != kern)
+
+    # per-mode scales: max(1, max|d(xi)|)^2 and max(1, max|D(xi)|)
+    sc, scD = np.maximum(1.0, worst.pop("d")) ** 2, np.maximum(1.0, worst.pop("dee"))
+    scale = {"commutator_L": scD, "commutator_Lambda": scD, "harmonic_iff_closed_coclosed": np.sqrt(sc)}
+    out = {key: float(np.max(v / scale.get(key, sc))) for key, v in worst.items()}
+    out["adjointness"] = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))))
+    out["hodge_dim_mismatch"] = int(mismatch)
     return out

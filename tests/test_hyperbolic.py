@@ -8,6 +8,7 @@ primitive of the area form has pointwise norm identically 1.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import os
@@ -172,6 +173,15 @@ def test_mesh_derived_quantities_are_kept_and_die_with_the_mesh():
     del mesh, geo, es
     gc.collect()
     assert all(r() is None for r in refs)
+
+
+@pytest.mark.parametrize("fault", ["clockwise", "degenerate"])
+def test_mesh_geometry_refuses_a_clockwise_or_degenerate_triangle(fault, square24):
+    triangles = square24.triangles.copy()
+    triangles[5] = triangles[5][[0, 2, 1]] if fault == "clockwise" else triangles[5][[0, 1, 1]]
+    mesh = dataclasses.replace(square24, triangles=triangles)
+    with pytest.raises(ArithmeticError, match="degenerate or clockwise"):
+        mesh.geometry
 
 
 def test_predicted_vertex_count_matches(small_mesh):

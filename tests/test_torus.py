@@ -61,7 +61,6 @@ def _direct_mode_ops(fc, xi) -> dict:
         "d_lambda": d_lambda,
         "d_lambda_star": d_lambda_star,
         "laplacian": d @ d_star + d_star @ d,
-        "dee": d_star @ d + d_lambda_star @ d_lambda,
     }
 
 
@@ -290,9 +289,16 @@ def _embed(fc, k, v):
     return full
 
 
+def _op(ops, name):
+    """A whole 4^n x 4^n operator of one mode, D = d*d + d^{Lambda*}d^Lambda included."""
+    if name == "dee":
+        return ops.d_star @ ops.d + ops.d_lambda_star @ ops.d_lambda
+    return getattr(ops, name)
+
+
 def _per_mode(fc, form, name):
     """One whole 4^n x 4^n operator per active mode of a {xi: full vector} form."""
-    return {xi: getattr(fc.mode_ops(xi), name) @ v for xi, v in form.items()}
+    return {xi: _op(fc.mode_ops(xi), name) @ v for xi, v in form.items()}
 
 
 def _inner(fc, a, b):
@@ -399,6 +405,112 @@ def test_batched_anti_invariant_closedness_matches_the_per_mode_loop(fc_case):
     assert _agree(out["max_harmonicity_residual"], worst)
 
 
+def _reference_check_complex(fc, max_modes=64):
+    """check_complex as a loop over modes, each with its whole 4^n x 4^n
+    operators, ranking each degree block one at a time."""
+    alg = fc.triple.ops
+    rng = np.random.default_rng(0)
+    modes = list(fc.modes)
+    if max_modes is not None and len(modes) > max_modes:
+        keep = rng.choice(len(modes), size=max_modes, replace=False)
+        modes = [fc.modes[i] for i in sorted(keep)] + [tuple([0] * 2 * fc.n)]
+    out = {
+        "d_squared": 0.0, "d_lambda_squared": 0.0, "adjointness": 0.0,
+        "commutator_L": 0.0, "commutator_Lambda": 0.0,
+        "hodge_dim_mismatch": 0, "harmonic_iff_closed_coclosed": 0.0,
+    }
+    for xi in modes:
+        ops = fc.mode_ops(xi)
+        dee = _op(ops, "dee")
+        sc = max(1.0, float(np.max(np.abs(ops.d))) ** 2)
+        out["d_squared"] = max(out["d_squared"], float(np.max(np.abs(ops.d @ ops.d))) / sc)
+        out["d_lambda_squared"] = max(
+            out["d_lambda_squared"], float(np.max(np.abs(ops.d_lambda @ ops.d_lambda))) / sc)
+        a = rng.standard_normal(alg.size) + 1j * rng.standard_normal(alg.size)
+        b = rng.standard_normal(alg.size) + 1j * rng.standard_normal(alg.size)
+        lhs = (ops.d @ a) @ alg.G @ np.conj(b)
+        rhs = a @ alg.G @ np.conj(ops.d_star @ b)
+        out["adjointness"] = max(out["adjointness"], abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
+        scD = max(1.0, float(np.max(np.abs(dee))))
+        out["commutator_L"] = max(out["commutator_L"], float(np.max(np.abs(dee @ alg.L - alg.L @ dee))) / scD)
+        out["commutator_Lambda"] = max(
+            out["commutator_Lambda"], float(np.max(np.abs(dee @ alg.Lam - alg.Lam @ dee))) / scD)
+        for k in range(2 * fc.n + 1):
+            mk = alg.masks(k)
+            lap_k = ops.laplacian[np.ix_(mk, mk)]
+            w, V = np.linalg.eigh(lap_k)
+            kb = V[:, w < 1e-8 * max(1.0, float(w[-1]))]
+            dk = ops.d[np.ix_(alg.masks(k + 1), mk)] if k < 2 * fc.n else None
+            dkm = ops.d[np.ix_(mk, alg.masks(k - 1))] if k > 0 else None
+            im_d = np.linalg.matrix_rank(dkm, tol=1e-8) if dkm is not None else 0
+            im_ds = np.linalg.matrix_rank(dk, tol=1e-8) if dk is not None else 0
+            if kb.shape[1] + im_d + im_ds != len(mk):
+                out["hodge_dim_mismatch"] += 1
+            if kb.size:
+                full = np.zeros((alg.size, kb.shape[1]), dtype=complex)
+                full[mk] = kb
+                r1, r2 = float(np.max(np.abs(ops.d @ full))), float(np.max(np.abs(ops.d_star @ full)))
+                out["harmonic_iff_closed_coclosed"] = max(
+                    out["harmonic_iff_closed_coclosed"], (r1 + r2) / np.sqrt(sc))
+            rows = [B for B in (dk, ops.d_star[np.ix_(alg.masks(k - 1), mk)] if k > 0 else None) if B is not None]
+            if len(mk) - np.linalg.matrix_rank(np.vstack(rows), tol=1e-8) != kb.shape[1]:
+                out["hodge_dim_mismatch"] += 1
+    return out
+
+
+def test_batched_check_complex_matches_the_per_mode_loop(fc_case):
+    got, want = check_complex(fc_case), _reference_check_complex(fc_case)
+    assert got.keys() == want.keys()
+    assert got["hodge_dim_mismatch"] == want["hodge_dim_mismatch"] == 0
+    for key, value in want.items():
+        assert _agree(got[key], value), (key, got[key], value)
+
+
+@pytest.mark.parametrize("broken", ["d without signs", "d^Lambda* zeroed"])
+def test_check_complex_catches_a_broken_complex(broken, fc4, monkeypatch):
+    coeffs = FourierComplex.coeffs.func
+
+    def mutated(fc):
+        c = coeffs(fc)
+        if broken == "d without signs":
+            return dict(c, d=np.abs(c["d"]))
+        return dict(c, d_lambda_star=np.zeros_like(c["d_lambda_star"]))
+
+    monkeypatch.setattr(FourierComplex, "coeffs", property(mutated))
+    fc = FourierComplex(n=2, N=1, triple=fc4.triple, modes=fc4.modes)  # not validated: d^2 = 0 fails
+    out = check_complex(fc)
+    assert max(out["d_squared"], out["commutator_L"]) >= 0.5, out
+    assert out["hodge_dim_mismatch"] == _reference_check_complex(fc)["hodge_dim_mismatch"]
+    assert (out["hodge_dim_mismatch"] > 0) == (broken == "d without signs")
+
+
+def _reference_random_form(fc, k, rng, active_modes=8, pq=None):
+    """random_form drawn one active mode at a time."""
+    alg = fc.triple.ops
+    chosen = rng.choice(len(fc.modes), size=min(active_modes, len(fc.modes)), replace=False)
+    comps = {}
+    for ci in sorted(chosen):
+        v = (rng.standard_normal(alg.size) + 1j * rng.standard_normal(alg.size))[alg.masks(k)]
+        if pq is not None:
+            v = alg.pq(k)[pq] @ v
+        if np.max(np.abs(v)) > 0:
+            comps[fc.modes[ci]] = v
+    return comps
+
+
+def test_random_form_draws_as_the_per_mode_loop(fc_case, std2):
+    n = fc_case.n
+    cases = [(fc_case, k, None) for k in range(2 * n + 1)]
+    cases += [(fc_case, p + q, (p, q)) for p in range(n + 1) for q in range(n + 1)]
+    cases.append((build_fourier_complex(2, 0, std2), 2, (1, 1)))  # one mode, fewer than active_modes
+    for fc, k, pq in cases:
+        rng, ref_rng = np.random.default_rng([11, k]), np.random.default_rng([11, k])
+        got, want = fc.random_form(k, rng, pq=pq), _reference_random_form(fc, k, ref_rng, pq=pq)
+        assert list(got) == list(want), (k, pq)
+        assert all(np.array_equal(got[xi], want[xi]) for xi in want), (k, pq)
+        assert rng.standard_normal() == ref_rng.standard_normal()  # the stream is left where it was
+
+
 def test_batched_checks_form_no_per_mode_matrix(fc4, monkeypatch):
     calls = []
     real = FourierComplex.mode_ops
@@ -411,6 +523,7 @@ def test_batched_checks_form_no_per_mode_matrix(fc4, monkeypatch):
     verify_lemma_L10(fc4, samples=5, seed=7)
     verify_lemma_L8(fc4, samples=5, seed=7)
     anti_invariant_suite(fc4)
+    check_complex(fc4)
     assert calls == []
-    check_complex(fc4, max_modes=2)  # the counter does see the per-mode matrix checks
+    verify_kahler_identity(fc4, samples=2)  # the counter does see the per-mode matrix checks
     assert calls
