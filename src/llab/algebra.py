@@ -248,7 +248,8 @@ class CompatibleTriple:
             "g_equals_omega_J": float(np.max(np.abs(self.g - self.omega @ self.J))),
             "g_symmetric": float(np.max(np.abs(self.g - self.g.T))),
         }
-        bad = {k: v for k, v in res.items() if v > tol}
+        # `not v <= tol` also catches NaN, which compares false either way
+        bad = {k: v for k, v in res.items() if not v <= tol}
         if bad:
             raise ValueError(f"triple violates compatibility: {bad}")
         if abs(np.linalg.det(self.omega)) <= TOL:
@@ -763,8 +764,28 @@ def form_to_json(a: KForm) -> dict:
     return {"n": a.n, "k": a.k, "coeffs": coeffs}
 
 
+# The largest n either wire format accepts.  The decomposition's minor
+# stacks grow like C(2n, n)^2 n^2: n = 6 takes seconds, n = 7 asks for
+# 4.3 GiB, and n = 30 would be 774 TiB.
+WIRE_MAX_N = 6
+
+
 def _is_number(x, kind=numbers.Real) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    """True for a real number that is neither NaN nor infinite, including
+    an integer too large for a float (which is not finite as one)."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _check_wire_n(n: int, where: str) -> None:
+    if n > WIRE_MAX_N:
+        raise ValueError(f"{where}: n={n} exceeds the wire-format cap n <= {WIRE_MAX_N}")
 
 
 def _field(obj, name: str, where: str, integer: bool = False):
@@ -785,6 +806,7 @@ def form_from_json(obj: dict) -> KForm:
     n, k = _field(obj, "n", "form", integer=True), _field(obj, "k", "form", integer=True)
     if n < 1 or not 0 <= k <= 2 * n:
         raise ValueError(f"form: need n >= 1 and 0 <= k <= 2n, got n={n}, k={k}")
+    _check_wire_n(n, "form")
     coeffs = _field(obj, "coeffs", "form")
     if not isinstance(coeffs, list):
         raise ValueError(f"form: field 'coeffs' must be a list, got {type(coeffs).__name__}")
@@ -808,6 +830,8 @@ def form_from_json(obj: dict) -> KForm:
         for name, v in (("re", re), ("im", im)):
             if not _is_number(v):
                 raise ValueError(f"{where}: coefficient '{name}' must be a number, got {v!r}")
+            if not _is_finite(v):
+                raise ValueError(f"{where}: coefficient '{name}' must be finite, got {v!r}")
         data[index[indices_to_mask(idx)]] = complex(re, im)
     return KForm(n, k, data)
 
@@ -825,10 +849,17 @@ def _matrix_field(obj, name: str) -> np.ndarray:
     v = _field(obj, name, "triple")
     try:
         m = np.array(v, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         m = None
     if m is None or m.ndim != 2:
         raise ValueError(f"triple: field '{name}' must be a matrix of numbers")
+    if not np.isfinite(m).all():
+        raise ValueError(f"triple: field '{name}' has a non-finite entry")
+    if m.shape[0] > 2 * WIRE_MAX_N:
+        raise ValueError(
+            f"triple: field '{name}' has {m.shape[0]} rows, over the 2n = {2 * WIRE_MAX_N} "
+            f"of the wire-format cap n <= {WIRE_MAX_N}"
+        )
     return m
 
 
@@ -836,7 +867,9 @@ def triple_from_json(obj: dict) -> CompatibleTriple:
     """Parse `{"standard": n}`, `{"omega":, "J":}` or `{"n":, "omega":, "J":,
     "g":}`; a missing or mistyped field raises ValueError naming it."""
     if isinstance(obj, dict) and "standard" in obj:
-        return build_standard_triple(_field(obj, "standard", "triple", integer=True))
+        n = _field(obj, "standard", "triple", integer=True)
+        _check_wire_n(n, "triple")
+        return build_standard_triple(n)
     omega, J = _matrix_field(obj, "omega"), _matrix_field(obj, "J")
     if "g" in obj:
         n = _field(obj, "n", "triple", integer=True)

@@ -182,6 +182,9 @@ def main(argv=None) -> int:
         except (ValueError, OSError, KeyError, ArithmeticError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
+        except MemoryError as e:
+            print(f"error: out of memory: {e}", file=sys.stderr)
+            return 2
         rs = out["reconstruction_residuals"]
         print(
             f"decomposed: {len(out['lefschetz_components'])} Lefschetz component(s), "
@@ -223,6 +226,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
 
     status = "PASS" if bundle.passed else "FAIL"
     warn = bundle.payload.get("warning")
@@ -232,10 +238,16 @@ def main(argv=None) -> int:
     mr_s = f", max residual {mr:.3e}" if isinstance(mr, float) else ""
     failed = ""
     if not bundle.passed:
-        # name what failed: the residual when it is over, and every false check
+        # name what failed: the residual when it is over, the cell it sits
+        # in, and every false check
+        from llab.suites import worst_cell
+
         tol = verdict.get("tolerance")
         if mr_s and tol is not None and not mr < tol:
             mr_s += f" > tol {tol:g}"
+        worst = worst_cell(bundle.payload)
+        if worst is not None:
+            mr_s += f"; worst: {worst[0]} {worst[1]:.1e}"
         names = [name for name, ok in verdict.get("checks", {}).items() if not ok]
         if names:
             failed = "; failed: " + ", ".join(names)

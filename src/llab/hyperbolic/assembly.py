@@ -24,6 +24,9 @@ import scipy.sparse as sp
 
 from llab.hyperbolic.mesh import DiscMesh
 
+# local edge e of a triangle joins its corners _PAIRS[e]
+_PAIRS = ((0, 1), (1, 2), (2, 0))
+
 # values of the three P1 hats at the three edge midpoints (01, 12, 20)
 _PHI_MID = np.array([
     [0.5, 0.5, 0.0],
@@ -151,31 +154,42 @@ def _coo_accumulate(rows, cols, vals, shape) -> sp.csr_matrix:
     return A.tocsr()
 
 
+def _p1_matrix(mesh: DiscMesh, local) -> sp.csr_matrix:
+    """Sum the symmetric per-triangle 3 x 3 blocks local(i, j) -> (nt,) into
+    an nv x nv CSR matrix, one entry per vertex and two per edge.
+
+    The diagonal is one bincount per corner and each edge entry one
+    bincount per local edge, so (a, b) and (b, a) hold the same float: the
+    matrix is exactly symmetric and carries no duplicates.
+    """
+    t = mesh.triangles
+    es = mesh.edge_structure
+    nv, ne = mesh.n_vertices, es.n_edges
+    diag = np.zeros(nv)
+    off = np.zeros(ne)
+    for i in range(3):
+        diag += np.bincount(t[:, i], weights=local(i, i), minlength=nv)
+    for e, (a, b) in enumerate(_PAIRS):
+        off += np.bincount(es.tri_edges[:, e], weights=local(a, b), minlength=ne)
+    lo, hi = es.edges[:, 0], es.edges[:, 1]
+    rows = np.concatenate([np.arange(nv), lo, hi])
+    cols = np.concatenate([np.arange(nv), hi, lo])
+    return sp.csr_matrix((np.concatenate([diag, off, off]), (rows, cols)), shape=(nv, nv))
+
+
 def stiffness_p1(mesh: DiscMesh) -> sp.csr_matrix:
     """Flat cotan stiffness; equals the Laplace-Beltrami stiffness in 2D."""
-    area, grads = mesh.geometry.area, mesh.geometry.grads
-    t = mesh.triangles
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append(area * (grads[:, i] * grads[:, j]).sum(axis=1))
-    return _coo_accumulate(rows, cols, vals, (mesh.n_vertices, mesh.n_vertices))
+    area = mesh.geometry.area
+    g = mesh.geometry.grads.transpose(1, 2, 0)
+    gx, gy = np.ascontiguousarray(g[:, 0]), np.ascontiguousarray(g[:, 1])  # (3, nt) each
+    return _p1_matrix(mesh, lambda i, j: area * (gx[i] * gx[j] + gy[i] * gy[j]))
 
 
 def mass_p1(mesh: DiscMesh) -> sp.csr_matrix:
     """mu-weighted consistent P1 mass, edge-midpoint quadrature."""
-    area, mu_mid = mesh.geometry.area, mesh.geometry.mu_mid
-    t = mesh.triangles
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            w = (mu_mid * _PHI_MID[:, i] * _PHI_MID[:, j]).sum(axis=1)
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append(area / 3.0 * w)
-    return _coo_accumulate(rows, cols, vals, (mesh.n_vertices, mesh.n_vertices))
+    w = mesh.geometry.area / 3.0
+    mu = np.ascontiguousarray(mesh.geometry.mu_mid.T)  # (3, nt), midpoint-major
+    return _p1_matrix(mesh, lambda i, j: w * ((_PHI_MID[:, i] * _PHI_MID[:, j]) @ mu))
 
 
 def incidence_d0(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
@@ -199,11 +213,10 @@ def incidence_d1(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
 def mass_whitney1(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
     """Euclidean Whitney 1-form mass (conformally invariant in 2D)."""
     area, grads = mesh.geometry.area, mesh.geometry.grads
-    pairs = [(0, 1), (1, 2), (2, 0)]  # local edge e -> (a, b)
     gdot = np.einsum("tix,tjx->tij", grads, grads)  # (nt, 3, 3)
     rows, cols, vals = [], [], []
-    for e, (a, b) in enumerate(pairs):
-        for f, (c, d) in enumerate(pairs):
+    for e, (a, b) in enumerate(_PAIRS):
+        for f, (c, d) in enumerate(_PAIRS):
             # int (la gb - lb ga) . (lc gd - ld gc), with int la lc = A(1+delta)/12
             m = (
                 (1 + (a == c)) * gdot[:, b, d]

@@ -90,14 +90,17 @@ def smallest_eigenpairs(
     rel_tol: float = DEFAULT_REL_TOL,
     maxiter: int = 160,
     seed: int = 20260301,
+    v0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The nev smallest eigenpairs of A x = lambda M x with certificates.
 
-    Returns (eigenvalues, eigenvectors, iterations).  Raises
-    LanczosNonConvergence if any certificate misses rel_tol * lambda
-    (absolute floor rel_tol for eigenvalues near zero).
+    The Krylov space starts from v0, or from a standard normal draw seeded
+    by `seed` when v0 is None.  Returns (eigenvalues, eigenvectors,
+    iterations).  Raises LanczosNonConvergence if any certificate misses
+    rel_tol * lambda (absolute floor rel_tol for eigenvalues near zero).
     """
-    A = sp.csr_matrix(A)
+    # A is factored in CSC, so a CSC A is kept as it is and costs no copy
+    A = A if sp.issparse(A) and A.format == "csc" else sp.csr_matrix(A)
     M = sp.csr_matrix(M)
     n = A.shape[0]
     if n != M.shape[0]:
@@ -121,7 +124,7 @@ def smallest_eigenpairs(
             continue
         tried.append(sig)
         try:
-            factor = spla.splu((A - sig * M).tocsc())
+            factor = spla.splu((A if sig == 0 else A - sig * M).tocsc())
             shift = sig
             break
         except RuntimeError:
@@ -129,7 +132,6 @@ def smallest_eigenpairs(
     if factor is None:
         raise LanczosNonConvergence("shifted operator could not be factored", [], [], 0)
 
-    rng = np.random.default_rng(seed)
     maxiter = min(maxiter, n - 1)
 
     # column-major: only the columns the iteration reaches are ever touched,
@@ -138,27 +140,38 @@ def smallest_eigenpairs(
     alphas: list[float] = []
     betas: list[float] = []
 
-    v = rng.standard_normal(n)
+    if v0 is None:
+        v = np.random.default_rng(seed).standard_normal(n)
+    else:
+        v = np.array(v0, dtype=float)
+        if v.shape != (n,):
+            raise ValueError(f"start vector has shape {v.shape}, need ({n},)")
     mv = M @ v
     nrm = np.sqrt(v @ mv)
+    if not nrm > 0:
+        raise ValueError("start vector has zero M-norm")
     V[:, 0] = v / nrm
+    mv /= nrm  # M V[:, j], carried from the step that made V[:, j]
 
     best_lams: np.ndarray = np.array([])
     best_res: list[float] = []
     best_X = V[:, :0]
     j_done = 0
     for j in range(maxiter):
-        w = factor.solve(M @ V[:, j])
-        alpha = float(w @ (M @ V[:, j]))
+        w = factor.solve(mv)
+        alpha = float(w @ mv)
         w -= alpha * V[:, j]
         if j > 0:
             w -= betas[-1] * V[:, j - 1]
-        # full reorthogonalization (twice) in the M-inner product
+        # full reorthogonalization (twice) in the M-inner product; the M w
+        # of the last pass is left over for beta and the next step
+        mw = M @ w
         for _ in range(2):
-            coef = V[:, : j + 1].T @ (M @ w)
+            coef = V[:, : j + 1].T @ mw
             w -= V[:, : j + 1] @ coef
+            mw = M @ w
         alphas.append(alpha)
-        beta = float(np.sqrt(max(w @ (M @ w), 0.0)))
+        beta = float(np.sqrt(max(w @ mw, 0.0)))
         j_done = j + 1
 
         breakdown = beta <= 1e-14 * max(abs(alpha), 1.0)
@@ -188,6 +201,7 @@ def smallest_eigenpairs(
             break
         betas.append(beta)
         V[:, j + 1] = w / beta
+        mv = mw / beta
 
     _certify(best_lams, best_res, rel_tol, iterations=j_done)
     return np.asarray(best_lams), best_X, j_done

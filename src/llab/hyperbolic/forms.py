@@ -23,7 +23,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _GL_T = 0.5 * (_GL_NODES + 1.0)  # nodes on [0, 1]
 _GL_W = 0.5 * _GL_WEIGHTS
 
-# P1 hat values at the three edge midpoints (01, 12, 20); rows = midpoints
+# P1 hat values at the three edge midpoints (01, 12, 20); rows = midpoints.
+# `_whitney_midpoint_major` works from the pattern of this table: 1/2 at
+# the two ends of the midpoint's edge, 0 at the third corner.
 _LAMBDA_MID = np.array([
     [0.5, 0.5, 0.0],
     [0.0, 0.5, 0.5],
@@ -116,8 +118,10 @@ def bounded_primitive(mesh: DiscMesh) -> PrimitiveOneForm:
     stokes_max = float(rel.max())
     stokes_rms = float(np.sqrt(np.mean(rel**2)))
 
-    # |theta|_g should be identically 1; measure on vertices and midpoints
-    samples = np.vstack([mesh.vertices, geo.mids.reshape(-1, 2)])
+    # |theta|_g should be identically 1; measure on vertices and edge
+    # midpoints, one per edge (the triangles' midpoints repeat interior ones)
+    v = mesh.vertices
+    samples = np.vstack([v, 0.5 * (v[es.edges[:, 0]] + v[es.edges[:, 1]])])
     comp = _theta_components(samples)
     norms = np.sqrt((comp**2).sum(axis=1) / mesh.mu(samples))
     sup_norm = float(norms.max())
@@ -220,32 +224,93 @@ def cutoff_family(mesh: DiscMesh, eps: float) -> CutoffProfile:
     return profile
 
 
+def _local_dofs(es: EdgeStructure, alpha: np.ndarray) -> np.ndarray:
+    """(3, nt) edge dofs of each triangle in its local CCW orientation."""
+    return np.ascontiguousarray((alpha[es.tri_edges] * es.tri_signs).T)
+
+
+def _whitney_midpoint_major(g: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Whitney interpolant at the 3 edge midpoints, (midpoint, component,
+    triangle) order, from the (3, 2, nt) hat gradients g and the (3, nt)
+    local dofs d; every product runs over contiguous memory.
+
+    At the midpoint of local edge m the hats of its ends are 1/2 and the
+    third hat is 0, so the Whitney field of local edge e = (a, b) there,
+    la g_b - lb g_a, is (g_{m+1} - g_m) / 2 for e = m, g_{m+2} / 2 for
+    e = m + 1 and -g_{m+2} / 2 for e = m + 2.  The halves are taken last,
+    which is exact, and the terms are summed in the order e = 0, 1, 2.
+    """
+    acc = np.empty((3,) + g.shape[1:])
+    term = np.empty(g.shape[1:])
+    for m in range(3):
+        m1, m2 = (m + 1) % 3, (m + 2) % 3
+        out = acc[m]
+        for e in range(3):
+            into = out if e == 0 else term
+            if e == m:
+                np.subtract(g[m1], g[m], out=into)
+                into *= d[e]
+            else:
+                np.multiply(g[m2], d[e], out=into)
+            if e == 0:
+                if m2 == 0:
+                    np.negative(out, out=out)
+            elif e == m2:
+                out -= term
+            else:
+                out += term
+        out *= 0.5
+    return acc
+
+
 def _whitney_at_midpoints(mesh: DiscMesh, es: EdgeStructure, alpha: np.ndarray):
     """Whitney interpolation of edge dofs at the 3 edge midpoints per triangle.
 
     Returns (values (nt, 3, 2), d_alpha_uv (nt,)).
     """
-    area, grads = mesh.geometry.area, mesh.geometry.grads
-    pairs = [(0, 1), (1, 2), (2, 0)]
-    dofs = alpha[es.tri_edges] * es.tri_signs  # (nt, 3) in local orientation
-    # accumulate in (midpoint, component, triangle) order, so that every
-    # product runs over contiguous memory; each entry still sums the same
-    # products over e = 0, 1, 2 in that order
-    g = np.ascontiguousarray(grads.transpose(1, 2, 0))
-    d = np.ascontiguousarray(dofs.T)
-    acc = np.zeros((3, 2, len(area)))
-    for e, (a, b) in enumerate(pairs):
-        for m in range(3):
-            la = _LAMBDA_MID[m, a]
-            lb = _LAMBDA_MID[m, b]
-            w_e = la * g[b] - lb * g[a]
-            acc[m] += d[e] * w_e
-    vals = np.ascontiguousarray(acc.transpose(2, 0, 1))
+    area = mesh.geometry.area
+    g = np.ascontiguousarray(mesh.geometry.grads.transpose(1, 2, 0))
+    d = _local_dofs(es, alpha)
+    vals = np.ascontiguousarray(_whitney_midpoint_major(g, d).transpose(2, 0, 1))
     # d alpha is constant per triangle; its du^dv coefficient is the
     # circulation divided by the Euclidean area
-    D1_local = dofs.sum(axis=1)
-    d_alpha_uv = D1_local / area
+    d_alpha_uv = (d[0] + d[1] + d[2]) / area
     return vals, d_alpha_uv
+
+
+def _crossterm_fields(mesh: DiscMesh, profile: CutoffProfile):
+    """The sample-independent midpoint fields of `crossterm_constant`.
+
+    Returns (wf, wf2, pair_u, pair_v, wf_mu, wf2_mu): with w the midpoint
+    quadrature weight, f the cutoff and grad f its Euclidean gradient at the
+    3 edge midpoints of every triangle, the (3, nt) midpoint-major arrays
+    w f, w f^2, 2 w f (d f / d u) / mu, 2 w f (d f / d v) / mu, and the
+    per-triangle sums over midpoints of w f / mu and w f^2 / mu.
+    """
+    geo = mesh.geometry
+    t = mesh.triangles.T
+    x, y = mesh.vertices[:, 0][t], mesh.vertices[:, 1][t]  # (3, nt)
+    nxt = [1, 2, 0]
+    mid = np.column_stack([(0.5 * (x + x[nxt])).ravel(), (0.5 * (y + y[nxt])).ravel()])
+    rho = mesh.geodesic_radius(mid)
+    f = profile.f_at(rho).reshape(3, -1)
+
+    # Euclidean gradient of rho: d rho/d r_eucl * radial unit vector
+    r = np.hypot(mid[:, 0], mid[:, 1])
+    if mesh.metric == "hyperbolic":
+        drho_dr = 2.0 / (1.0 - r**2)
+    else:
+        drho_dr = np.ones_like(r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        radial_scale = np.where(r > 0, profile.df_at(rho) * drho_dr / r, 0.0)
+
+    w = geo.area / 3.0  # quadrature weight of each midpoint
+    w_mu = w / np.ascontiguousarray(geo.mu_mid.T)
+    pair = 2.0 * f * w_mu
+    pair_u = pair * (radial_scale * mid[:, 0]).reshape(3, -1)
+    pair_v = pair * (radial_scale * mid[:, 1]).reshape(3, -1)
+    wf = w * f
+    return wf, wf * f, pair_u, pair_v, (f * w_mu).sum(axis=0), (f * f * w_mu).sum(axis=0)
 
 
 def crossterm_constant(
@@ -262,44 +327,34 @@ def crossterm_constant(
         C_sqrtf = |<..>| / (eps ||sqrt f a|| ||sqrt f d a||)  (provably <= 2)
     The sqrt-f constant is the load-bearing one: 2 f |df| <= 2 eps f <=
     2 eps sqrt(f) * sqrt(f) pointwise, then Cauchy-Schwarz.
+
+    The midpoint fields that do not depend on a are built once; each sample
+    only interpolates its edge dofs and reduces.
     """
     es = mesh.edge_structure
     rng = np.random.default_rng(seed)
     eps = profile.eps
-
-    area, mu_mid = mesh.geometry.area, mesh.geometry.mu_mid
-    w = area[:, None] / 3.0  # quadrature weights per midpoint
-    p_mid = mesh.geometry.mids.reshape(-1, 2)
-    rho_mid = mesh.geodesic_radius(p_mid)
-    f_mid = profile.f_at(rho_mid).reshape(-1, 3)
-    fp_mid = profile.df_at(rho_mid)
-
-    # Euclidean gradient of rho: d rho/d r_eucl * radial unit vector
-    r = np.hypot(p_mid[:, 0], p_mid[:, 1])
-    if mesh.metric == "hyperbolic":
-        drho_dr = 2.0 / (1.0 - r**2)
-    else:
-        drho_dr = np.ones_like(r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        radial = np.where(r[:, None] > 0, p_mid / np.maximum(r, 1e-300)[:, None], 0.0)
-    grad_f = (fp_mid * drho_dr)[:, None] * radial  # (nt*3, 2)
-    grad_f = grad_f.reshape(-1, 3, 2)
+    area = mesh.geometry.area
+    wf, wf2, pair_u, pair_v, wf_mu, wf2_mu = _crossterm_fields(mesh, profile)
+    g = np.ascontiguousarray(mesh.geometry.grads.transpose(1, 2, 0))
 
     out_cf, out_csqrt = [], []
     for _ in range(n_samples):
-        alpha = rng.standard_normal(es.n_edges)
-        vals, d_uv = _whitney_at_midpoints(mesh, es, alpha)
+        d = _local_dofs(es, rng.standard_normal(es.n_edges))
+        vals = _whitney_midpoint_major(g, d)
+        d_uv = (d[0] + d[1] + d[2]) / area
 
-        # (2 f df ^ alpha)_uv at midpoints
-        wedge_uv = 2.0 * f_mid * (grad_f[:, :, 0] * vals[:, :, 1] - grad_f[:, :, 1] * vals[:, :, 0])
-        # <d alpha, .>_g dvol = (d_uv * wedge_uv / mu^2) * mu dA
-        pairing = float((w * d_uv[:, None] * wedge_uv / mu_mid).sum())
+        # <d alpha, 2 f df ^ alpha>_g dvol = (d_uv * wedge_uv / mu^2) * mu dA,
+        # the weights w / mu folded into pair_u and pair_v
+        wedge = np.einsum("mt,mt->t", pair_u, vals[:, 1]) - np.einsum("mt,mt->t", pair_v, vals[:, 0])
+        pairing = float(d_uv @ wedge)
 
-        alpha_sq = (vals**2).sum(axis=2)  # |alpha|^2_eucl, conformally exact
-        n_fa = np.sqrt((w * f_mid**2 * alpha_sq).sum())
-        n_fda = np.sqrt((w * f_mid**2 * d_uv[:, None] ** 2 / mu_mid).sum())
-        n_sfa = np.sqrt((w * f_mid * alpha_sq).sum())
-        n_sfda = np.sqrt((w * f_mid * d_uv[:, None] ** 2 / mu_mid).sum())
+        alpha_sq = np.einsum("mct,mct->mt", vals, vals).ravel()  # |alpha|^2_eucl, conformally exact
+        d_sq = d_uv**2
+        n_fa = np.sqrt(wf2.ravel() @ alpha_sq)
+        n_fda = np.sqrt(wf2_mu @ d_sq)
+        n_sfa = np.sqrt(wf.ravel() @ alpha_sq)
+        n_sfda = np.sqrt(wf_mu @ d_sq)
 
         tiny = 1e-300
         out_cf.append(abs(pairing) / (eps * n_fa * n_fda + tiny))
@@ -387,9 +442,8 @@ def annulus_decay(alpha: np.ndarray, mesh: DiscMesh, jmax: int | None = None) ->
     tri_energy = (mesh.geometry.area / 3.0) * (vals**2).sum(axis=2).sum(axis=1)
 
     rho_c = mesh.geodesic_radius(mesh.centroids())
-    bins = np.floor(rho_c).astype(int)
-    masses = np.zeros(jmax)
-    for j in range(jmax):
-        masses[j] = tri_energy[bins == j].sum()
+    bins = np.floor(rho_c).astype(np.int64)
+    # annuli from jmax outward are not in the table
+    masses = np.bincount(bins, weights=tri_energy, minlength=jmax)[:jmax]
     total = float(tri_energy.sum())
     return AnnulusDecayTable(masses=masses, total_norm_sq=total, jmax=jmax)

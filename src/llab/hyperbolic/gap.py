@@ -290,8 +290,13 @@ def dirichlet_lambda1(
     from llab.hyperbolic.assembly import assemble_hodge_laplacian
 
     A, M = assemble_hodge_laplacian(mesh, k)
+    # the Dirichlet ground state of the scalar Laplacian is positive, so the
+    # constant vector leans on it far more than a random one does
+    v0 = np.ones(A.dimension) if k == 0 else None
+    # A is exactly symmetric, so the transpose view of its CSR arrays is A
+    # in CSC, the layout the solver factors, with no copy
     lams, X, iters = smallest_eigenpairs(
-        A.as_scipy(), M.as_scipy(), nev=nev, shift=shift, rel_tol=rel_tol
+        A.as_scipy().T, M.as_scipy(), nev=nev, shift=shift, rel_tol=rel_tol, v0=v0
     )
     # recompute certificates for the report (cheap, independent of solver)
     from llab.hyperbolic.eigensolve import _pencil_residuals

@@ -38,13 +38,15 @@ class TriangleGeometry:
 
     area : (nt,) Euclidean areas, checked positive
     grads : (nt, 3, 2) Euclidean gradients of the three P1 hats
-    mids : (nt, 3, 2) midpoints of edges (01, 12, 20)
-    mu_mid : (nt, 3) conformal factor at those midpoints
+    mu_mid : (nt, 3) conformal factor at the midpoints of edges (01, 12, 20)
+
+    The midpoints themselves are not kept: every mesh holds its geometry
+    for life, and its only reader, the cutoff sampling of
+    `forms.crossterm_constant`, rebuilds them in its own layout.
     """
 
     area: np.ndarray
     grads: np.ndarray
-    mids: np.ndarray
     mu_mid: np.ndarray
 
 
@@ -59,9 +61,9 @@ class DiscMesh:
     metric : "hyperbolic" or "euclidean" (the latter only for oracle patches)
 
     What is derived from the arrays is built on first use and kept on the
-    mesh, so it dies with it: `geometry` (areas, P1 gradients, edge
-    midpoints, mu at the midpoints) and `edge_structure` (the edge complex
-    of `assembly.edge_structure`).
+    mesh, so it dies with it: `geometry` (areas, P1 gradients, mu at the
+    edge midpoints) and `edge_structure` (the edge complex of
+    `assembly.edge_structure`).
     """
 
     vertices: np.ndarray
@@ -128,7 +130,7 @@ class DiscMesh:
             grads[:, i, 1] = e[:, 0] / (2.0 * area)
         mids = 0.5 * np.stack([p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1)
         mu_mid = self.mu(mids.reshape(-1, 2)).reshape(-1, 3)
-        return TriangleGeometry(*_read_only(area, grads, mids, mu_mid))
+        return TriangleGeometry(*_read_only(area, grads, mu_mid))
 
     @cached_property
     def edge_structure(self):

@@ -125,6 +125,72 @@ def _cell_residuals(
     return out
 
 
+# -- the residuals each verdict's max_residual is the max of, by cell ----
+
+
+def _identity_residuals(cells: dict) -> dict[str, float]:
+    """{"n3.k2.weil_relation[random_triple]": residual, ...}"""
+    return {
+        f"{nk}.{kk}.{name}": v
+        for nk, cell in cells.items()
+        for kk, res in cell.items()
+        for name, v in res.items()
+    }
+
+
+_TORUS_COMPLEX_RESIDUALS = (
+    "d_squared",
+    "d_lambda_squared",
+    "adjointness",
+    "commutator_L",
+    "commutator_Lambda",
+    "harmonic_iff_closed_coclosed",
+)
+_TORUS_LEMMA_RESIDUALS = (
+    ("lemma_L8", "max_residual"),
+    ("lemma_L10", "max_cross_term"),
+    ("kahler_identity", "max_residual"),
+    ("self_dual", "max_ratio_deviation_from_nminus1"),
+    ("self_dual", "max_dlambda_residual"),
+)
+
+
+def _torus_residuals(blocks: dict) -> dict[str, float]:
+    """{"n2.lemma_L8.max_residual": residual, ...}, named by report path."""
+    out = {}
+    for key, b in blocks.items():
+        for name in _TORUS_COMPLEX_RESIDUALS:
+            out[f"{key}.complex_checks.{name}"] = b["complex_checks"][name]
+        for pq, r in b["p7"].items():
+            out[f"{key}.p7[{pq}].projection_residual"] = r["projection_residual"]
+        for part, name in _TORUS_LEMMA_RESIDUALS:
+            out[f"{key}.{part}.{name}"] = b[part][name]
+    return out
+
+
+def _hyperbolic_residuals(rows: list) -> dict[str, float]:
+    """{"R6.0.h0.2": residual / lambda1, ...}, one per sweep row."""
+    return {f"R{r['R']}.h{r['h']}": r["residual"] / r["lambda1"] for r in rows}
+
+
+def worst_cell(payload: dict) -> tuple[str, float] | None:
+    """The cell that sets a suite report's max_residual, and its residual;
+    None when the suite checked nothing."""
+    suite = payload["suite"]
+    if suite == "verify-identities":
+        named = _identity_residuals(payload["cells"])
+    elif suite == "torus":
+        named = _torus_residuals(payload["blocks"])
+    elif suite == "hyperbolic":
+        named = _hyperbolic_residuals(payload["sweep"]["rows"])
+    else:
+        raise ValueError(f"unknown suite id {suite!r}")
+    if not named:
+        return None
+    name = max(named, key=named.__getitem__)
+    return name, named[name]
+
+
 def identity_suite(
     n_values=(1, 2, 3, 4),
     cases: int = 1000,
@@ -172,8 +238,8 @@ def identity_suite(
 
     cells = _per_n(run_n, n_values, threads)
 
-    flat = [v for cell in cells.values() for res in cell.values() for v in res.values()]
-    max_residual = max(flat) if flat else None
+    residuals = _identity_residuals(cells)
+    max_residual = max(residuals.values()) if residuals else None
     verdict = {"max_residual": max_residual, "tolerance": tol, "checks": {}}
     from llab.reports import evaluate_verdict
 
@@ -189,7 +255,7 @@ def identity_suite(
         "verdict": verdict,
         "passed": evaluate_verdict(verdict),
     }
-    if not flat or cases == 0:
+    if not residuals or cases == 0:
         report["warning"] = "vacuous"
     return report
 
@@ -240,33 +306,15 @@ def torus_suite(
 
     blocks = _per_n(run_n, n_values, threads)
 
-    residuals: list[float] = []
+    residuals = _torus_residuals(blocks)
     checks: dict[str, bool] = {}
     for key, b in blocks.items():
-        cc = b["complex_checks"]
-        residuals.extend(
-            cc[name]
-            for name in (
-                "d_squared",
-                "d_lambda_squared",
-                "adjointness",
-                "commutator_L",
-                "commutator_Lambda",
-                "harmonic_iff_closed_coclosed",
-            )
-        )
-        checks[f"{key}.hodge_dims"] = cc["hodge_dim_mismatch"] == 0
+        checks[f"{key}.hodge_dims"] = b["complex_checks"]["hodge_dim_mismatch"] == 0
         for pq, r in b["p7"].items():
-            residuals.append(r["projection_residual"])
             checks[f"{key}.p7[{pq}]"] = bool(r["passed"])
-        residuals.append(b["lemma_L8"]["max_residual"])
-        residuals.append(b["lemma_L10"]["max_cross_term"])
-        residuals.append(b["kahler_identity"]["max_residual"])
         checks[f"{key}.anti_invariant"] = bool(b["anti_invariant"]["passed"])
-        residuals.append(b["self_dual"]["max_ratio_deviation_from_nminus1"])
-        residuals.append(b["self_dual"]["max_dlambda_residual"])
         checks[f"{key}.self_dual"] = bool(b["self_dual"]["passed"])
-    max_residual = max(residuals) if residuals else None
+    max_residual = max(residuals.values()) if residuals else None
     verdict = {"max_residual": max_residual, "tolerance": tol, "checks": checks}
     from llab.reports import evaluate_verdict
 
@@ -351,7 +399,7 @@ def hyperbolic_suite(
     ]
     if oracle_errs:
         checks["oracle_agreement_3pct"] = all(e < 0.03 for e in oracle_errs)
-    max_residual = max(r["residual"] / r["lambda1"] for r in sweep["rows"])
+    max_residual = max(_hyperbolic_residuals(sweep["rows"]).values())
     verdict = {"max_residual": max_residual, "tolerance": tol, "checks": checks}
     from llab.reports import evaluate_verdict
 

@@ -266,6 +266,8 @@ def test_cli_hyperbolic_honours_tol(capsys):
     # with the tolerance it is over; every named check still holds
     assert re.search(r"max residual \d\.\d{3}e-\d+ > tol 1e-300;", out)
     assert "failed:" not in out
+    # ... and the sweep row it sits on
+    assert re.search(r"; worst: R2\.0\.h0\.[23] \d\.\de-\d+; config ", out)
 
 
 def test_cli_fail_line_names_the_false_checks(capsys):
@@ -276,6 +278,36 @@ def test_cli_fail_line_names_the_false_checks(capsys):
     assert "n2.self_dual" in failed and "n2.anti_invariant" in failed
     assert all(name.startswith("n2.") for name in failed)
     assert " > tol 1e-30;" in line
+    # the worst residual is named by its block and check, on stdout only
+    worst = re.search(r"; worst: (\S+) (\d\.\de-\d+); failed: ", line)
+    assert worst and worst.group(1).startswith("n2.")
+
+
+@pytest.mark.parametrize("suite", ["verify-identities", "torus", "hyperbolic"])
+def test_worst_cell_holds_the_max_residual(suite):
+    from llab.suites import hyperbolic_suite, identity_suite, torus_suite, worst_cell
+
+    if suite == "verify-identities":
+        payload = identity_suite(n_values=(1, 2), cases=20, cross_cases=10, threads=1)
+    elif suite == "torus":
+        payload = torus_suite(n_values=(2,), samples=4, threads=1)
+    else:
+        payload = hyperbolic_suite(R_values=(2.0,), h_values=(0.4, 0.3))
+    name, value = worst_cell(payload)
+    assert value == payload["verdict"]["max_residual"]
+    # the name is the report path of the residual (a sweep row for hyperbolic)
+    if suite == "verify-identities":
+        n, k, check = name.split(".", 2)
+        assert payload["cells"][n][k][check] == value
+    elif suite == "torus":
+        block, part = name.split(".", 1)
+        leaf = payload["blocks"][block]
+        for key in re.findall(r"[^.\[\]]+|\[[^\]]+\]", part):
+            leaf = leaf[key.strip("[]")]
+        assert leaf == value
+    else:
+        row = next(r for r in payload["sweep"]["rows"] if f"R{r['R']}.h{r['h']}" == name)
+        assert row["residual"] / row["lambda1"] == value
 
 
 def test_cli_torus_without_nontrivial_self_dual_cases_is_vacuous(tmp_path, capsys):
@@ -424,6 +456,108 @@ def test_decompose_cli_exit_codes_bad_fields(tmp_path, capsys, doc, message):
     bad.write_text(json.dumps(doc))
     assert main(["decompose", str(bad), str(tmp_path / "o.json")]) == 2
     assert message in capsys.readouterr().err
+
+
+_STD1 = {"omega": [[0.0, 1.0], [-1.0, 0.0]], "J": [[0.0, -1.0], [1.0, 0.0]]}
+
+
+def _with_entry(matrix, value):
+    return [[value, matrix[0][1]], list(matrix[1])]
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (
+            {"triple": {**_STD1, "omega": _with_entry(_STD1["omega"], float("nan"))}},
+            "triple: field 'omega' has a non-finite entry",
+        ),
+        (
+            {"triple": {**_STD1, "J": _with_entry(_STD1["J"], float("nan"))}},
+            "triple: field 'J' has a non-finite entry",
+        ),
+        (
+            {"triple": {**_STD1, "J": _with_entry(_STD1["J"], float("-inf"))}},
+            "triple: field 'J' has a non-finite entry",
+        ),
+        (
+            {
+                "triple": {
+                    **_STD1,
+                    "n": 1,
+                    "g": np.eye(2).tolist(),
+                    "omega": _with_entry(_STD1["omega"], float("nan")),
+                }
+            },
+            "triple: field 'omega' has a non-finite entry",
+        ),
+        (
+            {"triple": {"standard": 1}, "coeff": {"idx": [1], "re": float("nan"), "im": float("inf")}},
+            "coeffs[0]: coefficient 're' must be finite",
+        ),
+        (
+            {"triple": {"standard": 1}, "coeff": {"idx": [1], "re": 1.0, "im": float("inf")}},
+            "coeffs[0]: coefficient 'im' must be finite",
+        ),
+    ],
+)
+def test_decompose_rejects_non_finite_numbers(tmp_path, capsys, doc, message):
+    coeffs = [doc.pop("coeff")] if "coeff" in doc else []
+    doc["form"] = {"n": 1, "k": 1 if coeffs else 0, "coeffs": coeffs}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # writes the NaN and Infinity literals
+    assert main(["decompose", str(bad), str(tmp_path / "o.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_triple_validate_rejects_nan_residuals():
+    from llab.algebra import CompatibleTriple
+
+    t = CompatibleTriple(n=1, omega=_with_entry(_STD1["omega"], float("nan")), J=_STD1["J"], g=np.eye(2))
+    with pytest.raises(ValueError, match="omega_antisymmetric"):
+        t.validate()
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (
+            {"triple": {"standard": 30}, "form": {"n": 30, "k": 15, "coeffs": []}},
+            "triple: n=30 exceeds the wire-format cap n <= 6",
+        ),
+        (
+            {"triple": {"standard": 2}, "form": {"n": 7, "k": 7, "coeffs": []}},
+            "form: n=7 exceeds the wire-format cap n <= 6",
+        ),
+        (
+            {"triple": {"omega": np.eye(14).tolist(), "J": np.eye(14).tolist()}, "form": {}},
+            "triple: field 'omega' has 14 rows",
+        ),
+    ],
+)
+def test_decompose_rejects_n_over_the_wire_cap(tmp_path, capsys, doc, message):
+    from llab.algebra import WIRE_MAX_N
+
+    assert WIRE_MAX_N == 6
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["decompose", str(bad), str(tmp_path / "o.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_maps_memory_error_to_exit_two(tmp_path, capsys, monkeypatch):
+    import llab.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 774. TiB")
+
+    monkeypatch.setattr(llab.cli, "decompose_file", exhausted)
+    assert main(["decompose", str(_omega_input(tmp_path)), str(tmp_path / "o.json")]) == 2
+    assert "error: out of memory: Unable to allocate 774. TiB" in capsys.readouterr().err
+    monkeypatch.setattr(llab.cli, "run_suite", exhausted)
+    assert main(["verify-identities", "--n", "1", "--cases", "2"]) == 2
+    assert "error: out of memory" in capsys.readouterr().err
 
 
 def test_form_to_json_rejects_batches():

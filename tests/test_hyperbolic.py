@@ -315,6 +315,36 @@ def test_sparse_symmetric_wrapper(small_mesh):
         SparseSymmetricMatrix.from_scipy(bad)
 
 
+def _p1_coo_reference(mesh):
+    """(K, M) scattered as 9 COO entries per triangle, duplicates summed."""
+    area, grads, mu_mid = mesh.geometry.area, mesh.geometry.grads, mesh.geometry.mu_mid
+    phi = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    t = mesh.triangles
+    rows = np.concatenate([t[:, i] for i in range(3) for j in range(3)])
+    cols = np.concatenate([t[:, j] for i in range(3) for j in range(3)])
+    k_vals = [area * (grads[:, i] * grads[:, j]).sum(axis=1) for i in range(3) for j in range(3)]
+    m_vals = [
+        area / 3.0 * (mu_mid * phi[:, i] * phi[:, j]).sum(axis=1) for i in range(3) for j in range(3)
+    ]
+    shape = (mesh.n_vertices, mesh.n_vertices)
+    return tuple(
+        sp.coo_matrix((np.concatenate(v), (rows, cols)), shape=shape).tocsr() for v in (k_vals, m_vals)
+    )
+
+
+@pytest.mark.parametrize("which", ["small_mesh", "fine_mesh", "square24"])
+def test_p1_matrices_summed_per_edge_match_the_coo_scatter(request, which):
+    mesh = request.getfixturevalue(which)
+    es = mesh.edge_structure
+    for got, ref in zip((stiffness_p1(mesh), mass_p1(mesh)), _p1_coo_reference(mesh)):
+        assert got.shape == (mesh.n_vertices, mesh.n_vertices)
+        assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+        # one entry per vertex and two per edge, each pair the same float
+        assert got.nnz == mesh.n_vertices + 2 * es.n_edges
+        assert got.has_canonical_format
+        assert (got != got.T).nnz == 0
+
+
 def test_hyperbolic_lambda1_vs_shooting(small_mesh):
     # R = 2, h = 0.25: P1 error is O(h^2) ~ a few percent
     A, M = assemble_hodge_laplacian(small_mesh, k=0)
@@ -351,6 +381,57 @@ def test_lanczos_path_certificates(small_mesh):
         x = X[:, j]
         r = np.linalg.norm(As @ x - lams[j] * (Ms @ x)) / np.linalg.norm(x)
         assert r < 1e-9 * lams[j]
+
+
+@pytest.mark.parametrize("start", ["random", "constant"])
+def test_lanczos_makes_three_mass_products_a_step(small_mesh, monkeypatch, start):
+    from llab.hyperbolic import eigensolve
+
+    A, M = assemble_hodge_laplacian(small_mesh, k=0)
+    As, Ms = A.as_scipy(), M.as_scipy()
+    products, checks = [], []
+    real_matmul, real_residuals = sp.csr_matrix.__matmul__, eigensolve._pencil_residuals
+
+    def counting_matmul(self, other):
+        if np.shares_memory(self.data, Ms.data):  # the solver's M views the caller's
+            products.append(1)
+        return real_matmul(self, other)
+
+    def counting_residuals(*args):
+        checks.append(1)
+        return real_residuals(*args)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(eigensolve, "_pencil_residuals", counting_residuals)
+    v0 = np.ones(A.dimension) if start == "constant" else None
+    lams, X, iters = smallest_eigenpairs(As, Ms, nev=2, v0=v0)
+    monkeypatch.undo()
+
+    # one product for the start vector, one per residual check and
+    # eigenpair, and three per step
+    assert len(products) <= 1 + 2 * len(checks) + 3 * iters
+    ref = scipy.linalg.eigh(As.toarray(), Ms.toarray(), eigvals_only=True, subset_by_index=[0, 1])
+    assert np.allclose(lams, ref, rtol=1e-12, atol=0)
+    for j in range(2):
+        r = np.linalg.norm(As @ X[:, j] - lams[j] * (Ms @ X[:, j])) / np.linalg.norm(X[:, j])
+        assert r < 1e-8 * lams[j]
+
+
+def test_lanczos_start_vector_is_checked(small_mesh):
+    A, M = assemble_hodge_laplacian(small_mesh, k=0)
+    As, Ms = A.as_scipy(), M.as_scipy()
+    with pytest.raises(ValueError, match="shape"):
+        smallest_eigenpairs(As, Ms, v0=np.ones(3))
+    with pytest.raises(ValueError, match="zero M-norm"):
+        smallest_eigenpairs(As, Ms, v0=np.zeros(A.dimension))
+    # the default start is the seeded random draw, unchanged by v0's arrival
+    seeded = smallest_eigenpairs(As, Ms, seed=5)
+    drawn = smallest_eigenpairs(As, Ms, v0=np.random.default_rng(5).standard_normal(A.dimension))
+    assert np.array_equal(seeded[0], drawn[0]) and seeded[2] == drawn[2]
+    # the CSC view of the symmetric A is factored as it is, to the same pairs
+    viewed = smallest_eigenpairs(As.T, Ms, seed=5)
+    assert As.T.format == "csc" and np.shares_memory(As.T.data, As.data)
+    assert np.array_equal(viewed[0], seeded[0]) and np.array_equal(viewed[1], seeded[1])
 
 
 def test_lanczos_nonconvergence_carries_best(small_mesh):
@@ -456,6 +537,64 @@ def test_crossterm_constant_within_proved_bound(fine_mesh):
     assert np.isfinite(out["C_f_max"])
 
 
+def _crossterm_reference(mesh, profile, n_samples, seed):
+    """The per-sample loop, every midpoint field rebuilt for each sample."""
+    from llab.hyperbolic.forms import _whitney_at_midpoints
+
+    es = mesh.edge_structure
+    rng = np.random.default_rng(seed)
+    eps = profile.eps
+    area, mu_mid = mesh.geometry.area, mesh.geometry.mu_mid
+    p = mesh.vertices[mesh.triangles]
+    mids = 0.5 * np.stack([p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1)
+    out_cf, out_csqrt = [], []
+    for _ in range(n_samples):
+        alpha = rng.standard_normal(es.n_edges)
+        w = area[:, None] / 3.0
+        p_mid = mids.reshape(-1, 2)
+        rho_mid = mesh.geodesic_radius(p_mid)
+        f_mid = profile.f_at(rho_mid).reshape(-1, 3)
+        r = np.hypot(p_mid[:, 0], p_mid[:, 1])
+        drho_dr = 2.0 / (1.0 - r**2) if mesh.metric == "hyperbolic" else np.ones_like(r)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            radial = np.where(r[:, None] > 0, p_mid / np.maximum(r, 1e-300)[:, None], 0.0)
+        grad_f = ((profile.df_at(rho_mid) * drho_dr)[:, None] * radial).reshape(-1, 3, 2)
+        vals, d_uv = _whitney_at_midpoints(mesh, es, alpha)
+        wedge_uv = 2.0 * f_mid * (grad_f[:, :, 0] * vals[:, :, 1] - grad_f[:, :, 1] * vals[:, :, 0])
+        pairing = float((w * d_uv[:, None] * wedge_uv / mu_mid).sum())
+        alpha_sq = (vals**2).sum(axis=2)
+        n_fa = np.sqrt((w * f_mid**2 * alpha_sq).sum())
+        n_fda = np.sqrt((w * f_mid**2 * d_uv[:, None] ** 2 / mu_mid).sum())
+        n_sfa = np.sqrt((w * f_mid * alpha_sq).sum())
+        n_sfda = np.sqrt((w * f_mid * d_uv[:, None] ** 2 / mu_mid).sum())
+        out_cf.append(abs(pairing) / (eps * n_fa * n_fda))
+        out_csqrt.append(abs(pairing) / (eps * n_sfa * n_sfda))
+    return max(out_cf), max(out_csqrt)
+
+
+@pytest.mark.parametrize("which", ["small_mesh", "fine_mesh", "square24"])
+def test_crossterm_constant_matches_the_per_sample_loop(request, which):
+    mesh = request.getfixturevalue(which)
+    profile = cutoff_family(mesh, eps=0.8 if mesh.metric == "hyperbolic" else 1.0)
+    out = crossterm_constant(mesh, profile, n_samples=3, seed=11)
+    c_f, c_sqrtf = _crossterm_reference(mesh, profile, n_samples=3, seed=11)
+    assert out["C_f_max"] == pytest.approx(c_f, rel=1e-13)
+    assert out["C_sqrtf_max"] == pytest.approx(c_sqrtf, rel=1e-13)
+
+
+@pytest.mark.parametrize("which", ["small_mesh", "fine_mesh"])
+def test_theta_sup_norm_over_edge_midpoints_equals_the_triangle_midpoints(request, which):
+    from llab.hyperbolic.forms import _theta_components
+
+    mesh = request.getfixturevalue(which)
+    p = mesh.vertices[mesh.triangles]
+    mids = 0.5 * np.stack([p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1)
+    samples = np.vstack([mesh.vertices, mids.reshape(-1, 2)])
+    comp = _theta_components(samples)
+    ref = float(np.sqrt((comp**2).sum(axis=1) / mesh.mu(samples)).max())
+    assert bounded_primitive(mesh).sup_norm == ref
+
+
 @pytest.mark.parametrize("which", ["small_mesh", "square24"])
 def test_whitney_at_midpoints_matches_triangle_major_loop(request, which, rng):
     from llab.hyperbolic.forms import _LAMBDA_MID, _whitney_at_midpoints
@@ -499,6 +638,22 @@ def test_annulus_decay_oracle(fine_mesh):
         )
         assert table.masses[j] == pytest.approx(exact, rel=0.15)
     assert table.partial_sums_consistent()
+
+
+@pytest.mark.parametrize("jmax", [None, 2])
+def test_annulus_masses_match_one_mask_per_annulus(fine_mesh, jmax):
+    from llab.hyperbolic.forms import _whitney_at_midpoints
+
+    es = fine_mesh.edge_structure
+    alpha = np.random.default_rng(3).standard_normal(es.n_edges)
+    table = annulus_decay(alpha, fine_mesh, jmax=jmax)
+    vals, _ = _whitney_at_midpoints(fine_mesh, es, alpha)
+    energy = (fine_mesh.geometry.area / 3.0) * (vals**2).sum(axis=2).sum(axis=1)
+    bins = np.floor(fine_mesh.geodesic_radius(fine_mesh.centroids())).astype(int)
+    ref = [energy[bins == j].sum() for j in range(table.jmax)]
+    assert table.jmax == (4 if jmax is None else jmax)
+    assert np.allclose(table.masses, ref, rtol=1e-13, atol=0)
+    assert table.total_norm_sq == pytest.approx(energy.sum(), rel=1e-13)
 
 
 def test_annulus_divergence_certificate_synthetic():
