@@ -10,7 +10,10 @@ construction and safe to share across threads.
 
 Every operator matrix of a triple lives in its `Ops` bundle (`t.ops`), built
 block by block on first use and freed with the triple, so the per-form
-functions below are single matrix products.
+functions below are single matrix products.  The blocks are gathers and
+scatters of the triple's values over index-and-sign tables of basis
+products (`_wedge_table`), which depend only on (2n, k) and are built once
+per process.
 
 Coefficients are complex throughout.  Real forms are a subspace recognised by
 `KForm.is_real`, because the (p,q) type decomposition is intrinsically
@@ -20,12 +23,13 @@ complex; see CONVENTIONS.md for the orientation and J-action conventions.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -113,6 +117,11 @@ def merge_sign(mask_a: int, mask_b: int) -> int:
     return sign
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # forms
 # ---------------------------------------------------------------------------
@@ -134,15 +143,27 @@ class KForm:
     __slots__ = ("n", "k", "data")
 
     def __init__(self, n: int, k: int, data):
+        arr = np.array(data, dtype=complex)  # a copy: the caller keeps its own array
+        self._take(n, k, arr)
+
+    @classmethod
+    def _own(cls, n: int, k: int, arr: np.ndarray) -> "KForm":
+        """A form that takes ownership of `arr`, a complex array just computed
+        here and referenced nowhere else: checked and made read-only, not copied."""
+        if not isinstance(arr, np.ndarray) or arr.dtype != complex:
+            raise TypeError(f"expected a complex array, got {getattr(arr, 'dtype', type(arr))}")
+        out = object.__new__(cls)
+        out._take(n, k, arr)
+        return out
+
+    def _take(self, n: int, k: int, arr: np.ndarray) -> None:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         if not 0 <= k <= 2 * n:
             raise ValueError(f"degree {k} out of range [0, {2 * n}]")
-        arr = np.asarray(data, dtype=complex)
         want = math.comb(2 * n, k)
         if arr.ndim not in (1, 2) or arr.shape[0] != want:
             raise ValueError(f"expected {want} coefficients for (n={n}, k={k}), got {arr.shape}")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
@@ -264,13 +285,15 @@ class CompatibleTriple:
         live exactly as long as the triple."""
         return Ops(self)
 
-    @property
+    # the inverses are computed once per triple, read-only like the triple:
+    # every compound degree of the Gram matrices starts from them
+    @cached_property
     def omega_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.omega)
+        return _read_only(np.linalg.inv(self.omega))
 
-    @property
+    @cached_property
     def g_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.g)
+        return _read_only(np.linalg.inv(self.g))
 
     def omega_form(self) -> KForm:
         """omega as a 2-form: sum_{i<j} omega_ij e^i ^ e^j."""
@@ -353,28 +376,57 @@ def triple_from_omega_j(omega: np.ndarray, J: np.ndarray) -> CompatibleTriple:
 # multilinear machinery
 # ---------------------------------------------------------------------------
 
+class _Products(NamedTuple):
+    """Index-and-sign table of the nonzero products of basis forms:
+    e^{left} ^ e^{right} = sign e^{target}, as positions in the bases of
+    their degrees (read-only arrays, one entry per product)."""
+
+    target: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    sign: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(dim: int, a: int, b: int) -> _Products:
+    """Every product of a degree-a and a degree-b basis form that is not zero.
+
+    Entries come grouped by target in basis order, C(a+b, a) per target, and
+    within a target by the left factor's generators in lexicographic order;
+    for a = 1 that is the position of the left generator in the target.
+    Built once per (dim, a, b); every operator of every triple reads it.
+    """
+    left, right = _mask_index(dim, a), _mask_index(dim, b)
+    rows = []
+    for t, m in enumerate(basis_masks(dim, a + b)):
+        gens = [1 << i for i in range(dim) if m >> i & 1]
+        for picked in itertools.combinations(gens, a):
+            lm = sum(picked)
+            rows.append((t, left[lm], right[m ^ lm], merge_sign(lm, m ^ lm)))
+    cols = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    return _Products(*map(_read_only, (cols[0], cols[1], cols[2], cols[3].astype(float))))
+
+
+@lru_cache(maxsize=None)
+def _basis_indices(dim: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The 1-based index tuples of the degree-k basis forms, in basis order."""
+    return tuple(mask_to_indices(m) for m in basis_masks(dim, k))
+
+
 def wedge(a: KForm, b: KForm) -> KForm:
-    """Graded-anticommutative product, sign by transposition counting."""
+    """Graded-anticommutative product of two single forms, sign by
+    transposition counting."""
     if a.n != b.n:
         raise ValueError(f"mismatched half-dimension: {a.n} vs {b.n}")
     k = a.k + b.k
     if k > 2 * a.n:
         raise ValueError(f"degree overflow: {a.k} + {b.k} > {2 * a.n}")
+    if a.data.ndim != 1 or b.data.ndim != 1:
+        raise ValueError("wedge takes single forms, not batches")
     dim = 2 * a.n
-    out = np.zeros(math.comb(dim, k), dtype=complex)
-    index = _mask_index(dim, k)
-    masks_a = basis_masks(dim, a.k)
-    masks_b = basis_masks(dim, b.k)
-    for ia, ma in enumerate(masks_a):
-        ca = a.data[ia]
-        if ca == 0:
-            continue
-        for ib, mb in enumerate(masks_b):
-            cb = b.data[ib]
-            if cb == 0 or (ma & mb):
-                continue
-            out[index[ma | mb]] += merge_sign(ma, mb) * ca * cb
-    return KForm(a.n, k, out)
+    p = _wedge_table(dim, a.k, b.k)
+    terms = p.sign * a.data[p.left] * b.data[p.right]
+    return KForm._own(a.n, k, terms.reshape(math.comb(dim, k), -1).sum(axis=1))
 
 
 def contract_vector(a: KForm, v: np.ndarray) -> KForm:
@@ -386,20 +438,36 @@ def contract_vector(a: KForm, v: np.ndarray) -> KForm:
     return KForm(a.n, a.k - 1, M @ a.data)
 
 
-def _compound(M: np.ndarray, dim: int, k: int) -> np.ndarray:
+def _compound(M: np.ndarray, dim: int, k: int, lower: np.ndarray | None) -> np.ndarray:
     """k-th compound of a (dim x dim) matrix: C[I, J] = det M[I, J] over the
     degree-k basis masks.
 
     For a bilinear form h on covectors this is the Gram matrix h induces on
     Lambda^k; for the matrix of a covector map (columns = images) it is the
-    induced map on Lambda^k.
+    induced map on Lambda^k.  Each minor is expanded along its first row,
+    det M[I, J] = sum_{j in J} s M[i0, j] det M[I - i0, J - j] with i0 = min I
+    and e^j ^ e^{J-j} = s e^J, from `lower`, the (k-1)-th compound (None at
+    k = 0, where the compound is [[1]]).
     """
     if k == 0:
         return np.ones((1, 1), dtype=M.dtype)
-    if k == 1:
-        return np.array(M)  # the degree-1 masks list the generators in order
-    idx = np.array([mask_to_indices(m) for m in basis_masks(dim, k)]) - 1
-    return np.linalg.det(M[idx[:, None, :, None], idx[None, :, None, :]])
+    size = math.comb(dim, k)
+    p = _wedge_table(dim, 1, k - 1)
+    gen, rest, sign = (x.reshape(size, k) for x in (p.left, p.right, p.sign))
+    # per row mask I: row i0 of M, and the row of `lower` for the other rows
+    first, others = M[gen[:, 0]], lower[rest[:, 0]]
+    out = np.zeros((size, size), dtype=np.result_type(M, lower))
+    for t in range(k):  # the t-th generator of each column mask J
+        out += first.take(gen[:, t], axis=1) * sign[:, t] * others.take(rest[:, t], axis=1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _holomorphic_degree(dim: int, k: int) -> np.ndarray:
+    """p of each degree-k product of the frame: how many of its factors are
+    among the first dim/2 columns, the (1,0) coframe."""
+    low = (1 << dim // 2) - 1
+    return _read_only(np.array([(m & low).bit_count() for m in basis_masks(dim, k)], dtype=int))
 
 
 @lru_cache(maxsize=None)
@@ -457,15 +525,24 @@ class Ops:
 
     # -- metric and symplectic pairings -------------------------------------
 
+    def _compound_block(self, block, M: np.ndarray, k: int) -> np.ndarray:
+        """k-th compound of M, one cofactor step from `block`'s (k-1)-th."""
+        return _compound(M, self.dim, k, block(k - 1) if k else None)
+
+    def _two_form(self, w: np.ndarray) -> np.ndarray:
+        """The entries w[i, j], i < j, in the order of the degree-2 basis."""
+        i, j = np.array(_basis_indices(self.dim, 2)).T - 1
+        return w[i, j]
+
     @_block
     def gram(self, k: int) -> np.ndarray:
         """Gram matrix of the g-inner product on Lambda^k (real symmetric PD)."""
-        return _compound(self.t.g_inv, self.dim, k)
+        return self._compound_block(self.gram, self.t.g_inv, k)
 
     @_block
     def omega_gram(self, k: int) -> np.ndarray:
         """Gram-type matrix of the omega^{-1} pairing on Lambda^k."""
-        return _compound(self.t.omega_inv, self.dim, k)
+        return self._compound_block(self.omega_gram, self.t.omega_inv, k)
 
     @property
     @_block
@@ -479,14 +556,11 @@ class Ops:
 
     def _star(self, gram: np.ndarray, k: int) -> np.ndarray:
         """The star built from `gram` on Lambda^k: alpha ^ star(beta) =
-        gram(alpha, beta) vol."""
-        index_c = _mask_index(self.dim, self.dim - k)
-        top = self.size - 1
-        S = np.zeros((len(index_c), gram.shape[1]))
-        Gv = gram * self.vol
-        for i, m in enumerate(basis_masks(self.dim, k)):
-            comp = top ^ m
-            S[index_c[comp], :] += merge_sign(m, comp) * Gv[i, :]
+        gram(alpha, beta) vol: a signed row permutation of `gram`, each row
+        moved to its complement's."""
+        p = _wedge_table(self.dim, k, self.dim - k)
+        S = np.empty((len(p.right), gram.shape[1]))
+        S[p.right] = p.sign[:, None] * (gram[p.left] * self.vol)
         return S
 
     @_block
@@ -506,7 +580,7 @@ class Ops:
     @_block
     def jpull(self, k: int) -> np.ndarray:
         """Pullback along J on Lambda^k; c -> c o J has coefficient matrix J^T."""
-        return _compound(self.t.J.T, self.dim, k)
+        return self._compound_block(self.jpull, self.t.J.T, k)
 
     @property
     @_block
@@ -529,7 +603,7 @@ class Ops:
     def frame_compound(self, k: int) -> np.ndarray:
         """Columns: the degree-k products of `frame`, in the real basis.  The
         (p,q) forms are the columns whose mask has p bits below n."""
-        return _compound(self.frame, self.dim, k)
+        return self._compound_block(self.frame_compound, self.frame, k)
 
     @_block
     def pq(self, k: int) -> dict:
@@ -537,11 +611,11 @@ class Ops:
         n = self.t.n
         C = self.frame_compound(k)
         Cinv = np.linalg.inv(C)
-        low = (1 << n) - 1
+        p_of = _holomorphic_degree(self.dim, k)
         out = {}
         for p in range(max(0, k - n), min(k, n) + 1):
-            sel = np.array([1.0 if (m & low).bit_count() == p else 0.0 for m in basis_masks(self.dim, k)])
-            out[(p, k - p)] = C @ (sel[:, None] * Cinv)
+            sel = p_of == p
+            out[(p, k - p)] = C[:, sel] @ Cinv[sel]
         return out
 
     @_block
@@ -561,27 +635,21 @@ class Ops:
             return np.eye(math.comb(self.dim, k))
         if r > 1:
             return self.lpow(k + 2 * (r - 1), 1) @ self.lpow(k, r - 1)
-        rows = _mask_index(self.dim, k + 2)
-        M = np.zeros((len(rows), math.comb(self.dim, k)))
-        w = self.t.omega
-        pairs = [(i, j) for i in range(self.dim) for j in range(i + 1, self.dim) if w[i, j] != 0]
-        for c, m in enumerate(basis_masks(self.dim, k)):
-            for i, j in pairs:
-                bits = (1 << i) | (1 << j)
-                if not m & bits:
-                    M[rows[m | bits], c] += w[i, j] * merge_sign(bits, m)
+        # each (row, column) entry is one product e^{ij} ^ e^m of the table
+        p = _wedge_table(self.dim, 2, k)
+        M = np.zeros((math.comb(self.dim, k + 2), math.comb(self.dim, k)))
+        M[p.target, p.right] = self._two_form(self.t.omega)[p.left] * p.sign
         return M
 
     @_block
     def lam(self, k: int) -> np.ndarray:
         """Lambda = (1/2) (omega^{-1})^{ij} i_{e_i} i_{e_j} : Lambda^k -> Lambda^{k-2}, k >= 2."""
+        # the i < j and j < i terms pair up as (w_ij - w_ji)/2 i_{e_i} i_{e_j}, and
+        # i_{e_i} i_{e_j} takes e^{ij} ^ e^R to -e^R: the L table, transposed
         w = self.t.omega_inv
+        p = _wedge_table(self.dim, 2, k - 2)
         M = np.zeros((math.comb(self.dim, k - 2), math.comb(self.dim, k)))
-        for i in range(self.dim):
-            Ci = _contraction_matrix(self.dim, k - 1, i)
-            for j in range(self.dim):
-                if w[i, j] != 0:
-                    M += 0.5 * w[i, j] * (Ci @ _contraction_matrix(self.dim, k, j))
+        M[p.right, p.target] = -0.5 * (self._two_form(w) - self._two_form(w.T))[p.left] * p.sign
         return M
 
     @_block
@@ -642,11 +710,9 @@ class Ops:
     def W(self) -> np.ndarray:
         """W[j] = e^{j+1} ^ . on the full algebra."""
         W = np.zeros((self.dim, self.size, self.size))
-        for j in range(self.dim):
-            b = 1 << j
-            for m in range(self.size):
-                if not m & b:
-                    W[j, m | b, m] = merge_sign(b, m)
+        for k in range(self.dim):
+            p = _wedge_table(self.dim, 1, k)
+            W[p.left, self.masks(k + 1)[p.target], self.masks(k)[p.right]] = p.sign
         return W
 
     @property
@@ -703,12 +769,12 @@ def norm(a: KForm, t: CompatibleTriple):
 
 def hodge_star(a: KForm, t: CompatibleTriple) -> KForm:
     """Riemannian Hodge star (complex-linear extension): <a,b> dvol = a ^ *b."""
-    return KForm(a.n, 2 * a.n - a.k, t.ops.star(a.k) @ a.data)
+    return KForm._own(a.n, 2 * a.n - a.k, t.ops.star(a.k) @ a.data)
 
 
 def j_action(a: KForm, t: CompatibleTriple) -> KForm:
     """(J a)(u_1, ..., u_k) = a(J u_1, ..., J u_k): pullback along J."""
-    return KForm(a.n, a.k, t.ops.jpull(a.k) @ a.data)
+    return KForm._own(a.n, a.k, t.ops.jpull(a.k) @ a.data)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +801,7 @@ class BigradedForm:
 
 def pq_decompose(a: KForm, t: CompatibleTriple) -> BigradedForm:
     """Split a into its Pi^{p,q} projections with respect to t's J."""
-    comps = {pq: KForm(a.n, a.k, M @ a.data) for pq, M in t.ops.pq(a.k).items()}
+    comps = {pq: KForm._own(a.n, a.k, M @ a.data) for pq, M in t.ops.pq(a.k).items()}
     return BigradedForm(k=a.k, components=comps)
 
 
@@ -746,7 +812,7 @@ def pq_projector_matrices(t: CompatibleTriple, k: int) -> dict:
 
 def weil_operator(a: KForm, t: CompatibleTriple) -> KForm:
     """J-Weil operator: multiplies the (p,q)-part by i^{p-q}."""
-    return KForm(a.n, a.k, t.ops.weil(a.k) @ a.data)
+    return KForm._own(a.n, a.k, t.ops.weil(a.k) @ a.data)
 
 
 # ---------------------------------------------------------------------------
@@ -757,16 +823,20 @@ def form_to_json(a: KForm) -> dict:
     """`{"n":, "k":, "coeffs": [{"idx": [...], "re":, "im":}]}`; exact floats."""
     if a.data.ndim != 1:
         raise ValueError(f"the wire format holds one form, got a batch of {a.data.shape[1]}")
-    coeffs = []
-    for m, c in zip(basis_masks(2 * a.n, a.k), a.data):
-        if c != 0:
-            coeffs.append({"idx": list(mask_to_indices(m)), "re": float(c.real), "im": float(c.imag)})
+    indices = _basis_indices(2 * a.n, a.k)
+    nz = np.flatnonzero(a.data)
+    coeffs = [
+        {"idx": list(indices[i]), "re": re, "im": im}
+        for i, re, im in zip(nz.tolist(), a.data.real[nz].tolist(), a.data.imag[nz].tolist())
+    ]
     return {"n": a.n, "k": a.k, "coeffs": coeffs}
 
 
-# The largest n either wire format accepts.  The decomposition's minor
-# stacks grow like C(2n, n)^2 n^2: n = 6 takes seconds, n = 7 asks for
-# 4.3 GiB, and n = 30 would be 774 TiB.
+# The largest n either wire format accepts.  A decomposition holds dense
+# C(2n, k) x C(2n, k) complex blocks (the frame compounds and their inverse,
+# one (p,q) projector per bidegree): `llab decompose` at n = 6, k = 6 takes
+# 1.4 s and 233 MB peak RSS (one process, 1 BLAS thread), while at n = 7 each
+# block of the middle degree alone is 188 MB.
 WIRE_MAX_N = 6
 
 

@@ -78,7 +78,7 @@ def lefschetz_power_matrix(t: CompatibleTriple, k: int, r: int) -> np.ndarray:
 
 def _power(a: KForm, r: int, t: CompatibleTriple) -> KForm:
     """L^r a (the target degree must stay inside the algebra)."""
-    return KForm(a.n, a.k + 2 * r, lefschetz_power_matrix(t, a.k, r) @ a.data)
+    return KForm._own(a.n, a.k + 2 * r, lefschetz_power_matrix(t, a.k, r) @ a.data)
 
 
 def lefschetz_L(a: KForm, t: CompatibleTriple) -> KForm:
@@ -91,8 +91,8 @@ def lefschetz_L(a: KForm, t: CompatibleTriple) -> KForm:
 def dual_lefschetz(a: KForm, t: CompatibleTriple) -> KForm:
     """Lambda(a), the omega^{-1} double contraction.  Zero on degrees < 2."""
     if a.k < 2:
-        return KForm(a.n, 0, np.zeros((1,) + a.data.shape[1:]))
-    return KForm(a.n, a.k - 2, t.ops.lam(a.k) @ a.data)
+        return KForm._own(a.n, 0, np.zeros((1,) + a.data.shape[1:], dtype=complex))
+    return KForm._own(a.n, a.k - 2, t.ops.lam(a.k) @ a.data)
 
 
 def symplectic_star(a: KForm, t: CompatibleTriple) -> KForm:
@@ -101,7 +101,7 @@ def symplectic_star(a: KForm, t: CompatibleTriple) -> KForm:
     The pairing is extended to degree k by Gram minors of omega^{-1} and is
     complex-bilinear (no conjugation); star_s o star_s = id.
     """
-    return KForm(a.n, 2 * a.n - a.k, t.ops.sstar(a.k) @ a.data)
+    return KForm._own(a.n, 2 * a.n - a.k, t.ops.sstar(a.k) @ a.data)
 
 
 class PrimitivityResult(NamedTuple):
@@ -218,7 +218,7 @@ def primitive_decompose(a: KForm, t: CompatibleTriple) -> LefschetzComponents:
             c = _ladder_coeff(n, k, r, rp)
             if c != 0.0:
                 rhs = rhs - c * _power(comps[rp], rp - r, t).data
-        comps[r] = KForm(n, k - 2 * r, rhs / _ladder_coeff(n, k, r, r))
+        comps[r] = KForm._own(n, k - 2 * r, rhs / _ladder_coeff(n, k, r, r))
     return LefschetzComponents(k=k, components=dict(sorted(comps.items())))
 
 

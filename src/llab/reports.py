@@ -13,9 +13,11 @@ failure (tests pin the pair).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -146,8 +148,104 @@ def _json_default(o):
 
 
 def dump_json_deterministic(obj: dict) -> bytes:
-    """Sorted keys, round-trip floats, trailing newline; no other state."""
-    return (json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n").encode()
+    """Sorted keys, round-trip floats, trailing newline; no other state.
+
+    The bytes of `json.dumps(obj, sort_keys=True, indent=2,
+    default=_json_default) + "\\n"`, written without the pure-Python encoder
+    that `indent` selects in the standard library.
+    """
+    parts: list[str] = []
+    _write_json(obj, parts, "\n")
+    parts.append("\n")
+    return "".join(parts).encode()
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_str(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _key_str(key) -> str:
+    """A dict key as json writes it: the text of a scalar key, quoted."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(_float_str(key))
+    if key is True or key is False or key is None:
+        return {True: '"true"', False: '"false"', None: '"null"'}[key]
+    if isinstance(key, int):
+        return _encode_str(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_json(o, parts: list, nl: str) -> None:
+    """Append the indent-2 text of `o` to `parts`, `nl` being the newline and
+    indent of the line it starts on; types are tested in json's order."""
+    if isinstance(o, str):
+        parts.append(_encode_str(o))
+    elif o is None:
+        parts.append("null")
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    elif isinstance(o, int):
+        parts.append(int.__repr__(o))
+    elif isinstance(o, float):
+        parts.append(_float_str(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        parts.append("[")
+        for i, v in enumerate(o):
+            parts.append("," + inner if i else inner)
+            _write_json(v, parts, inner)
+        parts.append(nl + "]")
+    elif isinstance(o, dict):
+        if len(o) == 3 and _write_coefficient(o, parts, nl):
+            return
+        if not o:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        parts.append("{")
+        for i, (key, v) in enumerate(sorted(o.items())):
+            parts.append(("," + inner if i else inner) + _key_str(key) + ": ")
+            _write_json(v, parts, inner)
+        parts.append(nl + "}")
+    else:
+        _write_json(_json_default(o), parts, nl)
+
+
+def _write_coefficient(o: dict, parts: list, nl: str) -> bool:
+    """Write a form coefficient `{"idx": [int, ...], "im": float, "re": float}`
+    through its cached frame; False, writing nothing, for any other dict.
+    Coefficient entries make up most of a decompose output, and the frame
+    spares the generic writer's key sort and per-index calls on each one."""
+    idx, im, re = o.get("idx"), o.get("im"), o.get("re")
+    if type(idx) is not list or type(im) is not float or type(re) is not float:
+        return False
+    if not all(type(i) is int for i in idx):
+        return False
+    head, mid, tail = _coefficient_frame(nl, tuple(idx))
+    parts.append(head + _float_str(im) + mid + _float_str(re) + tail)
+    return True
+
+
+@functools.lru_cache(maxsize=4096)
+def _coefficient_frame(nl: str, idx: tuple) -> tuple[str, str, str]:
+    """The text of a coefficient entry at indent `nl` around its two floats."""
+    inner = nl + "  "
+    parts = ["{" + inner + '"idx": ']
+    _write_json(list(idx), parts, inner)
+    parts.append("," + inner + '"im": ')
+    return "".join(parts), "," + inner + '"re": ', nl + "}"
 
 
 def _csv_value(v) -> str:

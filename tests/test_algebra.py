@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,6 +97,15 @@ def test_wedge_graded_commutativity(rng):
         b = KForm(n, kb, rng.standard_normal(math.comb(6, kb)))
         sign = (-1) ** (ka * kb)
         assert np.allclose(wedge(a, b).data, sign * wedge(b, a).data, atol=1e-13)
+
+
+def test_wedge_rejects_batches(rng):
+    # a (C, 1) batch would otherwise broadcast the signs into an outer product
+    a = KForm(2, 1, rng.standard_normal((4, 1)))
+    b = KForm(2, 1, rng.standard_normal(4))
+    for x, y in ((a, b), (b, a), (a, a)):
+        with pytest.raises(ValueError, match="single forms"):
+            wedge(x, y)
 
 
 def test_contraction_is_antiderivation(rng):
@@ -340,25 +350,239 @@ def test_defining_property_on_reversed_orientation(rng):
 # ---------------------------------------------------------------------------
 
 
+def _minor_sets(dim: int, k: int) -> list[np.ndarray]:
+    return [np.array(mask_to_indices(m), dtype=int) - 1 for m in basis_masks(dim, k)]
+
+
+def _exact_det(A) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals."""
+    A = [[Fraction(int(x)) for x in row] for row in A]
+    det = Fraction(1)
+    for c in range(len(A)):
+        piv = next((r for r in range(c, len(A)) if A[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            A[c], A[piv] = A[piv], A[c]
+            det = -det
+        det *= A[c][c]
+        for r in range(c + 1, len(A)):
+            f = A[r][c] / A[c][c]
+            A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    return det
+
+
 def test_compound_matches_minor_loop(rng):
-    # reference: one determinant per (I, J) pair of k-subsets
     from llab.algebra import _compound
 
     for n in (2, 3):
         dim = 2 * n
-        M = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        # (a) small integers: every product and partial sum of the cofactor
+        # expansion is an exact float, so each minor must come out exact; each
+        # degree is one cofactor step from the one below, as the bundle builds it
+        Z = rng.integers(-3, 4, size=(dim, dim)).astype(float)
+        C = None
         for k in range(dim + 1):
-            sets = [np.array(mask_to_indices(m), dtype=int) - 1 for m in basis_masks(dim, k)]
+            sets = _minor_sets(dim, k)
+            ref = np.array([[float(_exact_det(Z[np.ix_(I, J)])) for J in sets] for I in sets])
+            C = _compound(Z, dim, k, C)
+            assert np.array_equal(C, ref), (n, k)
+        # (b) complex entries against one LAPACK determinant per minor
+        M = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        C = None
+        for k in range(dim + 1):
+            sets = _minor_sets(dim, k)
+            ref = np.array([[np.linalg.det(M[np.ix_(I, J)]) if k else 1.0 for J in sets] for I in sets])
+            C = _compound(M, dim, k, C)
+            assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref)), (n, k)
 
-            def minor(I, J):
-                if k == 0:
-                    return 1.0
-                if k == 1:
-                    return M[I[0], J[0]]
-                return np.linalg.det(M[np.ix_(I, J)])
 
-            ref = np.array([[minor(I, J) for J in sets] for I in sets])
-            assert np.array_equal(_compound(M, dim, k), ref)
+# ---------------------------------------------------------------------------
+# reference loops: the per-mask constructions the index-and-sign tables
+# replaced, kept here to pin the tables' blocks
+# ---------------------------------------------------------------------------
+
+
+def _ref_compound(M, dim, k):
+    if k == 0:
+        return np.ones((1, 1), dtype=M.dtype)
+    idx = np.array(_minor_sets(dim, k))
+    return np.linalg.det(M[idx[:, None, :, None], idx[None, :, None, :]])
+
+
+def _ref_contraction(dim, k, axis):
+    rows = {m: i for i, m in enumerate(basis_masks(dim, k - 1))}
+    M = np.zeros((len(rows), math.comb(dim, k)))
+    bit = 1 << axis
+    for c, m in enumerate(basis_masks(dim, k)):
+        if m & bit:
+            M[rows[m ^ bit], c] = -1.0 if (m & (bit - 1)).bit_count() & 1 else 1.0
+    return M
+
+
+def _ref_wedge(a: KForm, b: KForm) -> np.ndarray:
+    dim, k = 2 * a.n, a.k + b.k
+    index = {m: i for i, m in enumerate(basis_masks(dim, k))}
+    out = np.zeros(math.comb(dim, k), dtype=complex)
+    for ia, ma in enumerate(basis_masks(dim, a.k)):
+        for ib, mb in enumerate(basis_masks(dim, b.k)):
+            if not ma & mb:
+                out[index[ma | mb]] += merge_sign(ma, mb) * a.data[ia] * b.data[ib]
+    return out
+
+
+class _ReferenceOps:
+    """Every block of `Ops` as the per-mask loops built it."""
+
+    def __init__(self, t: CompatibleTriple):
+        self.t, self.dim = t, 2 * t.n
+        self.size = 1 << self.dim
+
+    def gram(self, k):
+        return _ref_compound(self.t.g_inv, self.dim, k)
+
+    def omega_gram(self, k):
+        return _ref_compound(self.t.omega_inv, self.dim, k)
+
+    def _star(self, gram, k):
+        index_c = {m: i for i, m in enumerate(basis_masks(self.dim, self.dim - k))}
+        vol = self.t.volume_form().data[0].real
+        S = np.zeros((len(index_c), gram.shape[1]))
+        for i, m in enumerate(basis_masks(self.dim, k)):
+            comp = (self.size - 1) ^ m
+            S[index_c[comp], :] += merge_sign(m, comp) * gram[i, :] * vol
+        return S
+
+    def star(self, k):
+        return self._star(self.gram(k), k)
+
+    def sstar(self, k):
+        return self._star(self.omega_gram(k), k)
+
+    def jpull(self, k):
+        return _ref_compound(self.t.J.T, self.dim, k)
+
+    def frame_compound(self, k):
+        return _ref_compound(self.t.ops.frame, self.dim, k)
+
+    def pq(self, k):
+        n = self.t.n
+        C = self.frame_compound(k)
+        Cinv = np.linalg.inv(C)
+        low = (1 << n) - 1
+        out = {}
+        for p in range(max(0, k - n), min(k, n) + 1):
+            sel = np.array([1.0 if (m & low).bit_count() == p else 0.0 for m in basis_masks(self.dim, k)])
+            out[(p, k - p)] = C @ (sel[:, None] * Cinv)
+        return out
+
+    def weil(self, k):
+        return sum((1j ** ((p - q) % 4)) * M for (p, q), M in self.pq(k).items())
+
+    def lpow(self, k, r):
+        if r == 0:
+            return np.eye(math.comb(self.dim, k))
+        if r > 1:
+            return self.lpow(k + 2 * (r - 1), 1) @ self.lpow(k, r - 1)
+        rows = {m: i for i, m in enumerate(basis_masks(self.dim, k + 2))}
+        M = np.zeros((len(rows), math.comb(self.dim, k)))
+        w = self.t.omega
+        for c, m in enumerate(basis_masks(self.dim, k)):
+            for i in range(self.dim):
+                for j in range(i + 1, self.dim):
+                    bits = (1 << i) | (1 << j)
+                    if not m & bits:
+                        M[rows[m | bits], c] += w[i, j] * merge_sign(bits, m)
+        return M
+
+    def lam(self, k):
+        w = self.t.omega_inv
+        M = np.zeros((math.comb(self.dim, k - 2), math.comb(self.dim, k)))
+        for i in range(self.dim):
+            for j in range(self.dim):
+                M += 0.5 * w[i, j] * (_ref_contraction(self.dim, k - 1, i) @ _ref_contraction(self.dim, k, j))
+        return M
+
+    def prim_projector(self, k):
+        # the kernel of Lambda, as an orthogonal projector (a basis is not unique)
+        if k < 2:
+            return np.eye(math.comb(self.dim, k))
+        _, s, Vt = np.linalg.svd(self.lam(k))
+        rank = int(np.sum(s > 1e-10 * s[0]))
+        return Vt[rank:].T @ Vt[rank:].conj()
+
+    def full(self, block, shift):
+        out = np.zeros((self.size, self.size), dtype=complex)
+        for k in range(self.dim + 1):
+            if 0 <= k + shift <= self.dim:
+                out[np.ix_(basis_masks(self.dim, k + shift), basis_masks(self.dim, k))] = block(k)
+        return out
+
+    def W(self):
+        W = np.zeros((self.dim, self.size, self.size))
+        for j in range(self.dim):
+            b = 1 << j
+            for m in range(self.size):
+                if not m & b:
+                    W[j, m | b, m] = merge_sign(b, m)
+        return W
+
+
+def _assert_close(got, ref, what):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape, what
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13 * np.max(np.abs(ref), initial=1.0), what
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_operator_blocks_match_the_reference_loops(n):
+    rng = np.random.default_rng(100 + n)
+    triples = [build_standard_triple(n)] + [random_compatible_triple(n, rng) for _ in range(3)]
+    dim = 2 * n
+    for which, t in enumerate(triples):
+        ops, ref = t.ops, _ReferenceOps(t)
+        for k in range(dim + 1):
+            where = (which, k)
+            for name in ("gram", "omega_gram", "star", "sstar", "jpull", "frame_compound", "weil"):
+                _assert_close(getattr(ops, name)(k), getattr(ref, name)(k), (name,) + where)
+            pq = ops.pq(k)
+            for key, M in ref.pq(k).items():
+                _assert_close(pq[key], M, ("pq", key) + where)
+            assert set(pq) == set(ref.pq(k))
+            for r in range((dim - k) // 2 + 2):  # one power past the top: no rows
+                _assert_close(ops.lpow(k, r), ref.lpow(k, r), ("lpow", r) + where)
+            if k >= 2:
+                _assert_close(ops.lam(k), ref.lam(k), ("lam",) + where)
+            if k <= n:
+                B = ops.prim(k)
+                _assert_close(B @ B.conj().T, ref.prim_projector(k), ("prim",) + where)
+        _assert_close(ops.G, ref.full(ref.gram, 0), ("G", which))
+        _assert_close(ops.L, ref.full(lambda k: ref.lpow(k, 1), 2), ("L", which))
+        _assert_close(ops.Lam, ref.full(ref.lam, -2), ("Lam", which))
+        _assert_close(ops.W, ref.W(), ("W", which))
+        def form(k):
+            size = math.comb(dim, k)
+            return KForm(n, k, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+        for ka in range(dim + 1):
+            for kb in range(dim + 1 - ka):
+                a, b = form(ka), form(kb)
+                _assert_close(wedge(a, b).data, _ref_wedge(a, b), ("wedge", ka, kb, which))
+
+
+def test_kform_copies_the_callers_array_and_owns_its_own(rng):
+    data = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    a = KForm(2, 2, data)
+    data[0] = 99.0  # the caller's array stays the caller's
+    assert a.data[0] != 99.0
+    assert not a.data.flags.writeable
+    fresh = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    b = KForm._own(2, 2, fresh)  # an array just computed is taken as it is
+    assert b.data is fresh and not fresh.flags.writeable
+    with pytest.raises(ValueError):
+        KForm._own(2, 2, np.zeros(5, dtype=complex))
+    with pytest.raises(TypeError):
+        KForm._own(2, 2, np.zeros(6))
 
 
 def test_batched_forms_act_column_by_column(rng):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
 
@@ -398,6 +399,23 @@ def test_decompose_random_three_form(tmp_path):
     assert all(v["is_primitive"] for v in comps.values())
     assert all(v["primitivity_residual"] < 1e-10 for v in comps.values())
     assert result["reconstruction_residuals"]["lefschetz"] < 1e-12
+
+
+@pytest.mark.parametrize("n, k", [(5, 5), (6, 2)])
+def test_decompose_round_trip_above_n4(tmp_path, n, k):
+    from llab.algebra import KForm, form_to_json, random_compatible_triple, triple_to_json
+
+    rng = np.random.default_rng(10 * n + k)
+    t = random_compatible_triple(n, rng)
+    size = math.comb(2 * n, k)
+    a = KForm(n, k, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"triple": triple_to_json(t), "form": form_to_json(a)}))
+    result = decompose_file(inp, tmp_path / "out.json")
+    assert set(result["bidegree_components"]) == {f"{p},{k - p}" for p in range(max(0, k - n), min(k, n) + 1)}
+    assert all(v["is_primitive"] for v in result["lefschetz_components"].values())
+    assert result["reconstruction_residuals"]["lefschetz"] <= 1e-10
+    assert result["reconstruction_residuals"]["bidegree"] <= 1e-10
 
 
 def test_decompose_cli_exit_codes(tmp_path):

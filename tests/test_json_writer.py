@@ -1,0 +1,103 @@
+"""`dump_json_deterministic` writes exactly the bytes of the standard
+library's `json.dumps(obj, sort_keys=True, indent=2, default=_json_default)`
+plus a newline, on arbitrary nested objects and on every document llab
+writes: decompose outputs over every (n, k) with n <= 4, and a report of
+each suite.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from llab.algebra import KForm, form_to_json, random_compatible_triple, triple_to_json
+from llab.cli import decompose_file, run_suite
+from llab.reports import SuiteConfig, _json_default, dump_json_deterministic
+
+# derandomized and without an example database: the same examples on every run
+FUZZ = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def _stdlib(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n").encode()
+
+
+# escapes, control characters, non-ASCII and an astral character (a
+# surrogate pair in the output), plus plain ASCII
+_chars = st.sampled_from(["é", "ω", " ", "😀", "\x00", "\x1f", "\n", "\t", '"', "\\", "/", "\x7f"])
+_text = st.text(_chars | st.characters(max_codepoint=0x7F), max_size=6)
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 5e-324, 1e300, 0.1 + 0.2])
+_ints = st.integers() | st.sampled_from([2**64, -(2**100), 10**40])
+_numpy = st.one_of(
+    _floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(st.integers(-5, 5), max_size=4).map(np.array),
+    st.lists(_floats, max_size=3).map(lambda v: np.array(v, dtype=float).reshape(-1, 1)),
+)
+_scalars = st.none() | st.booleans() | _ints | _floats | _text | _numpy
+# keys of one kind per dict, so that sorting them is defined
+_key_kinds = [_text, _ints | st.booleans(), _floats | _ints, st.none()]
+
+
+def _dicts(values):
+    return st.one_of(*(st.dictionaries(keys, values, max_size=4) for keys in _key_kinds))
+
+
+json_objects = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple) | _dicts(inner),
+    max_leaves=16,
+)
+# coefficient entries, which the writer frames from a cache
+_coeffs = st.fixed_dictionaries(
+    {"idx": st.lists(st.integers(1, 12), max_size=6), "re": _floats, "im": _floats | _ints}
+)
+
+
+@FUZZ
+@given(json_objects | st.lists(_coeffs, max_size=3) | _dicts(_coeffs))
+def test_writer_matches_stdlib_bytes(obj):
+    assert dump_json_deterministic(obj) == _stdlib(obj)
+
+
+def test_writer_refuses_what_stdlib_refuses():
+    for bad in ({"x": object()}, {(1, 2): 1}, {"a": 1j}):
+        with pytest.raises(TypeError):
+            _stdlib(bad)
+        with pytest.raises(TypeError):
+            dump_json_deterministic(bad)
+
+
+def test_decompose_outputs_match_stdlib_bytes(tmp_path):
+    rng = np.random.default_rng(36)
+    for i in range(36):  # n cycles through 1..4, each n through its degrees
+        n = 1 + i % 4
+        k = (i // 4) % (2 * n + 1)
+        t = random_compatible_triple(n, rng)
+        size = math.comb(2 * n, k)
+        a = KForm(n, k, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        inp, out = tmp_path / f"in{i}.json", tmp_path / f"out{i}.json"
+        inp.write_text(json.dumps({"triple": triple_to_json(t), "form": form_to_json(a)}))
+        result = decompose_file(inp, out)
+        assert out.read_bytes() == _stdlib(result), (n, k)
+
+
+@pytest.mark.parametrize(
+    "suite, params",
+    [
+        ("verify-identities", {"n_values": (1, 2), "cases": 20, "cross_cases": 10}),
+        ("torus", {"n_values": (2,), "N": 1, "samples": 2}),
+        ("hyperbolic", {"R_values": (2.0,), "h_values": (0.4, 0.3)}),
+    ],
+)
+def test_suite_reports_match_stdlib_bytes(suite, params):
+    bundle = run_suite(SuiteConfig(suite=suite, params=params))
+    doc = bundle.to_json_dict(timestamp="2026-01-01T00:00:00+00:00")
+    assert bundle.json_bytes(timestamp="2026-01-01T00:00:00+00:00") == _stdlib(doc)

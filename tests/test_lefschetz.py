@@ -446,7 +446,14 @@ def test_identity_residuals_of_a_batch_are_the_worst_column(rng):
         dim = math.comb(4, k)
         data = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
         batch = _identity_residuals(KForm(2, k, data), t)
-        cols = [_identity_residuals(KForm(2, k, data[:, c]), t) for c in range(5)]
+        # column c scored alone, at its own place in a batch of zeros: it then
+        # runs through the same matrix-matrix products as in the full batch
+        # (a 1-D column would take matrix-vector ones, which round differently)
+        cols = []
+        for c in range(5):
+            alone = np.zeros_like(data)
+            alone[:, c] = data[:, c]
+            cols.append(_identity_residuals(KForm(2, k, alone), t))
         for name, v in batch.items():
             assert v == pytest.approx(max(c[name] for c in cols), abs=1e-15), (k, name)
 
