@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -173,6 +174,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _say(line: str) -> None:
+    """Print a status line to stdout.  A reader that closes the pipe early
+    (`llab ... | head -0`) loses the line but not the exit code: stdout is
+    pointed at devnull, so that the interpreter's last flush cannot fail."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -186,7 +197,7 @@ def main(argv=None) -> int:
             print(f"error: out of memory: {e}", file=sys.stderr)
             return 2
         rs = out["reconstruction_residuals"]
-        print(
+        _say(
             f"decomposed: {len(out['lefschetz_components'])} Lefschetz component(s), "
             f"{len(out['bidegree_components'])} bidegree component(s); "
             f"reconstruction residuals {rs['lefschetz']:.3e} / {rs['bidegree']:.3e}"
@@ -251,9 +262,9 @@ def main(argv=None) -> int:
         names = [name for name, ok in verdict.get("checks", {}).items() if not ok]
         if names:
             failed = "; failed: " + ", ".join(names)
-    print(f"[{status}] suite {cfg.suite}{mr_s}{extra}{failed}; config {cfg.config_hash()}")
+    _say(f"[{status}] suite {cfg.suite}{mr_s}{extra}{failed}; config {cfg.config_hash()}")
     if cfg.out_dir:
-        print(f"reports written to {cfg.out_dir}/")
+        _say(f"reports written to {cfg.out_dir}/")
     return 0 if bundle.passed else 1
 
 

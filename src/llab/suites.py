@@ -299,7 +299,7 @@ def torus_suite(
         block["p7"] = p7
         block["lemma_L8"] = verify_lemma_L8(fc, samples, seed, tol)
         block["lemma_L10"] = verify_lemma_L10(fc, samples, seed, tol)
-        block["kahler_identity"] = verify_kahler_identity(fc, samples, tol)
+        block["kahler_identity"] = verify_kahler_identity(fc, tol)
         block["anti_invariant"] = anti_invariant_suite(fc, tol)
         block["self_dual"] = self_dual_invariant_relation(fc, samples, tol)
         return block

@@ -3,21 +3,19 @@
 A constant compatible triple makes every differential operator block-diagonal
 over Fourier modes xi in Z^{2n}: on the mode-xi block, d acts as the wedge
 with c(xi) = 2*pi*i * sum_j xi_j e^j.  The first-order operators d, d*
-(g-adjoint), d^Lambda = d Lambda - Lambda d and d^{Lambda*} are linear in xi
-and kept once as 2n coefficient matrices on the full exterior algebra
-(indexed by bitmasks); with them come Delta_d = dd* + d*d and
-
-    D = d* d + d^{Lambda*} d^Lambda
-
-(whose commutation with L and Lambda drives the primitive decomposition of
-harmonic forms).  The sampled identity checks act on column batches, one
-column per (form, active mode): an operator is one product with the
-Lambda^k -> Lambda^{k+-1} slice of its stack and a xi-weighted sum, with no
-per-mode matrix; `check_complex` contracts each degree block with every
-sampled mode at once.  Only the Kahler Laplacian comparison and the
-self-dual relation read 4^n x 4^n operators off `FourierComplex.mode_ops`
-(as does `hyperbolic.gap`).  Harmonic content on a flat torus is exactly
-the xi = 0 block, which the harmonic-space scan confirms rather than assumes.
+(g-adjoint), d^Lambda = d Lambda - Lambda d and d^{Lambda*} are linear in xi,
+kept once as 2n coefficient matrices on the full exterior algebra (indexed by
+bitmasks); Delta_d = dd* + d*d and D = d* d + d^{Lambda*} d^Lambda (whose
+commutation with L and Lambda drives the primitive decomposition of harmonic
+forms) are quadratic in xi, with symmetric (j, l) coefficient blocks per
+degree.  An identity linear or quadratic in xi holds at every xi, in the
+cutoff or beyond, iff its coefficients satisfy it: `check_complex`, the Kahler
+Laplacian comparison and the Weitzenbock identity Delta_d(xi) = 4 pi^2
+|xi|^2_g I, which confines harmonic content to the xi = 0 block, are proven
+there.  L8, L10 and the self-dual relation sample mode-sparse random forms;
+L8 and L10 act on column batches, one column per (form, active mode), with no
+per-mode matrix.  Only the self-dual relation reads 4^n x 4^n operators off
+`FourierComplex.mode_ops` (as does `hyperbolic.gap`).
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ import numpy as np
 
 from llab.algebra import (
     CompatibleTriple,
+    _holomorphic_degree,
     KForm,
     hodge_star,
     pq_projector_matrices,
@@ -52,19 +51,30 @@ __all__ = [
 ]
 
 
-def _degree_block(alg, A: np.ndarray, k_out: int, k_in: int) -> np.ndarray:
-    """The Lambda^{k_in} -> Lambda^{k_out} block of a full-algebra matrix, or
-    of each matrix of a stack."""
-    return A[..., alg.masks(k_out)[:, None], alg.masks(k_in)]
-
-
 _SHIFT = {"d": 1, "d_star": -1, "d_lambda": -1, "d_lambda_star": 1}  # degree change
+
+# second-order operators as sums of products first(xi) second(xi), `second` applied first
+_SECOND_ORDER = {
+    "laplacian": (("d", "d_star"), ("d_star", "d")),  # Delta_d = d d* + d* d
+    "dee": (("d_star", "d"), ("d_lambda_star", "d_lambda")),  # D = d* d + d^{Lambda*} d^Lambda
+    "d_squared": (("d", "d"),),
+    "d_lambda_squared": (("d_lambda", "d_lambda"),),
+}
+
+
+def _symmetric_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The symmetric coefficients Q[j, l] = -4 pi^2 (X_j Y_l + X_l Y_j) / 2 of
+    x(xi) y(xi) = sum_{j,l} xi_j xi_l Q[j, l], for the first-order operators
+    x(xi) = 2 pi i sum_j xi_j X_j and y(xi) alike.  A quadratic form in xi
+    vanishes at every xi exactly when its symmetric coefficients vanish."""
+    P = X[:, None] @ Y[None, :]
+    return (-2 * np.pi ** 2) * (P + P.transpose(1, 0, 2, 3))
 
 
 class _ModeOps:
     """The operators of one frequency xi, each formed the first time it is
     read: a first-order operator is its coefficient stack contracted with
-    2 pi i xi, and Delta_d is a product of those."""
+    2 pi i xi."""
 
     def __init__(self, xi: tuple, coeffs: dict):
         self.xi = xi
@@ -77,8 +87,6 @@ class _ModeOps:
     d_star = cached_property(lambda self: self._first_order("d_star"))
     d_lambda = cached_property(lambda self: self._first_order("d_lambda"))
     d_lambda_star = cached_property(lambda self: self._first_order("d_lambda_star"))
-    # Delta_d = d d* + d* d
-    laplacian = cached_property(lambda self: self.d @ self.d_star + self.d_star @ self.d)
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +101,15 @@ class FourierComplex:
     order.  Every first-order operator is linear in xi, so it is kept as
     its 2n coefficient matrices (`coeffs`), built once from the triple's
     full-algebra operators (`triple.ops`); `mode_ops` reads the operators
-    of one mode off them, exact up to roundoff.
+    of one mode off them, exact up to roundoff.  `block` and `quadratic`
+    are built on first use and kept in `_cache`.
     """
 
     n: int
     N: int
     triple: CompatibleTriple
     modes: tuple = field(repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def coeffs(self) -> dict:
@@ -118,12 +128,36 @@ class FourierComplex:
     def mode_ops(self, xi) -> _ModeOps:
         return _ModeOps(tuple(int(x) for x in xi), self.coeffs)
 
+    def block(self, name: str, k: int) -> np.ndarray:
+        """The Lambda^k -> Lambda^{k + shift} slice (2n, rows, C(2n, k)) of a
+        first-order operator's coefficient stack."""
+        key = ("block", name, k)
+        if key not in self._cache:
+            alg = self.triple.ops
+            self._cache[key] = self.coeffs[name][:, alg.masks(k + _SHIFT[name])[:, None], alg.masks(k)]
+        return self._cache[key]
+
+    def quadratic(self, name: str, k: int) -> np.ndarray:
+        """The symmetric coefficients Q (2n, 2n, rows, C(2n, k)) of a
+        second-order operator on Lambda^k (a key of `_SECOND_ORDER`):
+        op(xi) = sum_{j,l} xi_j xi_l Q[j, l].  A product that passes
+        through, or lands in, a degree outside 0..2n contributes nothing."""
+        key = ("quadratic", name, k)
+        if key not in self._cache:
+            Q = 0.0
+            for first, second in _SECOND_ORDER[name]:
+                mid = k + _SHIFT[second]
+                if 0 <= mid <= 2 * self.n and 0 <= mid + _SHIFT[first] <= 2 * self.n:
+                    Q = Q + _symmetric_product(self.block(first, mid), self.block(second, k))
+            self._cache[key] = Q
+        return self._cache[key]
+
     def apply(self, name: str, k: int, xi: np.ndarray, V: np.ndarray) -> np.ndarray:
         """A first-order operator on a batch of degree-k columns, column c at
         mode xi[c]: op(xi) v = 2 pi i sum_j xi_j (A_j v), with A the
         Lambda^k -> Lambda^{k +- 1} slice of the stack.  One real product of
         the reshaped slice with (Re, Im) of every column; no per-mode matrix."""
-        A = _degree_block(self.triple.ops, self.coeffs[name], k + _SHIFT[name], k)
+        A = self.block(name, k)
         V = np.ascontiguousarray(V, dtype=complex)
         AV = (A.reshape(A.shape[0] * A.shape[1], A.shape[2]) @ V.view(float)).view(complex)
         return (2j * np.pi) * np.einsum("jsm,mj->sm", AV.reshape(A.shape[0], A.shape[1], V.shape[1]), xi)
@@ -141,7 +175,8 @@ class FourierComplex:
         if pq is not None:
             # one stacked product whose every mode is the matrix-vector product P v
             V = (alg.pq(k)[pq] @ V[:, :, None])[:, :, 0]
-        return {self.modes[ci]: v for ci, v in zip(chosen, V) if np.max(np.abs(v)) > 0}
+        keep = V.any(axis=1)  # a projection may leave a mode with nothing
+        return {self.modes[ci]: v for ci, v in zip(chosen[keep], V[keep])}
 
 
 class _Columns:
@@ -172,10 +207,33 @@ class _Columns:
         return self.inner(k, X, X).real
 
 
+def _squares(fc: FourierComplex, op: str) -> dict:
+    """{k: per coefficient j, max over l of |Q[j, l]|} for op(xi)^2 on each
+    Lambda^k it maps into 0..2n, relative to max(1, 2 pi max|op coefficient|)^2.
+    op(xi)^2 = 0 at every xi iff all vanish, i.e. the 2n coefficient matrices
+    pairwise anticommute."""
+    degrees = range(2 * fc.n - 1) if _SHIFT[op] > 0 else range(2, 2 * fc.n + 1)
+    scale = max(1.0, 2 * np.pi * float(np.max(np.abs(fc.coeffs[op])))) ** 2
+    return {k: np.abs(fc.quadratic(f"{op}_squared", k)).max(axis=(1, 2, 3)) / scale for k in degrees}
+
+
+def _weitzenbock(fc: FourierComplex, k: int) -> tuple[float, bool]:
+    """The residual of Delta_d(xi) = 4 pi^2 |xi|^2_g I on Lambda^k, i.e. of
+    Q[j, l] = 4 pi^2 (g^{-1})_jl I, and whether it proves Delta_d(xi)
+    invertible at every xi != 0.  With every entry of Q / 4 pi^2 - g^{-1} (x) I
+    at most e, Delta_d(xi) >= 4 pi^2 |xi|^2 (lambda_min(g^{-1}) - 2n C(2n, k) e)
+    for the Euclidean |xi|: a positive bracket proves the kernel trivial."""
+    g_inv = fc.triple.g_inv
+    Q = fc.quadratic("laplacian", k)
+    e = float(np.max(np.abs(Q / (4 * np.pi ** 2) - g_inv[:, :, None, None] * np.eye(Q.shape[-1]))))
+    lam_min = float(np.linalg.eigvalsh(g_inv)[0])
+    return e / max(1.0, float(np.max(np.abs(g_inv)))), 2 * fc.n * Q.shape[-1] * e < lam_min
+
+
 def build_fourier_complex(n: int, N: int, t: CompatibleTriple) -> FourierComplex:
     """Assemble the truncated complex; validates the triple and the
-    differential structure: d^2 = 0 and (d^Lambda)^2 = 0 on every mode,
-    i.e. the 2n coefficient matrices of each pairwise anticommute."""
+    differential structure: d^2 = 0 and (d^Lambda)^2 = 0 on every mode, i.e.
+    the 2n coefficient matrices of each pairwise anticommute (`_squares`)."""
     if n < 1 or N < 0:
         raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
     if t.n != n:
@@ -183,11 +241,11 @@ def build_fourier_complex(n: int, N: int, t: CompatibleTriple) -> FourierComplex
     t.validate(tol=1e-10)
     modes = tuple(itertools.product(range(-N, N + 1), repeat=2 * n))
     fc = FourierComplex(n=n, N=N, triple=t, modes=modes)
-    for label, A in (("d", fc.coeffs["d"]), ("d^Lambda", fc.coeffs["d_lambda"])):
-        bound = 1e-12 * max(1.0, float(np.max(np.abs(A)))) ** 2
-        for j in range(2 * n):
-            if np.max(np.abs(A[j] @ A + A @ A[j])) > bound:
-                raise ArithmeticError(f"({label})^2 != 0: its e^{j + 1} coefficient does not anticommute")
+    for op, label in (("d", "d"), ("d_lambda", "d^Lambda")):
+        per_j = np.max(list(_squares(fc, op).values()), axis=0)
+        bad = np.flatnonzero(per_j > 1e-12)
+        if bad.size:
+            raise ArithmeticError(f"({label})^2 != 0: its e^{bad[0] + 1} coefficient does not anticommute")
     return fc
 
 
@@ -210,7 +268,7 @@ class HarmonicSpaceReport:
     lefschetz_dims: dict
     invariant_dim: int | None
     anti_invariant_dim: int | None
-    nonzero_mode_kernel_dims: int  # sum over xi != 0; flat torus => 0
+    nonzero_mode_kernel_dims: int  # sum over xi != 0: 0, by the Weitzenbock identity
     residuals: dict
 
     def to_json_dict(self) -> dict:
@@ -234,36 +292,28 @@ def _image_basis(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 
 
 def harmonic_space(fc: FourierComplex, k: int) -> HarmonicSpaceReport:
-    """Scan ker Delta_d over every mode and classify the harmonic space.
+    """Find ker Delta_d over every mode and classify the harmonic space.
 
-    On a flat torus only xi = 0 contributes (the scan verifies this); the
+    The Weitzenbock identity, checked on the quadratic coefficients of
+    Delta_d on Lambda^k, proves Delta_d(xi) invertible at every xi != 0, so
+    the harmonic space is exactly the xi = 0 block, where d vanishes and
+    all of Lambda^k is harmonic; a failed proof raises ArithmeticError.  The
     xi = 0 kernel is classified by bidegree, by Lefschetz level, and for
     k = 2 into J-invariant / anti-invariant parts.
     """
     if not 0 <= k <= 2 * fc.n:
         raise ValueError(f"degree {k} out of range")
-    alg = fc.triple.ops
-    mk = alg.masks(k)
-    # On Lambda^k, Delta_d(xi) = sum_{j,l} xi_j xi_l Q[j, l] with Q the degree-k
-    # block of (2 pi i)^2 (A_j B_l + B_j A_l), A and B the coefficient stacks
-    # of d and d*: d d* passes through degree k - 1, d* d through k + 1.
-    A, B = fc.coeffs["d"], fc.coeffs["d_star"]
-    Q = 0.0
-    for mid, first, second in ((k - 1, A, B), (k + 1, B, A)):
-        if 0 <= mid <= 2 * fc.n:
-            mm = alg.masks(mid)
-            Q = Q + np.einsum("jab,lbc->jlac", first[:, mk[:, None], mm], second[:, mm[:, None], mk])
-    xi = np.array([m for m in fc.modes if any(m)], dtype=float).reshape(-1, 2 * fc.n)
-    w = np.linalg.eigvalsh(np.tensordot(xi[:, :, None] * xi[:, None, :], -4 * np.pi ** 2 * Q, axes=2))
-    # the kernel threshold of check_complex, one mode per row
-    nonzero_kernel = int(np.sum(w < 1e-8 * np.maximum(1.0, w[:, -1:])))
-    # xi = 0 is always a mode; d vanishes there, so its whole degree block is harmonic
-    total = len(mk) + nonzero_kernel
+    weitzenbock, proven = _weitzenbock(fc, k)
+    if not proven:
+        raise ArithmeticError(f"Weitzenbock identity fails on Lambda^{k} (residual {weitzenbock:.1e}): "
+                              "the harmonic space is not proven to be the xi = 0 block")
+    total = math.comb(2 * fc.n, k)
 
     projs = pq_projector_matrices(fc.triple, k)
     bidegree = {pq: int(round(np.trace(P).real)) for pq, P in projs.items()}
     residuals = {"bidegree_trace_vs_rank": max(
-        abs(np.trace(P).real - np.linalg.matrix_rank(P, tol=1e-8)) for P in projs.values())}
+        abs(np.trace(P).real - np.linalg.matrix_rank(P, tol=1e-8)) for P in projs.values()),
+        "weitzenbock": weitzenbock}
 
     from llab.lefschetz import lefschetz_power_matrix, primitive_basis
 
@@ -278,9 +328,9 @@ def harmonic_space(fc: FourierComplex, k: int) -> HarmonicSpaceReport:
 
     inv_dim = anti_dim = None
     if k == 2:
-        Jk = alg.jpull(2)
-        inv_dim = int(np.linalg.matrix_rank(0.5 * (np.eye(len(mk)) + Jk), tol=1e-8))
-        anti_dim = int(np.linalg.matrix_rank(0.5 * (np.eye(len(mk)) - Jk), tol=1e-8))
+        Jk = fc.triple.ops.jpull(2)
+        inv_dim = int(np.linalg.matrix_rank(0.5 * (np.eye(total) + Jk), tol=1e-8))
+        anti_dim = int(np.linalg.matrix_rank(0.5 * (np.eye(total) - Jk), tol=1e-8))
 
     rep = HarmonicSpaceReport(
         k=k,
@@ -289,7 +339,7 @@ def harmonic_space(fc: FourierComplex, k: int) -> HarmonicSpaceReport:
         lefschetz_dims=lefschetz,
         invariant_dim=inv_dim,
         anti_invariant_dim=anti_dim,
-        nonzero_mode_kernel_dims=nonzero_kernel,
+        nonzero_mode_kernel_dims=0,
         residuals=residuals,
     )
     if sum(bidegree.values()) != total or sum(lefschetz.values()) != total:
@@ -454,40 +504,43 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1
     }
 
 
-def verify_kahler_identity(fc: FourierComplex, samples: int, tol: float = 1e-10) -> dict:
-    """Delta_d = 2 Delta_dbar per mode (constant J is integrable on T^{2n}).
+def verify_kahler_identity(fc: FourierComplex, tol: float = 1e-10) -> dict:
+    """Delta_d = 2 Delta_dbar at every mode (constant J is integrable on
+    T^{2n}), proven on the symmetric (j, l) coefficients of both Laplacians,
+    one degree at a time.
 
-    Works in the bigraded frame F (`triple.ops.F`), where Pi^{p,q} selects
-    the coordinates of type (p,q): dbar keeps the entries of d that raise q
-    by one, and the bidegree leakage of Delta_d and Delta_dbar is their
-    largest entry joining two types.
+    In the bigraded frame F_k (`triple.ops.frame_compound(k)`), where
+    Pi^{p,q} selects the coordinates of type (p,q), dbar's coefficients keep
+    the entries of d's that keep p (so raise q by one); the bidegree leakage
+    of Delta_d and Delta_dbar is their largest coefficient entry joining two
+    types.  Residuals are relative to max(1, max|coefficient of Delta_d|).
     """
     alg = fc.triple.ops
-    F = alg.F
-    Finv = np.linalg.inv(F)
-    low = (1 << fc.n) - 1
-    p = np.array([(m & low).bit_count() for m in range(alg.size)])
-    q = np.array([(m >> fc.n).bit_count() for m in range(alg.size)])
-    same_p = p[:, None] == p[None, :]
-    raises_q = same_p & (q[:, None] == q[None, :] + 1)
-    mixed = ~same_p | (q[:, None] != q[None, :])
-    rng = np.random.default_rng(2 * fc.n + fc.N)  # deterministic; no seed in contract
-    worst = 0.0
-    leak_dbar = 0.0
-    leak_lap = 0.0
-    for idx in range(samples):
-        mode_idx = int(rng.integers(0, len(fc.modes)))
-        ops = fc.mode_ops(fc.modes[mode_idx])
-        dbar = F @ np.where(raises_q, Finv @ ops.d @ F, 0.0) @ Finv
-        dbar_star = alg.adjoint(dbar)
-        lap_dbar = dbar @ dbar_star + dbar_star @ dbar
-        diff = ops.laplacian - 2.0 * lap_dbar
-        scale = max(1.0, float(np.max(np.abs(ops.laplacian))))
-        worst = max(worst, float(np.max(np.abs(diff))) / scale)
-        leak_dbar = max(leak_dbar, float(np.max(np.abs(Finv @ lap_dbar @ F)[mixed])) / scale)
-        leak_lap = max(leak_lap, float(np.max(np.abs(Finv @ ops.laplacian @ F)[mixed])) / scale)
+    top = 2 * fc.n
+    F = [alg.frame_compound(k) for k in range(top + 1)]
+    Finv = [np.linalg.inv(f) for f in F]
+    p = [_holomorphic_degree(top, k) for k in range(top + 1)]
+    dbar, dbar_star = [], []
+    for k in range(top):
+        in_frame = Finv[k + 1] @ fc.block("d", k) @ F[k]
+        dbar.append(F[k + 1] @ np.where(p[k + 1][:, None] == p[k], in_frame, 0.0) @ Finv[k])
+        # minus the g-adjoint of each coefficient, as for d*
+        dbar_star.append(-np.linalg.inv(alg.gram(k)) @ dbar[k].conj().transpose(0, 2, 1) @ alg.gram(k + 1))
+    worst = leak_dbar = leak_lap = scale = 0.0
+    for k in range(top + 1):
+        lap = fc.quadratic("laplacian", k)
+        lap_dbar = 0.0  # dbar dbar* through degree k - 1, dbar* dbar through k + 1
+        if k:
+            lap_dbar = lap_dbar + _symmetric_product(dbar[k - 1], dbar_star[k - 1])
+        if k < top:
+            lap_dbar = lap_dbar + _symmetric_product(dbar_star[k], dbar[k])
+        mixed = p[k][:, None] != p[k]
+        scale = max(scale, float(np.max(np.abs(lap))))
+        worst = max(worst, float(np.max(np.abs(lap - 2.0 * lap_dbar))))
+        leak_dbar = max(leak_dbar, float(np.max(np.abs(Finv[k] @ lap_dbar @ F[k])[..., mixed], initial=0.0)))
+        leak_lap = max(leak_lap, float(np.max(np.abs(Finv[k] @ lap @ F[k])[..., mixed], initial=0.0)))
+    worst, leak_dbar, leak_lap = (x / max(1.0, scale) for x in (worst, leak_dbar, leak_lap))
     return {
-        "samples": samples,
         "max_residual": worst,
         "max_bidegree_leakage_dbar": leak_dbar,
         "max_bidegree_leakage_delta": leak_lap,
@@ -548,7 +601,7 @@ def anti_invariant_suite(fc: FourierComplex, tol: float = 1e-10) -> dict:
     # batched SVD (C(2n, 3) >= anti_dim rows, so s has anti_dim entries).
     # d(xi) / i has the same singular values and kernel, and stays real.
     xi = np.array(fc.modes, dtype=float)
-    d_anti = np.tensordot(_degree_block(alg, fc.coeffs["d"], 3, 2), anti, axes=1)
+    d_anti = np.tensordot(fc.block("d", 2), anti, axes=1)
     dA = (2 * np.pi) * np.tensordot(xi, d_anti, axes=1)
     s = np.linalg.svd(dA, compute_uv=False)
     ker = anti_dim - np.sum(s > 1e-8 * np.maximum(1.0, s[:, :1]), axis=1)
@@ -606,11 +659,10 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int, tol: float = 
     rank = np.linalg.matrix_rank(p11, tol=1e-8)
     u, s, _ = np.linalg.svd(p11, full_matrices=False)
     prim11 = u[:, :rank]                       # basis of P^{1,1}, dim n^2 - 1
-    omega_vec = t.omega_form().data
 
     m2 = alg.masks(2)
     cand = np.zeros((alg.size, 1 + rank), dtype=complex)
-    cand[m2, 0] = omega_vec
+    cand[m2, 0] = t.omega_form().data
     cand[m2, 1:] = prim11
 
     worst_ratio_dev = 0.0
@@ -636,9 +688,7 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int, tol: float = 
         a_plus = cand @ coeffs               # closed invariant 2-form, this mode
         a0 = cand[:, 1:] @ coeffs[1:]
         # f is the 0-form f_coef e^{2 pi i xi x}; df lives on the same mode
-        f_vec = np.zeros(alg.size, dtype=complex)
-        f_vec[0] = f_coef
-        df = ops.d @ f_vec
+        df = ops.d[:, 0] * f_coef
         nd_f = float((df @ alg.G @ np.conj(df)).real)
         da0 = ops.d @ a0
         nd_a0 = float((da0 @ alg.G @ np.conj(da0)).real)
@@ -651,9 +701,7 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int, tol: float = 
                 float(np.max(np.abs(dlam - n * df))) / max(1.0, float(np.max(np.abs(df)))),
             )
             # measured coefficient in d^Lambda(f omega) = c df
-            fom = np.zeros(alg.size, dtype=complex)
-            fom[m2] = f_coef * omega_vec
-            dlam_fom = ops.d_lambda @ fom
+            dlam_fom = ops.d_lambda @ (f_coef * cand[:, 0])
             c_meas = complex(dlam_fom @ alg.G @ np.conj(df)) / nd_f
             worst_fomega = max(worst_fomega, abs(c_meas - 1.0))
             prop = dlam_fom - c_meas * df
@@ -678,95 +726,46 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int, tol: float = 
 # structural invariants (used by tests and the CLI)
 # ---------------------------------------------------------------------------
 
-def check_complex(fc: FourierComplex, max_modes: int | None = 64) -> dict:
-    """Verify the per-mode operator structure across modes.
-
-    Checks, per mode: d^2 = 0, (d^Lambda)^2 = 0, adjointness of d*,
-    [D, L] = [D, Lambda] = 0, the three-way Hodge decomposition dimension
-    count, and harmonic <=> (closed and coclosed).  Returns worst residuals.
-    One degree at a time, every sampled mode at once, from the degree blocks
-    of the coefficient stacks: no per-mode matrix is formed.
+def check_complex(fc: FourierComplex) -> dict:
+    """Prove the operator structure of the complex at every mode, in the
+    cutoff or beyond, on the coefficients: d^2 = 0 and (d^Lambda)^2 = 0 (the
+    build's anticommutators), d* adjoint to d per coefficient, and
+    [D, L] = [D, Lambda] = 0 on the symmetric coefficients of D.  The
+    Weitzenbock identity makes Delta_d(xi) invertible at xi != 0, so there
+    the harmonic and the closed-and-coclosed forms are both {0}, and
+    im d + im d* fills Lambda^k, a direct sum when d^2 = 0 and d* is the
+    adjoint; at xi = 0 every operator vanishes.  `hodge_dim_mismatch` counts
+    the degrees where one of these premises fails (over 1e-8), and
+    `harmonic_iff_closed_coclosed` is the worst Weitzenbock residual.
     """
     alg = fc.triple.ops
     top = 2 * fc.n
-    rng = np.random.default_rng(0)
-    modes = list(fc.modes)
-    if max_modes is not None and len(modes) > max_modes:
-        keep = rng.choice(len(modes), size=max_modes, replace=False)
-        modes = [fc.modes[i] for i in sorted(keep)] + [tuple([0] * top)]
-    xi = np.array(modes, dtype=float)
-    ab = rng.standard_normal((len(xi), 4, alg.size))  # per mode: Re a, Im a, Re b, Im b
-    a, b = ab[:, 0] + 1j * ab[:, 1], ab[:, 2] + 1j * ab[:, 3]
-
-    def edge(k):
-        """op(xi) / i between Lambda^k and Lambda^{k+1} at every mode, real
-        (modes, rows, cols): d and d^{Lambda*} up, d* and d^Lambda down."""
-        if 0 <= k < top:
-            return {name: (2 * np.pi) * np.tensordot(xi, _degree_block(alg, fc.coeffs[name], *(
-                (k + 1, k) if shift > 0 else (k, k + 1))), axes=1) for name, shift in _SHIFT.items()}
-
-    def rank(A):  # matrix_rank(A, tol=1e-8) per mode
-        return np.sum(np.linalg.svd(A, compute_uv=False) > 1e-8, axis=-1)
-
-    def inner(k, x, y):
-        return np.einsum("mi,ij,mj->m", x, alg.gram(k), y.conj())
-
-    def peak(A):
-        return np.abs(A).max(axis=(1, 2))
-
-    worst = {}  # per quantity, its largest entry so far at each mode
-
-    def note(key, per_mode, at=slice(None)):
-        seen = worst.setdefault(key, np.zeros(len(xi)))
-        seen[at] = np.maximum(seen[at], per_mode)
-
-    lhs = rhs = 0.0
+    squares = {op: _squares(fc, op) for op in ("d", "d_lambda")}
+    adjointness = []  # per edge k -> k + 1
+    for k in range(top):
+        # <d a, b> = <a, d* b> at every xi iff A_j^T G_{k+1} = -G_k conj(B_j) for every j
+        lhs = fc.block("d", k).transpose(0, 2, 1) @ alg.gram(k + 1)
+        rhs = -alg.gram(k) @ fc.block("d_star", k + 1).conj()
+        adjointness.append(float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs)))))
+    dee = [fc.quadratic("dee", k) for k in range(top + 1)]
+    scale = max(1.0, max(float(np.max(np.abs(Q))) for Q in dee))
+    comm_L = comm_Lambda = 0.0
+    for k in range(2, top + 1):
+        L, Lam = alg.lpow(k - 2, 1), alg.lam(k)
+        comm_L = max(comm_L, float(np.max(np.abs(dee[k] @ L - L @ dee[k - 2]))) / scale)
+        comm_Lambda = max(comm_Lambda, float(np.max(np.abs(dee[k - 2] @ Lam - Lam @ dee[k]))) / scale)
+    weitzenbock = [_weitzenbock(fc, k) for k in range(top + 1)]
     mismatch = 0
-    dee, lo, hi = {}, None, edge(0)
-    for k in range(top + 1):
-        if k:
-            lo, hi = hi, edge(k)
-        mk, n_k = alg.masks(k), math.comb(top, k)
-        # op = i * block, so Delta_d = d d* + d* d and D = d* d + d^{Lambda*} d^Lambda
-        # on Lambda^k are minus sums of block products
-        lap, dee[k] = np.zeros((2, len(xi), n_k, n_k))
-        if lo:
-            lap -= lo["d"] @ lo["d_star"]
-            dee[k] -= lo["d_lambda_star"] @ lo["d_lambda"]
-        if hi:
-            lap -= hi["d_star"] @ hi["d"]
-            dee[k] -= hi["d_star"] @ hi["d"]
-            note("d", peak(hi["d"]))
-            # the Lambda^k -> Lambda^{k+1} parts of <d a, b> and <a, d* b>
-            a_k, b_up = a[:, mk], b[:, alg.masks(k + 1)]
-            lhs += inner(k + 1, 1j * np.einsum("mij,mj->mi", hi["d"], a_k), b_up)
-            rhs += inner(k, a_k, 1j * np.einsum("mij,mj->mi", hi["d_star"], b_up))
-        if lo and hi:
-            note("d_squared", peak(hi["d"] @ lo["d"]))
-            note("d_lambda_squared", peak(lo["d_lambda"] @ hi["d_lambda"]))
-        note("dee", peak(dee[k]))
-        if k >= 2:
-            L, Lam = alg.lpow(k - 2, 1), alg.lam(k)
-            note("commutator_L", peak(dee[k] @ L - L @ dee[k - 2]))
-            note("commutator_Lambda", peak(dee.pop(k - 2) @ Lam - Lam @ dee[k]))
-        # Hodge decomposition: ker Delta_d, im d and im d* fill Lambda^k
-        w, V = np.linalg.eigh(lap)
-        kern = np.sum(w < 1e-8 * np.maximum(1.0, w[:, -1:]), axis=1)
-        im_d, im_d_star = (rank(e["d"]) if e else 0 for e in (lo, hi))  # d* has the rank of d
-        mismatch += np.count_nonzero(kern + im_d + im_d_star != n_k)
-        # (=>) the kernel basis, the first kern columns of V, is closed and coclosed
-        at = np.flatnonzero(kern)
-        in_kernel = (np.arange(n_k) < kern[at, None])[:, None]
-        note("harmonic_iff_closed_coclosed", sum(peak(np.where(in_kernel, e[name][at] @ V[at], 0.0))
-                                                 for e, name in ((hi, "d"), (lo, "d_star")) if e), at)
-        # (<=) the closed-and-coclosed subspace is no bigger than the kernel
-        rows = np.concatenate([e[name] for e, name in ((hi, "d"), (lo, "d_star")) if e], axis=1)
-        mismatch += np.count_nonzero(n_k - rank(rows) != kern)
-
-    # per-mode scales: max(1, max|d(xi)|)^2 and max(1, max|D(xi)|)
-    sc, scD = np.maximum(1.0, worst.pop("d")) ** 2, np.maximum(1.0, worst.pop("dee"))
-    scale = {"commutator_L": scD, "commutator_Lambda": scD, "harmonic_iff_closed_coclosed": np.sqrt(sc)}
-    out = {key: float(np.max(v / scale.get(key, sc))) for key, v in worst.items()}
-    out["adjointness"] = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))))
-    out["hodge_dim_mismatch"] = int(mismatch)
-    return out
+    for k, (_, proven) in enumerate(weitzenbock):
+        # degree k rests on its Weitzenbock proof, d^2 on Lambda^{k-1} and the adjointness at both edges
+        premises = [*squares["d"].get(k - 1, []), *adjointness[max(0, k - 1):k + 1]]
+        mismatch += not (proven and max(premises, default=0.0) < 1e-8)
+    return {
+        "d_squared": float(np.max(list(squares["d"].values()))),
+        "d_lambda_squared": float(np.max(list(squares["d_lambda"].values()))),
+        "adjointness": max(adjointness),
+        "commutator_L": comm_L,
+        "commutator_Lambda": comm_Lambda,
+        "harmonic_iff_closed_coclosed": max(r for r, _ in weitzenbock),
+        "hodge_dim_mismatch": mismatch,
+    }

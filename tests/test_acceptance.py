@@ -215,7 +215,7 @@ def test_criterion_5_L8_and_kahler(fc4_modes, fc6_modes):
         l8 = verify_lemma_L8(fc, samples=500, seed=7)
         assert l8["passed"]
         assert l8["max_residual"] < TOL  # residuals are relative to ||alpha||^2
-        kah = verify_kahler_identity(fc, samples=500)
+        kah = verify_kahler_identity(fc)
         assert kah["passed"]
         assert kah["max_residual"] < TOL
 

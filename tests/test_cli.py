@@ -13,10 +13,14 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import llab
 from llab.cli import _build_parser, decompose_file, main, run_suite
 from llab.reports import (
     CSV_COLUMNS,
@@ -237,6 +241,19 @@ def test_cli_impossible_tolerance_fails(tmp_path, capsys):
     )
     assert rc == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol, code", [("1e-10", 0), ("0", 1)])
+def test_cli_keeps_its_exit_code_when_stdout_closes_early(tol, code):
+    # as under `llab ... | true`: the reader is gone before the status line
+    argv = ["verify-identities", "--n", "1", "--cases", "1", "--cross-cases", "1", "--tol", tol]
+    env = {**os.environ, "PYTHONPATH": str(Path(llab.__file__).resolve().parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "llab.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == code
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err
 
 
 def test_cli_vacuous_run_warns_but_passes(capsys):
