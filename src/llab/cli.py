@@ -156,7 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("torus", help="Fourier-model harmonic/identity suite")
     sp.add_argument("--n", type=_int_list, default=[2, 3])
     sp.add_argument("--N", type=int, default=1, help="frequency cutoff per coordinate")
-    sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument("--samples", type=int, default=100,
+                    help="random forms for L8 and L10 and modes for the self-dual relation; "
+                    "the other torus checks draw nothing")
     sp.add_argument("--threads", type=int, default=None)
     common(sp, "torus")
 
