@@ -511,10 +511,11 @@ class Ops:
 
     Per-degree blocks act on Lambda^k coefficient vectors (or column batches):
     Gram matrices, the two stars, the J-pullback, the (p,q) projectors and
-    Weil operator, L^r, Lambda and the primitive basis.  The full-algebra
-    matrices (`G`, `Ginv`, `L`, `Lam`, `F`, `W`, `pq_proj`) are indexed by mask
-    over all 4^n basis forms, as the torus model needs them.  Nothing is
-    built eagerly, and the bundle is freed with its triple.
+    Weil operator, L^r, Lambda and the primitive basis.  Every operator is
+    kept once, per degree: there is no matrix on the whole 4^n-dimensional
+    algebra; `masks` and `size` only place a degree among the 4^n basis
+    forms.  Nothing is built eagerly, and the bundle is freed with its
+    triple.
     """
 
     def __init__(self, t: CompatibleTriple):
@@ -663,74 +664,10 @@ class Ops:
         rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
         return Vt[rank:].T.copy()
 
-    # -- the full algebra, mask-indexed -------------------------------------
-
     @_block
     def masks(self, k: int) -> np.ndarray:
-        """Full-algebra positions (the masks) of the degree-k basis forms."""
+        """Positions (the masks) of the degree-k basis forms among all 4^n."""
         return np.array(basis_masks(self.dim, k), dtype=int)
-
-    def _full(self, block, shift: int) -> np.ndarray:
-        """The full-algebra matrix with the blocks Lambda^k -> Lambda^{k+shift}."""
-        blocks = {k: block(k) for k in range(self.dim + 1) if 0 <= k + shift <= self.dim}
-        out = np.zeros((self.size, self.size), dtype=np.result_type(*blocks.values()))
-        for k, B in blocks.items():
-            out[np.ix_(self.masks(k + shift), self.masks(k))] = B
-        return out
-
-    @property
-    @_block
-    def G(self) -> np.ndarray:
-        return self._full(self.gram, 0)
-
-    @property
-    @_block
-    def Ginv(self) -> np.ndarray:
-        return np.linalg.inv(self.G)
-
-    @property
-    @_block
-    def L(self) -> np.ndarray:
-        return self._full(lambda k: self.lpow(k, 1), 2)
-
-    @property
-    @_block
-    def Lam(self) -> np.ndarray:
-        return self._full(self.lam, -2)
-
-    @property
-    @_block
-    def F(self) -> np.ndarray:
-        """The bigraded frame: `frame_compound` on the full algebra, so that
-        F^{-1} A F is A in the (p,q) basis, where Pi^{p,q} selects coordinates."""
-        return self._full(self.frame_compound, 0)
-
-    @property
-    @_block
-    def W(self) -> np.ndarray:
-        """W[j] = e^{j+1} ^ . on the full algebra."""
-        W = np.zeros((self.dim, self.size, self.size))
-        for k in range(self.dim):
-            p = _wedge_table(self.dim, 1, k)
-            W[p.left, self.masks(k + 1)[p.target], self.masks(k)[p.right]] = p.sign
-        return W
-
-    @property
-    @_block
-    def pq_proj(self) -> dict:
-        """Pi^{p,q} on the full algebra (zero outside degree p + q)."""
-        out = {}
-        for k in range(self.dim + 1):
-            mk = self.masks(k)
-            for pq, M in self.pq(k).items():
-                full = np.zeros((self.size, self.size), dtype=complex)
-                full[np.ix_(mk, mk)] = M
-                out[pq] = full
-        return out
-
-    def adjoint(self, A: np.ndarray) -> np.ndarray:
-        """g-adjoint on the full algebra w.r.t. <a,b> = a^T G conj(b)."""
-        return self.Ginv @ A.conj().T @ self.G
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,13 @@ class SparseSymmetricMatrix:
         # symmetrize exactly so downstream solvers see a bitwise-symmetric operator
         A = ((A + A.T) * 0.5).tocsr()
         A.sum_duplicates()
+        return cls.from_symmetric_csr(A)
+
+    @classmethod
+    def from_symmetric_csr(cls, A: sp.csr_matrix) -> "SparseSymmetricMatrix":
+        """Wrap, as it is, a square CSR matrix in canonical format whose
+        (a, b) and (b, a) entries are the same float by construction, such
+        as the P1 matrices: no check and no copy."""
         return cls(
             dimension=A.shape[0],
             data=A.data,
@@ -154,9 +161,10 @@ def _coo_accumulate(rows, cols, vals, shape) -> sp.csr_matrix:
     return A.tocsr()
 
 
-def _p1_matrix(mesh: DiscMesh, local) -> sp.csr_matrix:
+def _p1_matrix(mesh: DiscMesh, local, vertices: np.ndarray | None = None) -> sp.csr_matrix:
     """Sum the symmetric per-triangle 3 x 3 blocks local(i, j) -> (nt,) into
-    an nv x nv CSR matrix, one entry per vertex and two per edge.
+    an nv x nv CSR matrix, one entry per vertex and two per edge; with
+    `vertices` (ascending indices), into its block on those vertices only.
 
     The diagonal is one bincount per corner and each edge entry one
     bincount per local edge, so (a, b) and (b, a) hold the same float: the
@@ -172,24 +180,31 @@ def _p1_matrix(mesh: DiscMesh, local) -> sp.csr_matrix:
     for e, (a, b) in enumerate(_PAIRS):
         off += np.bincount(es.tri_edges[:, e], weights=local(a, b), minlength=ne)
     lo, hi = es.edges[:, 0], es.edges[:, 1]
+    if vertices is not None:  # renumber, keeping the edges with both ends kept
+        pos = np.full(nv, -1)
+        pos[vertices] = np.arange(len(vertices))
+        both = (pos[lo] >= 0) & (pos[hi] >= 0)
+        nv, diag, off, lo, hi = len(vertices), diag[vertices], off[both], pos[lo[both]], pos[hi[both]]
     rows = np.concatenate([np.arange(nv), lo, hi])
     cols = np.concatenate([np.arange(nv), hi, lo])
     return sp.csr_matrix((np.concatenate([diag, off, off]), (rows, cols)), shape=(nv, nv))
 
 
-def stiffness_p1(mesh: DiscMesh) -> sp.csr_matrix:
-    """Flat cotan stiffness; equals the Laplace-Beltrami stiffness in 2D."""
+def stiffness_p1(mesh: DiscMesh, vertices: np.ndarray | None = None) -> sp.csr_matrix:
+    """Flat cotan stiffness; equals the Laplace-Beltrami stiffness in 2D.
+    `vertices` restricts it as in `_p1_matrix`."""
     area = mesh.geometry.area
     g = mesh.geometry.grads.transpose(1, 2, 0)
     gx, gy = np.ascontiguousarray(g[:, 0]), np.ascontiguousarray(g[:, 1])  # (3, nt) each
-    return _p1_matrix(mesh, lambda i, j: area * (gx[i] * gx[j] + gy[i] * gy[j]))
+    return _p1_matrix(mesh, lambda i, j: area * (gx[i] * gx[j] + gy[i] * gy[j]), vertices)
 
 
-def mass_p1(mesh: DiscMesh) -> sp.csr_matrix:
-    """mu-weighted consistent P1 mass, edge-midpoint quadrature."""
+def mass_p1(mesh: DiscMesh, vertices: np.ndarray | None = None) -> sp.csr_matrix:
+    """mu-weighted consistent P1 mass, edge-midpoint quadrature.  `vertices`
+    restricts it as in `_p1_matrix`."""
     w = mesh.geometry.area / 3.0
     mu = np.ascontiguousarray(mesh.geometry.mu_mid.T)  # (3, nt), midpoint-major
-    return _p1_matrix(mesh, lambda i, j: w * ((_PHI_MID[:, i] * _PHI_MID[:, j]) @ mu))
+    return _p1_matrix(mesh, lambda i, j: w * ((_PHI_MID[:, i] * _PHI_MID[:, j]) @ mu), vertices)
 
 
 def incidence_d0(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
@@ -246,12 +261,15 @@ def assemble_hodge_laplacian(
     and columns are eliminated, not penalized.
     """
     if k == 0:
-        K = stiffness_p1(mesh)
-        M = mass_p1(mesh)
-        idx = mesh.interior
-        Ki = K[idx][:, idx]
-        Mi = M[idx][:, idx]
-        return SparseSymmetricMatrix.from_scipy(Ki), SparseSymmetricMatrix.from_scipy(Mi)
+        # the interior blocks are exactly symmetric as built; their explicit
+        # zeros (right angles give zero cotan weights) are dropped, as a
+        # symmetrizing sum in `from_scipy` would drop them
+        pair = []
+        for P in (stiffness_p1, mass_p1):
+            A = P(mesh, mesh.interior)
+            A.eliminate_zeros()
+            pair.append(SparseSymmetricMatrix.from_symmetric_csr(A))
+        return tuple(pair)
     if k == 1:
         es = mesh.edge_structure
         D0 = incidence_d0(mesh, es)

@@ -44,22 +44,22 @@ from llab.reports import DEFAULT_TOLERANCE
 
 
 def thread_count() -> int:
-    """Worker cap: LLAB_THREADS if set, else the CPU count."""
+    """Worker cap: LLAB_THREADS if set, else the CPU count.  A value that
+    is not a positive integer raises ValueError naming it."""
     env = os.environ.get("LLAB_THREADS", "").strip()
-    if env:
-        try:
-            v = int(env)
-            if v >= 1:
-                return v
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"LLAB_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _per_n(run_n, n_values, threads: int | None) -> dict:
     """{"n<n>": run_n(n)} in increasing n, on up to `threads` workers
     (default thread_count()); the order never depends on completion."""
     n_values = tuple(n_values)
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     workers = threads if threads is not None else thread_count()
     if workers > 1 and len(n_values) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:

@@ -4,18 +4,19 @@ A constant compatible triple makes every differential operator block-diagonal
 over Fourier modes xi in Z^{2n}: on the mode-xi block, d acts as the wedge
 with c(xi) = 2*pi*i * sum_j xi_j e^j.  The first-order operators d, d*
 (g-adjoint), d^Lambda = d Lambda - Lambda d and d^{Lambda*} are linear in xi,
-kept once as 2n coefficient matrices on the full exterior algebra (indexed by
-bitmasks); Delta_d = dd* + d*d and D = d* d + d^{Lambda*} d^Lambda (whose
-commutation with L and Lambda drives the primitive decomposition of harmonic
-forms) are quadratic in xi, with symmetric (j, l) coefficient blocks per
-degree.  An identity linear or quadratic in xi holds at every xi, in the
-cutoff or beyond, iff its coefficients satisfy it: `check_complex`, the Kahler
-Laplacian comparison and the Weitzenbock identity Delta_d(xi) = 4 pi^2
-|xi|^2_g I, which confines harmonic content to the xi = 0 block, are proven
-there.  L8, L10 and the self-dual relation sample mode-sparse random forms;
+kept once per degree as 2n coefficient blocks Lambda^k -> Lambda^{k +- 1},
+built from the triple's per-degree operators (`triple.ops`); Delta_d = dd* +
+d*d and D = d* d + d^{Lambda*} d^Lambda (whose commutation with L and Lambda
+drives the primitive decomposition of harmonic forms) are quadratic in xi,
+with symmetric (j, l) coefficient blocks per degree.  An identity linear or
+quadratic in xi holds at every xi, in the cutoff or beyond, iff its
+coefficients satisfy it: `check_complex`, the Kahler Laplacian comparison and
+the Weitzenbock identity Delta_d(xi) = 4 pi^2 |xi|^2_g I, which confines
+harmonic content to the xi = 0 block, are proven there.  L8, L10 and the self-dual relation sample mode-sparse random forms;
 L8 and L10 act on column batches, one column per (form, active mode), with no
-per-mode matrix.  Only the self-dual relation reads 4^n x 4^n operators off
-`FourierComplex.mode_ops` (as does `hyperbolic.gap`).
+per-mode matrix.  Only the self-dual relation reads one mode's operators, on
+Lambda^0 and Lambda^2, off `FourierComplex.mode_ops`.  No operator on the whole
+4^n-dimensional algebra is formed.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from llab.algebra import (
     CompatibleTriple,
+    Ops,
     _holomorphic_degree,
+    _wedge_table,
     KForm,
     hodge_star,
     pq_projector_matrices,
@@ -52,6 +54,7 @@ __all__ = [
 
 
 _SHIFT = {"d": 1, "d_star": -1, "d_lambda": -1, "d_lambda_star": 1}  # degree change
+_ADJOINT_OF = {"d_star": "d", "d_lambda_star": "d_lambda"}
 
 # second-order operators as sums of products first(xi) second(xi), `second` applied first
 _SECOND_ORDER = {
@@ -71,22 +74,24 @@ def _symmetric_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (-2 * np.pi ** 2) * (P + P.transpose(1, 0, 2, 3))
 
 
+def _adjoint_stack(ops: Ops, B: np.ndarray, k: int, k_to: int) -> np.ndarray:
+    """The coefficients of x(xi)^*, the g-adjoint of x(xi) = 2 pi i sum_j xi_j
+    B[j] : Lambda^k -> Lambda^{k_to}: -G_k^{-1} B[j]^H G_{k_to}, the minus
+    because conj(2 pi i xi_j) = -2 pi i xi_j."""
+    return -np.linalg.inv(ops.gram(k)) @ B.conj().transpose(0, 2, 1) @ ops.gram(k_to)
+
+
 class _ModeOps:
-    """The operators of one frequency xi, each formed the first time it is
-    read: a first-order operator is its coefficient stack contracted with
-    2 pi i xi."""
+    """The operators of one frequency xi, one degree at a time: `ops("d", k)`
+    is d(xi) on Lambda^k, its coefficient block contracted with 2 pi i xi,
+    formed when asked for."""
 
-    def __init__(self, xi: tuple, coeffs: dict):
+    def __init__(self, xi: tuple, fc: "FourierComplex"):
         self.xi = xi
-        self._coeffs = coeffs
+        self._fc = fc
 
-    def _first_order(self, name: str) -> np.ndarray:
-        return (2j * np.pi) * np.tensordot(np.asarray(self.xi, dtype=float), self._coeffs[name], axes=1)
-
-    d = cached_property(lambda self: self._first_order("d"))
-    d_star = cached_property(lambda self: self._first_order("d_star"))
-    d_lambda = cached_property(lambda self: self._first_order("d_lambda"))
-    d_lambda_star = cached_property(lambda self: self._first_order("d_lambda_star"))
+    def __call__(self, name: str, k: int) -> np.ndarray:
+        return (2j * np.pi) * np.tensordot(np.asarray(self.xi, dtype=float), self._fc.block(name, k), axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +104,10 @@ class FourierComplex:
 
     Modes are all integer vectors with sup-norm <= N, in lexicographic
     order.  Every first-order operator is linear in xi, so it is kept as
-    its 2n coefficient matrices (`coeffs`), built once from the triple's
-    full-algebra operators (`triple.ops`); `mode_ops` reads the operators
-    of one mode off them, exact up to roundoff.  `block` and `quadratic`
-    are built on first use and kept in `_cache`.
+    its 2n coefficient matrices on each degree (`block`), built from the
+    triple's per-degree operators (`triple.ops`); `mode_ops` reads the
+    operators of one mode off them, exact up to roundoff.  `block` and
+    `quadratic` are built on first use and kept in `_cache`.
     """
 
     n: int
@@ -111,30 +116,36 @@ class FourierComplex:
     modes: tuple = field(repr=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
-    def coeffs(self) -> dict:
-        """Real (2n, 4^n, 4^n) stacks A with op(xi) = sum_j 2 pi i xi_j A[j]
-        for d, d*, d^Lambda and d^{Lambda*}.  An adjoint's stack is minus
-        the adjoint of the operator's, as conj(2 pi i xi_j) = -2 pi i xi_j."""
-        alg = self.triple.ops
-        d_lambda = alg.W @ alg.Lam - alg.Lam @ alg.W
-        return {
-            "d": alg.W,
-            "d_star": -np.stack([alg.adjoint(A) for A in alg.W]),
-            "d_lambda": d_lambda,
-            "d_lambda_star": -np.stack([alg.adjoint(A) for A in d_lambda]),
-        }
-
     def mode_ops(self, xi) -> _ModeOps:
-        return _ModeOps(tuple(int(x) for x in xi), self.coeffs)
+        return _ModeOps(tuple(int(x) for x in xi), self)
+
+    def dim(self, k: int) -> int:
+        """C(2n, k), and 0 for a degree outside 0..2n."""
+        return math.comb(2 * self.n, k) if 0 <= k <= 2 * self.n else 0
 
     def block(self, name: str, k: int) -> np.ndarray:
-        """The Lambda^k -> Lambda^{k + shift} slice (2n, rows, C(2n, k)) of a
-        first-order operator's coefficient stack."""
+        """The real coefficients A (2n, rows, C(2n, k)) of a first-order
+        operator on Lambda^k, op(xi) = 2 pi i sum_j xi_j A[j] : Lambda^k ->
+        Lambda^{k + shift}; no rows or no columns where a degree leaves 0..2n.
+        Coefficient j of d is e^{j+1} ^ ., d^Lambda is d Lambda - Lambda d,
+        and d* and d^{Lambda*} are the adjoints of the blocks they pair with."""
         key = ("block", name, k)
         if key not in self._cache:
+            top, to = 2 * self.n, k + _SHIFT[name]
             alg = self.triple.ops
-            self._cache[key] = self.coeffs[name][:, alg.masks(k + _SHIFT[name])[:, None], alg.masks(k)]
+            A = np.zeros((top, self.dim(to), self.dim(k)))  # empty when a degree leaves 0..2n
+            if A.size and name == "d":  # one entry per product e^j ^ e^R of the a = 1 table
+                p = _wedge_table(top, 1, k)
+                A[p.left, p.target, p.right] = p.sign
+            elif A.size and name == "d_lambda":
+                if k >= 2:
+                    A += self.block("d", k - 2) @ alg.lam(k)
+                if k < top:
+                    A -= alg.lam(k + 1) @ self.block("d", k)
+            elif A.size:
+                A = _adjoint_stack(alg, self.block(_ADJOINT_OF[name], to), to, k)
+            A.flags.writeable = False
+            self._cache[key] = A
         return self._cache[key]
 
     def quadratic(self, name: str, k: int) -> np.ndarray:
@@ -213,7 +224,8 @@ def _squares(fc: FourierComplex, op: str) -> dict:
     op(xi)^2 = 0 at every xi iff all vanish, i.e. the 2n coefficient matrices
     pairwise anticommute."""
     degrees = range(2 * fc.n - 1) if _SHIFT[op] > 0 else range(2, 2 * fc.n + 1)
-    scale = max(1.0, 2 * np.pi * float(np.max(np.abs(fc.coeffs[op])))) ** 2
+    top = max(float(np.max(np.abs(fc.block(op, k)), initial=0.0)) for k in range(2 * fc.n + 1))
+    scale = max(1.0, 2 * np.pi * top) ** 2
     return {k: np.abs(fc.quadratic(f"{op}_squared", k)).max(axis=(1, 2, 3)) / scale for k in degrees}
 
 
@@ -524,8 +536,7 @@ def verify_kahler_identity(fc: FourierComplex, tol: float = 1e-10) -> dict:
     for k in range(top):
         in_frame = Finv[k + 1] @ fc.block("d", k) @ F[k]
         dbar.append(F[k + 1] @ np.where(p[k + 1][:, None] == p[k], in_frame, 0.0) @ Finv[k])
-        # minus the g-adjoint of each coefficient, as for d*
-        dbar_star.append(-np.linalg.inv(alg.gram(k)) @ dbar[k].conj().transpose(0, 2, 1) @ alg.gram(k + 1))
+        dbar_star.append(_adjoint_stack(alg, dbar[k], k, k + 1))
     worst = leak_dbar = leak_lap = scale = 0.0
     for k in range(top + 1):
         lap = fc.quadratic("laplacian", k)
@@ -565,10 +576,9 @@ def anti_invariant_suite(fc: FourierComplex, tol: float = 1e-10) -> dict:
         raise ValueError("anti-invariant star identity needs n >= 2")
     t = fc.triple
     alg = t.ops
-    m2 = alg.masks(2)
     J2 = alg.jpull(2)
     # J2^2 = I on 2-forms; split by the (possibly oblique) projectors (I -+ J2)/2
-    eye = np.eye(len(m2))
+    eye = np.eye(len(J2))
     anti = _image_basis(0.5 * (eye - J2))
     inv = _image_basis(0.5 * (eye + J2))
     anti_dim, inv_dim = anti.shape[1], inv.shape[1]
@@ -660,10 +670,10 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int, tol: float = 
     u, s, _ = np.linalg.svd(p11, full_matrices=False)
     prim11 = u[:, :rank]                       # basis of P^{1,1}, dim n^2 - 1
 
-    m2 = alg.masks(2)
-    cand = np.zeros((alg.size, 1 + rank), dtype=complex)
-    cand[m2, 0] = t.omega_form().data
-    cand[m2, 1:] = prim11
+    cand = np.empty((len(prim11), 1 + rank), dtype=complex)  # on Lambda^2
+    cand[:, 0] = t.omega_form().data
+    cand[:, 1:] = prim11
+    G1, G3 = alg.gram(1), alg.gram(3)
 
     worst_ratio_dev = 0.0
     worst_dlam = 0.0
@@ -676,33 +686,35 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int, tol: float = 
         if not any(xi):
             continue
         ops = fc.mode_ops(xi)
-        A = ops.d @ cand                     # closedness constraint matrix
+        d2 = ops("d", 2)
+        A = d2 @ cand                        # closedness constraint matrix
         _, sv, Vt = np.linalg.svd(A)
         ker_dim = cand.shape[1] - int(np.sum(sv > 1e-8 * max(1.0, sv[0])))
         if ker_dim == 0:
             continue
-        coeffs = Vt.conj().T[:, cand.shape[1] - ker_dim:] @ (
+        sol = Vt.conj().T[:, cand.shape[1] - ker_dim:] @ (  # a random solution in (f, a0)
             rng.standard_normal(ker_dim) + 1j * rng.standard_normal(ker_dim)
         )
-        f_coef = coeffs[0]
-        a_plus = cand @ coeffs               # closed invariant 2-form, this mode
-        a0 = cand[:, 1:] @ coeffs[1:]
+        f_coef = sol[0]
+        a_plus = cand @ sol                  # closed invariant 2-form, this mode
+        a0 = cand[:, 1:] @ sol[1:]
         # f is the 0-form f_coef e^{2 pi i xi x}; df lives on the same mode
-        df = ops.d[:, 0] * f_coef
-        nd_f = float((df @ alg.G @ np.conj(df)).real)
-        da0 = ops.d @ a0
-        nd_a0 = float((da0 @ alg.G @ np.conj(da0)).real)
+        df = ops("d", 0)[:, 0] * f_coef
+        nd_f = float((df @ G1 @ np.conj(df)).real)
+        da0 = d2 @ a0
+        nd_a0 = float((da0 @ G3 @ np.conj(da0)).real)
         if nd_f > 1e-12:
             n_nontrivial += 1
             worst_ratio_dev = max(worst_ratio_dev, abs(nd_a0 / nd_f - (n - 1)))
-            dlam = ops.d_lambda @ a_plus
+            dlam2 = ops("d_lambda", 2)
+            dlam = dlam2 @ a_plus
             worst_dlam = max(
                 worst_dlam,
                 float(np.max(np.abs(dlam - n * df))) / max(1.0, float(np.max(np.abs(df)))),
             )
             # measured coefficient in d^Lambda(f omega) = c df
-            dlam_fom = ops.d_lambda @ (f_coef * cand[:, 0])
-            c_meas = complex(dlam_fom @ alg.G @ np.conj(df)) / nd_f
+            dlam_fom = dlam2 @ (f_coef * cand[:, 0])
+            c_meas = complex(dlam_fom @ G1 @ np.conj(df)) / nd_f
             worst_fomega = max(worst_fomega, abs(c_meas - 1.0))
             prop = dlam_fom - c_meas * df
             worst_fomega_prop = max(

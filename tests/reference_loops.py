@@ -1,0 +1,172 @@
+"""Reference loops: the per-mask constructions of every operator block.
+
+These are the slow, obvious versions of `llab.algebra.Ops` (index-and-sign
+tables, cofactor steps) and of the torus model's whole-algebra operators:
+one loop over basis masks per entry, one LAPACK determinant per minor.
+Tests compare the fast code against them; nothing here reads `Ops`
+except the (1,0) coframe, whose choice of basis is not unique.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import cached_property
+
+import numpy as np
+
+from llab.algebra import CompatibleTriple, KForm, basis_masks, mask_to_indices, merge_sign
+
+
+def minor_sets(dim: int, k: int) -> list[np.ndarray]:
+    return [np.array(mask_to_indices(m), dtype=int) - 1 for m in basis_masks(dim, k)]
+
+
+def ref_compound(M, dim, k):
+    if k == 0:
+        return np.ones((1, 1), dtype=M.dtype)
+    idx = np.array(minor_sets(dim, k))
+    return np.linalg.det(M[idx[:, None, :, None], idx[None, :, None, :]])
+
+
+def ref_contraction(dim, k, axis):
+    rows = {m: i for i, m in enumerate(basis_masks(dim, k - 1))}
+    M = np.zeros((len(rows), math.comb(dim, k)))
+    bit = 1 << axis
+    for c, m in enumerate(basis_masks(dim, k)):
+        if m & bit:
+            M[rows[m ^ bit], c] = -1.0 if (m & (bit - 1)).bit_count() & 1 else 1.0
+    return M
+
+
+def ref_wedge(a: KForm, b: KForm) -> np.ndarray:
+    dim, k = 2 * a.n, a.k + b.k
+    index = {m: i for i, m in enumerate(basis_masks(dim, k))}
+    out = np.zeros(math.comb(dim, k), dtype=complex)
+    for ia, ma in enumerate(basis_masks(dim, a.k)):
+        for ib, mb in enumerate(basis_masks(dim, b.k)):
+            if not ma & mb:
+                out[index[ma | mb]] += merge_sign(ma, mb) * a.data[ia] * b.data[ib]
+    return out
+
+
+class ReferenceOps:
+    """Every block of `Ops` as the per-mask loops built it, and the
+    whole-algebra (4^n x 4^n, indexed by mask) G, L, Lambda and e^j ^ ."""
+
+    def __init__(self, t: CompatibleTriple):
+        self.t, self.dim = t, 2 * t.n
+        self.size = 1 << self.dim
+
+    def gram(self, k):
+        return ref_compound(self.t.g_inv, self.dim, k)
+
+    def omega_gram(self, k):
+        return ref_compound(self.t.omega_inv, self.dim, k)
+
+    def _star(self, gram, k):
+        index_c = {m: i for i, m in enumerate(basis_masks(self.dim, self.dim - k))}
+        vol = self.t.volume_form().data[0].real
+        S = np.zeros((len(index_c), gram.shape[1]))
+        for i, m in enumerate(basis_masks(self.dim, k)):
+            comp = (self.size - 1) ^ m
+            S[index_c[comp], :] += merge_sign(m, comp) * gram[i, :] * vol
+        return S
+
+    def star(self, k):
+        return self._star(self.gram(k), k)
+
+    def sstar(self, k):
+        return self._star(self.omega_gram(k), k)
+
+    def jpull(self, k):
+        return ref_compound(self.t.J.T, self.dim, k)
+
+    def frame_compound(self, k):
+        return ref_compound(self.t.ops.frame, self.dim, k)
+
+    def pq(self, k):
+        n = self.t.n
+        C = self.frame_compound(k)
+        Cinv = np.linalg.inv(C)
+        low = (1 << n) - 1
+        out = {}
+        for p in range(max(0, k - n), min(k, n) + 1):
+            sel = np.array([1.0 if (m & low).bit_count() == p else 0.0 for m in basis_masks(self.dim, k)])
+            out[(p, k - p)] = C @ (sel[:, None] * Cinv)
+        return out
+
+    def weil(self, k):
+        return sum((1j ** ((p - q) % 4)) * M for (p, q), M in self.pq(k).items())
+
+    def lpow(self, k, r):
+        if r == 0:
+            return np.eye(math.comb(self.dim, k))
+        if r > 1:
+            return self.lpow(k + 2 * (r - 1), 1) @ self.lpow(k, r - 1)
+        rows = {m: i for i, m in enumerate(basis_masks(self.dim, k + 2))}
+        M = np.zeros((len(rows), math.comb(self.dim, k)))
+        w = self.t.omega
+        for c, m in enumerate(basis_masks(self.dim, k)):
+            for i in range(self.dim):
+                for j in range(i + 1, self.dim):
+                    bits = (1 << i) | (1 << j)
+                    if not m & bits:
+                        M[rows[m | bits], c] += w[i, j] * merge_sign(bits, m)
+        return M
+
+    def lam(self, k):
+        w = self.t.omega_inv
+        M = np.zeros((math.comb(self.dim, k - 2), math.comb(self.dim, k)))
+        for i in range(self.dim):
+            for j in range(self.dim):
+                M += 0.5 * w[i, j] * (ref_contraction(self.dim, k - 1, i) @ ref_contraction(self.dim, k, j))
+        return M
+
+    def prim_projector(self, k):
+        # the kernel of Lambda, as an orthogonal projector (a basis is not unique)
+        if k < 2:
+            return np.eye(math.comb(self.dim, k))
+        _, s, Vt = np.linalg.svd(self.lam(k))
+        rank = int(np.sum(s > 1e-10 * s[0]))
+        return Vt[rank:].T @ Vt[rank:].conj()
+
+    # -- the whole algebra, mask-indexed ------------------------------------
+
+    def full(self, block, shift):
+        """The 4^n x 4^n matrix with the blocks Lambda^k -> Lambda^{k+shift}."""
+        out = np.zeros((self.size, self.size), dtype=complex)
+        for k in range(self.dim + 1):
+            if 0 <= k + shift <= self.dim:
+                out[np.ix_(basis_masks(self.dim, k + shift), basis_masks(self.dim, k))] = block(k)
+        return out
+
+    @cached_property
+    def W(self):
+        """W[j] = e^{j+1} ^ . on the whole algebra."""
+        W = np.zeros((self.dim, self.size, self.size))
+        for j in range(self.dim):
+            b = 1 << j
+            for m in range(self.size):
+                if not m & b:
+                    W[j, m | b, m] = merge_sign(b, m)
+        return W
+
+    @cached_property
+    def G(self):
+        return self.full(self.gram, 0)
+
+    @cached_property
+    def L(self):
+        return self.full(lambda k: self.lpow(k, 1), 2)
+
+    @cached_property
+    def Lam(self):
+        return self.full(self.lam, -2)
+
+    @cached_property
+    def G_inv(self):
+        return np.linalg.inv(self.G)
+
+    def adjoint(self, A):
+        """g-adjoint on the whole algebra w.r.t. <a, b> = a^T G conj(b)."""
+        return self.G_inv @ A.conj().T @ self.G

@@ -16,7 +16,6 @@ import pytest
 
 from llab.algebra import (
     BigradedForm,
-    CompatibleTriple,
     KForm,
     basis_masks,
     build_standard_triple,
@@ -40,6 +39,7 @@ from llab.algebra import (
     weil_operator,
     wedge,
 )
+from reference_loops import ReferenceOps, minor_sets, ref_wedge
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +350,6 @@ def test_defining_property_on_reversed_orientation(rng):
 # ---------------------------------------------------------------------------
 
 
-def _minor_sets(dim: int, k: int) -> list[np.ndarray]:
-    return [np.array(mask_to_indices(m), dtype=int) - 1 for m in basis_masks(dim, k)]
-
-
 def _exact_det(A) -> Fraction:
     """Determinant by Gaussian elimination over the rationals."""
     A = [[Fraction(int(x)) for x in row] for row in A]
@@ -383,7 +379,7 @@ def test_compound_matches_minor_loop(rng):
         Z = rng.integers(-3, 4, size=(dim, dim)).astype(float)
         C = None
         for k in range(dim + 1):
-            sets = _minor_sets(dim, k)
+            sets = minor_sets(dim, k)
             ref = np.array([[float(_exact_det(Z[np.ix_(I, J)])) for J in sets] for I in sets])
             C = _compound(Z, dim, k, C)
             assert np.array_equal(C, ref), (n, k)
@@ -391,141 +387,15 @@ def test_compound_matches_minor_loop(rng):
         M = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         C = None
         for k in range(dim + 1):
-            sets = _minor_sets(dim, k)
+            sets = minor_sets(dim, k)
             ref = np.array([[np.linalg.det(M[np.ix_(I, J)]) if k else 1.0 for J in sets] for I in sets])
             C = _compound(M, dim, k, C)
             assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref)), (n, k)
 
 
 # ---------------------------------------------------------------------------
-# reference loops: the per-mask constructions the index-and-sign tables
-# replaced, kept here to pin the tables' blocks
+# every block against the per-mask reference loops (tests/reference_loops.py)
 # ---------------------------------------------------------------------------
-
-
-def _ref_compound(M, dim, k):
-    if k == 0:
-        return np.ones((1, 1), dtype=M.dtype)
-    idx = np.array(_minor_sets(dim, k))
-    return np.linalg.det(M[idx[:, None, :, None], idx[None, :, None, :]])
-
-
-def _ref_contraction(dim, k, axis):
-    rows = {m: i for i, m in enumerate(basis_masks(dim, k - 1))}
-    M = np.zeros((len(rows), math.comb(dim, k)))
-    bit = 1 << axis
-    for c, m in enumerate(basis_masks(dim, k)):
-        if m & bit:
-            M[rows[m ^ bit], c] = -1.0 if (m & (bit - 1)).bit_count() & 1 else 1.0
-    return M
-
-
-def _ref_wedge(a: KForm, b: KForm) -> np.ndarray:
-    dim, k = 2 * a.n, a.k + b.k
-    index = {m: i for i, m in enumerate(basis_masks(dim, k))}
-    out = np.zeros(math.comb(dim, k), dtype=complex)
-    for ia, ma in enumerate(basis_masks(dim, a.k)):
-        for ib, mb in enumerate(basis_masks(dim, b.k)):
-            if not ma & mb:
-                out[index[ma | mb]] += merge_sign(ma, mb) * a.data[ia] * b.data[ib]
-    return out
-
-
-class _ReferenceOps:
-    """Every block of `Ops` as the per-mask loops built it."""
-
-    def __init__(self, t: CompatibleTriple):
-        self.t, self.dim = t, 2 * t.n
-        self.size = 1 << self.dim
-
-    def gram(self, k):
-        return _ref_compound(self.t.g_inv, self.dim, k)
-
-    def omega_gram(self, k):
-        return _ref_compound(self.t.omega_inv, self.dim, k)
-
-    def _star(self, gram, k):
-        index_c = {m: i for i, m in enumerate(basis_masks(self.dim, self.dim - k))}
-        vol = self.t.volume_form().data[0].real
-        S = np.zeros((len(index_c), gram.shape[1]))
-        for i, m in enumerate(basis_masks(self.dim, k)):
-            comp = (self.size - 1) ^ m
-            S[index_c[comp], :] += merge_sign(m, comp) * gram[i, :] * vol
-        return S
-
-    def star(self, k):
-        return self._star(self.gram(k), k)
-
-    def sstar(self, k):
-        return self._star(self.omega_gram(k), k)
-
-    def jpull(self, k):
-        return _ref_compound(self.t.J.T, self.dim, k)
-
-    def frame_compound(self, k):
-        return _ref_compound(self.t.ops.frame, self.dim, k)
-
-    def pq(self, k):
-        n = self.t.n
-        C = self.frame_compound(k)
-        Cinv = np.linalg.inv(C)
-        low = (1 << n) - 1
-        out = {}
-        for p in range(max(0, k - n), min(k, n) + 1):
-            sel = np.array([1.0 if (m & low).bit_count() == p else 0.0 for m in basis_masks(self.dim, k)])
-            out[(p, k - p)] = C @ (sel[:, None] * Cinv)
-        return out
-
-    def weil(self, k):
-        return sum((1j ** ((p - q) % 4)) * M for (p, q), M in self.pq(k).items())
-
-    def lpow(self, k, r):
-        if r == 0:
-            return np.eye(math.comb(self.dim, k))
-        if r > 1:
-            return self.lpow(k + 2 * (r - 1), 1) @ self.lpow(k, r - 1)
-        rows = {m: i for i, m in enumerate(basis_masks(self.dim, k + 2))}
-        M = np.zeros((len(rows), math.comb(self.dim, k)))
-        w = self.t.omega
-        for c, m in enumerate(basis_masks(self.dim, k)):
-            for i in range(self.dim):
-                for j in range(i + 1, self.dim):
-                    bits = (1 << i) | (1 << j)
-                    if not m & bits:
-                        M[rows[m | bits], c] += w[i, j] * merge_sign(bits, m)
-        return M
-
-    def lam(self, k):
-        w = self.t.omega_inv
-        M = np.zeros((math.comb(self.dim, k - 2), math.comb(self.dim, k)))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                M += 0.5 * w[i, j] * (_ref_contraction(self.dim, k - 1, i) @ _ref_contraction(self.dim, k, j))
-        return M
-
-    def prim_projector(self, k):
-        # the kernel of Lambda, as an orthogonal projector (a basis is not unique)
-        if k < 2:
-            return np.eye(math.comb(self.dim, k))
-        _, s, Vt = np.linalg.svd(self.lam(k))
-        rank = int(np.sum(s > 1e-10 * s[0]))
-        return Vt[rank:].T @ Vt[rank:].conj()
-
-    def full(self, block, shift):
-        out = np.zeros((self.size, self.size), dtype=complex)
-        for k in range(self.dim + 1):
-            if 0 <= k + shift <= self.dim:
-                out[np.ix_(basis_masks(self.dim, k + shift), basis_masks(self.dim, k))] = block(k)
-        return out
-
-    def W(self):
-        W = np.zeros((self.dim, self.size, self.size))
-        for j in range(self.dim):
-            b = 1 << j
-            for m in range(self.size):
-                if not m & b:
-                    W[j, m | b, m] = merge_sign(b, m)
-        return W
 
 
 def _assert_close(got, ref, what):
@@ -540,7 +410,7 @@ def test_operator_blocks_match_the_reference_loops(n):
     triples = [build_standard_triple(n)] + [random_compatible_triple(n, rng) for _ in range(3)]
     dim = 2 * n
     for which, t in enumerate(triples):
-        ops, ref = t.ops, _ReferenceOps(t)
+        ops, ref = t.ops, ReferenceOps(t)
         for k in range(dim + 1):
             where = (which, k)
             for name in ("gram", "omega_gram", "star", "sstar", "jpull", "frame_compound", "weil"):
@@ -556,10 +426,7 @@ def test_operator_blocks_match_the_reference_loops(n):
             if k <= n:
                 B = ops.prim(k)
                 _assert_close(B @ B.conj().T, ref.prim_projector(k), ("prim",) + where)
-        _assert_close(ops.G, ref.full(ref.gram, 0), ("G", which))
-        _assert_close(ops.L, ref.full(lambda k: ref.lpow(k, 1), 2), ("L", which))
-        _assert_close(ops.Lam, ref.full(ref.lam, -2), ("Lam", which))
-        _assert_close(ops.W, ref.W(), ("W", which))
+
         def form(k):
             size = math.comb(dim, k)
             return KForm(n, k, rng.standard_normal(size) + 1j * rng.standard_normal(size))
@@ -567,7 +434,7 @@ def test_operator_blocks_match_the_reference_loops(n):
         for ka in range(dim + 1):
             for kb in range(dim + 1 - ka):
                 a, b = form(ka), form(kb)
-                _assert_close(wedge(a, b).data, _ref_wedge(a, b), ("wedge", ka, kb, which))
+                _assert_close(wedge(a, b).data, ref_wedge(a, b), ("wedge", ka, kb, which))
 
 
 def test_kform_copies_the_callers_array_and_owns_its_own(rng):

@@ -369,6 +369,26 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() >= 1
 
 
+@pytest.mark.parametrize("flag, env, named", [
+    ("0", None, "got 0"),
+    ("-5", None, "got -5"),
+    (None, "abc", "got 'abc'"),
+    (None, "0", "got '0'"),
+])
+def test_cli_rejects_a_bad_thread_count(monkeypatch, capsys, flag, env, named):
+    # each once read silently as the default and passed
+    monkeypatch.delenv("LLAB_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("LLAB_THREADS", env)
+    argv = ["verify-identities", "--n", "1", "--cases", "4", "--cross-cases", "2"]
+    if flag is not None:
+        argv += ["--threads", flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # decompose subcommand
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ factorial ladder, an independent expansion of the same closed form.
 
 from __future__ import annotations
 
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -131,6 +133,34 @@ def test_report_surface_case():
     assert rep["checks_pass"]
     assert rep["constant"] == 0.25
     assert rep["factors"]["sigma_min"] == 1.0
+
+
+def _mutant(monkeypatch, module, name, old, new):
+    """Put in `module`, for one test, a copy of its function `name` whose
+    source has its one occurrence of `old` replaced by `new`."""
+    func = getattr(module, name)
+    src = textwrap.dedent(inspect.getsource(func))
+    assert src.count(old) == 1, old
+    namespace = dict(vars(module))
+    exec(compile(src.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
+@pytest.mark.parametrize("old, new, broken", [
+    ("- m * (", "+ m * (", "commutation_d_star_Lm"),
+    ("np.linalg.inv(ops.weil(k + 1))", "ops.weil(k + 1)", "d_lambda_star_is_conjugated_d"),
+    ("_adjoint_stack(ops, dc[k - 1], k - 1, k)", "-dc[k - 1].conj().transpose(0, 2, 1)",
+     "laplacian_dc_equals_laplacian_d"),
+], ids=["sign of m flipped", "W for W^-1", "metric-blind adjoint"])
+def test_a_broken_operator_identity_fails_loudly(monkeypatch, old, new, broken):
+    import llab.hyperbolic.gap as gap
+
+    _mutant(monkeypatch, gap, "_operator_identity_residuals", old, new)
+    for n, k in ((1, 0), (2, 1)):
+        rep = gromov_bound_report(n, k)
+        idents = rep["checks"]["operator_identities"]
+        assert idents[broken] > 1e-3, (n, k, idents)
+        assert not rep["checks_pass"], (n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,19 @@ def test_p1_matrices_summed_per_edge_match_the_coo_scatter(request, which):
         assert (got != got.T).nnz == 0
 
 
+@pytest.mark.parametrize("which", ["small_mesh", "fine_mesh", "square24"])
+def test_interior_p1_blocks_equal_the_restricted_matrices(request, which):
+    # k = 0 assembles the interior-vertex blocks directly; they must be the
+    # whole matrices restricted, then checked and symmetrized, bit for bit
+    mesh = request.getfixturevalue(which)
+    idx = mesh.interior
+    for got, P in zip(assemble_hodge_laplacian(mesh, 0), (stiffness_p1, mass_p1)):
+        want = SparseSymmetricMatrix.from_scipy(P(mesh)[idx][:, idx])
+        assert got.dimension == want.dimension == len(idx)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_hyperbolic_lambda1_vs_shooting(small_mesh):
     # R = 2, h = 0.25: P1 error is O(h^2) ~ a few percent
     A, M = assemble_hodge_laplacian(small_mesh, k=0)

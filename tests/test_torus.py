@@ -8,12 +8,13 @@ J-anti-invariant n^2 - n.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from llab.algebra import KForm, random_compatible_triple
+from llab.algebra import KForm, basis_masks, random_compatible_triple
 from llab.lefschetz import primitive_decompose
 from llab.torus import (
     FourierComplex,
@@ -27,6 +28,7 @@ from llab.torus import (
     anti_invariant_suite,
     self_dual_invariant_relation,
 )
+from reference_loops import ReferenceOps
 
 
 # ---------------------------------------------------------------------------
@@ -48,34 +50,56 @@ def fc4_random():
     return build_fourier_complex(2, 1, random_compatible_triple(2, np.random.default_rng(5)))
 
 
-def _direct_mode_ops(fc, xi) -> dict:
-    """Reference: the six operators of mode xi built from scratch."""
-    alg = fc.triple.ops
-    d = sum(2j * np.pi * x * alg.W[j] for j, x in enumerate(xi))
-    d_star = alg.adjoint(d)
-    d_lambda = d @ alg.Lam - alg.Lam @ d
-    d_lambda_star = alg.adjoint(d_lambda)
-    return {
-        "d": d,
-        "d_star": d_star,
-        "d_lambda": d_lambda,
-        "d_lambda_star": d_lambda_star,
-        "laplacian": d @ d_star + d_star @ d,
+_SHIFT = {"d": 1, "d_star": -1, "d_lambda": -1, "d_lambda_star": 1,
+          "laplacian": 0, "dee": 0, "d_squared": 2, "d_lambda_squared": -2}
+
+
+def _direct_mode_ops(ref, xi) -> dict:
+    """Reference: the operators of mode xi on the whole 4^n-dimensional
+    algebra, built from scratch out of the per-mask loops."""
+    d = sum(2j * np.pi * x * ref.W[j] for j, x in enumerate(xi))
+    d_lambda = d @ ref.Lam - ref.Lam @ d
+    return _WholeOps(d=d, d_star=ref.adjoint(d), d_lambda=d_lambda, d_lambda_star=ref.adjoint(d_lambda))
+
+
+class _WholeOps(dict):
+    """A mode's first-order operators on the whole algebra; Delta_d = dd* +
+    d*d, D = d*d + d^{Lambda*}d^Lambda, d^2 and (d^Lambda)^2 are formed
+    when first read."""
+
+    _PRODUCTS = {
+        "laplacian": (("d", "d_star"), ("d_star", "d")),
+        "dee": (("d_star", "d"), ("d_lambda_star", "d_lambda")),
+        "d_squared": (("d", "d"),),
+        "d_lambda_squared": (("d_lambda", "d_lambda"),),
     }
+
+    def __missing__(self, name):
+        self[name] = sum(self[a] @ self[b] for a, b in self._PRODUCTS[name])
+        return self[name]
+
+
+def _degree_block(fc, op, name, k):
+    """The Lambda^k -> Lambda^{k + shift} block of a whole-algebra operator."""
+    return op[np.ix_(basis_masks(2 * fc.n, k + _SHIFT[name]), basis_masks(2 * fc.n, k))]
 
 
 @pytest.mark.parametrize("which", ["standard", "random"])
 def test_mode_ops_match_direct_construction(which, fc4, fc4_random):
     fc = fc4 if which == "standard" else fc4_random
+    ref = ReferenceOps(fc.triple)
     for xi in ((1, 0, 0, 0), (0, 0, 0, -1), (0, 1, -1, 0), fc.modes[0], fc.modes[-1]):
         ops = fc.mode_ops(xi)
         assert ops.xi == xi
-        for name, want in _direct_mode_ops(fc, xi).items():
-            got = _op(ops, name)
-            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (xi, name)
+        for name, whole in _direct_mode_ops(ref, xi).items():
+            for k in range(5):
+                got, want = ops(name, k), _degree_block(fc, whole, name, k)
+                assert got.shape == want.shape, (xi, name, k)
+                scale = max(1.0, np.max(np.abs(want), initial=0.0))
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale, (xi, name, k)
     if which == "random":
         ops = fc.mode_ops((1, 0, 0, 0))
-        assert np.max(np.abs(ops.d_star - ops.d.conj().T)) > 1e-2  # the metric matters here
+        assert np.max(np.abs(ops("d_star", 2) - ops("d", 1).conj().T)) > 1e-2  # the metric matters here
 
 
 def test_torus_checks_on_a_random_triple(fc4_random):
@@ -97,14 +121,16 @@ def test_torus_checks_on_a_random_triple(fc4_random):
     assert verify_kahler_identity(fc)["passed"]
 
 
+def _patch_block(monkeypatch, mutate):
+    """Replace each block the complex builds, or reads to build another, by
+    mutate(fc, name, k, A), A the correct block."""
+    block = FourierComplex.block
+    monkeypatch.setattr(FourierComplex, "block", lambda fc, name, k: mutate(fc, name, k, block(fc, name, k)))
+
+
 def test_build_rejects_a_complex_whose_square_is_not_zero(std2, monkeypatch):
-    coeffs = FourierComplex.coeffs.func
-
-    def broken(fc):
-        c = coeffs(fc)
-        return dict(c, d=np.abs(c["d"]))  # drops the wedge signs
-
-    monkeypatch.setattr(FourierComplex, "coeffs", property(broken))
+    # drops the wedge signs
+    _patch_block(monkeypatch, lambda fc, name, k, A: np.abs(A) if name == "d" else A)
     with pytest.raises(ArithmeticError, match=r"\(d\)\^2 != 0"):
         build_fourier_complex(2, 0, std2)
 
@@ -284,52 +310,53 @@ def test_torus_suite_warns_when_L8_or_L10_measured_nothing(emptied, monkeypatch)
 
 
 def _embed(fc, k, v):
-    full = np.zeros(fc.triple.ops.size, dtype=complex)
-    full[fc.triple.ops.masks(k)] = v
+    full = np.zeros(1 << 2 * fc.n, dtype=complex)
+    full[list(basis_masks(2 * fc.n, k))] = v
     return full
 
 
-def _op(ops, name):
-    """A whole 4^n x 4^n operator of one mode, Delta_d = dd* + d*d and
-    D = d*d + d^{Lambda*}d^Lambda included."""
-    if name == "laplacian":
-        return ops.d @ ops.d_star + ops.d_star @ ops.d
-    if name == "dee":
-        return ops.d_star @ ops.d + ops.d_lambda_star @ ops.d_lambda
-    return getattr(ops, name)
+def _assembled_mode_ops(fc, ref, xi) -> dict:
+    """The complex's own per-degree operators of mode xi, placed on the
+    whole algebra by the reference loop: a mutated complex shows here."""
+    ops = fc.mode_ops(xi)
+    names = ("d", "d_star", "d_lambda", "d_lambda_star")
+    return _WholeOps({name: ref.full(lambda k: ops(name, k), _SHIFT[name]) for name in names})
 
 
-def _per_mode(fc, form, name):
+def _per_mode(mode, form, name):
     """One whole 4^n x 4^n operator per active mode of a {xi: full vector} form."""
-    return {xi: _op(fc.mode_ops(xi), name) @ v for xi, v in form.items()}
+    return {xi: mode(xi)[name] @ v for xi, v in form.items()}
 
 
-def _inner(fc, a, b):
-    return sum(v @ fc.triple.ops.G @ np.conj(b[xi]) for xi, v in a.items())
+def _inner(ref, a, b):
+    return sum(v @ ref.G @ np.conj(b[xi]) for xi, v in a.items())
 
 
-def _norm_sq(fc, a):
-    return float(_inner(fc, a, a).real)
+def _norm_sq(ref, a):
+    return float(_inner(ref, a, a).real)
 
 
 def _reference_L8(fc, samples, seed):
+    ref = ReferenceOps(fc.triple)
+    mode = functools.cache(lambda xi: _direct_mode_ops(ref, xi))
     worst, cases = 0.0, 0
     for idx in range(samples):
         rng = np.random.default_rng([seed, idx])
         p, q = int(rng.integers(0, fc.n + 1)), int(rng.integers(0, fc.n + 1))
         a = {xi: _embed(fc, p + q, v) for xi, v in fc.random_form(p + q, rng, pq=(p, q)).items()}
-        ns = _norm_sq(fc, a)
+        ns = _norm_sq(ref, a)
         if ns < 1e-12:
             continue
-        lhs, rhs = _norm_sq(fc, _per_mode(fc, a, "d_lambda")), _norm_sq(fc, _per_mode(fc, a, "d_star"))
+        lhs, rhs = _norm_sq(ref, _per_mode(mode, a, "d_lambda")), _norm_sq(ref, _per_mode(mode, a, "d_star"))
         worst = max(worst, abs(lhs - rhs) / ns)
         cases += 1
     return {"samples": cases, "max_residual": worst, "passed": bool(worst < 1e-10)}
 
 
 def _reference_L10(fc, samples, seed):
-    alg = fc.triple.ops
-    Lr = [np.linalg.matrix_power(alg.L, r) for r in range(fc.n + 1)]
+    ref = ReferenceOps(fc.triple)
+    mode = functools.cache(lambda xi: _direct_mode_ops(ref, xi))
+    Lr = [np.linalg.matrix_power(ref.L, r) for r in range(fc.n + 1)]
     results, worst = {}, 0.0
     for k in range(2 * fc.n + 1):
         ratios = []
@@ -340,15 +367,15 @@ def _reference_L10(fc, samples, seed):
                 for r, beta in primitive_decompose(KForm(fc.n, k, v), fc.triple).components.items():
                     comps.setdefault(r, {})[xi] = _embed(fc, beta.k, beta.data)
             a = {xi: _embed(fc, k, v) for xi, v in a.items()}
-            scale = max(_norm_sq(fc, a), 1.0)
+            scale = max(_norm_sq(ref, a), 1.0)
             for r1, b1 in comps.items():
-                LDb = {xi: Lr[r1] @ v for xi, v in _per_mode(fc, b1, "dee").items()}
+                LDb = {xi: Lr[r1] @ v for xi, v in _per_mode(mode, b1, "dee").items()}
                 for r2, b2 in comps.items():
                     if r2 != r1:
                         Lb2 = {xi: Lr[r2] @ v for xi, v in b2.items()}
-                        worst = max(worst, abs(_inner(fc, LDb, Lb2)) / scale)
-            num = _norm_sq(fc, _per_mode(fc, a, "d")) + _norm_sq(fc, _per_mode(fc, a, "d_lambda"))
-            den = sum(_norm_sq(fc, _per_mode(fc, b, "d")) for b in comps.values())
+                        worst = max(worst, abs(_inner(ref, LDb, Lb2)) / scale)
+            num = _norm_sq(ref, _per_mode(mode, a, "d")) + _norm_sq(ref, _per_mode(mode, a, "d_lambda"))
+            den = sum(_norm_sq(ref, _per_mode(mode, b, "d")) for b in comps.values())
             if den > 1e-12:
                 ratios.append(num / den)
         if ratios:
@@ -385,23 +412,22 @@ def test_batched_L8_and_L10_match_the_per_mode_loops(fc_case):
 
 def test_batched_anti_invariant_closedness_matches_the_per_mode_loop(fc_case):
     fc = fc_case
-    alg = fc.triple.ops
-    J2 = alg.jpull(2)
+    ref = ReferenceOps(fc.triple)
+    J2 = ref.jpull(2)
     u, s, _ = np.linalg.svd(0.5 * (np.eye(len(J2)) - J2))
-    anti = np.zeros((alg.size, int(np.sum(s > 1e-8 * max(1.0, s[0])))), dtype=complex)
-    anti[alg.masks(2)] = u[:, :anti.shape[1]]
+    anti = np.stack([_embed(fc, 2, u[:, c]) for c in range(int(np.sum(s > 1e-8 * max(1.0, s[0]))))], axis=1)
     closed, worst = 0, 0.0
     for xi in fc.modes:
-        ops = fc.mode_ops(xi)
+        ops = _direct_mode_ops(ref, xi)
         if any(xi):
-            _, sv, Vt = np.linalg.svd(ops.d @ anti)
+            _, sv, Vt = np.linalg.svd(ops["d"] @ anti)
             ker = anti.shape[1] - int(np.sum(sv > 1e-8 * max(1.0, sv[0])))
             closed += ker
             K = anti @ Vt.conj().T[:, anti.shape[1] - ker:]
         else:
             K = anti
         if K.shape[1]:
-            worst = max(worst, float(np.max(np.abs(_op(ops, "laplacian") @ K))))
+            worst = max(worst, float(np.max(np.abs(ops["laplacian"] @ K))))
     out = anti_invariant_suite(fc)
     assert out["passed"]
     assert out["closed_anti_invariant_dim_nonzero_modes"] == closed
@@ -409,9 +435,11 @@ def test_batched_anti_invariant_closedness_matches_the_per_mode_loop(fc_case):
 
 
 def _reference_check_complex(fc, max_modes=64):
-    """check_complex as a loop over modes, each with its whole 4^n x 4^n
-    operators, ranking each degree block one at a time."""
-    alg = fc.triple.ops
+    """check_complex as a loop over modes, each with the complex's own
+    operators on the whole 4^n-dimensional algebra, ranking each degree
+    block one at a time."""
+    ref = ReferenceOps(fc.triple)
+    size = ref.size
     rng = np.random.default_rng(0)
     modes = list(fc.modes)
     if max_modes is not None and len(modes) > max_modes:
@@ -423,39 +451,39 @@ def _reference_check_complex(fc, max_modes=64):
         "hodge_dim_mismatch": 0, "harmonic_iff_closed_coclosed": 0.0,
     }
     for xi in modes:
-        ops = fc.mode_ops(xi)
-        dee, lap = _op(ops, "dee"), _op(ops, "laplacian")
-        sc = max(1.0, float(np.max(np.abs(ops.d))) ** 2)
-        out["d_squared"] = max(out["d_squared"], float(np.max(np.abs(ops.d @ ops.d))) / sc)
-        out["d_lambda_squared"] = max(
-            out["d_lambda_squared"], float(np.max(np.abs(ops.d_lambda @ ops.d_lambda))) / sc)
-        a = rng.standard_normal(alg.size) + 1j * rng.standard_normal(alg.size)
-        b = rng.standard_normal(alg.size) + 1j * rng.standard_normal(alg.size)
-        lhs = (ops.d @ a) @ alg.G @ np.conj(b)
-        rhs = a @ alg.G @ np.conj(ops.d_star @ b)
+        ops = _assembled_mode_ops(fc, ref, xi)
+        d, d_star, d_lambda = ops["d"], ops["d_star"], ops["d_lambda"]
+        dee, lap = ops["dee"], ops["laplacian"]
+        sc = max(1.0, float(np.max(np.abs(d))) ** 2)
+        out["d_squared"] = max(out["d_squared"], float(np.max(np.abs(d @ d))) / sc)
+        out["d_lambda_squared"] = max(out["d_lambda_squared"], float(np.max(np.abs(d_lambda @ d_lambda))) / sc)
+        a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        b = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        lhs = (d @ a) @ ref.G @ np.conj(b)
+        rhs = a @ ref.G @ np.conj(d_star @ b)
         out["adjointness"] = max(out["adjointness"], abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
         scD = max(1.0, float(np.max(np.abs(dee))))
-        out["commutator_L"] = max(out["commutator_L"], float(np.max(np.abs(dee @ alg.L - alg.L @ dee))) / scD)
+        out["commutator_L"] = max(out["commutator_L"], float(np.max(np.abs(dee @ ref.L - ref.L @ dee))) / scD)
         out["commutator_Lambda"] = max(
-            out["commutator_Lambda"], float(np.max(np.abs(dee @ alg.Lam - alg.Lam @ dee))) / scD)
-        for k in range(2 * fc.n + 1):
-            mk = alg.masks(k)
+            out["commutator_Lambda"], float(np.max(np.abs(dee @ ref.Lam - ref.Lam @ dee))) / scD)
+        masks = [list(basis_masks(2 * fc.n, k)) for k in range(2 * fc.n + 1)]
+        for k, mk in enumerate(masks):
             lap_k = lap[np.ix_(mk, mk)]
             w, V = np.linalg.eigh(lap_k)
             kb = V[:, w < 1e-8 * max(1.0, float(w[-1]))]
-            dk = ops.d[np.ix_(alg.masks(k + 1), mk)] if k < 2 * fc.n else None
-            dkm = ops.d[np.ix_(mk, alg.masks(k - 1))] if k > 0 else None
+            dk = d[np.ix_(masks[k + 1], mk)] if k < 2 * fc.n else None
+            dkm = d[np.ix_(mk, masks[k - 1])] if k > 0 else None
             im_d = np.linalg.matrix_rank(dkm, tol=1e-8) if dkm is not None else 0
             im_ds = np.linalg.matrix_rank(dk, tol=1e-8) if dk is not None else 0
             if kb.shape[1] + im_d + im_ds != len(mk):
                 out["hodge_dim_mismatch"] += 1
             if kb.size:
-                full = np.zeros((alg.size, kb.shape[1]), dtype=complex)
+                full = np.zeros((size, kb.shape[1]), dtype=complex)
                 full[mk] = kb
-                r1, r2 = float(np.max(np.abs(ops.d @ full))), float(np.max(np.abs(ops.d_star @ full)))
+                r1, r2 = float(np.max(np.abs(d @ full))), float(np.max(np.abs(d_star @ full)))
                 out["harmonic_iff_closed_coclosed"] = max(
                     out["harmonic_iff_closed_coclosed"], (r1 + r2) / np.sqrt(sc))
-            rows = [B for B in (dk, ops.d_star[np.ix_(alg.masks(k - 1), mk)] if k > 0 else None) if B is not None]
+            rows = [B for B in (dk, d_star[np.ix_(masks[k - 1], mk)] if k > 0 else None) if B is not None]
             if len(mk) - np.linalg.matrix_rank(np.vstack(rows), tol=1e-8) != kb.shape[1]:
                 out["hodge_dim_mismatch"] += 1
     return out
@@ -475,15 +503,14 @@ def test_batched_check_complex_matches_the_per_mode_loop(fc_case):
 
 @pytest.mark.parametrize("broken", ["d without signs", "d^Lambda* zeroed"])
 def test_check_complex_catches_a_broken_complex(broken, fc4, monkeypatch):
-    coeffs = FourierComplex.coeffs.func
+    def mutated(fc, name, k, A):
+        if broken == "d without signs" and name == "d":
+            return np.abs(A)  # and every block built from d with it
+        if broken == "d^Lambda* zeroed" and name == "d_lambda_star":
+            return np.zeros_like(A)
+        return A
 
-    def mutated(fc):
-        c = coeffs(fc)
-        if broken == "d without signs":
-            return dict(c, d=np.abs(c["d"]))
-        return dict(c, d_lambda_star=np.zeros_like(c["d_lambda_star"]))
-
-    monkeypatch.setattr(FourierComplex, "coeffs", property(mutated))
+    _patch_block(monkeypatch, mutated)
     fc = FourierComplex(n=2, N=1, triple=fc4.triple, modes=fc4.modes)  # not validated: d^2 = 0 fails
     for out in (check_complex(fc), _reference_check_complex(fc)):
         assert max(out["d_squared"], out["commutator_L"]) >= 0.5, out
@@ -511,9 +538,8 @@ def test_a_metric_blind_adjoint_fails_loudly(fc4_random, monkeypatch):
     # d* built as the adjoint for the identity Gram: Delta_d(xi) is then
     # 4 pi^2 |xi|^2 I for the Euclidean |xi|, invertible at every xi != 0, so
     # a kernel scan sees nothing wrong; the Weitzenbock coefficients do
-    coeffs = FourierComplex.coeffs.func
-    monkeypatch.setattr(FourierComplex, "coeffs", property(
-        lambda fc: dict(coeffs(fc), d_star=-coeffs(fc)["d"].transpose(0, 2, 1))))
+    _patch_block(monkeypatch, lambda fc, name, k, A: (
+        -fc.block("d", k - 1).transpose(0, 2, 1) if name == "d_star" else A))
     fc = FourierComplex(n=2, N=1, triple=fc4_random.triple, modes=fc4_random.modes)
     for k in range(5):
         with pytest.raises(ArithmeticError, match="Weitzenbock identity fails"):
@@ -527,21 +553,19 @@ def test_a_metric_blind_adjoint_fails_loudly(fc4_random, monkeypatch):
 def test_quadratic_coefficients_match_the_mode_operators(fc4_random):
     # xi beyond the cutoff N = 1 too: the coefficients hold at every mode
     fc = fc4_random
-    alg = fc.triple.ops
+    ref = ReferenceOps(fc.triple)
     for xi in ((1, 0, 0, 0), (0, 1, -1, 0), (2, -3, 0, 1)):
-        ops = fc.mode_ops(xi)
-        lap = _op(ops, "laplacian")
-        full = {"laplacian": (lap, 0), "dee": (_op(ops, "dee"), 0),
-                "d_squared": (ops.d @ ops.d, 2), "d_lambda_squared": (ops.d_lambda @ ops.d_lambda, -2)}
+        ops = _direct_mode_ops(ref, xi)
         x = np.array(xi, dtype=float)
-        for name, (op, shift) in full.items():
+        for name in ("laplacian", "dee", "d_squared", "d_lambda_squared"):
             for k in range(5):
-                if 0 <= k + shift <= 4:
+                if 0 <= k + _SHIFT[name] <= 4:
                     got = np.einsum("j,l,jlab->ab", x, x, fc.quadratic(name, k))
-                    want = op[np.ix_(alg.masks(k + shift), alg.masks(k))]
+                    want = _degree_block(fc, ops[name], name, k)
                     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (xi, name, k)
         # the Weitzenbock identity, read off one mode's whole Laplacian
-        assert np.max(np.abs(lap - 4 * np.pi ** 2 * (x @ fc.triple.g_inv @ x) * np.eye(alg.size))) < 1e-10
+        lap = ops["laplacian"]
+        assert np.max(np.abs(lap - 4 * np.pi ** 2 * (x @ fc.triple.g_inv @ x) * np.eye(ref.size))) < 1e-10
 
 
 def _reference_random_form(fc, k, rng, active_modes=8, pq=None):
