@@ -10,10 +10,12 @@ construction and safe to share across threads.
 
 Every operator matrix of a triple lives in its `Ops` bundle (`t.ops`), built
 block by block on first use and freed with the triple, so the per-form
-functions below are single matrix products.  The blocks are gathers and
-scatters of the triple's values over index-and-sign tables of basis
-products (`_wedge_table`), which depend only on (2n, k) and are built once
-per process.
+functions below are single matrix products; a real block acting on a
+complex batch is one real product on the batch's (Re, Im) view (`_apply`).
+The blocks are gathers and scatters of the triple's values over
+index-and-sign tables of basis products (`_wedge_table`), which depend only
+on (2n, k) and are built once per process, as whole-array operations on
+the masks.
 
 Coefficients are complex throughout.  Real forms are a subspace recognised by
 `KForm.is_real`, because the (p,q) type decomposition is intrinsically
@@ -388,23 +390,44 @@ class _Products(NamedTuple):
 
 
 @lru_cache(maxsize=None)
+def _mask_rank(dim: int) -> np.ndarray:
+    """Each mask's position in the basis of its degree, indexed by mask:
+    the degrees are popcounts, and within a degree masks count up."""
+    masks = np.arange(1 << dim, dtype=np.intp)
+    degree = sum((masks >> i) & 1 for i in range(dim))
+    rank = np.empty_like(masks)
+    for k in range(dim + 1):
+        of_k = np.flatnonzero(degree == k)
+        rank[of_k] = np.arange(len(of_k))
+    return _read_only(rank)
+
+
+@lru_cache(maxsize=None)
 def _wedge_table(dim: int, a: int, b: int) -> _Products:
     """Every product of a degree-a and a degree-b basis form that is not zero.
 
     Entries come grouped by target in basis order, C(a+b, a) per target, and
     within a target by the left factor's generators in lexicographic order;
     for a = 1 that is the position of the left generator in the target.
-    Built once per (dim, a, b); every operator of every triple reads it.
+    Built once per (dim, a, b), as whole-array operations on the masks;
+    every operator of every triple reads it.
     """
-    left, right = _mask_index(dim, a), _mask_index(dim, b)
-    rows = []
-    for t, m in enumerate(basis_masks(dim, a + b)):
-        gens = [1 << i for i in range(dim) if m >> i & 1]
-        for picked in itertools.combinations(gens, a):
-            lm = sum(picked)
-            rows.append((t, left[lm], right[m ^ lm], merge_sign(lm, m ^ lm)))
-    cols = np.array(rows, dtype=np.intp).reshape(-1, 4).T
-    return _Products(*map(_read_only, (cols[0], cols[1], cols[2], cols[3].astype(float))))
+    targets = np.array(basis_masks(dim, a + b), dtype=np.intp)
+    bits = targets[:, None] & (1 << np.arange(dim, dtype=np.intp))
+    gens = bits[bits != 0].reshape(len(targets), a + b)  # each target's generators, ascending
+    picks = np.array(list(itertools.combinations(range(a + b), a)), dtype=np.intp)
+    picks = picks.reshape(math.comb(a + b, a), a)  # which of them the left factor takes
+    lefts = gens[:, picks].sum(axis=2)
+    rank = _mask_rank(dim)
+    # sorting e^{left} ^ e^{right}: the left factor's j-th generator (from 0),
+    # at position c_j of the target, passes the c_j - j right ones before it
+    swaps = picks.sum(axis=1) - a * (a - 1) // 2
+    return _Products(*map(_read_only, (
+        np.repeat(np.arange(len(targets)), len(picks)),
+        rank[lefts].ravel(),
+        rank[targets[:, None] ^ lefts].ravel(),
+        np.tile(1.0 - 2.0 * (swaps % 2), len(targets)),
+    )))
 
 
 @lru_cache(maxsize=None)
@@ -674,6 +697,16 @@ class Ops:
 # per-form operators: one product with a block of t.ops
 # ---------------------------------------------------------------------------
 
+def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M @ x.  A real block acting on a complex column batch whose rows are
+    contiguous is one real product on the batch's (Re, Im) view, where the
+    two parts of each coefficient sit side by side; M is not up-cast to
+    complex.  Complex blocks, single forms and other layouts take plain @."""
+    if M.dtype == np.float64 and x.dtype == np.complex128 and x.ndim == 2 and x.strides[1] == x.itemsize:
+        return (M @ x.view(np.float64)).view(np.complex128)
+    return M @ x
+
+
 def metric_gram(t: CompatibleTriple, k: int) -> np.ndarray:
     """Gram matrix of the g-inner product on Lambda^k (real symmetric PD)."""
     return t.ops.gram(k)
@@ -689,13 +722,13 @@ def inner(a: KForm, b: KForm, t: CompatibleTriple):
     """Hermitian pointwise inner product <a, b>, conjugate-linear in b
     (one value per column for batches)."""
     a._check_compatible(b)
-    return _column_sums(a.data * (metric_gram(t, a.k) @ np.conj(b.data)))
+    return _column_sums(a.data * _apply(metric_gram(t, a.k), np.conj(b.data)))
 
 
 def inner_bilinear(a: KForm, b: KForm, t: CompatibleTriple):
     """Complex-bilinear extension of the g-inner product (no conjugation)."""
     a._check_compatible(b)
-    return _column_sums(a.data * (metric_gram(t, a.k) @ b.data))
+    return _column_sums(a.data * _apply(metric_gram(t, a.k), b.data))
 
 
 def norm(a: KForm, t: CompatibleTriple):
@@ -706,12 +739,12 @@ def norm(a: KForm, t: CompatibleTriple):
 
 def hodge_star(a: KForm, t: CompatibleTriple) -> KForm:
     """Riemannian Hodge star (complex-linear extension): <a,b> dvol = a ^ *b."""
-    return KForm._own(a.n, 2 * a.n - a.k, t.ops.star(a.k) @ a.data)
+    return KForm._own(a.n, 2 * a.n - a.k, _apply(t.ops.star(a.k), a.data))
 
 
 def j_action(a: KForm, t: CompatibleTriple) -> KForm:
     """(J a)(u_1, ..., u_k) = a(J u_1, ..., J u_k): pullback along J."""
-    return KForm._own(a.n, a.k, t.ops.jpull(a.k) @ a.data)
+    return KForm._own(a.n, a.k, _apply(t.ops.jpull(a.k), a.data))
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,18 @@ Lambda is *defined* by double contraction with omega^{-1}; its agreement with
 the metric adjoint of L and with the star conjugation is verified, not
 assumed.  The operator matrices live in the triple's bundle `t.ops`.  Every
 residual takes a single form or a column batch (`KForm` data of shape
-(C(2n,k), m)) and returns the worst column, so the suite and the unit tests
-call the same functions.
+(C(2n,k), m)) and returns the worst column.  An identity with levels (the
+powers i of the commutators, r of the Weil relation, the pairs (i, j) of the
+scaling law) has one batched implementation over all its levels, which
+reads the batch's `Ladder` of shared products; the per-level functions read
+one level of it, so the suite and the unit tests run the same code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +36,7 @@ import numpy as np
 from llab.algebra import (
     CompatibleTriple,
     KForm,
+    _apply,
     hodge_star,
     inner,
     j_action,
@@ -47,15 +52,21 @@ __all__ = [
     "PrimitivityResult",
     "primitive_decompose",
     "LefschetzComponents",
+    "Ladder",
+    "lambda_conjugation_residuals",
+    "weil_relation_residuals",
     "weil_relation_residual",
     "weil_specialization_constant",
     "star_conjugation_residual",
     "symplectic_star_involution_residual",
     "hodge_star_conjugation_residual",
     "weil_operator_residual",
+    "commutator_residuals",
     "commutator_check",
     "commutator_residual",
     "primitivity_residuals",
+    "inner_scaling_levels",
+    "inner_scaling_residuals",
     "inner_scaling_check",
     "inner_scaling_residual",
     "cross_term_residual",
@@ -78,7 +89,7 @@ def lefschetz_power_matrix(t: CompatibleTriple, k: int, r: int) -> np.ndarray:
 
 def _power(a: KForm, r: int, t: CompatibleTriple) -> KForm:
     """L^r a (the target degree must stay inside the algebra)."""
-    return KForm._own(a.n, a.k + 2 * r, lefschetz_power_matrix(t, a.k, r) @ a.data)
+    return KForm._own(a.n, a.k + 2 * r, _apply(lefschetz_power_matrix(t, a.k, r), a.data))
 
 
 def lefschetz_L(a: KForm, t: CompatibleTriple) -> KForm:
@@ -92,7 +103,7 @@ def dual_lefschetz(a: KForm, t: CompatibleTriple) -> KForm:
     """Lambda(a), the omega^{-1} double contraction.  Zero on degrees < 2."""
     if a.k < 2:
         return KForm._own(a.n, 0, np.zeros((1,) + a.data.shape[1:], dtype=complex))
-    return KForm._own(a.n, a.k - 2, t.ops.lam(a.k) @ a.data)
+    return KForm._own(a.n, a.k - 2, _apply(t.ops.lam(a.k), a.data))
 
 
 def symplectic_star(a: KForm, t: CompatibleTriple) -> KForm:
@@ -101,7 +112,7 @@ def symplectic_star(a: KForm, t: CompatibleTriple) -> KForm:
     The pairing is extended to degree k by Gram minors of omega^{-1} and is
     complex-bilinear (no conjugation); star_s o star_s = id.
     """
-    return KForm._own(a.n, 2 * a.n - a.k, t.ops.sstar(a.k) @ a.data)
+    return KForm._own(a.n, 2 * a.n - a.k, _apply(t.ops.sstar(a.k), a.data))
 
 
 class PrimitivityResult(NamedTuple):
@@ -236,27 +247,71 @@ def random_primitive(t: CompatibleTriple, k: int, rng: np.random.Generator) -> K
 
 
 # ---------------------------------------------------------------------------
-# identity residuals (single forms or column batches; worst column returned)
+# the ladder of one batch
 # ---------------------------------------------------------------------------
 
-def _lambda_conjugation(a: KForm, t: CompatibleTriple, star, sign: int) -> float:
-    """Residual of Lambda(a) = sign * star(L(star(a))) (both zero for k < 2)."""
-    lam = dual_lefschetz(a, t)
-    if a.k < 2:
-        # star(a) sits too high for L; Lambda already returns exact zero
-        return _rel_max(lam.data, a.data)
-    rhs = star(lefschetz_L(star(a, t), t), t)
-    return _rel_max(lam.data - sign * rhs.data, a.data)
+class Ladder:
+    """The products of one form or column batch `a` that its identities share.
+
+    Each rung is formed the first time an identity reads it and kept for the
+    next: the powers L^r a (each the one product lpow(k, r) @ a, as a lone
+    L^r a forms it), Lambda a and the Weil image W(a).  A suite cell builds
+    one ladder per batch, and every identity family below reads its rungs
+    from it.
+    """
+
+    def __init__(self, a: KForm, t: CompatibleTriple):
+        self.a, self.t = a, t
+        self._powers = {0: a}
+
+    def power(self, r: int) -> KForm:
+        """L^r a (the target degree must stay inside the algebra)."""
+        if r not in self._powers:
+            self._powers[r] = _power(self.a, r, self.t)
+        return self._powers[r]
+
+    @cached_property
+    def lam(self) -> KForm:
+        """Lambda a (the zero 0-form below degree 2)."""
+        return dual_lefschetz(self.a, self.t)
+
+    @cached_property
+    def weil(self) -> KForm:
+        """W(a), with W the Weil operator of the triple."""
+        return weil_operator(self.a, self.t)
+
+
+# ---------------------------------------------------------------------------
+# identity residuals (single forms or column batches; worst column returned)
+#
+# Each identity family is one function of a Ladder over all its levels; the
+# per-level functions build the ladder of their input and read one level.
+# ---------------------------------------------------------------------------
+
+def lambda_conjugation_residuals(X: Ladder) -> dict[str, float]:
+    """Residuals of Lambda(a) = star_s(L(star_s(a))) ("symplectic_star") and
+    Lambda(a) = (-1)^k star(L(star(a))) ("hodge_star"), both read against the
+    ladder's Lambda a.  For k < 2 both sides are zero: star(a) sits too high
+    for L, and Lambda returns exact zero."""
+    a, t, lam = X.a, X.t, X.lam
+    out = {}
+    for name, star, sign in (("symplectic_star", symplectic_star, 1), ("hodge_star", hodge_star, (-1) ** a.k)):
+        if a.k < 2:
+            out[name] = _rel_max(lam.data, a.data)
+        else:
+            rhs = star(lefschetz_L(star(a, t), t), t)
+            out[name] = _rel_max(lam.data - sign * rhs.data, a.data)
+    return out
 
 
 def star_conjugation_residual(a: KForm, t: CompatibleTriple) -> float:
     """Residual of Lambda(a) = star_s(L(star_s(a))) (both zero for k < 2)."""
-    return _lambda_conjugation(a, t, symplectic_star, 1)
+    return lambda_conjugation_residuals(Ladder(a, t))["symplectic_star"]
 
 
 def hodge_star_conjugation_residual(a: KForm, t: CompatibleTriple) -> float:
     """Residual of Lambda(a) = (-1)^k star(L(star(a))) (both zero for k < 2)."""
-    return _lambda_conjugation(a, t, hodge_star, (-1) ** a.k)
+    return lambda_conjugation_residuals(Ladder(a, t))["hodge_star"]
 
 
 def symplectic_star_involution_residual(a: KForm, t: CompatibleTriple) -> float:
@@ -269,19 +324,34 @@ def weil_operator_residual(a: KForm, t: CompatibleTriple) -> float:
     return _rel_max(j_action(a, t).data - weil_operator(a, t).data, a.data)
 
 
+def weil_relation_residuals(B: Ladder, levels=None) -> dict[int, float]:
+    """{r: residual of star(L^r B)/r! = (-1)^{k(k+1)/2} L^{n-k-r} W(B)/(n-k-r)!}
+
+    for primitive B of degree k, over r in `levels` (default: every
+    0 <= r <= n - k), each relative to B's max-abs coefficient.  The powers
+    of B and W(B) come from the ladder, once for all levels.
+    """
+    beta, t = B.a, B.t
+    n, k = beta.n, beta.k
+    top = n - k
+    sign = (-1) ** ((k * (k + 1) // 2) % 2)
+    out = {}
+    for r in range(top + 1) if levels is None else levels:
+        if not 0 <= r <= top:
+            raise ValueError(f"need 0 <= r <= n-k, got r={r}, n={n}, k={k}")
+        lhs = hodge_star(B.power(r), t).data / math.factorial(r)
+        rhs = sign * _power(B.weil, top - r, t).data / math.factorial(top - r)
+        out[r] = _rel_max(lhs - rhs, beta.data)
+    return out
+
+
 def weil_relation_residual(beta: KForm, r: int, t: CompatibleTriple) -> float:
     """Residual of star(L^r beta)/r! = (-1)^{k(k+1)/2} L^{n-k-r} W(beta)/(n-k-r)!
 
-    for primitive beta of degree k, 0 <= r <= n - k, relative to beta's
-    max-abs coefficient.
+    for primitive beta of degree k, 0 <= r <= n - k: level r of
+    :func:`weil_relation_residuals`.
     """
-    n, k = beta.n, beta.k
-    if not 0 <= r <= n - k:
-        raise ValueError(f"need 0 <= r <= n-k, got r={r}, n={n}, k={k}")
-    lhs = hodge_star(_power(beta, r, t), t).data / math.factorial(r)
-    sign = (-1) ** ((k * (k + 1) // 2) % 2)
-    rhs = sign * _power(weil_operator(beta, t), n - k - r, t).data / math.factorial(n - k - r)
-    return _rel_max(lhs - rhs, beta.data)
+    return weil_relation_residuals(Ladder(beta, t), (r,))[r]
 
 
 def weil_specialization_constant(n: int, p: int, q: int) -> complex:
@@ -300,24 +370,37 @@ def weil_specialization_constant(n: int, p: int, q: int) -> complex:
     return (1j) ** ((p - q) % 4) * sign / math.factorial(n - k)
 
 
-def commutator_check(a: KForm, i: int, t: CompatibleTriple) -> float:
-    """Residual of [L^i, Lambda] a = i (k - n + i - 1) L^{i-1} a on degree k.
+def commutator_residuals(X: Ladder, levels) -> dict[int, float]:
+    """{i: residual of [L^i, Lambda] a = i (k - n + i - 1) L^{i-1} a} on degree k,
+    over i >= 1 in `levels`.
 
+    The powers L^r a and Lambda a come from the ladder, once for all i.
     Powers of L that leave the top of the algebra act as the zero map, so the
-    identity is checked for every degree k and every i >= 1.
+    identity holds for every degree k and every i >= 1.
     """
+    a, t = X.a, X.t
     n, k = a.n, a.k
-    if i < 1:
-        raise ValueError("need i >= 1")
-    if k + 2 * (i - 1) > 2 * n:
-        return 0.0  # every term of the identity overflows the top degree
-    rhs = i * (k - n + i - 1) * _power(a, i - 1, t).data
-    lhs = np.zeros_like(rhs)  # [L^i, Lambda] = L^i Lambda - Lambda L^i
-    if k >= 2:
-        lhs = lhs + _power(dual_lefschetz(a, t), i, t).data
-    if k + 2 * i <= 2 * n:  # otherwise L^i a lies above degree 2n
-        lhs = lhs - dual_lefschetz(_power(a, i, t), t).data
-    return _rel_max(lhs - rhs, a.data)
+    out = {}
+    for i in levels:
+        if i < 1:
+            raise ValueError("need i >= 1")
+        if k + 2 * (i - 1) > 2 * n:
+            out[i] = 0.0  # every term of the identity overflows the top degree
+            continue
+        rhs = i * (k - n + i - 1) * X.power(i - 1).data
+        lhs = np.zeros_like(rhs)  # [L^i, Lambda] = L^i Lambda - Lambda L^i
+        if k >= 2:
+            lhs = lhs + _power(X.lam, i, t).data
+        if k + 2 * i <= 2 * n:  # otherwise L^i a lies above degree 2n
+            lhs = lhs - dual_lefschetz(X.power(i), t).data
+        out[i] = _rel_max(lhs - rhs, a.data)
+    return out
+
+
+def commutator_check(a: KForm, i: int, t: CompatibleTriple) -> float:
+    """Residual of [L^i, Lambda] a = i (k - n + i - 1) L^{i-1} a on degree k:
+    level i of :func:`commutator_residuals`."""
+    return commutator_residuals(Ladder(a, t), (i,))[i]
 
 
 #: Residual-style alias of :func:`commutator_check` (same callable).
@@ -329,36 +412,60 @@ def primitivity_residuals(beta: KForm, t: CompatibleTriple) -> tuple[float, floa
     L^{n-k+1} beta), for a primitive k-form beta, k <= n: both vanish."""
     n, k = beta.n, beta.k
     lam = _rel_max(dual_lefschetz(beta, t).data, beta.data)
-    power = _rel_max(lefschetz_power_matrix(t, k, n - k + 1) @ beta.data, beta.data)
+    power = _rel_max(_apply(lefschetz_power_matrix(t, k, n - k + 1), beta.data), beta.data)
     return lam, power
 
 
-def inner_scaling_check(beta: KForm, alpha: KForm, i: int, j: int, t: CompatibleTriple):
-    """Return (lhs, rhs) of the primitive-pair inner-product scaling law
+def inner_scaling_levels(B: Ladder, A: Ladder, pairs=None) -> dict[tuple[int, int], tuple]:
+    """{(i, j): (lhs, rhs)} of the primitive-pair inner-product scaling law
 
         <L^i beta, L^i alpha> = [i! (n-k-i+j)! / ((i-j)! (n-k-i)!)] <L^{i-j} beta, L^{i-j} alpha>
 
-    for primitive alpha, beta of equal degree k, 0 <= j <= i <= n - k
-    (one value per column for batches).
+    for primitive alpha, beta of equal degree k, over the pairs
+    0 <= j <= i <= n - k in `pairs` (default: all of them); one value per
+    column for batches.  Each <L^r beta, L^r alpha> is formed once, from the
+    two ladders, and read by every pair that needs it.
     """
+    beta, alpha, t = B.a, A.a, B.t
     n, k = beta.n, beta.k
     if alpha.k != k or alpha.n != n:
         raise ValueError("alpha and beta must share degree and dimension")
-    if not (0 <= j <= i <= n - k):
-        raise ValueError(f"need 0 <= j <= i <= n-k; got i={i}, j={j}, n-k={n - k}")
-    factor = (
-        math.factorial(i)
-        * math.factorial(n - k - i + j)
-        / (math.factorial(i - j) * math.factorial(n - k - i))
-    )
-    lhs = inner(_power(beta, i, t), _power(alpha, i, t), t)
-    return lhs, factor * inner(_power(beta, i - j, t), _power(alpha, i - j, t), t)
+    if pairs is None:
+        pairs = [(i, j) for i in range(n - k + 1) for j in range(i + 1)]
+    for i, j in pairs:
+        if not (0 <= j <= i <= n - k):
+            raise ValueError(f"need 0 <= j <= i <= n-k; got i={i}, j={j}, n-k={n - k}")
+    level = {r: inner(B.power(r), A.power(r), t) for r in sorted({r for i, j in pairs for r in (i, i - j)})}
+    out = {}
+    for i, j in pairs:
+        factor = (
+            math.factorial(i)
+            * math.factorial(n - k - i + j)
+            / (math.factorial(i - j) * math.factorial(n - k - i))
+        )
+        out[(i, j)] = (level[i], factor * level[i - j])
+    return out
+
+
+def inner_scaling_residuals(B: Ladder, A: Ladder, pairs=None) -> dict[tuple[int, int], float]:
+    """{(i, j): worst column of |lhs - rhs| / max(1, |lhs|)} for
+    :func:`inner_scaling_levels`."""
+    return {
+        ij: float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0), initial=0.0))
+        for ij, (lhs, rhs) in inner_scaling_levels(B, A, pairs).items()
+    }
+
+
+def inner_scaling_check(beta: KForm, alpha: KForm, i: int, j: int, t: CompatibleTriple):
+    """(lhs, rhs) of the scaling law at level (i, j), as
+    :func:`inner_scaling_levels` gives it (one value per column for batches)."""
+    return inner_scaling_levels(Ladder(beta, t), Ladder(alpha, t), ((i, j),))[(i, j)]
 
 
 def inner_scaling_residual(beta: KForm, alpha: KForm, i: int, j: int, t: CompatibleTriple) -> float:
-    """Worst column of |lhs - rhs| / max(1, |lhs|) for :func:`inner_scaling_check`."""
-    lhs, rhs = inner_scaling_check(beta, alpha, i, j, t)
-    return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0), initial=0.0))
+    """Worst column of |lhs - rhs| / max(1, |lhs|) at level (i, j), as
+    :func:`inner_scaling_residuals` gives it."""
+    return inner_scaling_residuals(Ladder(beta, t), Ladder(alpha, t), ((i, j),))[(i, j)]
 
 
 def cross_term_residual(x: KForm, p: int, y: KForm, q: int, t: CompatibleTriple) -> float:

@@ -1,14 +1,16 @@
 """Reference loops: the per-mask constructions of every operator block.
 
-These are the slow, obvious versions of `llab.algebra.Ops` (index-and-sign
-tables, cofactor steps) and of the torus model's whole-algebra operators:
-one loop over basis masks per entry, one LAPACK determinant per minor.
+These are the slow, obvious versions of the basis-product tables, of
+`llab.algebra.Ops` (index-and-sign tables, cofactor steps) and of the torus
+model's whole-algebra operators: one loop over basis masks per entry, one
+LAPACK determinant per minor.
 Tests compare the fast code against them; nothing here reads `Ops`
 except the (1,0) coframe, whose choice of basis is not unique.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property
 
@@ -36,6 +38,23 @@ def ref_contraction(dim, k, axis):
         if m & bit:
             M[rows[m ^ bit], c] = -1.0 if (m & (bit - 1)).bit_count() & 1 else 1.0
     return M
+
+
+def ref_wedge_table(dim: int, a: int, b: int):
+    """The nonzero products e^{left} ^ e^{right} = sign e^{target} of degree-a
+    and degree-b basis forms, one `merge_sign` call per entry: (target, left,
+    right, sign) columns, by target, then by the left factor's generators in
+    lexicographic order."""
+    left = {m: i for i, m in enumerate(basis_masks(dim, a))}
+    right = {m: i for i, m in enumerate(basis_masks(dim, b))}
+    rows = []
+    for t, m in enumerate(basis_masks(dim, a + b)):
+        gens = [1 << i for i in range(dim) if m >> i & 1]
+        for picked in itertools.combinations(gens, a):
+            lm = sum(picked)
+            rows.append((t, left[lm], right[m ^ lm], merge_sign(lm, m ^ lm)))
+    cols = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    return cols[0], cols[1], cols[2], cols[3].astype(float)
 
 
 def ref_wedge(a: KForm, b: KForm) -> np.ndarray:

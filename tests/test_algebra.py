@@ -39,7 +39,7 @@ from llab.algebra import (
     weil_operator,
     wedge,
 )
-from reference_loops import ReferenceOps, minor_sets, ref_wedge
+from reference_loops import ReferenceOps, minor_sets, ref_wedge, ref_wedge_table
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +69,19 @@ def test_merge_sign_oracle():
     assert merge_sign(0b100, 0b011) == +1
     # overlap is a wedge-kill, handled by callers; sign itself is defined
     assert merge_sign(0b1, 0b1) in (-1, +1)
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_wedge_tables_equal_the_merge_sign_loop(dim):
+    # the whole-array tables, entry for entry and bit for bit, against one
+    # merge_sign call per product
+    from llab.algebra import _wedge_table
+
+    for a in range(dim + 1):
+        for b in range(dim + 1 - a):
+            got, want = _wedge_table(dim, a, b), ref_wedge_table(dim, a, b)
+            for name, g, w in zip(("target", "left", "right", "sign"), got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (dim, a, b, name)
 
 
 def test_wedge_anticommutes_on_one_forms(std2, rng):
@@ -465,6 +478,42 @@ def test_batched_forms_act_column_by_column(rng):
         assert ip_b[c] == pytest.approx(inner(a, a.conjugate(), t), rel=1e-14)
     comps = pq_decompose(batch, t).components
     assert comps[(1, 1)].data.shape == (6, 4)
+
+
+def _real_product_cases(rng):
+    """(M, x) pairs in every layout a real block meets: a contiguous batch,
+    a column slice of one, an F-ordered batch and a single column."""
+    M = rng.standard_normal((15, 20))
+    X = rng.standard_normal((20, 9)) + 1j * rng.standard_normal((20, 9))
+    return {
+        "contiguous": (M, X),
+        "column slice": (M, X[:, :4]),
+        "F-ordered": (M, np.asfortranarray(X)),
+        "one column": (M, X[:, 2:3]),
+    }
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "column slice", "F-ordered", "one column"])
+def test_real_blocks_act_on_complex_batches_as_real_products(layout, rng):
+    from llab.algebra import _apply
+
+    M, x = _real_product_cases(rng)[layout]
+    got, want = _apply(M, x), M.astype(complex) @ x
+    assert got.shape == want.shape and got.dtype == complex
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    if layout == "F-ordered":  # no (Re, Im) view of the rows: the plain product
+        assert np.array_equal(got, M @ x)
+
+
+def test_complex_blocks_and_single_forms_take_the_plain_product(rng):
+    from llab.algebra import _apply
+
+    M = rng.standard_normal((15, 20))
+    X = rng.standard_normal((20, 9)) + 1j * rng.standard_normal((20, 9))
+    Mc = M + 1j * rng.standard_normal((15, 20))
+    assert np.array_equal(_apply(Mc, X), Mc @ X)
+    assert np.array_equal(_apply(M, X[:, 0].copy()), M @ X[:, 0])
+    assert np.array_equal(_apply(M, X.real.copy()), M @ X.real)
 
 
 def test_operators_die_with_their_triple():

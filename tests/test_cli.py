@@ -263,6 +263,21 @@ def test_cli_vacuous_run_warns_but_passes(capsys):
     assert "[PASS]" in out and "vacuous" in out
 
 
+def test_cli_without_cross_cases_warns_that_the_cross_term_went_unchecked(tmp_path, capsys):
+    argv = ["verify-identities", "--n", "2", "--cases", "10", "--cross-cases", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "[PASS]" in out and "vacuous" in out and "cross_term_orthogonality" in out
+    body = load_report(tmp_path / "verify-identities.json")["report"]
+    assert "cross_term_orthogonality" in body["warning"]
+    names = [name for cell in body["cells"].values() for res in cell.values() for name in res]
+    assert names and not any(name.startswith("cross_term") for name in names)
+    # n = 1 has no degree with two Lefschetz levels: no cross term to skip
+    assert main(argv[:2] + ["1"] + argv[3:]) == 0
+    assert "warning" not in load_report(tmp_path / "verify-identities.json")["report"]
+    assert "vacuous" not in capsys.readouterr().out
+
+
 def test_cli_torus_small(tmp_path):
     rc = main(
         ["torus", "--n", "2", "--N", "1", "--samples", "10", "--out", str(tmp_path), "--format", "json,csv"]

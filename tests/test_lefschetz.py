@@ -7,7 +7,9 @@ L^j, and binomial primitive dimensions.
 
 from __future__ import annotations
 
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -21,14 +23,19 @@ from llab.algebra import (
     random_compatible_triple,
 )
 from llab.lefschetz import (
+    Ladder,
     commutator_check,
     commutator_residual,
+    commutator_residuals,
     cross_term_residual,
     dual_lefschetz,
     hodge_star_conjugation_residual,
     inner_scaling_check,
+    inner_scaling_levels,
     inner_scaling_residual,
+    inner_scaling_residuals,
     is_primitive,
+    lambda_conjugation_residuals,
     lefschetz_L,
     lefschetz_power_matrix,
     primitive_basis,
@@ -40,6 +47,7 @@ from llab.lefschetz import (
     symplectic_star_involution_residual,
     weil_operator_residual,
     weil_relation_residual,
+    weil_relation_residuals,
     weil_specialization_constant,
 )
 
@@ -475,3 +483,120 @@ def test_batch_residual_finds_the_bad_column(std2, rng):
     mixed = np.stack([random_primitive(std2, 2, rng).data, _omega(std2).data], axis=1)
     lam, _ = primitivity_residuals(KForm(2, 2, mixed), std2)
     assert lam == pytest.approx(2.0, rel=1e-12)  # Lambda(omega) = n, max|omega| = 1
+
+
+# ---------------------------------------------------------------------------
+# the ladder: one batched implementation per identity family
+# ---------------------------------------------------------------------------
+
+
+def _batch(n, k, rng, m=6):
+    dim = math.comb(2 * n, k)
+    return KForm(n, k, rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m)))
+
+
+def _primitive_batch(t, k, rng, m=6):
+    P = primitive_basis(t, k)
+    c = rng.standard_normal((P.shape[1], m)) + 1j * rng.standard_normal((P.shape[1], m))
+    return KForm(t.n, k, P @ c)
+
+
+@pytest.mark.parametrize("which", ["standard", "random"])
+def test_per_level_functions_read_the_shared_implementation(which, std3, rng):
+    # each per-level function gives, bit for bit, its level of the family
+    # that the suite runs over all levels from one ladder per batch
+    t = std3 if which == "standard" else random_compatible_triple(3, rng)
+    n = 3
+    for k in range(2 * n + 1):
+        a = _batch(n, k, rng)
+        X = Ladder(a, t)
+        conj = lambda_conjugation_residuals(X)
+        assert star_conjugation_residual(a, t) == conj["symplectic_star"]
+        assert hodge_star_conjugation_residual(a, t) == conj["hodge_star"]
+        comm = commutator_residuals(X, (1, 2, 3, 4))
+        assert list(comm) == [1, 2, 3, 4]
+        for i, v in comm.items():
+            assert commutator_check(a, i, t) == v < 1e-11, (k, i)
+        if k > n:
+            continue
+        b, b2 = _primitive_batch(t, k, rng), _primitive_batch(t, k, rng)
+        B, B2 = Ladder(b, t), Ladder(b2, t)
+        weil = weil_relation_residuals(B)
+        assert list(weil) == list(range(n - k + 1))
+        for r, v in weil.items():
+            assert weil_relation_residual(b, r, t) == v < 1e-11, (k, r)
+        levels, scaled = inner_scaling_levels(B, B2), inner_scaling_residuals(B, B2)
+        assert list(levels) == list(scaled) == [(i, j) for i in range(n - k + 1) for j in range(i + 1)]
+        for (i, j), (lhs, rhs) in levels.items():
+            got_lhs, got_rhs = inner_scaling_check(b, b2, i, j, t)
+            assert np.array_equal(got_lhs, lhs) and np.array_equal(got_rhs, rhs), (k, i, j)
+            assert inner_scaling_residual(b, b2, i, j, t) == scaled[(i, j)] < 1e-11, (k, i, j)
+
+
+def test_a_ladder_forms_each_power_once(monkeypatch, rng):
+    import llab.lefschetz as lefschetz
+
+    calls = []
+    real = lefschetz.lefschetz_power_matrix
+
+    def counted(t, k, r):
+        calls.append((k, r))
+        return real(t, k, r)
+
+    monkeypatch.setattr(lefschetz, "lefschetz_power_matrix", counted)
+    t = build_standard_triple(4)
+    B, A = Ladder(_primitive_batch(t, 0, rng), t), Ladder(_primitive_batch(t, 0, rng), t)
+    assert len(inner_scaling_residuals(B, A)) == 15
+    # L^1..L^4 of each batch once, where pair by pair formed 60 powers
+    assert sorted(calls) == sorted(2 * [(0, r) for r in range(1, 5)])
+    del calls[:]
+    assert len(weil_relation_residuals(B)) == 5
+    # B's powers are read again; only the powers of W(B) are new
+    assert sorted(calls) == [(0, s) for s in range(5)]
+    with pytest.raises(ValueError, match="n-k"):
+        weil_relation_residuals(B, (5,))
+    with pytest.raises(ValueError, match="i >= 1"):
+        commutator_residuals(B, (0,))
+
+
+def _mutant(monkeypatch, name, old, new):
+    """Put in llab.lefschetz, and at the suite's binding of the same name, a
+    copy of the function `name` whose one occurrence of `old` is `new`."""
+    import llab.lefschetz as lefschetz
+    import llab.suites as suites
+
+    func = getattr(lefschetz, name)
+    src = textwrap.dedent(inspect.getsource(func))
+    assert src.count(old) == 1, old
+    namespace = dict(vars(lefschetz))
+    exec(compile(src.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
+    for module in (lefschetz, suites):
+        if getattr(module, name, None) is func:
+            monkeypatch.setattr(module, name, namespace[name])
+
+
+@pytest.mark.parametrize("name, old, new, check", [
+    ("inner_scaling_levels", "math.factorial(i - j)", "math.factorial(i - j + 1)", "inner_scaling"),
+    ("weil_relation_residuals", "sign * _power(B.weil", "-sign * _power(B.weil", "weil_relation"),
+], ids=["wrong factorial in the scaling factor", "flipped Weil sign"])
+def test_a_broken_identity_family_fails_the_suite_loudly(monkeypatch, name, old, new, check):
+    from llab.suites import identity_suite, worst_cell
+
+    _mutant(monkeypatch, name, old, new)
+    rep = identity_suite(n_values=(2, 3), cases=8, cross_cases=4, threads=1)
+    assert not rep["passed"]
+    cell, value = worst_cell(rep)
+    assert cell.split(".")[2].startswith(check) and value > 1e-3, (cell, value)
+
+
+def test_lambda_from_the_wrong_level_fails_the_commutators_loudly(monkeypatch, std3, rng):
+    # Lambda L^i a read as L^i Lambda a: the two terms of [L^i, Lambda] cancel.
+    # In degrees 2 and 4 of n = 3, i = 1 has both terms and i(k - n + i - 1) != 0
+    _mutant(monkeypatch, "commutator_residuals", "dual_lefschetz(X.power(i), t)", "_power(X.lam, i, t)")
+    import llab.lefschetz as lefschetz
+
+    for k in (2, 4):
+        a = _batch(3, k, rng)
+        worst = max(lefschetz.commutator_residuals(Ladder(a, std3), (1, 2)).values())
+        assert worst > 1e-3, k
+        assert lefschetz.commutator_check(a, 1, std3) > 1e-3, k
