@@ -805,7 +805,7 @@ def form_to_json(a: KForm) -> dict:
 # The largest n either wire format accepts.  A decomposition holds dense
 # C(2n, k) x C(2n, k) complex blocks (the frame compounds and their inverse,
 # one (p,q) projector per bidegree): `llab decompose` at n = 6, k = 6 takes
-# 1.4 s and 233 MB peak RSS (one process, 1 BLAS thread), while at n = 7 each
+# 1.1 s and 232 MB peak RSS (one process, 1 BLAS thread), while at n = 7 each
 # block of the middle degree alone is 188 MB.
 WIRE_MAX_N = 6
 
