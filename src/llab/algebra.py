@@ -17,9 +17,9 @@ index-and-sign tables of basis products (`_wedge_table`), which depend only
 on (2n, k) and are built once per process, as whole-array operations on
 the masks.
 
-Coefficients are complex throughout.  Real forms are a subspace recognised by
-`KForm.is_real`, because the (p,q) type decomposition is intrinsically
-complex; see CONVENTIONS.md for the orientation and J-action conventions.
+Coefficients are complex throughout, real forms included, because the
+(p,q) type decomposition is intrinsically complex; see CONVENTIONS.md for
+the orientation and J-action conventions.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "wedge",
     "contract_vector",
     "inner",
-    "inner_bilinear",
     "norm",
     "hodge_star",
     "j_action",
@@ -177,16 +176,6 @@ class KForm:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def basis(n: int, indices: Iterable[int]) -> "KForm":
-        """The basis form e^{i1} ^ ... ^ {ik} for ascending 1-based indices."""
-        idx = tuple(indices)
-        mask = indices_to_mask(idx)
-        k = len(idx)
-        data = np.zeros(math.comb(2 * n, k), dtype=complex)
-        data[_mask_index(2 * n, k)[mask]] = 1.0
-        return KForm(n, k, data)
-
-    @staticmethod
     def from_coeffs(n: int, k: int, coeffs: Mapping[tuple[int, ...], complex]) -> "KForm":
         """Build from a sparse {index tuple: coefficient} mapping."""
         data = np.zeros(math.comb(2 * n, k), dtype=complex)
@@ -199,9 +188,6 @@ class KForm:
         return KForm(n, k, data)
 
     # -- access -------------------------------------------------------------
-
-    def is_real(self, tol: float = TOL) -> bool:
-        return bool(np.max(np.abs(self.data.imag), initial=0.0) <= tol)
 
     def conjugate(self) -> "KForm":
         return KForm(self.n, self.k, np.conj(self.data))
@@ -654,7 +640,9 @@ class Ops:
 
     @_block
     def lpow(self, k: int, r: int) -> np.ndarray:
-        """L^r : Lambda^k -> Lambda^{k+2r}; degrees above 2n have no rows."""
+        """L^r : Lambda^k -> Lambda^{k+2r}, r >= 0; degrees above 2n have no rows."""
+        if r < 0:
+            raise ValueError(f"need a power r >= 0 of L, got r={r}")
         if r == 0:
             return np.eye(math.comb(self.dim, k))
         if r > 1:
@@ -723,12 +711,6 @@ def inner(a: KForm, b: KForm, t: CompatibleTriple):
     (one value per column for batches)."""
     a._check_compatible(b)
     return _column_sums(a.data * _apply(metric_gram(t, a.k), np.conj(b.data)))
-
-
-def inner_bilinear(a: KForm, b: KForm, t: CompatibleTriple):
-    """Complex-bilinear extension of the g-inner product (no conjugation)."""
-    a._check_compatible(b)
-    return _column_sums(a.data * _apply(metric_gram(t, a.k), b.data))
 
 
 def norm(a: KForm, t: CompatibleTriple):

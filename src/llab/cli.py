@@ -6,8 +6,8 @@
     llab decompose input.json output.json
 
 Exit code 0 iff every requested verdict passes (decompose: iff it
-completes).  LLAB_THREADS caps suite parallelism.  Reports are
-deterministic byte-for-byte apart from the provenance timestamp.
+completes).  Reports are deterministic byte-for-byte apart from the
+provenance timestamp.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ def run_suite(cfg: SuiteConfig) -> ReportBundle:
             cross_cases=p.get("cross_cases", 500),
             seed=cfg.seed,
             tol=cfg.tolerance,
-            threads=p.get("threads"),
         )
     elif cfg.suite == "torus":
         payload = suites.torus_suite(
@@ -52,7 +51,6 @@ def run_suite(cfg: SuiteConfig) -> ReportBundle:
             samples=p.get("samples", 100),
             seed=cfg.seed,
             tol=cfg.tolerance,
-            threads=p.get("threads"),
         )
     elif cfg.suite == "hyperbolic":
         payload = suites.hyperbolic_suite(
@@ -150,7 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_int_list, default=[1, 2, 3, 4])
     sp.add_argument("--cases", type=int, default=1000)
     sp.add_argument("--cross-cases", type=int, default=500)
-    sp.add_argument("--threads", type=int, default=None)
     common(sp, "verify-identities")
 
     sp = sub.add_parser("torus", help="Fourier-model harmonic/identity suite")
@@ -159,7 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=100,
                     help="random forms for L8 and L10 and modes for the self-dual relation; "
                     "the other torus checks draw nothing")
-    sp.add_argument("--threads", type=int, default=None)
     common(sp, "torus")
 
     sp = sub.add_parser("hyperbolic", help="FEM spectral-gap suite on the disc")
@@ -213,10 +209,9 @@ def main(argv=None) -> int:
             "n_values": args.n,
             "cases": args.cases,
             "cross_cases": args.cross_cases,
-            "threads": args.threads,
         }
     elif args.command == "torus":
-        params = {"n_values": args.n, "N": args.N, "samples": args.samples, "threads": args.threads}
+        params = {"n_values": args.n, "N": args.N, "samples": args.samples}
     elif args.command == "hyperbolic":
         params = {
             "R_values": args.R,

@@ -20,8 +20,8 @@ residual takes a single form or a column batch (`KForm` data of shape
 (C(2n,k), m)) and returns the worst column.  An identity with levels (the
 powers i of the commutators, r of the Weil relation, the pairs (i, j) of the
 scaling law) has one batched implementation over all its levels, which
-reads the batch's `Ladder` of shared products; the per-level functions read
-one level of it, so the suite and the unit tests run the same code.
+reads the batch's `Ladder` of shared products; the suite and the unit tests
+both call it.
 """
 
 from __future__ import annotations
@@ -55,20 +55,13 @@ __all__ = [
     "Ladder",
     "lambda_conjugation_residuals",
     "weil_relation_residuals",
-    "weil_relation_residual",
     "weil_specialization_constant",
-    "star_conjugation_residual",
     "symplectic_star_involution_residual",
-    "hodge_star_conjugation_residual",
     "weil_operator_residual",
     "commutator_residuals",
-    "commutator_check",
-    "commutator_residual",
     "primitivity_residuals",
     "inner_scaling_levels",
     "inner_scaling_residuals",
-    "inner_scaling_check",
-    "inner_scaling_residual",
     "cross_term_residual",
     "lefschetz_power_matrix",
     "primitive_basis",
@@ -284,8 +277,7 @@ class Ladder:
 # ---------------------------------------------------------------------------
 # identity residuals (single forms or column batches; worst column returned)
 #
-# Each identity family is one function of a Ladder over all its levels; the
-# per-level functions build the ladder of their input and read one level.
+# Each identity family is one function of a Ladder over all its levels.
 # ---------------------------------------------------------------------------
 
 def lambda_conjugation_residuals(X: Ladder) -> dict[str, float]:
@@ -302,16 +294,6 @@ def lambda_conjugation_residuals(X: Ladder) -> dict[str, float]:
             rhs = star(lefschetz_L(star(a, t), t), t)
             out[name] = _rel_max(lam.data - sign * rhs.data, a.data)
     return out
-
-
-def star_conjugation_residual(a: KForm, t: CompatibleTriple) -> float:
-    """Residual of Lambda(a) = star_s(L(star_s(a))) (both zero for k < 2)."""
-    return lambda_conjugation_residuals(Ladder(a, t))["symplectic_star"]
-
-
-def hodge_star_conjugation_residual(a: KForm, t: CompatibleTriple) -> float:
-    """Residual of Lambda(a) = (-1)^k star(L(star(a))) (both zero for k < 2)."""
-    return lambda_conjugation_residuals(Ladder(a, t))["hodge_star"]
 
 
 def symplectic_star_involution_residual(a: KForm, t: CompatibleTriple) -> float:
@@ -343,15 +325,6 @@ def weil_relation_residuals(B: Ladder, levels=None) -> dict[int, float]:
         rhs = sign * _power(B.weil, top - r, t).data / math.factorial(top - r)
         out[r] = _rel_max(lhs - rhs, beta.data)
     return out
-
-
-def weil_relation_residual(beta: KForm, r: int, t: CompatibleTriple) -> float:
-    """Residual of star(L^r beta)/r! = (-1)^{k(k+1)/2} L^{n-k-r} W(beta)/(n-k-r)!
-
-    for primitive beta of degree k, 0 <= r <= n - k: level r of
-    :func:`weil_relation_residuals`.
-    """
-    return weil_relation_residuals(Ladder(beta, t), (r,))[r]
 
 
 def weil_specialization_constant(n: int, p: int, q: int) -> complex:
@@ -397,20 +370,12 @@ def commutator_residuals(X: Ladder, levels) -> dict[int, float]:
     return out
 
 
-def commutator_check(a: KForm, i: int, t: CompatibleTriple) -> float:
-    """Residual of [L^i, Lambda] a = i (k - n + i - 1) L^{i-1} a on degree k:
-    level i of :func:`commutator_residuals`."""
-    return commutator_residuals(Ladder(a, t), (i,))[i]
-
-
-#: Residual-style alias of :func:`commutator_check` (same callable).
-commutator_residual = commutator_check
-
-
 def primitivity_residuals(beta: KForm, t: CompatibleTriple) -> tuple[float, float]:
     """Residuals of the two primitivity characterizations, (Lambda beta,
     L^{n-k+1} beta), for a primitive k-form beta, k <= n: both vanish."""
     n, k = beta.n, beta.k
+    if k > n:
+        raise ValueError(f"primitivity is defined for degrees k <= n, got k={k}, n={n}")
     lam = _rel_max(dual_lefschetz(beta, t).data, beta.data)
     power = _rel_max(_apply(lefschetz_power_matrix(t, k, n - k + 1), beta.data), beta.data)
     return lam, power
@@ -454,18 +419,6 @@ def inner_scaling_residuals(B: Ladder, A: Ladder, pairs=None) -> dict[tuple[int,
         ij: float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0), initial=0.0))
         for ij, (lhs, rhs) in inner_scaling_levels(B, A, pairs).items()
     }
-
-
-def inner_scaling_check(beta: KForm, alpha: KForm, i: int, j: int, t: CompatibleTriple):
-    """(lhs, rhs) of the scaling law at level (i, j), as
-    :func:`inner_scaling_levels` gives it (one value per column for batches)."""
-    return inner_scaling_levels(Ladder(beta, t), Ladder(alpha, t), ((i, j),))[(i, j)]
-
-
-def inner_scaling_residual(beta: KForm, alpha: KForm, i: int, j: int, t: CompatibleTriple) -> float:
-    """Worst column of |lhs - rhs| / max(1, |lhs|) at level (i, j), as
-    :func:`inner_scaling_residuals` gives it."""
-    return inner_scaling_residuals(Ladder(beta, t), Ladder(alpha, t), ((i, j),))[(i, j)]
 
 
 def cross_term_residual(x: KForm, p: int, y: KForm, q: int, t: CompatibleTriple) -> float:

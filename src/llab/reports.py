@@ -31,10 +31,6 @@ CSV_COLUMNS = ("schema_version", "suite", "group", "name", "value")
 # algebra, the hyperbolic residual is a Lanczos certificate at rel_tol 1e-8
 DEFAULT_TOLERANCE = {"verify-identities": 1e-10, "torus": 1e-10, "hyperbolic": 1e-8}
 
-# params that only route a run (worker threads): they never change its
-# numbers, so neither the hash nor the report's config carries them
-ROUTING_PARAMS = ("threads",)
-
 
 def code_version() -> str:
     from llab import __version__
@@ -49,8 +45,8 @@ class SuiteConfig:
     `params` holds the suite-specific knobs (n values, cutoffs, mesh
     sizes, ...).  The hash covers suite, params, seed and tolerance --
     the semantic content -- and ignores routing: output directory and
-    formats, and the ROUTING_PARAMS entries of params.  A tolerance left
-    at None becomes the suite's DEFAULT_TOLERANCE.
+    formats.  A tolerance left at None becomes the suite's
+    DEFAULT_TOLERANCE.
     """
 
     suite: str
@@ -74,7 +70,7 @@ class SuiteConfig:
             "suite": self.suite,
             "seed": self.seed,
             "tolerance": self.tolerance,
-            "params": {k: v for k, v in self.params.items() if k not in ROUTING_PARAMS},
+            "params": dict(self.params),
         }
 
     def config_hash(self) -> str:

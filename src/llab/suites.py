@@ -22,8 +22,6 @@ levels from the batch's one `Ladder` of products:
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,31 +41,10 @@ from llab.lefschetz import (
 )
 from llab.reports import DEFAULT_TOLERANCE
 
-
-def thread_count() -> int:
-    """Worker cap: LLAB_THREADS if set, else the CPU count.  A value that
-    is not a positive integer raises ValueError naming it."""
-    env = os.environ.get("LLAB_THREADS", "").strip()
-    if not env:
-        return os.cpu_count() or 1
-    if not env.isdecimal() or int(env) < 1:
-        raise ValueError(f"LLAB_THREADS must be a positive integer, got {env!r}")
-    return int(env)
-
-
-def _per_n(run_n, n_values, threads: int | None) -> dict:
-    """{"n<n>": run_n(n)} in increasing n, on up to `threads` workers
-    (default thread_count()); the order never depends on completion."""
-    n_values = tuple(n_values)
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    workers = threads if threads is not None else thread_count()
-    if workers > 1 and len(n_values) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = dict(zip(n_values, ex.map(run_n, n_values)))
-    else:
-        results = {n: run_n(n) for n in n_values}
-    return {f"n{n}": results[n] for n in sorted(results)}
+# the random triple's cells draw at most RANDOM_TRIPLE_CASES forms per batch,
+# and the decomposition round trip reads at most ROUNDTRIP_CASES of them
+RANDOM_TRIPLE_CASES = 64
+ROUNDTRIP_CASES = 1000
 
 
 def _random_batch(rng: np.random.Generator, dim: int, cases: int) -> np.ndarray:
@@ -92,7 +69,6 @@ def _cell_residuals(
     cases: int,
     cross_cases: int,
     rng: np.random.Generator,
-    roundtrip_cases: int,
 ) -> dict[str, float]:
     """All identity residuals for one (triple, degree) cell, each the worst
     column of one seeded batch.  Each batch has one Ladder, which every
@@ -107,7 +83,7 @@ def _cell_residuals(
     levels = [i for i in (1, 2, 3) if k + 2 * i <= 2 * n]  # inside the algebra
     for i, res in commutator_residuals(X, levels).items():
         out[f"commutator_i{i}"] = res
-    A = KForm(n, k, X.a.data[:, : min(cases, roundtrip_cases)])
+    A = KForm(n, k, X.a.data[:, :ROUNDTRIP_CASES])
     roundtrip = primitive_decompose(A, t).residual(A, t)
     del X, A  # the batches below read none of X's rungs
 
@@ -209,9 +185,6 @@ def identity_suite(
     cross_cases: int = 500,
     seed: int = 7,
     tol: float = DEFAULT_TOLERANCE["verify-identities"],
-    random_triple_cases: int = 64,
-    roundtrip_cases: int = 1000,
-    threads: int | None = None,
 ) -> dict:
     """Criteria-level identity verification over (n, k) cells.
 
@@ -235,12 +208,10 @@ def identity_suite(
                 cell[f"k{k}"] = {}
                 continue
             rng = np.random.default_rng([seed, n, k])
-            res_std = _cell_residuals(t_std, n, k, cases, cross_cases, rng, roundtrip_cases)
+            res_std = _cell_residuals(t_std, n, k, cases, cross_cases, rng)
             rng2 = np.random.default_rng([seed, n, k, 1])
             res_rnd = _cell_residuals(
-                t_rnd, n, k, min(cases, random_triple_cases),
-                min(cross_cases, random_triple_cases), rng2,
-                min(roundtrip_cases, random_triple_cases),
+                t_rnd, n, k, min(cases, RANDOM_TRIPLE_CASES), min(cross_cases, RANDOM_TRIPLE_CASES), rng2
             )
             merged = dict(res_std)
             for name, v in res_rnd.items():
@@ -248,7 +219,7 @@ def identity_suite(
             cell[f"k{k}"] = merged
         return cell
 
-    cells = _per_n(run_n, n_values, threads)
+    cells = {f"n{n}": run_n(n) for n in sorted(set(n_values))}
 
     residuals = _identity_residuals(cells)
     max_residual = max(residuals.values()) if residuals else None
@@ -282,7 +253,6 @@ def torus_suite(
     samples: int = 100,
     seed: int = 7,
     tol: float = DEFAULT_TOLERANCE["torus"],
-    threads: int | None = None,
 ) -> dict:
     """Fourier-model verification: harmonic dimensions, the bigraded
     refinement, the two norm identities, the anti-invariant measurement,
@@ -320,7 +290,7 @@ def torus_suite(
         block["self_dual"] = self_dual_invariant_relation(fc, samples, tol)
         return block
 
-    blocks = _per_n(run_n, n_values, threads)
+    blocks = {f"n{n}": run_n(n) for n in sorted(set(n_values))}
 
     residuals = _torus_residuals(blocks)
     checks: dict[str, bool] = {}

@@ -35,7 +35,6 @@ from llab.reports import (
     strip_timestamp,
     verdict_from_report,
 )
-from llab.suites import thread_count
 
 
 TINY = {"n_values": (1, 2), "cases": 40, "cross_cases": 20}
@@ -46,7 +45,7 @@ TINY = {"n_values": (1, 2), "cases": 40, "cross_cases": 20}
 # ---------------------------------------------------------------------------
 
 
-def test_config_hash_ignores_routing(tmp_path, capsys):
+def test_config_hash_ignores_routing(tmp_path):
     a = SuiteConfig(suite="verify-identities", params={"cases": 3})
     b = SuiteConfig(
         suite="verify-identities",
@@ -57,17 +56,6 @@ def test_config_hash_ignores_routing(tmp_path, capsys):
     assert a.config_hash() == b.config_hash()
     c = SuiteConfig(suite="verify-identities", params={"cases": 4})
     assert a.config_hash() != c.config_hash()
-    routed = SuiteConfig(suite="verify-identities", params={"cases": 3, "threads": 2})
-    assert routed.config_hash() == a.config_hash()
-    assert "threads" not in routed.semantic_dict()["params"]
-
-    # the hash the CLI prints does not move with --threads
-    hashes = []
-    for threads in ("1", "2"):
-        argv = ["verify-identities", "--n", "1", "--cases", "2", "--cross-cases", "1", "--threads", threads]
-        assert main(argv) == 0
-        hashes.append(capsys.readouterr().out.rsplit("config ", 1)[1].split()[0])
-    assert hashes[0] == hashes[1]
 
 
 def test_default_tolerance_is_one_table_per_suite():
@@ -321,9 +309,9 @@ def test_worst_cell_holds_the_max_residual(suite):
     from llab.suites import hyperbolic_suite, identity_suite, torus_suite, worst_cell
 
     if suite == "verify-identities":
-        payload = identity_suite(n_values=(1, 2), cases=20, cross_cases=10, threads=1)
+        payload = identity_suite(n_values=(1, 2), cases=20, cross_cases=10)
     elif suite == "torus":
-        payload = torus_suite(n_values=(2,), samples=4, threads=1)
+        payload = torus_suite(n_values=(2,), samples=4)
     else:
         payload = hyperbolic_suite(R_values=(2.0,), h_values=(0.4, 0.3))
     name, value = worst_cell(payload)
@@ -375,33 +363,6 @@ def test_cli_bad_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify-identities", "--does-not-exist", "1"])
     assert exc.value.code == 2
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("LLAB_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.delenv("LLAB_THREADS")
-    assert thread_count() >= 1
-
-
-@pytest.mark.parametrize("flag, env, named", [
-    ("0", None, "got 0"),
-    ("-5", None, "got -5"),
-    (None, "abc", "got 'abc'"),
-    (None, "0", "got '0'"),
-])
-def test_cli_rejects_a_bad_thread_count(monkeypatch, capsys, flag, env, named):
-    # each once read silently as the default and passed
-    monkeypatch.delenv("LLAB_THREADS", raising=False)
-    if env is not None:
-        monkeypatch.setenv("LLAB_THREADS", env)
-    argv = ["verify-identities", "--n", "1", "--cases", "4", "--cross-cases", "2"]
-    if flag is not None:
-        argv += ["--threads", flag]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err, err
-    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,10 @@ from llab.algebra import (
 )
 from llab.lefschetz import (
     Ladder,
-    commutator_check,
-    commutator_residual,
     commutator_residuals,
     cross_term_residual,
     dual_lefschetz,
-    hodge_star_conjugation_residual,
-    inner_scaling_check,
     inner_scaling_levels,
-    inner_scaling_residual,
     inner_scaling_residuals,
     is_primitive,
     lambda_conjugation_residuals,
@@ -42,11 +37,9 @@ from llab.lefschetz import (
     primitive_decompose,
     primitivity_residuals,
     random_primitive,
-    star_conjugation_residual,
     symplectic_star,
     symplectic_star_involution_residual,
     weil_operator_residual,
-    weil_relation_residual,
     weil_relation_residuals,
     weil_specialization_constant,
 )
@@ -125,16 +118,16 @@ def test_star_conjugation_residuals_vanish(std3, rng):
     for k in range(7):
         dim = math.comb(6, k)
         a = KForm(3, k, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        assert star_conjugation_residual(a, std3) < 1e-11
+        assert lambda_conjugation_residuals(Ladder(a, std3))["symplectic_star"] < 1e-11
 
 
 def test_commutator_residuals_vanish(std3, rng):
     for k in range(4):
         dim = math.comb(6, k)
         a = KForm(3, k, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        for i in (1, 2, 3):
-            if k + 2 * i <= 6:
-                assert commutator_residual(a, i, std3) < 1e-11
+        levels = [i for i in (1, 2, 3) if k + 2 * i <= 6]
+        for i, res in commutator_residuals(Ladder(a, std3), levels).items():
+            assert res < 1e-11, (k, i)
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +246,23 @@ def test_weil_relation_residual_small(std3, rng):
     n = 3
     for k in (0, 1, 2, 3):
         b = random_primitive(std3, k, rng)
-        for r in range(0, n - k + 1):
-            assert weil_relation_residual(b, r, std3) < 1e-11
+        res = weil_relation_residuals(Ladder(b, std3))
+        assert list(res) == list(range(0, n - k + 1))
+        assert max(res.values()) < 1e-11, (k, res)
 
 
 def test_inner_scaling_check(std2, rng):
     b1 = random_primitive(std2, 1, rng)
     b2 = random_primitive(std2, 1, rng)
     n, k = 2, 1
-    for i in range(0, n - k + 1):
-        for j in range(0, i + 1):
-            lhs, rhs = inner_scaling_check(b1, b2, i, j, std2)
-            assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
+    levels = inner_scaling_levels(Ladder(b1, std2), Ladder(b2, std2))
+    assert list(levels) == [(i, j) for i in range(0, n - k + 1) for j in range(0, i + 1)]
+    for lhs, rhs in levels.values():
+        assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
 
 # ---------------------------------------------------------------------------
-# contract details: residual pairs, aliases, specialization constant
+# contract details: residual pairs, top-degree overflow, specialization constant
 # ---------------------------------------------------------------------------
 
 
@@ -297,16 +291,26 @@ def test_is_primitive_rejects_degree_above_n():
         is_primitive(KForm(1, 2, np.array([1.0 + 0j])), t)
 
 
+def test_primitivity_residuals_reject_degree_above_n(std2):
+    # a 4-form at n = 2 once scored (1.0, 0.0) through L^{n-k+1} = L^{-1}
+    with pytest.raises(ValueError, match="k <= n"):
+        primitivity_residuals(KForm(2, 4, np.array([1.0 + 0j])), std2)
+
+
+def test_lefschetz_power_rejects_a_negative_power(std2):
+    # L^{-1} on degree 0 once returned the block of L
+    with pytest.raises(ValueError, match="r >= 0"):
+        lefschetz_power_matrix(std2, 0, -1)
+
+
 def test_commutator_check_alias_and_top_overflow(std2):
-    assert commutator_check is commutator_residual
-    # n=1, a = dx^dy, i=1: L a = 0 but L Lambda a = a and i(k-n+i-1) = 1
+    # n=1, a = dx^dy, i=1: L a = 0 but L Lambda a = a and i(k-n+i-1) = 1;
+    # i=3: both sides entirely above the top degree -> vacuous zero
     t1 = build_standard_triple(1)
     top = KForm(1, 2, np.array([1.0 + 0j]))
-    assert commutator_check(top, 1, t1) == 0.0
-    # both sides entirely above the top degree -> vacuous zero
-    assert commutator_check(top, 3, t1) == 0.0
-    # inside the algebra the rename is exercised on a nontrivial case
-    assert commutator_check(_omega(std2), 1, std2) < 1e-13
+    assert commutator_residuals(Ladder(top, t1), (1, 3)) == {1: 0.0, 3: 0.0}
+    # inside the algebra, a nontrivial case
+    assert commutator_residuals(Ladder(_omega(std2), std2), (1,))[1] < 1e-13
 
 
 def test_weil_specialization_constant_oracle():
@@ -385,16 +389,14 @@ def test_weil_relation_on_orientation_reversing_triples(rng):
     t1 = triple_from_omega_j(omega, J)  # Pf(omega) = -1
     for k in (0, 1):
         b = random_primitive(t1, k, rng)
-        for r in range(0, 1 - k + 1):
-            assert weil_relation_residual(b, r, t1) < 1e-12
+        assert max(weil_relation_residuals(Ladder(b, t1)).values()) < 1e-12
 
     # the very draw that exposed the bug: orientation-reversing at n = 2
     t2 = random_compatible_triple(2, np.random.default_rng([11, 2, 10_000]))
     assert t2.volume_form().data[0].real < 0
     for k in (0, 1, 2):
         b = random_primitive(t2, k, rng)
-        for r in range(0, 2 - k + 1):
-            assert weil_relation_residual(b, r, t2) < 1e-11
+        assert max(weil_relation_residuals(Ladder(b, t2)).values()) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +408,17 @@ def _identity_residuals(a: KForm, t) -> dict:
     """Every identity of the suite's cell on a (form or batch) a of degree k,
     with primitive inputs drawn by lifting a's coefficients into P^j."""
     n, k = a.n, a.k
+    X = Ladder(a, t)
+    conj = lambda_conjugation_residuals(X)
     out = {
         "involution": symplectic_star_involution_residual(a, t),
-        "star_s": star_conjugation_residual(a, t),
-        "hodge": hodge_star_conjugation_residual(a, t),
+        "star_s": conj["symplectic_star"],
+        "hodge": conj["hodge_star"],
         "weil_op": weil_operator_residual(a, t),
         "roundtrip": primitive_decompose(a, t).residual(a, t),
     }
-    for i in (1, 2, 3):
-        out[f"comm{i}"] = commutator_check(a, i, t)
+    for i, res in commutator_residuals(X, (1, 2, 3)).items():
+        out[f"comm{i}"] = res
 
     def prim(j, conj=False):
         P = primitive_basis(t, j)
@@ -424,11 +428,11 @@ def _identity_residuals(a: KForm, t) -> dict:
     if k <= n:
         b, b2 = prim(k), prim(k, conj=True)
         out["prim_lambda"], out["prim_power"] = primitivity_residuals(b, t)
-        for r in range(n - k + 1):
-            out[f"weil_rel{r}"] = weil_relation_residual(b, r, t)
-        for i in range(n - k + 1):
-            for j in range(i + 1):
-                out[f"scaling{i}{j}"] = inner_scaling_residual(b, b2, i, j, t)
+        B, B2 = Ladder(b, t), Ladder(b2, t)
+        for r, res in weil_relation_residuals(B).items():
+            out[f"weil_rel{r}"] = res
+        for (i, j), res in inner_scaling_residuals(B, B2).items():
+            out[f"scaling{i}{j}"] = res
     levels = range(max(0, k - n), k // 2 + 1)
     for p in levels:
         for q in levels:
@@ -503,20 +507,19 @@ def _primitive_batch(t, k, rng, m=6):
 
 @pytest.mark.parametrize("which", ["standard", "random"])
 def test_per_level_functions_read_the_shared_implementation(which, std3, rng):
-    # each per-level function gives, bit for bit, its level of the family
-    # that the suite runs over all levels from one ladder per batch
+    # one level read from a fresh ladder gives, bit for bit, that level of
+    # the family the suite runs over all levels from one ladder per batch
     t = std3 if which == "standard" else random_compatible_triple(3, rng)
     n = 3
     for k in range(2 * n + 1):
         a = _batch(n, k, rng)
         X = Ladder(a, t)
-        conj = lambda_conjugation_residuals(X)
-        assert star_conjugation_residual(a, t) == conj["symplectic_star"]
-        assert hodge_star_conjugation_residual(a, t) == conj["hodge_star"]
         comm = commutator_residuals(X, (1, 2, 3, 4))
         assert list(comm) == [1, 2, 3, 4]
         for i, v in comm.items():
-            assert commutator_check(a, i, t) == v < 1e-11, (k, i)
+            assert commutator_residuals(Ladder(a, t), (i,))[i] == v < 1e-11, (k, i)
+        # the conjugations read the Lambda a that the commutators formed
+        assert lambda_conjugation_residuals(X) == lambda_conjugation_residuals(Ladder(a, t))
         if k > n:
             continue
         b, b2 = _primitive_batch(t, k, rng), _primitive_batch(t, k, rng)
@@ -524,13 +527,15 @@ def test_per_level_functions_read_the_shared_implementation(which, std3, rng):
         weil = weil_relation_residuals(B)
         assert list(weil) == list(range(n - k + 1))
         for r, v in weil.items():
-            assert weil_relation_residual(b, r, t) == v < 1e-11, (k, r)
+            assert weil_relation_residuals(Ladder(b, t), (r,))[r] == v < 1e-11, (k, r)
         levels, scaled = inner_scaling_levels(B, B2), inner_scaling_residuals(B, B2)
         assert list(levels) == list(scaled) == [(i, j) for i in range(n - k + 1) for j in range(i + 1)]
         for (i, j), (lhs, rhs) in levels.items():
-            got_lhs, got_rhs = inner_scaling_check(b, b2, i, j, t)
+            one = ((i, j),)
+            got_lhs, got_rhs = inner_scaling_levels(Ladder(b, t), Ladder(b2, t), one)[(i, j)]
             assert np.array_equal(got_lhs, lhs) and np.array_equal(got_rhs, rhs), (k, i, j)
-            assert inner_scaling_residual(b, b2, i, j, t) == scaled[(i, j)] < 1e-11, (k, i, j)
+            got = inner_scaling_residuals(Ladder(b, t), Ladder(b2, t), one)[(i, j)]
+            assert got == scaled[(i, j)] < 1e-11, (k, i, j)
 
 
 def test_a_ladder_forms_each_power_once(monkeypatch, rng):
@@ -583,7 +588,7 @@ def test_a_broken_identity_family_fails_the_suite_loudly(monkeypatch, name, old,
     from llab.suites import identity_suite, worst_cell
 
     _mutant(monkeypatch, name, old, new)
-    rep = identity_suite(n_values=(2, 3), cases=8, cross_cases=4, threads=1)
+    rep = identity_suite(n_values=(2, 3), cases=8, cross_cases=4)
     assert not rep["passed"]
     cell, value = worst_cell(rep)
     assert cell.split(".")[2].startswith(check) and value > 1e-3, (cell, value)
@@ -599,4 +604,4 @@ def test_lambda_from_the_wrong_level_fails_the_commutators_loudly(monkeypatch, s
         a = _batch(3, k, rng)
         worst = max(lefschetz.commutator_residuals(Ladder(a, std3), (1, 2)).values())
         assert worst > 1e-3, k
-        assert lefschetz.commutator_check(a, 1, std3) > 1e-3, k
+        assert lefschetz.commutator_residuals(Ladder(a, std3), (1,))[1] > 1e-3, k

@@ -82,5 +82,5 @@ def test_identity_suite_fires_every_function_probe_its_workload_expects(monkeypa
             for attr, obj in list(vars(module).items()):
                 if id(obj) in wrappers:
                     monkeypatch.setattr(module, attr, wrappers[id(obj)])
-    assert identity_suite(n_values=(1, 2), cases=4, cross_cases=2, threads=1)["passed"]
+    assert identity_suite(n_values=(1, 2), cases=4, cross_cases=2)["passed"]
     assert all(calls.values()), calls
