@@ -13,6 +13,7 @@ provenance timestamp.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -31,39 +32,35 @@ def _float_list(s: str) -> list[float]:
     return [float(x) for x in str(s).split(",") if x.strip() != ""]
 
 
+# suite id -> the llab.suites function that runs it
+_SUITE_FUNCTIONS = {
+    "verify-identities": "identity_suite",
+    "torus": "torus_suite",
+    "hyperbolic": "hyperbolic_suite",
+}
+
+
 def run_suite(cfg: SuiteConfig) -> ReportBundle:
-    """Dispatch a SuiteConfig to its module suite and bundle the result."""
+    """Dispatch a SuiteConfig to its module suite and bundle the result.
+
+    The params are the suite function's keyword arguments, its defaults
+    filling the rest; seed and tol come from the config's own fields.
+    Raises ValueError for a param the function does not take, which would
+    enter the config hash and change nothing.
+    """
     from llab import suites
 
-    p = cfg.params
-    if cfg.suite == "verify-identities":
-        payload = suites.identity_suite(
-            n_values=p.get("n_values", (1, 2, 3, 4)),
-            cases=p.get("cases", 1000),
-            cross_cases=p.get("cross_cases", 500),
-            seed=cfg.seed,
-            tol=cfg.tolerance,
-        )
-    elif cfg.suite == "torus":
-        payload = suites.torus_suite(
-            n_values=p.get("n_values", (2, 3)),
-            N=p.get("N", 1),
-            samples=p.get("samples", 100),
-            seed=cfg.seed,
-            tol=cfg.tolerance,
-        )
-    elif cfg.suite == "hyperbolic":
-        payload = suites.hyperbolic_suite(
-            R_values=p.get("R_values", (2.0, 4.0)),
-            h_values=p.get("h_values", (0.2, 0.1)),
-            k=p.get("k", 0),
-            eps=p.get("eps", 0.6),
-            seed=cfg.seed,
-            rel_tol=p.get("rel_tol", 1e-8),
-            tol=cfg.tolerance,
-        )
-    else:
+    if cfg.suite not in _SUITE_FUNCTIONS:
         raise ValueError(f"unknown suite id {cfg.suite!r}")
+    run = getattr(suites, _SUITE_FUNCTIONS[cfg.suite])
+    takes = set(inspect.signature(run).parameters) - {"seed", "tol"}
+    unknown = sorted(set(cfg.params) - takes)
+    if unknown:
+        raise ValueError(
+            f"suite {cfg.suite} takes no param(s) {', '.join(map(repr, unknown))}; "
+            f"it takes {', '.join(sorted(takes))}"
+        )
+    payload = run(**cfg.params, seed=cfg.seed, tol=cfg.tolerance)
 
     bundle = ReportBundle(suite=cfg.suite, config=cfg, payload=payload, passed=bool(payload["passed"]))
     if cfg.out_dir is not None:
@@ -117,17 +114,13 @@ def decompose_file(in_path, out_path) -> dict:
     big_out = {
         f"{p},{q}": form_to_json(c) for (p, q), c in sorted(big.components.items()) if np.any(c.data)
     }
-    recon_big = None
-    for c in big.components.values():
-        recon_big = c if recon_big is None else recon_big + c
-
     out = {
         "input": {"form": form_to_json(a), "n": n, "k": k},
         "lefschetz_components": lef_out,
         "bidegree_components": big_out,
         "reconstruction_residuals": {
             "lefschetz": lef.residual(a, t),
-            "bidegree": float(np.max(np.abs((recon_big - a).data), initial=0.0)) / scale,
+            "bidegree": float(np.max(np.abs((big.reconstruct() - a).data), initial=0.0)) / scale,
         },
     }
     Path(out_path).write_bytes(dump_json_deterministic(out))

@@ -9,7 +9,7 @@ from llab.hyperbolic.forms import (
     bounded_primitive,
     cutoff_family,
 )
-from llab.hyperbolic.assembly import SparseSymmetricMatrix, assemble_hodge_laplacian
+from llab.hyperbolic.assembly import assemble_hodge_laplacian
 from llab.hyperbolic.eigensolve import LanczosNonConvergence, SpectralResult, smallest_eigenpairs
 from llab.hyperbolic.oracle import SHOOTING_LAMBDA1, lambda1_ball_shooting
 from llab.hyperbolic.gap import dirichlet_lambda1, gap_sweep, gromov_bound, gromov_bound_report
@@ -24,7 +24,6 @@ __all__ = [
     "cutoff_family",
     "AnnulusDecayTable",
     "annulus_decay",
-    "SparseSymmetricMatrix",
     "assemble_hodge_laplacian",
     "SpectralResult",
     "LanczosNonConvergence",

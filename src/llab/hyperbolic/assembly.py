@@ -17,7 +17,7 @@ restricted to interior edges, with D0 restricted to interior vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,74 +33,6 @@ _PHI_MID = np.array([
     [0.0, 0.5, 0.5],
     [0.5, 0.0, 0.5],
 ])
-
-
-@dataclass
-class SparseSymmetricMatrix:
-    """CSR payload of a symmetric sparse matrix, the wire type for reports.
-
-    Symmetry is enforced at construction (max |A - A^T| entry below
-    sym_tol * scale) rather than trusted.
-    """
-
-    dimension: int
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    symmetric: bool = True
-    _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_scipy(cls, A: sp.spmatrix, sym_tol: float = 1e-12) -> "SparseSymmetricMatrix":
-        A = sp.csr_matrix(A)
-        if A.shape[0] != A.shape[1]:
-            raise ValueError(f"not square: {A.shape}")
-        scale = max(np.abs(A.data).max(initial=0.0), 1e-300)
-        asym = sp.csr_matrix(abs(A - A.T))
-        gap = asym.data.max(initial=0.0)
-        if gap > sym_tol * scale:
-            raise ValueError(f"matrix is not symmetric: max asymmetry {gap:.3e} vs scale {scale:.3e}")
-        # symmetrize exactly so downstream solvers see a bitwise-symmetric operator
-        A = ((A + A.T) * 0.5).tocsr()
-        A.sum_duplicates()
-        return cls.from_symmetric_csr(A)
-
-    @classmethod
-    def from_symmetric_csr(cls, A: sp.csr_matrix) -> "SparseSymmetricMatrix":
-        """Wrap, as it is, a square CSR matrix in canonical format whose
-        (a, b) and (b, a) entries are the same float by construction, such
-        as the P1 matrices: no check and no copy."""
-        return cls(
-            dimension=A.shape[0],
-            data=A.data,
-            indices=A.indices,
-            indptr=A.indptr,
-            symmetric=True,
-            _csr=A,
-        )
-
-    def as_scipy(self) -> sp.csr_matrix:
-        if self._csr is None:
-            self._csr = sp.csr_matrix(
-                (self.data, self.indices, self.indptr),
-                shape=(self.dimension, self.dimension),
-            )
-        return self._csr
-
-    @property
-    def nnz(self) -> int:
-        return int(len(self.data))
-
-    def scale(self) -> float:
-        return float(np.abs(self.data).max(initial=0.0))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "nnz": self.nnz,
-            "symmetric": self.symmetric,
-            "scale": self.scale(),
-        }
 
 
 @dataclass(frozen=True)
@@ -252,23 +184,42 @@ def mass_whitney2(mesh: DiscMesh) -> sp.dia_matrix:
     return sp.diags(diag)
 
 
-def assemble_hodge_laplacian(
-    mesh: DiscMesh, k: int
-) -> tuple[SparseSymmetricMatrix, SparseSymmetricMatrix]:
+def _symmetrized(A: sp.spmatrix) -> sp.csr_matrix:
+    """A as canonical CSR, checked symmetric and then made exactly so.
+
+    Raises ValueError when A is not square or when max |A - A^T| exceeds
+    1e-12 * max |A|; otherwise returns (A + A^T) / 2, whose (a, b) and
+    (b, a) entries are the same float.
+    """
+    A = sp.csr_matrix(A)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"not square: {A.shape}")
+    scale = max(np.abs(A.data).max(initial=0.0), 1e-300)
+    gap = sp.csr_matrix(abs(A - A.T)).data.max(initial=0.0)
+    if gap > 1e-12 * scale:
+        raise ValueError(f"matrix is not symmetric: max asymmetry {gap:.3e} vs scale {scale:.3e}")
+    A = ((A + A.T) * 0.5).tocsr()
+    A.sum_duplicates()
+    return A
+
+
+def assemble_hodge_laplacian(mesh: DiscMesh, k: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """(stiffness, mass) for the degree-k Hodge Laplacian, Dirichlet/relative BC.
 
     k=0 dofs: interior vertices.  k=1 dofs: interior edges.  Boundary rows
-    and columns are eliminated, not penalized.
+    and columns are eliminated, not penalized.  Both matrices are exactly
+    symmetric canonical CSR, so their transposes are the same matrices in
+    CSC.
     """
     if k == 0:
         # the interior blocks are exactly symmetric as built; their explicit
-        # zeros (right angles give zero cotan weights) are dropped, as a
-        # symmetrizing sum in `from_scipy` would drop them
+        # zeros (right angles give zero cotan weights) are dropped, as the
+        # symmetrizing sum of `_symmetrized` would drop them
         pair = []
         for P in (stiffness_p1, mass_p1):
             A = P(mesh, mesh.interior)
             A.eliminate_zeros()
-            pair.append(SparseSymmetricMatrix.from_symmetric_csr(A))
+            pair.append(A)
         return tuple(pair)
     if k == 1:
         es = mesh.edge_structure
@@ -294,5 +245,5 @@ def assemble_hodge_laplacian(
         B = D0k.T @ M1k  # (n_int_vert x n_kept_edges)
         A_delta = B.T @ Minv @ B
         A1 = A_d + A_delta
-        return SparseSymmetricMatrix.from_scipy(A1), SparseSymmetricMatrix.from_scipy(M1k)
+        return _symmetrized(A1), _symmetrized(M1k)
     raise ValueError(f"k must be 0 or 1 for the surface model, got {k}")

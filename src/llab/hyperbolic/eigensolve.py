@@ -1,10 +1,11 @@
 """Shift-invert Lanczos for the generalized pencil (A, M).
 
-Written against the sparse LU of (A - shift*M) with full
-reorthogonalization in the M-inner product, so the certificates are the
-point, not the iteration count: every returned eigenpair carries the
-directly recomputed residual ||A x - lambda M x|| / ||x||, and the solve
-refuses to return pairs whose residual exceeds rel_tol * lambda.
+Written against the sparse LU of A (of A - shift*M with a tiny negative
+shift when A is singular) with full reorthogonalization in the M-inner
+product, so the certificates are the point, not the iteration count:
+every returned eigenpair carries the directly recomputed residual
+||A x - lambda M x|| / ||x||, and the solve refuses to return pairs whose
+residual exceeds rel_tol * lambda.
 
 scipy supplies the LU factorization and sparse matvecs; the Krylov loop,
 reorthogonalization, Ritz extraction and certification are explicit here
@@ -13,7 +14,7 @@ so that nothing about convergence is taken on faith from a black box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,27 +34,8 @@ class SpectralResult:
     residuals: list[float]  # ||A x - lambda M x||_2 / ||x||_2, recomputed
     iterations: int
     n_dofs: int
-    mesh_R: float
-    mesh_h: float
-    shift: float
     rel_tol: float
     derived_bound: float | None = None
-    method: str = "lanczos"
-    vectors: np.ndarray | None = field(default=None, repr=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "eigenvalues": list(self.eigenvalues),
-            "residuals": list(self.residuals),
-            "iterations": self.iterations,
-            "n_dofs": self.n_dofs,
-            "mesh": {"R": self.mesh_R, "h": self.mesh_h},
-            "shift": self.shift,
-            "rel_tol": self.rel_tol,
-            "derived_bound": self.derived_bound,
-            "method": self.method,
-        }
 
 
 class LanczosNonConvergence(ArithmeticError):
@@ -86,7 +68,6 @@ def smallest_eigenpairs(
     A,
     M,
     nev: int = 1,
-    shift: float = 0.0,
     rel_tol: float = DEFAULT_REL_TOL,
     maxiter: int = 160,
     seed: int = 20260301,
@@ -114,18 +95,13 @@ def smallest_eigenpairs(
         _certify(lams, res, rel_tol, iterations=n)
         return np.asarray(lams), X, n
 
-    # factor A - shift*M; retreat to a tiny negative shift if singular
+    # factor A; retreat to a tiny negative shift if it is singular
     scale = max(np.abs(A.data).max(initial=0.0), 1e-300)
     mscale = max(np.abs(M.data).max(initial=0.0), 1e-300)
-    tried = []
     factor = None
-    for sig in (shift, -1e-8 * scale / mscale, -1e-4 * scale / mscale):
-        if sig in tried:
-            continue
-        tried.append(sig)
+    for shift in (0.0, -1e-8 * scale / mscale, -1e-4 * scale / mscale):
         try:
-            factor = spla.splu((A if sig == 0 else A - sig * M).tocsc())
-            shift = sig
+            factor = spla.splu((A if shift == 0 else A - shift * M).tocsc())
             break
         except RuntimeError:
             continue

@@ -11,8 +11,7 @@ derivative of the sampled edge integrals against the sampled 2-form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +21,6 @@ from llab.hyperbolic.mesh import DiscMesh
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _GL_T = 0.5 * (_GL_NODES + 1.0)  # nodes on [0, 1]
 _GL_W = 0.5 * _GL_WEIGHTS
-
-# P1 hat values at the three edge midpoints (01, 12, 20); rows = midpoints.
-# `_whitney_midpoint_major` works from the pattern of this table: 1/2 at
-# the two ends of the midpoint's edge, 0 at the third corner.
-_LAMBDA_MID = np.array([
-    [0.5, 0.5, 0.0],
-    [0.0, 0.5, 0.5],
-    [0.5, 0.0, 0.5],
-])
 
 
 def _theta_components(points: np.ndarray) -> np.ndarray:
@@ -66,7 +56,6 @@ class PrimitiveOneForm:
     triangle_omega: np.ndarray
     stokes_max: float
     stokes_rms: float
-    theta_at: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,11 +123,24 @@ def bounded_primitive(mesh: DiscMesh) -> PrimitiveOneForm:
         triangle_omega=triangle_omega,
         stokes_max=stokes_max,
         stokes_rms=stokes_rms,
-        theta_at=_theta_components,
     )
 
 
 # -- cutoff families -------------------------------------------------------
+
+
+def _cutoff_f(rho, eps: float, r_plateau: float) -> np.ndarray:
+    s = np.maximum(0.0, np.asarray(rho, dtype=float) - r_plateau)
+    base = np.maximum(0.0, 1.0 - 0.5 * eps * s)
+    return base**2
+
+
+def _cutoff_df(rho, eps: float, r_plateau: float) -> np.ndarray:
+    rho = np.asarray(rho, dtype=float)
+    s = np.maximum(0.0, rho - r_plateau)
+    base = np.maximum(0.0, 1.0 - 0.5 * eps * s)
+    on = (rho > r_plateau) & (base > 0.0)
+    return np.where(on, -eps * base, 0.0)
 
 
 @dataclass
@@ -156,23 +158,13 @@ class CutoffProfile:
     feasible: bool
     sup_df: float
     sup_df_sq_over_f: float
-    rho_grid: np.ndarray = field(repr=False)
-    f_grid: np.ndarray = field(repr=False)
-    df_grid: np.ndarray = field(repr=False)
-    vertex_values: np.ndarray = field(repr=False)
 
     def f_at(self, rho: np.ndarray) -> np.ndarray:
-        s = np.maximum(0.0, np.asarray(rho, dtype=float) - self.r_plateau)
-        base = np.maximum(0.0, 1.0 - 0.5 * self.eps * s)
-        return base**2
+        return _cutoff_f(rho, self.eps, self.r_plateau)
 
     def df_at(self, rho: np.ndarray) -> np.ndarray:
         """Radial derivative f'(rho) (signed; nonpositive)."""
-        rho = np.asarray(rho, dtype=float)
-        s = np.maximum(0.0, rho - self.r_plateau)
-        base = np.maximum(0.0, 1.0 - 0.5 * self.eps * s)
-        on = (rho > self.r_plateau) & (base > 0.0)
-        return np.where(on, -self.eps * base, 0.0)
+        return _cutoff_df(rho, self.eps, self.r_plateau)
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,31 +189,18 @@ def cutoff_family(mesh: DiscMesh, eps: float) -> CutoffProfile:
         raise ValueError(f"need 0 < eps <= 1, got {eps}")
     r_support = 2.0 / eps
     r_plateau = max(0.0, mesh.R - r_support)
-    feasible = mesh.R > r_support
-
-    profile = CutoffProfile(
+    rho = np.linspace(0.0, mesh.R, 2048)
+    f = _cutoff_f(rho, eps, r_plateau)
+    df = _cutoff_df(rho, eps, r_plateau)
+    pos = f > 0
+    return CutoffProfile(
         eps=eps,
         r_plateau=r_plateau,
         r_support=min(mesh.R, r_plateau + r_support),
-        feasible=feasible,
-        sup_df=0.0,
-        sup_df_sq_over_f=0.0,
-        rho_grid=np.zeros(0),
-        f_grid=np.zeros(0),
-        df_grid=np.zeros(0),
-        vertex_values=np.zeros(0),
+        feasible=mesh.R > r_support,
+        sup_df=float(np.abs(df).max()),
+        sup_df_sq_over_f=float((df[pos] ** 2 / f[pos]).max()),
     )
-    rho = np.linspace(0.0, mesh.R, 2048)
-    f = profile.f_at(rho)
-    df = profile.df_at(rho)
-    pos = f > 0
-    profile.rho_grid = rho
-    profile.f_grid = f
-    profile.df_grid = df
-    profile.sup_df = float(np.abs(df).max())
-    profile.sup_df_sq_over_f = float((df[pos] ** 2 / f[pos]).max())
-    profile.vertex_values = profile.f_at(mesh.geodesic_radius(mesh.vertices))
-    return profile
 
 
 def _local_dofs(es: EdgeStructure, alpha: np.ndarray) -> np.ndarray:

@@ -169,13 +169,9 @@ def _wedge_bound_sample(n: int, degrees: tuple[int, ...], samples: int = 24, see
     return worst
 
 
-def gromov_bound(n: int, k: int, theta_sup: float = 1.0) -> float:
-    """Lower bound c_{n,k} / theta_sup^2 for the degree-k spectral gap.
-
-    Raises ValueError at the middle degree k = n, where no gap is claimed
-    (on the hyperbolic plane the function/2-form gap 1/4 is real, but the
-    1-form spectrum reaches 0).
-    """
+def _bound_factors(n: int, k: int, theta_sup: float) -> tuple[int, int, dict, float]:
+    """(k_effective, m, factors, c_{n,k}) of the degree-k bound, after
+    validating the inputs as `gromov_bound` documents."""
     if n < 1:
         raise ValueError("n >= 1 required")
     if not (0 <= k <= 2 * n):
@@ -187,15 +183,23 @@ def gromov_bound(n: int, k: int, theta_sup: float = 1.0) -> float:
     kk = min(k, 2 * n - k)
     m = n - kk
 
-    sigma_min, _ = _sigma_extremes(n, m, kk)
-    _, B = _sigma_extremes(n, m, kk)
+    sigma_min, B = _sigma_extremes(n, m, kk)
     F1a = _sigma_extremes(n, m, kk - 1)[1] if kk >= 1 else 0.0
     F2 = _sigma_extremes(n, m - 1, kk + 1)[1]
     F_eta = _sigma_extremes(n, m - 1, kk)[1]
-
     denom = (F1a + m * F2) * F_eta + B * F2
-    c = (sigma_min**2 / denom) ** 2
-    return c / theta_sup**2
+    factors = {"sigma_min": sigma_min, "B": B, "F1a": F1a, "F2": F2, "F_eta": F_eta, "denominator": denom}
+    return kk, m, factors, (sigma_min**2 / denom) ** 2
+
+
+def gromov_bound(n: int, k: int, theta_sup: float = 1.0) -> float:
+    """Lower bound c_{n,k} / theta_sup^2 for the degree-k spectral gap.
+
+    Raises ValueError at the middle degree k = n, where no gap is claimed
+    (on the hyperbolic plane the function/2-form gap 1/4 is real, but the
+    1-form spectrum reaches 0).
+    """
+    return _bound_factors(n, k, theta_sup)[3] / theta_sup**2
 
 
 def gromov_bound_report(n: int, k: int, theta_sup: float = 1.0) -> dict:
@@ -206,15 +210,7 @@ def gromov_bound_report(n: int, k: int, theta_sup: float = 1.0) -> dict:
     pointwise wedge bound holds on random samples -- all at tight
     tolerances.  The report is the certificate; nothing is quoted.
     """
-    value = gromov_bound(n, k, theta_sup)  # validates inputs
-    kk = min(k, 2 * n - k)
-    m = n - kk
-
-    sigma_min, B = _sigma_extremes(n, m, kk)
-    F1a = _sigma_extremes(n, m, kk - 1)[1] if kk >= 1 else 0.0
-    F2 = _sigma_extremes(n, m - 1, kk + 1)[1]
-    F_eta = _sigma_extremes(n, m - 1, kk)[1]
-    denom = (F1a + m * F2) * F_eta + B * F2
+    kk, m, factors, constant = _bound_factors(n, k, theta_sup)
 
     # step 1: factorial ladder vs dense SVD (skip SVD above n=5: cost)
     svd_checks = {}
@@ -258,17 +254,9 @@ def gromov_bound_report(n: int, k: int, theta_sup: float = 1.0) -> dict:
         "duality_applied": k != kk,
         "m": m,
         "theta_sup": theta_sup,
-        "factors": {
-            "sigma_min": sigma_min,
-            "sigma_min_closed_form": float(math.factorial(m)),
-            "B": B,
-            "F1a": F1a,
-            "F2": F2,
-            "F_eta": F_eta,
-            "denominator": denom,
-        },
-        "constant": (sigma_min**2 / denom) ** 2,
-        "bound": value,
+        "factors": {**factors, "sigma_min_closed_form": float(math.factorial(m))},
+        "constant": constant,
+        "bound": constant / theta_sup**2,
         "checks": {
             "sigma_svd_max_rel_dev": svd_checks,
             "operator_identities": idents,
@@ -278,14 +266,8 @@ def gromov_bound_report(n: int, k: int, theta_sup: float = 1.0) -> dict:
     }
 
 
-def dirichlet_lambda1(
-    mesh: DiscMesh,
-    k: int,
-    nev: int = 1,
-    rel_tol: float = 1e-8,
-    shift: float = 0.0,
-) -> SpectralResult:
-    """Certified smallest Dirichlet eigenvalue(s) of the degree-k Laplacian.
+def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8) -> SpectralResult:
+    """Certified smallest Dirichlet eigenvalue of the degree-k Laplacian.
 
     derived_bound carries gromov_bound(1, k) for k != 1 (the surface is
     n = 1; theta has measured sup norm 1) and None at the middle degree.
@@ -295,16 +277,14 @@ def dirichlet_lambda1(
     A, M = assemble_hodge_laplacian(mesh, k)
     # the Dirichlet ground state of the scalar Laplacian is positive, so the
     # constant vector leans on it far more than a random one does
-    v0 = np.ones(A.dimension) if k == 0 else None
+    v0 = np.ones(A.shape[0]) if k == 0 else None
     # A is exactly symmetric, so the transpose view of its CSR arrays is A
     # in CSC, the layout the solver factors, with no copy
-    lams, X, iters = smallest_eigenpairs(
-        A.as_scipy().T, M.as_scipy(), nev=nev, shift=shift, rel_tol=rel_tol, v0=v0
-    )
+    lams, X, iters = smallest_eigenpairs(A.T, M, rel_tol=rel_tol, v0=v0)
     # recompute certificates for the report (cheap, independent of solver)
     from llab.hyperbolic.eigensolve import _pencil_residuals
 
-    res = _pencil_residuals(A.as_scipy(), M.as_scipy(), lams, X)
+    res = _pencil_residuals(A, M, lams, X)
     bound = None
     if mesh.metric == "hyperbolic" and k != 1:
         bound = gromov_bound(1, k, 1.0)
@@ -313,13 +293,9 @@ def dirichlet_lambda1(
         eigenvalues=[float(x) for x in lams],
         residuals=[float(r) for r in res],
         iterations=iters,
-        n_dofs=A.dimension,
-        mesh_R=mesh.R,
-        mesh_h=mesh.h,
-        shift=shift,
+        n_dofs=A.shape[0],
         rel_tol=rel_tol,
         derived_bound=bound,
-        vectors=X,
     )
 
 

@@ -341,8 +341,6 @@ def hyperbolic_suite(
     sweep with extrapolation, cutoff feasibility, and annulus decay.  The
     verdict's residual is the worst relative eigenpair residual
     (residual / lambda1) over the sweep, gated by tol."""
-    import numpy as _np
-
     from llab.hyperbolic import (
         annulus_decay,
         bounded_primitive,
@@ -366,7 +364,7 @@ def hyperbolic_suite(
 
     D0 = incidence_d0(mesh, mesh.edge_structure)
     z = mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]
-    alpha = D0 @ _np.real(z)
+    alpha = D0 @ np.real(z)
     decay = annulus_decay(alpha, mesh)
 
     checks = {

@@ -58,6 +58,15 @@ def test_config_hash_ignores_routing(tmp_path):
     assert a.config_hash() != c.config_hash()
 
 
+def test_run_suite_rejects_a_param_its_suite_does_not_take():
+    # torus_suite takes "n_values", not "n": dropped, "n" would still enter
+    # the config hash while the run used the default n values
+    with pytest.raises(ValueError, match="takes no param\\(s\\) 'n';"):
+        run_suite(SuiteConfig(suite="torus", params={"n": [2], "samples": 5}))
+    with pytest.raises(ValueError, match="'seed'"):
+        run_suite(SuiteConfig(suite="torus", params={"n_values": [2], "seed": 3}))
+
+
 def test_default_tolerance_is_one_table_per_suite():
     parser = _build_parser()
     for suite, tol in DEFAULT_TOLERANCE.items():

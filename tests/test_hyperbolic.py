@@ -23,7 +23,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from llab.hyperbolic.assembly import (
-    SparseSymmetricMatrix,
+    _PHI_MID,
+    _symmetrized,
     assemble_hodge_laplacian,
     edge_structure,
     incidence_d0,
@@ -229,7 +230,7 @@ def test_square_patch_is_euclidean():
 
 def test_square_lambda1_k0(square24):
     A, M = assemble_hodge_laplacian(square24, k=0)
-    lams, _, _ = smallest_eigenpairs(A.as_scipy(), M.as_scipy(), nev=1, shift=0.0)
+    lams, _, _ = smallest_eigenpairs(A, M, nev=1)
     oracle = lambda1_euclidean_square()
     assert oracle == pytest.approx(2 * math.pi**2, rel=1e-14)
     assert lams[0] == pytest.approx(oracle, rel=7e-3)  # P1 at h = 1/24
@@ -237,7 +238,7 @@ def test_square_lambda1_k0(square24):
 
 def test_square_lambda1_k1(square24):
     A, M = assemble_hodge_laplacian(square24, k=1)
-    lams, _, _ = smallest_eigenpairs(A.as_scipy(), M.as_scipy(), nev=3, shift=0.0)
+    lams, _, _ = smallest_eigenpairs(A, M, nev=3)
     oracle = lambda1_square_k1()
     assert oracle == pytest.approx(math.pi**2, rel=1e-14)
     # pi^2 is doubly degenerate for relative-boundary 1-forms on a square
@@ -252,7 +253,7 @@ def test_square_k0_richardson_hits_oracle():
     vals = {}
     for nx in (12, 24):
         A, M = assemble_hodge_laplacian(square_patch(nx), k=0)
-        lams, _, _ = smallest_eigenpairs(A.as_scipy(), M.as_scipy(), nev=1, shift=0.0)
+        lams, _, _ = smallest_eigenpairs(A, M, nev=1)
         vals[nx] = lams[0]
     lam_ext = vals[24] + (vals[24] - vals[12]) / (2**2 - 1)
     assert lam_ext == pytest.approx(2 * math.pi**2, rel=2e-4)
@@ -302,17 +303,24 @@ def test_discrete_complex_d1_after_d0_vanishes(small_mesh):
 
 def test_sparse_symmetric_wrapper(small_mesh):
     A, M = assemble_hodge_laplacian(small_mesh, k=0)
-    assert isinstance(A, SparseSymmetricMatrix)
-    As = A.as_scipy()
-    assert abs(As - As.T).max() == 0.0
+    assert abs(A - A.T).max() == 0.0
     # Dirichlet stiffness is positive definite: an exact dense spectrum
-    assert np.linalg.eigvalsh(As.toarray()).min() > 0.0
-    d = A.to_json_dict()
-    assert d["dimension"] == A.dimension and d["symmetric"]
-    # from_scipy rejects visibly asymmetric input
+    assert np.linalg.eigvalsh(A.toarray()).min() > 0.0
+    # the k = 1 symmetrization rejects visibly asymmetric input
     bad = sp.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
-    with pytest.raises(ValueError):
-        SparseSymmetricMatrix.from_scipy(bad)
+    with pytest.raises(ValueError, match="not symmetric"):
+        _symmetrized(bad)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("which", ["small_mesh", "square24"])
+def test_assembled_pencil_is_exactly_symmetric_csr(request, which, k):
+    # dirichlet_lambda1 hands the solver A.T as A in CSC, which holds only
+    # if every (a, b) and (b, a) entry is the same float
+    mesh = request.getfixturevalue(which)
+    for mat in assemble_hodge_laplacian(mesh, k):
+        assert mat.format == "csr" and mat.has_canonical_format
+        assert (mat != mat.T).nnz == 0
 
 
 def _p1_coo_reference(mesh):
@@ -352,8 +360,8 @@ def test_interior_p1_blocks_equal_the_restricted_matrices(request, which):
     mesh = request.getfixturevalue(which)
     idx = mesh.interior
     for got, P in zip(assemble_hodge_laplacian(mesh, 0), (stiffness_p1, mass_p1)):
-        want = SparseSymmetricMatrix.from_scipy(P(mesh)[idx][:, idx])
-        assert got.dimension == want.dimension == len(idx)
+        want = _symmetrized(P(mesh)[idx][:, idx])
+        assert got.shape == want.shape == (len(idx), len(idx))
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -361,7 +369,7 @@ def test_interior_p1_blocks_equal_the_restricted_matrices(request, which):
 def test_hyperbolic_lambda1_vs_shooting(small_mesh):
     # R = 2, h = 0.25: P1 error is O(h^2) ~ a few percent
     A, M = assemble_hodge_laplacian(small_mesh, k=0)
-    lams, _, _ = smallest_eigenpairs(A.as_scipy(), M.as_scipy(), nev=1, shift=0.0)
+    lams, _, _ = smallest_eigenpairs(A, M, nev=1)
     assert lams[0] == pytest.approx(SHOOTING_LAMBDA1[2.0], rel=3e-2)
     assert lams[0] > SHOOTING_LAMBDA1[2.0]  # conforming FEM from above
 
@@ -377,17 +385,16 @@ def test_dense_path_matches_scipy(rng):
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     A = sp.csr_matrix(Q @ np.diag(np.linspace(1, 50, n)) @ Q.T)
     M = sp.identity(n, format="csr")
-    lams, X, _ = smallest_eigenpairs(A, M, nev=4, shift=0.0)
+    lams, X, _ = smallest_eigenpairs(A, M, nev=4)
     ref = np.sort(scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True))[:4]
     assert np.allclose(lams, ref, rtol=1e-10)
     assert X.shape == (n, 4)
 
 
 def test_lanczos_path_certificates(small_mesh):
-    A, M = assemble_hodge_laplacian(small_mesh, k=0)
-    As, Ms = A.as_scipy(), M.as_scipy()
+    As, Ms = assemble_hodge_laplacian(small_mesh, k=0)
     assert As.shape[0] > 64  # actually exercises the sparse path
-    lams, X, iters = smallest_eigenpairs(As, Ms, nev=3, shift=0.0, rel_tol=1e-9)
+    lams, X, iters = smallest_eigenpairs(As, Ms, nev=3, rel_tol=1e-9)
     assert iters >= 1
     assert list(lams) == sorted(lams)
     for j in range(3):
@@ -400,8 +407,7 @@ def test_lanczos_path_certificates(small_mesh):
 def test_lanczos_makes_three_mass_products_a_step(small_mesh, monkeypatch, start):
     from llab.hyperbolic import eigensolve
 
-    A, M = assemble_hodge_laplacian(small_mesh, k=0)
-    As, Ms = A.as_scipy(), M.as_scipy()
+    As, Ms = assemble_hodge_laplacian(small_mesh, k=0)
     products, checks = [], []
     real_matmul, real_residuals = sp.csr_matrix.__matmul__, eigensolve._pencil_residuals
 
@@ -416,7 +422,7 @@ def test_lanczos_makes_three_mass_products_a_step(small_mesh, monkeypatch, start
 
     monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting_matmul)
     monkeypatch.setattr(eigensolve, "_pencil_residuals", counting_residuals)
-    v0 = np.ones(A.dimension) if start == "constant" else None
+    v0 = np.ones(As.shape[0]) if start == "constant" else None
     lams, X, iters = smallest_eigenpairs(As, Ms, nev=2, v0=v0)
     monkeypatch.undo()
 
@@ -431,15 +437,14 @@ def test_lanczos_makes_three_mass_products_a_step(small_mesh, monkeypatch, start
 
 
 def test_lanczos_start_vector_is_checked(small_mesh):
-    A, M = assemble_hodge_laplacian(small_mesh, k=0)
-    As, Ms = A.as_scipy(), M.as_scipy()
+    As, Ms = assemble_hodge_laplacian(small_mesh, k=0)
     with pytest.raises(ValueError, match="shape"):
         smallest_eigenpairs(As, Ms, v0=np.ones(3))
     with pytest.raises(ValueError, match="zero M-norm"):
-        smallest_eigenpairs(As, Ms, v0=np.zeros(A.dimension))
+        smallest_eigenpairs(As, Ms, v0=np.zeros(As.shape[0]))
     # the default start is the seeded random draw, unchanged by v0's arrival
     seeded = smallest_eigenpairs(As, Ms, seed=5)
-    drawn = smallest_eigenpairs(As, Ms, v0=np.random.default_rng(5).standard_normal(A.dimension))
+    drawn = smallest_eigenpairs(As, Ms, v0=np.random.default_rng(5).standard_normal(As.shape[0]))
     assert np.array_equal(seeded[0], drawn[0]) and seeded[2] == drawn[2]
     # the CSC view of the symmetric A is factored as it is, to the same pairs
     viewed = smallest_eigenpairs(As.T, Ms, seed=5)
@@ -451,7 +456,7 @@ def test_lanczos_nonconvergence_carries_best(small_mesh):
     A, M = assemble_hodge_laplacian(small_mesh, k=0)
     with pytest.raises(LanczosNonConvergence) as exc:
         # an impossible certificate: residual < 1e-300 * lambda
-        smallest_eigenpairs(A.as_scipy(), M.as_scipy(), nev=1, shift=0.0, rel_tol=1e-300, maxiter=6)
+        smallest_eigenpairs(A, M, nev=1, rel_tol=1e-300, maxiter=6)
     err = exc.value
     assert err.iterations >= 1
     assert len(err.best_eigenvalues) >= 1
@@ -610,7 +615,7 @@ def test_theta_sup_norm_over_edge_midpoints_equals_the_triangle_midpoints(reques
 
 @pytest.mark.parametrize("which", ["small_mesh", "square24"])
 def test_whitney_at_midpoints_matches_triangle_major_loop(request, which, rng):
-    from llab.hyperbolic.forms import _LAMBDA_MID, _whitney_at_midpoints
+    from llab.hyperbolic.forms import _whitney_at_midpoints
 
     mesh = request.getfixturevalue(which)
     es = mesh.edge_structure
@@ -621,7 +626,7 @@ def test_whitney_at_midpoints_matches_triangle_major_loop(request, which, rng):
     ref = np.zeros((mesh.n_triangles, 3, 2))
     for e, (a, b) in enumerate([(0, 1), (1, 2), (2, 0)]):
         for m in range(3):
-            w_e = _LAMBDA_MID[m, a] * grads[:, b] - _LAMBDA_MID[m, b] * grads[:, a]
+            w_e = _PHI_MID[m, a] * grads[:, b] - _PHI_MID[m, b] * grads[:, a]
             ref[:, m] += dofs[:, e, None] * w_e
     vals, d_uv = _whitney_at_midpoints(mesh, es, alpha)
     assert np.array_equal(vals, ref)
