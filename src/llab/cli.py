@@ -147,8 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_int_list, default=[2, 3])
     sp.add_argument("--N", type=int, default=1, help="frequency cutoff per coordinate")
     sp.add_argument("--samples", type=int, default=100,
-                    help="random forms for L8 and L10 and modes for the self-dual relation; "
-                    "the other torus checks draw nothing")
+                    help="random forms for L10's measured constants and modes for the self-dual relation")
     common(sp, "torus")
 
     sp = sub.add_parser("hyperbolic", help="FEM spectral-gap suite on the disc")
@@ -175,27 +174,18 @@ def _say(line: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run_decompose(args) -> int:
+    out = decompose_file(args.input, args.output)
+    rs = out["reconstruction_residuals"]
+    _say(
+        f"decomposed: {len(out['lefschetz_components'])} Lefschetz component(s), "
+        f"{len(out['bidegree_components'])} bidegree component(s); "
+        f"reconstruction residuals {rs['lefschetz']:.3e} / {rs['bidegree']:.3e}"
+    )
+    return 0
 
-    if args.command == "decompose":
-        try:
-            out = decompose_file(args.input, args.output)
-        except (ValueError, OSError, KeyError, ArithmeticError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        except MemoryError as e:
-            print(f"error: out of memory: {e}", file=sys.stderr)
-            return 2
-        rs = out["reconstruction_residuals"]
-        _say(
-            f"decomposed: {len(out['lefschetz_components'])} Lefschetz component(s), "
-            f"{len(out['bidegree_components'])} bidegree component(s); "
-            f"reconstruction residuals {rs['lefschetz']:.3e} / {rs['bidegree']:.3e}"
-        )
-        return 0
 
-    formats = tuple(x.strip() for x in args.format.split(",") if x.strip())
+def _run_suite(args) -> int:
     params: dict = {}
     if args.command == "verify-identities":
         params = {
@@ -220,16 +210,9 @@ def main(argv=None) -> int:
         tolerance=args.tol,
         params=params,
         out_dir=args.out,
-        formats=formats,
+        formats=tuple(x.strip() for x in args.format.split(",") if x.strip()),
     )
-    try:
-        bundle = run_suite(cfg)
-    except (ValueError, OSError, ArithmeticError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except MemoryError as e:
-        print(f"error: out of memory: {e}", file=sys.stderr)
-        return 2
+    bundle = run_suite(cfg)
 
     status = "PASS" if bundle.passed else "FAIL"
     warn = bundle.payload.get("warning")
@@ -256,6 +239,20 @@ def main(argv=None) -> int:
     if cfg.out_dir:
         _say(f"reports written to {cfg.out_dir}/")
     return 0 if bundle.passed else 1
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    # one error boundary: bad input and numerical failures exit 2 with a
+    # message, whether they come from the config, the run or the writer
+    try:
+        return _run_decompose(args) if args.command == "decompose" else _run_suite(args)
+    except (ValueError, OSError, KeyError, ArithmeticError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -256,7 +256,8 @@ def torus_suite(
 ) -> dict:
     """Fourier-model verification: harmonic dimensions, the bigraded
     refinement, the two norm identities, the anti-invariant measurement,
-    and the self-dual relation, per n."""
+    and the self-dual relation, per n.  `samples` counts L10's random forms
+    per degree and the self-dual relation's modes; nothing else draws."""
     from llab.torus import (
         anti_invariant_suite,
         build_fourier_complex,
@@ -268,6 +269,9 @@ def torus_suite(
         verify_lemma_L10,
         verify_p7_decomposition,
     )
+
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
 
     def run_n(n: int) -> dict:
         t = build_standard_triple(n)
@@ -283,7 +287,7 @@ def torus_suite(
             for q in range(0, n + 1):
                 p7[f"{p},{q}"] = verify_p7_decomposition(fc, p, q, tol)
         block["p7"] = p7
-        block["lemma_L8"] = verify_lemma_L8(fc, samples, seed, tol)
+        block["lemma_L8"] = verify_lemma_L8(fc, tol)
         block["lemma_L10"] = verify_lemma_L10(fc, samples, seed, tol)
         block["kahler_identity"] = verify_kahler_identity(fc, tol)
         block["anti_invariant"] = anti_invariant_suite(fc, tol)
@@ -316,14 +320,9 @@ def torus_suite(
         "verdict": verdict,
         "passed": evaluate_verdict(verdict),
     }
-    # zero samples, sampled modes that all missed a nontrivial self-dual
-    # case, or no L8 sample or L10 cross pair leave checks that passed on nothing
-    if not blocks or any(
-        b["self_dual"]["nontrivial_cases"] == 0
-        or b["lemma_L8"]["samples"] == 0
-        or b["lemma_L10"]["cross_cases"] == 0
-        for b in blocks.values()
-    ):
+    # zero samples, or sampled modes that all missed a nontrivial self-dual
+    # case, leave the self-dual check passed on nothing
+    if not blocks or any(b["self_dual"]["nontrivial_cases"] == 0 for b in blocks.values()):
         report["warning"] = "vacuous"
     return report
 

@@ -363,6 +363,20 @@ def test_cli_numerical_failure_exits_two(capsys):
     assert "residual certificates not met" in capsys.readouterr().err
 
 
+def test_cli_bad_format_exits_two_and_names_it(tmp_path, capsys):
+    # the config is validated inside the error boundary: a message, no traceback
+    assert main(["torus", "--n", "2", "--format", "xml", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "xml" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_negative_sample_count_exits_two_and_names_it(capsys):
+    assert main(["torus", "--n", "2", "--samples", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "samples" in err
+
+
 def test_cli_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(suite="nonsense"))

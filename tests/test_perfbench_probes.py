@@ -6,7 +6,9 @@ traced run when one is missing, or when a probe its workload expects
 (`perfbench/workloads.py`) stays silent.  These tests read those tables,
 edit nothing, and resolve every target the same way, so that renaming,
 deleting or bypassing a probed name fails here rather than only in a
-traced run.
+traced run.  The suite workloads also run once, at their benchmark argv,
+through the benchmark's own report oracles, so that a report change the
+benchmark would reject fails here first.
 """
 
 from __future__ import annotations
@@ -84,3 +86,15 @@ def test_identity_suite_fires_every_function_probe_its_workload_expects(monkeypa
                     monkeypatch.setattr(module, attr, wrappers[id(obj)])
     assert identity_suite(n_values=(1, 2), cases=4, cross_cases=2)["passed"]
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("workload", ["identities", "torus"])
+def test_suite_workload_reports_pass_their_benchmark_oracles(workload, tmp_path):
+    import json
+
+    from llab.cli import main
+
+    w = _load("workloads").WORKLOADS[workload]
+    assert main([*w.argv, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"{w.argv[0]}.json").read_text())
+    assert w.checks["report"](report) == []
