@@ -320,9 +320,15 @@ def torus_suite(
         "verdict": verdict,
         "passed": evaluate_verdict(verdict),
     }
-    # zero samples, or sampled modes that all missed a nontrivial self-dual
-    # case, leave the self-dual check passed on nothing
-    if not blocks or any(b["self_dual"]["nontrivial_cases"] == 0 for b in blocks.values()):
+    # zero samples, sampled modes that all missed a nontrivial self-dual
+    # case, or an L8 proof over no type or an L10 cross term over no pair of
+    # Lefschetz levels leave checks that passed on nothing
+    if not blocks or any(
+        b["self_dual"]["nontrivial_cases"] == 0
+        or b["lemma_L8"]["proven_types"] == 0
+        or b["lemma_L10"]["cross_pairs"] == 0
+        for b in blocks.values()
+    ):
         report["warning"] = "vacuous"
     return report
 

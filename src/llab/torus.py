@@ -444,19 +444,22 @@ def verify_lemma_L8(fc: FourierComplex, tol: float = 1e-10) -> dict:
     pair (j, l).  Pi^{p,q} = F_pq F^{-1}_pq in the bigraded frame F_k
     (`triple.ops.frame_compound(k)`), so that is F_pq^H M[j, l] F_pq = 0: the
     entries of F^H M F joining two forms of one type.  The residual is
-    relative to max(1, largest coefficient of G_k Q_D and G_k Q_Delta).
+    relative to max(1, largest coefficient of G_k Q_D and G_k Q_Delta);
+    `proven_types` counts the (degree, type) pairs the gap is proven on.
     """
     alg = fc.triple.ops
     top = 2 * fc.n
     pairs = np.triu_indices(top)
     worst = scale = 0.0
+    types = 0
     for k in range(top + 1):
         G, F, p = alg.gram(k), alg.frame_compound(k), _holomorphic_degree(top, k)
+        types += np.unique(p).size
         dee, lap = G @ fc.quadratic("dee", k)[pairs], G @ fc.quadratic("laplacian", k)[pairs]
         scale = max(scale, float(np.max(np.abs(dee))), float(np.max(np.abs(lap))))
         worst = max(worst, float(np.max(np.abs(F.conj().T @ (dee - lap) @ F)[..., p[:, None] == p])))
     worst /= max(1.0, scale)
-    return {"max_residual": worst, "passed": bool(worst < tol)}
+    return {"max_residual": worst, "proven_types": int(types), "passed": bool(worst < tol)}
 
 
 def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1e-10) -> dict:
@@ -468,7 +471,8 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1
       * <L^p D b_p, L^q b_q> = 0 for p != q (D = d*d + d^{Lambda*}d^Lambda) at
         every xi and every a iff (L^q C_q)^T G_k L^p Q_D[j, l] C_p = 0 for
         every pair (j, l); `max_cross_term` is its largest entry, relative to
-        max(1, max|Q_D|).
+        max(1, max|Q_D|), and `cross_pairs` counts the (degree, p != q)
+        pairs of Lefschetz levels it is proven on.
       * ||d a||^2 + ||d^Lambda a||^2 is bounded between measured multiples
         c_min, c_max of sum_r ||d b_r||^2 (the constants are reported, not
         asserted, per degree), over random finite-mode forms: the samples of
@@ -481,6 +485,7 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1
     pairs = np.triu_indices(2 * fc.n)
     results = {}
     worst_cross = scale = 0.0
+    cross_pairs = 0
     for k in range(2 * fc.n + 1):
         maps = primitive_decompose(KForm(fc.n, k, np.eye(fc.dim(k))), fc.triple).components
         LC, LQC = {}, {}
@@ -490,6 +495,7 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1
             scale = max(scale, float(np.max(np.abs(Q))))
             LC[r], LQC[r] = alg.lpow(j, r) @ C, alg.lpow(j, r) @ Q @ C
         for p, q in itertools.permutations(maps, 2):
+            cross_pairs += 1
             worst_cross = max(worst_cross, float(np.max(np.abs(LC[q].T @ alg.gram(k) @ LQC[p]))))
 
         forms = [fc.random_form(k, np.random.default_rng([seed, k, idx])) for idx in range(samples)]
@@ -507,6 +513,7 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1
     worst_cross /= max(1.0, scale)
     return {
         "max_cross_term": worst_cross,
+        "cross_pairs": cross_pairs,
         "equivalence_constants": results,
         "passed": bool(worst_cross < tol),
     }

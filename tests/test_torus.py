@@ -205,6 +205,7 @@ def test_lemma_L8(fc4):
     assert out["passed"]
     assert out["max_residual"] < 1e-10
     assert "samples" not in out  # proven on coefficients: nothing is drawn
+    assert out["proven_types"] == 9  # (n + 1)^2 types (p, q) over the degrees
 
 
 def test_lemma_L8_without_the_type_restriction_fails_loudly(fc4_random, monkeypatch):
@@ -310,12 +311,34 @@ def test_lemma_L10_proves_its_cross_term_without_samples(fc4_random):
     out = verify_lemma_L10(fc4_random, samples=0, seed=7)
     assert out["passed"] and 0.0 < out["max_cross_term"] < 1e-10
     assert out["equivalence_constants"] == {} and "cross_cases" not in out
+    # at n = 2 only k = 2 has two Lefschetz levels (r = 0, 1): two ordered pairs
+    assert out["cross_pairs"] == 2
     assert out["max_cross_term"] == verify_lemma_L10(fc4_random, samples=20, seed=7)["max_cross_term"]
 
 
-def test_torus_suite_vacuity_rests_on_the_self_dual_relation_alone(monkeypatch):
-    # L8 and the L10 cross term are proven, so no sample count leaves them
-    # vacuous; a self-dual relation with no nontrivial case still does
+@pytest.mark.parametrize("emptied", ["lemma_L8", "lemma_L10"])
+def test_torus_suite_warns_when_L8_or_L10_measured_nothing(emptied, monkeypatch):
+    # the proofs count what they cover, (degree, type) pairs for L8 and
+    # (degree, p != q) Lefschetz pairs for the L10 cross term; a proof over
+    # none of them passes on nothing
+    import llab.torus
+    from llab.suites import torus_suite
+
+    assert "warning" not in torus_suite(n_values=(2,), N=1, samples=20)
+    if emptied == "lemma_L8":
+        real = llab.torus.verify_lemma_L8
+        monkeypatch.setattr(llab.torus, "verify_lemma_L8", lambda fc, tol: dict(real(fc, tol), proven_types=0))
+    else:
+        real = llab.torus.verify_lemma_L10
+        monkeypatch.setattr(llab.torus, "verify_lemma_L10",
+                            lambda fc, samples, seed, tol: dict(real(fc, samples, seed, tol), cross_pairs=0))
+    report = torus_suite(n_values=(2,), N=1, samples=20)
+    assert report["passed"] and report["warning"] == "vacuous"
+
+
+def test_torus_suite_warns_when_the_self_dual_relation_saw_no_case(monkeypatch):
+    # no sample count leaves L8 or the L10 cross term vacuous; a self-dual
+    # relation with no nontrivial case still does
     import llab.torus
     from llab.suites import torus_suite
 
