@@ -93,50 +93,68 @@ def _coo_accumulate(rows, cols, vals, shape) -> sp.csr_matrix:
     return A.tocsr()
 
 
-def _p1_matrix(mesh: DiscMesh, local, vertices: np.ndarray | None = None) -> sp.csr_matrix:
-    """Sum the symmetric per-triangle 3 x 3 blocks local(i, j) -> (nt,) into
-    an nv x nv CSR matrix, one entry per vertex and two per edge; with
-    `vertices` (ascending indices), into its block on those vertices only.
+def _p1_matrices(mesh: DiscMesh, locals_, vertices: np.ndarray | None = None) -> list[sp.csr_matrix]:
+    """Sum the symmetric per-triangle 3 x 3 blocks local(i, j) -> (nt,) of
+    each of `locals_` into an nv x nv CSR matrix, one entry per vertex and
+    two per edge; with `vertices` (ascending indices), into its block on
+    those vertices only.
 
     The diagonal is one bincount per corner and each edge entry one
     bincount per local edge, so (a, b) and (b, a) hold the same float: the
-    matrix is exactly symmetric and carries no duplicates.
+    matrices are exactly symmetric and carry no duplicates.  They are
+    filled into one pattern, built once: all share its `indptr` and
+    `indices` (scipy keeps index arrays of the dtype it chose itself), and
+    entries that sum to zero (right angles give zero cotan weights) stay.
     """
     t = mesh.triangles
     es = mesh.edge_structure
     nv, ne = mesh.n_vertices, es.n_edges
-    diag = np.zeros(nv)
-    off = np.zeros(ne)
-    for i in range(3):
-        diag += np.bincount(t[:, i], weights=local(i, i), minlength=nv)
-    for e, (a, b) in enumerate(_PAIRS):
-        off += np.bincount(es.tri_edges[:, e], weights=local(a, b), minlength=ne)
     lo, hi = es.edges[:, 0], es.edges[:, 1]
+    n = nv
     if vertices is not None:  # renumber, keeping the edges with both ends kept
         pos = np.full(nv, -1)
         pos[vertices] = np.arange(len(vertices))
         both = (pos[lo] >= 0) & (pos[hi] >= 0)
-        nv, diag, off, lo, hi = len(vertices), diag[vertices], off[both], pos[lo[both]], pos[hi[both]]
-    rows = np.concatenate([np.arange(nv), lo, hi])
-    cols = np.concatenate([np.arange(nv), hi, lo])
-    return sp.csr_matrix((np.concatenate([diag, off, off]), (rows, cols)), shape=(nv, nv))
+        n, lo, hi = len(vertices), pos[lo[both]], pos[hi[both]]
+    rows = np.concatenate([np.arange(n), lo, hi])
+    cols = np.concatenate([np.arange(n), hi, lo])
+    # positions as data: the CSR conversion sorts them into the pattern
+    pattern = sp.csr_matrix((np.arange(len(rows)), (rows, cols)), shape=(n, n))
+    out = []
+    for local in locals_:
+        diag = np.zeros(nv)
+        off = np.zeros(ne)
+        for i in range(3):
+            diag += np.bincount(t[:, i], weights=local(i, i), minlength=nv)
+        for e, (a, b) in enumerate(_PAIRS):
+            off += np.bincount(es.tri_edges[:, e], weights=local(a, b), minlength=ne)
+        if vertices is not None:
+            diag, off = diag[vertices], off[both]
+        data = np.concatenate([diag, off, off])[pattern.data]
+        out.append(sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n)))
+    return out
+
+
+def _stiffness_local(geo):
+    gx, gy = geo.grad[:, 0], geo.grad[:, 1]  # (3, nt) each
+    return lambda i, j: geo.area * (gx[i] * gx[j] + gy[i] * gy[j])
+
+
+def _mass_local(geo):
+    w = geo.area / 3.0
+    return lambda i, j: w * ((_PHI_MID[:, i] * _PHI_MID[:, j]) @ geo.mu)
 
 
 def stiffness_p1(mesh: DiscMesh, vertices: np.ndarray | None = None) -> sp.csr_matrix:
     """Flat cotan stiffness; equals the Laplace-Beltrami stiffness in 2D.
-    `vertices` restricts it as in `_p1_matrix`."""
-    area = mesh.geometry.area
-    g = mesh.geometry.grads.transpose(1, 2, 0)
-    gx, gy = np.ascontiguousarray(g[:, 0]), np.ascontiguousarray(g[:, 1])  # (3, nt) each
-    return _p1_matrix(mesh, lambda i, j: area * (gx[i] * gx[j] + gy[i] * gy[j]), vertices)
+    `vertices` restricts it as in `_p1_matrices`."""
+    return _p1_matrices(mesh, [_stiffness_local(mesh.geometry)], vertices)[0]
 
 
 def mass_p1(mesh: DiscMesh, vertices: np.ndarray | None = None) -> sp.csr_matrix:
     """mu-weighted consistent P1 mass, edge-midpoint quadrature.  `vertices`
-    restricts it as in `_p1_matrix`."""
-    w = mesh.geometry.area / 3.0
-    mu = np.ascontiguousarray(mesh.geometry.mu_mid.T)  # (3, nt), midpoint-major
-    return _p1_matrix(mesh, lambda i, j: w * ((_PHI_MID[:, i] * _PHI_MID[:, j]) @ mu), vertices)
+    restricts it as in `_p1_matrices`."""
+    return _p1_matrices(mesh, [_mass_local(mesh.geometry)], vertices)[0]
 
 
 def incidence_d0(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
@@ -159,17 +177,18 @@ def incidence_d1(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
 
 def mass_whitney1(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
     """Euclidean Whitney 1-form mass (conformally invariant in 2D)."""
-    area, grads = mesh.geometry.area, mesh.geometry.grads
-    gdot = np.einsum("tix,tjx->tij", grads, grads)  # (nt, 3, 3)
+    area, g = mesh.geometry.area, mesh.geometry.grad
+    gx, gy = g[:, 0], g[:, 1]  # (3, nt) each
+    gdot = gx[:, None] * gx + gy[:, None] * gy  # (3, 3, nt)
     rows, cols, vals = [], [], []
     for e, (a, b) in enumerate(_PAIRS):
         for f, (c, d) in enumerate(_PAIRS):
             # int (la gb - lb ga) . (lc gd - ld gc), with int la lc = A(1+delta)/12
             m = (
-                (1 + (a == c)) * gdot[:, b, d]
-                - (1 + (a == d)) * gdot[:, b, c]
-                - (1 + (b == c)) * gdot[:, a, d]
-                + (1 + (b == d)) * gdot[:, a, c]
+                (1 + (a == c)) * gdot[b, d]
+                - (1 + (a == d)) * gdot[b, c]
+                - (1 + (b == c)) * gdot[a, d]
+                + (1 + (b == d)) * gdot[a, c]
             ) * (area / 12.0)
             rows.append(es.tri_edges[:, e])
             cols.append(es.tri_edges[:, f])
@@ -179,8 +198,8 @@ def mass_whitney1(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
 
 def mass_whitney2(mesh: DiscMesh) -> sp.dia_matrix:
     """Diagonal 2-form mass: M2[T] = (1/area^2) * int_T mu^{-1} dA."""
-    area, mu_mid = mesh.geometry.area, mesh.geometry.mu_mid
-    diag = (1.0 / mu_mid).sum(axis=1) / (3.0 * area)
+    area, mu = mesh.geometry.area, mesh.geometry.mu
+    diag = (1.0 / mu).sum(axis=0) / (3.0 * area)
     return sp.diags(diag)
 
 
@@ -209,18 +228,13 @@ def assemble_hodge_laplacian(mesh: DiscMesh, k: int) -> tuple[sp.csr_matrix, sp.
     k=0 dofs: interior vertices.  k=1 dofs: interior edges.  Boundary rows
     and columns are eliminated, not penalized.  Both matrices are exactly
     symmetric canonical CSR, so their transposes are the same matrices in
-    CSC.
+    CSC.  The k=0 pair is filled into one pattern: A and M share their
+    `indptr` and `indices`, and A keeps the entries that sum to zero.
     """
     if k == 0:
-        # the interior blocks are exactly symmetric as built; their explicit
-        # zeros (right angles give zero cotan weights) are dropped, as the
-        # symmetrizing sum of `_symmetrized` would drop them
-        pair = []
-        for P in (stiffness_p1, mass_p1):
-            A = P(mesh, mesh.interior)
-            A.eliminate_zeros()
-            pair.append(A)
-        return tuple(pair)
+        geo = mesh.geometry
+        A, M = _p1_matrices(mesh, [_stiffness_local(geo), _mass_local(geo)], mesh.interior)
+        return A, M
     if k == 1:
         es = mesh.edge_structure
         D0 = incidence_d0(mesh, es)

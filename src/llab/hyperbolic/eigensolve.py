@@ -1,11 +1,13 @@
-"""Shift-invert Lanczos for the generalized pencil (A, M).
+"""Shift-invert Lanczos for the symmetric-definite pencil (A, M).
 
-Written against the sparse LU of A (of A - shift*M with a tiny negative
-shift when A is singular) with full reorthogonalization in the M-inner
-product, so the certificates are the point, not the iteration count:
-every returned eigenpair carries the directly recomputed residual
+Written against the sparse LU of A - sigma*M (stepping a little below
+sigma when that is singular) with full reorthogonalization in the
+M-inner product, so the certificates are the point, not the iteration
+count: every returned eigenpair carries the directly recomputed residual
 ||A x - lambda M x|| / ||x||, and the solve refuses to return pairs whose
-residual exceeds rel_tol * lambda.
+residual exceeds rel_tol * lambda.  A residual shows that a Ritz pair is
+accurate, not which eigenvalue it is; `ground_state_lower` proves, for a
+positive approximate ground state, that nothing lies below it.
 
 scipy supplies the LU factorization and sparse matvecs; the Krylov loop,
 reorthogonalization, Ritz extraction and certification are explicit here
@@ -36,6 +38,7 @@ class SpectralResult:
     n_dofs: int
     rel_tol: float
     derived_bound: float | None = None
+    ground_state_lower: float | None = None  # `ground_state_lower` of the first pair
 
 
 class LanczosNonConvergence(ArithmeticError):
@@ -72,17 +75,23 @@ def smallest_eigenpairs(
     maxiter: int = 160,
     seed: int = 20260301,
     v0: np.ndarray | None = None,
+    sigma: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The nev smallest eigenpairs of A x = lambda M x with certificates.
+    """The nev eigenpairs of A x = lambda M x nearest sigma, with certificates.
 
-    The Krylov space starts from v0, or from a standard normal draw seeded
-    by `seed` when v0 is None.  Returns (eigenvalues, eigenvectors,
-    iterations).  Raises LanczosNonConvergence if any certificate misses
-    rel_tol * lambda (absolute floor rel_tol for eigenvalues near zero).
+    With the default sigma = 0 and a positive definite pencil these are the
+    nev smallest.  The Krylov space starts from v0, or from a standard
+    normal draw seeded by `seed` when v0 is None.  Returns (eigenvalues,
+    eigenvectors, iterations), eigenvalues ascending.  Raises
+    LanczosNonConvergence if any certificate misses rel_tol * lambda.
+
+    A and M are symmetric.  When both are CSC, or both CSR, on equal index
+    arrays, A - sigma M is formed on their data alone.
     """
-    # A is factored in CSC, so a CSC A is kept as it is and costs no copy
+    # A is factored in CSC, so a CSC A is kept as it is and costs no copy;
+    # so is a CSC M, whose products cost what a CSR one's do
     A = A if sp.issparse(A) and A.format == "csc" else sp.csr_matrix(A)
-    M = sp.csr_matrix(M)
+    M = M if sp.issparse(M) and M.format == "csc" else sp.csr_matrix(M)
     n = A.shape[0]
     if n != M.shape[0]:
         raise ValueError("pencil dimension mismatch")
@@ -95,13 +104,13 @@ def smallest_eigenpairs(
         _certify(lams, res, rel_tol, iterations=n)
         return np.asarray(lams), X, n
 
-    # factor A; retreat to a tiny negative shift if it is singular
+    # factor A - sigma M; step a little below sigma if it is singular
     scale = max(np.abs(A.data).max(initial=0.0), 1e-300)
     mscale = max(np.abs(M.data).max(initial=0.0), 1e-300)
     factor = None
-    for shift in (0.0, -1e-8 * scale / mscale, -1e-4 * scale / mscale):
+    for shift in (sigma, sigma - 1e-8 * scale / mscale, sigma - 1e-4 * scale / mscale):
         try:
-            factor = spla.splu((A if shift == 0 else A - shift * M).tocsc())
+            factor = spla.splu(_shifted(A, M, shift))
             break
         except RuntimeError:
             continue
@@ -158,10 +167,10 @@ def smallest_eigenpairs(
                 off = np.array(betas)
                 T += np.diag(off, 1) + np.diag(off, -1)
             theta, S = sla.eigh(T)
-            # largest theta of (A - shift M)^{-1} M <-> eigenvalues nearest
-            # the shift; for shift below the spectrum these are the smallest.
-            order = np.argsort(theta)[::-1]
-            take = order[:nev]
+            # largest |theta| of (A - shift M)^{-1} M <-> eigenvalues nearest
+            # the shift, on either side of it; for a shift below the
+            # spectrum every theta is positive and these are the smallest
+            take = np.argsort(np.abs(theta))[::-1][:nev]
             with np.errstate(divide="ignore"):
                 lams = shift + 1.0 / theta[take]
             X = V[:, : j + 1] @ S[:, take]
@@ -170,7 +179,7 @@ def smallest_eigenpairs(
             lams, X, res = lams[keep], X[:, keep], [res[i] for i in keep]
             best_lams, best_res, best_X = lams, res, X
             if _satisfied(lams, res, rel_tol) and len(lams) == nev:
-                return np.asarray(lams), X, j_done
+                return np.asarray(lams), _refined(factor, A, M, lams, X, res), j_done
             if breakdown:
                 break
         if breakdown:
@@ -180,7 +189,95 @@ def smallest_eigenpairs(
         mv = mw / beta
 
     _certify(best_lams, best_res, rel_tol, iterations=j_done)
-    return np.asarray(best_lams), best_X, j_done
+    return np.asarray(best_lams), _refined(factor, A, M, best_lams, best_X, best_res), j_done
+
+
+def _refined(factor, A, M, lams, X, res) -> np.ndarray:
+    """The certified Ritz vectors X after one step of inverse iteration with
+    the factorization in hand, each kept where that lowers its residual.
+
+    The step divides every other eigencomponent of a vector by
+    |lambda_j - shift| / |lambda - shift|; the Ritz values stay as they are.
+    A residual bounds the eigenvector's error only in norm, while
+    `ground_state_lower` reads it entry by entry, where the step helps most.
+    """
+    Y = factor.solve(M @ X)
+    Y *= np.linalg.norm(X, axis=0) / np.linalg.norm(Y, axis=0)
+    better = np.array(_pencil_residuals(A, M, lams, Y)) < np.array(res)
+    return np.where(better, Y, X)
+
+
+def _shifted(A, M, shift: float):
+    """A - shift M in CSC, the layout splu factors; on values alone when A
+    and M are one format on equal index arrays."""
+    if shift == 0:
+        return A.tocsc()
+    if A.format == M.format and np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices):
+        return type(A)((A.data - shift * M.data, A.indices, A.indptr), shape=A.shape).tocsc()
+    return (A - shift * M).tocsc()
+
+
+def ground_state_lower(A, M, lam: float, x: np.ndarray) -> float | None:
+    """A proven lower bound mu <= lambda_min(A, M) from an approximate
+    ground state (lam, x), or None when the proof fails.
+
+    With x's sign fixed by its sum and r = A x - lam M x, take
+    mu = lam - max_i((-r_i + a_i) / (M x)_i)_+, less a few rounding units,
+    where a_i bounds the rounding of the computed r_i: then (A - mu M) x
+    >= 0.  If moreover x > 0 and every off-diagonal of A - mu M is <= 0,
+    A - mu M is a symmetric Z-matrix mapping a positive vector to a
+    nonnegative one, hence an M-matrix (Collatz-Wielandt; Berman &
+    Plemmons, ch. 6), hence positive semidefinite: y^T A y >= mu y^T M y
+    for every y.  So only a positive vector, the ground state's, can be
+    certified; a sign-changing one gets None, and so do a positive
+    off-diagonal and an A or M that is not exactly symmetric.
+
+    A and M are two CSR or two CSC matrices on one pattern (equal `indptr`
+    and `indices`), M positive definite, as `assemble_hodge_laplacian`
+    builds the degree-0 pencil; ValueError otherwise.  The claim is about
+    the discrete pencil, not the continuum operator.
+    """
+    if A.format not in ("csr", "csc") or A.format != M.format or A.shape != M.shape:
+        raise ValueError("the pencil must be two CSR or two CSC matrices of one shape")
+    if not (np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices)):
+        raise ValueError("the pencil's matrices must share one sparsity pattern")
+
+    def like(data):
+        return type(A)((data, A.indices, A.indptr), shape=A.shape)
+
+    # exact symmetry: the transpose, as positions into the pattern, is the
+    # pattern itself, and reads the same values
+    swap = like(np.arange(len(A.indices))).T.asformat(A.format)
+    if not (np.array_equal(swap.indptr, A.indptr) and np.array_equal(swap.indices, A.indices)):
+        return None
+    if not (np.array_equal(A.data[swap.data], A.data) and np.array_equal(M.data[swap.data], M.data)):
+        return None
+
+    x = np.asarray(x, dtype=float)
+    if x.sum() < 0:
+        x = -x
+    if not np.all(x > 0):
+        return None
+    eps = np.finfo(float).eps
+    absA, absM = like(np.abs(A.data)), like(np.abs(M.data))
+    Mx, absMx = M @ x, absM @ x
+    r = A @ x - lam * Mx
+    # a sum of k products rounds by less than k eps times the sum of their
+    # magnitudes; k counts the longest row, the subtraction and the scaling,
+    # and is doubled for the rounding of the magnitudes themselves
+    k = 2 * (int(np.diff(A.indptr).max(initial=0)) + 2)
+    allowance = k * eps * (absA @ x + abs(lam) * absMx)
+    floor = Mx - k * eps * absMx  # below the exact (M x)_i
+    if not np.all(floor > 0):
+        return None
+    slack = max(float(np.max((allowance - r) / floor)), 0.0)
+    mu = lam - slack * (1 + 4 * eps) - 4 * eps * abs(lam)
+    # Z-matrix: every off-diagonal of A - mu M is <= 0, net of its rounding
+    upper = A.data - mu * M.data + 4 * eps * (absA.data + abs(mu) * absM.data)
+    outer = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))  # the row (CSR) or column (CSC)
+    if np.any(upper[outer != A.indices] > 0):
+        return None
+    return float(mu)
 
 
 def _satisfied(lams, res, rel_tol) -> bool:

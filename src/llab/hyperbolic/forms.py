@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from llab.hyperbolic.assembly import EdgeStructure, incidence_d1
+from llab.hyperbolic.assembly import EdgeStructure
 from llab.hyperbolic.mesh import DiscMesh
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -27,14 +27,15 @@ def _theta_components(points: np.ndarray) -> np.ndarray:
     """Euclidean (a_u, a_v) of the pulled-back -dx/y at disc points.
 
     w = i(1+z)/(1-z), w' = 2i/(1-z)^2, y = Im w = (1-|z|^2)/|1-z|^2;
-    theta = -dx/y = -(Re w' du - Im w' dv)/y.
+    theta = -dx/y = -(Re w' du - Im w' dv)/y.  In real arithmetic, with
+    p = 1 - u, q = v and D = |1 - z|^2 = p^2 + q^2:
+    a_u = 4 p q / (D (1 - |z|^2)) and a_v = 2 (p^2 - q^2) / (D (1 - |z|^2)).
     """
-    z = points[:, 0] + 1j * points[:, 1]
-    wp = 2j / (1.0 - z) ** 2
-    y = (1.0 - np.abs(z) ** 2) / np.abs(1.0 - z) ** 2
-    a_u = -np.real(wp) / y
-    a_v = np.imag(wp) / y
-    return np.column_stack([a_u, a_v])
+    u, v = points[:, 0], points[:, 1]
+    p, q = 1.0 - u, v
+    pp, qq = p * p, q * q
+    scale = 1.0 / ((pp + qq) * (1.0 - (u * u + v * v)))
+    return np.column_stack([4.0 * p * q * scale, 2.0 * (pp - qq) * scale])
 
 
 @dataclass
@@ -97,10 +98,10 @@ def bounded_primitive(mesh: DiscMesh) -> PrimitiveOneForm:
 
     # continuum 2-form: d theta = -mu du dv (measured sign -1 in CCW (u,v))
     sign = -1
-    triangle_omega = sign * geo.area / 3.0 * geo.mu_mid.sum(axis=1)
+    triangle_omega = sign * geo.area / 3.0 * geo.mu.sum(axis=0)
 
-    D1 = incidence_d1(mesh, es)
-    circulation = D1 @ edge_integrals
+    # the discrete d of the edge integrals: each triangle's signed sum
+    circulation = (edge_integrals[es.tri_edges] * es.tri_signs).sum(axis=1)
     defect = np.abs(circulation - triangle_omega)
     scale = np.abs(triangle_omega)
     rel = defect / np.maximum(scale, np.median(scale))
@@ -109,8 +110,7 @@ def bounded_primitive(mesh: DiscMesh) -> PrimitiveOneForm:
 
     # |theta|_g should be identically 1; measure on vertices and edge
     # midpoints, one per edge (the triangles' midpoints repeat interior ones)
-    v = mesh.vertices
-    samples = np.vstack([v, 0.5 * (v[es.edges[:, 0]] + v[es.edges[:, 1]])])
+    samples = np.vstack([mesh.vertices, mesh.edge_midpoints()])
     comp = _theta_components(samples)
     norms = np.sqrt((comp**2).sum(axis=1) / mesh.mu(samples))
     sup_norm = float(norms.max())
@@ -248,7 +248,7 @@ def _whitney_at_midpoints(mesh: DiscMesh, es: EdgeStructure, alpha: np.ndarray):
     Returns (values (nt, 3, 2), d_alpha_uv (nt,)).
     """
     area = mesh.geometry.area
-    g = np.ascontiguousarray(mesh.geometry.grads.transpose(1, 2, 0))
+    g = mesh.geometry.grad
     d = _local_dofs(es, alpha)
     vals = np.ascontiguousarray(_whitney_midpoint_major(g, d).transpose(2, 0, 1))
     # d alpha is constant per triangle; its du^dv coefficient is the
@@ -264,15 +264,12 @@ def _crossterm_fields(mesh: DiscMesh, profile: CutoffProfile):
     quadrature weight, f the cutoff and grad f its Euclidean gradient at the
     3 edge midpoints of every triangle, the (3, nt) midpoint-major arrays
     w f, w f^2, 2 w f (d f / d u) / mu, 2 w f (d f / d v) / mu, and the
-    per-triangle sums over midpoints of w f / mu and w f^2 / mu.
+    per-triangle sums over midpoints of w f / mu and w f^2 / mu.  f and
+    grad f are evaluated once per edge and gathered per triangle.
     """
     geo = mesh.geometry
-    t = mesh.triangles.T
-    x, y = mesh.vertices[:, 0][t], mesh.vertices[:, 1][t]  # (3, nt)
-    nxt = [1, 2, 0]
-    mid = np.column_stack([(0.5 * (x + x[nxt])).ravel(), (0.5 * (y + y[nxt])).ravel()])
+    mid = mesh.edge_midpoints()
     rho = mesh.geodesic_radius(mid)
-    f = profile.f_at(rho).reshape(3, -1)
 
     # Euclidean gradient of rho: d rho/d r_eucl * radial unit vector
     r = np.hypot(mid[:, 0], mid[:, 1])
@@ -283,11 +280,13 @@ def _crossterm_fields(mesh: DiscMesh, profile: CutoffProfile):
     with np.errstate(invalid="ignore", divide="ignore"):
         radial_scale = np.where(r > 0, profile.df_at(rho) * drho_dr / r, 0.0)
 
+    per_triangle = np.ascontiguousarray(mesh.edge_structure.tri_edges.T)  # (3, nt), midpoint-major
+    f = profile.f_at(rho)[per_triangle]
     w = geo.area / 3.0  # quadrature weight of each midpoint
-    w_mu = w / np.ascontiguousarray(geo.mu_mid.T)
+    w_mu = w / geo.mu
     pair = 2.0 * f * w_mu
-    pair_u = pair * (radial_scale * mid[:, 0]).reshape(3, -1)
-    pair_v = pair * (radial_scale * mid[:, 1]).reshape(3, -1)
+    pair_u = pair * (radial_scale * mid[:, 0])[per_triangle]
+    pair_v = pair * (radial_scale * mid[:, 1])[per_triangle]
     wf = w * f
     return wf, wf * f, pair_u, pair_v, (f * w_mu).sum(axis=0), (f * f * w_mu).sum(axis=0)
 
@@ -315,7 +314,7 @@ def crossterm_constant(
     eps = profile.eps
     area = mesh.geometry.area
     wf, wf2, pair_u, pair_v, wf_mu, wf2_mu = _crossterm_fields(mesh, profile)
-    g = np.ascontiguousarray(mesh.geometry.grads.transpose(1, 2, 0))
+    g = mesh.geometry.grad
 
     out_cf, out_csqrt = [], []
     for _ in range(n_samples):

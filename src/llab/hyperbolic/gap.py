@@ -30,7 +30,13 @@ from fractions import Fraction
 import numpy as np
 
 from llab.algebra import KForm, build_standard_triple, norm, random_compatible_triple, wedge
-from llab.hyperbolic.eigensolve import SpectralResult, smallest_eigenpairs
+from llab.hyperbolic.eigensolve import (
+    LanczosNonConvergence,
+    SpectralResult,
+    _pencil_residuals,
+    ground_state_lower,
+    smallest_eigenpairs,
+)
 from llab.hyperbolic import mesh as mesh_mod
 from llab.hyperbolic.mesh import DiscMesh
 from llab.hyperbolic.oracle import SHOOTING_LAMBDA1
@@ -266,25 +272,51 @@ def gromov_bound_report(n: int, k: int, theta_sup: float = 1.0) -> dict:
     }
 
 
-def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8) -> SpectralResult:
+def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8, shift: float = 0.0) -> SpectralResult:
     """Certified smallest Dirichlet eigenvalue of the degree-k Laplacian.
+
+    The solve factors A - shift M and returns the eigenvalue nearest the
+    shift; a shift near lambda_1 (a coarser mesh's, say) makes it converge
+    in fewer steps.  At k = 0, `ground_state_lower` proves that the returned
+    eigenvalue is the pencil's smallest (`eigensolve.ground_state_lower`).
+    A shifted solve that fails that proof, or fails to converge, is
+    replaced by a solve at shift 0, so the result never rests on the shift;
+    `iterations` counts the steps of both.  k = 1 has no such proof, so it
+    takes no shift (ValueError) and carries no lower bound.
 
     derived_bound carries gromov_bound(1, k) for k != 1 (the surface is
     n = 1; theta has measured sup norm 1) and None at the middle degree.
     """
     from llab.hyperbolic.assembly import assemble_hodge_laplacian
 
+    if k != 0 and shift != 0:
+        raise ValueError(f"a shift needs the ground-state proof, which k = {k} lacks")
     A, M = assemble_hodge_laplacian(mesh, k)
     # the Dirichlet ground state of the scalar Laplacian is positive, so the
     # constant vector leans on it far more than a random one does
     v0 = np.ones(A.shape[0]) if k == 0 else None
-    # A is exactly symmetric, so the transpose view of its CSR arrays is A
-    # in CSC, the layout the solver factors, with no copy
-    lams, X, iters = smallest_eigenpairs(A.T, M, rel_tol=rel_tol, v0=v0)
-    # recompute certificates for the report (cheap, independent of solver)
-    from llab.hyperbolic.eigensolve import _pencil_residuals
 
-    res = _pencil_residuals(A, M, lams, X)
+    def solve(sigma):
+        # A and M are exactly symmetric, so the transpose views of their CSR
+        # arrays are A and M in CSC, the layout the solver factors, with no
+        # copy; at k = 0 they share one pattern, so A - sigma M costs one
+        # array of values
+        lams, X, iters = smallest_eigenpairs(A.T, M.T, rel_tol=rel_tol, v0=v0, sigma=sigma)
+        lower = ground_state_lower(A, M, float(lams[0]), X[:, 0]) if k == 0 else None
+        return lams, X, iters, lower
+
+    steps, lower = 0, None
+    if shift != 0:
+        try:
+            lams, X, iters, lower = solve(shift)
+        except LanczosNonConvergence as e:
+            steps = e.iterations
+        else:
+            if lower is None:  # not the ground state, or not provably so
+                steps = iters
+    if lower is None:
+        lams, X, iters, lower = solve(0.0)
+    res = _pencil_residuals(A, M, lams, X)  # recomputed for the report
     bound = None
     if mesh.metric == "hyperbolic" and k != 1:
         bound = gromov_bound(1, k, 1.0)
@@ -292,10 +324,11 @@ def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8) -> Spectral
         k=k,
         eigenvalues=[float(x) for x in lams],
         residuals=[float(r) for r in res],
-        iterations=iters,
+        iterations=steps + iters,
         n_dofs=A.shape[0],
         rel_tol=rel_tol,
         derived_bound=bound,
+        ground_state_lower=lower,
     )
 
 
@@ -312,22 +345,38 @@ def gap_sweep(
     the h -> 0 limit is extrapolated (measured order when >= 3 sizes are
     log-uniform, otherwise the P1 rate 2).
 
+    At k = 0 each row solves at a shift, the lambda_1 of the previous row
+    with the same R (so with h descending, the next coarser mesh's), and
+    carries `ground_state_lower`, a proven lower bound on the smallest
+    eigenvalue of its discrete pencil (None when the proof fails; always
+    None at k = 1).  Raises ValueError on a repeated R or h, before any
+    mesh is built.
+
     "finest_mesh" holds the (max R, min h) mesh, with what its solve
     derived from it, for callers that measure more on it; it is not JSON
     and is not part of a report.
     """
+    for name, values in (("R", R_values), ("h", h_values)):
+        seen = set()
+        for v in values:
+            if float(v) in seen:
+                raise ValueError(f"repeated {name} value {float(v)!r}: each {name} may appear once")
+            seen.add(float(v))
     rows = []
     per_R: dict[float, list[tuple[float, float]]] = {}
     R_star, h_star = max(R_values), min(h_values)
     finest_mesh = None
     for R in R_values:
+        shift = 0.0
         for h in h_values:
             # looked up on its module, so a wrapped build_disc_mesh is the one called
             mesh = mesh_mod.build_disc_mesh(R, h)
             if R == R_star and h == h_star:
                 finest_mesh = mesh
-            result = dirichlet_lambda1(mesh, k, rel_tol=rel_tol)
+            result = dirichlet_lambda1(mesh, k, rel_tol=rel_tol, shift=shift)
             lam = result.eigenvalues[0]
+            if k == 0:
+                shift = lam
             oracle = SHOOTING_LAMBDA1.get(float(R)) if k == 0 else None
             rows.append(
                 {
@@ -341,6 +390,7 @@ def gap_sweep(
                     "oracle": oracle,
                     "rel_err_vs_oracle": (abs(lam - oracle) / oracle) if oracle else None,
                     "derived_bound": result.derived_bound,
+                    "ground_state_lower": result.ground_state_lower,
                 }
             )
             per_R.setdefault(float(R), []).append((float(h), lam))

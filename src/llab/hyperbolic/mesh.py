@@ -34,20 +34,29 @@ class MeshBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class TriangleGeometry:
-    """Per-triangle quantities shared by assembly and quadrature.
+    """Per-triangle quantities shared by assembly and quadrature, stored
+    corner-major so that every per-corner row is contiguous.
 
     area : (nt,) Euclidean areas, checked positive
-    grads : (nt, 3, 2) Euclidean gradients of the three P1 hats
-    mu_mid : (nt, 3) conformal factor at the midpoints of edges (01, 12, 20)
+    grad : (3, 2, nt) Euclidean gradients of the three P1 hats, by corner
+        and component
+    mu : (3, nt) conformal factor at the midpoints of edges (01, 12, 20)
 
     The midpoints themselves are not kept: every mesh holds its geometry
-    for life, and its only reader, the cutoff sampling of
-    `forms.crossterm_constant`, rebuilds them in its own layout.
+    for life, and `DiscMesh.edge_midpoints` rebuilds them, once per edge,
+    for whoever samples there.
     """
 
     area: np.ndarray
-    grads: np.ndarray
-    mu_mid: np.ndarray
+    grad: np.ndarray
+    mu: np.ndarray
+
+
+def _signed_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Signed areas from the (3, nt) corner coordinates x and y."""
+    d1x, d1y = x[1] - x[0], y[1] - y[0]
+    d2x, d2y = x[2] - x[0], y[2] - y[0]
+    return 0.5 * (d1x * d2y - d1y * d2x)
 
 
 @dataclass(frozen=True)
@@ -108,29 +117,35 @@ class DiscMesh:
 
     # -- per-triangle geometry used by assembly and quadrature ------------
 
+    def _corners(self) -> np.ndarray:
+        """(2, 3, nt) coordinates of every triangle's corners, one gather."""
+        return self.vertices.T[:, self.triangles.T]
+
     def triangle_areas(self) -> np.ndarray:
         """Signed Euclidean areas (positive for the stored CCW orientation)."""
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return _signed_areas(*self._corners())
 
     @cached_property
     def geometry(self) -> TriangleGeometry:
-        """The mesh's `TriangleGeometry`; raises on a non-CCW triangle."""
-        area = self.triangle_areas()
+        """The mesh's `TriangleGeometry`; raises on a non-CCW triangle.
+
+        One gather of the corner coordinates gives the areas and the hat
+        gradients; mu is evaluated once per edge midpoint and gathered per
+        triangle.
+        """
+        x, y = self._corners()  # (3, nt) each
+        area = _signed_areas(x, y)
         if area.min() <= 0:
             raise ArithmeticError("degenerate or clockwise triangle in the mesh")
-        p = self.vertices[self.triangles]
         # grad(lambda_i) = perp(p_{i+2} - p_{i+1}) / (2 area), perp(x, y) = (-y, x)
-        grads = np.empty((len(area), 3, 2))
-        for i in range(3):
-            e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-            grads[:, i, 0] = -e[:, 1] / (2.0 * area)
-            grads[:, i, 1] = e[:, 0] / (2.0 * area)
-        mids = 0.5 * np.stack([p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1)
-        mu_mid = self.mu(mids.reshape(-1, 2)).reshape(-1, 3)
-        return TriangleGeometry(*_read_only(area, grads, mu_mid))
+        nxt, prev = [1, 2, 0], [2, 0, 1]
+        two_area = 2.0 * area
+        grad = np.empty((3, 2, len(area)))
+        np.divide(-(y[prev] - y[nxt]), two_area, out=grad[:, 0])
+        np.divide(x[prev] - x[nxt], two_area, out=grad[:, 1])
+        per_triangle = np.ascontiguousarray(self.edge_structure.tri_edges.T)  # (3, nt)
+        mu = self.mu(self.edge_midpoints())[per_triangle]
+        return TriangleGeometry(*_read_only(area, grad, mu))
 
     @cached_property
     def edge_structure(self):
@@ -141,19 +156,25 @@ class DiscMesh:
         _read_only(es.edges, es.tri_edges, es.tri_signs, es.boundary_edge)
         return es
 
+    def edge_midpoints(self) -> np.ndarray:
+        """(ne, 2) midpoints of the edges of `edge_structure`, in its order."""
+        v, e = self.vertices, self.edge_structure.edges
+        return 0.5 * (v[e[:, 0]] + v[e[:, 1]])
+
     def centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
+        x, y = self._corners()
+        return np.column_stack([(x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0])
 
     def min_angle_degrees(self) -> float:
-        t = self.triangles.T
-        x, y = self.vertices[:, 0][t], self.vertices[:, 1][t]  # (3, nt)
+        """Smallest angle, read from the hat gradients: grad(lambda_i) is the
+        inward normal of the edge opposite corner i, scaled, so the angle at
+        corner i is pi minus the angle between the gradients of i+1 and i+2."""
+        g = self.geometry.grad
+        gx, gy = g[:, 0], g[:, 1]  # (3, nt) each
         nxt, prev = [1, 2, 0], [2, 0, 1]
-        # e_i = p_{i+1} - p_i; the angle at vertex i lies between e_i and
-        # -e_{i-1}, and the smallest angle has the largest cosine, so one
-        # arccos is enough
-        ex, ey = x[nxt] - x, y[nxt] - y
-        sq = ex * ex + ey * ey
-        cos = -(ex * ex[prev] + ey * ey[prev]) / np.sqrt(sq * sq[prev])
+        sq = gx * gx + gy * gy
+        # the smallest angle has the largest cosine, so one arccos is enough
+        cos = -(gx[nxt] * gx[prev] + gy[nxt] * gy[prev]) / np.sqrt(sq[nxt] * sq[prev])
         return float(np.degrees(np.arccos(np.clip(cos.max(), -1.0, 1.0))))
 
 
@@ -219,10 +240,11 @@ def build_disc_mesh(R: float, h: float) -> DiscMesh:
 
     Raises MeshBudgetError before allocating anything if the ring layout
     would exceed the vertex budget, ValueError on out-of-range (R, h), and
-    ArithmeticError when a triangle's smallest angle is below MIN_ANGLE_DEG
-    (a degenerate triangle's is 0).  The stitched triangles are CCW by
-    construction; `geometry` computes their signed areas, once per mesh,
-    and raises on any that is not positive.
+    ArithmeticError when a triangle is degenerate or clockwise, or when its
+    smallest angle is below MIN_ANGLE_DEG.  The stitched triangles are CCW
+    by construction; the angle check reads them from `geometry`, which
+    computes their signed areas, once per mesh, and raises on any that is
+    not positive.
     """
     if not (0.0 < h < R):
         raise ValueError(f"need 0 < h < R, got h={h}, R={R}")

@@ -65,11 +65,16 @@ _SECOND_ORDER = {
 }
 
 
-def _symmetric_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _symmetric_product(X: np.ndarray, Y: np.ndarray, pairs=None) -> np.ndarray:
     """The symmetric coefficients Q[j, l] = -4 pi^2 (X_j Y_l + X_l Y_j) / 2 of
     x(xi) y(xi) = sum_{j,l} xi_j xi_l Q[j, l], for the first-order operators
     x(xi) = 2 pi i sum_j xi_j X_j and y(xi) alike.  A quadratic form in xi
-    vanishes at every xi exactly when its symmetric coefficients vanish."""
+    vanishes at every xi exactly when its symmetric coefficients vanish.
+    With `pairs` = (j, l) index arrays, such as np.triu_indices(2n), only
+    those coefficients, stacked: Q[pairs] for the price of them alone."""
+    if pairs is not None:
+        j, l = pairs
+        return (-2 * np.pi ** 2) * (X[j] @ Y[l] + X[l] @ Y[j])
     P = X[:, None] @ Y[None, :]
     return (-2 * np.pi ** 2) * (P + P.transpose(1, 0, 2, 3))
 
@@ -540,14 +545,15 @@ def verify_kahler_identity(fc: FourierComplex, tol: float = 1e-10) -> dict:
         in_frame = Finv[k + 1] @ fc.block("d", k) @ F[k]
         dbar.append(F[k + 1] @ np.where(p[k + 1][:, None] == p[k], in_frame, 0.0) @ Finv[k])
         dbar_star.append(_adjoint_stack(alg, dbar[k], k, k + 1))
+    pairs = np.triu_indices(top)  # Q[j, l] = Q[l, j]: n(2n + 1) distinct pairs
     worst = leak_dbar = leak_lap = scale = 0.0
     for k in range(top + 1):
-        lap = fc.quadratic("laplacian", k)
+        lap = fc.quadratic("laplacian", k)[pairs]
         lap_dbar = 0.0  # dbar dbar* through degree k - 1, dbar* dbar through k + 1
         if k:
-            lap_dbar = lap_dbar + _symmetric_product(dbar[k - 1], dbar_star[k - 1])
+            lap_dbar = lap_dbar + _symmetric_product(dbar[k - 1], dbar_star[k - 1], pairs)
         if k < top:
-            lap_dbar = lap_dbar + _symmetric_product(dbar_star[k], dbar[k])
+            lap_dbar = lap_dbar + _symmetric_product(dbar_star[k], dbar[k], pairs)
         mixed = p[k][:, None] != p[k]
         scale = max(scale, float(np.max(np.abs(lap))))
         worst = max(worst, float(np.max(np.abs(lap - 2.0 * lap_dbar))))

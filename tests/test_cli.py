@@ -363,6 +363,16 @@ def test_cli_numerical_failure_exits_two(capsys):
     assert "residual certificates not met" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("R, h, named", [("2", "0.4,0.4", "h value 0.4"), ("2,2", "0.4,0.2", "R value 2.0")])
+def test_cli_hyperbolic_repeated_R_or_h_exits_two_and_names_it(tmp_path, capsys, R, h, named):
+    # a repeated mesh size used to reach the Richardson step and divide by
+    # zero; a repeated (R, h) would also shift a solve to its own eigenvalue
+    assert main(["hyperbolic", "--R", R, "--h", h, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: repeated ") and named in err and "division" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_bad_format_exits_two_and_names_it(tmp_path, capsys):
     # the config is validated inside the error boundary: a message, no traceback
     assert main(["torus", "--n", "2", "--format", "xml", "--out", str(tmp_path)]) == 2

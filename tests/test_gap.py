@@ -185,10 +185,61 @@ def test_dirichlet_lambda1_k1_no_bound(small_mesh):
 
 def test_dirichlet_lambda1_k0_starts_from_the_constant_vector():
     # the constant vector leans on the positive ground state: at R = 6,
-    # h = 0.2 (28,465 dofs) a random start needed 20 steps
+    # h = 0.2 (28,465 dofs) a random start needed 20 steps; unshifted, the
+    # solve still makes them, and proves its ground state
     result = dirichlet_lambda1(build_disc_mesh(6.0, 0.2), 0)
     assert result.iterations <= 12
     assert result.residuals[0] < result.rel_tol * result.eigenvalues[0]
+    lam = result.eigenvalues[0]
+    assert 0 <= (lam - result.ground_state_lower) / lam < 1e-6
+
+
+def test_gap_sweep_shifts_the_finer_mesh_to_the_coarser_lambda1(monkeypatch):
+    from llab.hyperbolic import eigensolve
+
+    factored = []
+    real_splu = eigensolve.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        factored.append(args[0].shape[0])
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve.spla, "splu", counting_splu)
+    out = gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1), k=0)
+    coarse, fine = out["rows"]
+    # one factorization per mesh: the shifted solve was not refused
+    assert factored == [coarse["n_dofs"], fine["n_dofs"]]
+    assert fine["iterations"] <= 4 < coarse["iterations"]
+    for row in out["rows"]:
+        lam = row["lambda1"]
+        assert row["residual"] < 1e-8 * lam
+        assert 0 <= (lam - row["ground_state_lower"]) / lam < 1e-6
+    # the shifted eigenvalue is the unshifted one
+    unshifted = dirichlet_lambda1(out["finest_mesh"], 0)
+    assert fine["lambda1"] == pytest.approx(unshifted.eigenvalues[0], rel=1e-12)
+
+
+def test_gap_sweep_k1_carries_no_ground_state_bound(small_mesh):
+    out = gap_sweep(R_values=(2.0,), h_values=(0.5, 0.4), k=1)
+    assert [row["ground_state_lower"] for row in out["rows"]] == [None, None]
+    # without the proof a shifted solve could return another eigenvalue
+    with pytest.raises(ValueError, match="k = 1"):
+        dirichlet_lambda1(small_mesh, 1, shift=1.0)
+
+
+@pytest.mark.parametrize("R_values, h_values, repeated", [
+    ((2.0,), (0.4, 0.4), "h value 0.4"),
+    ((2.0, 2.0), (0.4, 0.2), "R value 2.0"),
+])
+def test_gap_sweep_rejects_a_repeated_R_or_h_before_meshing(monkeypatch, R_values, h_values, repeated):
+    from llab.hyperbolic import mesh
+
+    def no_mesh(R, h):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(mesh, "build_disc_mesh", no_mesh)
+    with pytest.raises(ValueError, match=f"repeated {repeated}"):
+        gap_sweep(R_values=R_values, h_values=h_values)
 
 
 def test_gap_sweep_small():

@@ -36,6 +36,7 @@ from llab.hyperbolic.assembly import (
 )
 from llab.hyperbolic.eigensolve import (
     LanczosNonConvergence,
+    ground_state_lower,
     smallest_eigenpairs,
 )
 from llab.hyperbolic.forms import (
@@ -100,6 +101,37 @@ def _min_angle_reference(mesh):
         cosang = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
         angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
     return float(np.min(angles))
+
+
+def _geometry_reference(mesh):
+    """(area, grads (nt, 3, 2), mu at the triangle midpoints (nt, 3)) from
+    triangle-major gathers, one corner at a time."""
+    p = mesh.vertices[mesh.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    grads = np.empty((len(area), 3, 2))
+    for i in range(3):
+        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        grads[:, i, 0] = -e[:, 1] / (2.0 * area)
+        grads[:, i, 1] = e[:, 0] / (2.0 * area)
+    mids = 0.5 * np.stack([p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1)
+    return area, grads, mesh.mu(mids.reshape(-1, 2)).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("which", ["small_mesh", "fine_mesh", "square24"])
+def test_geometry_and_min_angle_match_the_reference_loops(request, which):
+    # one gather, corner-major gradients and mu once per edge midpoint give
+    # the same floats as the triangle-major loops, and so do the centroids;
+    # the smallest angle read from the gradients matches one arccos per angle
+    mesh = request.getfixturevalue(which)
+    geo = mesh.geometry
+    area, grads, mu_mid = _geometry_reference(mesh)
+    assert np.array_equal(geo.area, area)
+    assert np.array_equal(geo.grad, grads.transpose(1, 2, 0))
+    assert np.array_equal(geo.mu, mu_mid.T)
+    assert geo.grad.flags.c_contiguous and geo.mu.flags.c_contiguous
+    assert mesh.min_angle_degrees() == pytest.approx(_min_angle_reference(mesh), abs=1e-9)
+    assert np.array_equal(mesh.centroids(), mesh.vertices[mesh.triangles].mean(axis=1))
 
 
 @pytest.mark.parametrize("h", [0.2, 0.1])
@@ -169,7 +201,7 @@ def test_mesh_derived_quantities_are_kept_and_die_with_the_mesh():
     assert mesh.geometry is geo and mesh.edge_structure is es
     assert np.array_equal(geo.area, mesh.triangle_areas())
     # shared by every reader, so nobody may write into them
-    assert not geo.grads.flags.writeable and not es.tri_edges.flags.writeable
+    assert not geo.grad.flags.writeable and not es.tri_edges.flags.writeable
     refs = [weakref.ref(x) for x in (mesh, geo, es)]
     del mesh, geo, es
     gc.collect()
@@ -325,7 +357,7 @@ def test_assembled_pencil_is_exactly_symmetric_csr(request, which, k):
 
 def _p1_coo_reference(mesh):
     """(K, M) scattered as 9 COO entries per triangle, duplicates summed."""
-    area, grads, mu_mid = mesh.geometry.area, mesh.geometry.grads, mesh.geometry.mu_mid
+    area, grads, mu_mid = _geometry_reference(mesh)
     phi = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     t = mesh.triangles
     rows = np.concatenate([t[:, i] for i in range(3) for j in range(3)])
@@ -353,17 +385,54 @@ def test_p1_matrices_summed_per_edge_match_the_coo_scatter(request, which):
         assert (got != got.T).nnz == 0
 
 
+def _p1_matrix_reference(mesh, local, vertices):
+    """The P1 matrix from per-vertex and per-edge bincounts, restricted to
+    `vertices` and converted from COO on its own, with no shared pattern."""
+    t, es = mesh.triangles, mesh.edge_structure
+    nv, ne = mesh.n_vertices, es.n_edges
+    diag, off = np.zeros(nv), np.zeros(ne)
+    for i in range(3):
+        diag += np.bincount(t[:, i], weights=local(i, i), minlength=nv)
+    for e, (a, b) in enumerate([(0, 1), (1, 2), (2, 0)]):
+        off += np.bincount(es.tri_edges[:, e], weights=local(a, b), minlength=ne)
+    lo, hi = es.edges[:, 0], es.edges[:, 1]
+    pos = np.full(nv, -1)
+    pos[vertices] = np.arange(len(vertices))
+    both = (pos[lo] >= 0) & (pos[hi] >= 0)
+    nv, diag, off, lo, hi = len(vertices), diag[vertices], off[both], pos[lo[both]], pos[hi[both]]
+    rows = np.concatenate([np.arange(nv), lo, hi])
+    cols = np.concatenate([np.arange(nv), hi, lo])
+    return sp.csr_matrix((np.concatenate([diag, off, off]), (rows, cols)), shape=(nv, nv))
+
+
 @pytest.mark.parametrize("which", ["small_mesh", "fine_mesh", "square24"])
 def test_interior_p1_blocks_equal_the_restricted_matrices(request, which):
-    # k = 0 assembles the interior-vertex blocks directly; they must be the
-    # whole matrices restricted, then checked and symmetrized, bit for bit
+    # k = 0 fills the interior-vertex blocks into one pattern; they must be
+    # the whole matrices restricted, then checked and symmetrized, bit for
+    # bit apart from the explicit zeros that the symmetrizing sum drops, and
+    # the per-matrix scatter, zeros and all
     mesh = request.getfixturevalue(which)
     idx = mesh.interior
-    for got, P in zip(assemble_hodge_laplacian(mesh, 0), (stiffness_p1, mass_p1)):
+    area, grads, mu_mid = _geometry_reference(mesh)
+    locals_ = (
+        lambda i, j: area * (grads[:, i] * grads[:, j]).sum(axis=1),
+        lambda i, j: area / 3.0 * ((_PHI_MID[:, i] * _PHI_MID[:, j]) @ mu_mid.T),
+    )
+    A, M = assemble_hodge_laplacian(mesh, 0)
+    for got, P, local in zip((A, M), (stiffness_p1, mass_p1), locals_):
+        ref = _p1_matrix_reference(mesh, local, idx)
         want = _symmetrized(P(mesh)[idx][:, idx])
-        assert got.shape == want.shape == (len(idx), len(idx))
+        nonzero = got.copy()
+        nonzero.eliminate_zeros()
+        assert got.shape == want.shape == ref.shape == (len(idx), len(idx))
         for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+            assert np.array_equal(getattr(nonzero, name), getattr(want, name)), name
+    # one pattern, held once: M has no zero, so it holds every entry of A
+    assert np.shares_memory(A.indices, M.indices) and np.shares_memory(A.indptr, M.indptr)
+    assert np.all(M.data > 0)
+    if which == "square24":  # right angles give zero cotan weights, kept
+        assert np.count_nonzero(A.data == 0) > 0
 
 
 def test_hyperbolic_lambda1_vs_shooting(small_mesh):
@@ -426,9 +495,10 @@ def test_lanczos_makes_three_mass_products_a_step(small_mesh, monkeypatch, start
     lams, X, iters = smallest_eigenpairs(As, Ms, nev=2, v0=v0)
     monkeypatch.undo()
 
-    # one product for the start vector, one per residual check and
-    # eigenpair, and three per step
-    assert len(products) <= 1 + 2 * len(checks) + 3 * iters
+    # one product for the start vector, one for the refining step of the
+    # returned vectors, one per residual check and eigenpair, and three per
+    # step
+    assert len(products) <= 2 + 2 * len(checks) + 3 * iters
     ref = scipy.linalg.eigh(As.toarray(), Ms.toarray(), eigvals_only=True, subset_by_index=[0, 1])
     assert np.allclose(lams, ref, rtol=1e-12, atol=0)
     for j in range(2):
@@ -462,6 +532,76 @@ def test_lanczos_nonconvergence_carries_best(small_mesh):
     assert len(err.best_eigenvalues) >= 1
     # the best estimate is still a decent eigenvalue
     assert err.best_eigenvalues[0] == pytest.approx(SHOOTING_LAMBDA1[2.0], rel=0.05)
+
+
+def _ground_pair(A, M, nev=1):
+    lams, X, _ = smallest_eigenpairs(A.T, M.T, nev=nev, v0=np.ones(A.shape[0]))
+    return lams, X
+
+
+@pytest.mark.parametrize("which", ["small_mesh", "square12"])
+def test_ground_state_lower_brackets_the_smallest_eigenvalue(request, which):
+    mesh = request.getfixturevalue(which) if which == "small_mesh" else square_patch(12)
+    A, M = assemble_hodge_laplacian(mesh, 0)
+    assert A.shape[0] > 64  # the Lanczos path
+    lams, X = _ground_pair(A, M)
+    lower = ground_state_lower(A, M, lams[0], X[:, 0])
+    exact = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
+    assert lower is not None
+    assert lower <= exact <= lams[0] * (1 + 1e-13)
+    assert 0 <= (lams[0] - lower) / lams[0] < 1e-6
+    # the sign of the vector is immaterial
+    assert ground_state_lower(A, M, lams[0], -X[:, 0]) == lower
+
+
+def test_ground_state_lower_refuses_what_it_cannot_prove(small_mesh):
+    A, M = assemble_hodge_laplacian(small_mesh, 0)
+    lams, X = _ground_pair(A, M, nev=2)
+    # the second eigenvector changes sign: no certificate
+    assert ground_state_lower(A, M, lams[1], X[:, 1]) is None
+    # one off-diagonal pair of A made positive, beyond what lambda M offsets
+    # there: the ground state stays positive, but A - mu M is no Z-matrix
+    bad = A.copy()
+    i, j = int(A.indices[A.indptr[0] + 1]), 0  # dof 0 and a neighbour
+    assert i != j and A[i, j] < 0
+    bad[i, j] = bad[j, i] = 3 * lams[0] * M[i, j]
+    assert np.array_equal(bad.indices, A.indices)  # the pattern is unchanged
+    bad_M = sp.csr_matrix((M.data, bad.indices, bad.indptr), shape=M.shape)
+    lam_b, X_b = _ground_pair(bad, bad_M)
+    x = X_b[:, 0] * np.sign(X_b[:, 0].sum())
+    assert np.all(x > 0)
+    assert ground_state_lower(bad, bad_M, lam_b[0], X_b[:, 0]) is None
+    # an asymmetric pencil proves nothing either
+    skew = A.copy()
+    skew[i, j] = 0.5 * skew[i, j]
+    assert ground_state_lower(skew, M, lams[0], X[:, 0]) is None
+    with pytest.raises(ValueError, match="pattern"):
+        ground_state_lower(A, sp.identity(A.shape[0], format="csr"), lams[0], X[:, 0])
+
+
+def test_a_shift_past_lambda2_is_refused_and_solved_again(small_mesh, monkeypatch):
+    from llab.hyperbolic import eigensolve
+    from llab.hyperbolic.gap import dirichlet_lambda1
+
+    A, M = assemble_hodge_laplacian(small_mesh, 0)
+    exact = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True, subset_by_index=[0, 2])
+    factored = []
+    real_splu = eigensolve.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        factored.append(1)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve.spla, "splu", counting_splu)
+    result = dirichlet_lambda1(small_mesh, 0, shift=1.001 * exact[1])
+    assert len(factored) == 2  # the shifted solve, refused, then shift 0
+    assert result.eigenvalues[0] == pytest.approx(exact[0], rel=1e-12)
+    assert result.ground_state_lower <= exact[0]
+    # unshifted, one factorization
+    factored.clear()
+    again = dirichlet_lambda1(small_mesh, 0)
+    assert len(factored) == 1 and again.eigenvalues == result.eigenvalues
+    assert again.iterations < result.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +655,19 @@ def test_theta_rejects_euclidean(square24):
         bounded_primitive(square24)
 
 
+def test_theta_components_in_real_arithmetic_match_the_complex_formula(fine_mesh):
+    from llab.hyperbolic.forms import _theta_components
+
+    pts = np.vstack([fine_mesh.vertices, fine_mesh.edge_midpoints()])
+    z = pts[:, 0] + 1j * pts[:, 1]
+    wp = 2j / (1.0 - z) ** 2
+    y = (1.0 - np.abs(z) ** 2) / np.abs(1.0 - z) ** 2
+    ref = np.column_stack([-np.real(wp) / y, np.imag(wp) / y])
+    got = _theta_components(pts)
+    scale = np.linalg.norm(ref, axis=1)[:, None]
+    assert np.max(np.abs(got - ref) / scale) < 1e-11
+
+
 # ---------------------------------------------------------------------------
 # cutoff family
 # ---------------------------------------------------------------------------
@@ -562,7 +715,7 @@ def _crossterm_reference(mesh, profile, n_samples, seed):
     es = mesh.edge_structure
     rng = np.random.default_rng(seed)
     eps = profile.eps
-    area, mu_mid = mesh.geometry.area, mesh.geometry.mu_mid
+    area, mu_mid = mesh.geometry.area, mesh.geometry.mu.T
     p = mesh.vertices[mesh.triangles]
     mids = 0.5 * np.stack([p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1)
     out_cf, out_csqrt = [], []
@@ -621,7 +774,7 @@ def test_whitney_at_midpoints_matches_triangle_major_loop(request, which, rng):
     es = mesh.edge_structure
     alpha = rng.standard_normal(es.n_edges)
     # reference: the same products accumulated in (triangle, midpoint) order
-    grads = mesh.geometry.grads
+    grads = mesh.geometry.grad.transpose(2, 0, 1)
     dofs = alpha[es.tri_edges] * es.tri_signs
     ref = np.zeros((mesh.n_triangles, 3, 2))
     for e, (a, b) in enumerate([(0, 1), (1, 2), (2, 0)]):

@@ -88,7 +88,7 @@ def test_identity_suite_fires_every_function_probe_its_workload_expects(monkeypa
     assert all(calls.values()), calls
 
 
-@pytest.mark.parametrize("workload", ["identities", "torus"])
+@pytest.mark.parametrize("workload", ["identities", "torus", "hyperbolic"])
 def test_suite_workload_reports_pass_their_benchmark_oracles(workload, tmp_path):
     import json
 

@@ -249,6 +249,56 @@ def test_kahler_identity(fc4):
     assert out["max_residual"] < 1e-10
 
 
+def _reference_kahler(fc, tol=1e-10):
+    """verify_kahler_identity on all (2n)^2 coefficient pairs per degree."""
+    from llab.torus import _adjoint_stack, _holomorphic_degree, _symmetric_product
+
+    alg, top = fc.triple.ops, 2 * fc.n
+    F = [alg.frame_compound(k) for k in range(top + 1)]
+    Finv = [np.linalg.inv(f) for f in F]
+    p = [_holomorphic_degree(top, k) for k in range(top + 1)]
+    dbar, dbar_star = [], []
+    for k in range(top):
+        in_frame = Finv[k + 1] @ fc.block("d", k) @ F[k]
+        dbar.append(F[k + 1] @ np.where(p[k + 1][:, None] == p[k], in_frame, 0.0) @ Finv[k])
+        dbar_star.append(_adjoint_stack(alg, dbar[k], k, k + 1))
+    worst = leak_dbar = leak_lap = scale = 0.0
+    for k in range(top + 1):
+        lap = fc.quadratic("laplacian", k)
+        lap_dbar = 0.0
+        if k:
+            lap_dbar = lap_dbar + _symmetric_product(dbar[k - 1], dbar_star[k - 1])
+        if k < top:
+            lap_dbar = lap_dbar + _symmetric_product(dbar_star[k], dbar[k])
+        mixed = p[k][:, None] != p[k]
+        scale = max(scale, float(np.max(np.abs(lap))))
+        worst = max(worst, float(np.max(np.abs(lap - 2.0 * lap_dbar))))
+        leak_dbar = max(leak_dbar, float(np.max(np.abs(Finv[k] @ lap_dbar @ F[k])[..., mixed], initial=0.0)))
+        leak_lap = max(leak_lap, float(np.max(np.abs(Finv[k] @ lap @ F[k])[..., mixed], initial=0.0)))
+    worst, leak_dbar, leak_lap = (x / max(1.0, scale) for x in (worst, leak_dbar, leak_lap))
+    return {
+        "max_residual": worst,
+        "max_bidegree_leakage_dbar": leak_dbar,
+        "max_bidegree_leakage_delta": leak_lap,
+        "passed": bool(worst < tol and leak_dbar < tol and leak_lap < tol),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("triple", ["standard", "random"])
+def test_kahler_identity_on_the_symmetric_pairs_equals_all_pairs(n, triple):
+    # Q[j, l] = Q[l, j], so the n(2n + 1) pairs j <= l carry every value
+    # the (2n)^2 pairs do: the report is the same, bit for bit
+    from llab.algebra import build_standard_triple
+
+    if triple == "standard":
+        t = build_standard_triple(n)
+    else:
+        t = random_compatible_triple(n, np.random.default_rng(5))
+    fc = build_fourier_complex(n, 0, t)
+    assert verify_kahler_identity(fc) == _reference_kahler(fc)
+
+
 def test_anti_invariant_n2(fc4):
     out = anti_invariant_suite(fc4)
     assert out["passed"]
