@@ -82,8 +82,10 @@ def smallest_eigenpairs(
     With the default sigma = 0 and a positive definite pencil these are the
     nev smallest.  The Krylov space starts from v0, or from a standard
     normal draw seeded by `seed` when v0 is None.  Returns (eigenvalues,
-    eigenvectors, iterations), eigenvalues ascending.  Raises
-    LanczosNonConvergence if any certificate misses rel_tol * lambda.
+    eigenvectors, iterations), eigenvalues ascending; iterations counts
+    Lanczos steps, so a pencil small enough to solve dense (n <= 64 for
+    nev <= 28) reports 0.  Raises LanczosNonConvergence if any certificate
+    misses rel_tol * lambda.
 
     A and M are symmetric.  When both are CSC, or both CSR, on equal index
     arrays, A - sigma M is formed on their data alone.
@@ -99,10 +101,11 @@ def smallest_eigenpairs(
         raise ValueError(f"nev={nev} out of range for dimension {n}")
 
     if n <= max(_DENSE_CUTOFF, 2 * nev + 8):
+        # a dense solve takes no Lanczos step: `iterations` counts only those
         lams, X = _dense_eigenpairs(A, M, nev)
         res = _pencil_residuals(A, M, lams, X)
-        _certify(lams, res, rel_tol, iterations=n)
-        return np.asarray(lams), X, n
+        _certify(lams, res, rel_tol, iterations=0)
+        return np.asarray(lams), X, 0
 
     # factor A - sigma M; step a little below sigma if it is singular
     scale = max(np.abs(A.data).max(initial=0.0), 1e-300)

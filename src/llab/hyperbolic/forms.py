@@ -82,12 +82,13 @@ def _edge_line_integrals(mesh: DiscMesh, es: EdgeStructure, comp_at) -> np.ndarr
     return total
 
 
-def bounded_primitive(mesh: DiscMesh) -> PrimitiveOneForm:
+def bounded_primitive(mesh: DiscMesh, midpoints: np.ndarray | None = None) -> PrimitiveOneForm:
     """Sample theta = -(dx/y) pulled back to the disc model onto the mesh.
 
     Available only for the hyperbolic metric: the Euclidean area form on a
     plane patch has primitives, but none with bounded pointwise norm, and
-    none is provided.
+    none is provided.  `midpoints` is `mesh.edge_midpoints()`, built here
+    when not given.
     """
     if mesh.metric != "hyperbolic":
         raise ValueError("bounded primitive is defined for the hyperbolic metric only")
@@ -110,7 +111,9 @@ def bounded_primitive(mesh: DiscMesh) -> PrimitiveOneForm:
 
     # |theta|_g should be identically 1; measure on vertices and edge
     # midpoints, one per edge (the triangles' midpoints repeat interior ones)
-    samples = np.vstack([mesh.vertices, mesh.edge_midpoints()])
+    if midpoints is None:
+        midpoints = mesh.edge_midpoints()
+    samples = np.vstack([mesh.vertices, midpoints])
     comp = _theta_components(samples)
     norms = np.sqrt((comp**2).sum(axis=1) / mesh.mu(samples))
     sup_norm = float(norms.max())
@@ -257,7 +260,7 @@ def _whitney_at_midpoints(mesh: DiscMesh, es: EdgeStructure, alpha: np.ndarray):
     return vals, d_alpha_uv
 
 
-def _crossterm_fields(mesh: DiscMesh, profile: CutoffProfile):
+def _crossterm_fields(mesh: DiscMesh, profile: CutoffProfile, mid: np.ndarray):
     """The sample-independent midpoint fields of `crossterm_constant`.
 
     Returns (wf, wf2, pair_u, pair_v, wf_mu, wf2_mu): with w the midpoint
@@ -265,10 +268,10 @@ def _crossterm_fields(mesh: DiscMesh, profile: CutoffProfile):
     3 edge midpoints of every triangle, the (3, nt) midpoint-major arrays
     w f, w f^2, 2 w f (d f / d u) / mu, 2 w f (d f / d v) / mu, and the
     per-triangle sums over midpoints of w f / mu and w f^2 / mu.  f and
-    grad f are evaluated once per edge and gathered per triangle.
+    grad f are evaluated once per edge (`mid`, the edge midpoints) and
+    gathered per triangle.
     """
     geo = mesh.geometry
-    mid = mesh.edge_midpoints()
     rho = mesh.geodesic_radius(mid)
 
     # Euclidean gradient of rho: d rho/d r_eucl * radial unit vector
@@ -296,6 +299,7 @@ def crossterm_constant(
     profile: CutoffProfile,
     n_samples: int = 8,
     seed: int = 20260302,
+    midpoints: np.ndarray | None = None,
 ) -> dict:
     """Measured constants in |<d a, 2 f df ^ a>| against cutoff-weighted norms.
 
@@ -306,14 +310,17 @@ def crossterm_constant(
     The sqrt-f constant is the load-bearing one: 2 f |df| <= 2 eps f <=
     2 eps sqrt(f) * sqrt(f) pointwise, then Cauchy-Schwarz.
 
-    The midpoint fields that do not depend on a are built once; each sample
-    only interpolates its edge dofs and reduces.
+    The midpoint fields that do not depend on a are built once, on
+    `midpoints` (`mesh.edge_midpoints()`, built here when not given); each
+    sample only interpolates its edge dofs and reduces.
     """
     es = mesh.edge_structure
     rng = np.random.default_rng(seed)
     eps = profile.eps
     area = mesh.geometry.area
-    wf, wf2, pair_u, pair_v, wf_mu, wf2_mu = _crossterm_fields(mesh, profile)
+    if midpoints is None:
+        midpoints = mesh.edge_midpoints()
+    wf, wf2, pair_u, pair_v, wf_mu, wf2_mu = _crossterm_fields(mesh, profile, midpoints)
     g = mesh.geometry.grad
 
     out_cf, out_csqrt = [], []

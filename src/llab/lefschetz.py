@@ -2,7 +2,7 @@
 
 Implements the operator pair (L, Lambda), the symplectic star, primitivity
 tests, the primitive (Lefschetz) decomposition, and the identities that the
-`verify-identities` suite exercises, each written once as a residual:
+`verify-identities` suite exercises, each written once:
 
 * star conjugation      Lambda = star_s o L o star_s,  star_s o star_s = id
 * Hodge conjugation     Lambda = (-1)^k star o L o star
@@ -15,20 +15,23 @@ tests, the primitive (Lefschetz) decomposition, and the identities that the
 
 Lambda is *defined* by double contraction with omega^{-1}; its agreement with
 the metric adjoint of L and with the star conjugation is verified, not
-assumed.  The operator matrices live in the triple's bundle `t.ops`.  Every
-residual takes a single form or a column batch (`KForm` data of shape
-(C(2n,k), m)) and returns the worst column.  An identity with levels (the
-powers i of the commutators, r of the Weil relation, the pairs (i, j) of the
-scaling law) has one batched implementation over all its levels, which
-reads the batch's `Ladder` of shared products; the suite and the unit tests
-both call it.
+assumed.  The operator matrices live in the triple's bundle `t.ops`.
+
+Each linear identity is its residual operator R = lhs - rhs on one degree,
+built by applying the form-level functions to the basis of Lambda^k, or to
+the primitive basis P^k (R then acts on primitive coefficients); an identity
+with levels (the powers i of the commutators, r of the Weil relation) has
+one operator per level.  A column batch X of forms is scored with one
+product, the worst column of max|R X| / max(1, max|X|).  The bilinear
+identities are Gram blocks (L^p P)^T G (L^q P) of Lefschetz powers on
+primitive bases, paired with coefficient batches.  The suite and the unit
+tests both call these builders.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,8 +41,8 @@ from llab.algebra import (
     KForm,
     _apply,
     hodge_star,
-    inner,
     j_action,
+    metric_gram,
     norm,
     weil_operator,
 )
@@ -52,14 +55,15 @@ __all__ = [
     "PrimitivityResult",
     "primitive_decompose",
     "LefschetzComponents",
-    "Ladder",
-    "lambda_conjugation_residuals",
-    "weil_relation_residuals",
+    "star_involution_operator",
+    "lambda_conjugation_operators",
+    "weil_consistency_operator",
+    "commutator_operators",
+    "roundtrip_operator",
+    "primitivity_operators",
+    "weil_relation_operators",
     "weil_specialization_constant",
-    "symplectic_star_involution_residual",
-    "weil_operator_residual",
-    "commutator_residuals",
-    "primitivity_residuals",
+    "level_gram",
     "inner_scaling_levels",
     "inner_scaling_residuals",
     "cross_term_residual",
@@ -240,90 +244,122 @@ def random_primitive(t: CompatibleTriple, k: int, rng: np.random.Generator) -> K
 
 
 # ---------------------------------------------------------------------------
-# the ladder of one batch
-# ---------------------------------------------------------------------------
-
-class Ladder:
-    """The products of one form or column batch `a` that its identities share.
-
-    Each rung is formed the first time an identity reads it and kept for the
-    next: the powers L^r a (each the one product lpow(k, r) @ a, as a lone
-    L^r a forms it), Lambda a and the Weil image W(a).  A suite cell builds
-    one ladder per batch, and every identity family below reads its rungs
-    from it.
-    """
-
-    def __init__(self, a: KForm, t: CompatibleTriple):
-        self.a, self.t = a, t
-        self._powers = {0: a}
-
-    def power(self, r: int) -> KForm:
-        """L^r a (the target degree must stay inside the algebra)."""
-        if r not in self._powers:
-            self._powers[r] = _power(self.a, r, self.t)
-        return self._powers[r]
-
-    @cached_property
-    def lam(self) -> KForm:
-        """Lambda a (the zero 0-form below degree 2)."""
-        return dual_lefschetz(self.a, self.t)
-
-    @cached_property
-    def weil(self) -> KForm:
-        """W(a), with W the Weil operator of the triple."""
-        return weil_operator(self.a, self.t)
-
-
-# ---------------------------------------------------------------------------
-# identity residuals (single forms or column batches; worst column returned)
+# residual operators: each linear identity as one matrix per degree
 #
-# Each identity family is one function of a Ladder over all its levels.
+# A linear identity lhs(a) = rhs(a) on Lambda^k holds for every a exactly
+# when its residual operator R = lhs - rhs is zero.  Each builder applies the
+# form-level functions above to the basis of Lambda^k (or to the primitive
+# basis, for identities of primitive forms; R then acts on coefficients in
+# that basis), once per (triple, degree).  A batch X is scored with one
+# product, `_rel_max(_apply(R, X), ref)`, ref being the forms themselves.
 # ---------------------------------------------------------------------------
 
-def lambda_conjugation_residuals(X: Ladder) -> dict[str, float]:
-    """Residuals of Lambda(a) = star_s(L(star_s(a))) ("symplectic_star") and
-    Lambda(a) = (-1)^k star(L(star(a))) ("hodge_star"), both read against the
-    ladder's Lambda a.  For k < 2 both sides are zero: star(a) sits too high
-    for L, and Lambda returns exact zero."""
-    a, t, lam = X.a, X.t, X.lam
+def _operator(M: np.ndarray) -> np.ndarray:
+    """A basis image as an operator matrix: real when no entry has an
+    imaginary part, so that `_apply` runs one real product on a complex
+    batch."""
+    return M if M.imag.any() else np.ascontiguousarray(M.real)
+
+
+def _basis(t: CompatibleTriple, k: int) -> KForm:
+    """The basis of Lambda^k, as a batch of C(2n, k) forms."""
+    return KForm._own(t.n, k, np.eye(math.comb(2 * t.n, k), dtype=complex))
+
+
+def _primitive_forms(t: CompatibleTriple, k: int) -> KForm:
+    """The primitive basis of P^k as a batch of forms; ValueError for k > n."""
+    return KForm._own(t.n, k, primitive_basis(t, k).astype(complex))
+
+
+def star_involution_operator(t: CompatibleTriple, k: int) -> np.ndarray:
+    """R = star_s o star_s - id on Lambda^k."""
+    e = _basis(t, k)
+    return _operator(symplectic_star(symplectic_star(e, t), t).data - e.data)
+
+
+def lambda_conjugation_operators(t: CompatibleTriple, k: int) -> dict[str, np.ndarray]:
+    """{"symplectic_star": Lambda - star_s L star_s, "hodge_star":
+    Lambda - (-1)^k star L star} on Lambda^k.  For k < 2 both sides are zero:
+    star(a) sits too high for L, and Lambda is the zero map."""
+    e = _basis(t, k)
+    lam = dual_lefschetz(e, t).data
     out = {}
-    for name, star, sign in (("symplectic_star", symplectic_star, 1), ("hodge_star", hodge_star, (-1) ** a.k)):
-        if a.k < 2:
-            out[name] = _rel_max(lam.data, a.data)
+    for name, star, sign in (("symplectic_star", symplectic_star, 1), ("hodge_star", hodge_star, (-1) ** k)):
+        if k < 2:
+            out[name] = _operator(lam)
         else:
-            rhs = star(lefschetz_L(star(a, t), t), t)
-            out[name] = _rel_max(lam.data - sign * rhs.data, a.data)
+            out[name] = _operator(lam - sign * star(lefschetz_L(star(e, t), t), t).data)
     return out
 
 
-def symplectic_star_involution_residual(a: KForm, t: CompatibleTriple) -> float:
-    """Residual of star_s(star_s(a)) = a."""
-    return _rel_max(symplectic_star(symplectic_star(a, t), t).data - a.data, a.data)
+def weil_consistency_operator(t: CompatibleTriple, k: int) -> np.ndarray:
+    """R = J-pullback - Weil operator (the (p,q)-phase sum) on Lambda^k."""
+    e = _basis(t, k)
+    return _operator(j_action(e, t).data - weil_operator(e, t).data)
 
 
-def weil_operator_residual(a: KForm, t: CompatibleTriple) -> float:
-    """Residual of J-pullback = Weil operator (the (p,q)-phase sum) on a."""
-    return _rel_max(j_action(a, t).data - weil_operator(a, t).data, a.data)
+def commutator_operators(t: CompatibleTriple, k: int, levels) -> dict[int, np.ndarray]:
+    """{i: [L^i, Lambda] - i (k - n + i - 1) L^{i-1}} on Lambda^k, over i >= 1
+    in `levels`.
 
-
-def weil_relation_residuals(B: Ladder, levels=None) -> dict[int, float]:
-    """{r: residual of star(L^r B)/r! = (-1)^{k(k+1)/2} L^{n-k-r} W(B)/(n-k-r)!}
-
-    for primitive B of degree k, over r in `levels` (default: every
-    0 <= r <= n - k), each relative to B's max-abs coefficient.  The powers
-    of B and W(B) come from the ladder, once for all levels.
+    Powers of L that leave the top of the algebra act as the zero map, so the
+    identity holds for every degree k and every i >= 1; where every term
+    overflows, R has no rows.
     """
-    beta, t = B.a, B.t
-    n, k = beta.n, beta.k
-    top = n - k
+    n = t.n
+    e = _basis(t, k)
+    lam = dual_lefschetz(e, t)
+    out = {}
+    for i in levels:
+        if i < 1:
+            raise ValueError("need i >= 1")
+        if k + 2 * (i - 1) > 2 * n:
+            out[i] = np.zeros((0, e.data.shape[1]))  # every term lies above degree 2n
+            continue
+        rhs = i * (k - n + i - 1) * _power(e, i - 1, t).data
+        lhs = np.zeros_like(rhs)  # [L^i, Lambda] = L^i Lambda - Lambda L^i
+        if k >= 2:
+            lhs = lhs + _power(lam, i, t).data
+        if k + 2 * i <= 2 * n:  # otherwise L^i a lies above degree 2n
+            lhs = lhs - dual_lefschetz(_power(e, i, t), t).data
+        out[i] = _operator(lhs - rhs)
+    return out
+
+
+def roundtrip_operator(t: CompatibleTriple, k: int) -> np.ndarray:
+    """R = sum_r L^r C_r - id on Lambda^k, C_r the coefficient map of
+    :func:`primitive_decompose`: the decomposition's round trip."""
+    e = _basis(t, k)
+    return _operator(primitive_decompose(e, t).reconstruct(t).data - e.data)
+
+
+def primitivity_operators(t: CompatibleTriple, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Lambda P, L^{n-k+1} P) on P^k coefficients, k <= n: the two
+    primitivity characterizations, both zero.  Below degree 2, Lambda P is a
+    zero row and L^{n-k+1} P has no rows."""
+    B = _primitive_forms(t, k)
+    power = _apply(lefschetz_power_matrix(t, k, t.n - k + 1), B.data)
+    return _operator(dual_lefschetz(B, t).data), _operator(power)
+
+
+def weil_relation_operators(t: CompatibleTriple, k: int, levels=None) -> dict[int, np.ndarray]:
+    """{r: (star L^r / r! - (-1)^{k(k+1)/2} L^{n-k-r} W / (n-k-r)!) P}
+
+    on P^k coefficients, over r in `levels` (default: every 0 <= r <= n - k):
+    the Weil relation star(L^r B)/r! = (-1)^{k(k+1)/2} L^{n-k-r} W(B)/(n-k-r)!
+    for primitive B of degree k.
+    """
+    B = _primitive_forms(t, k)
+    top = t.n - k
     sign = (-1) ** ((k * (k + 1) // 2) % 2)
+    W = weil_operator(B, t)
     out = {}
     for r in range(top + 1) if levels is None else levels:
         if not 0 <= r <= top:
-            raise ValueError(f"need 0 <= r <= n-k, got r={r}, n={n}, k={k}")
-        lhs = hodge_star(B.power(r), t).data / math.factorial(r)
-        rhs = sign * _power(B.weil, top - r, t).data / math.factorial(top - r)
-        out[r] = _rel_max(lhs - rhs, beta.data)
+            raise ValueError(f"need 0 <= r <= n-k, got r={r}, n={t.n}, k={k}")
+        lhs = hodge_star(_power(B, r, t), t).data / math.factorial(r)
+        rhs = sign * _power(W, top - r, t).data / math.factorial(top - r)
+        out[r] = _operator(lhs - rhs)
     return out
 
 
@@ -343,64 +379,45 @@ def weil_specialization_constant(n: int, p: int, q: int) -> complex:
     return (1j) ** ((p - q) % 4) * sign / math.factorial(n - k)
 
 
-def commutator_residuals(X: Ladder, levels) -> dict[int, float]:
-    """{i: residual of [L^i, Lambda] a = i (k - n + i - 1) L^{i-1} a} on degree k,
-    over i >= 1 in `levels`.
+# ---------------------------------------------------------------------------
+# bilinear identities: Gram blocks of Lefschetz powers on primitive bases
+# ---------------------------------------------------------------------------
 
-    The powers L^r a and Lambda a come from the ladder, once for all i.
-    Powers of L that leave the top of the algebra act as the zero map, so the
-    identity holds for every degree k and every i >= 1.
-    """
-    a, t = X.a, X.t
-    n, k = a.n, a.k
-    out = {}
-    for i in levels:
-        if i < 1:
-            raise ValueError("need i >= 1")
-        if k + 2 * (i - 1) > 2 * n:
-            out[i] = 0.0  # every term of the identity overflows the top degree
-            continue
-        rhs = i * (k - n + i - 1) * X.power(i - 1).data
-        lhs = np.zeros_like(rhs)  # [L^i, Lambda] = L^i Lambda - Lambda L^i
-        if k >= 2:
-            lhs = lhs + _power(X.lam, i, t).data
-        if k + 2 * i <= 2 * n:  # otherwise L^i a lies above degree 2n
-            lhs = lhs - dual_lefschetz(X.power(i), t).data
-        out[i] = _rel_max(lhs - rhs, a.data)
-    return out
+def level_gram(t: CompatibleTriple, j: int, p: int, i: int, q: int) -> np.ndarray:
+    """K = (L^p P_j)^T G (L^q P_i), P_j the primitive basis of degree j and
+    j + 2p = i + 2q: for x = P_j b and y = P_i c, <L^p x, L^q y> is the column
+    sum of b * (K conj(c))."""
+    m = j + 2 * p
+    if i + 2 * q != m:
+        raise ValueError(f"L^{p} P^{j} and L^{q} P^{i} lie in different degrees")
+    lift_x = lefschetz_power_matrix(t, j, p) @ primitive_basis(t, j)
+    lift_y = lefschetz_power_matrix(t, i, q) @ primitive_basis(t, i)
+    return lift_x.T @ metric_gram(t, m) @ lift_y
 
 
-def primitivity_residuals(beta: KForm, t: CompatibleTriple) -> tuple[float, float]:
-    """Residuals of the two primitivity characterizations, (Lambda beta,
-    L^{n-k+1} beta), for a primitive k-form beta, k <= n: both vanish."""
-    n, k = beta.n, beta.k
-    if k > n:
-        raise ValueError(f"primitivity is defined for degrees k <= n, got k={k}, n={n}")
-    lam = _rel_max(dual_lefschetz(beta, t).data, beta.data)
-    power = _rel_max(_apply(lefschetz_power_matrix(t, k, n - k + 1), beta.data), beta.data)
-    return lam, power
+def _pairing(K: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """The column sums of b * (K conj(c)): one value per column for batches."""
+    return np.sum(b * _apply(K, np.conj(c)), axis=0)
 
 
-def inner_scaling_levels(B: Ladder, A: Ladder, pairs=None) -> dict[tuple[int, int], tuple]:
+def inner_scaling_levels(t: CompatibleTriple, k: int, b: np.ndarray, a: np.ndarray, pairs=None) -> dict:
     """{(i, j): (lhs, rhs)} of the primitive-pair inner-product scaling law
 
         <L^i beta, L^i alpha> = [i! (n-k-i+j)! / ((i-j)! (n-k-i)!)] <L^{i-j} beta, L^{i-j} alpha>
 
-    for primitive alpha, beta of equal degree k, over the pairs
-    0 <= j <= i <= n - k in `pairs` (default: all of them); one value per
-    column for batches.  Each <L^r beta, L^r alpha> is formed once, from the
-    two ladders, and read by every pair that needs it.
+    for beta = P b and alpha = P a, b and a coefficients on the primitive
+    basis P of degree k, over the pairs 0 <= j <= i <= n - k in `pairs`
+    (default: all of them); one value per column for batches.  Each
+    <L^r beta, L^r alpha> is one product with its Gram block, read by every
+    pair that needs it.
     """
-    beta, alpha, t = B.a, A.a, B.t
-    n, k = beta.n, beta.k
-    if alpha.k != k or alpha.n != n:
-        raise ValueError("alpha and beta must share degree and dimension")
+    n = t.n
     if pairs is None:
         pairs = [(i, j) for i in range(n - k + 1) for j in range(i + 1)]
     for i, j in pairs:
         if not (0 <= j <= i <= n - k):
             raise ValueError(f"need 0 <= j <= i <= n-k; got i={i}, j={j}, n-k={n - k}")
-    level = {r: inner(B.power(r), A.power(r), t) for r in sorted({r for i, j in pairs for r in (i, i - j)})}
+    level = {r: _pairing(level_gram(t, k, r, k, r), b, a) for r in sorted({r for i, j in pairs for r in (i, i - j)})}
     out = {}
     for i, j in pairs:
         factor = (
@@ -412,18 +429,22 @@ def inner_scaling_levels(B: Ladder, A: Ladder, pairs=None) -> dict[tuple[int, in
     return out
 
 
-def inner_scaling_residuals(B: Ladder, A: Ladder, pairs=None) -> dict[tuple[int, int], float]:
+def inner_scaling_residuals(t: CompatibleTriple, k: int, b: np.ndarray, a: np.ndarray, pairs=None) -> dict:
     """{(i, j): worst column of |lhs - rhs| / max(1, |lhs|)} for
     :func:`inner_scaling_levels`."""
     return {
         ij: float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0), initial=0.0))
-        for ij, (lhs, rhs) in inner_scaling_levels(B, A, pairs).items()
+        for ij, (lhs, rhs) in inner_scaling_levels(t, k, b, a, pairs).items()
     }
 
 
-def cross_term_residual(x: KForm, p: int, y: KForm, q: int, t: CompatibleTriple) -> float:
-    """Worst column of |<L^p x, L^q y>| / (||L^p x|| ||L^q y||) for primitive
-    x, y with x.k + 2p = y.k + 2q: distinct Lefschetz levels are orthogonal."""
-    X, Y = _power(x, p, t), _power(y, q, t)
-    cos = np.abs(inner(X, Y, t)) / np.maximum(norm(X, t) * norm(Y, t), _TINY)
+def cross_term_residual(t: CompatibleTriple, k: int, p: int, x: np.ndarray, q: int, y: np.ndarray) -> float:
+    """Worst column of |<L^p X, L^q Y>| / (||L^p X|| ||L^q Y||) for primitive
+    X = P_{k-2p} x and Y = P_{k-2q} y, x and y coefficients on the primitive
+    bases: distinct Lefschetz levels in degree k are orthogonal.  The cross
+    block and the two norm blocks each take one product."""
+    jx, jy = k - 2 * p, k - 2 * q
+    nx = np.sqrt(np.maximum(np.real(_pairing(level_gram(t, jx, p, jx, p), x, x)), 0.0))
+    ny = np.sqrt(np.maximum(np.real(_pairing(level_gram(t, jy, q, jy, q), y, y)), 0.0))
+    cos = np.abs(_pairing(level_gram(t, jx, p, jy, q), x, y)) / np.maximum(nx * ny, _TINY)
     return float(np.max(cos, initial=0.0))

@@ -6,8 +6,9 @@ draws and two runs of the same config produce identical residuals, bit
 for bit.  Residuals are max-abs, relative to the input scale.
 
 The identity suite checks, per (n, k) cell and per random batch, the
-identities implemented once in `llab.lefschetz`, each family over all its
-levels from the batch's one `Ladder` of products:
+identities implemented once in `llab.lefschetz` as residual operators on
+the degree's basis (or Gram blocks on primitive bases), each built once per
+cell and applied to the batch in one product:
   * Weil relation on primitive forms (star vs Lefschetz power of J(beta))
   * Lambda = star_s L star_s and star_s involutivity
   * Lambda = (-1)^k star L star
@@ -25,19 +26,19 @@ import math
 
 import numpy as np
 
-from llab.algebra import CompatibleTriple, KForm, _apply, build_standard_triple, random_compatible_triple
+from llab.algebra import CompatibleTriple, _apply, build_standard_triple, random_compatible_triple
 from llab.lefschetz import (
-    Ladder,
-    commutator_residuals,
+    _rel_max,
+    commutator_operators,
     cross_term_residual,
     inner_scaling_residuals,
-    lambda_conjugation_residuals,
+    lambda_conjugation_operators,
     primitive_basis,
-    primitive_decompose,
-    primitivity_residuals,
-    symplectic_star_involution_residual,
-    weil_operator_residual,
-    weil_relation_residuals,
+    primitivity_operators,
+    roundtrip_operator,
+    star_involution_operator,
+    weil_consistency_operator,
+    weil_relation_operators,
 )
 from llab.reports import DEFAULT_TOLERANCE
 
@@ -56,12 +57,6 @@ def _random_batch(rng: np.random.Generator, dim: int, cases: int) -> np.ndarray:
     return out
 
 
-def _primitive_batch(t: CompatibleTriple, k: int, rng: np.random.Generator, cases: int) -> KForm:
-    """`cases` random primitive k-forms: a random batch in the primitive basis."""
-    P = primitive_basis(t, k)
-    return KForm._own(t.n, k, _apply(P, _random_batch(rng, P.shape[1], cases)))
-
-
 def _cell_residuals(
     t: CompatibleTriple,
     n: int,
@@ -71,29 +66,38 @@ def _cell_residuals(
     rng: np.random.Generator,
 ) -> dict[str, float]:
     """All identity residuals for one (triple, degree) cell, each the worst
-    column of one seeded batch.  Each batch has one Ladder, which every
-    identity family of the cell reads."""
+    column of one seeded batch under the identity's residual operator.  The
+    operators are built once per cell; a batch costs one product per
+    identity.  Primitive batches are drawn as coefficients on the primitive
+    basis, and the bilinear identities read them through Gram blocks."""
     out: dict[str, float] = {}
-    X = Ladder(KForm._own(n, k, _random_batch(rng, math.comb(2 * n, k), cases)), t)
-    out["symplectic_star_involution"] = symplectic_star_involution_residual(X.a, t)
-    conj = lambda_conjugation_residuals(X)
-    out["symplectic_star_conjugation"] = conj["symplectic_star"]
-    out["hodge_star_conjugation"] = conj["hodge_star"]
-    out["weil_operator_consistency"] = weil_operator_residual(X.a, t)
-    levels = [i for i in (1, 2, 3) if k + 2 * i <= 2 * n]  # inside the algebra
-    for i, res in commutator_residuals(X, levels).items():
-        out[f"commutator_i{i}"] = res
-    A = KForm(n, k, X.a.data[:, :ROUNDTRIP_CASES])
-    roundtrip = primitive_decompose(A, t).residual(A, t)
-    del X, A  # the batches below read none of X's rungs
+    X = _random_batch(rng, math.comb(2 * n, k), cases)
 
-    # primitive-only identities
+    def score(R, x=X, ref=X):
+        return _rel_max(_apply(R, x), ref)
+
+    out["symplectic_star_involution"] = score(star_involution_operator(t, k))
+    conj = lambda_conjugation_operators(t, k)
+    out["symplectic_star_conjugation"] = score(conj["symplectic_star"])
+    out["hodge_star_conjugation"] = score(conj["hodge_star"])
+    out["weil_operator_consistency"] = score(weil_consistency_operator(t, k))
+    levels = [i for i in (1, 2, 3) if k + 2 * i <= 2 * n]  # inside the algebra
+    for i, R in commutator_operators(t, k, levels).items():
+        out[f"commutator_i{i}"] = score(R)
+    A = X[:, :ROUNDTRIP_CASES]
+    roundtrip = score(roundtrip_operator(t, k), A, A)
+
+    # primitive-only identities, on coefficients b in the primitive basis;
+    # the forms P b set each column's scale
     if k <= n:
-        B = Ladder(_primitive_batch(t, k, rng, cases), t)
-        out["primitivity_lambda"], out["primitivity_power"] = primitivity_residuals(B.a, t)
-        out["weil_relation"] = max(weil_relation_residuals(B).values())
-        B2 = Ladder(_primitive_batch(t, k, rng, cases), t)
-        out["inner_scaling"] = max(inner_scaling_residuals(B, B2).values())
+        P = primitive_basis(t, k)
+        b = _random_batch(rng, P.shape[1], cases)
+        B = _apply(P, b)
+        lam, power = primitivity_operators(t, k)
+        out["primitivity_lambda"], out["primitivity_power"] = score(lam, b, B), score(power, b, B)
+        out["weil_relation"] = max(score(R, b, B) for R in weil_relation_operators(t, k).values())
+        b2 = _random_batch(rng, P.shape[1], cases)
+        out["inner_scaling"] = max(inner_scaling_residuals(t, k, b, b2).values())
 
     out["decomposition_roundtrip"] = roundtrip
 
@@ -106,9 +110,9 @@ def _cell_residuals(
     if pairs and cross_cases > 0:
         worst = 0.0
         for p, q in pairs:
-            x = _primitive_batch(t, k - 2 * p, rng, cross_cases)
-            y = _primitive_batch(t, k - 2 * q, rng, cross_cases)
-            worst = max(worst, cross_term_residual(x, p, y, q, t))
+            x = _random_batch(rng, primitive_basis(t, k - 2 * p).shape[1], cross_cases)
+            y = _random_batch(rng, primitive_basis(t, k - 2 * q).shape[1], cross_cases)
+            worst = max(worst, cross_term_residual(t, k, p, x, q, y))
         out["cross_term_orthogonality"] = worst
     return out
 
@@ -360,12 +364,15 @@ def hyperbolic_suite(
     sweep = gap_sweep(R_values, h_values, k=k, rel_tol=rel_tol)
 
     # texture and decay checks on the largest/finest mesh, taken from the
-    # sweep with the geometry its assembly built
+    # sweep with the geometry its assembly built; its edge midpoints are
+    # built once here, after the sweep's factorizations, for both form checks
     mesh = sweep.pop("finest_mesh")
     h_star = min(h_values)
-    theta = bounded_primitive(mesh)
+    midpoints = mesh.edge_midpoints()
+    theta = bounded_primitive(mesh, midpoints)
     profile = cutoff_family(mesh, eps)
-    cross = crossterm_constant(mesh, profile, n_samples=4, seed=seed)
+    cross = crossterm_constant(mesh, profile, n_samples=4, seed=seed, midpoints=midpoints)
+    del midpoints
 
     D0 = incidence_d0(mesh, mesh.edge_structure)
     z = mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]

@@ -4,8 +4,12 @@ These are the slow, obvious versions of the basis-product tables, of
 `llab.algebra.Ops` (index-and-sign tables, cofactor steps) and of the torus
 model's whole-algebra operators: one loop over basis masks per entry, one
 LAPACK determinant per minor.
-Tests compare the fast code against them; nothing here reads `Ops`
-except the (1,0) coframe, whose choice of basis is not unique.
+Tests compare the fast code against them; nothing in those loops reads
+`Ops` except the (1,0) coframe, whose choice of basis is not unique.
+
+The identity cell of `verify-identities` is kept here too as chains of
+operator products applied to each seeded batch (`chain_cell_residuals`),
+the evaluation that the residual operators of `llab.lefschetz` replace.
 """
 
 from __future__ import annotations
@@ -16,7 +20,29 @@ from functools import cached_property
 
 import numpy as np
 
-from llab.algebra import CompatibleTriple, KForm, basis_masks, mask_to_indices, merge_sign
+from llab.algebra import (
+    CompatibleTriple,
+    KForm,
+    _apply,
+    basis_masks,
+    hodge_star,
+    inner,
+    j_action,
+    mask_to_indices,
+    merge_sign,
+    norm,
+    weil_operator,
+)
+from llab.lefschetz import (
+    _power,
+    _rel_max,
+    dual_lefschetz,
+    lefschetz_L,
+    lefschetz_power_matrix,
+    primitive_basis,
+    primitive_decompose,
+    symplectic_star,
+)
 
 
 def minor_sets(dim: int, k: int) -> list[np.ndarray]:
@@ -189,3 +215,156 @@ class ReferenceOps:
     def adjoint(self, A):
         """g-adjoint on the whole algebra w.r.t. <a, b> = a^T G conj(b)."""
         return self.G_inv @ A.conj().T @ self.G
+
+
+# ---------------------------------------------------------------------------
+# the identity cell as chains of products on each batch
+# ---------------------------------------------------------------------------
+
+
+class Ladder:
+    """The products of one form or column batch `a` that its identities
+    share: the powers L^r a, Lambda a and W(a), each formed on first read."""
+
+    def __init__(self, a: KForm, t: CompatibleTriple):
+        self.a, self.t = a, t
+        self._powers = {0: a}
+
+    def power(self, r: int) -> KForm:
+        if r not in self._powers:
+            self._powers[r] = _power(self.a, r, self.t)
+        return self._powers[r]
+
+    @cached_property
+    def lam(self) -> KForm:
+        return dual_lefschetz(self.a, self.t)
+
+    @cached_property
+    def weil(self) -> KForm:
+        return weil_operator(self.a, self.t)
+
+
+def chain_star_involution(a: KForm, t: CompatibleTriple) -> np.ndarray:
+    return symplectic_star(symplectic_star(a, t), t).data - a.data
+
+
+def chain_conjugations(X: Ladder) -> dict:
+    a, t = X.a, X.t
+    out = {}
+    for name, star, sign in (("symplectic_star", symplectic_star, 1), ("hodge_star", hodge_star, (-1) ** a.k)):
+        if a.k < 2:
+            out[name] = X.lam.data
+        else:
+            out[name] = X.lam.data - sign * star(lefschetz_L(star(a, t), t), t).data
+    return out
+
+
+def chain_weil_consistency(a: KForm, t: CompatibleTriple) -> np.ndarray:
+    return j_action(a, t).data - weil_operator(a, t).data
+
+
+def chain_commutators(X: Ladder, levels) -> dict:
+    a, t = X.a, X.t
+    n, k = a.n, a.k
+    out = {}
+    for i in levels:
+        if k + 2 * (i - 1) > 2 * n:
+            out[i] = np.zeros((0,) + a.data.shape[1:], dtype=complex)
+            continue
+        rhs = i * (k - n + i - 1) * X.power(i - 1).data
+        lhs = np.zeros_like(rhs)
+        if k >= 2:
+            lhs = lhs + _power(X.lam, i, t).data
+        if k + 2 * i <= 2 * n:
+            lhs = lhs - dual_lefschetz(X.power(i), t).data
+        out[i] = lhs - rhs
+    return out
+
+
+def chain_roundtrip(a: KForm, t: CompatibleTriple) -> np.ndarray:
+    return primitive_decompose(a, t).reconstruct(t).data - a.data
+
+
+def chain_primitivity(beta: KForm, t: CompatibleTriple) -> tuple:
+    n, k = beta.n, beta.k
+    return dual_lefschetz(beta, t).data, _apply(lefschetz_power_matrix(t, k, n - k + 1), beta.data)
+
+
+def chain_weil_relation(B: Ladder) -> dict:
+    beta, t = B.a, B.t
+    n, k = beta.n, beta.k
+    top = n - k
+    sign = (-1) ** ((k * (k + 1) // 2) % 2)
+    out = {}
+    for r in range(top + 1):
+        lhs = hodge_star(B.power(r), t).data / math.factorial(r)
+        rhs = sign * _power(B.weil, top - r, t).data / math.factorial(top - r)
+        out[r] = lhs - rhs
+    return out
+
+
+def chain_inner_scaling(B: Ladder, A: Ladder) -> dict:
+    """{(i, j): worst column of |lhs - rhs| / max(1, |lhs|)} of the scaling law."""
+    t = B.t
+    n, k = B.a.n, B.a.k
+    out = {}
+    for i in range(n - k + 1):
+        for j in range(i + 1):
+            lhs = inner(B.power(i), A.power(i), t)
+            factor = (
+                math.factorial(i)
+                * math.factorial(n - k - i + j)
+                / (math.factorial(i - j) * math.factorial(n - k - i))
+            )
+            rhs = factor * inner(B.power(i - j), A.power(i - j), t)
+            out[(i, j)] = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1.0), initial=0.0))
+    return out
+
+
+def chain_cross_term(x: KForm, p: int, y: KForm, q: int, t: CompatibleTriple) -> float:
+    X, Y = _power(x, p, t), _power(y, q, t)
+    cos = np.abs(inner(X, Y, t)) / np.maximum(norm(X, t) * norm(Y, t), 1e-300)
+    return float(np.max(cos, initial=0.0))
+
+
+def chain_cell_residuals(t: CompatibleTriple, n: int, k: int, cases: int, cross_cases: int, rng) -> dict:
+    """An identity cell evaluated as chains of products on each seeded batch,
+    with the draws (through `llab.suites._random_batch`, looked up at call
+    time), keys and scales of `llab.suites._cell_residuals`."""
+    from llab import suites
+
+    def primitive_batch(j, m):
+        P = primitive_basis(t, j)
+        return KForm._own(n, j, _apply(P, suites._random_batch(rng, P.shape[1], m)))
+
+    out = {}
+    X = Ladder(KForm._own(n, k, suites._random_batch(rng, math.comb(2 * n, k), cases)), t)
+    a = X.a.data
+    out["symplectic_star_involution"] = _rel_max(chain_star_involution(X.a, t), a)
+    conj = chain_conjugations(X)
+    out["symplectic_star_conjugation"] = _rel_max(conj["symplectic_star"], a)
+    out["hodge_star_conjugation"] = _rel_max(conj["hodge_star"], a)
+    out["weil_operator_consistency"] = _rel_max(chain_weil_consistency(X.a, t), a)
+    levels = [i for i in (1, 2, 3) if k + 2 * i <= 2 * n]
+    for i, delta in chain_commutators(X, levels).items():
+        out[f"commutator_i{i}"] = _rel_max(delta, a)
+    A = KForm(n, k, a[:, : suites.ROUNDTRIP_CASES])
+    roundtrip = _rel_max(chain_roundtrip(A, t), A.data)
+    if k <= n:
+        B = Ladder(primitive_batch(k, cases), t)
+        lam, power = chain_primitivity(B.a, t)
+        out["primitivity_lambda"], out["primitivity_power"] = _rel_max(lam, B.a.data), _rel_max(power, B.a.data)
+        out["weil_relation"] = max(_rel_max(d, B.a.data) for d in chain_weil_relation(B).values())
+        B2 = Ladder(primitive_batch(k, cases), t)
+        out["inner_scaling"] = max(chain_inner_scaling(B, B2).values())
+    out["decomposition_roundtrip"] = roundtrip
+    levels = range(max(0, k - n), k // 2 + 1)
+    pairs = [(p, q) for p in levels for q in levels if p != q]
+    if pairs and cross_cases > 0:
+        worst = 0.0
+        for p, q in pairs:
+            x = primitive_batch(k - 2 * p, cross_cases)
+            y = primitive_batch(k - 2 * q, cross_cases)
+            worst = max(worst, chain_cross_term(x, p, y, q, t))
+        out["cross_term_orthogonality"] = worst
+    return out

@@ -262,8 +262,9 @@ def test_hyperbolic_suite_builds_each_mesh_and_edge_complex_once(monkeypatch, k)
     from llab.hyperbolic import assembly, mesh
     from llab.suites import hyperbolic_suite
 
-    built, edged = [], []
+    built, edged, midpoints = [], [], []
     real_build, real_edges = mesh.build_disc_mesh, assembly.edge_structure
+    real_midpoints = mesh.DiscMesh.edge_midpoints
 
     def counting_build(R, h):
         built.append((R, h))
@@ -273,11 +274,19 @@ def test_hyperbolic_suite_builds_each_mesh_and_edge_complex_once(monkeypatch, k)
         edged.append((m.R, m.h))
         return real_edges(m)
 
+    def counting_midpoints(m):
+        midpoints.append((m.R, m.h))
+        return real_midpoints(m)
+
     monkeypatch.setattr(mesh, "build_disc_mesh", counting_build)
     monkeypatch.setattr(assembly, "edge_structure", counting_edges)
+    monkeypatch.setattr(mesh.DiscMesh, "edge_midpoints", counting_midpoints)
     hyperbolic_suite(R_values=(2.0, 3.0), h_values=(0.4, 0.3), k=k)
     grid = [(R, h) for R in (2.0, 3.0) for h in (0.4, 0.3)]
     assert built == grid
     # both degrees assemble on the edge complex of every mesh (k = 0 sums
     # its P1 matrices per edge), and the forms reuse the finest one
     assert edged == grid
+    # each mesh's geometry builds its edge midpoints and lets them go; after
+    # the sweep, both form checks of the finest mesh share one more build
+    assert midpoints == grid + [(3.0, 0.3)]

@@ -460,6 +460,17 @@ def test_dense_path_matches_scipy(rng):
     assert X.shape == (n, 4)
 
 
+def test_dense_path_takes_no_lanczos_step():
+    # `iterations` counts Lanczos steps; a dense solve once reported its
+    # dimension there (7 and 8 for the two rows below)
+    from llab.hyperbolic.gap import gap_sweep
+
+    A = sp.diags(np.arange(1.0, 31.0), format="csr")
+    assert smallest_eigenpairs(A, sp.identity(30, format="csr"))[2] == 0
+    rows = gap_sweep(R_values=(2.0,), h_values=(1.5, 1.0), k=0)["rows"]
+    assert [(r["n_dofs"], r["iterations"]) for r in rows] == [(7, 0), (8, 0)]
+
+
 def test_lanczos_path_certificates(small_mesh):
     As, Ms = assemble_hodge_laplacian(small_mesh, k=0)
     assert As.shape[0] > 64  # actually exercises the sparse path

@@ -23,24 +23,26 @@ from llab.algebra import (
     random_compatible_triple,
 )
 from llab.lefschetz import (
-    Ladder,
-    commutator_residuals,
+    _apply,
+    _rel_max,
+    commutator_operators,
     cross_term_residual,
     dual_lefschetz,
     inner_scaling_levels,
     inner_scaling_residuals,
     is_primitive,
-    lambda_conjugation_residuals,
+    lambda_conjugation_operators,
     lefschetz_L,
     lefschetz_power_matrix,
     primitive_basis,
     primitive_decompose,
-    primitivity_residuals,
+    primitivity_operators,
     random_primitive,
+    roundtrip_operator,
+    star_involution_operator,
     symplectic_star,
-    symplectic_star_involution_residual,
-    weil_operator_residual,
-    weil_relation_residuals,
+    weil_consistency_operator,
+    weil_relation_operators,
     weil_specialization_constant,
 )
 
@@ -48,6 +50,16 @@ from llab.lefschetz import (
 def _omega(t):
     one = KForm(t.n, 0, np.array([1.0 + 0j]))
     return lefschetz_L(one, t)
+
+
+def _worst(R):
+    """The largest entry of a residual operator: its residual on the basis."""
+    return float(np.max(np.abs(R), initial=0.0))
+
+
+def _score(R, x, ref):
+    """A batch's residual under R, as the suite scores it."""
+    return _rel_max(_apply(R, x), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -114,20 +126,19 @@ def test_symplectic_star_is_involution(std2, rng):
         assert np.allclose(aa.data, a.data, atol=1e-12)
 
 
-def test_star_conjugation_residuals_vanish(std3, rng):
+def test_star_conjugation_residuals_vanish(std3):
     for k in range(7):
-        dim = math.comb(6, k)
-        a = KForm(3, k, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        assert lambda_conjugation_residuals(Ladder(a, std3))["symplectic_star"] < 1e-11
+        R = lambda_conjugation_operators(std3, k)["symplectic_star"]
+        assert R.shape == (math.comb(6, max(k - 2, 0)), math.comb(6, k))
+        assert _worst(R) < 1e-11, k
 
 
-def test_commutator_residuals_vanish(std3, rng):
+def test_commutator_residuals_vanish(std3):
     for k in range(4):
-        dim = math.comb(6, k)
-        a = KForm(3, k, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         levels = [i for i in (1, 2, 3) if k + 2 * i <= 6]
-        for i, res in commutator_residuals(Ladder(a, std3), levels).items():
-            assert res < 1e-11, (k, i)
+        for i, R in commutator_operators(std3, k, levels).items():
+            assert R.shape == (math.comb(6, k + 2 * i - 2), math.comb(6, k))
+            assert _worst(R) < 1e-11, (k, i)
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +253,21 @@ def test_decompose_random_triple(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_weil_relation_residual_small(std3, rng):
+def test_weil_relation_residual_small(std3):
     n = 3
     for k in (0, 1, 2, 3):
-        b = random_primitive(std3, k, rng)
-        res = weil_relation_residuals(Ladder(b, std3))
-        assert list(res) == list(range(0, n - k + 1))
-        assert max(res.values()) < 1e-11, (k, res)
+        ops = weil_relation_operators(std3, k)
+        assert list(ops) == list(range(0, n - k + 1))
+        for r, R in ops.items():
+            # acting on coefficients in the primitive basis
+            assert R.shape == (math.comb(6, 6 - k - 2 * r), primitive_basis(std3, k).shape[1])
+            assert _worst(R) < 1e-11, (k, r)
 
 
 def test_inner_scaling_check(std2, rng):
-    b1 = random_primitive(std2, 1, rng)
-    b2 = random_primitive(std2, 1, rng)
     n, k = 2, 1
-    levels = inner_scaling_levels(Ladder(b1, std2), Ladder(b2, std2))
+    b1, b2 = (rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(2))
+    levels = inner_scaling_levels(std2, k, b1, b2)
     assert list(levels) == [(i, j) for i in range(0, n - k + 1) for j in range(0, i + 1)]
     for lhs, rhs in levels.values():
         assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
@@ -293,8 +305,10 @@ def test_is_primitive_rejects_degree_above_n():
 
 def test_primitivity_residuals_reject_degree_above_n(std2):
     # a 4-form at n = 2 once scored (1.0, 0.0) through L^{n-k+1} = L^{-1}
-    with pytest.raises(ValueError, match="k <= n"):
-        primitivity_residuals(KForm(2, 4, np.array([1.0 + 0j])), std2)
+    with pytest.raises(ValueError, match="degree 4 > n"):
+        primitivity_operators(std2, 4)
+    with pytest.raises(ValueError, match="degree 3 > n"):
+        weil_relation_operators(std2, 3)
 
 
 def test_lefschetz_power_rejects_a_negative_power(std2):
@@ -307,10 +321,12 @@ def test_commutator_check_alias_and_top_overflow(std2):
     # n=1, a = dx^dy, i=1: L a = 0 but L Lambda a = a and i(k-n+i-1) = 1;
     # i=3: both sides entirely above the top degree -> vacuous zero
     t1 = build_standard_triple(1)
-    top = KForm(1, 2, np.array([1.0 + 0j]))
-    assert commutator_residuals(Ladder(top, t1), (1, 3)) == {1: 0.0, 3: 0.0}
+    ops = commutator_operators(t1, 2, (1, 3))
+    assert {i: _worst(R) for i, R in ops.items()} == {1: 0.0, 3: 0.0}
+    assert ops[1].shape == (1, 1) and ops[3].shape == (0, 1)
     # inside the algebra, a nontrivial case
-    assert commutator_residuals(Ladder(_omega(std2), std2), (1,))[1] < 1e-13
+    w = _omega(std2).data
+    assert _score(commutator_operators(std2, 2, (1,))[1], w, w) < 1e-13
 
 
 def test_weil_specialization_constant_oracle():
@@ -379,7 +395,7 @@ def test_decomposition_perturbation_breaks_roundtrip(std2, rng):
     assert r2 / r1 == pytest.approx(2.0, rel=1e-6)
 
 
-def test_weil_relation_on_orientation_reversing_triples(rng):
+def test_weil_relation_on_orientation_reversing_triples():
     # regression: the one-star Weil relation flips sign if the Hodge star is
     # built on the coordinate orientation instead of the omega-orientation
     from llab.algebra import triple_from_omega_j
@@ -388,15 +404,13 @@ def test_weil_relation_on_orientation_reversing_triples(rng):
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
     t1 = triple_from_omega_j(omega, J)  # Pf(omega) = -1
     for k in (0, 1):
-        b = random_primitive(t1, k, rng)
-        assert max(weil_relation_residuals(Ladder(b, t1)).values()) < 1e-12
+        assert max(map(_worst, weil_relation_operators(t1, k).values())) < 1e-12
 
     # the very draw that exposed the bug: orientation-reversing at n = 2
     t2 = random_compatible_triple(2, np.random.default_rng([11, 2, 10_000]))
     assert t2.volume_form().data[0].real < 0
     for k in (0, 1, 2):
-        b = random_primitive(t2, k, rng)
-        assert max(weil_relation_residuals(Ladder(b, t2)).values()) < 1e-11
+        assert max(map(_worst, weil_relation_operators(t2, k).values())) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -406,39 +420,39 @@ def test_weil_relation_on_orientation_reversing_triples(rng):
 
 def _identity_residuals(a: KForm, t) -> dict:
     """Every identity of the suite's cell on a (form or batch) a of degree k,
-    with primitive inputs drawn by lifting a's coefficients into P^j."""
+    scored under the residual operators as the suite scores its batches, with
+    primitive coefficients taken from a's leading coefficients."""
     n, k = a.n, a.k
-    X = Ladder(a, t)
-    conj = lambda_conjugation_residuals(X)
+    x = a.data
+    conj = lambda_conjugation_operators(t, k)
     out = {
-        "involution": symplectic_star_involution_residual(a, t),
-        "star_s": conj["symplectic_star"],
-        "hodge": conj["hodge_star"],
-        "weil_op": weil_operator_residual(a, t),
-        "roundtrip": primitive_decompose(a, t).residual(a, t),
+        "involution": _score(star_involution_operator(t, k), x, x),
+        "star_s": _score(conj["symplectic_star"], x, x),
+        "hodge": _score(conj["hodge_star"], x, x),
+        "weil_op": _score(weil_consistency_operator(t, k), x, x),
+        "roundtrip": _score(roundtrip_operator(t, k), x, x),
     }
-    for i, res in commutator_residuals(X, (1, 2, 3)).items():
-        out[f"comm{i}"] = res
+    for i, R in commutator_operators(t, k, (1, 2, 3)).items():
+        out[f"comm{i}"] = _score(R, x, x)
 
-    def prim(j, conj=False):
-        P = primitive_basis(t, j)
-        c = a.data[: P.shape[1]]
-        return KForm(n, j, P @ (np.conj(c) if conj else c))
+    def coeffs(j, conj=False):
+        c = x[: primitive_basis(t, j).shape[1]]
+        return np.conj(c) if conj else c
 
     if k <= n:
-        b, b2 = prim(k), prim(k, conj=True)
-        out["prim_lambda"], out["prim_power"] = primitivity_residuals(b, t)
-        B, B2 = Ladder(b, t), Ladder(b2, t)
-        for r, res in weil_relation_residuals(B).items():
-            out[f"weil_rel{r}"] = res
-        for (i, j), res in inner_scaling_residuals(B, B2).items():
+        b, b2 = coeffs(k), coeffs(k, conj=True)
+        B = _apply(primitive_basis(t, k), b)
+        lam, power = primitivity_operators(t, k)
+        out["prim_lambda"], out["prim_power"] = _score(lam, b, B), _score(power, b, B)
+        for r, R in weil_relation_operators(t, k).items():
+            out[f"weil_rel{r}"] = _score(R, b, B)
+        for (i, j), res in inner_scaling_residuals(t, k, b, b2).items():
             out[f"scaling{i}{j}"] = res
     levels = range(max(0, k - n), k // 2 + 1)
     for p in levels:
         for q in levels:
             if p != q:
-                x, y = prim(k - 2 * p), prim(k - 2 * q, conj=True)
-                out[f"cross{p}{q}"] = cross_term_residual(x, p, y, q, t)
+                out[f"cross{p}{q}"] = cross_term_residual(t, k, p, coeffs(k - 2 * p), q, coeffs(k - 2 * q, conj=True))
     return out
 
 
@@ -484,13 +498,13 @@ def test_batch_residual_finds_the_bad_column(std2, rng):
     assert batch_res > 1e-5
     assert batch_res == col.residual(KForm(2, 2, data[:, 1]), std2)
 
+    # Lambda scores a primitive column 0 and omega n, max|omega| = 1
     mixed = np.stack([random_primitive(std2, 2, rng).data, _omega(std2).data], axis=1)
-    lam, _ = primitivity_residuals(KForm(2, 2, mixed), std2)
-    assert lam == pytest.approx(2.0, rel=1e-12)  # Lambda(omega) = n, max|omega| = 1
+    assert _score(std2.ops.lam(2), mixed, mixed) == pytest.approx(2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# the ladder: one batched implementation per identity family
+# residual operators: one per identity, level and degree
 # ---------------------------------------------------------------------------
 
 
@@ -499,69 +513,64 @@ def _batch(n, k, rng, m=6):
     return KForm(n, k, rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m)))
 
 
-def _primitive_batch(t, k, rng, m=6):
-    P = primitive_basis(t, k)
-    c = rng.standard_normal((P.shape[1], m)) + 1j * rng.standard_normal((P.shape[1], m))
-    return KForm(t.n, k, P @ c)
+def _coeff_batch(t, k, rng, m=6):
+    d = primitive_basis(t, k).shape[1]
+    return rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
 
 
 @pytest.mark.parametrize("which", ["standard", "random"])
 def test_per_level_functions_read_the_shared_implementation(which, std3, rng):
-    # one level read from a fresh ladder gives, bit for bit, that level of
-    # the family the suite runs over all levels from one ladder per batch
+    # one level built alone gives, bit for bit, that level of the family the
+    # suite builds over all levels at once
     t = std3 if which == "standard" else random_compatible_triple(3, rng)
     n = 3
     for k in range(2 * n + 1):
-        a = _batch(n, k, rng)
-        X = Ladder(a, t)
-        comm = commutator_residuals(X, (1, 2, 3, 4))
+        comm = commutator_operators(t, k, (1, 2, 3, 4))
         assert list(comm) == [1, 2, 3, 4]
-        for i, v in comm.items():
-            assert commutator_residuals(Ladder(a, t), (i,))[i] == v < 1e-11, (k, i)
-        # the conjugations read the Lambda a that the commutators formed
-        assert lambda_conjugation_residuals(X) == lambda_conjugation_residuals(Ladder(a, t))
+        for i, R in comm.items():
+            assert np.array_equal(commutator_operators(t, k, (i,))[i], R), (k, i)
+            assert _worst(R) < 1e-11, (k, i)
         if k > n:
             continue
-        b, b2 = _primitive_batch(t, k, rng), _primitive_batch(t, k, rng)
-        B, B2 = Ladder(b, t), Ladder(b2, t)
-        weil = weil_relation_residuals(B)
+        weil = weil_relation_operators(t, k)
         assert list(weil) == list(range(n - k + 1))
-        for r, v in weil.items():
-            assert weil_relation_residuals(Ladder(b, t), (r,))[r] == v < 1e-11, (k, r)
-        levels, scaled = inner_scaling_levels(B, B2), inner_scaling_residuals(B, B2)
+        for r, R in weil.items():
+            assert np.array_equal(weil_relation_operators(t, k, (r,))[r], R), (k, r)
+            assert _worst(R) < 1e-11, (k, r)
+        b, b2 = _coeff_batch(t, k, rng), _coeff_batch(t, k, rng)
+        levels, scaled = inner_scaling_levels(t, k, b, b2), inner_scaling_residuals(t, k, b, b2)
         assert list(levels) == list(scaled) == [(i, j) for i in range(n - k + 1) for j in range(i + 1)]
         for (i, j), (lhs, rhs) in levels.items():
             one = ((i, j),)
-            got_lhs, got_rhs = inner_scaling_levels(Ladder(b, t), Ladder(b2, t), one)[(i, j)]
+            got_lhs, got_rhs = inner_scaling_levels(t, k, b, b2, one)[(i, j)]
             assert np.array_equal(got_lhs, lhs) and np.array_equal(got_rhs, rhs), (k, i, j)
-            got = inner_scaling_residuals(Ladder(b, t), Ladder(b2, t), one)[(i, j)]
+            got = inner_scaling_residuals(t, k, b, b2, one)[(i, j)]
             assert got == scaled[(i, j)] < 1e-11, (k, i, j)
 
 
-def test_a_ladder_forms_each_power_once(monkeypatch, rng):
+def test_the_scaling_law_forms_each_level_gram_once(monkeypatch, rng):
     import llab.lefschetz as lefschetz
 
     calls = []
-    real = lefschetz.lefschetz_power_matrix
+    real = lefschetz.level_gram
 
-    def counted(t, k, r):
-        calls.append((k, r))
-        return real(t, k, r)
+    def counted(t, j, p, i, q):
+        calls.append((j, p, i, q))
+        return real(t, j, p, i, q)
 
-    monkeypatch.setattr(lefschetz, "lefschetz_power_matrix", counted)
+    monkeypatch.setattr(lefschetz, "level_gram", counted)
     t = build_standard_triple(4)
-    B, A = Ladder(_primitive_batch(t, 0, rng), t), Ladder(_primitive_batch(t, 0, rng), t)
-    assert len(inner_scaling_residuals(B, A)) == 15
-    # L^1..L^4 of each batch once, where pair by pair formed 60 powers
-    assert sorted(calls) == sorted(2 * [(0, r) for r in range(1, 5)])
-    del calls[:]
-    assert len(weil_relation_residuals(B)) == 5
-    # B's powers are read again; only the powers of W(B) are new
-    assert sorted(calls) == [(0, s) for s in range(5)]
+    b, a = _coeff_batch(t, 0, rng), _coeff_batch(t, 0, rng)
+    assert len(inner_scaling_residuals(t, 0, b, a)) == 15
+    # one Gram block per power r = 0..4, where pair by pair formed 30
+    assert sorted(calls) == [(0, r, 0, r) for r in range(5)]
+    assert len(weil_relation_operators(t, 0)) == 5
     with pytest.raises(ValueError, match="n-k"):
-        weil_relation_residuals(B, (5,))
+        weil_relation_operators(t, 0, (5,))
     with pytest.raises(ValueError, match="i >= 1"):
-        commutator_residuals(B, (0,))
+        commutator_operators(t, 0, (0,))
+    with pytest.raises(ValueError, match="different degrees"):
+        lefschetz.level_gram(t, 0, 1, 0, 2)
 
 
 def _mutant(monkeypatch, name, old, new):
@@ -582,7 +591,7 @@ def _mutant(monkeypatch, name, old, new):
 
 @pytest.mark.parametrize("name, old, new, check", [
     ("inner_scaling_levels", "math.factorial(i - j)", "math.factorial(i - j + 1)", "inner_scaling"),
-    ("weil_relation_residuals", "sign * _power(B.weil", "-sign * _power(B.weil", "weil_relation"),
+    ("weil_relation_operators", "sign * _power(W", "-sign * _power(W", "weil_relation"),
 ], ids=["wrong factorial in the scaling factor", "flipped Weil sign"])
 def test_a_broken_identity_family_fails_the_suite_loudly(monkeypatch, name, old, new, check):
     from llab.suites import identity_suite, worst_cell
@@ -597,11 +606,29 @@ def test_a_broken_identity_family_fails_the_suite_loudly(monkeypatch, name, old,
 def test_lambda_from_the_wrong_level_fails_the_commutators_loudly(monkeypatch, std3, rng):
     # Lambda L^i a read as L^i Lambda a: the two terms of [L^i, Lambda] cancel.
     # In degrees 2 and 4 of n = 3, i = 1 has both terms and i(k - n + i - 1) != 0
-    _mutant(monkeypatch, "commutator_residuals", "dual_lefschetz(X.power(i), t)", "_power(X.lam, i, t)")
+    _mutant(monkeypatch, "commutator_operators", "dual_lefschetz(_power(e, i, t), t)", "_power(lam, i, t)")
     import llab.lefschetz as lefschetz
 
     for k in (2, 4):
-        a = _batch(3, k, rng)
-        worst = max(lefschetz.commutator_residuals(Ladder(a, std3), (1, 2)).values())
+        a = _batch(3, k, rng).data
+        worst = max(_score(R, a, a) for R in lefschetz.commutator_operators(std3, k, (1, 2)).values())
         assert worst > 1e-3, k
-        assert lefschetz.commutator_residuals(Ladder(a, std3), (1,))[1] > 1e-3, k
+        assert _score(lefschetz.commutator_operators(std3, k, (1,))[1], a, a) > 1e-3, k
+
+
+def test_a_metric_blind_gram_block_fails_the_random_triple_loudly(monkeypatch):
+    # G replaced by the coefficient inner product in the Gram blocks of the
+    # scaling law and the cross term: the standard triple, whose Gram
+    # matrices are the identity, cannot tell; the random triple must
+    from llab.suites import _identity_residuals, identity_suite, worst_cell
+
+    _mutant(monkeypatch, "level_gram", "metric_gram(t, m)", "np.eye(math.comb(2 * t.n, m))")
+    rep = identity_suite(n_values=(2, 3), cases=8, cross_cases=4)
+    assert not rep["passed"]
+    cell, value = worst_cell(rep)
+    assert cell.endswith("[random_triple]") and value > 1e-3, (cell, value)
+    assert cell.split(".")[2].startswith(("inner_scaling", "cross_term_orthogonality")), cell
+    named = _identity_residuals(rep["cells"])
+    for family in ("inner_scaling", "cross_term_orthogonality"):
+        assert max(v for c, v in named.items() if f".{family}[random_triple]" in c) > 1e-3, family
+    assert max(v for c, v in named.items() if "[random_triple]" not in c) < 1e-12
