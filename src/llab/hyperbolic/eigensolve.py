@@ -9,9 +9,16 @@ residual exceeds rel_tol * lambda.  A residual shows that a Ritz pair is
 accurate, not which eigenvalue it is; `ground_state_lower` proves, for a
 positive approximate ground state, that nothing lies below it.
 
+A ground state can also be had without factoring its pencil:
+`lobpcg_ground_state` runs single-vector LOBPCG, preconditioned with a
+two-grid V-cycle (`two_grid_preconditioner`) whose coarse solve is the LU
+of a coarser mesh, and stops only on a residual certificate and a
+`ground_state_lower` proof, both within rel_tol.
+
 scipy supplies the LU factorization and sparse matvecs; the Krylov loop,
-reorthogonalization, Ritz extraction and certification are explicit here
-so that nothing about convergence is taken on faith from a black box.
+reorthogonalization, Ritz extraction, the LOBPCG step and certification
+are explicit here so that nothing about convergence is taken on faith
+from a black box.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ class SpectralResult:
     rel_tol: float
     derived_bound: float | None = None
     ground_state_lower: float | None = None  # `ground_state_lower` of the first pair
+    solver: str = "lanczos"  # or "two_grid": `lobpcg_ground_state` on a coarser mesh's LU
 
 
 class LanczosNonConvergence(ArithmeticError):
@@ -76,6 +84,7 @@ def smallest_eigenpairs(
     seed: int = 20260301,
     v0: np.ndarray | None = None,
     sigma: float = 0.0,
+    lu: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The nev eigenpairs of A x = lambda M x nearest sigma, with certificates.
 
@@ -88,7 +97,9 @@ def smallest_eigenpairs(
     misses rel_tol * lambda.
 
     A and M are symmetric.  When both are CSC, or both CSR, on equal index
-    arrays, A - sigma M is formed on their data alone.
+    arrays, A - sigma M is formed on their data alone.  `lu`, when given,
+    is `shifted_lu(A, M, sigma)`, made by a caller that keeps it; the dense
+    path does not read it.
     """
     # A is factored in CSC, so a CSC A is kept as it is and costs no copy;
     # so is a CSC M, whose products cost what a CSR one's do
@@ -107,19 +118,7 @@ def smallest_eigenpairs(
         _certify(lams, res, rel_tol, iterations=0)
         return np.asarray(lams), X, 0
 
-    # factor A - sigma M; step a little below sigma if it is singular
-    scale = max(np.abs(A.data).max(initial=0.0), 1e-300)
-    mscale = max(np.abs(M.data).max(initial=0.0), 1e-300)
-    factor = None
-    for shift in (sigma, sigma - 1e-8 * scale / mscale, sigma - 1e-4 * scale / mscale):
-        try:
-            factor = spla.splu(_shifted(A, M, shift))
-            break
-        except RuntimeError:
-            continue
-    if factor is None:
-        raise LanczosNonConvergence("shifted operator could not be factored", [], [], 0)
-
+    factor, shift = lu if lu is not None else shifted_lu(A, M, sigma)
     maxiter = min(maxiter, n - 1)
 
     # column-major: only the columns the iteration reaches are ever touched,
@@ -208,6 +207,106 @@ def _refined(factor, A, M, lams, X, res) -> np.ndarray:
     Y *= np.linalg.norm(X, axis=0) / np.linalg.norm(Y, axis=0)
     better = np.array(_pencil_residuals(A, M, lams, Y)) < np.array(res)
     return np.where(better, Y, X)
+
+
+def shifted_lu(A, M, sigma: float = 0.0) -> tuple:
+    """(splu of A - shift M, shift), with shift = sigma, or a little below
+    sigma when A - sigma M is singular.  A and M as `smallest_eigenpairs`
+    takes them; raises LanczosNonConvergence when no shift factors."""
+    scale = max(np.abs(A.data).max(initial=0.0), 1e-300)
+    mscale = max(np.abs(M.data).max(initial=0.0), 1e-300)
+    for shift in (sigma, sigma - 1e-8 * scale / mscale, sigma - 1e-4 * scale / mscale):
+        try:
+            return spla.splu(_shifted(A, M, shift)), shift
+        except RuntimeError:
+            continue
+    raise LanczosNonConvergence("shifted operator could not be factored", [], [], 0)
+
+
+def two_grid_preconditioner(A, P, coarse_lu):
+    """r -> T r, T ~ A^{-1}: a symmetric two-grid V-cycle for the stiffness
+    matrix A of a fine mesh.
+
+    One damped-Jacobi step (2/3 D^{-1}, D = diag A) from zero, the coarse
+    correction P A_c^{-1} P^T on the residual, where `coarse_lu` solves with
+    the coarse mesh's own stiffness matrix A_c and P prolongs coarse values
+    to fine ones (`mesh.ring_prolongation`), then the same Jacobi step again.
+    """
+    dinv = (2.0 / 3.0) / A.diagonal()
+    PT = P.T.tocsr()
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        x = dinv * r
+        x += P @ coarse_lu.solve(PT @ (r - A @ x))
+        x += dinv * (r - A @ x)
+        return x
+
+    return apply
+
+
+def lobpcg_ground_state(
+    A, M, x0: np.ndarray, precondition, rel_tol: float = DEFAULT_REL_TOL, maxiter: int = 40
+) -> tuple[float, np.ndarray, int, float]:
+    """A proven ground state of the pencil (A, M) by single-vector LOBPCG
+    (Knyazev, SIAM J. Sci. Comput. 23, 2001).
+
+    Each step is a Rayleigh-Ritz on {x, w, p} in the M-inner product: the
+    iterate x, the preconditioned residual w = precondition(A x - lambda M x)
+    and the previous step's direction p.  It stops only when the residual
+    ||A x - lambda M x|| / ||x||, recomputed from x, is below rel_tol *
+    lambda and `ground_state_lower` proves lambda - mu <= rel_tol * lambda;
+    then it returns (lambda, x, steps, mu).  A and M are CSR on one pattern,
+    as `ground_state_lower` takes them.  Raises LanczosNonConvergence,
+    carrying the last estimate, when maxiter steps end without both.
+    """
+    x = np.array(x0, dtype=float)
+    if not x @ (M @ x) > 0:
+        raise ValueError("start vector has zero M-norm")
+    if x.sum() < 0:
+        x = -x
+    p = Ap = Mp = None
+    lam, res = float("nan"), float("nan")
+    for step in range(maxiter + 1):
+        Ax, Mx = A @ x, M @ x
+        lam = float(x @ Ax) / float(x @ Mx)
+        r = Ax - lam * Mx
+        res = float(np.linalg.norm(r) / np.linalg.norm(x))
+        # the proof's slack is at least max(-r / M x), so a larger one
+        # cannot meet the rule: only then does x earn the O(nnz) proof
+        if res < rel_tol * lam and np.all(x > 0) and np.max(-r / Mx) <= rel_tol * lam:
+            lower = ground_state_lower(A, M, lam, x)
+            if lower is not None and lam - lower <= rel_tol * lam:
+                return lam, x, step, lower
+        if step == maxiter:
+            break
+        w = precondition(r)
+        directions = [(w, A @ w, M @ w)] + ([(p, Ap, Mp)] if p is not None else [])
+        basis = [(x, Ax, Mx)] + [b for b in directions if b[0] @ b[2] > 0]  # a zero one adds nothing
+        GA = np.array([[u @ Av for _, Av, _ in basis] for u, _, _ in basis])
+        GM = np.array([[u @ Mv for _, _, Mv in basis] for u, _, _ in basis])
+        # unit diagonal, so that a direction that has shrunk with the
+        # residual still carries weight
+        d = 1.0 / np.sqrt(np.diag(GM))
+        GA, GM = GA * np.outer(d, d), GM * np.outer(d, d)
+        c = None
+        for k in range(len(basis), 1, -1):  # on a dependent {x, w, p}, drop p
+            try:
+                c = sla.eigh(GA[:k, :k], GM[:k, :k], subset_by_index=[0, 0])[1][:, 0] * d[:k]
+                break
+            except (np.linalg.LinAlgError, ValueError):
+                continue
+        if c is None:
+            break
+        if c[0] < 0:  # keep x on the side of the positive ground state
+            c = -c
+        p, Ap, Mp = (sum(ci * v[i] for ci, v in zip(c[1:], basis[1:])) for i in range(3))
+        x = c[0] * x + p
+    raise LanczosNonConvergence(
+        f"LOBPCG proved no ground state in {step} steps: eigenvalue {lam}, residual {res}",
+        [lam],
+        [res],
+        step,
+    )
 
 
 def _shifted(A, M, shift: float):

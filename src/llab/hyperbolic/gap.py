@@ -31,11 +31,15 @@ import numpy as np
 
 from llab.algebra import KForm, build_standard_triple, norm, random_compatible_triple, wedge
 from llab.hyperbolic.eigensolve import (
+    _DENSE_CUTOFF,
     LanczosNonConvergence,
     SpectralResult,
     _pencil_residuals,
     ground_state_lower,
+    lobpcg_ground_state,
+    shifted_lu,
     smallest_eigenpairs,
+    two_grid_preconditioner,
 )
 from llab.hyperbolic import mesh as mesh_mod
 from llab.hyperbolic.mesh import DiscMesh
@@ -292,6 +296,13 @@ def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8, shift: floa
     if k != 0 and shift != 0:
         raise ValueError(f"a shift needs the ground-state proof, which k = {k} lacks")
     A, M = assemble_hodge_laplacian(mesh, k)
+    return _lu_lambda1(mesh, k, A, M, rel_tol, shift)[0]
+
+
+def _lu_lambda1(mesh, k, A, M, rel_tol, shift, keep_lu=False):
+    """(`dirichlet_lambda1` of the assembled pencil, its first eigenvector,
+    the LU its last solve factored or None); the LU is kept only with
+    keep_lu, for a pencil too large to solve dense."""
     # the Dirichlet ground state of the scalar Laplacian is positive, so the
     # constant vector leans on it far more than a random one does
     v0 = np.ones(A.shape[0]) if k == 0 else None
@@ -301,21 +312,27 @@ def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8, shift: floa
         # arrays are A and M in CSC, the layout the solver factors, with no
         # copy; at k = 0 they share one pattern, so A - sigma M costs one
         # array of values
-        lams, X, iters = smallest_eigenpairs(A.T, M.T, rel_tol=rel_tol, v0=v0, sigma=sigma)
+        lu = shifted_lu(A.T, M.T, sigma) if keep_lu and A.shape[0] > _DENSE_CUTOFF else None
+        lams, X, iters = smallest_eigenpairs(A.T, M.T, rel_tol=rel_tol, v0=v0, sigma=sigma, lu=lu)
         lower = ground_state_lower(A, M, float(lams[0]), X[:, 0]) if k == 0 else None
-        return lams, X, iters, lower
+        return lams, X, iters, lower, lu
 
     steps, lower = 0, None
     if shift != 0:
         try:
-            lams, X, iters, lower = solve(shift)
+            lams, X, iters, lower, lu = solve(shift)
         except LanczosNonConvergence as e:
             steps = e.iterations
         else:
             if lower is None:  # not the ground state, or not provably so
                 steps = iters
     if lower is None:
-        lams, X, iters, lower = solve(0.0)
+        lams, X, iters, lower, lu = solve(0.0)
+    result = _spectral_result(mesh, k, A, M, lams, X, steps + iters, rel_tol, lower, "lanczos")
+    return result, X[:, 0], None if lu is None else lu[0]
+
+
+def _spectral_result(mesh, k, A, M, lams, X, iterations, rel_tol, lower, solver) -> SpectralResult:
     res = _pencil_residuals(A, M, lams, X)  # recomputed for the report
     bound = None
     if mesh.metric == "hyperbolic" and k != 1:
@@ -324,12 +341,39 @@ def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8, shift: floa
         k=k,
         eigenvalues=[float(x) for x in lams],
         residuals=[float(r) for r in res],
-        iterations=steps + iters,
+        iterations=iterations,
         n_dofs=A.shape[0],
         rel_tol=rel_tol,
         derived_bound=bound,
         ground_state_lower=lower,
+        solver=solver,
     )
+
+
+def _sweep_row(mesh, k, rel_tol, shift, coarse, last, keep_lu):
+    """(result, ground state, LU or None) of one `gap_sweep` row.
+
+    With coarse = (mesh, LU of its k = 0 pencil at shift 0) on a coarser
+    mesh, the row is solved by `lobpcg_ground_state`, preconditioned with
+    the two-grid V-cycle on that LU and started from last = (mesh, ground
+    state) of the previous row, prolonged.  Otherwise, or when that solve
+    proves no ground state within its step cap, the row is `_lu_lambda1`'s
+    at the shift.
+    """
+    from llab.hyperbolic.assembly import assemble_hodge_laplacian
+
+    A, M = assemble_hodge_laplacian(mesh, k)
+    if coarse is not None and coarse[0].h > mesh.h:
+        (coarse_mesh, lu), (last_mesh, start) = coarse, last
+        P = mesh_mod.ring_prolongation(coarse_mesh, mesh)
+        x0 = (P if last_mesh is coarse_mesh else mesh_mod.ring_prolongation(last_mesh, mesh)) @ start
+        try:
+            lam, x, steps, lower = lobpcg_ground_state(A, M, x0, two_grid_preconditioner(A, P, lu), rel_tol)
+        except LanczosNonConvergence:
+            pass
+        else:
+            return _spectral_result(mesh, 0, A, M, [lam], x[:, None], steps, rel_tol, lower, "two_grid"), x, None
+    return _lu_lambda1(mesh, k, A, M, rel_tol, shift, keep_lu)
 
 
 def gap_sweep(
@@ -345,12 +389,20 @@ def gap_sweep(
     the h -> 0 limit is extrapolated (measured order when >= 3 sizes are
     log-uniform, otherwise the P1 rate 2).
 
-    At k = 0 each row solves at a shift, the lambda_1 of the previous row
-    with the same R (so with h descending, the next coarser mesh's), and
-    carries `ground_state_lower`, a proven lower bound on the smallest
-    eigenvalue of its discrete pencil (None when the proof fails; always
-    None at k = 1).  Raises ValueError on a repeated R or h, before any
-    mesh is built.
+    At k = 0 the first mesh of each R is factored at shift 0, and its LU is
+    kept while a finer h is still to come.  Each later row on a finer mesh
+    than that one is solved without an LU of its own, by two-grid LOBPCG on
+    the kept one (`_sweep_row`), started from the previous row's ground
+    state; the solve stops only on a residual below rel_tol * lambda and a
+    proven lower bound within rel_tol of lambda.  Every other row, and one
+    whose two-grid solve fails, is solved by shift-invert Lanczos at a
+    shift, the lambda_1 of the previous row with the same R.  Each row
+    names its "solver" ("two_grid" or "lanczos"), and "iterations" counts
+    that solver's steps.  k = 0 rows carry `ground_state_lower`, a proven
+    lower bound on the smallest eigenvalue of their discrete pencil (None
+    when the proof fails; always None at k = 1, where every row is solved
+    by Lanczos at shift 0).  Raises ValueError on a repeated R or h, before
+    any mesh is built.
 
     "finest_mesh" holds the (max R, min h) mesh, with what its solve
     derived from it, for callers that measure more on it; it is not JSON
@@ -367,13 +419,18 @@ def gap_sweep(
     R_star, h_star = max(R_values), min(h_values)
     finest_mesh = None
     for R in R_values:
-        shift = 0.0
-        for h in h_values:
+        shift, coarse, last = 0.0, None, None
+        for i, h in enumerate(h_values):
             # looked up on its module, so a wrapped build_disc_mesh is the one called
             mesh = mesh_mod.build_disc_mesh(R, h)
             if R == R_star and h == h_star:
                 finest_mesh = mesh
-            result = dirichlet_lambda1(mesh, k, rel_tol=rel_tol, shift=shift)
+            # the first mesh's LU is kept while a finer mesh is still to come
+            keep_lu = k == 0 and i == 0 and h > h_star
+            result, x, lu = _sweep_row(mesh, k, rel_tol, shift, coarse, last, keep_lu)
+            if lu is not None:
+                coarse = (mesh, lu)
+            last = (mesh, x)
             lam = result.eigenvalues[0]
             if k == 0:
                 shift = lam
@@ -386,6 +443,7 @@ def gap_sweep(
                     "n_dofs": result.n_dofs,
                     "lambda1": lam,
                     "residual": result.residuals[0],
+                    "solver": result.solver,
                     "iterations": result.iterations,
                     "oracle": oracle,
                     "rel_err_vs_oracle": (abs(lam - oracle) / oracle) if oracle else None,

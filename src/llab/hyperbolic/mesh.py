@@ -201,6 +201,58 @@ def predicted_vertex_count(R: float, h: float) -> int:
     return 1 + sum(counts)
 
 
+def ring_prolongation(coarse: DiscMesh, fine: DiscMesh):
+    """Sparse (fine interior x coarse interior) map of nodal values between
+    two `build_disc_mesh` meshes of one R: linear in rho between the coarse
+    rings and linear in angle along each of them, zero on the Dirichlet ring.
+
+    A fine vertex on ring m sits at rho = m R / M_f, a fraction t of the way
+    from coarse ring a to a + 1; both are computed exactly as rationals, and
+    so is the angular position on each coarse ring.  The centre is a ring of
+    one vertex.  So a function of rho alone that is linear between the
+    coarse rings is reproduced exactly.  ValueError for meshes of different
+    R or not laid out in rings (`square_patch`).
+    """
+    import scipy.sparse as sp
+
+    for mesh in (coarse, fine):
+        if mesh.metric != "hyperbolic" or mesh.n_vertices != predicted_vertex_count(mesh.R, mesh.h):
+            raise ValueError("ring_prolongation needs two ring meshes made by build_disc_mesh")
+    if coarse.R != fine.R:
+        raise ValueError(f"the meshes have different radii, R = {coarse.R} and {fine.R}")
+    Mc, counts_c = _ring_counts(coarse.R, coarse.h)
+    Mf, counts_f = _ring_counts(fine.R, fine.h)
+    # coarse ring r (0 the centre) holds sizes[r] vertices from starts[r] on
+    sizes = np.array([1] + counts_c)
+    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
+    # every fine interior vertex but the centre: its ring m and index j there
+    per_ring = np.array(counts_f[:-1])
+    m = np.repeat(np.arange(1, Mf), per_ring)
+    j = np.arange(len(m)) - np.repeat(np.cumsum(per_ring) - per_ring, per_ring)
+    n_f = per_ring[m - 1]
+    a = m * Mc // Mf
+    t = (m * Mc - a * Mf) / Mf
+    # the centres coincide
+    rows, cols, vals = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)], [np.ones(1)]
+    for ring, weight in ((a, 1.0 - t), (a + 1, t)):
+        # fine vertex j of ring m is at angle pi (2j + m % 2) / n_f, coarse
+        # vertex q of ring r at pi (2q + r % 2) / sizes[r]: the fine vertex
+        # sits num / den coarse spacings past coarse vertex 0
+        n_c = sizes[ring]
+        num = (2 * j + m % 2) * n_c - (ring % 2) * n_f
+        den = 2 * n_f
+        q = num // den
+        frac = (num - q * den) / den
+        for col, w in ((q % n_c, 1.0 - frac), ((q + 1) % n_c, frac)):
+            rows.append(1 + np.arange(len(m)))
+            cols.append(starts[ring] + col)
+            vals.append(np.where(ring < Mc, weight * w, 0.0))  # ring Mc is the Dirichlet ring
+    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
+    nonzero = vals != 0
+    shape = (1 + int(per_ring.sum()), int(starts[Mc]))
+    return sp.csr_matrix((vals[nonzero], (rows[nonzero], cols[nonzero])), shape=shape)
+
+
 def _stitch_rings(counts: list[int]) -> np.ndarray:
     """Triangles of the ring layout: a fan from the centre (vertex 0) to
     ring 1, then one band per pair of neighbouring rings.

@@ -194,7 +194,8 @@ def test_dirichlet_lambda1_k0_starts_from_the_constant_vector():
     assert 0 <= (lam - result.ground_state_lower) / lam < 1e-6
 
 
-def test_gap_sweep_shifts_the_finer_mesh_to_the_coarser_lambda1(monkeypatch):
+def _count_factorizations(monkeypatch) -> list:
+    """The dimension of every matrix `eigensolve` hands to splu, in order."""
     from llab.hyperbolic import eigensolve
 
     factored = []
@@ -205,18 +206,78 @@ def test_gap_sweep_shifts_the_finer_mesh_to_the_coarser_lambda1(monkeypatch):
         return real_splu(*args, **kwargs)
 
     monkeypatch.setattr(eigensolve.spla, "splu", counting_splu)
+    return factored
+
+
+def test_gap_sweep_shifts_the_finer_mesh_to_the_coarser_lambda1(monkeypatch):
+    factored = _count_factorizations(monkeypatch)
     out = gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1), k=0)
     coarse, fine = out["rows"]
-    # one factorization per mesh: the shifted solve was not refused
-    assert factored == [coarse["n_dofs"], fine["n_dofs"]]
-    assert fine["iterations"] <= 4 < coarse["iterations"]
+    # one factorization per R, the coarse mesh's: the finer mesh is solved
+    # by two-grid LOBPCG on it
+    assert factored == [coarse["n_dofs"]]
+    assert (coarse["solver"], fine["solver"]) == ("lanczos", "two_grid")
     for row in out["rows"]:
         lam = row["lambda1"]
         assert row["residual"] < 1e-8 * lam
         assert 0 <= (lam - row["ground_state_lower"]) / lam < 1e-6
-    # the shifted eigenvalue is the unshifted one
+    # the two-grid solve stops only on a proof within rel_tol
+    assert (fine["lambda1"] - fine["ground_state_lower"]) / fine["lambda1"] <= 1e-8
     unshifted = dirichlet_lambda1(out["finest_mesh"], 0)
     assert fine["lambda1"] == pytest.approx(unshifted.eigenvalues[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("broken", ["zero preconditioner", "step cap of 1"])
+def test_a_failed_two_grid_solve_falls_back_to_the_shifted_lu(monkeypatch, broken):
+    from llab.hyperbolic import gap
+
+    if broken == "zero preconditioner":
+        monkeypatch.setattr(gap, "two_grid_preconditioner", lambda A, P, lu: np.zeros_like)
+    else:
+        real = gap.lobpcg_ground_state
+        monkeypatch.setattr(gap, "lobpcg_ground_state", lambda *a: real(*a, maxiter=1))
+    factored = _count_factorizations(monkeypatch)
+    out = gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1), k=0)
+    coarse, fine = out["rows"]
+    # the finer row is the LU path's: one more factorization, shifted to
+    # the coarser lambda_1, where the solve converges at its first check
+    assert factored == [coarse["n_dofs"], fine["n_dofs"]]
+    assert fine["solver"] == "lanczos" and fine["iterations"] <= 4 < coarse["iterations"]
+    shifted = dirichlet_lambda1(out["finest_mesh"], 0, shift=coarse["lambda1"])
+    assert fine["lambda1"] == pytest.approx(shifted.eigenvalues[0], rel=1e-12)
+    assert fine["ground_state_lower"] == shifted.ground_state_lower
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
+def test_the_proof_precheck_never_delays_the_two_grid_stop(monkeypatch, small_mesh, rel_tol):
+    import scipy.sparse.linalg as spla
+
+    from llab.hyperbolic import eigensolve
+    from llab.hyperbolic.assembly import assemble_hodge_laplacian
+    from llab.hyperbolic.mesh import ring_prolongation
+
+    coarse = build_disc_mesh(2.0, 0.5)
+    A, M = assemble_hodge_laplacian(small_mesh, 0)
+    T = eigensolve.two_grid_preconditioner(
+        A, ring_prolongation(coarse, small_mesh), spla.splu(assemble_hodge_laplacian(coarse, 0)[0].tocsc()))
+    start = np.ones(A.shape[0])
+    steps = eigensolve.lobpcg_ground_state(A, M, start, T, rel_tol)[2]
+    # the same solve with the proof run at every step stops at that step
+    _mutant(monkeypatch, eigensolve, "lobpcg_ground_state", "np.max(-r / Mx) <= rel_tol * lam", "True")
+    assert eigensolve.lobpcg_ground_state(A, M, start, T, rel_tol)[2] == steps
+
+
+@pytest.mark.parametrize("h_values, solvers", [
+    ((0.1, 0.2), ["lanczos", "lanczos"]),
+    ((0.2, 0.4, 0.1), ["lanczos", "lanczos", "two_grid"]),
+])
+def test_gap_sweep_takes_no_finer_mesh_as_the_coarse_grid(h_values, solvers):
+    out = gap_sweep(R_values=(4.0,), h_values=h_values, k=0)
+    assert [row["solver"] for row in out["rows"]] == solvers
+    for row in out["rows"]:
+        alone = dirichlet_lambda1(build_disc_mesh(4.0, row["h"]), 0)
+        assert row["lambda1"] == pytest.approx(alone.eigenvalues[0], rel=1e-12)
+        assert row["ground_state_lower"] is not None
 
 
 def test_gap_sweep_k1_carries_no_ground_state_bound(small_mesh):

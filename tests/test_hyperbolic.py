@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from llab.hyperbolic.assembly import (
     _PHI_MID,
@@ -36,8 +37,11 @@ from llab.hyperbolic.assembly import (
 )
 from llab.hyperbolic.eigensolve import (
     LanczosNonConvergence,
+    _pencil_residuals,
     ground_state_lower,
+    lobpcg_ground_state,
     smallest_eigenpairs,
+    two_grid_preconditioner,
 )
 from llab.hyperbolic.forms import (
     AnnulusDecayTable,
@@ -52,6 +56,7 @@ from llab.hyperbolic.mesh import (
     MeshBudgetError,
     build_disc_mesh,
     predicted_vertex_count,
+    ring_prolongation,
     square_patch,
 )
 from llab.hyperbolic.oracle import (
@@ -219,6 +224,64 @@ def test_mesh_geometry_refuses_a_clockwise_or_degenerate_triangle(fault, square2
 
 def test_predicted_vertex_count_matches(small_mesh):
     assert predicted_vertex_count(2.0, 0.25) == small_mesh.n_vertices
+
+
+def _ring_prolongation_reference(coarse, fine):
+    """Dense P, one fine vertex at a time, from the vertex coordinates: the
+    coarse rings are the distinct radii, and each value is interpolated
+    linearly in rho between the two rings around the fine vertex and, on
+    each ring, linearly in angle between the two vertices around it."""
+    rho_c = coarse.geodesic_radius(coarse.vertices)
+    radii, ring_of = np.unique(np.round(rho_c, 9), return_inverse=True)
+    rings = [np.flatnonzero(ring_of == r) for r in range(len(radii))]
+    inner_c, inner_f = coarse.interior, fine.interior
+    col = {int(v): i for i, v in enumerate(inner_c)}
+    P = np.zeros((len(inner_f), len(inner_c)))
+    for row, v in enumerate(inner_f):
+        x, y = fine.vertices[v]
+        rho, phi = fine.geodesic_radius(fine.vertices[v])[0], math.atan2(y, x)
+        a = int(np.searchsorted(radii, rho + 1e-9)) - 1
+        t = (rho - radii[a]) / (radii[a + 1] - radii[a])
+        for ring, weight in ((a, 1 - t), (a + 1, t)):
+            ids = rings[ring]
+            if len(ids) == 1:  # the centre
+                pairs = [(ids[0], 1.0)]
+            else:
+                ang = np.mod(np.arctan2(coarse.vertices[ids, 1], coarse.vertices[ids, 0]), 2 * np.pi)
+                order = np.argsort(ang)
+                ids, ang = ids[order], ang[order]
+                i = (int(np.searchsorted(ang, np.mod(phi, 2 * np.pi) + 1e-9)) - 1) % len(ids)
+                j = (i + 1) % len(ids)
+                # phi may sit a rounding error before ang[i]
+                s = (np.mod(phi - ang[i] + 1e-9, 2 * np.pi) - 1e-9) / np.mod(ang[j] - ang[i], 2 * np.pi)
+                pairs = [(ids[i], 1 - s), (ids[j], s)]
+            for u, w in pairs:
+                if int(u) in col:  # the Dirichlet ring carries 0
+                    P[row, col[int(u)]] += weight * w
+    return P
+
+
+@pytest.mark.parametrize("coarse_h, fine_h", [(0.25, 0.1), (0.5, 0.3), (0.2, 0.5)])
+def test_ring_prolongation_interpolates_between_rings_and_along_them(coarse_h, fine_h):
+    coarse, fine = build_disc_mesh(2.0, coarse_h), build_disc_mesh(2.0, fine_h)
+    P = ring_prolongation(coarse, fine)
+    assert sp.isspmatrix_csr(P)
+    assert P.shape == (len(fine.interior), len(coarse.interior))
+    assert np.abs(P.toarray() - _ring_prolongation_reference(coarse, fine)).max() < 1e-9
+    # f = R - rho is linear in rho between rings, constant along them and 0
+    # on the Dirichlet ring: reproduced at every fine interior vertex
+    def f(m):
+        return m.R - m.geodesic_radius(m.vertices[m.interior])
+
+    assert np.abs(P @ f(coarse) - f(fine)).max() < 1e-13
+
+
+def test_ring_prolongation_needs_two_ring_meshes_of_one_radius(small_mesh):
+    with pytest.raises(ValueError, match="different radii"):
+        ring_prolongation(small_mesh, build_disc_mesh(3.0, 0.25))
+    for pair in ((small_mesh, square_patch(8)), (square_patch(8), small_mesh)):
+        with pytest.raises(ValueError, match="ring meshes"):
+            ring_prolongation(*pair)
 
 
 def test_mesh_parameter_validation():
@@ -543,6 +606,31 @@ def test_lanczos_nonconvergence_carries_best(small_mesh):
     assert len(err.best_eigenvalues) >= 1
     # the best estimate is still a decent eigenvalue
     assert err.best_eigenvalues[0] == pytest.approx(SHOOTING_LAMBDA1[2.0], rel=0.05)
+
+
+def test_lobpcg_ground_state_stops_only_on_a_proof(small_mesh):
+    coarse = build_disc_mesh(2.0, 0.5)
+    A, M = assemble_hodge_laplacian(small_mesh, 0)
+    Ac, _ = assemble_hodge_laplacian(coarse, 0)
+    P = ring_prolongation(coarse, small_mesh)
+    T = two_grid_preconditioner(A, P, scipy.sparse.linalg.splu(Ac.tocsc()))
+    exact = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
+    # from the constant vector, a long way from the ground state
+    lam, x, steps, lower = lobpcg_ground_state(A, M, np.ones(A.shape[0]), T)
+    assert lam == pytest.approx(exact, rel=1e-12)
+    assert _pencil_residuals(A, M, [lam], x[:, None])[0] < 1e-8 * lam
+    assert lower <= exact and (lam - lower) / lam <= 1e-8
+    # one step short of that, it refuses, carrying its estimate
+    with pytest.raises(LanczosNonConvergence) as exc:
+        lobpcg_ground_state(A, M, np.ones(A.shape[0]), T, maxiter=steps - 1)
+    assert exc.value.iterations == steps - 1
+    assert exc.value.best_eigenvalues[0] == pytest.approx(exact, rel=1e-6)
+    with pytest.raises(ValueError, match="zero M-norm"):
+        lobpcg_ground_state(A, M, np.zeros(A.shape[0]), T)
+    # at rel_tol = 1e-13 the residual gets below it, but the proof's
+    # rounding allowance leaves a gap near 5e-13: no proof, no result
+    with pytest.raises(LanczosNonConvergence):
+        lobpcg_ground_state(A, M, x, T, rel_tol=1e-13, maxiter=20)
 
 
 def _ground_pair(A, M, nev=1):
