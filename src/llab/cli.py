@@ -132,30 +132,33 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, suite):
-        sp.add_argument("--seed", type=int, default=7)
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE[suite])
+        sp.add_argument("--seed", type=int, default=7, help="seed of every random draw")
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE[suite],
+                        help="gate on the verdict's max residual")
         sp.add_argument("--out", type=str, default=None, help="report output directory")
         sp.add_argument("--format", type=str, default="json", help="comma list: json,csv")
 
     sp = sub.add_parser("verify-identities", help="pointwise algebra/Lefschetz identity suite")
-    sp.add_argument("--n", type=_int_list, default=[1, 2, 3, 4])
-    sp.add_argument("--cases", type=int, default=1000)
-    sp.add_argument("--cross-cases", type=int, default=500)
+    sp.add_argument("--n", type=_int_list, default=[1, 2, 3, 4], help="comma list of half-dimensions n")
+    sp.add_argument("--cases", type=int, default=1000, help="random forms per (n, k) cell")
+    sp.add_argument("--cross-cases", type=int, default=500,
+                    help="random primitive pairs per cell for the cross-degree orthogonality")
     common(sp, "verify-identities")
 
     sp = sub.add_parser("torus", help="Fourier-model harmonic/identity suite")
-    sp.add_argument("--n", type=_int_list, default=[2, 3])
+    sp.add_argument("--n", type=_int_list, default=[2, 3], help="comma list of half-dimensions n")
     sp.add_argument("--N", type=int, default=1, help="frequency cutoff per coordinate")
     sp.add_argument("--samples", type=int, default=100,
                     help="random forms for L10's measured constants and modes for the self-dual relation")
     common(sp, "torus")
 
     sp = sub.add_parser("hyperbolic", help="FEM spectral-gap suite on the disc")
-    sp.add_argument("--R", type=_float_list, default=[2.0, 4.0])
-    sp.add_argument("--h", type=_float_list, default=[0.2, 0.1])
-    sp.add_argument("--k", type=int, default=0, choices=(0, 1))
-    sp.add_argument("--eps", type=float, default=0.6)
-    sp.add_argument("--rel-tol", type=float, default=1e-8)
+    sp.add_argument("--R", type=_float_list, default=[2.0, 4.0], help="comma list of disc radii")
+    sp.add_argument("--h", type=_float_list, default=[0.2, 0.1], help="comma list of mesh sizes")
+    sp.add_argument("--k", type=int, default=0, choices=(0, 1), help="form degree of the Laplacian")
+    sp.add_argument("--eps", type=float, default=0.6, help="cutoff parameter, ramp width 2/eps")
+    sp.add_argument("--rel-tol", type=float, default=1e-8,
+                    help="eigenpair certificate: residual < rel_tol*lambda")
     common(sp, "hyperbolic")
 
     sp = sub.add_parser("decompose", help="Lefschetz + bidegree decomposition of a form file")

@@ -1,7 +1,7 @@
 """Shift-invert Lanczos for the symmetric-definite pencil (A, M).
 
-Written against the sparse LU of A - sigma*M (stepping a little below
-sigma when that is singular) with full reorthogonalization in the
+Written against the sparse LU of A (of A - shift*M, a shift a little
+below 0, when A is singular) with full reorthogonalization in the
 M-inner product, so the certificates are the point, not the iteration
 count: every returned eigenpair carries the directly recomputed residual
 ||A x - lambda M x|| / ||x||, and the solve refuses to return pairs whose
@@ -83,23 +83,20 @@ def smallest_eigenpairs(
     maxiter: int = 160,
     seed: int = 20260301,
     v0: np.ndarray | None = None,
-    sigma: float = 0.0,
     lu: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The nev eigenpairs of A x = lambda M x nearest sigma, with certificates.
+    """The nev smallest eigenpairs of A x = lambda M x, with certificates.
 
-    With the default sigma = 0 and a positive definite pencil these are the
-    nev smallest.  The Krylov space starts from v0, or from a standard
-    normal draw seeded by `seed` when v0 is None.  Returns (eigenvalues,
-    eigenvectors, iterations), eigenvalues ascending; iterations counts
-    Lanczos steps, so a pencil small enough to solve dense (n <= 64 for
-    nev <= 28) reports 0.  Raises LanczosNonConvergence if any certificate
-    misses rel_tol * lambda.
+    The pencil is positive definite, or semidefinite and factored a little
+    below 0 (`shifted_lu`).  The Krylov space starts from v0, or from a
+    standard normal draw seeded by `seed` when v0 is None.  Returns
+    (eigenvalues, eigenvectors, iterations), eigenvalues ascending;
+    iterations counts Lanczos steps, so a pencil small enough to solve
+    dense (n <= 64 for nev <= 28) reports 0.  Raises LanczosNonConvergence
+    if any certificate misses rel_tol * lambda.
 
-    A and M are symmetric.  When both are CSC, or both CSR, on equal index
-    arrays, A - sigma M is formed on their data alone.  `lu`, when given,
-    is `shifted_lu(A, M, sigma)`, made by a caller that keeps it; the dense
-    path does not read it.
+    A and M are symmetric.  `lu`, when given, is `shifted_lu(A, M)`, made
+    by a caller that keeps it; the dense path does not read it.
     """
     # A is factored in CSC, so a CSC A is kept as it is and costs no copy;
     # so is a CSC M, whose products cost what a CSR one's do
@@ -118,7 +115,7 @@ def smallest_eigenpairs(
         _certify(lams, res, rel_tol, iterations=0)
         return np.asarray(lams), X, 0
 
-    factor, shift = lu if lu is not None else shifted_lu(A, M, sigma)
+    factor, shift = lu if lu is not None else shifted_lu(A, M)
     maxiter = min(maxiter, n - 1)
 
     # column-major: only the columns the iteration reaches are ever touched,
@@ -170,8 +167,8 @@ def smallest_eigenpairs(
                 T += np.diag(off, 1) + np.diag(off, -1)
             theta, S = sla.eigh(T)
             # largest |theta| of (A - shift M)^{-1} M <-> eigenvalues nearest
-            # the shift, on either side of it; for a shift below the
-            # spectrum every theta is positive and these are the smallest
+            # the shift; the shift is at or below the spectrum, so every
+            # theta is positive and these are the smallest
             take = np.argsort(np.abs(theta))[::-1][:nev]
             with np.errstate(divide="ignore"):
                 lams = shift + 1.0 / theta[take]
@@ -209,15 +206,16 @@ def _refined(factor, A, M, lams, X, res) -> np.ndarray:
     return np.where(better, Y, X)
 
 
-def shifted_lu(A, M, sigma: float = 0.0) -> tuple:
-    """(splu of A - shift M, shift), with shift = sigma, or a little below
-    sigma when A - sigma M is singular.  A and M as `smallest_eigenpairs`
-    takes them; raises LanczosNonConvergence when no shift factors."""
+def shifted_lu(A, M) -> tuple:
+    """(splu of A - shift M, shift), with shift = 0, or a little below 0
+    when A is singular.  A and M as `smallest_eigenpairs` takes them;
+    raises LanczosNonConvergence when no shift factors."""
     scale = max(np.abs(A.data).max(initial=0.0), 1e-300)
     mscale = max(np.abs(M.data).max(initial=0.0), 1e-300)
-    for shift in (sigma, sigma - 1e-8 * scale / mscale, sigma - 1e-4 * scale / mscale):
+    for shift in (0.0, -1e-8 * scale / mscale, -1e-4 * scale / mscale):
         try:
-            return spla.splu(_shifted(A, M, shift)), shift
+            # splu factors CSC
+            return spla.splu(A.tocsc() if shift == 0 else (A - shift * M).tocsc()), shift
         except RuntimeError:
             continue
     raise LanczosNonConvergence("shifted operator could not be factored", [], [], 0)
@@ -307,16 +305,6 @@ def lobpcg_ground_state(
         [res],
         step,
     )
-
-
-def _shifted(A, M, shift: float):
-    """A - shift M in CSC, the layout splu factors; on values alone when A
-    and M are one format on equal index arrays."""
-    if shift == 0:
-        return A.tocsc()
-    if A.format == M.format and np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices):
-        return type(A)((A.data - shift * M.data, A.indices, A.indptr), shape=A.shape).tocsc()
-    return (A - shift * M).tocsc()
 
 
 def ground_state_lower(A, M, lam: float, x: np.ndarray) -> float | None:

@@ -276,59 +276,37 @@ def gromov_bound_report(n: int, k: int, theta_sup: float = 1.0) -> dict:
     }
 
 
-def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8, shift: float = 0.0) -> SpectralResult:
+def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8) -> SpectralResult:
     """Certified smallest Dirichlet eigenvalue of the degree-k Laplacian.
 
-    The solve factors A - shift M and returns the eigenvalue nearest the
-    shift; a shift near lambda_1 (a coarser mesh's, say) makes it converge
-    in fewer steps.  At k = 0, `ground_state_lower` proves that the returned
-    eigenvalue is the pencil's smallest (`eigensolve.ground_state_lower`).
-    A shifted solve that fails that proof, or fails to converge, is
-    replaced by a solve at shift 0, so the result never rests on the shift;
-    `iterations` counts the steps of both.  k = 1 has no such proof, so it
-    takes no shift (ValueError) and carries no lower bound.
+    The solve is shift-invert Lanczos on the LU of the stiffness matrix
+    (`eigensolve.smallest_eigenpairs`), and `iterations` counts its steps.
+    At k = 0, `ground_state_lower` proves that the returned eigenvalue is
+    the pencil's smallest (`eigensolve.ground_state_lower`); k = 1 has no
+    such proof and carries no lower bound.
 
     derived_bound carries gromov_bound(1, k) for k != 1 (the surface is
     n = 1; theta has measured sup norm 1) and None at the middle degree.
     """
     from llab.hyperbolic.assembly import assemble_hodge_laplacian
 
-    if k != 0 and shift != 0:
-        raise ValueError(f"a shift needs the ground-state proof, which k = {k} lacks")
     A, M = assemble_hodge_laplacian(mesh, k)
-    return _lu_lambda1(mesh, k, A, M, rel_tol, shift)[0]
+    return _lu_lambda1(mesh, k, A, M, rel_tol)[0]
 
 
-def _lu_lambda1(mesh, k, A, M, rel_tol, shift, keep_lu=False):
+def _lu_lambda1(mesh, k, A, M, rel_tol, keep_lu=False):
     """(`dirichlet_lambda1` of the assembled pencil, its first eigenvector,
-    the LU its last solve factored or None); the LU is kept only with
-    keep_lu, for a pencil too large to solve dense."""
+    the LU its solve factored or None); the LU is kept only with keep_lu,
+    for a pencil too large to solve dense."""
     # the Dirichlet ground state of the scalar Laplacian is positive, so the
     # constant vector leans on it far more than a random one does
     v0 = np.ones(A.shape[0]) if k == 0 else None
-
-    def solve(sigma):
-        # A and M are exactly symmetric, so the transpose views of their CSR
-        # arrays are A and M in CSC, the layout the solver factors, with no
-        # copy; at k = 0 they share one pattern, so A - sigma M costs one
-        # array of values
-        lu = shifted_lu(A.T, M.T, sigma) if keep_lu and A.shape[0] > _DENSE_CUTOFF else None
-        lams, X, iters = smallest_eigenpairs(A.T, M.T, rel_tol=rel_tol, v0=v0, sigma=sigma, lu=lu)
-        lower = ground_state_lower(A, M, float(lams[0]), X[:, 0]) if k == 0 else None
-        return lams, X, iters, lower, lu
-
-    steps, lower = 0, None
-    if shift != 0:
-        try:
-            lams, X, iters, lower, lu = solve(shift)
-        except LanczosNonConvergence as e:
-            steps = e.iterations
-        else:
-            if lower is None:  # not the ground state, or not provably so
-                steps = iters
-    if lower is None:
-        lams, X, iters, lower, lu = solve(0.0)
-    result = _spectral_result(mesh, k, A, M, lams, X, steps + iters, rel_tol, lower, "lanczos")
+    # A and M are exactly symmetric, so the transpose views of their CSR
+    # arrays are A and M in CSC, the layout the solver factors, with no copy
+    lu = shifted_lu(A.T, M.T) if keep_lu and A.shape[0] > _DENSE_CUTOFF else None
+    lams, X, iters = smallest_eigenpairs(A.T, M.T, rel_tol=rel_tol, v0=v0, lu=lu)
+    lower = ground_state_lower(A, M, float(lams[0]), X[:, 0]) if k == 0 else None
+    result = _spectral_result(mesh, k, A, M, lams, X, iters, rel_tol, lower, "lanczos")
     return result, X[:, 0], None if lu is None else lu[0]
 
 
@@ -350,15 +328,14 @@ def _spectral_result(mesh, k, A, M, lams, X, iterations, rel_tol, lower, solver)
     )
 
 
-def _sweep_row(mesh, k, rel_tol, shift, coarse, last, keep_lu):
+def _sweep_row(mesh, k, rel_tol, coarse, last, keep_lu):
     """(result, ground state, LU or None) of one `gap_sweep` row.
 
-    With coarse = (mesh, LU of its k = 0 pencil at shift 0) on a coarser
-    mesh, the row is solved by `lobpcg_ground_state`, preconditioned with
-    the two-grid V-cycle on that LU and started from last = (mesh, ground
-    state) of the previous row, prolonged.  Otherwise, or when that solve
-    proves no ground state within its step cap, the row is `_lu_lambda1`'s
-    at the shift.
+    With coarse = (mesh, LU of its k = 0 pencil) on a coarser mesh, the row
+    is solved by `lobpcg_ground_state`, preconditioned with the two-grid
+    V-cycle on that LU and started from last = (mesh, ground state) of the
+    previous row, prolonged.  Otherwise, or when that solve proves no
+    ground state within its step cap, the row is `_lu_lambda1`'s.
     """
     from llab.hyperbolic.assembly import assemble_hodge_laplacian
 
@@ -373,7 +350,7 @@ def _sweep_row(mesh, k, rel_tol, shift, coarse, last, keep_lu):
             pass
         else:
             return _spectral_result(mesh, 0, A, M, [lam], x[:, None], steps, rel_tol, lower, "two_grid"), x, None
-    return _lu_lambda1(mesh, k, A, M, rel_tol, shift, keep_lu)
+    return _lu_lambda1(mesh, k, A, M, rel_tol, keep_lu)
 
 
 def gap_sweep(
@@ -389,20 +366,20 @@ def gap_sweep(
     the h -> 0 limit is extrapolated (measured order when >= 3 sizes are
     log-uniform, otherwise the P1 rate 2).
 
-    At k = 0 the first mesh of each R is factored at shift 0, and its LU is
-    kept while a finer h is still to come.  Each later row on a finer mesh
-    than that one is solved without an LU of its own, by two-grid LOBPCG on
-    the kept one (`_sweep_row`), started from the previous row's ground
-    state; the solve stops only on a residual below rel_tol * lambda and a
-    proven lower bound within rel_tol of lambda.  Every other row, and one
-    whose two-grid solve fails, is solved by shift-invert Lanczos at a
-    shift, the lambda_1 of the previous row with the same R.  Each row
-    names its "solver" ("two_grid" or "lanczos"), and "iterations" counts
-    that solver's steps.  k = 0 rows carry `ground_state_lower`, a proven
-    lower bound on the smallest eigenvalue of their discrete pencil (None
-    when the proof fails; always None at k = 1, where every row is solved
-    by Lanczos at shift 0).  Raises ValueError on a repeated R or h, before
-    any mesh is built.
+    Every row is solved one of two ways.  At k = 0 the first mesh of each R
+    is solved by shift-invert Lanczos on its own LU (`dirichlet_lambda1`),
+    and that LU is kept while a finer h is still to come.  Each later row on
+    a finer mesh than that one is solved without an LU of its own, by
+    two-grid LOBPCG on the kept one (`_sweep_row`), started from the
+    previous row's ground state; the solve stops only on a residual below
+    rel_tol * lambda and a proven lower bound within rel_tol of lambda.
+    Every other row, one whose two-grid solve fails, and every row at k = 1
+    is solved by Lanczos on its own LU.  Each row names its "solver"
+    ("two_grid" or "lanczos"), and "iterations" counts that one solve's
+    steps.  k = 0 rows carry `ground_state_lower`, a proven lower bound on
+    the smallest eigenvalue of their discrete pencil (None when the proof
+    fails; always None at k = 1).  Raises ValueError on a repeated R or h,
+    or a rel_tol outside (0, 1), before any mesh is built.
 
     "finest_mesh" holds the (max R, min h) mesh, with what its solve
     derived from it, for callers that measure more on it; it is not JSON
@@ -414,12 +391,14 @@ def gap_sweep(
             if float(v) in seen:
                 raise ValueError(f"repeated {name} value {float(v)!r}: each {name} may appear once")
             seen.add(float(v))
+    if not 0 < rel_tol < 1:  # nan too
+        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     rows = []
     per_R: dict[float, list[tuple[float, float]]] = {}
     R_star, h_star = max(R_values), min(h_values)
     finest_mesh = None
     for R in R_values:
-        shift, coarse, last = 0.0, None, None
+        coarse, last = None, None
         for i, h in enumerate(h_values):
             # looked up on its module, so a wrapped build_disc_mesh is the one called
             mesh = mesh_mod.build_disc_mesh(R, h)
@@ -427,13 +406,11 @@ def gap_sweep(
                 finest_mesh = mesh
             # the first mesh's LU is kept while a finer mesh is still to come
             keep_lu = k == 0 and i == 0 and h > h_star
-            result, x, lu = _sweep_row(mesh, k, rel_tol, shift, coarse, last, keep_lu)
+            result, x, lu = _sweep_row(mesh, k, rel_tol, coarse, last, keep_lu)
             if lu is not None:
                 coarse = (mesh, lu)
             last = (mesh, x)
             lam = result.eigenvalues[0]
-            if k == 0:
-                shift = lam
             oracle = SHOOTING_LAMBDA1.get(float(R)) if k == 0 else None
             rows.append(
                 {

@@ -46,7 +46,7 @@ class SuiteConfig:
     sizes, ...).  The hash covers suite, params, seed and tolerance --
     the semantic content -- and ignores routing: output directory and
     formats.  A tolerance left at None becomes the suite's
-    DEFAULT_TOLERANCE.
+    DEFAULT_TOLERANCE; one that is not finite, or negative, is a ValueError.
     """
 
     suite: str
@@ -61,6 +61,9 @@ class SuiteConfig:
             if self.suite not in DEFAULT_TOLERANCE:
                 raise ValueError(f"unknown suite id {self.suite!r}")
             object.__setattr__(self, "tolerance", DEFAULT_TOLERANCE[self.suite])
+        # 0 is legal and fails every residual; inf or nan would pass vacuously
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
         bad = [f for f in self.formats if f not in ("json", "csv")]
         if bad:
             raise ValueError(f"unknown format(s) {bad}; expected json|csv")

@@ -240,6 +240,22 @@ def test_cli_impossible_tolerance_fails(tmp_path, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_cli_meaningless_tolerance_exits_two_and_names_it(capsys, tol):
+    # inf passes every residual, nan and -1 fail every one: none is a gate
+    argv = ["verify-identities", "--n", "1", "--cases", "1", "--cross-cases", "1", "--tol", tol]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "tol" in captured.err and "[PASS]" not in captured.out
+
+
+def test_every_suite_option_is_documented():
+    suites = _build_parser()._subparsers._group_actions[0].choices
+    for suite in DEFAULT_TOLERANCE:
+        for action in suites[suite]._actions:
+            assert action.help, f"{suite} {'/'.join(action.option_strings)} has no help"
+
+
 @pytest.mark.parametrize("tol, code", [("1e-10", 0), ("0", 1)])
 def test_cli_keeps_its_exit_code_when_stdout_closes_early(tol, code):
     # as under `llab ... | true`: the reader is gone before the status line
@@ -366,7 +382,7 @@ def test_cli_numerical_failure_exits_two(capsys):
 @pytest.mark.parametrize("R, h, named", [("2", "0.4,0.4", "h value 0.4"), ("2,2", "0.4,0.2", "R value 2.0")])
 def test_cli_hyperbolic_repeated_R_or_h_exits_two_and_names_it(tmp_path, capsys, R, h, named):
     # a repeated mesh size used to reach the Richardson step and divide by
-    # zero; a repeated (R, h) would also shift a solve to its own eigenvalue
+    # zero; a repeated (R, h) would also solve one mesh twice, as two rows
     assert main(["hyperbolic", "--R", R, "--h", h, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: repeated ") and named in err and "division" not in err

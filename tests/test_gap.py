@@ -185,8 +185,8 @@ def test_dirichlet_lambda1_k1_no_bound(small_mesh):
 
 def test_dirichlet_lambda1_k0_starts_from_the_constant_vector():
     # the constant vector leans on the positive ground state: at R = 6,
-    # h = 0.2 (28,465 dofs) a random start needed 20 steps; unshifted, the
-    # solve still makes them, and proves its ground state
+    # h = 0.2 (28,465 dofs) a random start needed 20 steps; this one takes
+    # at most 12, and proves its ground state
     result = dirichlet_lambda1(build_disc_mesh(6.0, 0.2), 0)
     assert result.iterations <= 12
     assert result.residuals[0] < result.rel_tol * result.eigenvalues[0]
@@ -209,7 +209,7 @@ def _count_factorizations(monkeypatch) -> list:
     return factored
 
 
-def test_gap_sweep_shifts_the_finer_mesh_to_the_coarser_lambda1(monkeypatch):
+def test_gap_sweep_solves_the_finer_mesh_on_the_coarser_lu(monkeypatch):
     factored = _count_factorizations(monkeypatch)
     out = gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1), k=0)
     coarse, fine = out["rows"]
@@ -223,12 +223,12 @@ def test_gap_sweep_shifts_the_finer_mesh_to_the_coarser_lambda1(monkeypatch):
         assert 0 <= (lam - row["ground_state_lower"]) / lam < 1e-6
     # the two-grid solve stops only on a proof within rel_tol
     assert (fine["lambda1"] - fine["ground_state_lower"]) / fine["lambda1"] <= 1e-8
-    unshifted = dirichlet_lambda1(out["finest_mesh"], 0)
-    assert fine["lambda1"] == pytest.approx(unshifted.eigenvalues[0], rel=1e-12)
+    alone = dirichlet_lambda1(out["finest_mesh"], 0)
+    assert fine["lambda1"] == pytest.approx(alone.eigenvalues[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("broken", ["zero preconditioner", "step cap of 1"])
-def test_a_failed_two_grid_solve_falls_back_to_the_shifted_lu(monkeypatch, broken):
+def test_a_failed_two_grid_solve_falls_back_to_lanczos_on_its_own_lu(monkeypatch, broken):
     from llab.hyperbolic import gap
 
     if broken == "zero preconditioner":
@@ -239,13 +239,13 @@ def test_a_failed_two_grid_solve_falls_back_to_the_shifted_lu(monkeypatch, broke
     factored = _count_factorizations(monkeypatch)
     out = gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1), k=0)
     coarse, fine = out["rows"]
-    # the finer row is the LU path's: one more factorization, shifted to
-    # the coarser lambda_1, where the solve converges at its first check
+    # the finer row is the LU path's: one more factorization, its own, and
+    # the very solve `dirichlet_lambda1` makes of that mesh
     assert factored == [coarse["n_dofs"], fine["n_dofs"]]
-    assert fine["solver"] == "lanczos" and fine["iterations"] <= 4 < coarse["iterations"]
-    shifted = dirichlet_lambda1(out["finest_mesh"], 0, shift=coarse["lambda1"])
-    assert fine["lambda1"] == pytest.approx(shifted.eigenvalues[0], rel=1e-12)
-    assert fine["ground_state_lower"] == shifted.ground_state_lower
+    assert fine["solver"] == "lanczos"
+    alone = dirichlet_lambda1(out["finest_mesh"], 0)
+    assert (fine["lambda1"], fine["iterations"], fine["ground_state_lower"]) == (
+        alone.eigenvalues[0], alone.iterations, alone.ground_state_lower)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
@@ -271,21 +271,24 @@ def test_the_proof_precheck_never_delays_the_two_grid_stop(monkeypatch, small_me
     ((0.1, 0.2), ["lanczos", "lanczos"]),
     ((0.2, 0.4, 0.1), ["lanczos", "lanczos", "two_grid"]),
 ])
-def test_gap_sweep_takes_no_finer_mesh_as_the_coarse_grid(h_values, solvers):
+def test_gap_sweep_takes_no_finer_mesh_as_the_coarse_grid(monkeypatch, h_values, solvers):
+    factored = _count_factorizations(monkeypatch)
     out = gap_sweep(R_values=(4.0,), h_values=h_values, k=0)
     assert [row["solver"] for row in out["rows"]] == solvers
+    # each Lanczos row factors its own mesh, once, and solves it as it
+    # would alone
+    assert factored == [row["n_dofs"] for row in out["rows"] if row["solver"] == "lanczos"]
     for row in out["rows"]:
         alone = dirichlet_lambda1(build_disc_mesh(4.0, row["h"]), 0)
         assert row["lambda1"] == pytest.approx(alone.eigenvalues[0], rel=1e-12)
         assert row["ground_state_lower"] is not None
+        if row["solver"] == "lanczos":
+            assert row["iterations"] == alone.iterations
 
 
-def test_gap_sweep_k1_carries_no_ground_state_bound(small_mesh):
+def test_gap_sweep_k1_carries_no_ground_state_bound():
     out = gap_sweep(R_values=(2.0,), h_values=(0.5, 0.4), k=1)
     assert [row["ground_state_lower"] for row in out["rows"]] == [None, None]
-    # without the proof a shifted solve could return another eigenvalue
-    with pytest.raises(ValueError, match="k = 1"):
-        dirichlet_lambda1(small_mesh, 1, shift=1.0)
 
 
 @pytest.mark.parametrize("R_values, h_values, repeated", [
@@ -301,6 +304,18 @@ def test_gap_sweep_rejects_a_repeated_R_or_h_before_meshing(monkeypatch, R_value
     monkeypatch.setattr(mesh, "build_disc_mesh", no_mesh)
     with pytest.raises(ValueError, match=f"repeated {repeated}"):
         gap_sweep(R_values=R_values, h_values=h_values)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, float("nan"), float("inf")])
+def test_gap_sweep_rejects_a_rel_tol_outside_0_1_before_meshing(monkeypatch, rel_tol):
+    from llab.hyperbolic import mesh
+
+    def no_mesh(R, h):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(mesh, "build_disc_mesh", no_mesh)
+    with pytest.raises(ValueError, match="rel_tol"):
+        gap_sweep(R_values=(2.0,), h_values=(0.5,), rel_tol=rel_tol)
 
 
 def test_gap_sweep_small():

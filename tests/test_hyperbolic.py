@@ -678,31 +678,6 @@ def test_ground_state_lower_refuses_what_it_cannot_prove(small_mesh):
         ground_state_lower(A, sp.identity(A.shape[0], format="csr"), lams[0], X[:, 0])
 
 
-def test_a_shift_past_lambda2_is_refused_and_solved_again(small_mesh, monkeypatch):
-    from llab.hyperbolic import eigensolve
-    from llab.hyperbolic.gap import dirichlet_lambda1
-
-    A, M = assemble_hodge_laplacian(small_mesh, 0)
-    exact = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True, subset_by_index=[0, 2])
-    factored = []
-    real_splu = eigensolve.spla.splu
-
-    def counting_splu(*args, **kwargs):
-        factored.append(1)
-        return real_splu(*args, **kwargs)
-
-    monkeypatch.setattr(eigensolve.spla, "splu", counting_splu)
-    result = dirichlet_lambda1(small_mesh, 0, shift=1.001 * exact[1])
-    assert len(factored) == 2  # the shifted solve, refused, then shift 0
-    assert result.eigenvalues[0] == pytest.approx(exact[0], rel=1e-12)
-    assert result.ground_state_lower <= exact[0]
-    # unshifted, one factorization
-    factored.clear()
-    again = dirichlet_lambda1(small_mesh, 0)
-    assert len(factored) == 1 and again.eigenvalues == result.eigenvalues
-    assert again.iterations < result.iterations
-
-
 # ---------------------------------------------------------------------------
 # shooting oracle
 # ---------------------------------------------------------------------------
