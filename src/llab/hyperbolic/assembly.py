@@ -40,9 +40,10 @@ class EdgeStructure:
     """Combinatorics of the edge complex shared by k=1 assembly and forms.
 
     edges : (ne, 2) int, each row sorted ascending (canonical orientation
-            low -> high vertex index)
-    tri_edges : (nt, 3) indices into `edges` for local edges (01, 12, 20)
-    tri_signs : (nt, 3) +-1, local CCW traversal vs canonical orientation
+            low -> high vertex index), the rows in lexicographic order
+    tri_edges : (3, nt) indices into `edges` of each triangle's local edges
+            (01, 12, 20), one contiguous row per local edge
+    tri_signs : (3, nt) +-1, local CCW traversal vs canonical orientation
     boundary_edge : (ne,) bool, True for edges on exactly one triangle
     """
 
@@ -65,32 +66,78 @@ def edge_structure(mesh: DiscMesh) -> EdgeStructure:
     """Build the edge complex of a mesh; `mesh.edge_structure` keeps one.
 
     Edges are deduplicated on the scalar key lo * nv + hi, whose ascending
-    order is the lexicographic (lo, hi) order of the edge rows.
+    order is the lexicographic (lo, hi) order of the edge rows.  The keys
+    are laid out local edge by local edge.  A ring mesh lists its triangles
+    band by band, so its first row of keys is sorted but for one step back
+    per band, and the other two rows each interleave two ascending
+    sequences.  A stable argsort (timsort, which merges the ascending runs
+    it finds) orders such keys faster than the quicksort of `np.unique`,
+    and a first-of-run mask over the sorted keys gives the edges and every
+    key's edge index.
     """
-    t = mesh.triangles
-    local = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1)  # (nt, 3, 2)
-    lo = local.min(axis=2).astype(np.int64)
-    hi = local.max(axis=2).astype(np.int64)
-    signs = np.where(local[:, :, 0] < local[:, :, 1], 1, -1).astype(np.int8)
+    t = mesh.triangles.T  # (3, nt): corner i of every triangle in one row
+    ends = t[[1, 2, 0]]  # local edge e runs from corner e to corner e + 1
+    lo = np.minimum(t, ends).astype(np.int64)
+    hi = np.maximum(t, ends).astype(np.int64)
+    signs = np.where(t < ends, 1, -1).astype(np.int8)
     nv = np.int64(mesh.n_vertices)
-    keys, inverse = np.unique((lo * nv + hi).ravel(), return_inverse=True)
-    edges = np.column_stack([keys // nv, keys % nv])
-    tri_edges = inverse.reshape(-1, 3).astype(np.int64)
-    counts = np.bincount(tri_edges.ravel(), minlength=len(edges))
+    keys = (lo * nv + hi).ravel()
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    edges = np.column_stack(np.divmod(ordered[starts], nv))
+    counts = np.diff(starts, append=len(keys))  # triangles on each edge
     if counts.max() > 2:
         raise ArithmeticError("non-manifold edge in triangulation")
-    boundary_edge = counts == 1
     return EdgeStructure(
         edges=edges,
-        tri_edges=tri_edges,
+        tri_edges=inverse.reshape(3, -1),
         tri_signs=signs,
-        boundary_edge=boundary_edge,
+        boundary_edge=counts == 1,
     )
 
 
 def _coo_accumulate(rows, cols, vals, shape) -> sp.csr_matrix:
     A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
     return A.tocsr()
+
+
+def _p1_pattern(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, source) of the canonical n x n CSR pattern with a
+    diagonal and the entries (lo, hi) and (hi, lo) of each edge, the edges
+    (lo < hi) in lexicographic order; source[i] is the index of stored
+    entry i in the concatenation [diagonal, (lo, hi) entries, (hi, lo)
+    entries].
+
+    Row i holds the edges ending at i, then the diagonal, then the edges
+    starting at i.  Lexicographic order lists the edges starting at each
+    row together and by column, so those land by an offset; the edges
+    ending at each row, by ascending start, are the rows of the transposed
+    upper triangle, which one CSR-to-CSC conversion (a counting sort)
+    gives.  No entry is sorted twice and nothing goes through COO.
+    """
+    m = len(lo)
+    below = np.bincount(hi, minlength=n)  # entries left of the diagonal, per row
+    above = np.bincount(lo, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(below + above + 1, out=indptr[1:])
+    diag = indptr[:-1] + below
+    k = np.arange(m)
+    upper_ptr = np.concatenate([[0], np.cumsum(above)])
+    lower = sp.csr_matrix((k, hi, upper_ptr), shape=(n, n)).T.tocsr()
+    at_upper = k + (diag + 1 - upper_ptr[:-1])[lo]
+    at_lower = k + np.repeat(indptr[:-1] - lower.indptr[:-1], below)
+    indices = np.empty(indptr[-1], dtype=np.int32 if indptr[-1] < 2**31 else np.int64)
+    source = np.empty(indptr[-1], dtype=np.int64)
+    indices[diag], source[diag] = np.arange(n), np.arange(n)
+    indices[at_upper], source[at_upper] = hi, n + k
+    indices[at_lower], source[at_lower] = lower.indices, n + m + lower.data
+    return indptr.astype(indices.dtype), indices, source
 
 
 def _p1_matrices(mesh: DiscMesh, locals_, vertices: np.ndarray | None = None) -> list[sp.csr_matrix]:
@@ -102,8 +149,8 @@ def _p1_matrices(mesh: DiscMesh, locals_, vertices: np.ndarray | None = None) ->
     The diagonal is one bincount per corner and each edge entry one
     bincount per local edge, so (a, b) and (b, a) hold the same float: the
     matrices are exactly symmetric and carry no duplicates.  They are
-    filled into one pattern, built once: all share its `indptr` and
-    `indices` (scipy keeps index arrays of the dtype it chose itself), and
+    filled into one canonical pattern (`_p1_pattern`), built once, straight
+    from the sorted edge list: all share its `indptr` and `indices`, and
     entries that sum to zero (right angles give zero cotan weights) stay.
     """
     t = mesh.triangles
@@ -115,11 +162,9 @@ def _p1_matrices(mesh: DiscMesh, locals_, vertices: np.ndarray | None = None) ->
         pos = np.full(nv, -1)
         pos[vertices] = np.arange(len(vertices))
         both = (pos[lo] >= 0) & (pos[hi] >= 0)
+        # the renumbering keeps the order, so the kept edges stay sorted
         n, lo, hi = len(vertices), pos[lo[both]], pos[hi[both]]
-    rows = np.concatenate([np.arange(n), lo, hi])
-    cols = np.concatenate([np.arange(n), hi, lo])
-    # positions as data: the CSR conversion sorts them into the pattern
-    pattern = sp.csr_matrix((np.arange(len(rows)), (rows, cols)), shape=(n, n))
+    indptr, indices, source = _p1_pattern(n, lo, hi)
     out = []
     for local in locals_:
         diag = np.zeros(nv)
@@ -127,11 +172,11 @@ def _p1_matrices(mesh: DiscMesh, locals_, vertices: np.ndarray | None = None) ->
         for i in range(3):
             diag += np.bincount(t[:, i], weights=local(i, i), minlength=nv)
         for e, (a, b) in enumerate(_PAIRS):
-            off += np.bincount(es.tri_edges[:, e], weights=local(a, b), minlength=ne)
+            off += np.bincount(es.tri_edges[e], weights=local(a, b), minlength=ne)
         if vertices is not None:
             diag, off = diag[vertices], off[both]
-        data = np.concatenate([diag, off, off])[pattern.data]
-        out.append(sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n)))
+        data = np.concatenate([diag, off, off])[source]
+        out.append(sp.csr_matrix((data, indices, indptr), shape=(n, n)))
     return out
 
 
@@ -169,7 +214,7 @@ def incidence_d0(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
 def incidence_d1(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
     """d: 1-forms -> 2-forms, (d alpha)_T = signed sum over the CCW boundary."""
     nt = mesh.n_triangles
-    rows = np.repeat(np.arange(nt), 3)
+    rows = np.tile(np.arange(nt), 3)
     cols = es.tri_edges.ravel()
     vals = es.tri_signs.ravel().astype(float)
     return sp.coo_matrix((vals, (rows, cols)), shape=(nt, es.n_edges)).tocsr()
@@ -190,9 +235,9 @@ def mass_whitney1(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
                 - (1 + (b == c)) * gdot[a, d]
                 + (1 + (b == d)) * gdot[a, c]
             ) * (area / 12.0)
-            rows.append(es.tri_edges[:, e])
-            cols.append(es.tri_edges[:, f])
-            vals.append(es.tri_signs[:, e] * es.tri_signs[:, f] * m)
+            rows.append(es.tri_edges[e])
+            cols.append(es.tri_edges[f])
+            vals.append(es.tri_signs[e] * es.tri_signs[f] * m)
     return _coo_accumulate(rows, cols, vals, (es.n_edges, es.n_edges))
 
 

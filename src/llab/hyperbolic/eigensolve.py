@@ -250,44 +250,66 @@ def lobpcg_ground_state(
 
     Each step is a Rayleigh-Ritz on {x, w, p} in the M-inner product: the
     iterate x, the preconditioned residual w = precondition(A x - lambda M x)
-    and the previous step's direction p.  It stops only when the residual
-    ||A x - lambda M x|| / ||x||, recomputed from x, is below rel_tol *
-    lambda and `ground_state_lower` proves lambda - mu <= rel_tol * lambda;
-    then it returns (lambda, x, steps, mu).  A and M are CSR on one pattern,
-    as `ground_state_lower` takes them.  Raises LanczosNonConvergence,
-    carrying the last estimate, when maxiter steps end without both.
+    and the previous step's direction p.  The three are the rows of one
+    (3, n) array S, and A S and M S are kept beside it: only A w and M w
+    are multiplied out each step, A x, M x, A p and M p are carried along
+    with the coefficients that update x and p, and both Gram matrices,
+    S (A S)^T and S (M S)^T, come from one product.  Carried products
+    drift from the true ones by rounding, so when they meet the stop rule,
+    A x and M x are recomputed from x and the rule is checked again on
+    them.  It stops only when the residual ||A x - lambda M x|| / ||x||,
+    so recomputed, is below rel_tol * lambda and `ground_state_lower`
+    proves lambda - mu <= rel_tol * lambda; then it returns (lambda, x,
+    steps, mu).  A and M are CSR on one pattern, as `ground_state_lower`
+    takes them.  Raises LanczosNonConvergence, carrying the last estimate,
+    when maxiter steps end without both.
     """
     x = np.array(x0, dtype=float)
     if not x @ (M @ x) > 0:
         raise ValueError("start vector has zero M-norm")
     if x.sum() < 0:
         x = -x
-    p = Ap = Mp = None
-    lam, res = float("nan"), float("nan")
-    for step in range(maxiter + 1):
-        Ax, Mx = A @ x, M @ x
+    # S, A S and M S, each with the rows x, w, p; p is zero until the first
+    # step makes one, and a zero direction drops out of the Rayleigh-Ritz
+    Y = np.zeros((3, 3, len(x)))
+    S, AS, MS = Y
+    S[0], AS[0], MS[0] = x, A @ x, M @ x
+    x = S[0]
+
+    def rayleigh():
+        """(lambda, r, residual, whether x may earn the proof), from the kept A x and M x."""
+        Ax, Mx = AS[0], MS[0]
         lam = float(x @ Ax) / float(x @ Mx)
         r = Ax - lam * Mx
         res = float(np.linalg.norm(r) / np.linalg.norm(x))
         # the proof's slack is at least max(-r / M x), so a larger one
         # cannot meet the rule: only then does x earn the O(nnz) proof
-        if res < rel_tol * lam and np.all(x > 0) and np.max(-r / Mx) <= rel_tol * lam:
+        return lam, r, res, res < rel_tol * lam and np.all(x > 0) and np.max(-r / Mx) <= rel_tol * lam
+
+    lam, res = float("nan"), float("nan")
+    for step in range(maxiter + 1):
+        lam, r, res, ready = rayleigh()
+        if ready:  # the carried products met the rule: check it on true ones
+            AS[0], MS[0] = A @ x, M @ x
+            lam, r, res, ready = rayleigh()
+        if ready:
             lower = ground_state_lower(A, M, lam, x)
             if lower is not None and lam - lower <= rel_tol * lam:
-                return lam, x, step, lower
+                return lam, x.copy(), step, lower
         if step == maxiter:
             break
-        w = precondition(r)
-        directions = [(w, A @ w, M @ w)] + ([(p, Ap, Mp)] if p is not None else [])
-        basis = [(x, Ax, Mx)] + [b for b in directions if b[0] @ b[2] > 0]  # a zero one adds nothing
-        GA = np.array([[u @ Av for _, Av, _ in basis] for u, _, _ in basis])
-        GM = np.array([[u @ Mv for _, _, Mv in basis] for u, _, _ in basis])
+        S[1] = precondition(r)
+        AS[1], MS[1] = A @ S[1], M @ S[1]
+        # both Gram matrices, (A S) S^T and (M S) S^T, in one product
+        G = Y[1:].reshape(6, -1) @ S.T
+        keep = [0] + [i for i in (1, 2) if G[3 + i, i] > 0]  # a zero direction adds nothing
+        GA, GM = G[:3][np.ix_(keep, keep)].T, G[3:][np.ix_(keep, keep)].T
         # unit diagonal, so that a direction that has shrunk with the
         # residual still carries weight
         d = 1.0 / np.sqrt(np.diag(GM))
         GA, GM = GA * np.outer(d, d), GM * np.outer(d, d)
         c = None
-        for k in range(len(basis), 1, -1):  # on a dependent {x, w, p}, drop p
+        for k in range(len(keep), 1, -1):  # on a dependent {x, w, p}, drop p
             try:
                 c = sla.eigh(GA[:k, :k], GM[:k, :k], subset_by_index=[0, 0])[1][:, 0] * d[:k]
                 break
@@ -297,8 +319,11 @@ def lobpcg_ground_state(
             break
         if c[0] < 0:  # keep x on the side of the positive ground state
             c = -c
-        p, Ap, Mp = (sum(ci * v[i] for ci, v in zip(c[1:], basis[1:])) for i in range(3))
-        x = c[0] * x + p
+        # p <- the new direction and x <- c_0 x + p, in S, A S and M S at
+        # once; the directions c weighs (w, p or both) are consecutive rows
+        Y[:, 2] = c[1:] @ Y[:, keep[1] : keep[len(c) - 1] + 1]
+        Y[:, 0] *= c[0]
+        Y[:, 0] += Y[:, 2]
     raise LanczosNonConvergence(
         f"LOBPCG proved no ground state in {step} steps: eigenvalue {lam}, residual {res}",
         [lam],
@@ -337,11 +362,13 @@ def ground_state_lower(A, M, lam: float, x: np.ndarray) -> float | None:
 
     # exact symmetry: the transpose, as positions into the pattern, is the
     # pattern itself, and reads the same values
-    swap = like(np.arange(len(A.indices))).T.asformat(A.format)
+    idx = A.indices.dtype  # wide enough for a position: scipy sizes it by nnz
+    swap = like(np.arange(len(A.indices), dtype=idx)).T.asformat(A.format)
     if not (np.array_equal(swap.indptr, A.indptr) and np.array_equal(swap.indices, A.indices)):
         return None
-    if not (np.array_equal(A.data[swap.data], A.data) and np.array_equal(M.data[swap.data], M.data)):
+    if not all(np.array_equal(B.data[swap.data], B.data) for B in (A, M)):
         return None
+    del swap
 
     x = np.asarray(x, dtype=float)
     if x.sum() < 0:
@@ -362,10 +389,16 @@ def ground_state_lower(A, M, lam: float, x: np.ndarray) -> float | None:
         return None
     slack = max(float(np.max((allowance - r) / floor)), 0.0)
     mu = lam - slack * (1 + 4 * eps) - 4 * eps * abs(lam)
-    # Z-matrix: every off-diagonal of A - mu M is <= 0, net of its rounding
-    upper = A.data - mu * M.data + 4 * eps * (absA.data + abs(mu) * absM.data)
-    outer = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))  # the row (CSR) or column (CSC)
-    if np.any(upper[outer != A.indices] > 0):
+    # Z-matrix: every off-diagonal of A - mu M is <= 0, net of its rounding.
+    # upper = (A - mu M) + 4 eps (|A| + |mu| |M|), formed in the buffers of
+    # |M| and |A|, whose products are done
+    upper = absM.data
+    upper *= abs(mu)
+    upper += absA.data
+    upper *= 4 * eps
+    upper += np.subtract(A.data, np.multiply(mu, M.data, out=absA.data), out=absA.data)
+    outer = np.repeat(np.arange(A.shape[0], dtype=idx), np.diff(A.indptr))  # the row (CSR) or column (CSC)
+    if np.any((upper > 0) & (outer != A.indices)):
         return None
     return float(mu)
 

@@ -22,20 +22,36 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _GL_T = 0.5 * (_GL_NODES + 1.0)  # nodes on [0, 1]
 _GL_W = 0.5 * _GL_WEIGHTS
 
+# Elements (edges or triangles) per block of the elementwise chains below:
+# about 8k keeps each chain's temporaries in L2.  Every reduction (dot,
+# sum, max, bincount) still runs once over the whole array, and each
+# element's value does not depend on the block it falls in, so the results
+# do not depend on this size.
+_BLOCK = 8192
 
-def _theta_components(points: np.ndarray) -> np.ndarray:
-    """Euclidean (a_u, a_v) of the pulled-back -dx/y at disc points.
+
+def _blocks(n: int):
+    """Slices of at most _BLOCK consecutive elements covering range(n)."""
+    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
+
+
+def _theta_uv(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean (a_u, a_v) of the pulled-back -dx/y at the disc points (u, v).
 
     w = i(1+z)/(1-z), w' = 2i/(1-z)^2, y = Im w = (1-|z|^2)/|1-z|^2;
     theta = -dx/y = -(Re w' du - Im w' dv)/y.  In real arithmetic, with
     p = 1 - u, q = v and D = |1 - z|^2 = p^2 + q^2:
     a_u = 4 p q / (D (1 - |z|^2)) and a_v = 2 (p^2 - q^2) / (D (1 - |z|^2)).
     """
-    u, v = points[:, 0], points[:, 1]
     p, q = 1.0 - u, v
     pp, qq = p * p, q * q
     scale = 1.0 / ((pp + qq) * (1.0 - (u * u + v * v)))
-    return np.column_stack([4.0 * p * q * scale, 2.0 * (pp - qq) * scale])
+    return 4.0 * p * q * scale, 2.0 * (pp - qq) * scale
+
+
+def _theta_components(points: np.ndarray) -> np.ndarray:
+    """(m, 2) `_theta_uv` at an (m, 2) array of disc points."""
+    return np.column_stack(_theta_uv(points[:, 0], points[:, 1]))
 
 
 @dataclass
@@ -69,17 +85,30 @@ class PrimitiveOneForm:
         }
 
 
-def _edge_line_integrals(mesh: DiscMesh, es: EdgeStructure, comp_at) -> np.ndarray:
-    """4-point Gauss-Legendre line integrals over canonical edges."""
-    a = mesh.vertices[es.edges[:, 0]]
-    b = mesh.vertices[es.edges[:, 1]]
-    d = b - a  # tangent, canonical orientation
+def _edge_line_integrals(mesh: DiscMesh, es: EdgeStructure) -> np.ndarray:
+    """4-point Gauss-Legendre line integrals of theta over canonical edges,
+    block by block."""
+    u, v = mesh.vertices[:, 0], mesh.vertices[:, 1]
     total = np.zeros(es.n_edges)
-    for t, w in zip(_GL_T, _GL_W):
-        pts = a + t * d
-        c = comp_at(pts)
-        total += w * (c[:, 0] * d[:, 0] + c[:, 1] * d[:, 1])
+    for b in _blocks(es.n_edges):
+        lo, hi = es.edges[b, 0], es.edges[b, 1]
+        au, av = u[lo], v[lo]
+        du, dv = u[hi] - au, v[hi] - av  # tangent, canonical orientation
+        out = total[b]
+        for t, w in zip(_GL_T, _GL_W):
+            cu, cv = _theta_uv(au + t * du, av + t * dv)
+            out += w * (cu * du + cv * dv)
     return total
+
+
+def _sup_theta_norm(mesh: DiscMesh, *point_sets: np.ndarray) -> float:
+    """max |theta|_g over (m, 2) arrays of points, block by block."""
+    tops = []
+    for points in point_sets:
+        for b in _blocks(len(points)):
+            comp = _theta_components(points[b])
+            tops.append(np.sqrt((comp**2).sum(axis=1) / mesh.mu(points[b])).max())
+    return float(np.max(tops))
 
 
 def bounded_primitive(mesh: DiscMesh, midpoints: np.ndarray | None = None) -> PrimitiveOneForm:
@@ -95,14 +124,14 @@ def bounded_primitive(mesh: DiscMesh, midpoints: np.ndarray | None = None) -> Pr
     es = mesh.edge_structure
     geo = mesh.geometry
 
-    edge_integrals = _edge_line_integrals(mesh, es, _theta_components)
+    edge_integrals = _edge_line_integrals(mesh, es)
 
     # continuum 2-form: d theta = -mu du dv (measured sign -1 in CCW (u,v))
     sign = -1
     triangle_omega = sign * geo.area / 3.0 * geo.mu.sum(axis=0)
 
     # the discrete d of the edge integrals: each triangle's signed sum
-    circulation = (edge_integrals[es.tri_edges] * es.tri_signs).sum(axis=1)
+    circulation = (edge_integrals[es.tri_edges] * es.tri_signs).sum(axis=0)
     defect = np.abs(circulation - triangle_omega)
     scale = np.abs(triangle_omega)
     rel = defect / np.maximum(scale, np.median(scale))
@@ -113,10 +142,7 @@ def bounded_primitive(mesh: DiscMesh, midpoints: np.ndarray | None = None) -> Pr
     # midpoints, one per edge (the triangles' midpoints repeat interior ones)
     if midpoints is None:
         midpoints = mesh.edge_midpoints()
-    samples = np.vstack([mesh.vertices, midpoints])
-    comp = _theta_components(samples)
-    norms = np.sqrt((comp**2).sum(axis=1) / mesh.mu(samples))
-    sup_norm = float(norms.max())
+    sup_norm = _sup_theta_norm(mesh, mesh.vertices, midpoints)
 
     return PrimitiveOneForm(
         expression="pullback of -(dx)/y under w = i(1+z)/(1-z)",
@@ -206,9 +232,9 @@ def cutoff_family(mesh: DiscMesh, eps: float) -> CutoffProfile:
     )
 
 
-def _local_dofs(es: EdgeStructure, alpha: np.ndarray) -> np.ndarray:
-    """(3, nt) edge dofs of each triangle in its local CCW orientation."""
-    return np.ascontiguousarray((alpha[es.tri_edges] * es.tri_signs).T)
+def _local_dofs(es: EdgeStructure, alpha: np.ndarray, b: slice) -> np.ndarray:
+    """(3, len(b)) edge dofs of the triangles b in their local CCW orientation."""
+    return np.take(alpha, es.tri_edges[:, b]) * es.tri_signs[:, b]
 
 
 def _whitney_midpoint_major(g: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -245,21 +271,6 @@ def _whitney_midpoint_major(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _whitney_at_midpoints(mesh: DiscMesh, es: EdgeStructure, alpha: np.ndarray):
-    """Whitney interpolation of edge dofs at the 3 edge midpoints per triangle.
-
-    Returns (values (nt, 3, 2), d_alpha_uv (nt,)).
-    """
-    area = mesh.geometry.area
-    g = mesh.geometry.grad
-    d = _local_dofs(es, alpha)
-    vals = np.ascontiguousarray(_whitney_midpoint_major(g, d).transpose(2, 0, 1))
-    # d alpha is constant per triangle; its du^dv coefficient is the
-    # circulation divided by the Euclidean area
-    d_alpha_uv = (d[0] + d[1] + d[2]) / area
-    return vals, d_alpha_uv
-
-
 def _crossterm_fields(mesh: DiscMesh, profile: CutoffProfile, mid: np.ndarray):
     """The sample-independent midpoint fields of `crossterm_constant`.
 
@@ -269,29 +280,40 @@ def _crossterm_fields(mesh: DiscMesh, profile: CutoffProfile, mid: np.ndarray):
     w f, w f^2, 2 w f (d f / d u) / mu, 2 w f (d f / d v) / mu, and the
     per-triangle sums over midpoints of w f / mu and w f^2 / mu.  f and
     grad f are evaluated once per edge (`mid`, the edge midpoints) and
-    gathered per triangle.
+    gathered per triangle; both passes run block by block.
     """
-    geo = mesh.geometry
-    rho = mesh.geodesic_radius(mid)
+    geo, es = mesh.geometry, mesh.edge_structure
+    f_edge, grad_u, grad_v = np.empty((3, es.n_edges))
+    for b in _blocks(es.n_edges):
+        u, v = mid[b, 0], mid[b, 1]
+        rho = mesh.geodesic_radius(mid[b])
+        # Euclidean gradient of rho: d rho/d r_eucl * radial unit vector
+        r = np.hypot(u, v)
+        if mesh.metric == "hyperbolic":
+            drho_dr = 2.0 / (1.0 - r**2)
+        else:
+            drho_dr = np.ones_like(r)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            radial_scale = np.where(r > 0, profile.df_at(rho) * drho_dr / r, 0.0)
+        f_edge[b] = profile.f_at(rho)
+        grad_u[b], grad_v[b] = radial_scale * u, radial_scale * v
 
-    # Euclidean gradient of rho: d rho/d r_eucl * radial unit vector
-    r = np.hypot(mid[:, 0], mid[:, 1])
-    if mesh.metric == "hyperbolic":
-        drho_dr = 2.0 / (1.0 - r**2)
-    else:
-        drho_dr = np.ones_like(r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        radial_scale = np.where(r > 0, profile.df_at(rho) * drho_dr / r, 0.0)
-
-    per_triangle = np.ascontiguousarray(mesh.edge_structure.tri_edges.T)  # (3, nt), midpoint-major
-    f = profile.f_at(rho)[per_triangle]
-    w = geo.area / 3.0  # quadrature weight of each midpoint
-    w_mu = w / geo.mu
-    pair = 2.0 * f * w_mu
-    pair_u = pair * (radial_scale * mid[:, 0])[per_triangle]
-    pair_v = pair * (radial_scale * mid[:, 1])[per_triangle]
-    wf = w * f
-    return wf, wf * f, pair_u, pair_v, (f * w_mu).sum(axis=0), (f * f * w_mu).sum(axis=0)
+    nt = mesh.n_triangles
+    wf, wf2, pair_u, pair_v = np.empty((4, 3, nt))
+    wf_mu, wf2_mu = np.empty((2, nt))
+    for b in _blocks(nt):
+        per_triangle = es.tri_edges[:, b]  # (3, nb), midpoint-major
+        f = np.take(f_edge, per_triangle)
+        w = geo.area[b] / 3.0  # quadrature weight of each midpoint
+        w_mu = w / geo.mu[:, b]
+        pair = 2.0 * f * w_mu
+        pair_u[:, b] = pair * np.take(grad_u, per_triangle)
+        pair_v[:, b] = pair * np.take(grad_v, per_triangle)
+        wf[:, b] = w * f
+        wf2[:, b] = wf[:, b] * f
+        wf_mu[b] = (f * w_mu).sum(axis=0)
+        wf2_mu[b] = (f * f * w_mu).sum(axis=0)
+    return wf, wf2, pair_u, pair_v, wf_mu, wf2_mu
 
 
 def crossterm_constant(
@@ -311,8 +333,10 @@ def crossterm_constant(
     2 eps sqrt(f) * sqrt(f) pointwise, then Cauchy-Schwarz.
 
     The midpoint fields that do not depend on a are built once, on
-    `midpoints` (`mesh.edge_midpoints()`, built here when not given); each
-    sample only interpolates its edge dofs and reduces.
+    `midpoints` (`mesh.edge_midpoints()`, built here when not given).  Each
+    sample interpolates its edge dofs and forms the per-triangle integrands
+    block by block (`_BLOCK` triangles), so that those temporaries stay in
+    cache, and then reduces each integrand over the whole mesh at once.
     """
     es = mesh.edge_structure
     rng = np.random.default_rng(seed)
@@ -322,23 +346,26 @@ def crossterm_constant(
         midpoints = mesh.edge_midpoints()
     wf, wf2, pair_u, pair_v, wf_mu, wf2_mu = _crossterm_fields(mesh, profile, midpoints)
     g = mesh.geometry.grad
+    nt = mesh.n_triangles
+    d_uv, wedge, alpha_sq = np.empty(nt), np.empty(nt), np.empty((3, nt))
 
     out_cf, out_csqrt = [], []
     for _ in range(n_samples):
-        d = _local_dofs(es, rng.standard_normal(es.n_edges))
-        vals = _whitney_midpoint_major(g, d)
-        d_uv = (d[0] + d[1] + d[2]) / area
-
-        # <d alpha, 2 f df ^ alpha>_g dvol = (d_uv * wedge_uv / mu^2) * mu dA,
-        # the weights w / mu folded into pair_u and pair_v
-        wedge = np.einsum("mt,mt->t", pair_u, vals[:, 1]) - np.einsum("mt,mt->t", pair_v, vals[:, 0])
+        alpha = rng.standard_normal(es.n_edges)
+        for b in _blocks(nt):
+            d = _local_dofs(es, alpha, b)
+            vals = _whitney_midpoint_major(g[:, :, b], d)
+            d_uv[b] = (d[0] + d[1] + d[2]) / area[b]
+            # <d alpha, 2 f df ^ alpha>_g dvol = (d_uv * wedge_uv / mu^2) * mu dA,
+            # the weights w / mu folded into pair_u and pair_v
+            wedge[b] = np.einsum("mt,mt->t", pair_u[:, b], vals[:, 1]) - np.einsum(
+                "mt,mt->t", pair_v[:, b], vals[:, 0])
+            alpha_sq[:, b] = np.einsum("mct,mct->mt", vals, vals)  # |alpha|^2_eucl, conformally exact
         pairing = float(d_uv @ wedge)
-
-        alpha_sq = np.einsum("mct,mct->mt", vals, vals).ravel()  # |alpha|^2_eucl, conformally exact
         d_sq = d_uv**2
-        n_fa = np.sqrt(wf2.ravel() @ alpha_sq)
+        n_fa = np.sqrt(wf2.ravel() @ alpha_sq.ravel())
         n_fda = np.sqrt(wf2_mu @ d_sq)
-        n_sfa = np.sqrt(wf.ravel() @ alpha_sq)
+        n_sfa = np.sqrt(wf.ravel() @ alpha_sq.ravel())
         n_sfda = np.sqrt(wf_mu @ d_sq)
 
         tiny = 1e-300
@@ -415,7 +442,9 @@ def annulus_decay(alpha: np.ndarray, mesh: DiscMesh, jmax: int | None = None) ->
 
     Triangles are binned by centroid geodesic radius.  The 1-form energy
     density is conformally invariant in 2D, so the integrals are plain
-    Euclidean quadrature of the Whitney interpolant.
+    Euclidean quadrature of the Whitney interpolant at the edge midpoints.
+    Each triangle's energy and bin are computed block by block (`_BLOCK`
+    triangles); the table sums them over the whole mesh at once.
     """
     es = mesh.edge_structure
     alpha = np.asarray(alpha, dtype=float)
@@ -423,11 +452,14 @@ def annulus_decay(alpha: np.ndarray, mesh: DiscMesh, jmax: int | None = None) ->
         raise ValueError(f"alpha must have one dof per edge ({es.n_edges}), got {alpha.shape}")
     if jmax is None:
         jmax = int(np.ceil(mesh.R))
-    vals, _ = _whitney_at_midpoints(mesh, es, alpha)
-    tri_energy = (mesh.geometry.area / 3.0) * (vals**2).sum(axis=2).sum(axis=1)
-
-    rho_c = mesh.geodesic_radius(mesh.centroids())
-    bins = np.floor(rho_c).astype(np.int64)
+    area, g = mesh.geometry.area, mesh.geometry.grad
+    nt = mesh.n_triangles
+    tri_energy, bins = np.empty(nt), np.empty(nt, dtype=np.int64)
+    for b in _blocks(nt):
+        vals = _whitney_midpoint_major(g[:, :, b], _local_dofs(es, alpha, b))
+        sq = vals[:, 0] ** 2 + vals[:, 1] ** 2  # (midpoint, triangle)
+        tri_energy[b] = (area[b] / 3.0) * (sq[0] + sq[1] + sq[2])
+        bins[b] = np.floor(mesh.geodesic_radius(mesh.centroids(b)))
     # annuli from jmax outward are not in the table
     masses = np.bincount(bins, weights=tri_energy, minlength=jmax)[:jmax]
     total = float(tri_energy.sum())

@@ -117,9 +117,10 @@ class DiscMesh:
 
     # -- per-triangle geometry used by assembly and quadrature ------------
 
-    def _corners(self) -> np.ndarray:
-        """(2, 3, nt) coordinates of every triangle's corners, one gather."""
-        return self.vertices.T[:, self.triangles.T]
+    def _corners(self, rows: slice = slice(None)) -> np.ndarray:
+        """(2, 3, nt) coordinates of the corners of the triangles `rows`
+        (every triangle by default), one gather."""
+        return self.vertices.T[:, self.triangles[rows].T]
 
     def triangle_areas(self) -> np.ndarray:
         """Signed Euclidean areas (positive for the stored CCW orientation)."""
@@ -143,8 +144,7 @@ class DiscMesh:
         grad = np.empty((3, 2, len(area)))
         np.divide(-(y[prev] - y[nxt]), two_area, out=grad[:, 0])
         np.divide(x[prev] - x[nxt], two_area, out=grad[:, 1])
-        per_triangle = np.ascontiguousarray(self.edge_structure.tri_edges.T)  # (3, nt)
-        mu = self.mu(self.edge_midpoints())[per_triangle]
+        mu = self.mu(self.edge_midpoints())[self.edge_structure.tri_edges]
         return TriangleGeometry(*_read_only(area, grad, mu))
 
     @cached_property
@@ -161,8 +161,9 @@ class DiscMesh:
         v, e = self.vertices, self.edge_structure.edges
         return 0.5 * (v[e[:, 0]] + v[e[:, 1]])
 
-    def centroids(self) -> np.ndarray:
-        x, y = self._corners()
+    def centroids(self, rows: slice = slice(None)) -> np.ndarray:
+        """(nt, 2) centroids of the triangles `rows` (every triangle by default)."""
+        x, y = self._corners(rows)
         return np.column_stack([(x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0])
 
     def min_angle_degrees(self) -> float:

@@ -356,10 +356,13 @@ def hyperbolic_suite(
         cutoff_family,
         gap_sweep,
     )
-    from llab.hyperbolic.assembly import incidence_d0
     from llab.hyperbolic.forms import crossterm_constant
     from llab.hyperbolic.gap import gromov_bound_report
 
+    # checked before the sweep meshes anything, as `gap_sweep` checks R, h
+    # and rel_tol; `cutoff_family` would refuse it only after every solve
+    if not 0 < eps <= 1:  # nan too
+        raise ValueError(f"eps must lie in (0, 1], got {eps!r}")
     derivation = gromov_bound_report(1, k if k != 1 else 0)
     sweep = gap_sweep(R_values, h_values, k=k, rel_tol=rel_tol)
 
@@ -374,10 +377,10 @@ def hyperbolic_suite(
     cross = crossterm_constant(mesh, profile, n_samples=4, seed=seed, midpoints=midpoints)
     del midpoints
 
-    D0 = incidence_d0(mesh, mesh.edge_structure)
-    z = mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]
-    alpha = D0 @ np.real(z)
-    decay = annulus_decay(alpha, mesh)
+    # d Re z on the canonical edges, (d phi)_(lo, hi) = phi_hi - phi_lo
+    x = mesh.vertices[:, 0]
+    lo, hi = mesh.edge_structure.edges.T
+    decay = annulus_decay(x[hi] - x[lo], mesh)
 
     checks = {
         "derivation_pass": bool(derivation["checks_pass"]),

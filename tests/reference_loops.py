@@ -10,6 +10,11 @@ Tests compare the fast code against them; nothing in those loops reads
 The identity cell of `verify-identities` is kept here too as chains of
 operator products applied to each seeded batch (`chain_cell_residuals`),
 the evaluation that the residual operators of `llab.lefschetz` replace.
+
+So are the whole-array evaluations of the hyperbolic form checks
+(`whole_bounded_primitive`, `whole_crossterm_constant`,
+`whole_annulus_decay`): every per-edge and per-triangle chain over the
+whole mesh at once, which `llab.hyperbolic.forms` runs block by block.
 """
 
 from __future__ import annotations
@@ -32,6 +37,15 @@ from llab.algebra import (
     merge_sign,
     norm,
     weil_operator,
+)
+from llab.hyperbolic.forms import (
+    _GL_T,
+    _GL_W,
+    AnnulusDecayTable,
+    PrimitiveOneForm,
+    _crossterm_fields,
+    _theta_components,
+    _whitney_midpoint_major,
 )
 from llab.lefschetz import (
     _power,
@@ -368,3 +382,89 @@ def chain_cell_residuals(t: CompatibleTriple, n: int, k: int, cases: int, cross_
             worst = max(worst, chain_cross_term(x, p, y, q, t))
         out["cross_term_orthogonality"] = worst
     return out
+
+
+# -- hyperbolic form checks, one pass over the whole mesh --------------------
+
+
+def whitney_at_midpoints(mesh, es, alpha):
+    """Whitney interpolation of edge dofs at the 3 edge midpoints of every
+    triangle: (values (nt, 3, 2), d alpha's du^dv coefficient (nt,))."""
+    d = alpha[es.tri_edges] * es.tri_signs
+    vals = np.ascontiguousarray(_whitney_midpoint_major(mesh.geometry.grad, d).transpose(2, 0, 1))
+    # d alpha is constant per triangle: the circulation over the Euclidean area
+    return vals, (d[0] + d[1] + d[2]) / mesh.geometry.area
+
+
+def whole_edge_line_integrals(mesh):
+    """4-point Gauss-Legendre line integrals of theta over canonical edges."""
+    es = mesh.edge_structure
+    a = mesh.vertices[es.edges[:, 0]]
+    d = mesh.vertices[es.edges[:, 1]] - a
+    total = np.zeros(es.n_edges)
+    for t, w in zip(_GL_T, _GL_W):
+        c = _theta_components(a + t * d)
+        total += w * (c[:, 0] * d[:, 0] + c[:, 1] * d[:, 1])
+    return total
+
+
+def whole_bounded_primitive(mesh):
+    """`forms.bounded_primitive`, each chain over the whole mesh."""
+    es, geo = mesh.edge_structure, mesh.geometry
+    edge_integrals = whole_edge_line_integrals(mesh)
+    triangle_omega = -1 * geo.area / 3.0 * geo.mu.sum(axis=0)
+    circulation = (edge_integrals[es.tri_edges.T] * es.tri_signs.T).sum(axis=1)
+    scale = np.abs(triangle_omega)
+    rel = np.abs(circulation - triangle_omega) / np.maximum(scale, np.median(scale))
+    samples = np.vstack([mesh.vertices, mesh.edge_midpoints()])
+    comp = _theta_components(samples)
+    return PrimitiveOneForm(
+        expression="pullback of -(dx)/y under w = i(1+z)/(1-z)",
+        sup_norm=float(np.sqrt((comp**2).sum(axis=1) / mesh.mu(samples)).max()),
+        omega_sign=-1,
+        edge_integrals=edge_integrals,
+        triangle_omega=triangle_omega,
+        stokes_max=float(rel.max()),
+        stokes_rms=float(np.sqrt(np.mean(rel**2))),
+    )
+
+
+def whole_crossterm_constant(mesh, profile, n_samples, seed):
+    """`forms.crossterm_constant`, each sample interpolated and reduced over
+    the whole mesh at once."""
+    es = mesh.edge_structure
+    rng = np.random.default_rng(seed)
+    eps = profile.eps
+    wf, wf2, pair_u, pair_v, wf_mu, wf2_mu = _crossterm_fields(mesh, profile, mesh.edge_midpoints())
+    out_cf, out_csqrt = [], []
+    for _ in range(n_samples):
+        d = rng.standard_normal(es.n_edges)[es.tri_edges] * es.tri_signs
+        vals = _whitney_midpoint_major(mesh.geometry.grad, d)
+        d_uv = (d[0] + d[1] + d[2]) / mesh.geometry.area
+        wedge = np.einsum("mt,mt->t", pair_u, vals[:, 1]) - np.einsum("mt,mt->t", pair_v, vals[:, 0])
+        pairing = float(d_uv @ wedge)
+        alpha_sq = np.einsum("mct,mct->mt", vals, vals).ravel()
+        d_sq = d_uv**2
+        n_fa, n_fda = np.sqrt(wf2.ravel() @ alpha_sq), np.sqrt(wf2_mu @ d_sq)
+        n_sfa, n_sfda = np.sqrt(wf.ravel() @ alpha_sq), np.sqrt(wf_mu @ d_sq)
+        out_cf.append(abs(pairing) / (eps * n_fa * n_fda + 1e-300))
+        out_csqrt.append(abs(pairing) / (eps * n_sfa * n_sfda + 1e-300))
+    return {
+        "eps": eps,
+        "n_samples": n_samples,
+        "C_f_max": float(max(out_cf)),
+        "C_sqrtf_max": float(max(out_csqrt)),
+        "C_sqrtf_bound": 2.0,
+    }
+
+
+def whole_annulus_decay(alpha, mesh, jmax=None):
+    """`forms.annulus_decay`, the triangle energies and bins over the whole
+    mesh at once."""
+    if jmax is None:
+        jmax = int(np.ceil(mesh.R))
+    vals, _ = whitney_at_midpoints(mesh, mesh.edge_structure, alpha)
+    tri_energy = (mesh.geometry.area / 3.0) * (vals**2).sum(axis=2).sum(axis=1)
+    bins = np.floor(mesh.geodesic_radius(mesh.centroids())).astype(np.int64)
+    masses = np.bincount(bins, weights=tri_energy, minlength=jmax)[:jmax]
+    return AnnulusDecayTable(masses=masses, total_norm_sq=float(tri_energy.sum()), jmax=jmax)

@@ -389,6 +389,13 @@ def test_cli_hyperbolic_repeated_R_or_h_exits_two_and_names_it(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+def test_cli_hyperbolic_eps_above_one_exits_two_and_names_it(tmp_path, capsys):
+    assert main(["hyperbolic", "--R", "4", "--h", "0.2,0.1", "--eps", "2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps must lie in (0, 1]") and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_bad_format_exits_two_and_names_it(tmp_path, capsys):
     # the config is validated inside the error boundary: a message, no traceback
     assert main(["torus", "--n", "2", "--format", "xml", "--out", str(tmp_path)]) == 2

@@ -267,6 +267,38 @@ def test_the_proof_precheck_never_delays_the_two_grid_stop(monkeypatch, small_me
     assert eigensolve.lobpcg_ground_state(A, M, start, T, rel_tol)[2] == steps
 
 
+def test_the_two_grid_rows_keep_their_solver_and_step_count():
+    # LOBPCG carries A S and M S from step to step instead of multiplying
+    # A x and M x out again; that moves lambda in its last bits only, so each
+    # row stops where it stopped when every step recomputed them
+    out = gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1), k=0)
+    assert [(row["solver"], row["iterations"]) for row in out["rows"]] == [("lanczos", 12), ("two_grid", 12)]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
+def test_lobpcg_certifies_the_x_it_returns(rel_tol):
+    # the carried products drift from A x and M x by rounding, so the stop
+    # rule is checked again on products recomputed from x: x as returned
+    # meets the residual certificate, and the proof re-run on it gives mu
+    import scipy.sparse.linalg as spla
+
+    from llab.hyperbolic import eigensolve
+    from llab.hyperbolic.assembly import assemble_hodge_laplacian
+    from llab.hyperbolic.mesh import ring_prolongation
+
+    coarse, fine = build_disc_mesh(4.0, 0.2), build_disc_mesh(4.0, 0.1)
+    Ac, Mc = assemble_hodge_laplacian(coarse, 0)
+    A, M = assemble_hodge_laplacian(fine, 0)
+    P = ring_prolongation(coarse, fine)
+    lu = spla.splu(Ac.tocsc())
+    start = P @ eigensolve.smallest_eigenpairs(Ac, Mc, v0=np.ones(Ac.shape[0]))[1][:, 0]
+    lam, x, _, lower = eigensolve.lobpcg_ground_state(
+        A, M, start, eigensolve.two_grid_preconditioner(A, P, lu), rel_tol)
+    assert eigensolve._pencil_residuals(A, M, [lam], x[:, None])[0] < rel_tol * lam
+    assert eigensolve.ground_state_lower(A, M, lam, x) == lower
+    assert lam - lower <= rel_tol * lam
+
+
 @pytest.mark.parametrize("h_values, solvers", [
     ((0.1, 0.2), ["lanczos", "lanczos"]),
     ((0.2, 0.4, 0.1), ["lanczos", "lanczos", "two_grid"]),
@@ -304,6 +336,26 @@ def test_gap_sweep_rejects_a_repeated_R_or_h_before_meshing(monkeypatch, R_value
     monkeypatch.setattr(mesh, "build_disc_mesh", no_mesh)
     with pytest.raises(ValueError, match=f"repeated {repeated}"):
         gap_sweep(R_values=R_values, h_values=h_values)
+
+
+@pytest.mark.parametrize("eps", [2.0, 1.5, 0.0, -0.6, float("nan"), float("inf")])
+def test_hyperbolic_suite_rejects_an_eps_outside_0_1_before_meshing(monkeypatch, eps):
+    # cutoff_family refuses such an eps too, but only once the sweep has
+    # meshed and solved every row
+    from llab.hyperbolic import mesh
+    from llab.suites import hyperbolic_suite
+
+    built = []
+    real_build = mesh.build_disc_mesh
+
+    def counting_build(R, h):
+        built.append((R, h))
+        return real_build(R, h)
+
+    monkeypatch.setattr(mesh, "build_disc_mesh", counting_build)
+    with pytest.raises(ValueError, match="eps must lie in"):
+        hyperbolic_suite(R_values=(4.0,), h_values=(0.2, 0.1), eps=eps)
+    assert built == []
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, 1.0, float("nan"), float("inf")])

@@ -66,6 +66,12 @@ from llab.hyperbolic.oracle import (
     lambda1_euclidean_square,
     lambda1_square_k1,
 )
+from reference_loops import (
+    whitney_at_midpoints,
+    whole_annulus_decay,
+    whole_bounded_primitive,
+    whole_crossterm_constant,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +200,9 @@ def test_edge_structure_matches_lexicographic_unique(request, which):
     edges, tri_edges, signs = _edge_structure_reference(mesh)
     es = edge_structure(mesh)
     assert np.array_equal(es.edges, edges)
-    assert np.array_equal(es.tri_edges, tri_edges)
-    assert np.array_equal(es.tri_signs, signs)
+    # one contiguous row per local edge
+    assert np.array_equal(es.tri_edges, tri_edges.T) and es.tri_edges.flags.c_contiguous
+    assert np.array_equal(es.tri_signs, signs.T) and es.tri_signs.flags.c_contiguous
     assert np.array_equal(es.boundary_edge, np.bincount(tri_edges.ravel()) == 1)
     assert es.edges.dtype == es.tri_edges.dtype == np.int64
 
@@ -457,7 +464,7 @@ def _p1_matrix_reference(mesh, local, vertices):
     for i in range(3):
         diag += np.bincount(t[:, i], weights=local(i, i), minlength=nv)
     for e, (a, b) in enumerate([(0, 1), (1, 2), (2, 0)]):
-        off += np.bincount(es.tri_edges[:, e], weights=local(a, b), minlength=ne)
+        off += np.bincount(es.tri_edges[e], weights=local(a, b), minlength=ne)
     lo, hi = es.edges[:, 0], es.edges[:, 1]
     pos = np.full(nv, -1)
     pos[vertices] = np.arange(len(vertices))
@@ -784,8 +791,6 @@ def test_crossterm_constant_within_proved_bound(fine_mesh):
 
 def _crossterm_reference(mesh, profile, n_samples, seed):
     """The per-sample loop, every midpoint field rebuilt for each sample."""
-    from llab.hyperbolic.forms import _whitney_at_midpoints
-
     es = mesh.edge_structure
     rng = np.random.default_rng(seed)
     eps = profile.eps
@@ -804,7 +809,7 @@ def _crossterm_reference(mesh, profile, n_samples, seed):
         with np.errstate(invalid="ignore", divide="ignore"):
             radial = np.where(r[:, None] > 0, p_mid / np.maximum(r, 1e-300)[:, None], 0.0)
         grad_f = ((profile.df_at(rho_mid) * drho_dr)[:, None] * radial).reshape(-1, 3, 2)
-        vals, d_uv = _whitney_at_midpoints(mesh, es, alpha)
+        vals, d_uv = whitney_at_midpoints(mesh, es, alpha)
         wedge_uv = 2.0 * f_mid * (grad_f[:, :, 0] * vals[:, :, 1] - grad_f[:, :, 1] * vals[:, :, 0])
         pairing = float((w * d_uv[:, None] * wedge_uv / mu_mid).sum())
         alpha_sq = (vals**2).sum(axis=2)
@@ -842,20 +847,18 @@ def test_theta_sup_norm_over_edge_midpoints_equals_the_triangle_midpoints(reques
 
 @pytest.mark.parametrize("which", ["small_mesh", "square24"])
 def test_whitney_at_midpoints_matches_triangle_major_loop(request, which, rng):
-    from llab.hyperbolic.forms import _whitney_at_midpoints
-
     mesh = request.getfixturevalue(which)
     es = mesh.edge_structure
     alpha = rng.standard_normal(es.n_edges)
     # reference: the same products accumulated in (triangle, midpoint) order
     grads = mesh.geometry.grad.transpose(2, 0, 1)
-    dofs = alpha[es.tri_edges] * es.tri_signs
+    dofs = (alpha[es.tri_edges] * es.tri_signs).T
     ref = np.zeros((mesh.n_triangles, 3, 2))
     for e, (a, b) in enumerate([(0, 1), (1, 2), (2, 0)]):
         for m in range(3):
             w_e = _PHI_MID[m, a] * grads[:, b] - _PHI_MID[m, b] * grads[:, a]
             ref[:, m] += dofs[:, e, None] * w_e
-    vals, d_uv = _whitney_at_midpoints(mesh, es, alpha)
+    vals, d_uv = whitney_at_midpoints(mesh, es, alpha)
     assert np.array_equal(vals, ref)
     assert vals.flags.c_contiguous
     assert np.array_equal(d_uv, dofs.sum(axis=1) / mesh.geometry.area)
@@ -887,18 +890,43 @@ def test_annulus_decay_oracle(fine_mesh):
 
 @pytest.mark.parametrize("jmax", [None, 2])
 def test_annulus_masses_match_one_mask_per_annulus(fine_mesh, jmax):
-    from llab.hyperbolic.forms import _whitney_at_midpoints
-
     es = fine_mesh.edge_structure
     alpha = np.random.default_rng(3).standard_normal(es.n_edges)
     table = annulus_decay(alpha, fine_mesh, jmax=jmax)
-    vals, _ = _whitney_at_midpoints(fine_mesh, es, alpha)
+    vals, _ = whitney_at_midpoints(fine_mesh, es, alpha)
     energy = (fine_mesh.geometry.area / 3.0) * (vals**2).sum(axis=2).sum(axis=1)
     bins = np.floor(fine_mesh.geodesic_radius(fine_mesh.centroids())).astype(int)
     ref = [energy[bins == j].sum() for j in range(table.jmax)]
     assert table.jmax == (4 if jmax is None else jmax)
     assert np.allclose(table.masses, ref, rtol=1e-13, atol=0)
     assert table.total_norm_sq == pytest.approx(energy.sum(), rel=1e-13)
+
+
+@pytest.mark.parametrize("block", [11, None], ids=["block 11", "default block"])
+@pytest.mark.parametrize("which", ["small_mesh", "fine_mesh"])
+def test_blocked_form_checks_equal_the_whole_array_evaluation(monkeypatch, request, which, block):
+    # a prime block size that divides neither nt nor ne puts block
+    # boundaries everywhere and leaves a short last block; the values must
+    # not move by a bit, since every reduction still runs over the whole mesh
+    from llab.hyperbolic import forms
+
+    mesh = request.getfixturevalue(which)
+    if block is not None:
+        monkeypatch.setattr(forms, "_BLOCK", block)
+        assert all(n % block for n in (mesh.n_triangles, mesh.edge_structure.n_edges, mesh.n_vertices))
+    theta, ref = bounded_primitive(mesh), whole_bounded_primitive(mesh)
+    assert np.array_equal(theta.edge_integrals, ref.edge_integrals)
+    assert np.array_equal(theta.triangle_omega, ref.triangle_omega)
+    assert theta.to_json_dict() == ref.to_json_dict()
+    profile = cutoff_family(mesh, eps=0.8)
+    assert crossterm_constant(mesh, profile, n_samples=3, seed=11) == whole_crossterm_constant(
+        mesh, profile, n_samples=3, seed=11)
+    x = mesh.vertices[:, 0]
+    lo, hi = mesh.edge_structure.edges.T
+    for alpha in (x[hi] - x[lo], np.random.default_rng(3).standard_normal(len(lo))):  # d Re z, and noise
+        table, ref = annulus_decay(alpha, mesh), whole_annulus_decay(alpha, mesh)
+        assert np.array_equal(table.masses, ref.masses)
+        assert table.total_norm_sq == ref.total_norm_sq and table.jmax == ref.jmax
 
 
 def test_annulus_divergence_certificate_synthetic():
