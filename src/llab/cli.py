@@ -158,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=0, choices=(0, 1), help="form degree of the Laplacian")
     sp.add_argument("--eps", type=float, default=0.6, help="cutoff parameter, ramp width 2/eps")
     sp.add_argument("--rel-tol", type=float, default=1e-8,
-                    help="eigenpair certificate: residual < rel_tol*lambda")
+                    help="eigenpair certificate: residual < rel_tol*lambda, and at k = 0 a "
+                         "proven lower bound within rel_tol*lambda")
     common(sp, "hyperbolic")
 
     sp = sub.add_parser("decompose", help="Lefschetz + bidegree decomposition of a form file")

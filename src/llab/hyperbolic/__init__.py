@@ -10,7 +10,7 @@ from llab.hyperbolic.forms import (
     cutoff_family,
 )
 from llab.hyperbolic.assembly import assemble_hodge_laplacian
-from llab.hyperbolic.eigensolve import LanczosNonConvergence, SpectralResult, smallest_eigenpairs
+from llab.hyperbolic.eigensolve import EigenNonConvergence, SpectralResult, smallest_eigenpairs
 from llab.hyperbolic.oracle import SHOOTING_LAMBDA1, lambda1_ball_shooting
 from llab.hyperbolic.gap import dirichlet_lambda1, gap_sweep, gromov_bound, gromov_bound_report
 
@@ -26,7 +26,7 @@ __all__ = [
     "annulus_decay",
     "assemble_hodge_laplacian",
     "SpectralResult",
-    "LanczosNonConvergence",
+    "EigenNonConvergence",
     "smallest_eigenpairs",
     "SHOOTING_LAMBDA1",
     "lambda1_ball_shooting",

@@ -32,11 +32,10 @@ import numpy as np
 from llab.algebra import KForm, build_standard_triple, norm, random_compatible_triple, wedge
 from llab.hyperbolic.eigensolve import (
     _DENSE_CUTOFF,
-    LanczosNonConvergence,
+    EigenNonConvergence,
     SpectralResult,
     _pencil_residuals,
     ground_state_lower,
-    lobpcg_ground_state,
     shifted_lu,
     smallest_eigenpairs,
     two_grid_preconditioner,
@@ -279,78 +278,74 @@ def gromov_bound_report(n: int, k: int, theta_sup: float = 1.0) -> dict:
 def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8) -> SpectralResult:
     """Certified smallest Dirichlet eigenvalue of the degree-k Laplacian.
 
-    The solve is shift-invert Lanczos on the LU of the stiffness matrix
-    (`eigensolve.smallest_eigenpairs`), and `iterations` counts its steps.
-    At k = 0, `ground_state_lower` proves that the returned eigenvalue is
-    the pencil's smallest (`eigensolve.ground_state_lower`); k = 1 has no
-    such proof and carries no lower bound.
+    The solve is LOBPCG preconditioned with the LU of the stiffness matrix
+    (`eigensolve.smallest_eigenpairs`), or dense when the pencil is small,
+    and `iterations` counts its steps.  k = 0 starts from the constant
+    vector and stops only once `ground_state_lower` proves, within rel_tol,
+    that the returned eigenvalue is the pencil's smallest; that bound is
+    reported.  k = 1 starts from the solver's seeded draw, stops on its
+    residual alone and carries no lower bound.
 
     derived_bound carries gromov_bound(1, k) for k != 1 (the surface is
     n = 1; theta has measured sup norm 1) and None at the middle degree.
     """
+    return _solve_row(mesh, k, rel_tol)[0]
+
+
+def _solve_row(mesh, k, rel_tol, coarse=None, last=None):
+    """(result, first eigenvector, LU or None) of one `gap_sweep` row.
+
+    With coarse = (mesh, LU of its k = 0 pencil) on a coarser mesh, the row
+    is solved first with the two-grid V-cycle on that LU as preconditioner,
+    started from last = (mesh, ground state) of the previous row,
+    prolonged.  Otherwise, or when that solve fails, the same solve is
+    preconditioned with this mesh's own LU, which is returned for the
+    caller to keep; a pencil small enough to solve dense has none.
+    """
     from llab.hyperbolic.assembly import assemble_hodge_laplacian
 
     A, M = assemble_hodge_laplacian(mesh, k)
-    return _lu_lambda1(mesh, k, A, M, rel_tol)[0]
-
-
-def _lu_lambda1(mesh, k, A, M, rel_tol, keep_lu=False):
-    """(`dirichlet_lambda1` of the assembled pencil, its first eigenvector,
-    the LU its solve factored or None); the LU is kept only with keep_lu,
-    for a pencil too large to solve dense."""
     # the Dirichlet ground state of the scalar Laplacian is positive, so the
     # constant vector leans on it far more than a random one does
-    v0 = np.ones(A.shape[0]) if k == 0 else None
+    x0 = np.ones(A.shape[0]) if k == 0 else None
+    if coarse is not None and coarse[0].h > mesh.h:
+        (coarse_mesh, coarse_lu), (last_mesh, start) = coarse, last
+        P = mesh_mod.ring_prolongation(coarse_mesh, mesh)
+        x0 = (P if last_mesh is coarse_mesh else mesh_mod.ring_prolongation(last_mesh, mesh)) @ start
+        try:
+            return *_solved(mesh, k, A, M, two_grid_preconditioner(A, P, coarse_lu), x0, rel_tol, "two_grid"), None
+        except EigenNonConvergence:
+            pass
     # A and M are exactly symmetric, so the transpose views of their CSR
-    # arrays are A and M in CSC, the layout the solver factors, with no copy
-    lu = shifted_lu(A.T, M.T) if keep_lu and A.shape[0] > _DENSE_CUTOFF else None
-    lams, X, iters = smallest_eigenpairs(A.T, M.T, rel_tol=rel_tol, v0=v0, lu=lu)
-    lower = ground_state_lower(A, M, float(lams[0]), X[:, 0]) if k == 0 else None
-    result = _spectral_result(mesh, k, A, M, lams, X, iters, rel_tol, lower, "lanczos")
-    return result, X[:, 0], None if lu is None else lu[0]
+    # arrays are A and M in CSC, the layout splu factors, with no copy
+    lu = shifted_lu(A.T, M.T)[0] if A.shape[0] > _DENSE_CUTOFF else None
+    solver = "dense" if lu is None else "lu"
+    return *_solved(mesh, k, A, M, None if lu is None else lu.solve, x0, rel_tol, solver), lu
 
 
-def _spectral_result(mesh, k, A, M, lams, X, iterations, rel_tol, lower, solver) -> SpectralResult:
-    res = _pencil_residuals(A, M, lams, X)  # recomputed for the report
+def _solved(mesh, k, A, M, precondition, x0, rel_tol, solver) -> tuple[SpectralResult, np.ndarray]:
+    """(result, eigenvector) of `smallest_eigenpairs` on the degree-k pencil (A, M)."""
+    lams, X, steps = smallest_eigenpairs(A, M, precondition, x0, rel_tol, ground_state=k == 0)
+    x = X[:, 0]
+    # the solve's stop rule proved the k = 0 bound; it is proven again for
+    # the report, as the residual is recomputed for it
+    lower = ground_state_lower(A, M, float(lams[0]), x) if k == 0 else None
+    res = _pencil_residuals(A, M, lams, X)
     bound = None
     if mesh.metric == "hyperbolic" and k != 1:
         bound = gromov_bound(1, k, 1.0)
-    return SpectralResult(
+    result = SpectralResult(
         k=k,
-        eigenvalues=[float(x) for x in lams],
+        eigenvalues=[float(lam) for lam in lams],
         residuals=[float(r) for r in res],
-        iterations=iterations,
+        iterations=steps,
         n_dofs=A.shape[0],
         rel_tol=rel_tol,
         derived_bound=bound,
         ground_state_lower=lower,
         solver=solver,
     )
-
-
-def _sweep_row(mesh, k, rel_tol, coarse, last, keep_lu):
-    """(result, ground state, LU or None) of one `gap_sweep` row.
-
-    With coarse = (mesh, LU of its k = 0 pencil) on a coarser mesh, the row
-    is solved by `lobpcg_ground_state`, preconditioned with the two-grid
-    V-cycle on that LU and started from last = (mesh, ground state) of the
-    previous row, prolonged.  Otherwise, or when that solve proves no
-    ground state within its step cap, the row is `_lu_lambda1`'s.
-    """
-    from llab.hyperbolic.assembly import assemble_hodge_laplacian
-
-    A, M = assemble_hodge_laplacian(mesh, k)
-    if coarse is not None and coarse[0].h > mesh.h:
-        (coarse_mesh, lu), (last_mesh, start) = coarse, last
-        P = mesh_mod.ring_prolongation(coarse_mesh, mesh)
-        x0 = (P if last_mesh is coarse_mesh else mesh_mod.ring_prolongation(last_mesh, mesh)) @ start
-        try:
-            lam, x, steps, lower = lobpcg_ground_state(A, M, x0, two_grid_preconditioner(A, P, lu), rel_tol)
-        except LanczosNonConvergence:
-            pass
-        else:
-            return _spectral_result(mesh, 0, A, M, [lam], x[:, None], steps, rel_tol, lower, "two_grid"), x, None
-    return _lu_lambda1(mesh, k, A, M, rel_tol, keep_lu)
+    return result, x
 
 
 def gap_sweep(
@@ -366,20 +361,22 @@ def gap_sweep(
     the h -> 0 limit is extrapolated (measured order when >= 3 sizes are
     log-uniform, otherwise the P1 rate 2).
 
-    Every row is solved one of two ways.  At k = 0 the first mesh of each R
-    is solved by shift-invert Lanczos on its own LU (`dirichlet_lambda1`),
-    and that LU is kept while a finer h is still to come.  Each later row on
-    a finer mesh than that one is solved without an LU of its own, by
-    two-grid LOBPCG on the kept one (`_sweep_row`), started from the
-    previous row's ground state; the solve stops only on a residual below
-    rel_tol * lambda and a proven lower bound within rel_tol of lambda.
-    Every other row, one whose two-grid solve fails, and every row at k = 1
-    is solved by Lanczos on its own LU.  Each row names its "solver"
-    ("two_grid" or "lanczos"), and "iterations" counts that one solve's
-    steps.  k = 0 rows carry `ground_state_lower`, a proven lower bound on
-    the smallest eigenvalue of their discrete pencil (None when the proof
-    fails; always None at k = 1).  Raises ValueError on a repeated R or h,
-    or a rel_tol outside (0, 1), before any mesh is built.
+    Every row is solved by one solver, LOBPCG (`smallest_eigenpairs`),
+    with one of two preconditioners.  The first mesh of each R, any mesh no
+    finer than it, and every row at k = 1 are preconditioned with their own
+    LU, and at k = 0 the first mesh's LU is kept while a finer h is still
+    to come.  Each later k = 0 row on a finer mesh than that one is
+    preconditioned with the two-grid V-cycle on the kept LU, started from
+    the previous row's ground state, and falls back to its own LU when that
+    solve fails.  A k = 0 solve stops only on a residual below
+    rel_tol * lambda and a proven lower bound within rel_tol of lambda; a
+    k = 1 solve stops on the residual alone.  Each row names its "solver"
+    ("lu" or "two_grid", "dense" for a pencil small enough to solve dense),
+    and "iterations" counts that one solve's steps.  k = 0 rows carry
+    `ground_state_lower`, a proven lower bound on the smallest eigenvalue
+    of their discrete pencil (always None at k = 1).  Raises ValueError on
+    a repeated R or h, or a rel_tol outside (0, 1), before any mesh is
+    built.
 
     "finest_mesh" holds the (max R, min h) mesh, with what its solve
     derived from it, for callers that measure more on it; it is not JSON
@@ -404,11 +401,11 @@ def gap_sweep(
             mesh = mesh_mod.build_disc_mesh(R, h)
             if R == R_star and h == h_star:
                 finest_mesh = mesh
+            result, x, lu = _solve_row(mesh, k, rel_tol, coarse, last)
             # the first mesh's LU is kept while a finer mesh is still to come
-            keep_lu = k == 0 and i == 0 and h > h_star
-            result, x, lu = _sweep_row(mesh, k, rel_tol, coarse, last, keep_lu)
-            if lu is not None:
+            if k == 0 and i == 0 and h > h_star and lu is not None:
                 coarse = (mesh, lu)
+            del lu  # an LU not kept is freed before the next row factors its own
             last = (mesh, x)
             lam = result.eigenvalues[0]
             oracle = SHOOTING_LAMBDA1.get(float(R)) if k == 0 else None

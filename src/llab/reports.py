@@ -28,7 +28,7 @@ CSV_COLUMNS = ("schema_version", "suite", "group", "name", "value")
 
 # the default tolerance of each suite's verdict, for the CLI and for a
 # SuiteConfig built without one: the identity and torus checks are exact
-# algebra, the hyperbolic residual is a Lanczos certificate at rel_tol 1e-8
+# algebra, the hyperbolic residual is an eigenpair certificate at rel_tol 1e-8
 DEFAULT_TOLERANCE = {"verify-identities": 1e-10, "torus": 1e-10, "hyperbolic": 1e-8}
 
 

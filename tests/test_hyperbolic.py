@@ -36,10 +36,10 @@ from llab.hyperbolic.assembly import (
     stiffness_p1,
 )
 from llab.hyperbolic.eigensolve import (
-    LanczosNonConvergence,
+    EigenNonConvergence,
     _pencil_residuals,
     ground_state_lower,
-    lobpcg_ground_state,
+    shifted_lu,
     smallest_eigenpairs,
     two_grid_preconditioner,
 )
@@ -330,20 +330,29 @@ def test_square_patch_is_euclidean():
 # ---------------------------------------------------------------------------
 
 
+def _lu_eigenvalue(A, M) -> float:
+    """The smallest eigenvalue of (A, M), preconditioned with its own LU."""
+    return smallest_eigenpairs(A, M, shifted_lu(A, M)[0].solve)[0][0]
+
+
 def test_square_lambda1_k0(square24):
     A, M = assemble_hodge_laplacian(square24, k=0)
-    lams, _, _ = smallest_eigenpairs(A, M, nev=1)
+    lam = _lu_eigenvalue(A, M)
     oracle = lambda1_euclidean_square()
     assert oracle == pytest.approx(2 * math.pi**2, rel=1e-14)
-    assert lams[0] == pytest.approx(oracle, rel=7e-3)  # P1 at h = 1/24
+    assert lam == pytest.approx(oracle, rel=7e-3)  # P1 at h = 1/24
 
 
 def test_square_lambda1_k1(square24):
     A, M = assemble_hodge_laplacian(square24, k=1)
-    lams, _, _ = smallest_eigenpairs(A, M, nev=3)
     oracle = lambda1_square_k1()
     assert oracle == pytest.approx(math.pi**2, rel=1e-14)
-    # pi^2 is doubly degenerate for relative-boundary 1-forms on a square
+    assert _lu_eigenvalue(A, M) == pytest.approx(oracle, rel=1e-2)
+    # pi^2 is doubly degenerate for relative-boundary 1-forms on a square;
+    # the solver returns one pair, so the three lowest come from a dense
+    # solve at h = 1/12
+    A, M = assemble_hodge_laplacian(square_patch(12), k=1)
+    lams = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True, subset_by_index=[0, 2])
     assert lams[0] == pytest.approx(oracle, rel=1e-2)
     assert lams[1] == pytest.approx(oracle, rel=1e-2)
     assert lams[2] == pytest.approx(2 * math.pi**2, rel=3e-2)
@@ -355,8 +364,7 @@ def test_square_k0_richardson_hits_oracle():
     vals = {}
     for nx in (12, 24):
         A, M = assemble_hodge_laplacian(square_patch(nx), k=0)
-        lams, _, _ = smallest_eigenpairs(A, M, nev=1)
-        vals[nx] = lams[0]
+        vals[nx] = _lu_eigenvalue(A, M)
     lam_ext = vals[24] + (vals[24] - vals[12]) / (2**2 - 1)
     assert lam_ext == pytest.approx(2 * math.pi**2, rel=2e-4)
 
@@ -508,9 +516,9 @@ def test_interior_p1_blocks_equal_the_restricted_matrices(request, which):
 def test_hyperbolic_lambda1_vs_shooting(small_mesh):
     # R = 2, h = 0.25: P1 error is O(h^2) ~ a few percent
     A, M = assemble_hodge_laplacian(small_mesh, k=0)
-    lams, _, _ = smallest_eigenpairs(A, M, nev=1)
-    assert lams[0] == pytest.approx(SHOOTING_LAMBDA1[2.0], rel=3e-2)
-    assert lams[0] > SHOOTING_LAMBDA1[2.0]  # conforming FEM from above
+    lam = _lu_eigenvalue(A, M)
+    assert lam == pytest.approx(SHOOTING_LAMBDA1[2.0], rel=3e-2)
+    assert lam > SHOOTING_LAMBDA1[2.0]  # conforming FEM from above
 
 
 # ---------------------------------------------------------------------------
@@ -524,95 +532,21 @@ def test_dense_path_matches_scipy(rng):
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     A = sp.csr_matrix(Q @ np.diag(np.linspace(1, 50, n)) @ Q.T)
     M = sp.identity(n, format="csr")
-    lams, X, _ = smallest_eigenpairs(A, M, nev=4)
-    ref = np.sort(scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True))[:4]
-    assert np.allclose(lams, ref, rtol=1e-10)
-    assert X.shape == (n, 4)
+    lams, X, _ = smallest_eigenpairs(A, M, None)
+    ref = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
+    assert lams[0] == pytest.approx(ref, rel=1e-10)
+    assert X.shape == (n, 1)
 
 
 def test_dense_path_takes_no_lanczos_step():
-    # `iterations` counts Lanczos steps; a dense solve once reported its
-    # dimension there (7 and 8 for the two rows below)
+    # `iterations` counts the iterative solver's steps; a dense solve once
+    # reported its dimension there (7 and 8 for the two rows below)
     from llab.hyperbolic.gap import gap_sweep
 
     A = sp.diags(np.arange(1.0, 31.0), format="csr")
-    assert smallest_eigenpairs(A, sp.identity(30, format="csr"))[2] == 0
+    assert smallest_eigenpairs(A, sp.identity(30, format="csr"), None)[2] == 0
     rows = gap_sweep(R_values=(2.0,), h_values=(1.5, 1.0), k=0)["rows"]
-    assert [(r["n_dofs"], r["iterations"]) for r in rows] == [(7, 0), (8, 0)]
-
-
-def test_lanczos_path_certificates(small_mesh):
-    As, Ms = assemble_hodge_laplacian(small_mesh, k=0)
-    assert As.shape[0] > 64  # actually exercises the sparse path
-    lams, X, iters = smallest_eigenpairs(As, Ms, nev=3, rel_tol=1e-9)
-    assert iters >= 1
-    assert list(lams) == sorted(lams)
-    for j in range(3):
-        x = X[:, j]
-        r = np.linalg.norm(As @ x - lams[j] * (Ms @ x)) / np.linalg.norm(x)
-        assert r < 1e-9 * lams[j]
-
-
-@pytest.mark.parametrize("start", ["random", "constant"])
-def test_lanczos_makes_three_mass_products_a_step(small_mesh, monkeypatch, start):
-    from llab.hyperbolic import eigensolve
-
-    As, Ms = assemble_hodge_laplacian(small_mesh, k=0)
-    products, checks = [], []
-    real_matmul, real_residuals = sp.csr_matrix.__matmul__, eigensolve._pencil_residuals
-
-    def counting_matmul(self, other):
-        if np.shares_memory(self.data, Ms.data):  # the solver's M views the caller's
-            products.append(1)
-        return real_matmul(self, other)
-
-    def counting_residuals(*args):
-        checks.append(1)
-        return real_residuals(*args)
-
-    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting_matmul)
-    monkeypatch.setattr(eigensolve, "_pencil_residuals", counting_residuals)
-    v0 = np.ones(As.shape[0]) if start == "constant" else None
-    lams, X, iters = smallest_eigenpairs(As, Ms, nev=2, v0=v0)
-    monkeypatch.undo()
-
-    # one product for the start vector, one for the refining step of the
-    # returned vectors, one per residual check and eigenpair, and three per
-    # step
-    assert len(products) <= 2 + 2 * len(checks) + 3 * iters
-    ref = scipy.linalg.eigh(As.toarray(), Ms.toarray(), eigvals_only=True, subset_by_index=[0, 1])
-    assert np.allclose(lams, ref, rtol=1e-12, atol=0)
-    for j in range(2):
-        r = np.linalg.norm(As @ X[:, j] - lams[j] * (Ms @ X[:, j])) / np.linalg.norm(X[:, j])
-        assert r < 1e-8 * lams[j]
-
-
-def test_lanczos_start_vector_is_checked(small_mesh):
-    As, Ms = assemble_hodge_laplacian(small_mesh, k=0)
-    with pytest.raises(ValueError, match="shape"):
-        smallest_eigenpairs(As, Ms, v0=np.ones(3))
-    with pytest.raises(ValueError, match="zero M-norm"):
-        smallest_eigenpairs(As, Ms, v0=np.zeros(As.shape[0]))
-    # the default start is the seeded random draw, unchanged by v0's arrival
-    seeded = smallest_eigenpairs(As, Ms, seed=5)
-    drawn = smallest_eigenpairs(As, Ms, v0=np.random.default_rng(5).standard_normal(As.shape[0]))
-    assert np.array_equal(seeded[0], drawn[0]) and seeded[2] == drawn[2]
-    # the CSC view of the symmetric A is factored as it is, to the same pairs
-    viewed = smallest_eigenpairs(As.T, Ms, seed=5)
-    assert As.T.format == "csc" and np.shares_memory(As.T.data, As.data)
-    assert np.array_equal(viewed[0], seeded[0]) and np.array_equal(viewed[1], seeded[1])
-
-
-def test_lanczos_nonconvergence_carries_best(small_mesh):
-    A, M = assemble_hodge_laplacian(small_mesh, k=0)
-    with pytest.raises(LanczosNonConvergence) as exc:
-        # an impossible certificate: residual < 1e-300 * lambda
-        smallest_eigenpairs(A, M, nev=1, rel_tol=1e-300, maxiter=6)
-    err = exc.value
-    assert err.iterations >= 1
-    assert len(err.best_eigenvalues) >= 1
-    # the best estimate is still a decent eigenvalue
-    assert err.best_eigenvalues[0] == pytest.approx(SHOOTING_LAMBDA1[2.0], rel=0.05)
+    assert [(r["n_dofs"], r["solver"], r["iterations"]) for r in rows] == [(7, "dense", 0), (8, "dense", 0)]
 
 
 def test_lobpcg_ground_state_stops_only_on_a_proof(small_mesh):
@@ -622,34 +556,39 @@ def test_lobpcg_ground_state_stops_only_on_a_proof(small_mesh):
     P = ring_prolongation(coarse, small_mesh)
     T = two_grid_preconditioner(A, P, scipy.sparse.linalg.splu(Ac.tocsc()))
     exact = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
+    ones = np.ones(A.shape[0])
     # from the constant vector, a long way from the ground state
-    lam, x, steps, lower = lobpcg_ground_state(A, M, np.ones(A.shape[0]), T)
+    lams, X, steps = smallest_eigenpairs(A, M, T, ones, ground_state=True)
+    lam = lams[0]
     assert lam == pytest.approx(exact, rel=1e-12)
-    assert _pencil_residuals(A, M, [lam], x[:, None])[0] < 1e-8 * lam
+    assert _pencil_residuals(A, M, lams, X)[0] < 1e-8 * lam
+    lower = ground_state_lower(A, M, lam, X[:, 0])
     assert lower <= exact and (lam - lower) / lam <= 1e-8
     # one step short of that, it refuses, carrying its estimate
-    with pytest.raises(LanczosNonConvergence) as exc:
-        lobpcg_ground_state(A, M, np.ones(A.shape[0]), T, maxiter=steps - 1)
+    with pytest.raises(EigenNonConvergence) as exc:
+        smallest_eigenpairs(A, M, T, ones, maxiter=steps - 1, ground_state=True)
     assert exc.value.iterations == steps - 1
     assert exc.value.best_eigenvalues[0] == pytest.approx(exact, rel=1e-6)
     with pytest.raises(ValueError, match="zero M-norm"):
-        lobpcg_ground_state(A, M, np.zeros(A.shape[0]), T)
+        smallest_eigenpairs(A, M, T, np.zeros(A.shape[0]))
+    with pytest.raises(ValueError, match="shape"):
+        smallest_eigenpairs(A, M, T, np.ones(3))
     # at rel_tol = 1e-13 the residual gets below it, but the proof's
     # rounding allowance leaves a gap near 5e-13: no proof, no result
-    with pytest.raises(LanczosNonConvergence):
-        lobpcg_ground_state(A, M, x, T, rel_tol=1e-13, maxiter=20)
+    with pytest.raises(EigenNonConvergence, match="no ground state proven"):
+        smallest_eigenpairs(A, M, T, X[:, 0], rel_tol=1e-13, maxiter=20, ground_state=True)
+    # without the proof, the residual alone stops it
+    assert smallest_eigenpairs(A, M, T, X[:, 0], rel_tol=1e-13, maxiter=20)[2] < 20
 
 
-def _ground_pair(A, M, nev=1):
-    lams, X, _ = smallest_eigenpairs(A.T, M.T, nev=nev, v0=np.ones(A.shape[0]))
-    return lams, X
+def _ground_pair(A, M, pairs=1):
+    return scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, pairs - 1])
 
 
 @pytest.mark.parametrize("which", ["small_mesh", "square12"])
 def test_ground_state_lower_brackets_the_smallest_eigenvalue(request, which):
     mesh = request.getfixturevalue(which) if which == "small_mesh" else square_patch(12)
     A, M = assemble_hodge_laplacian(mesh, 0)
-    assert A.shape[0] > 64  # the Lanczos path
     lams, X = _ground_pair(A, M)
     lower = ground_state_lower(A, M, lams[0], X[:, 0])
     exact = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
@@ -662,7 +601,7 @@ def test_ground_state_lower_brackets_the_smallest_eigenvalue(request, which):
 
 def test_ground_state_lower_refuses_what_it_cannot_prove(small_mesh):
     A, M = assemble_hodge_laplacian(small_mesh, 0)
-    lams, X = _ground_pair(A, M, nev=2)
+    lams, X = _ground_pair(A, M, pairs=2)
     # the second eigenvector changes sign: no certificate
     assert ground_state_lower(A, M, lams[1], X[:, 1]) is None
     # one off-diagonal pair of A made positive, beyond what lambda M offsets

@@ -88,6 +88,29 @@ def test_identity_suite_fires_every_function_probe_its_workload_expects(monkeypa
     assert all(calls.values()), calls
 
 
+def test_gap_sweep_calls_the_eigensolve_probe_once_per_row(monkeypatch):
+    # every row, on either preconditioner, is one `smallest_eigenpairs` call
+    # on that row's pencil, so the probe's step and dof counters see them all
+    from llab.hyperbolic.gap import gap_sweep
+
+    _, modname, name, _ = spans.PROBES["hyperbolic.eigensolve.solve"]
+    target = importlib.import_module(modname).__dict__[name]
+    dofs = []
+
+    def counting(A, *args, **kwargs):
+        dofs.append(A.shape[0])
+        return target(A, *args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if modname == "llab" or modname.startswith("llab."):
+            for attr, obj in list(vars(module).items()):
+                if obj is target:
+                    monkeypatch.setattr(module, attr, counting)
+    rows = gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1))["rows"]
+    assert [row["solver"] for row in rows] == ["lu", "two_grid"]
+    assert dofs == [row["n_dofs"] for row in rows]
+
+
 @pytest.mark.parametrize("workload", ["identities", "torus", "hyperbolic"])
 def test_suite_workload_reports_pass_their_benchmark_oracles(workload, tmp_path):
     import json
