@@ -51,6 +51,7 @@ from llab.hyperbolic.forms import (
     cutoff_family,
 )
 from llab.hyperbolic import assembly as assembly_mod
+from llab.hyperbolic import eigensolve as eigensolve_mod
 from llab.hyperbolic.mesh import (
     DiscMesh,
     MeshBudgetError,
@@ -549,6 +550,39 @@ def test_dense_path_takes_no_lanczos_step():
     assert [(r["n_dofs"], r["solver"], r["iterations"]) for r in rows] == [(7, "dense", 0), (8, "dense", 0)]
 
 
+# The two tests below keep the names they had under the shift-invert
+# Lanczos solver; what they check holds of the LOBPCG solve too.
+
+
+def test_lanczos_start_vector_is_checked(small_mesh):
+    As, Ms = assemble_hodge_laplacian(small_mesh, k=0)
+    T = shifted_lu(As, Ms)[0].solve
+    with pytest.raises(ValueError, match="shape"):
+        smallest_eigenpairs(As, Ms, T, np.ones(3))
+    with pytest.raises(ValueError, match="zero M-norm"):
+        smallest_eigenpairs(As, Ms, T, np.zeros(As.shape[0]))
+    # the default start is the fixed-seed draw
+    default = smallest_eigenpairs(As, Ms, T)
+    drawn = smallest_eigenpairs(As, Ms, T, np.random.default_rng(eigensolve_mod._SEED).standard_normal(As.shape[0]))
+    assert np.array_equal(default[0], drawn[0]) and np.array_equal(default[1], drawn[1]) and default[2] == drawn[2]
+    # the CSC view of the symmetric pencil is solved as it is, to the same pair
+    viewed = smallest_eigenpairs(As.T, Ms.T, T)
+    assert As.T.format == "csc" and np.shares_memory(As.T.data, As.data)
+    assert viewed[0][0] == pytest.approx(default[0][0], rel=1e-12)
+
+
+def test_lanczos_nonconvergence_carries_best(small_mesh):
+    A, M = assemble_hodge_laplacian(small_mesh, k=0)
+    with pytest.raises(EigenNonConvergence) as exc:
+        # an impossible certificate: residual < 1e-300 * lambda
+        smallest_eigenpairs(A, M, shifted_lu(A, M)[0].solve, rel_tol=1e-300, maxiter=6)
+    err = exc.value
+    assert err.iterations == 6
+    assert len(err.best_eigenvalues) == len(err.best_residuals) == 1
+    # the best estimate is still a decent eigenvalue
+    assert err.best_eigenvalues[0] == pytest.approx(SHOOTING_LAMBDA1[2.0], rel=0.05)
+
+
 def test_lobpcg_ground_state_stops_only_on_a_proof(small_mesh):
     coarse = build_disc_mesh(2.0, 0.5)
     A, M = assemble_hodge_laplacian(small_mesh, 0)
@@ -569,10 +603,6 @@ def test_lobpcg_ground_state_stops_only_on_a_proof(small_mesh):
         smallest_eigenpairs(A, M, T, ones, maxiter=steps - 1, ground_state=True)
     assert exc.value.iterations == steps - 1
     assert exc.value.best_eigenvalues[0] == pytest.approx(exact, rel=1e-6)
-    with pytest.raises(ValueError, match="zero M-norm"):
-        smallest_eigenpairs(A, M, T, np.zeros(A.shape[0]))
-    with pytest.raises(ValueError, match="shape"):
-        smallest_eigenpairs(A, M, T, np.ones(3))
     # at rel_tol = 1e-13 the residual gets below it, but the proof's
     # rounding allowance leaves a gap near 5e-13: no proof, no result
     with pytest.raises(EigenNonConvergence, match="no ground state proven"):
