@@ -3,15 +3,16 @@
 One solver, single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001),
 takes whatever preconditioner T ~ A^{-1} its caller passes: the solve with
 the pencil's own sparse LU (`shifted_lu`, factored a little below 0 when A
-is singular), or a two-grid V-cycle (`two_grid_preconditioner`) whose
-coarse solve is the LU of a coarser mesh.  A pencil of dimension at most
-`_DENSE_CUTOFF` is solved dense.  The certificates are the point, not the
-step count: the returned pair carries the directly recomputed residual
-||A x - lambda M x|| / ||x||, and the solve refuses to return a pair whose
-residual is not below rel_tol * lambda.  A residual shows that a Ritz pair
+is singular), or a multigrid V-cycle (`multigrid_preconditioner`) over a
+chain of coarser meshes whose bottom solve is the LU of the coarsest one.
+A pencil of dimension at most `_DENSE_CUTOFF` is solved dense.  The
+certificates are the point, not the step count: the returned pair carries
+the directly recomputed residual ||A x - lambda M x|| / ||x||, and the
+solve refuses to return a pair whose residual is not below rel_tol * lambda.  A residual shows that a Ritz pair
 is accurate, not which eigenvalue it is; `ground_state_lower` proves, for a
 positive approximate ground state, that nothing lies below it, and a
-ground-state solve stops only once that proof holds within rel_tol too.
+ground-state solve stops only once that proof holds within rel_tol too,
+and returns the bound it proved.
 
 scipy supplies the LU factorization and sparse matvecs; the LOBPCG step and
 certification are explicit here so that nothing about convergence is taken
@@ -21,6 +22,7 @@ on faith from a black box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -44,7 +46,7 @@ class SpectralResult:
     rel_tol: float
     derived_bound: float | None = None
     ground_state_lower: float | None = None  # `ground_state_lower` of the first pair
-    solver: str = "lu"  # the preconditioner: "lu" (own LU) or "two_grid"; "dense" below the cutoff
+    solver: str = "lu"  # the preconditioner: "lu" (own LU) or "multigrid"; "dense" below the cutoff
 
 
 class EigenNonConvergence(ArithmeticError):
@@ -74,16 +76,17 @@ def smallest_eigenpairs(
     rel_tol: float = DEFAULT_REL_TOL,
     maxiter: int = 40,
     ground_state: bool = False,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, float | None]:
     """The smallest eigenpair of A x = lambda M x, with its certificates, by
     single-vector LOBPCG preconditioned with precondition: r -> T r,
     T ~ A^{-1}.
 
-    Returns (eigenvalues, eigenvectors, steps): one eigenvalue, an (n, 1)
-    eigenvector and the LOBPCG steps taken.  A pencil of dimension
-    n <= `_DENSE_CUTOFF` is solved dense, takes no step and reads neither
-    precondition (which may then be None) nor x0, but meets the same stop
-    rule.
+    Returns (eigenvalues, eigenvectors, steps, lower): one eigenvalue, an
+    (n, 1) eigenvector, the LOBPCG steps taken and, with ground_state, the
+    bound mu that `ground_state_lower` proved for that pair (None
+    without).  A pencil of dimension n <= `_DENSE_CUTOFF` is solved
+    dense, takes no step and reads neither precondition (which may then be
+    None) nor x0, but meets the same stop rule.
     The solve starts from x0, or from a standard normal draw with a fixed
     seed when x0 is None.
 
@@ -113,9 +116,10 @@ def smallest_eigenpairs(
         lam, res = float(lams[0]), _pencil_residuals(A, M, lams, X)[0]
         if not res < rel_tol * lam:
             raise _not_met("residual certificates not met", lam, res, 0)
-        if ground_state and not _proven(A, M, lam, X[:, 0], rel_tol):
+        lower = _proven_lower(A, M, lam, X[:, 0], rel_tol) if ground_state else None
+        if ground_state and lower is None:
             raise _not_met("no ground state proven within rel_tol", lam, res, 0)
-        return lams, X, 0
+        return lams, X, 0, lower
 
     x = np.random.default_rng(_SEED).standard_normal(n) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (n,):
@@ -150,8 +154,10 @@ def smallest_eigenpairs(
         if ready:  # the carried products met the rule: check it on true ones
             AS[0], MS[0] = A @ x, M @ x
             lam, r, res, ready = rayleigh()
-        if ready and (not ground_state or _proven(A, M, lam, x, rel_tol)):
-            return np.array([lam]), x[:, None].copy(), step
+        if ready:
+            lower = _proven_lower(A, M, lam, x, rel_tol) if ground_state else None
+            if not ground_state or lower is not None:
+                return np.array([lam]), x[:, None].copy(), step, lower
         if step == maxiter:
             break
         S[1] = precondition(r)
@@ -184,10 +190,10 @@ def smallest_eigenpairs(
     raise _not_met(met, lam, res, step)
 
 
-def _proven(A, M, lam: float, x: np.ndarray, rel_tol: float) -> bool:
-    """Whether `ground_state_lower` proves lam - mu <= rel_tol * lam."""
+def _proven_lower(A, M, lam: float, x: np.ndarray, rel_tol: float) -> float | None:
+    """`ground_state_lower`'s mu when it proves lam - mu <= rel_tol * lam, else None."""
     lower = ground_state_lower(A, M, lam, x)
-    return lower is not None and lam - lower <= rel_tol * lam
+    return lower if lower is not None and lam - lower <= rel_tol * lam else None
 
 
 def _not_met(what: str, lam: float, res: float, steps: int) -> EigenNonConvergence:
@@ -210,23 +216,51 @@ def shifted_lu(A, M) -> tuple:
     raise EigenNonConvergence("shifted operator could not be factored", [], [], 0)
 
 
-def two_grid_preconditioner(A, P, coarse_lu):
-    """r -> T r, T ~ A^{-1}: a symmetric two-grid V-cycle for the stiffness
-    matrix A of a fine mesh.
+class GridLevel(NamedTuple):
+    """One level of a V-cycle above its bottom: the level's stiffness matrix
+    A, its damped-Jacobi scaling dinv = (2/3) D^{-1}, D = diag A, and P and
+    P^T in CSR, where P prolongs the next coarser level's values to this
+    level's (`mesh.ring_prolongation`).  Built once by `grid_level`, a
+    level serves every V-cycle that passes through it."""
 
-    One damped-Jacobi step (2/3 D^{-1}, D = diag A) from zero, the coarse
-    correction P A_c^{-1} P^T on the residual, where `coarse_lu` solves with
-    the coarse mesh's own stiffness matrix A_c and P prolongs coarse values
-    to fine ones (`mesh.ring_prolongation`), then the same Jacobi step again.
+    A: sp.csr_matrix
+    dinv: np.ndarray
+    P: sp.csr_matrix
+    PT: sp.csr_matrix
+
+
+def grid_level(A, P) -> GridLevel:
+    """The `GridLevel` of stiffness matrix A, reached from below through P."""
+    return GridLevel(A, (2.0 / 3.0) / A.diagonal(), P, P.T.tocsr())
+
+
+def multigrid_preconditioner(levels, bottom_lu):
+    """r -> T r, T ~ A^{-1}: a symmetric multigrid V-cycle for the stiffness
+    matrix A of levels[0].
+
+    levels are `GridLevel`s, finest first, each prolonged from the next,
+    and the last from the bottom, whose stiffness matrix `bottom_lu`
+    solves.  On the way down, each level takes one damped-Jacobi step from
+    zero on its residual and restricts what is left with P^T; the bottom
+    solves exactly; on the way up, each level adds the prolonged correction
+    and takes the same Jacobi step again.  With one level this is the
+    two-grid cycle.  The cycle is a loop down and a loop up, so the
+    preconditioner holds its levels and nothing holds it.
     """
-    dinv = (2.0 / 3.0) / A.diagonal()
-    PT = P.T.tocsr()
+    levels = tuple(levels)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        x = dinv * r
-        x += P @ coarse_lu.solve(PT @ (r - A @ x))
-        x += dinv * (r - A @ x)
-        return x
+        down = []  # (level, its right-hand side, its pre-smoothed x)
+        for level in levels:
+            x = level.dinv * r
+            down.append((level, r, x))
+            r = level.PT @ (r - level.A @ x)
+        e = bottom_lu.solve(r)
+        for level, r, x in reversed(down):
+            x += level.P @ e
+            x += level.dinv * (r - level.A @ x)
+            e = x
+        return e
 
     return apply
 

@@ -286,9 +286,9 @@ def _crossterm_fields(mesh: DiscMesh, profile: CutoffProfile, mid: np.ndarray):
     f_edge, grad_u, grad_v = np.empty((3, es.n_edges))
     for b in _blocks(es.n_edges):
         u, v = mid[b, 0], mid[b, 1]
-        rho = mesh.geodesic_radius(mid[b])
-        # Euclidean gradient of rho: d rho/d r_eucl * radial unit vector
         r = np.hypot(u, v)
+        rho = mesh.geodesic_radius_of(r)
+        # Euclidean gradient of rho: d rho/d r_eucl * radial unit vector
         if mesh.metric == "hyperbolic":
             drho_dr = 2.0 / (1.0 - r**2)
         else:

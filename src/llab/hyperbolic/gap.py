@@ -35,12 +35,13 @@ from llab.hyperbolic.eigensolve import (
     EigenNonConvergence,
     SpectralResult,
     _pencil_residuals,
-    ground_state_lower,
+    grid_level,
+    multigrid_preconditioner,
     shifted_lu,
     smallest_eigenpairs,
-    two_grid_preconditioner,
 )
 from llab.hyperbolic import mesh as mesh_mod
+from llab.hyperbolic.assembly import assemble_hodge_laplacian
 from llab.hyperbolic.mesh import DiscMesh
 from llab.hyperbolic.oracle import SHOOTING_LAMBDA1
 from llab.lefschetz import lefschetz_power_matrix
@@ -48,6 +49,9 @@ from llab.lefschetz import lefschetz_power_matrix
 _IDENTITY_TOL = 1e-10
 _SIGMA_TOL = 1e-10
 _WEDGE_TOL = 1e-10
+# a ring mesh of at most this many vertices is small enough to factor: the
+# bottom of its R's multigrid chain
+_BOTTOM_VERTICES = 3000
 
 
 def _sigma_ladder_sq(n: int, j: int, i: int) -> list[Fraction]:
@@ -292,44 +296,102 @@ def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8) -> Spectral
     return _solve_row(mesh, k, rel_tol)[0]
 
 
-def _solve_row(mesh, k, rel_tol, coarse=None, last=None):
-    """(result, first eigenvector, LU or None) of one `gap_sweep` row.
+class _RingChain:
+    """The ring meshes of one R that precondition its k = 0 rows by a
+    multigrid V-cycle.
 
-    With coarse = (mesh, LU of its k = 0 pencil) on a coarser mesh, the row
-    is solved first with the two-grid V-cycle on that LU as preconditioner,
-    started from last = (mesh, ground state) of the previous row,
-    prolonged.  Otherwise, or when that solve fails, the same solve is
-    preconditioned with this mesh's own LU, which is returned for the
-    caller to keep; a pencil small enough to solve dense has none.
+    `bottom` is the coarsest mesh, and the only one whose pencil is
+    factored; `pencil` and `lu` are its (A, M) and their LU.  Above it,
+    `levels` holds (mesh, `GridLevel`) pairs, coarse to fine, each level
+    prolonged from the mesh before it.
     """
-    from llab.hyperbolic.assembly import assemble_hodge_laplacian
 
-    A, M = assemble_hodge_laplacian(mesh, k)
+    def __init__(self, bottom: DiscMesh, above=()):
+        self.bottom = bottom
+        self.pencil = assemble_hodge_laplacian(bottom, 0)
+        self.lu = _own_lu(*self.pencil)
+        self.levels = []
+        for mesh in above:  # coarse to fine
+            self.add(mesh, assemble_hodge_laplacian(mesh, 0)[0])
+
+    def add(self, mesh: DiscMesh, A) -> DiscMesh:
+        """Make mesh, with stiffness matrix A, the finest level, on top of
+        the levels coarser than it (finer ones are dropped); returns the
+        mesh its level is prolonged from."""
+        self.levels = [(m, level) for m, level in self.levels if m.h > mesh.h]
+        below = self.levels[-1][0] if self.levels else self.bottom
+        self.levels.append((mesh, grid_level(A, mesh_mod.ring_prolongation(below, mesh))))
+        return below
+
+    def preconditioner(self):
+        """The V-cycle from the finest level down to the bottom's LU."""
+        return multigrid_preconditioner([level for _, level in reversed(self.levels)], self.lu)
+
+
+def _ring_chain(R: float, h_values) -> _RingChain:
+    """The chain of R's k = 0 rows: below the coarsest h of the sweep,
+    meshes of doubled h are added until the last one has at most
+    `_BOTTOM_VERTICES` predicted vertices, until 2h >= R, or until the
+    next one fails its quality check.  The last mesh is the bottom; when
+    none is added, the bottom is the coarsest row's mesh."""
+    h = max(h_values)
+    meshes = []  # fine to coarse
+    while mesh_mod.predicted_vertex_count(R, h) > _BOTTOM_VERTICES and 2 * h < R:
+        try:
+            meshes.append(mesh_mod.build_disc_mesh(R, 2 * h))
+        except ArithmeticError:  # the doubled mesh fails its quality check
+            break
+        h *= 2
+    if not meshes:
+        return _RingChain(mesh_mod.build_disc_mesh(R, h))
+    return _RingChain(meshes[-1], reversed(meshes[:-1]))
+
+
+def _solve_row(mesh, k, rel_tol, chain=None, last=None):
+    """(result, first eigenvector) of one `gap_sweep` row.
+
+    With chain, the `_RingChain` of the row's R at k = 0, a row on any
+    mesh but the bottom is made the chain's finest level and solved first
+    with the V-cycle down to the bottom's LU, started from last = (mesh,
+    ground state) of the previous row, prolonged, or from the constant
+    vector when there is none.  Otherwise, or when that solve fails, the
+    row is preconditioned with its own LU (the bottom's, which the chain
+    keeps) and started from the constant vector, or from the same start
+    after a failed V-cycle solve; a pencil small enough to solve dense
+    needs neither.
+    """
+    bottom = chain is not None and mesh is chain.bottom
+    A, M = chain.pencil if bottom else assemble_hodge_laplacian(mesh, k)
     # the Dirichlet ground state of the scalar Laplacian is positive, so the
     # constant vector leans on it far more than a random one does
     x0 = np.ones(A.shape[0]) if k == 0 else None
-    if coarse is not None and coarse[0].h > mesh.h:
-        (coarse_mesh, coarse_lu), (last_mesh, start) = coarse, last
-        P = mesh_mod.ring_prolongation(coarse_mesh, mesh)
-        x0 = (P if last_mesh is coarse_mesh else mesh_mod.ring_prolongation(last_mesh, mesh)) @ start
+    if A.shape[0] <= _DENSE_CUTOFF:
+        return _solved(mesh, k, A, M, None, x0, rel_tol, "dense")
+    if chain is not None and not bottom:
+        below = chain.add(mesh, A)
+        if last is not None:
+            last_mesh, start = last
+            P = chain.levels[-1][1].P if last_mesh is below else mesh_mod.ring_prolongation(last_mesh, mesh)
+            x0 = P @ start
         try:
-            return *_solved(mesh, k, A, M, two_grid_preconditioner(A, P, coarse_lu), x0, rel_tol, "two_grid"), None
+            return _solved(mesh, k, A, M, chain.preconditioner(), x0, rel_tol, "multigrid")
         except EigenNonConvergence:
             pass
-    # A and M are exactly symmetric, so the transpose views of their CSR
-    # arrays are A and M in CSC, the layout splu factors, with no copy
-    lu = shifted_lu(A.T, M.T)[0] if A.shape[0] > _DENSE_CUTOFF else None
-    solver = "dense" if lu is None else "lu"
-    return *_solved(mesh, k, A, M, None if lu is None else lu.solve, x0, rel_tol, solver), lu
+    lu = chain.lu if bottom else _own_lu(A, M)
+    return _solved(mesh, k, A, M, lu.solve, x0, rel_tol, "lu")
+
+
+def _own_lu(A, M):
+    """The LU of the pencil (A, M), from `shifted_lu`.  A and M are exactly
+    symmetric, so the transpose views of their CSR arrays are A and M in
+    CSC, the layout splu factors, with no copy."""
+    return shifted_lu(A.T, M.T)[0]
 
 
 def _solved(mesh, k, A, M, precondition, x0, rel_tol, solver) -> tuple[SpectralResult, np.ndarray]:
-    """(result, eigenvector) of `smallest_eigenpairs` on the degree-k pencil (A, M)."""
-    lams, X, steps = smallest_eigenpairs(A, M, precondition, x0, rel_tol, ground_state=k == 0)
-    x = X[:, 0]
-    # the solve's stop rule proved the k = 0 bound; it is proven again for
-    # the report, as the residual is recomputed for it
-    lower = ground_state_lower(A, M, float(lams[0]), x) if k == 0 else None
+    """(result, eigenvector) of `smallest_eigenpairs` on the degree-k pencil
+    (A, M); at k = 0 the result carries the lower bound its stop rule proved."""
+    lams, X, steps, lower = smallest_eigenpairs(A, M, precondition, x0, rel_tol, ground_state=k == 0)
     res = _pencil_residuals(A, M, lams, X)
     bound = None
     if mesh.metric == "hyperbolic" and k != 1:
@@ -345,7 +407,7 @@ def _solved(mesh, k, A, M, precondition, x0, rel_tol, solver) -> tuple[SpectralR
         ground_state_lower=lower,
         solver=solver,
     )
-    return result, x
+    return result, X[:, 0]
 
 
 def gap_sweep(
@@ -362,17 +424,25 @@ def gap_sweep(
     log-uniform, otherwise the P1 rate 2).
 
     Every row is solved by one solver, LOBPCG (`smallest_eigenpairs`),
-    with one of two preconditioners.  The first mesh of each R, any mesh no
-    finer than it, and every row at k = 1 are preconditioned with their own
-    LU, and at k = 0 the first mesh's LU is kept while a finer h is still
-    to come.  Each later k = 0 row on a finer mesh than that one is
-    preconditioned with the two-grid V-cycle on the kept LU, started from
-    the previous row's ground state, and falls back to its own LU when that
-    solve fails.  A k = 0 solve stops only on a residual below
-    rel_tol * lambda and a proven lower bound within rel_tol of lambda; a
-    k = 1 solve stops on the residual alone.  Each row names its "solver"
-    ("lu" or "two_grid", "dense" for a pencil small enough to solve dense),
-    and "iterations" counts that one solve's steps.  k = 0 rows carry
+    with one of two preconditioners.  At k = 0 each R gets a chain of ring
+    meshes (`_ring_chain`): below the coarsest h of the sweep, h is
+    doubled until a mesh has at most `_BOTTOM_VERTICES` predicted
+    vertices, until 2h >= R, or until the next mesh fails its quality
+    check.  Those extra meshes only precondition; they are neither solved
+    nor reported.  Only the coarsest mesh of the chain, its bottom, is
+    factored.  A row on the bottom mesh is preconditioned with that LU;
+    every other k = 0 row with the multigrid V-cycle through every coarser
+    mesh of the chain down to it, started from the previous row's ground
+    state, prolonged, or from the constant vector for the first row of an
+    R.  Each level's stiffness matrix, prolongation and Jacobi diagonal
+    are built once and serve the finer rows of the same R; the chain is
+    freed before the next R.  A row whose V-cycle solve fails falls back
+    to its own LU.  Every row at k = 1 is preconditioned with its own LU.
+    A k = 0 solve stops only on a residual below rel_tol * lambda and a
+    proven lower bound within rel_tol of lambda; a k = 1 solve stops on
+    the residual alone.  Each row names its "solver" ("lu" or
+    "multigrid", "dense" for a pencil small enough to solve dense), and
+    "iterations" counts that one solve's steps.  k = 0 rows carry
     `ground_state_lower`, a proven lower bound on the smallest eigenvalue
     of their discrete pencil (always None at k = 1).  Raises ValueError on
     a repeated R or h, or a rel_tol outside (0, 1), before any mesh is
@@ -395,17 +465,17 @@ def gap_sweep(
     R_star, h_star = max(R_values), min(h_values)
     finest_mesh = None
     for R in R_values:
-        coarse, last = None, None
-        for i, h in enumerate(h_values):
-            # looked up on its module, so a wrapped build_disc_mesh is the one called
-            mesh = mesh_mod.build_disc_mesh(R, h)
+        chain = _ring_chain(R, h_values) if k == 0 else None
+        last = None
+        for h in h_values:
+            if chain is not None and h == chain.bottom.h:
+                mesh = chain.bottom
+            else:
+                # looked up on its module, so a wrapped build_disc_mesh is the one called
+                mesh = mesh_mod.build_disc_mesh(R, h)
             if R == R_star and h == h_star:
                 finest_mesh = mesh
-            result, x, lu = _solve_row(mesh, k, rel_tol, coarse, last)
-            # the first mesh's LU is kept while a finer mesh is still to come
-            if k == 0 and i == 0 and h > h_star and lu is not None:
-                coarse = (mesh, lu)
-            del lu  # an LU not kept is freed before the next row factors its own
+            result, x = _solve_row(mesh, k, rel_tol, chain, last)
             last = (mesh, x)
             lam = result.eigenvalues[0]
             oracle = SHOOTING_LAMBDA1.get(float(R)) if k == 0 else None
@@ -426,6 +496,7 @@ def gap_sweep(
                 }
             )
             per_R.setdefault(float(R), []).append((float(h), lam))
+        chain = last = None  # the chain's levels and LU are freed before the next R meshes
 
     extrapolation = {}
     for R, pairs in per_R.items():

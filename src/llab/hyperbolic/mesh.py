@@ -110,7 +110,10 @@ class DiscMesh:
     def geodesic_radius(self, points: np.ndarray) -> np.ndarray:
         """Distance to the origin.  rho = 2 artanh|z| in the hyperbolic case."""
         pts = np.atleast_2d(points)
-        r = np.hypot(pts[:, 0], pts[:, 1])
+        return self.geodesic_radius_of(np.hypot(pts[:, 0], pts[:, 1]))
+
+    def geodesic_radius_of(self, r: np.ndarray) -> np.ndarray:
+        """Distance to the origin of points at Euclidean radius r = |z|."""
         if self.metric == "euclidean":
             return r
         return 2.0 * np.arctanh(np.clip(r, 0.0, 1.0 - 1e-15))

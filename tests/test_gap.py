@@ -233,52 +233,72 @@ def test_gap_sweep_solves_the_finer_mesh_on_the_coarser_lu(monkeypatch):
     factored = _count_factorizations(monkeypatch)
     out = gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1), k=0)
     coarse, fine = out["rows"]
-    # one factorization per R, the coarse mesh's: the finer mesh is solved
-    # by LOBPCG with the two-grid V-cycle on it
-    assert factored == [coarse["n_dofs"]]
-    assert (coarse["solver"], fine["solver"]) == ("lu", "two_grid")
+    # one factorization per R, of the h = 0.4 mesh added below the sweep
+    # (833 dofs, 1,262 predicted vertices): both rows are solved by LOBPCG
+    # with the V-cycle down to it
+    assert factored == [833] == [len(build_disc_mesh(4.0, 0.4).interior)]
+    assert (coarse["solver"], fine["solver"]) == ("multigrid", "multigrid")
     # each solve stops only on a proof within rel_tol
     for row in out["rows"]:
         lam = row["lambda1"]
         assert row["residual"] < 1e-8 * lam
         assert 0 <= (lam - row["ground_state_lower"]) / lam <= 1e-8
-    alone = dirichlet_lambda1(out["finest_mesh"], 0)
-    assert fine["lambda1"] == pytest.approx(alone.eigenvalues[0], rel=1e-12)
+        alone = dirichlet_lambda1(build_disc_mesh(4.0, row["h"]), 0)
+        assert lam == pytest.approx(alone.eigenvalues[0], rel=1e-12)
+
+
+def _recording_multigrid(monkeypatch, broken=None) -> tuple[list, list]:
+    """The V-cycles `gap` makes: the dimensions of each one's levels, finest
+    first, with its bottom's last, and the preconditioners themselves;
+    broken, when given, is made in place of each one."""
+    from llab.hyperbolic import gap
+
+    real = gap.multigrid_preconditioner
+    made, cycles = [], []
+
+    def recording(levels, bottom_lu):
+        levels = list(levels)
+        made.append([level.A.shape[0] for level in levels] + [bottom_lu.shape[0]])
+        cycles.append(real(levels, bottom_lu) if broken is None else broken)
+        return cycles[-1]
+
+    monkeypatch.setattr(gap, "multigrid_preconditioner", recording)
+    return made, cycles
 
 
 @pytest.mark.parametrize("broken", ["zero preconditioner", "step cap of 1"])
-def test_a_failed_two_grid_solve_falls_back_to_lanczos_on_its_own_lu(monkeypatch, broken):
+def test_a_failed_multigrid_solve_falls_back_to_its_own_lu(monkeypatch, broken):
     from llab.hyperbolic import gap
 
-    real_solve, real_two_grid = gap.smallest_eigenpairs, gap.two_grid_preconditioner
-    two_grid = []  # the preconditioners the sweep made
-
-    def made(A, P, lu):
-        two_grid.append(np.zeros_like if broken == "zero preconditioner" else real_two_grid(A, P, lu))
-        return two_grid[-1]
+    real_solve = gap.smallest_eigenpairs
+    made, cycles = _recording_multigrid(monkeypatch, np.zeros_like if broken == "zero preconditioner" else None)
 
     def capped(A, M, precondition, *args, **kwargs):
-        if broken == "step cap of 1" and any(precondition is T for T in two_grid):
+        if broken == "step cap of 1" and any(precondition is T for T in cycles):
             kwargs["maxiter"] = 1
         return real_solve(A, M, precondition, *args, **kwargs)
 
-    monkeypatch.setattr(gap, "two_grid_preconditioner", made)
     monkeypatch.setattr(gap, "smallest_eigenpairs", capped)
     factored = _count_factorizations(monkeypatch)
     out = gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1), k=0)
     coarse, fine = out["rows"]
-    # the finer row is the LU path's: one more factorization, its own, and
-    # the same solve, from the same start, preconditioned with it
-    assert len(two_grid) == 1
-    assert factored == [coarse["n_dofs"], fine["n_dofs"]]
-    assert fine["solver"] == "lu"
-    assert (fine["lambda1"] - fine["ground_state_lower"]) / fine["lambda1"] <= 1e-8
+    # both rows tried the V-cycle, down to the h = 0.4 bottom, then took the
+    # LU path: the bottom's factorization, then one more per row, its own,
+    # and the same solve, from the same start, preconditioned with it
+    assert made == [[3718, 833], [15687, 3718, 833]]
+    assert factored == [833, coarse["n_dofs"], fine["n_dofs"]]
+    assert (coarse["solver"], fine["solver"]) == ("lu", "lu")
+    alone = dirichlet_lambda1(build_disc_mesh(4.0, 0.2), 0)  # from the constant vector, as the first row
+    assert (coarse["lambda1"], coarse["iterations"]) == (alone.eigenvalues[0], alone.iterations)
+    for row in out["rows"]:
+        assert (row["lambda1"] - row["ground_state_lower"]) / row["lambda1"] <= 1e-8
     alone = dirichlet_lambda1(out["finest_mesh"], 0)
     assert fine["lambda1"] == pytest.approx(alone.eigenvalues[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
 def test_the_proof_precheck_never_delays_the_two_grid_stop(monkeypatch, small_mesh, rel_tol):
+    # on one level, the V-cycle is the two-grid cycle
     import scipy.sparse.linalg as spla
 
     from llab.hyperbolic import eigensolve
@@ -287,8 +307,9 @@ def test_the_proof_precheck_never_delays_the_two_grid_stop(monkeypatch, small_me
 
     coarse = build_disc_mesh(2.0, 0.5)
     A, M = assemble_hodge_laplacian(small_mesh, 0)
-    T = eigensolve.two_grid_preconditioner(
-        A, ring_prolongation(coarse, small_mesh), spla.splu(assemble_hodge_laplacian(coarse, 0)[0].tocsc()))
+    T = eigensolve.multigrid_preconditioner(
+        [eigensolve.grid_level(A, ring_prolongation(coarse, small_mesh))],
+        spla.splu(assemble_hodge_laplacian(coarse, 0)[0].tocsc()))
     start = np.ones(A.shape[0])
     steps = eigensolve.smallest_eigenpairs(A, M, T, start, rel_tol, ground_state=True)[2]
     # the same solve with the proof run at every step stops at that step
@@ -297,11 +318,11 @@ def test_the_proof_precheck_never_delays_the_two_grid_stop(monkeypatch, small_me
 
 
 def test_the_two_grid_rows_keep_their_solver_and_step_count():
-    # LOBPCG carries A S and M S from step to step instead of multiplying
-    # A x and M x out again; that moves lambda in its last bits only, so each
-    # row stops where it stopped when every step recomputed them
+    # both rows of R = 4 take the V-cycle down to the h = 0.4 bottom: the
+    # first from the constant vector, the second from the first's ground
+    # state through the h = 0.2 level the first row left in the chain
     out = gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1), k=0)
-    assert [(row["solver"], row["iterations"]) for row in out["rows"]] == [("lu", 11), ("two_grid", 12)]
+    assert [(row["solver"], row["iterations"]) for row in out["rows"]] == [("multigrid", 14), ("multigrid", 12)]
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
@@ -321,45 +342,143 @@ def test_lobpcg_certifies_the_x_it_returns(rel_tol):
     P = ring_prolongation(coarse, fine)
     lu = spla.splu(Ac.tocsc())
     start = P @ eigensolve.smallest_eigenpairs(Ac, Mc, lu.solve, np.ones(Ac.shape[0]), ground_state=True)[1][:, 0]
-    lams, X, _ = eigensolve.smallest_eigenpairs(
-        A, M, eigensolve.two_grid_preconditioner(A, P, lu), start, rel_tol, ground_state=True)
+    lams, X, _, proven = eigensolve.smallest_eigenpairs(
+        A, M, eigensolve.multigrid_preconditioner([eigensolve.grid_level(A, P)], lu), start, rel_tol,
+        ground_state=True)
     lam = lams[0]
     assert eigensolve._pencil_residuals(A, M, lams, X)[0] < rel_tol * lam
     lower = eigensolve.ground_state_lower(A, M, lam, X[:, 0])
     assert lower is not None and lam - lower <= rel_tol * lam
+    assert proven == lower
 
 
 @pytest.mark.parametrize("h_values, solvers", [
-    ((0.1, 0.2), ["lu", "lu"]),
-    ((0.2, 0.4, 0.1), ["lu", "lu", "two_grid"]),
+    # each row's solver and, for a V-cycle, the dimensions of its levels,
+    # finest first, with the bottom's last
+    ((0.1, 0.2), [("multigrid", [15687, 833]), ("multigrid", [3718, 833])]),
+    ((0.2, 0.4, 0.1), [("multigrid", [3718, 833]), ("lu", None), ("multigrid", [15687, 3718, 833])]),
 ])
 def test_gap_sweep_takes_no_finer_mesh_as_the_coarse_grid(monkeypatch, h_values, solvers):
+    # every V-cycle runs through the meshes coarser than its row only: an
+    # ascending sweep drops the finer level its first row left, and jumps
+    # from h = 0.1 straight to the h = 0.4 bottom
     factored = _count_factorizations(monkeypatch)
+    made = _recording_multigrid(monkeypatch)[0]
     out = gap_sweep(R_values=(4.0,), h_values=h_values, k=0)
-    assert [row["solver"] for row in out["rows"]] == solvers
-    # each "lu" row factors its own mesh, once, and solves it as it would
-    # alone
-    assert factored == [row["n_dofs"] for row in out["rows"] if row["solver"] == "lu"]
+    assert [row["solver"] for row in out["rows"]] == [solver for solver, _ in solvers]
+    assert made == [cycle for _, cycle in solvers if cycle is not None]
+    # the h = 0.4 mesh, below the sweep or on it, is the only one factored,
+    # and a row on it is solved with that LU as it would be alone
+    assert factored == [833]
     for row in out["rows"]:
         alone = dirichlet_lambda1(build_disc_mesh(4.0, row["h"]), 0)
         assert row["lambda1"] == pytest.approx(alone.eigenvalues[0], rel=1e-12)
-        assert row["ground_state_lower"] is not None
+        # proven on every row, the factor-4 jump within the step cap too
+        assert (row["lambda1"] - row["ground_state_lower"]) / row["lambda1"] <= 1e-8
         if row["solver"] == "lu":
             assert row["iterations"] == alone.iterations
 
 
 def test_gap_sweep_proves_every_k0_row_within_rel_tol():
     # every k = 0 solve stops only on a proof within rel_tol, whatever its
-    # preconditioner: the first mesh of each R too, not only the finer ones
+    # preconditioner: the bottom of each R too, not only the finer meshes
     out = gap_sweep(R_values=(2.0,), h_values=(0.3, 0.25), k=0, rel_tol=1e-8)
-    assert [row["solver"] for row in out["rows"]] == ["lu", "two_grid"]
+    assert [row["solver"] for row in out["rows"]] == ["lu", "multigrid"]
     for row in out["rows"]:
         assert (row["lambda1"] - row["ground_state_lower"]) / row["lambda1"] <= 1e-8
 
 
-def test_gap_sweep_k1_carries_no_ground_state_bound():
+def test_gap_sweep_k1_carries_no_ground_state_bound(monkeypatch):
+    made = _recording_multigrid(monkeypatch)[0]
     out = gap_sweep(R_values=(2.0,), h_values=(0.5, 0.4), k=1)
     assert [row["ground_state_lower"] for row in out["rows"]] == [None, None]
+    # k = 1 builds no chain: every row is preconditioned with its own LU
+    assert [row["solver"] for row in out["rows"]] == ["lu", "lu"]
+    assert made == []
+
+
+@pytest.mark.parametrize("R, bottom, above", [(2.0, 0.2, []), (4.0, 0.4, []), (6.0, 0.8, [0.4])])
+def test_the_benchmark_sweep_extends_each_R_below_its_coarsest_h(R, bottom, above):
+    # h = 0.2 doubles until a mesh has at most 3,000 predicted vertices:
+    # 493 at R = 2 (no extra mesh), 4,575 then 1,262 at R = 4, and 34,802,
+    # 9,573, then 2,992 at R = 6
+    from llab.hyperbolic.gap import _BOTTOM_VERTICES, _ring_chain
+    from llab.hyperbolic.mesh import predicted_vertex_count
+
+    chain = _ring_chain(R, (0.2, 0.1))
+    assert chain.bottom.h == bottom and predicted_vertex_count(R, bottom) <= _BOTTOM_VERTICES
+    assert [mesh.h for mesh, _ in chain.levels] == above
+    for (mesh, level), below in zip(chain.levels, [chain.bottom]):
+        assert level.P.shape == (len(mesh.interior), len(below.interior))
+    assert chain.lu.shape[0] == chain.pencil[0].shape[0] == len(chain.bottom.interior)
+
+
+def test_a_doubled_mesh_that_fails_its_quality_check_ends_the_chain(monkeypatch):
+    from llab.hyperbolic import mesh
+
+    tried = []
+    real_build = mesh.build_disc_mesh
+
+    def recording(R, h):
+        try:
+            m = real_build(R, h)
+        except ArithmeticError:
+            tried.append((R, h, "fails"))
+            raise
+        tried.append((R, h, m.n_vertices))
+        return m
+
+    monkeypatch.setattr(mesh, "build_disc_mesh", recording)
+    factored = _count_factorizations(monkeypatch)
+    out = gap_sweep(R_values=(7.0,), h_values=(0.8, 0.4), k=0)
+    # h = 0.8 has more vertices than a bottom may, but the doubled h = 1.6
+    # mesh fails its quality check (min angle 10.1 deg): the run goes on,
+    # with the h = 0.8 row as the bottom, on its own LU
+    assert tried[:2] == [(7.0, 1.6, "fails"), (7.0, 0.8, 7957)]
+    assert [(R, h) for R, h, _ in tried[2:]] == [(7.0, 0.4)]
+    coarse, fine = out["rows"]
+    assert (coarse["solver"], fine["solver"]) == ("lu", "multigrid")
+    assert factored == [coarse["n_dofs"]]
+    for row in out["rows"]:
+        assert (row["lambda1"] - row["ground_state_lower"]) / row["lambda1"] <= 1e-8
+
+
+def test_a_sweeps_chain_dies_with_it_without_the_cyclic_collector(monkeypatch):
+    # the V-cycle and the chain hold their levels and nothing holds them,
+    # so reference counting alone frees a chain before the next R meshes
+    # and every level once the sweep returns
+    import gc
+    import weakref
+
+    from llab.hyperbolic import gap
+
+    real_chain, real_multigrid = gap._ring_chain, gap.multigrid_preconditioner
+    refs = []
+
+    def chain(*args):
+        assert all(ref() is None for ref in refs)  # the last R's chain is gone
+        made = real_chain(*args)
+        refs.append(weakref.ref(made))
+        return made
+
+    def multigrid(levels, bottom_lu):
+        levels = list(levels)
+        refs.extend(weakref.ref(array) for level in levels for array in level)
+        T = real_multigrid(levels, bottom_lu)
+        refs.append(weakref.ref(T))
+        return T
+
+    monkeypatch.setattr(gap, "_ring_chain", chain)
+    monkeypatch.setattr(gap, "multigrid_preconditioner", multigrid)
+    gc.disable()
+    try:
+        out = gap_sweep(R_values=(2.0, 4.0), h_values=(0.2, 0.1), k=0)
+        assert [row["solver"] for row in out["rows"]] == ["lu", "multigrid", "multigrid", "multigrid"]
+        # two chains, and three V-cycles of 1, 1 and 2 levels of 4 arrays each
+        assert len(refs) == 2 + (4 + 1) + (4 + 1) + (8 + 1)
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("R_values, h_values, repeated", [

@@ -38,10 +38,11 @@ from llab.hyperbolic.assembly import (
 from llab.hyperbolic.eigensolve import (
     EigenNonConvergence,
     _pencil_residuals,
+    grid_level,
     ground_state_lower,
+    multigrid_preconditioner,
     shifted_lu,
     smallest_eigenpairs,
-    two_grid_preconditioner,
 )
 from llab.hyperbolic.forms import (
     AnnulusDecayTable,
@@ -533,13 +534,14 @@ def test_dense_path_matches_scipy(rng):
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     A = sp.csr_matrix(Q @ np.diag(np.linspace(1, 50, n)) @ Q.T)
     M = sp.identity(n, format="csr")
-    lams, X, _ = smallest_eigenpairs(A, M, None)
+    lams, X, _, lower = smallest_eigenpairs(A, M, None)
+    assert lower is None  # proven only for a ground state
     ref = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
     assert lams[0] == pytest.approx(ref, rel=1e-10)
     assert X.shape == (n, 1)
 
 
-def test_dense_path_takes_no_lanczos_step():
+def test_dense_path_takes_no_lobpcg_step():
     # `iterations` counts the iterative solver's steps; a dense solve once
     # reported its dimension there (7 and 8 for the two rows below)
     from llab.hyperbolic.gap import gap_sweep
@@ -588,15 +590,17 @@ def test_lobpcg_ground_state_stops_only_on_a_proof(small_mesh):
     A, M = assemble_hodge_laplacian(small_mesh, 0)
     Ac, _ = assemble_hodge_laplacian(coarse, 0)
     P = ring_prolongation(coarse, small_mesh)
-    T = two_grid_preconditioner(A, P, scipy.sparse.linalg.splu(Ac.tocsc()))
+    T = multigrid_preconditioner([grid_level(A, P)], scipy.sparse.linalg.splu(Ac.tocsc()))
     exact = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
     ones = np.ones(A.shape[0])
     # from the constant vector, a long way from the ground state
-    lams, X, steps = smallest_eigenpairs(A, M, T, ones, ground_state=True)
+    lams, X, steps, lower = smallest_eigenpairs(A, M, T, ones, ground_state=True)
     lam = lams[0]
     assert lam == pytest.approx(exact, rel=1e-12)
     assert _pencil_residuals(A, M, lams, X)[0] < 1e-8 * lam
-    lower = ground_state_lower(A, M, lam, X[:, 0])
+    # the bound the stop rule proved is returned: the proof run again on
+    # the returned pair gives it to the last bit
+    assert lower == ground_state_lower(A, M, lam, X[:, 0])
     assert lower <= exact and (lam - lower) / lam <= 1e-8
     # one step short of that, it refuses, carrying its estimate
     with pytest.raises(EigenNonConvergence) as exc:
@@ -609,6 +613,39 @@ def test_lobpcg_ground_state_stops_only_on_a_proof(small_mesh):
         smallest_eigenpairs(A, M, T, X[:, 0], rel_tol=1e-13, maxiter=20, ground_state=True)
     # without the proof, the residual alone stops it
     assert smallest_eigenpairs(A, M, T, X[:, 0], rel_tol=1e-13, maxiter=20)[2] < 20
+
+
+def test_multigrid_v_cycle_is_the_two_grid_cycle_on_one_level_and_symmetric_on_three(small_mesh, rng):
+    import scipy.sparse.linalg as spla
+
+    # one level: the damped-Jacobi step, the coarse correction and the
+    # same step again, bit for bit
+    coarse = build_disc_mesh(2.0, 0.5)
+    A, _ = assemble_hodge_laplacian(small_mesh, 0)
+    P = ring_prolongation(coarse, small_mesh)
+    lu = spla.splu(assemble_hodge_laplacian(coarse, 0)[0].tocsc())
+    r = rng.standard_normal(A.shape[0])
+    dinv = (2.0 / 3.0) / A.diagonal()
+    x = dinv * r
+    x += P @ lu.solve(P.T.tocsr() @ (r - A @ x))
+    x += dinv * (r - A @ x)
+    assert np.array_equal(multigrid_preconditioner([grid_level(A, P)], lu)(r), x)
+    # three levels above the bottom, R = 2 at h = 0.25, 0.125 and 0.0625
+    # over 0.5: the cycle is a symmetric positive operator, as LOBPCG needs
+    meshes = [coarse, small_mesh, build_disc_mesh(2.0, 0.125), build_disc_mesh(2.0, 0.0625)]
+    levels = [grid_level(assemble_hodge_laplacian(fine, 0)[0], ring_prolongation(below, fine))
+              for below, fine in zip(meshes, meshes[1:])][::-1]
+    T = multigrid_preconditioner(levels, lu)
+    n = levels[0].A.shape[0]
+    U, V = rng.standard_normal((2, n)), rng.standard_normal((2, n))
+    TU = np.array([T(u) for u in U])
+    pairs = [(u @ T(v), v @ tu) for u, tu in zip(U, TU) for v in V]
+    assert all(a == pytest.approx(b, rel=1e-12) for a, b in pairs)
+    assert all(u @ tu > 0 for u, tu in zip(U, TU))
+    # the right-hand side is read, not written
+    r0 = U[0].copy()
+    T(U[0])
+    assert np.array_equal(U[0], r0)
 
 
 def _ground_pair(A, M, pairs=1):

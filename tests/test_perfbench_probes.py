@@ -90,7 +90,8 @@ def test_identity_suite_fires_every_function_probe_its_workload_expects(monkeypa
 
 def test_gap_sweep_calls_the_eigensolve_probe_once_per_row(monkeypatch):
     # every row, on either preconditioner, is one `smallest_eigenpairs` call
-    # on that row's pencil, so the probe's step and dof counters see them all
+    # on that row's pencil, so the probe's step and dof counters see them all;
+    # the h = 0.4 mesh added below the sweep only preconditions and makes none
     from llab.hyperbolic.gap import gap_sweep
 
     _, modname, name, _ = spans.PROBES["hyperbolic.eigensolve.solve"]
@@ -107,7 +108,7 @@ def test_gap_sweep_calls_the_eigensolve_probe_once_per_row(monkeypatch):
                 if obj is target:
                     monkeypatch.setattr(module, attr, counting)
     rows = gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1))["rows"]
-    assert [row["solver"] for row in rows] == ["lu", "two_grid"]
+    assert [row["solver"] for row in rows] == ["multigrid", "multigrid"]
     assert dofs == [row["n_dofs"] for row in rows]
 
 
