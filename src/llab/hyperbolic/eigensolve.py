@@ -2,13 +2,15 @@
 
 One solver, single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001),
 takes whatever preconditioner T ~ A^{-1} its caller passes: the solve with
-the pencil's own sparse LU (`shifted_lu`, factored a little below 0 when A
-is singular), or a multigrid V-cycle (`multigrid_preconditioner`) over a
-chain of coarser meshes whose bottom solve is the LU of the coarsest one.
-A pencil of dimension at most `_DENSE_CUTOFF` is solved dense.  The
-certificates are the point, not the step count: the returned pair carries
-the directly recomputed residual ||A x - lambda M x|| / ||x||, and the
-solve refuses to return a pair whose residual is not below rel_tol * lambda.  A residual shows that a Ritz pair
+the stiffness matrix's own sparse LU (`stiffness_lu`), or a multigrid
+V-cycle (`multigrid_preconditioner`) over a chain of coarser meshes whose
+bottom solve is the LU of the coarsest one.  Every pencil, of any
+dimension, takes that one route.  A singular stiffness matrix is refused
+where it is factored: its smallest eigenvalue is 0, and no residual is
+below rel_tol * 0.  The certificates are the point, not the step count:
+the returned pair carries the directly recomputed residual
+||A x - lambda M x|| / ||x||, and the solve refuses to return a pair whose
+residual is not below rel_tol * lambda.  A residual shows that a Ritz pair
 is accurate, not which eigenvalue it is; `ground_state_lower` proves, for a
 positive approximate ground state, that nothing lies below it, and a
 ground-state solve stops only once that proof holds within rel_tol too,
@@ -30,42 +32,34 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DEFAULT_REL_TOL = 1e-8
-_DENSE_CUTOFF = 64
 _SEED = 20260301  # the start draw of a solve given no start vector
 
 
 @dataclass
 class SpectralResult:
-    """Certified eigenpairs of a generalized pencil."""
+    """The certified smallest eigenpair of a generalized pencil."""
 
     k: int
-    eigenvalues: list[float]
-    residuals: list[float]  # ||A x - lambda M x||_2 / ||x||_2, recomputed
+    eigenvalue: float
+    residual: float  # ||A x - lambda M x||_2 / ||x||_2, recomputed from x
     iterations: int
     n_dofs: int
     rel_tol: float
     derived_bound: float | None = None
-    ground_state_lower: float | None = None  # `ground_state_lower` of the first pair
-    solver: str = "lu"  # the preconditioner: "lu" (own LU) or "multigrid"; "dense" below the cutoff
+    ground_state_lower: float | None = None  # `ground_state_lower` of the pair
+    solver: str = "lu"  # the preconditioner: "lu" (own LU) or "multigrid"
 
 
 class EigenNonConvergence(ArithmeticError):
-    """Raised when certificates cannot be met; carries the best estimates."""
+    """Raised when certificates cannot be met; carries the last estimate
+    (eigenvalue and residual), or None for both when no step was made."""
 
-    def __init__(self, message: str, best_eigenvalues, best_residuals, iterations: int):
+    def __init__(self, message: str, eigenvalue: float | None = None, residual: float | None = None,
+                 iterations: int = 0):
         super().__init__(message)
-        self.best_eigenvalues = list(best_eigenvalues)
-        self.best_residuals = list(best_residuals)
+        self.eigenvalue = eigenvalue
+        self.residual = residual
         self.iterations = iterations
-
-
-def _pencil_residuals(A, M, lams, X):
-    res = []
-    for i, lam in enumerate(lams):
-        x = X[:, i]
-        r = A @ x - lam * (M @ x)
-        res.append(float(np.linalg.norm(r) / np.linalg.norm(x)))
-    return res
 
 
 def smallest_eigenpairs(
@@ -76,19 +70,19 @@ def smallest_eigenpairs(
     rel_tol: float = DEFAULT_REL_TOL,
     maxiter: int = 40,
     ground_state: bool = False,
-) -> tuple[np.ndarray, np.ndarray, int, float | None]:
+) -> tuple[float, np.ndarray, int, float | None, float]:
     """The smallest eigenpair of A x = lambda M x, with its certificates, by
     single-vector LOBPCG preconditioned with precondition: r -> T r,
     T ~ A^{-1}.
 
-    Returns (eigenvalues, eigenvectors, steps, lower): one eigenvalue, an
-    (n, 1) eigenvector, the LOBPCG steps taken and, with ground_state, the
-    bound mu that `ground_state_lower` proved for that pair (None
-    without).  A pencil of dimension n <= `_DENSE_CUTOFF` is solved
-    dense, takes no step and reads neither precondition (which may then be
-    None) nor x0, but meets the same stop rule.
-    The solve starts from x0, or from a standard normal draw with a fixed
-    seed when x0 is None.
+    Returns (eigenvalue, eigenvector, steps, lower, residual): lambda, the
+    1-D x, the LOBPCG steps taken, with ground_state the bound mu that
+    `ground_state_lower` proved for the pair (None without), and the
+    residual ||A x - lambda M x|| / ||x|| that the stop rule certified,
+    computed from the returned x.  A pencil of any dimension, 1 included,
+    takes this route; a start that already meets the stop rule returns
+    after 0 steps.  The solve starts from x0, or from a standard normal
+    draw with a fixed seed when x0 is None.
 
     Each step is a Rayleigh-Ritz on {x, w, p} in the M-inner product: the
     iterate x, the preconditioned residual w = precondition(A x - lambda M x)
@@ -111,16 +105,6 @@ def smallest_eigenpairs(
     n = A.shape[0]
     if n != M.shape[0]:
         raise ValueError("pencil dimension mismatch")
-    if n <= _DENSE_CUTOFF:
-        lams, X = sla.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])
-        lam, res = float(lams[0]), _pencil_residuals(A, M, lams, X)[0]
-        if not res < rel_tol * lam:
-            raise _not_met("residual certificates not met", lam, res, 0)
-        lower = _proven_lower(A, M, lam, X[:, 0], rel_tol) if ground_state else None
-        if ground_state and lower is None:
-            raise _not_met("no ground state proven within rel_tol", lam, res, 0)
-        return lams, X, 0, lower
-
     x = np.random.default_rng(_SEED).standard_normal(n) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"start vector has shape {x.shape}, need ({n},)")
@@ -157,7 +141,7 @@ def smallest_eigenpairs(
         if ready:
             lower = _proven_lower(A, M, lam, x, rel_tol) if ground_state else None
             if not ground_state or lower is not None:
-                return np.array([lam]), x[:, None].copy(), step, lower
+                return lam, x.copy(), step, lower, res
         if step == maxiter:
             break
         S[1] = precondition(r)
@@ -197,23 +181,20 @@ def _proven_lower(A, M, lam: float, x: np.ndarray, rel_tol: float) -> float | No
 
 
 def _not_met(what: str, lam: float, res: float, steps: int) -> EigenNonConvergence:
-    return EigenNonConvergence(f"{what} after {steps} steps: eigenvalue {lam}, residual {res}", [lam], [res], steps)
+    return EigenNonConvergence(f"{what} after {steps} steps: eigenvalue {lam}, residual {res}", lam, res, steps)
 
 
-def shifted_lu(A, M) -> tuple:
-    """(splu of A - shift M, shift), with shift = 0, or a little below 0
-    when A is singular.  A and M are symmetric and sparse, and a CSC A,
-    such as the transpose view of a symmetric CSR matrix, is factored with
-    no copy; raises EigenNonConvergence when no shift factors."""
-    scale = max(np.abs(A.data).max(initial=0.0), 1e-300)
-    mscale = max(np.abs(M.data).max(initial=0.0), 1e-300)
-    for shift in (0.0, -1e-8 * scale / mscale, -1e-4 * scale / mscale):
-        try:
-            # splu factors CSC
-            return spla.splu(A.tocsc() if shift == 0 else (A - shift * M).tocsc()), shift
-        except RuntimeError:
-            continue
-    raise EigenNonConvergence("shifted operator could not be factored", [], [], 0)
+def stiffness_lu(A):
+    """The sparse LU of the symmetric stiffness matrix A.  splu factors
+    CSC, and the transpose view of a CSR A is A in CSC, so it is factored
+    with no copy.  Raises EigenNonConvergence when splu fails, which it
+    does when A is singular: the smallest eigenvalue is then 0, and no
+    certificate residual < rel_tol * lambda can hold at 0."""
+    try:
+        return spla.splu(A.T.tocsc())
+    except RuntimeError as e:  # "Factor is exactly singular", or SuperLU out of memory
+        what = "is singular" if "singular" in str(e) else "could not be factored"
+        raise EigenNonConvergence(f"the stiffness matrix {what} (splu: {e})") from e
 
 
 class GridLevel(NamedTuple):

@@ -31,14 +31,12 @@ import numpy as np
 
 from llab.algebra import KForm, build_standard_triple, norm, random_compatible_triple, wedge
 from llab.hyperbolic.eigensolve import (
-    _DENSE_CUTOFF,
     EigenNonConvergence,
     SpectralResult,
-    _pencil_residuals,
     grid_level,
     multigrid_preconditioner,
-    shifted_lu,
     smallest_eigenpairs,
+    stiffness_lu,
 )
 from llab.hyperbolic import mesh as mesh_mod
 from llab.hyperbolic.assembly import assemble_hodge_laplacian
@@ -283,8 +281,9 @@ def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8) -> Spectral
     """Certified smallest Dirichlet eigenvalue of the degree-k Laplacian.
 
     The solve is LOBPCG preconditioned with the LU of the stiffness matrix
-    (`eigensolve.smallest_eigenpairs`), or dense when the pencil is small,
-    and `iterations` counts its steps.  k = 0 starts from the constant
+    (`eigensolve.smallest_eigenpairs`), on a pencil of any size, and
+    `iterations` counts its steps; a singular stiffness matrix raises
+    EigenNonConvergence at its factorization.  k = 0 starts from the constant
     vector and stops only once `ground_state_lower` proves, within rel_tol,
     that the returned eigenvalue is the pencil's smallest; that bound is
     reported.  k = 1 starts from the solver's seeded draw, stops on its
@@ -309,7 +308,7 @@ class _RingChain:
     def __init__(self, bottom: DiscMesh, above=()):
         self.bottom = bottom
         self.pencil = assemble_hodge_laplacian(bottom, 0)
-        self.lu = _own_lu(*self.pencil)
+        self.lu = stiffness_lu(self.pencil[0])
         self.levels = []
         for mesh in above:  # coarse to fine
             self.add(mesh, assemble_hodge_laplacian(mesh, 0)[0])
@@ -333,10 +332,12 @@ def _ring_chain(R: float, h_values) -> _RingChain:
     meshes of doubled h are added until the last one has at most
     `_BOTTOM_VERTICES` predicted vertices, until 2h >= R, or until the
     next one fails its quality check.  The last mesh is the bottom; when
-    none is added, the bottom is the coarsest row's mesh."""
+    none is added, the bottom is the coarsest row's mesh.  None is added
+    below a row mesh over the vertex budget, so that its own build fails
+    and names its h."""
     h = max(h_values)
     meshes = []  # fine to coarse
-    while mesh_mod.predicted_vertex_count(R, h) > _BOTTOM_VERTICES and 2 * h < R:
+    while _BOTTOM_VERTICES < mesh_mod.predicted_vertex_count(R, h) <= mesh_mod.VERTEX_BUDGET and 2 * h < R:
         try:
             meshes.append(mesh_mod.build_disc_mesh(R, 2 * h))
         except ArithmeticError:  # the doubled mesh fails its quality check
@@ -357,16 +358,13 @@ def _solve_row(mesh, k, rel_tol, chain=None, last=None):
     vector when there is none.  Otherwise, or when that solve fails, the
     row is preconditioned with its own LU (the bottom's, which the chain
     keeps) and started from the constant vector, or from the same start
-    after a failed V-cycle solve; a pencil small enough to solve dense
-    needs neither.
+    after a failed V-cycle solve.
     """
     bottom = chain is not None and mesh is chain.bottom
     A, M = chain.pencil if bottom else assemble_hodge_laplacian(mesh, k)
     # the Dirichlet ground state of the scalar Laplacian is positive, so the
     # constant vector leans on it far more than a random one does
     x0 = np.ones(A.shape[0]) if k == 0 else None
-    if A.shape[0] <= _DENSE_CUTOFF:
-        return _solved(mesh, k, A, M, None, x0, rel_tol, "dense")
     if chain is not None and not bottom:
         below = chain.add(mesh, A)
         if last is not None:
@@ -377,29 +375,21 @@ def _solve_row(mesh, k, rel_tol, chain=None, last=None):
             return _solved(mesh, k, A, M, chain.preconditioner(), x0, rel_tol, "multigrid")
         except EigenNonConvergence:
             pass
-    lu = chain.lu if bottom else _own_lu(A, M)
+    lu = chain.lu if bottom else stiffness_lu(A)
     return _solved(mesh, k, A, M, lu.solve, x0, rel_tol, "lu")
-
-
-def _own_lu(A, M):
-    """The LU of the pencil (A, M), from `shifted_lu`.  A and M are exactly
-    symmetric, so the transpose views of their CSR arrays are A and M in
-    CSC, the layout splu factors, with no copy."""
-    return shifted_lu(A.T, M.T)[0]
 
 
 def _solved(mesh, k, A, M, precondition, x0, rel_tol, solver) -> tuple[SpectralResult, np.ndarray]:
     """(result, eigenvector) of `smallest_eigenpairs` on the degree-k pencil
     (A, M); at k = 0 the result carries the lower bound its stop rule proved."""
-    lams, X, steps, lower = smallest_eigenpairs(A, M, precondition, x0, rel_tol, ground_state=k == 0)
-    res = _pencil_residuals(A, M, lams, X)
+    lam, x, steps, lower, res = smallest_eigenpairs(A, M, precondition, x0, rel_tol, ground_state=k == 0)
     bound = None
     if mesh.metric == "hyperbolic" and k != 1:
         bound = gromov_bound(1, k, 1.0)
     result = SpectralResult(
         k=k,
-        eigenvalues=[float(lam) for lam in lams],
-        residuals=[float(r) for r in res],
+        eigenvalue=lam,
+        residual=res,
         iterations=steps,
         n_dofs=A.shape[0],
         rel_tol=rel_tol,
@@ -407,7 +397,7 @@ def _solved(mesh, k, A, M, precondition, x0, rel_tol, solver) -> tuple[SpectralR
         ground_state_lower=lower,
         solver=solver,
     )
-    return result, X[:, 0]
+    return result, x
 
 
 def gap_sweep(
@@ -440,24 +430,30 @@ def gap_sweep(
     to its own LU.  Every row at k = 1 is preconditioned with its own LU.
     A k = 0 solve stops only on a residual below rel_tol * lambda and a
     proven lower bound within rel_tol of lambda; a k = 1 solve stops on
-    the residual alone.  Each row names its "solver" ("lu" or
-    "multigrid", "dense" for a pencil small enough to solve dense), and
-    "iterations" counts that one solve's steps.  k = 0 rows carry
-    `ground_state_lower`, a proven lower bound on the smallest eigenvalue
-    of their discrete pencil (always None at k = 1).  Raises ValueError on
-    a repeated R or h, or a rel_tol outside (0, 1), before any mesh is
-    built.
+    the residual alone.  Pencils of every size take this route.  Each row
+    names its "solver", "lu" or "multigrid", and "iterations" counts that
+    one solve's steps.  k = 0 rows carry `ground_state_lower`, a proven
+    lower bound on the smallest eigenvalue of their discrete pencil
+    (always None at k = 1).  A singular stiffness matrix raises
+    EigenNonConvergence where it is factored.  Raises ValueError, before
+    any mesh is built, on an empty list of R or of h, an R or h that is
+    not finite and positive, a repeated R or h, or a rel_tol outside
+    (0, 1).
 
     "finest_mesh" holds the (max R, min h) mesh, with what its solve
     derived from it, for callers that measure more on it; it is not JSON
     and is not part of a report.
     """
     for name, values in (("R", R_values), ("h", h_values)):
+        if len(values) == 0:
+            raise ValueError(f"no {name} value given: need at least one")
         seen = set()
-        for v in values:
-            if float(v) in seen:
-                raise ValueError(f"repeated {name} value {float(v)!r}: each {name} may appear once")
-            seen.add(float(v))
+        for v in map(float, values):
+            if not 0 < v < math.inf:  # nan too
+                raise ValueError(f"{name} value {v!r} must be finite and positive")
+            if v in seen:
+                raise ValueError(f"repeated {name} value {v!r}: each {name} may appear once")
+            seen.add(v)
     if not 0 < rel_tol < 1:  # nan too
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     rows = []
@@ -477,7 +473,7 @@ def gap_sweep(
                 finest_mesh = mesh
             result, x = _solve_row(mesh, k, rel_tol, chain, last)
             last = (mesh, x)
-            lam = result.eigenvalues[0]
+            lam = result.eigenvalue
             oracle = SHOOTING_LAMBDA1.get(float(R)) if k == 0 else None
             rows.append(
                 {
@@ -486,7 +482,7 @@ def gap_sweep(
                     "k": k,
                     "n_dofs": result.n_dofs,
                     "lambda1": lam,
-                    "residual": result.residuals[0],
+                    "residual": result.residual,
                     "solver": result.solver,
                     "iterations": result.iterations,
                     "oracle": oracle,

@@ -201,8 +201,13 @@ def _ring_counts(R: float, h: float) -> tuple[int, list[int]]:
 
 
 def predicted_vertex_count(R: float, h: float) -> int:
-    _, counts = _ring_counts(R, h)
-    return 1 + sum(counts)
+    """The vertex count of `build_disc_mesh(R, h)`, without building it;
+    or, when M rings of at least 6 vertices each already exceed
+    VERTEX_BUDGET, that lower bound 1 + 6 M, with no loop over the rings."""
+    M = max(2, int(round(R / h)))
+    if 1 + 6 * M > VERTEX_BUDGET:
+        return 1 + 6 * M
+    return 1 + sum(_ring_counts(R, h)[1])
 
 
 def ring_prolongation(coarse: DiscMesh, fine: DiscMesh):
@@ -309,7 +314,7 @@ def build_disc_mesh(R: float, h: float) -> DiscMesh:
     n_pred = predicted_vertex_count(R, h)
     if n_pred > VERTEX_BUDGET:
         raise MeshBudgetError(
-            f"mesh for R={R}, h={h} needs ~{n_pred} vertices "
+            f"mesh for R={R}, h={h} needs at least {n_pred} vertices "
             f"(budget {VERTEX_BUDGET}); coarsen h or shrink R"
         )
 

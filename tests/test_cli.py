@@ -389,6 +389,27 @@ def test_cli_hyperbolic_repeated_R_or_h_exits_two_and_names_it(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("R, h, named", [
+    (",", "0.2", "no R value"),
+    ("2", ",", "no h value"),
+    ("2", "nan", "h value nan"),
+    ("inf", "0.2", "R value inf"),
+    ("2", "0", "h value 0.0"),
+    # 2e9 rings: over the vertex budget from the ring count alone, with no
+    # loop over the rings
+    ("2", "1e-9", "h=1e-09 needs at least 12000000001 vertices (budget 2000000)"),
+])
+def test_cli_hyperbolic_bad_R_or_h_exits_two_at_once_and_names_it(tmp_path, capsys, R, h, named):
+    import time
+
+    start = time.perf_counter()
+    assert main(["hyperbolic", "--R", R, "--h", h, "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_hyperbolic_eps_above_one_exits_two_and_names_it(tmp_path, capsys):
     assert main(["hyperbolic", "--R", "4", "--h", "0.2,0.1", "--eps", "2", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

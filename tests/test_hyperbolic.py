@@ -37,12 +37,11 @@ from llab.hyperbolic.assembly import (
 )
 from llab.hyperbolic.eigensolve import (
     EigenNonConvergence,
-    _pencil_residuals,
     grid_level,
     ground_state_lower,
     multigrid_preconditioner,
-    shifted_lu,
     smallest_eigenpairs,
+    stiffness_lu,
 )
 from llab.hyperbolic.forms import (
     AnnulusDecayTable,
@@ -334,7 +333,7 @@ def test_square_patch_is_euclidean():
 
 def _lu_eigenvalue(A, M) -> float:
     """The smallest eigenvalue of (A, M), preconditioned with its own LU."""
-    return smallest_eigenpairs(A, M, shifted_lu(A, M)[0].solve)[0][0]
+    return smallest_eigenpairs(A, M, stiffness_lu(A).solve)[0]
 
 
 def test_square_lambda1_k0(square24):
@@ -528,28 +527,68 @@ def test_hyperbolic_lambda1_vs_shooting(small_mesh):
 # ---------------------------------------------------------------------------
 
 
-def test_dense_path_matches_scipy(rng):
-    # below the dense cutoff the solver defers to eigh; compare explicitly
+def test_an_explicit_pencil_on_its_own_lu_matches_eigh(rng):
     n = 30
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     A = sp.csr_matrix(Q @ np.diag(np.linspace(1, 50, n)) @ Q.T)
     M = sp.identity(n, format="csr")
-    lams, X, _, lower = smallest_eigenpairs(A, M, None)
+    lam, x, _, lower, res = smallest_eigenpairs(A, M, stiffness_lu(A).solve)
     assert lower is None  # proven only for a ground state
     ref = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
-    assert lams[0] == pytest.approx(ref, rel=1e-10)
-    assert X.shape == (n, 1)
+    assert lam == pytest.approx(ref, rel=1e-10)
+    assert x.shape == (n,)
+    assert res == np.linalg.norm(A @ x - lam * (M @ x)) / np.linalg.norm(x) < 1e-8 * lam
 
 
-def test_dense_path_takes_no_lobpcg_step():
-    # `iterations` counts the iterative solver's steps; a dense solve once
-    # reported its dimension there (7 and 8 for the two rows below)
+def test_the_smallest_sweep_rows_take_the_lobpcg_route():
+    # 7 and 8 dofs: the first row is the chain's bottom and takes its LU,
+    # the second the V-cycle down to it
     from llab.hyperbolic.gap import gap_sweep
 
-    A = sp.diags(np.arange(1.0, 31.0), format="csr")
-    assert smallest_eigenpairs(A, sp.identity(30, format="csr"), None)[2] == 0
-    rows = gap_sweep(R_values=(2.0,), h_values=(1.5, 1.0), k=0)["rows"]
-    assert [(r["n_dofs"], r["solver"], r["iterations"]) for r in rows] == [(7, "dense", 0), (8, "dense", 0)]
+    rel_tol = 1e-8
+    rows = gap_sweep(R_values=(2.0,), h_values=(1.5, 1.0), k=0, rel_tol=rel_tol)["rows"]
+    assert [(r["n_dofs"], r["solver"]) for r in rows] == [(7, "lu"), (8, "multigrid")]
+    for row in rows:
+        lam = row["lambda1"]
+        A, M = assemble_hodge_laplacian(build_disc_mesh(2.0, row["h"]), 0)
+        assert lam == pytest.approx(scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0], rel=1e-10)
+        assert 0 <= lam - row["ground_state_lower"] <= rel_tol * lam
+
+
+def test_a_one_dof_pencil_returns_at_step_0_with_its_proof():
+    from llab.hyperbolic.gap import dirichlet_lambda1
+
+    mesh = square_patch(2)
+    A, M = assemble_hodge_laplacian(mesh, 0)
+    assert A.shape == (1, 1)
+    result = dirichlet_lambda1(mesh, 0)
+    assert (result.n_dofs, result.solver, result.iterations) == (1, "lu", 0)
+    lam = result.eigenvalue
+    assert lam == pytest.approx(A[0, 0] / M[0, 0], rel=1e-15)
+    assert 0 <= lam - result.ground_state_lower <= result.rel_tol * lam
+
+
+def test_a_singular_pencil_is_refused_at_its_factorization(monkeypatch, capsys):
+    # the Neumann Laplacian of a 200-point path is singular: lambda_min = 0,
+    # which no certificate residual < rel_tol * lambda can accept
+    from llab.cli import main
+    from llab.hyperbolic import gap
+
+    n = 200
+    A = sp.diags([-np.ones(n - 1), np.r_[1.0, np.full(n - 2, 2.0), 1.0], -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    M = sp.identity(n, format="csr")
+    with pytest.raises(EigenNonConvergence, match="stiffness matrix is singular") as exc:
+        stiffness_lu(A)
+    assert (exc.value.eigenvalue, exc.value.residual, exc.value.iterations) == (None, None, 0)
+
+    # in a sweep, before any LOBPCG step; the CLI exits 2 and says why
+    def no_solve(*args, **kwargs):
+        raise AssertionError("LOBPCG reached on a singular pencil")
+
+    monkeypatch.setattr(gap, "assemble_hodge_laplacian", lambda mesh, k: (A, M))
+    monkeypatch.setattr(gap, "smallest_eigenpairs", no_solve)
+    assert main(["hyperbolic", "--R", "2", "--h", "0.4"]) == 2
+    assert "error: the stiffness matrix is singular" in capsys.readouterr().err
 
 
 # The two tests below keep the names they had under the shift-invert
@@ -558,7 +597,7 @@ def test_dense_path_takes_no_lobpcg_step():
 
 def test_lanczos_start_vector_is_checked(small_mesh):
     As, Ms = assemble_hodge_laplacian(small_mesh, k=0)
-    T = shifted_lu(As, Ms)[0].solve
+    T = stiffness_lu(As).solve
     with pytest.raises(ValueError, match="shape"):
         smallest_eigenpairs(As, Ms, T, np.ones(3))
     with pytest.raises(ValueError, match="zero M-norm"):
@@ -566,23 +605,23 @@ def test_lanczos_start_vector_is_checked(small_mesh):
     # the default start is the fixed-seed draw
     default = smallest_eigenpairs(As, Ms, T)
     drawn = smallest_eigenpairs(As, Ms, T, np.random.default_rng(eigensolve_mod._SEED).standard_normal(As.shape[0]))
-    assert np.array_equal(default[0], drawn[0]) and np.array_equal(default[1], drawn[1]) and default[2] == drawn[2]
+    assert default[0] == drawn[0] and np.array_equal(default[1], drawn[1]) and default[2] == drawn[2]
     # the CSC view of the symmetric pencil is solved as it is, to the same pair
     viewed = smallest_eigenpairs(As.T, Ms.T, T)
     assert As.T.format == "csc" and np.shares_memory(As.T.data, As.data)
-    assert viewed[0][0] == pytest.approx(default[0][0], rel=1e-12)
+    assert viewed[0] == pytest.approx(default[0], rel=1e-12)
 
 
 def test_lanczos_nonconvergence_carries_best(small_mesh):
     A, M = assemble_hodge_laplacian(small_mesh, k=0)
     with pytest.raises(EigenNonConvergence) as exc:
         # an impossible certificate: residual < 1e-300 * lambda
-        smallest_eigenpairs(A, M, shifted_lu(A, M)[0].solve, rel_tol=1e-300, maxiter=6)
+        smallest_eigenpairs(A, M, stiffness_lu(A).solve, rel_tol=1e-300, maxiter=6)
     err = exc.value
     assert err.iterations == 6
-    assert len(err.best_eigenvalues) == len(err.best_residuals) == 1
+    assert isinstance(err.eigenvalue, float) and isinstance(err.residual, float) and err.residual > 0
     # the best estimate is still a decent eigenvalue
-    assert err.best_eigenvalues[0] == pytest.approx(SHOOTING_LAMBDA1[2.0], rel=0.05)
+    assert err.eigenvalue == pytest.approx(SHOOTING_LAMBDA1[2.0], rel=0.05)
 
 
 def test_lobpcg_ground_state_stops_only_on_a_proof(small_mesh):
@@ -594,25 +633,24 @@ def test_lobpcg_ground_state_stops_only_on_a_proof(small_mesh):
     exact = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
     ones = np.ones(A.shape[0])
     # from the constant vector, a long way from the ground state
-    lams, X, steps, lower = smallest_eigenpairs(A, M, T, ones, ground_state=True)
-    lam = lams[0]
+    lam, x, steps, lower, res = smallest_eigenpairs(A, M, T, ones, ground_state=True)
     assert lam == pytest.approx(exact, rel=1e-12)
-    assert _pencil_residuals(A, M, lams, X)[0] < 1e-8 * lam
+    assert res == np.linalg.norm(A @ x - lam * (M @ x)) / np.linalg.norm(x) < 1e-8 * lam
     # the bound the stop rule proved is returned: the proof run again on
     # the returned pair gives it to the last bit
-    assert lower == ground_state_lower(A, M, lam, X[:, 0])
+    assert lower == ground_state_lower(A, M, lam, x)
     assert lower <= exact and (lam - lower) / lam <= 1e-8
     # one step short of that, it refuses, carrying its estimate
     with pytest.raises(EigenNonConvergence) as exc:
         smallest_eigenpairs(A, M, T, ones, maxiter=steps - 1, ground_state=True)
     assert exc.value.iterations == steps - 1
-    assert exc.value.best_eigenvalues[0] == pytest.approx(exact, rel=1e-6)
+    assert exc.value.eigenvalue == pytest.approx(exact, rel=1e-6)
     # at rel_tol = 1e-13 the residual gets below it, but the proof's
     # rounding allowance leaves a gap near 5e-13: no proof, no result
     with pytest.raises(EigenNonConvergence, match="no ground state proven"):
-        smallest_eigenpairs(A, M, T, X[:, 0], rel_tol=1e-13, maxiter=20, ground_state=True)
+        smallest_eigenpairs(A, M, T, x, rel_tol=1e-13, maxiter=20, ground_state=True)
     # without the proof, the residual alone stops it
-    assert smallest_eigenpairs(A, M, T, X[:, 0], rel_tol=1e-13, maxiter=20)[2] < 20
+    assert smallest_eigenpairs(A, M, T, x, rel_tol=1e-13, maxiter=20)[2] < 20
 
 
 def test_multigrid_v_cycle_is_the_two_grid_cycle_on_one_level_and_symmetric_on_three(small_mesh, rng):

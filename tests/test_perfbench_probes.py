@@ -91,25 +91,52 @@ def test_identity_suite_fires_every_function_probe_its_workload_expects(monkeypa
 def test_gap_sweep_calls_the_eigensolve_probe_once_per_row(monkeypatch):
     # every row, on either preconditioner, is one `smallest_eigenpairs` call
     # on that row's pencil, so the probe's step and dof counters see them all;
-    # the h = 0.4 mesh added below the sweep only preconditions and makes none
+    # the h = 0.4 mesh added below the sweep only preconditions and makes none.
+    # Each call, and each splu eigensolve makes, passes through its probe's
+    # result hook on a stub tracer, as `spans.install` wraps them, so that a
+    # change to what the hooks read (result[2], args[0], the factor's L and
+    # U) fails here and not only in a traced run
+    from collections import defaultdict
+    from types import SimpleNamespace
+
+    from llab.hyperbolic import eigensolve
     from llab.hyperbolic.gap import gap_sweep
+
+    tracer = SimpleNamespace(counts=defaultdict(int), distinct=defaultdict(set))
+
+    def hooked(probe, fn):
+        hook = spans.PROBES[probe][3]
+
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            hook(tracer, args, kwargs, result)
+            return result
+
+        return wrapper
 
     _, modname, name, _ = spans.PROBES["hyperbolic.eigensolve.solve"]
     target = importlib.import_module(modname).__dict__[name]
+    solve = hooked("hyperbolic.eigensolve.solve", target)
     dofs = []
 
     def counting(A, *args, **kwargs):
         dofs.append(A.shape[0])
-        return target(A, *args, **kwargs)
+        return solve(A, *args, **kwargs)
 
     for modname, module in list(sys.modules.items()):
         if modname == "llab" or modname.startswith("llab."):
             for attr, obj in list(vars(module).items()):
                 if obj is target:
                     monkeypatch.setattr(module, attr, counting)
+    assert spans.PROBES["hyperbolic.eigensolve.lu"][2] == "spla.splu"
+    monkeypatch.setattr(eigensolve, "spla", spans._ModuleProxy(
+        eigensolve.spla, hooked("hyperbolic.eigensolve.lu", eigensolve.spla.splu)))
     rows = gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1))["rows"]
     assert [row["solver"] for row in rows] == ["multigrid", "multigrid"]
     assert dofs == [row["n_dofs"] for row in rows]
+    assert tracer.counts["hyperbolic.eigensolve.lanczos_iters"] == sum(row["iterations"] for row in rows) > 0
+    assert tracer.counts["hyperbolic.eigensolve.dofs"] == sum(dofs)
+    assert tracer.counts["hyperbolic.eigensolve.lu_nnz"] > 0
 
 
 @pytest.mark.parametrize("workload", ["identities", "torus", "hyperbolic"])
