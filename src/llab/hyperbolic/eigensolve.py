@@ -1,11 +1,11 @@
 """The smallest eigenpair of the symmetric-definite pencil (A, M), certified.
 
 One solver, single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001),
-takes whatever preconditioner T ~ A^{-1} its caller passes: the solve with
-the stiffness matrix's own sparse LU (`stiffness_lu`), or a multigrid
-V-cycle (`multigrid_preconditioner`) over a chain of coarser meshes whose
-bottom solve is the LU of the coarsest one.  Every pencil, of any
-dimension, takes that one route.  A singular stiffness matrix is refused
+takes whatever preconditioner T ~ A^{-1} its caller passes: a multigrid
+V-cycle (`multigrid_preconditioner`) through coarser meshes down to the
+sparse LU (`stiffness_lu`) of the coarsest one, which with no level above
+it is that LU's solve.  Every pencil, of any dimension, takes that one
+route.  A singular stiffness matrix is refused
 where it is factored: its smallest eigenvalue is 0, and no residual is
 below rel_tol * 0.  The certificates are the point, not the step count:
 the returned pair carries the directly recomputed residual
@@ -47,7 +47,7 @@ class SpectralResult:
     rel_tol: float
     derived_bound: float | None = None
     ground_state_lower: float | None = None  # `ground_state_lower` of the pair
-    solver: str = "lu"  # the preconditioner: "lu" (own LU) or "multigrid"
+    solver: str = "lu"  # the preconditioner: "lu" (the pencil's own LU) or "multigrid"
 
 
 class EigenNonConvergence(ArithmeticError):
@@ -217,7 +217,7 @@ def grid_level(A, P) -> GridLevel:
 
 def multigrid_preconditioner(levels, bottom_lu):
     """r -> T r, T ~ A^{-1}: a symmetric multigrid V-cycle for the stiffness
-    matrix A of levels[0].
+    matrix A of levels[0], or of the bottom when levels is empty.
 
     levels are `GridLevel`s, finest first, each prolonged from the next,
     and the last from the bottom, whose stiffness matrix `bottom_lu`
@@ -225,8 +225,9 @@ def multigrid_preconditioner(levels, bottom_lu):
     zero on its residual and restricts what is left with P^T; the bottom
     solves exactly; on the way up, each level adds the prolonged correction
     and takes the same Jacobi step again.  With one level this is the
-    two-grid cycle.  The cycle is a loop down and a loop up, so the
-    preconditioner holds its levels and nothing holds it.
+    two-grid cycle, and with none the bottom's solve alone.  The cycle is
+    a loop down and a loop up, so the preconditioner holds its levels and
+    nothing holds it.
     """
     levels = tuple(levels)
 

@@ -24,8 +24,10 @@ of the hyperbolic plane, so the bound is sharp there.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from llab.hyperbolic.eigensolve import (
     stiffness_lu,
 )
 from llab.hyperbolic import mesh as mesh_mod
-from llab.hyperbolic.assembly import assemble_hodge_laplacian
+from llab.hyperbolic.assembly import assemble_hodge_laplacian, stiffness_p1
 from llab.hyperbolic.mesh import DiscMesh
 from llab.hyperbolic.oracle import SHOOTING_LAMBDA1
 from llab.lefschetz import lefschetz_power_matrix
@@ -48,7 +50,7 @@ _IDENTITY_TOL = 1e-10
 _SIGMA_TOL = 1e-10
 _WEDGE_TOL = 1e-10
 # a ring mesh of at most this many vertices is small enough to factor: the
-# bottom of its R's multigrid chain
+# coarsest of its R's multigrid hierarchy
 _BOTTOM_VERTICES = 3000
 
 
@@ -280,62 +282,30 @@ def gromov_bound_report(n: int, k: int, theta_sup: float = 1.0) -> dict:
 def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8) -> SpectralResult:
     """Certified smallest Dirichlet eigenvalue of the degree-k Laplacian.
 
-    The solve is LOBPCG preconditioned with the LU of the stiffness matrix
-    (`eigensolve.smallest_eigenpairs`), on a pencil of any size, and
-    `iterations` counts its steps; a singular stiffness matrix raises
-    EigenNonConvergence at its factorization.  k = 0 starts from the constant
-    vector and stops only once `ground_state_lower` proves, within rel_tol,
-    that the returned eigenvalue is the pencil's smallest; that bound is
-    reported.  k = 1 starts from the solver's seeded draw, stops on its
-    residual alone and carries no lower bound.
+    The solve is LOBPCG (`eigensolve.smallest_eigenpairs`) preconditioned
+    with the LU of the mesh's own stiffness matrix, and `iterations` counts
+    its steps; a singular stiffness matrix raises EigenNonConvergence at its
+    factorization.  k = 0 starts from the constant vector and stops only
+    once `ground_state_lower` proves, within rel_tol, that the returned
+    eigenvalue is the pencil's smallest; that bound is reported.  k = 1
+    starts from the solver's seeded draw, stops on its residual alone and
+    carries no lower bound.
 
     derived_bound carries gromov_bound(1, k) for k != 1 (the surface is
     n = 1; theta has measured sup norm 1) and None at the middle degree.
     """
-    return _solve_row(mesh, k, rel_tol)[0]
+    A, M = assemble_hodge_laplacian(mesh, k)
+    # the Dirichlet ground state of the scalar Laplacian is positive, so the
+    # constant vector leans on it far more than a random one does
+    x0 = np.ones(A.shape[0]) if k == 0 else None
+    return _solved(mesh, k, A, M, stiffness_lu(A).solve, x0, rel_tol, "lu")[0]
 
 
-class _RingChain:
-    """The ring meshes of one R that precondition its k = 0 rows by a
-    multigrid V-cycle.
-
-    `bottom` is the coarsest mesh, and the only one whose pencil is
-    factored; `pencil` and `lu` are its (A, M) and their LU.  Above it,
-    `levels` holds (mesh, `GridLevel`) pairs, coarse to fine, each level
-    prolonged from the mesh before it.
-    """
-
-    def __init__(self, bottom: DiscMesh, above=()):
-        self.bottom = bottom
-        self.pencil = assemble_hodge_laplacian(bottom, 0)
-        self.lu = stiffness_lu(self.pencil[0])
-        self.levels = []
-        for mesh in above:  # coarse to fine
-            self.add(mesh, assemble_hodge_laplacian(mesh, 0)[0])
-
-    def add(self, mesh: DiscMesh, A) -> DiscMesh:
-        """Make mesh, with stiffness matrix A, the finest level, on top of
-        the levels coarser than it (finer ones are dropped); returns the
-        mesh its level is prolonged from."""
-        self.levels = [(m, level) for m, level in self.levels if m.h > mesh.h]
-        below = self.levels[-1][0] if self.levels else self.bottom
-        self.levels.append((mesh, grid_level(A, mesh_mod.ring_prolongation(below, mesh))))
-        return below
-
-    def preconditioner(self):
-        """The V-cycle from the finest level down to the bottom's LU."""
-        return multigrid_preconditioner([level for _, level in reversed(self.levels)], self.lu)
-
-
-def _ring_chain(R: float, h_values) -> _RingChain:
-    """The chain of R's k = 0 rows: below the coarsest h of the sweep,
-    meshes of doubled h are added until the last one has at most
-    `_BOTTOM_VERTICES` predicted vertices, until 2h >= R, or until the
-    next one fails its quality check.  The last mesh is the bottom; when
-    none is added, the bottom is the coarsest row's mesh.  None is added
-    below a row mesh over the vertex budget, so that its own build fails
-    and names its h."""
-    h = max(h_values)
+def _coarser_meshes(R: float, h: float) -> list[DiscMesh]:
+    """The ring meshes of R below h, coarse to fine: h is doubled until a
+    mesh has at most `_BOTTOM_VERTICES` predicted vertices, until 2h >= R,
+    or until the doubled mesh fails its quality check.  None is added below
+    an h over the vertex budget, so that its own build fails and names it."""
     meshes = []  # fine to coarse
     while _BOTTOM_VERTICES < mesh_mod.predicted_vertex_count(R, h) <= mesh_mod.VERTEX_BUDGET and 2 * h < R:
         try:
@@ -343,40 +313,44 @@ def _ring_chain(R: float, h_values) -> _RingChain:
         except ArithmeticError:  # the doubled mesh fails its quality check
             break
         h *= 2
-    if not meshes:
-        return _RingChain(mesh_mod.build_disc_mesh(R, h))
-    return _RingChain(meshes[-1], reversed(meshes[:-1]))
+    return meshes[::-1]
 
 
-def _solve_row(mesh, k, rel_tol, chain=None, last=None):
-    """(result, first eigenvector) of one `gap_sweep` row.
+def _ring_ground_states(R: float, h_values, rel_tol: float):
+    """Yield (mesh, result) for each k = 0 row of R, from the coarsest h
+    to the finest.
 
-    With chain, the `_RingChain` of the row's R at k = 0, a row on any
-    mesh but the bottom is made the chain's finest level and solved first
-    with the V-cycle down to the bottom's LU, started from last = (mesh,
-    ground state) of the previous row, prolonged, or from the constant
-    vector when there is none.  Otherwise, or when that solve fails, the
-    row is preconditioned with its own LU (the bottom's, which the chain
-    keeps) and started from the constant vector, or from the same start
-    after a failed V-cycle solve.
+    The ring meshes of R are walked coarse to fine: first
+    `_coarser_meshes` below the sweep, which only precondition and get
+    their stiffness matrix alone, then the row meshes.  The coarsest is
+    factored; each finer one becomes a `GridLevel` prolonged from the mesh
+    before it.  A row is solved with the V-cycle through the levels so far
+    down to that LU, which on the coarsest mesh is the LU solve itself
+    (solver "lu", else "multigrid"), started from the previous row's ground
+    state, prolonged, or from the constant vector.  A row whose V-cycle
+    solve fails is solved again, from the same start, on its own LU.
     """
-    bottom = chain is not None and mesh is chain.bottom
-    A, M = chain.pencil if bottom else assemble_hodge_laplacian(mesh, k)
-    # the Dirichlet ground state of the scalar Laplacian is positive, so the
-    # constant vector leans on it far more than a random one does
-    x0 = np.ones(A.shape[0]) if k == 0 else None
-    if chain is not None and not bottom:
-        below = chain.add(mesh, A)
-        if last is not None:
-            last_mesh, start = last
-            P = chain.levels[-1][1].P if last_mesh is below else mesh_mod.ring_prolongation(last_mesh, mesh)
-            x0 = P @ start
+    levels, lu, below, x = [], None, None, None  # levels finest first
+    rows = (mesh_mod.build_disc_mesh(R, h) for h in sorted(h_values, reverse=True))
+    for mesh in itertools.chain(_coarser_meshes(R, max(h_values)), rows):
+        row = mesh.h in h_values
+        A, M = assemble_hodge_laplacian(mesh, 0) if row else (stiffness_p1(mesh, mesh.interior), None)
+        if below is None:
+            lu = stiffness_lu(A)
+        else:
+            levels.insert(0, grid_level(A, mesh_mod.ring_prolongation(below, mesh)))
+        below = mesh
+        if not row:
+            continue
+        x0 = np.ones(A.shape[0]) if x is None else levels[0].P @ x
         try:
-            return _solved(mesh, k, A, M, chain.preconditioner(), x0, rel_tol, "multigrid")
+            result, x = _solved(mesh, 0, A, M, multigrid_preconditioner(levels, lu), x0, rel_tol,
+                                "multigrid" if levels else "lu")
         except EigenNonConvergence:
-            pass
-    lu = chain.lu if bottom else stiffness_lu(A)
-    return _solved(mesh, k, A, M, lu.solve, x0, rel_tol, "lu")
+            if not levels:  # that was this mesh's own LU
+                raise
+            result, x = _solved(mesh, 0, A, M, stiffness_lu(A).solve, x0, rel_tol, "lu")
+        yield mesh, result
 
 
 def _solved(mesh, k, A, M, precondition, x0, rel_tol, solver) -> tuple[SpectralResult, np.ndarray]:
@@ -413,28 +387,24 @@ def gap_sweep(
     the h -> 0 limit is extrapolated (measured order when >= 3 sizes are
     log-uniform, otherwise the P1 rate 2).
 
-    Every row is solved by one solver, LOBPCG (`smallest_eigenpairs`),
-    with one of two preconditioners.  At k = 0 each R gets a chain of ring
-    meshes (`_ring_chain`): below the coarsest h of the sweep, h is
-    doubled until a mesh has at most `_BOTTOM_VERTICES` predicted
-    vertices, until 2h >= R, or until the next mesh fails its quality
-    check.  Those extra meshes only precondition; they are neither solved
-    nor reported.  Only the coarsest mesh of the chain, its bottom, is
-    factored.  A row on the bottom mesh is preconditioned with that LU;
-    every other k = 0 row with the multigrid V-cycle through every coarser
-    mesh of the chain down to it, started from the previous row's ground
-    state, prolonged, or from the constant vector for the first row of an
-    R.  Each level's stiffness matrix, prolongation and Jacobi diagonal
-    are built once and serve the finer rows of the same R; the chain is
-    freed before the next R.  A row whose V-cycle solve fails falls back
-    to its own LU.  Every row at k = 1 is preconditioned with its own LU.
-    A k = 0 solve stops only on a residual below rel_tol * lambda and a
-    proven lower bound within rel_tol of lambda; a k = 1 solve stops on
-    the residual alone.  Pencils of every size take this route.  Each row
-    names its "solver", "lu" or "multigrid", and "iterations" counts that
-    one solve's steps.  k = 0 rows carry `ground_state_lower`, a proven
-    lower bound on the smallest eigenvalue of their discrete pencil
-    (always None at k = 1).  A singular stiffness matrix raises
+    Every row is one LOBPCG solve (`smallest_eigenpairs`).  At k = 0 the
+    rows of each R are solved from the coarsest h to the finest by
+    `_ring_ground_states`: below the sweep's coarsest h, h is doubled until
+    a mesh has at most `_BOTTOM_VERTICES` predicted vertices, until 2h >= R,
+    or until the next mesh fails its quality check; those meshes only
+    precondition and are neither solved nor reported.  The coarsest mesh of
+    R is the only one factored, and every row takes the multigrid V-cycle
+    through the meshes coarser than it down to that LU: on the coarsest
+    mesh, the LU solve itself (solver "lu"), elsewhere "multigrid".  A
+    row starts from the previous row's ground state, prolonged, or from the
+    constant vector, and a row whose V-cycle solve fails is solved again on
+    its own LU.  So a row's numbers do not depend on the order of h_values,
+    and rows are reported in that order.  Every k = 1 row is solved on its
+    own LU (`dirichlet_lambda1`).  A k = 0 solve stops only on a residual
+    below rel_tol * lambda and a proven lower bound within rel_tol of
+    lambda, which the row carries as `ground_state_lower` (None at k = 1);
+    a k = 1 solve stops on the residual alone.  "iterations" counts the
+    row's one solve's steps.  A singular stiffness matrix raises
     EigenNonConvergence where it is factored.  Raises ValueError, before
     any mesh is built, on an empty list of R or of h, an R or h that is
     not finite and positive, a repeated R or h, or a rel_tol outside
@@ -461,18 +431,18 @@ def gap_sweep(
     R_star, h_star = max(R_values), min(h_values)
     finest_mesh = None
     for R in R_values:
-        chain = _ring_chain(R, h_values) if k == 0 else None
-        last = None
-        for h in h_values:
-            if chain is not None and h == chain.bottom.h:
-                mesh = chain.bottom
-            else:
-                # looked up on its module, so a wrapped build_disc_mesh is the one called
-                mesh = mesh_mod.build_disc_mesh(R, h)
-            if R == R_star and h == h_star:
+        if k == 0:
+            solves = _ring_ground_states(R, h_values, rel_tol)
+        else:  # built through its module, so a wrapped build_disc_mesh is the one called
+            meshes = map(partial(mesh_mod.build_disc_mesh, R), h_values)
+            solves = ((mesh, dirichlet_lambda1(mesh, k, rel_tol)) for mesh in meshes)
+        results = {}
+        for mesh, result in solves:
+            results[mesh.h] = result
+            if R == R_star and mesh.h == h_star:
                 finest_mesh = mesh
-            result, x = _solve_row(mesh, k, rel_tol, chain, last)
-            last = (mesh, x)
+        for h in h_values:
+            result = results[float(h)]
             lam = result.eigenvalue
             oracle = SHOOTING_LAMBDA1.get(float(R)) if k == 0 else None
             rows.append(
@@ -492,7 +462,6 @@ def gap_sweep(
                 }
             )
             per_R.setdefault(float(R), []).append((float(h), lam))
-        chain = last = None  # the chain's levels and LU are freed before the next R meshes
 
     extrapolation = {}
     for R, pairs in per_R.items():

@@ -18,6 +18,7 @@ to the first ring by a fan.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -189,9 +190,17 @@ def _read_only(*arrays):
     return arrays
 
 
+def _ring_count(R: float, h: float) -> int:
+    """The ring count M = round(R / h), at least 2.  Past sys.maxsize rings,
+    R / h = inf included, it is sys.maxsize: no array indexes more, and
+    1 + 6 M exceeds VERTEX_BUDGET either way."""
+    rings = R / h
+    return max(2, int(round(rings))) if rings < sys.maxsize else sys.maxsize
+
+
 def _ring_counts(R: float, h: float) -> tuple[int, list[int]]:
     """Ring count M and per-ring vertex counts, without building anything."""
-    M = max(2, int(round(R / h)))
+    M = _ring_count(R, h)
     dr = R / M
     counts = []
     for m in range(1, M + 1):
@@ -204,7 +213,7 @@ def predicted_vertex_count(R: float, h: float) -> int:
     """The vertex count of `build_disc_mesh(R, h)`, without building it;
     or, when M rings of at least 6 vertices each already exceed
     VERTEX_BUDGET, that lower bound 1 + 6 M, with no loop over the rings."""
-    M = max(2, int(round(R / h)))
+    M = _ring_count(R, h)
     if 1 + 6 * M > VERTEX_BUDGET:
         return 1 + 6 * M
     return 1 + sum(_ring_counts(R, h)[1])

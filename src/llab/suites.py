@@ -387,12 +387,13 @@ def hyperbolic_suite(
         "theta_sup_is_one": bool(abs(theta.sup_norm - 1.0) < 1e-3),
         "stokes_small": bool(theta.stokes_max < 50 * h_star**2),
         "eigen_certified": all(r["residual"] < rel_tol * r["lambda1"] for r in sweep["rows"]),
-        "above_derived_bound": all(
-            r["derived_bound"] is None or r["lambda1"] >= r["derived_bound"] for r in sweep["rows"]
-        ),
         "crossterm_within_proved_bound": bool(cross["C_sqrtf_max"] <= 2.0 + 1e-8),
         "annulus_sum_consistent": decay.partial_sums_consistent(),
     }
+    # absent, not vacuously True, when no row carries a derived bound (k = 1)
+    bounded = [r for r in sweep["rows"] if r["derived_bound"] is not None]
+    if bounded:
+        checks["above_derived_bound"] = all(r["lambda1"] >= r["derived_bound"] for r in bounded)
     oracle_errs = [
         e["rel_err_vs_oracle"] for e in sweep["extrapolation"].values() if e["rel_err_vs_oracle"] is not None
     ]

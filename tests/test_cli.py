@@ -410,6 +410,35 @@ def test_cli_hyperbolic_bad_R_or_h_exits_two_at_once_and_names_it(tmp_path, caps
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("h", ["1e-300", "1e-320"])
+def test_cli_hyperbolic_h_past_every_ring_count_exits_two_in_one_short_line(tmp_path, capsys, h):
+    # R / h is 2e300, or inf: the ring count is capped, so the message
+    # names R, h and the budget without a 300-digit count or an int(inf)
+    assert main(["hyperbolic", "--R", "2", "--h", h, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: mesh for R=2.0, h={float(h)!r} needs at least ")
+    assert "(budget 2000000)" in err and err.count("\n") == 1 and len(err) < 120
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("k, bounded", [(0, True), (1, False)])
+def test_cli_hyperbolic_checks_the_derived_bound_only_where_a_row_carries_one(tmp_path, capsys, k, bounded):
+    # every k = 1 row has derived_bound None, so a check over them would be
+    # all() over nothing: it is absent, and the run still warns vacuous
+    argv = ["hyperbolic", "--R", "2", "--h", "0.5,0.4", "--k", str(k), "--format", "json,csv"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert "[PASS]" in capsys.readouterr().out
+    report = load_report(tmp_path / "hyperbolic.json")
+    body = report["report"]
+    assert ("above_derived_bound" in body["checks"]) == bounded
+    assert ("above_derived_bound" in body["verdict"]["checks"]) == bounded
+    assert ("above_derived_bound" in (tmp_path / "hyperbolic.csv").read_text()) == bounded
+    assert [row["derived_bound"] is not None for row in body["sweep"]["rows"]] == [bounded] * 2
+    assert verdict_from_report(report) == report["passed"] is True
+    # k = 1 has no oracle to extrapolate against
+    assert body.get("warning") == (None if bounded else "vacuous")
+
+
 def test_cli_hyperbolic_eps_above_one_exits_two_and_names_it(tmp_path, capsys):
     assert main(["hyperbolic", "--R", "4", "--h", "0.2,0.1", "--eps", "2", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

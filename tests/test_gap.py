@@ -9,6 +9,7 @@ factorial ladder, an independent expansion of the same closed form.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import textwrap
 
@@ -352,30 +353,33 @@ def test_lobpcg_certifies_the_x_it_returns(rel_tol):
 
 
 @pytest.mark.parametrize("h_values, solvers", [
-    # each row's solver and, for a V-cycle, the dimensions of its levels,
-    # finest first, with the bottom's last
-    ((0.1, 0.2), [("multigrid", [15687, 833]), ("multigrid", [3718, 833])]),
-    ((0.2, 0.4, 0.1), [("multigrid", [3718, 833]), ("lu", None), ("multigrid", [15687, 3718, 833])]),
+    # each row's solver and the dimensions of its V-cycle's levels, finest
+    # first, with the bottom's last, from the coarsest row to the finest
+    ((0.4, 0.2, 0.1), [("lu", [833]), ("multigrid", [3718, 833]), ("multigrid", [15687, 3718, 833])]),
+    ((0.2, 0.1), [("multigrid", [3718, 833]), ("multigrid", [15687, 3718, 833])]),
 ])
 def test_gap_sweep_takes_no_finer_mesh_as_the_coarse_grid(monkeypatch, h_values, solvers):
-    # every V-cycle runs through the meshes coarser than its row only: an
-    # ascending sweep drops the finer level its first row left, and jumps
-    # from h = 0.1 straight to the h = 0.4 bottom
+    # every ordering of h solves each row as the descending sweep does, bit
+    # for bit, through the meshes coarser than it only, down to the LU of the
+    # h = 0.4 mesh, on the sweep or below it; rows come in the caller's order
     factored = _count_factorizations(monkeypatch)
     made = _recording_multigrid(monkeypatch)[0]
-    out = gap_sweep(R_values=(4.0,), h_values=h_values, k=0)
-    assert [row["solver"] for row in out["rows"]] == [solver for solver, _ in solvers]
-    assert made == [cycle for _, cycle in solvers if cycle is not None]
-    # the h = 0.4 mesh, below the sweep or on it, is the only one factored,
-    # and a row on it is solved with that LU as it would be alone
-    assert factored == [833]
-    for row in out["rows"]:
-        alone = dirichlet_lambda1(build_disc_mesh(4.0, row["h"]), 0)
-        assert row["lambda1"] == pytest.approx(alone.eigenvalue, rel=1e-12)
-        # proven on every row, the factor-4 jump within the step cap too
+    descending = gap_sweep(R_values=(4.0,), h_values=h_values, k=0)["rows"]
+    assert [row["solver"] for row in descending] == [solver for solver, _ in solvers]
+    for order in itertools.permutations(h_values):
+        del made[:], factored[:]
+        rows = gap_sweep(R_values=(4.0,), h_values=order, k=0)["rows"]
+        assert [row["h"] for row in rows] == list(order)
+        by_h = {row["h"]: row for row in rows}
+        assert [by_h[row["h"]] for row in descending] == descending
+        assert made == [cycle for _, cycle in solvers]
+        assert factored == [833]
+    for row in descending:
+        # proven on every row, and a row on the bottom is solved as it would be alone
         assert (row["lambda1"] - row["ground_state_lower"]) / row["lambda1"] <= 1e-8
         if row["solver"] == "lu":
-            assert row["iterations"] == alone.iterations
+            alone = dirichlet_lambda1(build_disc_mesh(4.0, row["h"]), 0)
+            assert (row["lambda1"], row["iterations"]) == (alone.eigenvalue, alone.iterations)
 
 
 def test_gap_sweep_proves_every_k0_row_within_rel_tol():
@@ -400,16 +404,45 @@ def test_gap_sweep_k1_carries_no_ground_state_bound(monkeypatch):
 def test_the_benchmark_sweep_extends_each_R_below_its_coarsest_h(R, bottom, above):
     # h = 0.2 doubles until a mesh has at most 3,000 predicted vertices:
     # 493 at R = 2 (no extra mesh), 4,575 then 1,262 at R = 4, and 34,802,
-    # 9,573, then 2,992 at R = 6
-    from llab.hyperbolic.gap import _BOTTOM_VERTICES, _ring_chain
+    # 9,573, then 2,992 at R = 6; R's hierarchy, coarse to fine, runs from
+    # the bottom through the meshes above it to the sweep's h = 0.2
+    from llab.hyperbolic.gap import _BOTTOM_VERTICES, _coarser_meshes
     from llab.hyperbolic.mesh import predicted_vertex_count
 
-    chain = _ring_chain(R, (0.2, 0.1))
-    assert chain.bottom.h == bottom and predicted_vertex_count(R, bottom) <= _BOTTOM_VERTICES
-    assert [mesh.h for mesh, _ in chain.levels] == above
-    for (mesh, level), below in zip(chain.levels, [chain.bottom]):
-        assert level.P.shape == (len(mesh.interior), len(below.interior))
-    assert chain.lu.shape[0] == chain.pencil[0].shape[0] == len(chain.bottom.interior)
+    below = _coarser_meshes(R, 0.2)
+    assert [mesh.R for mesh in below] == [R] * len(below)
+    hierarchy = [mesh.h for mesh in below] + [0.2]
+    assert hierarchy[0] == bottom and hierarchy[1:-1] == above
+    assert predicted_vertex_count(R, bottom) <= _BOTTOM_VERTICES
+    assert all(predicted_vertex_count(R, h) > _BOTTOM_VERTICES for h in hierarchy[1:])
+
+
+def test_no_chain_only_mesh_has_its_mass_assembled(monkeypatch):
+    # the h = 0.4 mesh below the R = 4 sweep only preconditions: its stiffness
+    # matrix is assembled alone, the same bits the full pencil would give,
+    # and the mass, its mu and its pattern are made for the two rows only
+    from llab.hyperbolic import assembly, gap
+
+    assembled = {"pencil": [], "stiffness": [], "mass": 0}
+    for name, key in (("assemble_hodge_laplacian", "pencil"), ("stiffness_p1", "stiffness")):
+        def recording(mesh, *args, _real=getattr(gap, name), _key=key):
+            assembled[_key].append(mesh.h)
+            return _real(mesh, *args)
+
+        monkeypatch.setattr(gap, name, recording)
+    real_mass = assembly._mass_local
+
+    def mass(geo):
+        assembled["mass"] += 1
+        return real_mass(geo)
+
+    monkeypatch.setattr(assembly, "_mass_local", mass)
+    gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1), k=0)
+    assert assembled == {"pencil": [0.2, 0.1], "stiffness": [0.4], "mass": 2}
+    mesh = build_disc_mesh(4.0, 0.4)
+    A, pencil_A = assembly.stiffness_p1(mesh, mesh.interior), assembly.assemble_hodge_laplacian(mesh, 0)[0]
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(pencil_A, name))
 
 
 def test_a_doubled_mesh_that_fails_its_quality_check_ends_the_chain(monkeypatch):
@@ -443,22 +476,23 @@ def test_a_doubled_mesh_that_fails_its_quality_check_ends_the_chain(monkeypatch)
 
 
 def test_a_sweeps_chain_dies_with_it_without_the_cyclic_collector(monkeypatch):
-    # the V-cycle and the chain hold their levels and nothing holds them,
-    # so reference counting alone frees a chain before the next R meshes
-    # and every level once the sweep returns
+    # the V-cycle and the generator that walks R's ring meshes hold their
+    # levels and nothing holds them, so reference counting alone frees a
+    # hierarchy, its LU too, before the next R meshes and every level once
+    # the sweep returns
     import gc
     import weakref
 
     from llab.hyperbolic import gap
 
-    real_chain, real_multigrid = gap._ring_chain, gap.multigrid_preconditioner
+    real_states, real_multigrid = gap._ring_ground_states, gap.multigrid_preconditioner
     refs = []
 
-    def chain(*args):
-        assert all(ref() is None for ref in refs)  # the last R's chain is gone
-        made = real_chain(*args)
+    def ground_states(*args):
+        assert all(ref() is None for ref in refs)  # the last R's hierarchy is gone
+        made = real_states(*args)
         refs.append(weakref.ref(made))
-        return made
+        yield from made
 
     def multigrid(levels, bottom_lu):
         levels = list(levels)
@@ -467,14 +501,14 @@ def test_a_sweeps_chain_dies_with_it_without_the_cyclic_collector(monkeypatch):
         refs.append(weakref.ref(T))
         return T
 
-    monkeypatch.setattr(gap, "_ring_chain", chain)
+    monkeypatch.setattr(gap, "_ring_ground_states", ground_states)
     monkeypatch.setattr(gap, "multigrid_preconditioner", multigrid)
     gc.disable()
     try:
         out = gap_sweep(R_values=(2.0, 4.0), h_values=(0.2, 0.1), k=0)
         assert [row["solver"] for row in out["rows"]] == ["lu", "multigrid", "multigrid", "multigrid"]
-        # two chains, and three V-cycles of 1, 1 and 2 levels of 4 arrays each
-        assert len(refs) == 2 + (4 + 1) + (4 + 1) + (8 + 1)
+        # two hierarchies, and four V-cycles of 0, 1, 1 and 2 levels of 4 arrays each
+        assert len(refs) == 2 + (0 + 1) + (4 + 1) + (4 + 1) + (8 + 1)
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()

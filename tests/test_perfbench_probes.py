@@ -149,3 +149,10 @@ def test_suite_workload_reports_pass_their_benchmark_oracles(workload, tmp_path)
     assert main([*w.argv, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / f"{w.argv[0]}.json").read_text())
     assert w.checks["report"](report) == []
+    if workload == "hyperbolic":
+        # the benchmark's routing: one LU per R, on its coarsest mesh, and a
+        # V-cycle down to it on every other row
+        assert [(row["n_dofs"], row["solver"]) for row in report["report"]["sweep"]["rows"]] == [
+            (379, "lu"), (1625, "multigrid"), (3718, "multigrid"),
+            (15687, "multigrid"), (28465, "multigrid"), (119885, "multigrid"),
+        ]
