@@ -274,16 +274,19 @@ def _whitney_midpoint_major(g: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _crossterm_fields(mesh: DiscMesh, profile: CutoffProfile, mid: np.ndarray):
     """The sample-independent midpoint fields of `crossterm_constant`.
 
-    Returns (wf, wf2, pair_u, pair_v, wf_mu, wf2_mu): with w the midpoint
-    quadrature weight, f the cutoff and grad f its Euclidean gradient at the
-    3 edge midpoints of every triangle, the (3, nt) midpoint-major arrays
-    w f, w f^2, 2 w f (d f / d u) / mu, 2 w f (d f / d v) / mu, and the
-    per-triangle sums over midpoints of w f / mu and w f^2 / mu.  f and
-    grad f are evaluated once per edge (`mid`, the edge midpoints) and
-    gathered per triangle; both passes run block by block.
+    Returns (wf, wf2, pair_u, pair_v, wf_mu, wf2_mu, df_over_eps): with w
+    the midpoint quadrature weight, f the cutoff and grad f its Euclidean
+    gradient at the 3 edge midpoints of every triangle, the (3, nt)
+    midpoint-major arrays w f, w f^2, 2 w f (d f / d u) / mu,
+    2 w f (d f / d v) / mu, the per-triangle sums over midpoints of w f / mu
+    and w f^2 / mu, and max |df|_g / eps = |grad f| / (sqrt(mu) eps) over
+    the midpoints.  f, grad f and that maximum are evaluated once per edge
+    (`mid`, the edge midpoints), and the fields gathered per triangle; both
+    passes run block by block.
     """
     geo, es = mesh.geometry, mesh.edge_structure
     f_edge, grad_u, grad_v = np.empty((3, es.n_edges))
+    df_sq = 0.0  # max |df|_g^2 so far
     for b in _blocks(es.n_edges):
         u, v = mid[b, 0], mid[b, 1]
         r = np.hypot(u, v)
@@ -297,6 +300,10 @@ def _crossterm_fields(mesh: DiscMesh, profile: CutoffProfile, mid: np.ndarray):
             radial_scale = np.where(r > 0, profile.df_at(rho) * drho_dr / r, 0.0)
         f_edge[b] = profile.f_at(rho)
         grad_u[b], grad_v[b] = radial_scale * u, radial_scale * v
+        gu, gv = grad_u[b], grad_v[b]
+        # |df|_g^2 = |grad f|^2 / mu, with the mu that geometry gathers at
+        # the edge midpoints
+        df_sq = max(df_sq, float(((gu * gu + gv * gv) / mesh.mu(mid[b])).max()))
 
     nt = mesh.n_triangles
     wf, wf2, pair_u, pair_v = np.empty((4, 3, nt))
@@ -313,7 +320,7 @@ def _crossterm_fields(mesh: DiscMesh, profile: CutoffProfile, mid: np.ndarray):
         wf2[:, b] = wf[:, b] * f
         wf_mu[b] = (f * w_mu).sum(axis=0)
         wf2_mu[b] = (f * f * w_mu).sum(axis=0)
-    return wf, wf2, pair_u, pair_v, wf_mu, wf2_mu
+    return wf, wf2, pair_u, pair_v, wf_mu, wf2_mu, float(np.sqrt(df_sq)) / profile.eps
 
 
 def crossterm_constant(
@@ -323,14 +330,18 @@ def crossterm_constant(
     seed: int = 20260302,
     midpoints: np.ndarray | None = None,
 ) -> dict:
-    """Measured constants in |<d a, 2 f df ^ a>| against cutoff-weighted norms.
+    """The cross term |<d a, 2 f df ^ a>| against cutoff-weighted norms:
+    the premise of its bound, and measured constants.
 
-    For each random discrete 1-form a, evaluates the pairing by quadrature
-    and reports
-        C_f     = |<..>| / (eps ||f a|| ||f d a||)      (reported, no bound)
-        C_sqrtf = |<..>| / (eps ||sqrt f a|| ||sqrt f d a||)  (provably <= 2)
-    The sqrt-f constant is the load-bearing one: 2 f |df| <= 2 eps f <=
-    2 eps sqrt(f) * sqrt(f) pointwise, then Cauchy-Schwarz.
+    The bound C_sqrtf <= 2 is a theorem: 2 f |df| <= 2 eps f <= 2 eps
+    sqrt(f) sqrt(f) pointwise wherever |df|_g <= eps, then Cauchy-Schwarz.
+    The quadrature below has positive weights, so the bound holds for every
+    discrete 1-form once |df|_g <= eps at every midpoint it reads;
+    `max_df_over_eps` is that premise, max |df|_g / eps over those
+    midpoints, with the same mu.  For each of n_samples random discrete
+    1-forms a, the pairing is evaluated by quadrature and reported as data:
+        C_f     = |<..>| / (eps ||f a|| ||f d a||)
+        C_sqrtf = |<..>| / (eps ||sqrt f a|| ||sqrt f d a||)
 
     The midpoint fields that do not depend on a are built once, on
     `midpoints` (`mesh.edge_midpoints()`, built here when not given).  Each
@@ -344,7 +355,7 @@ def crossterm_constant(
     area = mesh.geometry.area
     if midpoints is None:
         midpoints = mesh.edge_midpoints()
-    wf, wf2, pair_u, pair_v, wf_mu, wf2_mu = _crossterm_fields(mesh, profile, midpoints)
+    wf, wf2, pair_u, pair_v, wf_mu, wf2_mu, df_over_eps = _crossterm_fields(mesh, profile, midpoints)
     g = mesh.geometry.grad
     nt = mesh.n_triangles
     d_uv, wedge, alpha_sq = np.empty(nt), np.empty(nt), np.empty((3, nt))
@@ -378,6 +389,7 @@ def crossterm_constant(
         "C_f_max": float(max(out_cf)),
         "C_sqrtf_max": float(max(out_csqrt)),
         "C_sqrtf_bound": 2.0,
+        "max_df_over_eps": df_over_eps,
     }
 
 
@@ -413,9 +425,6 @@ class AnnulusDecayTable:
     @property
     def min_weighted(self) -> float:
         return float(self.weighted.min()) if self.jmax else float("nan")
-
-    def partial_sums_consistent(self, tol: float = 1e-8) -> bool:
-        return float(self.masses.sum()) <= self.total_norm_sq + tol
 
     def divergence_certificate(self, a: float) -> dict:
         """What total mass a uniform weighted lower bound a would force."""

@@ -305,17 +305,10 @@ def _stitch_rings(counts: list[int]) -> np.ndarray:
     return np.vstack(bands).astype(np.int32)
 
 
-def build_disc_mesh(R: float, h: float) -> DiscMesh:
-    """Mesh the geodesic ball B(0, R) with target edge length h.
-
-    Raises MeshBudgetError before allocating anything if the ring layout
-    would exceed the vertex budget, ValueError on out-of-range (R, h), and
-    ArithmeticError when a triangle is degenerate or clockwise, or when its
-    smallest angle is below MIN_ANGLE_DEG.  The stitched triangles are CCW
-    by construction; the angle check reads them from `geometry`, which
-    computes their signed areas, once per mesh, and raises on any that is
-    not positive.
-    """
+def check_disc_request(R: float, h: float) -> None:
+    """Refuse an (R, h) that `build_disc_mesh` cannot mesh, building
+    nothing: ValueError unless 0 < h < R <= R_MAX, MeshBudgetError when the
+    ring layout would exceed VERTEX_BUDGET."""
     if not (0.0 < h < R):
         raise ValueError(f"need 0 < h < R, got h={h}, R={R}")
     if R > R_MAX:
@@ -326,6 +319,19 @@ def build_disc_mesh(R: float, h: float) -> DiscMesh:
             f"mesh for R={R}, h={h} needs at least {n_pred} vertices "
             f"(budget {VERTEX_BUDGET}); coarsen h or shrink R"
         )
+
+
+def build_disc_mesh(R: float, h: float) -> DiscMesh:
+    """Mesh the geodesic ball B(0, R) with target edge length h.
+
+    Refuses an (R, h) out of range or over the vertex budget before
+    allocating anything (`check_disc_request`), and raises ArithmeticError
+    when a triangle is degenerate or clockwise, or when its smallest angle
+    is below MIN_ANGLE_DEG.  The stitched triangles are CCW by construction;
+    the angle check reads them from `geometry`, which computes their signed
+    areas, once per mesh, and raises on any that is not positive.
+    """
+    check_disc_request(R, h)
 
     M, counts = _ring_counts(R, h)
     dr = R / M

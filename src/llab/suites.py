@@ -347,9 +347,14 @@ def hyperbolic_suite(
     tol: float = DEFAULT_TOLERANCE["hyperbolic"],
 ) -> dict:
     """FEM gap verification: derivation report, theta texture, the (R, h)
-    sweep with extrapolation, cutoff feasibility, and annulus decay.  The
-    verdict's residual is the worst relative eigenpair residual
-    (residual / lambda1) over the sweep, gated by tol."""
+    sweep with extrapolation, cutoff feasibility, the cross term, and
+    annulus decay.  The verdict's residual is the worst relative eigenpair
+    residual (residual / lambda1) over the sweep, gated by tol.  Its checks
+    are the derivation's proofs, theta's sup norm and Stokes defect, the
+    cross term's premise |df|_g <= eps at the pairing's quadrature points,
+    lambda1 against the derived bound, and the extrapolation against the
+    oracle.  `seed` draws only the cross term's measured constants, which
+    are data; the annulus table is data too."""
     from llab.hyperbolic import (
         annulus_decay,
         bounded_primitive,
@@ -386,9 +391,8 @@ def hyperbolic_suite(
         "derivation_pass": bool(derivation["checks_pass"]),
         "theta_sup_is_one": bool(abs(theta.sup_norm - 1.0) < 1e-3),
         "stokes_small": bool(theta.stokes_max < 50 * h_star**2),
-        "eigen_certified": all(r["residual"] < rel_tol * r["lambda1"] for r in sweep["rows"]),
-        "crossterm_within_proved_bound": bool(cross["C_sqrtf_max"] <= 2.0 + 1e-8),
-        "annulus_sum_consistent": decay.partial_sums_consistent(),
+        # the premise of C_sqrtf <= 2, up to rounding
+        "crossterm_within_proved_bound": bool(cross["max_df_over_eps"] <= 1.0 + 1e-9),
     }
     # absent, not vacuously True, when no row carries a derived bound (k = 1)
     bounded = [r for r in sweep["rows"] if r["derived_bound"] is not None]

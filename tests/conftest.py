@@ -6,6 +6,10 @@ once; everything they feed is read-only.
 
 from __future__ import annotations
 
+import inspect
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -62,3 +66,30 @@ def square24():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260818)
+
+
+@pytest.fixture()
+def mutant(monkeypatch):
+    """`mutant(module, name, old, new)` puts in, for one test, a copy of the
+    function `name` of `module` ("Class.method" for a method) whose source
+    has its one occurrence of `old` replaced by `new`.  The copy replaces
+    the function at every binding a caller looks it up: its owner, and every
+    loaded llab module that imported it."""
+
+    def put(module, name, old, new):
+        owner = module
+        *path, attr = name.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        func = getattr(owner, attr)
+        src = textwrap.dedent(inspect.getsource(func))
+        assert src.count(old) == 1, old
+        namespace = dict(vars(module))
+        exec(compile(src.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
+        monkeypatch.setattr(owner, attr, namespace[attr])
+        if not path:
+            for modname, mod in list(sys.modules.items()):
+                if modname.partition(".")[0] == "llab" and getattr(mod, attr, None) is func:
+                    monkeypatch.setattr(mod, attr, namespace[attr])
+
+    return put

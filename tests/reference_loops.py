@@ -435,7 +435,15 @@ def whole_crossterm_constant(mesh, profile, n_samples, seed):
     es = mesh.edge_structure
     rng = np.random.default_rng(seed)
     eps = profile.eps
-    wf, wf2, pair_u, pair_v, wf_mu, wf2_mu = _crossterm_fields(mesh, profile, mesh.edge_midpoints())
+    mid = mesh.edge_midpoints()
+    wf, wf2, pair_u, pair_v, wf_mu, wf2_mu, _ = _crossterm_fields(mesh, profile, mid)
+    u, v = mid[:, 0], mid[:, 1]
+    r = np.hypot(u, v)
+    drho_dr = 2.0 / (1.0 - r**2) if mesh.metric == "hyperbolic" else np.ones_like(r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        radial_scale = np.where(r > 0, profile.df_at(mesh.geodesic_radius_of(r)) * drho_dr / r, 0.0)
+    gu, gv = radial_scale * u, radial_scale * v
+    df_over_eps = float(np.sqrt(((gu * gu + gv * gv) / mesh.mu(mid)).max())) / eps
     out_cf, out_csqrt = [], []
     for _ in range(n_samples):
         d = rng.standard_normal(es.n_edges)[es.tri_edges] * es.tri_signs
@@ -455,6 +463,7 @@ def whole_crossterm_constant(mesh, profile, n_samples, seed):
         "C_f_max": float(max(out_cf)),
         "C_sqrtf_max": float(max(out_csqrt)),
         "C_sqrtf_bound": 2.0,
+        "max_df_over_eps": df_over_eps,
     }
 
 

@@ -8,10 +8,8 @@ factorial ladder, an independent expansion of the same closed form.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
-import textwrap
 
 import numpy as np
 import pytest
@@ -121,9 +119,9 @@ def test_report_certifies_every_link():
         "commutation_d_star_Lm",
         "d_lambda_star_is_conjugated_d",
         "laplacian_dc_equals_laplacian_d",
+        "wedge_anticommutator_is_norm_sq",
     ):
         assert idents[name] < 1e-10, name
-    assert checks["wedge_bound_max_ratio"] < 1.0 + 1e-10
     # the closed-form minimum singular value is m! on the nose
     f = rep["factors"]
     assert f["sigma_min"] == f["sigma_min_closed_form"]
@@ -136,31 +134,35 @@ def test_report_surface_case():
     assert rep["factors"]["sigma_min"] == 1.0
 
 
-def _mutant(monkeypatch, module, name, old, new):
-    """Put in `module`, for one test, a copy of its function `name` whose
-    source has its one occurrence of `old` replaced by `new`."""
-    func = getattr(module, name)
-    src = textwrap.dedent(inspect.getsource(func))
-    assert src.count(old) == 1, old
-    namespace = dict(vars(module))
-    exec(compile(src.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
-    monkeypatch.setattr(module, name, namespace[name])
-
-
 @pytest.mark.parametrize("old, new, broken", [
     ("- m * (", "+ m * (", "commutation_d_star_Lm"),
     ("np.linalg.inv(ops.weil(k + 1))", "ops.weil(k + 1)", "d_lambda_star_is_conjugated_d"),
     ("_adjoint_stack(ops, dc[k - 1], k - 1, k)", "-dc[k - 1].conj().transpose(0, 2, 1)",
      "laplacian_dc_equals_laplacian_d"),
 ], ids=["sign of m flipped", "W for W^-1", "metric-blind adjoint"])
-def test_a_broken_operator_identity_fails_loudly(monkeypatch, old, new, broken):
+def test_a_broken_operator_identity_fails_loudly(mutant, old, new, broken):
     import llab.hyperbolic.gap as gap
 
-    _mutant(monkeypatch, gap, "_operator_identity_residuals", old, new)
+    mutant(gap, "_operator_identity_residuals", old, new)
     for n, k in ((1, 0), (2, 1)):
         rep = gromov_bound_report(n, k)
         idents = rep["checks"]["operator_identities"]
         assert idents[broken] > 1e-3, (n, k, idents)
+        assert not rep["checks_pass"], (n, k)
+
+
+def test_a_scaled_wedge_fails_only_the_weitzenbock_link(mutant):
+    # e^j ^ scaled by 1.01 keeps every identity that is linear in d, and
+    # both sides of Delta_{d^c} = Delta_d; only |theta ^ a| <= |theta||a| breaks
+    import llab.torus as torus
+
+    mutant(torus, "FourierComplex.block", "A[p.left, p.target, p.right] = p.sign",
+           "A[p.left, p.target, p.right] = 1.01 * p.sign")
+    for n, k in ((1, 0), (2, 1)):
+        rep = gromov_bound_report(n, k)
+        idents = rep["checks"]["operator_identities"]
+        assert idents.pop("wedge_anticommutator_is_norm_sq") > 1e-3, (n, k)
+        assert all(v < 1e-10 for name, v in idents.items() if name != "arena_n"), (n, k, idents)
         assert not rep["checks_pass"], (n, k)
 
 
@@ -297,7 +299,7 @@ def test_a_failed_multigrid_solve_falls_back_to_its_own_lu(monkeypatch, broken):
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
-def test_the_proof_precheck_never_delays_the_two_grid_stop(monkeypatch, small_mesh, rel_tol):
+def test_the_proof_precheck_never_delays_the_two_grid_stop(mutant, small_mesh, rel_tol):
     # on one level, the V-cycle is the two-grid cycle
     import scipy.sparse.linalg as spla
 
@@ -313,7 +315,7 @@ def test_the_proof_precheck_never_delays_the_two_grid_stop(monkeypatch, small_me
     start = np.ones(A.shape[0])
     steps = eigensolve.smallest_eigenpairs(A, M, T, start, rel_tol, ground_state=True)[2]
     # the same solve with the proof run at every step stops at that step
-    _mutant(monkeypatch, eigensolve, "smallest_eigenpairs", "np.max(-r / Mx) <= rel_tol * lam", "True")
+    mutant(eigensolve, "smallest_eigenpairs", "np.max(-r / Mx) <= rel_tol * lam", "True")
     assert eigensolve.smallest_eigenpairs(A, M, T, start, rel_tol, ground_state=True)[2] == steps
 
 
@@ -527,6 +529,28 @@ def test_gap_sweep_rejects_a_repeated_R_or_h_before_meshing(monkeypatch, R_value
     monkeypatch.setattr(mesh, "build_disc_mesh", no_mesh)
     with pytest.raises(ValueError, match=f"repeated {repeated}"):
         gap_sweep(R_values=R_values, h_values=h_values)
+
+
+@pytest.mark.parametrize("R, h, named", [
+    ("6", "1e-9,0.1", "R=6.0, h=1e-09 needs at least 36000000001 vertices (budget 2000000)"),
+    ("6", "0.1,1e-9", "R=6.0, h=1e-09 needs at least 36000000001 vertices (budget 2000000)"),
+    ("2,6", "0.2,0.01", "R=6.0, h=0.01 needs at least"),
+    ("2,13", "0.2,0.1", "R=13.0 exceeds supported radius 12.0"),
+    ("2,4", "0.2,3", "need 0 < h < R, got h=3.0, R=2.0"),
+], ids=["fine h first", "fine h last", "over budget at the second R", "R over R_MAX", "h over R"])
+def test_an_unmeshable_R_h_pair_exits_two_before_any_mesh_is_built(monkeypatch, capsys, R, h, named):
+    # every (R, h) pair is checked before the first row is meshed, so no
+    # order of --R or --h solves the coarser rows first
+    from llab.cli import main
+    from llab.hyperbolic import mesh
+
+    def no_mesh(R, h):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(mesh, "build_disc_mesh", no_mesh)
+    assert main(["hyperbolic", "--R", R, "--h", h]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 @pytest.mark.parametrize("eps", [2.0, 1.5, 0.0, -0.6, float("nan"), float("inf")])

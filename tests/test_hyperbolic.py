@@ -829,6 +829,11 @@ def test_crossterm_constant_within_proved_bound(fine_mesh):
     prof = cutoff_family(fine_mesh, eps=0.8)
     out = crossterm_constant(fine_mesh, prof)
     assert out["C_sqrtf_bound"] == 2.0
+    # the bound's premise |df|_g <= eps at the pairing's midpoints: |df|_g
+    # is |f'(rho)|, since the distance rho has |grad rho|_g = 1
+    rho = fine_mesh.geodesic_radius(fine_mesh.edge_midpoints())
+    assert out["max_df_over_eps"] == pytest.approx(np.abs(prof.df_at(rho)).max() / 0.8, rel=1e-12)
+    assert out["max_df_over_eps"] <= 1.0 + 1e-9
     assert out["C_sqrtf_max"] <= 2.0
     assert np.isfinite(out["C_f_max"])
 
@@ -929,7 +934,8 @@ def test_annulus_decay_oracle(fine_mesh):
             math.tanh((j + 1) / 2) ** (2 * m_pow) - math.tanh(j / 2) ** (2 * m_pow)
         )
         assert table.masses[j] == pytest.approx(exact, rel=0.15)
-    assert table.partial_sums_consistent()
+    # the total has no binning fuzz: pi m tanh^{2m}(R/2) over the whole ball
+    assert table.total_norm_sq == pytest.approx(math.pi * m_pow * math.tanh(2.0) ** (2 * m_pow), rel=5e-3)
 
 
 @pytest.mark.parametrize("jmax", [None, 2])

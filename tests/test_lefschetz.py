@@ -7,9 +7,7 @@ L^j, and binomial primitive dimensions.
 
 from __future__ import annotations
 
-import inspect
 import math
-import textwrap
 
 import numpy as np
 import pytest
@@ -573,41 +571,27 @@ def test_the_scaling_law_forms_each_level_gram_once(monkeypatch, rng):
         lefschetz.level_gram(t, 0, 1, 0, 2)
 
 
-def _mutant(monkeypatch, name, old, new):
-    """Put in llab.lefschetz, and at the suite's binding of the same name, a
-    copy of the function `name` whose one occurrence of `old` is `new`."""
-    import llab.lefschetz as lefschetz
-    import llab.suites as suites
-
-    func = getattr(lefschetz, name)
-    src = textwrap.dedent(inspect.getsource(func))
-    assert src.count(old) == 1, old
-    namespace = dict(vars(lefschetz))
-    exec(compile(src.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
-    for module in (lefschetz, suites):
-        if getattr(module, name, None) is func:
-            monkeypatch.setattr(module, name, namespace[name])
-
-
 @pytest.mark.parametrize("name, old, new, check", [
     ("inner_scaling_levels", "math.factorial(i - j)", "math.factorial(i - j + 1)", "inner_scaling"),
     ("weil_relation_operators", "sign * _power(W", "-sign * _power(W", "weil_relation"),
 ], ids=["wrong factorial in the scaling factor", "flipped Weil sign"])
-def test_a_broken_identity_family_fails_the_suite_loudly(monkeypatch, name, old, new, check):
+def test_a_broken_identity_family_fails_the_suite_loudly(mutant, name, old, new, check):
+    import llab.lefschetz as lefschetz
     from llab.suites import identity_suite, worst_cell
 
-    _mutant(monkeypatch, name, old, new)
+    mutant(lefschetz, name, old, new)
     rep = identity_suite(n_values=(2, 3), cases=8, cross_cases=4)
     assert not rep["passed"]
     cell, value = worst_cell(rep)
     assert cell.split(".")[2].startswith(check) and value > 1e-3, (cell, value)
 
 
-def test_lambda_from_the_wrong_level_fails_the_commutators_loudly(monkeypatch, std3, rng):
+def test_lambda_from_the_wrong_level_fails_the_commutators_loudly(mutant, std3, rng):
     # Lambda L^i a read as L^i Lambda a: the two terms of [L^i, Lambda] cancel.
     # In degrees 2 and 4 of n = 3, i = 1 has both terms and i(k - n + i - 1) != 0
-    _mutant(monkeypatch, "commutator_operators", "dual_lefschetz(_power(e, i, t), t)", "_power(lam, i, t)")
     import llab.lefschetz as lefschetz
+
+    mutant(lefschetz, "commutator_operators", "dual_lefschetz(_power(e, i, t), t)", "_power(lam, i, t)")
 
     for k in (2, 4):
         a = _batch(3, k, rng).data
@@ -616,13 +600,14 @@ def test_lambda_from_the_wrong_level_fails_the_commutators_loudly(monkeypatch, s
         assert _score(lefschetz.commutator_operators(std3, k, (1,))[1], a, a) > 1e-3, k
 
 
-def test_a_metric_blind_gram_block_fails_the_random_triple_loudly(monkeypatch):
+def test_a_metric_blind_gram_block_fails_the_random_triple_loudly(mutant):
     # G replaced by the coefficient inner product in the Gram blocks of the
     # scaling law and the cross term: the standard triple, whose Gram
     # matrices are the identity, cannot tell; the random triple must
+    import llab.lefschetz as lefschetz
     from llab.suites import _identity_residuals, identity_suite, worst_cell
 
-    _mutant(monkeypatch, "level_gram", "metric_gram(t, m)", "np.eye(math.comb(2 * t.n, m))")
+    mutant(lefschetz, "level_gram", "metric_gram(t, m)", "np.eye(math.comb(2 * t.n, m))")
     rep = identity_suite(n_values=(2, 3), cases=8, cross_cases=4)
     assert not rep["passed"]
     cell, value = worst_cell(rep)
