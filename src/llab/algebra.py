@@ -480,6 +480,15 @@ def _holomorphic_degree(dim: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _bidegree_columns(dim: int, k: int) -> dict:
+    """(p, k - p) -> the positions of the degree-k frame products of that
+    type, for every bidegree of Lambda^k: the columns of `frame_compound(k)`
+    that span the (p, k - p) forms."""
+    n, p_of = dim // 2, _holomorphic_degree(dim, k)
+    return {(p, k - p): _read_only(np.flatnonzero(p_of == p)) for p in range(max(0, k - n), min(k, n) + 1)}
+
+
+@lru_cache(maxsize=None)
 def _contraction_matrix(dim: int, k: int, axis: int) -> np.ndarray:
     """Matrix of the interior product with the basis vector e_{axis+1} on Lambda^k."""
     rows = _mask_index(dim, k - 1)
@@ -617,16 +626,11 @@ class Ops:
 
     @_block
     def pq(self, k: int) -> dict:
-        """Matrices of Pi^{p,q} on Lambda^k for each p+q = k."""
-        n = self.t.n
+        """Matrices of Pi^{p,q} on Lambda^k for each p+q = k: dense, for the
+        Weil operator and `pq_projector_matrices`; `pq_decompose` forms none."""
         C = self.frame_compound(k)
         Cinv = np.linalg.inv(C)
-        p_of = _holomorphic_degree(self.dim, k)
-        out = {}
-        for p in range(max(0, k - n), min(k, n) + 1):
-            sel = p_of == p
-            out[(p, k - p)] = C[:, sel] @ Cinv[sel]
-        return out
+        return {pq: C[:, S] @ Cinv[S] for pq, S in _bidegree_columns(self.dim, k).items()}
 
     @_block
     def weil(self, k: int) -> np.ndarray:
@@ -752,8 +756,14 @@ class BigradedForm:
 
 
 def pq_decompose(a: KForm, t: CompatibleTriple) -> BigradedForm:
-    """Split a into its Pi^{p,q} projections with respect to t's J."""
-    comps = {pq: KForm._own(a.n, a.k, M @ a.data) for pq, M in t.ops.pq(a.k).items()}
+    """Split a into its Pi^{p,q} projections with respect to t's J.
+
+    One solve C c = a puts a on the frame products, the columns of C =
+    `frame_compound(k)`; the (p,q) part is the sum of the columns of type
+    (p,q), each times its coefficient.  No projector is formed."""
+    C = t.ops.frame_compound(a.k)
+    c = np.linalg.solve(C, a.data)
+    comps = {pq: KForm._own(a.n, a.k, C[:, S] @ c[S]) for pq, S in _bidegree_columns(2 * a.n, a.k).items()}
     return BigradedForm(k=a.k, components=comps)
 
 
@@ -785,10 +795,11 @@ def form_to_json(a: KForm) -> dict:
 
 
 # The largest n either wire format accepts.  A decomposition holds dense
-# C(2n, k) x C(2n, k) complex blocks (the frame compounds and their inverse,
-# one (p,q) projector per bidegree): `llab decompose` at n = 6, k = 6 takes
-# 1.1 s and 232 MB peak RSS (one process, 1 BLAS thread), while at n = 7 each
-# block of the middle degree alone is 188 MB.
+# C(2n, k) x C(2n, k) blocks (the complex frame compounds up to degree k, the
+# real Gram, L^r and Lambda blocks) but no (p,q) projector: a cold `llab
+# decompose` at n = 6, k = 6 takes 0.7 s and 144 MB peak RSS (one process,
+# 1 BLAS thread), while at n = 7 each block of the middle degree alone is
+# 188 MB.
 WIRE_MAX_N = 6
 
 
@@ -822,9 +833,45 @@ def _field(obj, name: str, where: str, integer: bool = False):
     return obj[name]
 
 
+@lru_cache(maxsize=None)
+def _basis_position(dim: int, k: int) -> dict:
+    """Index tuple -> position of the degree-k basis form."""
+    return {idx: i for i, idx in enumerate(_basis_indices(dim, k))}
+
+
+def _checked_entry(entry, where: str, n: int, k: int) -> tuple:
+    """(position, re, im) of a coefficient entry of a degree-k form, after
+    every check of the wire format; a ValueError names the first that fails."""
+    if not isinstance(entry, dict) or "idx" not in entry or "re" not in entry:
+        raise ValueError(f"{where}: expected an object with 'idx' and 're'")
+    idx = entry["idx"]
+    if not isinstance(idx, (list, tuple)) or not all(_is_number(i, numbers.Integral) for i in idx):
+        raise ValueError(f"{where}: 'idx' must be a list of integers, got {idx!r}")
+    if len(idx) != k:
+        raise ValueError(f"{where}: {len(idx)} indices for a degree-{k} form")
+    bad = [i for i in idx if not 1 <= i <= 2 * n]
+    if bad:
+        raise ValueError(f"{where}: index {bad[0]} outside 1..{2 * n}")
+    if any(a >= b for a, b in zip(idx, idx[1:])):
+        raise ValueError(f"{where}: indices {idx} are repeated or not ascending")
+    re, im = entry["re"], entry.get("im", 0.0)
+    for name, v in (("re", re), ("im", im)):
+        if not _is_number(v):
+            raise ValueError(f"{where}: coefficient '{name}' must be a number, got {v!r}")
+        if not _is_finite(v):
+            raise ValueError(f"{where}: coefficient '{name}' must be finite, got {v!r}")
+    return _mask_index(2 * n, k)[indices_to_mask(idx)], re, im
+
+
 def form_from_json(obj: dict) -> KForm:
-    """Parse the wire format; a missing or mistyped field, or a bad
-    coefficient entry, raises ValueError naming it and the problem."""
+    """Parse the wire format; a missing or mistyped field, a bad coefficient
+    entry, or a basis element given twice raises ValueError naming it and
+    the problem.
+
+    An entry as `form_to_json` writes it (ints in 'idx', finite floats in
+    're' and 'im') is accepted by exact type tests and one lookup of its
+    indices; any other goes through `_checked_entry`, which accepts it or
+    says what is wrong with it."""
     n, k = _field(obj, "n", "form", integer=True), _field(obj, "k", "form", integer=True)
     if n < 1 or not 0 <= k <= 2 * n:
         raise ValueError(f"form: need n >= 1 and 0 <= k <= 2n, got n={n}, k={k}")
@@ -832,30 +879,28 @@ def form_from_json(obj: dict) -> KForm:
     coeffs = _field(obj, "coeffs", "form")
     if not isinstance(coeffs, list):
         raise ValueError(f"form: field 'coeffs' must be a list, got {type(coeffs).__name__}")
-    data = np.zeros(math.comb(2 * n, k), dtype=complex)
-    index = _mask_index(2 * n, k)
+    position = _basis_position(2 * n, k)  # holds only ascending indices in 1..2n, k of them
+    given: dict[int, int] = {}  # basis position -> the entry that gave it
+    values = []
     for pos, entry in enumerate(coeffs):
-        where = f"coeffs[{pos}]"
-        if not isinstance(entry, dict) or "idx" not in entry or "re" not in entry:
-            raise ValueError(f"{where}: expected an object with 'idx' and 're'")
-        idx = entry["idx"]
-        if not isinstance(idx, (list, tuple)) or not all(_is_number(i, numbers.Integral) for i in idx):
-            raise ValueError(f"{where}: 'idx' must be a list of integers, got {idx!r}")
-        if len(idx) != k:
-            raise ValueError(f"{where}: {len(idx)} indices for a degree-{k} form")
-        bad = [i for i in idx if not 1 <= i <= 2 * n]
-        if bad:
-            raise ValueError(f"{where}: index {bad[0]} outside 1..{2 * n}")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"{where}: indices {idx} are repeated or not ascending")
-        re, im = entry["re"], entry.get("im", 0.0)
-        for name, v in (("re", re), ("im", im)):
-            if not _is_number(v):
-                raise ValueError(f"{where}: coefficient '{name}' must be a number, got {v!r}")
-            if not _is_finite(v):
-                raise ValueError(f"{where}: coefficient '{name}' must be finite, got {v!r}")
-        data[index[indices_to_mask(idx)]] = complex(re, im)
-    return KForm(n, k, data)
+        slot = None
+        if type(entry) is dict:
+            idx, re, im = entry.get("idx"), entry.get("re"), entry.get("im", 0.0)
+            if (type(idx) is list and type(re) is float and type(im) is float and {*map(type, idx)} <= {int}
+                    and math.isfinite(re) and math.isfinite(im)):
+                slot = position.get(tuple(idx))
+        if slot is None:
+            slot, re, im = _checked_entry(entry, f"coeffs[{pos}]", n, k)
+        first = given.setdefault(slot, pos)
+        if first != pos:
+            raise ValueError(
+                f"coeffs[{pos}]: basis element {list(_basis_indices(2 * n, k)[slot])} "
+                f"already given by coeffs[{first}]"
+            )
+        values.append(complex(re, im))
+    data = np.zeros(math.comb(2 * n, k), dtype=complex)
+    data[list(given)] = values
+    return KForm._own(n, k, data)
 
 
 def triple_to_json(t: CompatibleTriple) -> dict:

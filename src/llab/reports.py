@@ -16,6 +16,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -200,6 +201,8 @@ def _write_json(o, parts: list, nl: str) -> None:
         if not o:
             parts.append("[]")
             return
+        if type(o) is list and _write_coefficients(o, parts, nl):
+            return
         inner = nl + "  "
         parts.append("[")
         for i, v in enumerate(o):
@@ -207,8 +210,6 @@ def _write_json(o, parts: list, nl: str) -> None:
             _write_json(v, parts, inner)
         parts.append(nl + "]")
     elif isinstance(o, dict):
-        if len(o) == 3 and _write_coefficient(o, parts, nl):
-            return
         if not o:
             parts.append("{}")
             return
@@ -222,29 +223,40 @@ def _write_json(o, parts: list, nl: str) -> None:
         _write_json(_json_default(o), parts, nl)
 
 
-def _write_coefficient(o: dict, parts: list, nl: str) -> bool:
-    """Write a form coefficient `{"idx": [int, ...], "im": float, "re": float}`
-    through its cached frame; False, writing nothing, for any other dict.
-    Coefficient entries make up most of a decompose output, and the frame
-    spares the generic writer's key sort and per-index calls on each one."""
-    idx, im, re = o.get("idx"), o.get("im"), o.get("re")
-    if type(idx) is not list or type(im) is not float or type(re) is not float:
+def _write_coefficients(o: list, parts: list, nl: str) -> bool:
+    """Write `o`, a list of form coefficients `{"idx": [int, ...], "im": float,
+    "re": float}` with finite floats, in one loop over their cached texts;
+    False, writing nothing, if any item is something else.  Coefficient
+    lists make up most of a decompose output, and the cached texts spare
+    the generic writer's key sort and per-item calls on each entry."""
+    rows = []
+    for v in o:
+        if type(v) is not dict or len(v) != 3:
+            return False
+        idx, im, re = v.get("idx"), v.get("im"), v.get("re")
+        if not (type(idx) is list and type(im) is float and type(re) is float):
+            return False
+        if not (math.isfinite(im) and math.isfinite(re)):
+            return False
+        rows.append((idx, im, re))
+    # exact ints: an index tuple keys the frame cache, and (True,) == (1,) == (1.0,)
+    if not {*map(type, itertools.chain.from_iterable(row[0] for row in rows))} <= {int}:
         return False
-    if not all(type(i) is int for i in idx):
-        return False
-    head, mid, tail = _coefficient_frame(nl, tuple(idx))
-    parts.append(head + _float_str(im) + mid + _float_str(re) + tail)
+    inner = nl + "  "
+    mid, tail = f',{inner}  "re": ', inner + "}"
+    texts = [f"{_coefficient_head(inner, tuple(idx))}{im!r}{mid}{re!r}{tail}" for idx, im, re in rows]
+    parts.append("[" + inner + ("," + inner).join(texts) + nl + "]")
     return True
 
 
 @functools.lru_cache(maxsize=4096)
-def _coefficient_frame(nl: str, idx: tuple) -> tuple[str, str, str]:
-    """The text of a coefficient entry at indent `nl` around its two floats."""
+def _coefficient_head(nl: str, idx: tuple) -> str:
+    """The text of a coefficient entry at indent `nl` up to its "im" value."""
     inner = nl + "  "
     parts = ["{" + inner + '"idx": ']
     _write_json(list(idx), parts, inner)
     parts.append("," + inner + '"im": ')
-    return "".join(parts), "," + inner + '"re": ', nl + "}"
+    return "".join(parts)
 
 
 def _csv_value(v) -> str:

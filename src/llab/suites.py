@@ -390,7 +390,9 @@ def hyperbolic_suite(
     checks = {
         "derivation_pass": bool(derivation["checks_pass"]),
         "theta_sup_is_one": bool(abs(theta.sup_norm - 1.0) < 1e-3),
-        "stokes_small": bool(theta.stokes_max < 50 * h_star**2),
+        # measured at most 0.104 h^2 on R = 2..8, h = 0.1..1.5; a d theta of
+        # the wrong sign has relative defect 2
+        "stokes_small": bool(theta.stokes_max < 0.5 * h_star**2),
         # the premise of C_sqrtf <= 2, up to rounding
         "crossterm_within_proved_bound": bool(cross["max_df_over_eps"] <= 1.0 + 1e-9),
     }

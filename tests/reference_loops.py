@@ -7,6 +7,10 @@ LAPACK determinant per minor.
 Tests compare the fast code against them; nothing in those loops reads
 `Ops` except the (1,0) coframe, whose choice of basis is not unique.
 
+`ref_form_from_json` is the wire-format parser that puts every
+coefficient entry through every check, in order, the path that the exact
+type tests of `llab.algebra.form_from_json` now spare well-formed entries.
+
 The identity cell of `verify-identities` is kept here too as chains of
 operator products applied to each seeded batch (`chain_cell_residuals`),
 the evaluation that the residual operators of `llab.lefschetz` replace.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -29,8 +34,13 @@ from llab.algebra import (
     CompatibleTriple,
     KForm,
     _apply,
+    _check_wire_n,
+    _field,
+    _is_finite,
+    _is_number,
     basis_masks,
     hodge_star,
+    indices_to_mask,
     inner,
     j_action,
     mask_to_indices,
@@ -382,6 +392,53 @@ def chain_cell_residuals(t: CompatibleTriple, n: int, k: int, cases: int, cross_
             worst = max(worst, chain_cross_term(x, p, y, q, t))
         out["cross_term_orthogonality"] = worst
     return out
+
+
+# -- the wire-format parser, every check on every entry -----------------------
+
+
+def ref_form_from_json(obj) -> KForm:
+    """Parse the form wire format one entry at a time: each entry goes
+    through every check in order, then is refused if its basis element was
+    already given."""
+    n, k = _field(obj, "n", "form", integer=True), _field(obj, "k", "form", integer=True)
+    if n < 1 or not 0 <= k <= 2 * n:
+        raise ValueError(f"form: need n >= 1 and 0 <= k <= 2n, got n={n}, k={k}")
+    _check_wire_n(n, "form")
+    coeffs = _field(obj, "coeffs", "form")
+    if not isinstance(coeffs, list):
+        raise ValueError(f"form: field 'coeffs' must be a list, got {type(coeffs).__name__}")
+    masks = basis_masks(2 * n, k)
+    data = np.zeros(len(masks), dtype=complex)
+    given = {}
+    for pos, entry in enumerate(coeffs):
+        where = f"coeffs[{pos}]"
+        if not isinstance(entry, dict) or "idx" not in entry or "re" not in entry:
+            raise ValueError(f"{where}: expected an object with 'idx' and 're'")
+        idx = entry["idx"]
+        if not isinstance(idx, (list, tuple)) or not all(_is_number(i, numbers.Integral) for i in idx):
+            raise ValueError(f"{where}: 'idx' must be a list of integers, got {idx!r}")
+        if len(idx) != k:
+            raise ValueError(f"{where}: {len(idx)} indices for a degree-{k} form")
+        bad = [i for i in idx if not 1 <= i <= 2 * n]
+        if bad:
+            raise ValueError(f"{where}: index {bad[0]} outside 1..{2 * n}")
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"{where}: indices {idx} are repeated or not ascending")
+        re, im = entry["re"], entry.get("im", 0.0)
+        for name, v in (("re", re), ("im", im)):
+            if not _is_number(v):
+                raise ValueError(f"{where}: coefficient '{name}' must be a number, got {v!r}")
+            if not _is_finite(v):
+                raise ValueError(f"{where}: coefficient '{name}' must be finite, got {v!r}")
+        mask = indices_to_mask(idx)
+        if mask in given:
+            raise ValueError(
+                f"{where}: basis element {list(mask_to_indices(mask))} already given by coeffs[{given[mask]}]"
+            )
+        given[mask] = pos
+        data[masks.index(mask)] = complex(re, im)
+    return KForm(n, k, data)
 
 
 # -- hyperbolic form checks, one pass over the whole mesh --------------------

@@ -31,6 +31,7 @@ from llab.algebra import (
     metric_gram,
     norm,
     pq_decompose,
+    pq_projector_matrices,
     random_compatible_triple,
     roundtrip_form_json,
     triple_from_json,
@@ -263,6 +264,37 @@ def test_pq_components_are_weil_eigenvectors(std2, rng):
     for (p, q), comp in bg.components.items():
         w = weil_operator(comp, std2)
         assert np.allclose(w.data, (1j) ** (p - q) * comp.data, atol=1e-12)
+
+
+def _assert_pq_parts_are_the_projections(t, k, rng):
+    """pq_decompose's parts equal the projectors applied to the form and are
+    eigenvectors of the Weil operator, to 1e-12 of the form's largest
+    coefficient.  Both routes solve with the frame compound C, so their
+    errors grow as cond(C) times the unit roundoff: the bound widens to
+    1e-15 cond(C) where that is larger (cond(C) reaches 1e4-1e5 at n = 6)."""
+    size = math.comb(2 * t.n, k)
+    a = KForm(t.n, k, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    tol = max(1e-12, 1e-15 * np.linalg.cond(t.ops.frame_compound(k))) * np.max(np.abs(a.data))
+    parts = pq_decompose(a, t).components
+    projectors = pq_projector_matrices(t, k)
+    assert list(parts) == list(projectors)
+    for (p, q), part in parts.items():
+        assert np.max(np.abs(part.data - projectors[(p, q)] @ a.data)) <= tol, (k, p)
+        eigen = (1j) ** ((p - q) % 4) * part.data
+        assert np.max(np.abs(weil_operator(part, t).data - eigen)) <= tol, (k, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pq_decompose_matches_the_projectors_in_every_degree(n):
+    rng = np.random.default_rng(290 + n)
+    t = random_compatible_triple(n, rng)
+    for k in range(2 * n + 1):
+        _assert_pq_parts_are_the_projections(t, k, rng)
+
+
+def test_pq_decompose_matches_the_projectors_at_the_wire_cap():
+    rng = np.random.default_rng(296)
+    _assert_pq_parts_are_the_projections(random_compatible_triple(6, rng), 6, rng)
 
 
 def test_weil_operator_squares_to_parity(std2, rng):

@@ -537,6 +537,32 @@ def test_decompose_round_trip_above_n4(tmp_path, n, k):
     assert result["reconstruction_residuals"]["bidegree"] <= 1e-10
 
 
+def test_decompose_forms_no_pq_projector(tmp_path, monkeypatch):
+    from llab.algebra import KForm, Ops, form_to_json, random_compatible_triple, triple_to_json
+
+    def refuse(self, k):
+        raise AssertionError(f"Ops.pq({k}) built")
+
+    monkeypatch.setattr(Ops, "pq", refuse)
+    rng = np.random.default_rng(29)
+    t = random_compatible_triple(3, rng)
+    a = KForm(3, 3, rng.standard_normal(20) + 1j * rng.standard_normal(20))
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"triple": triple_to_json(t), "form": form_to_json(a)}))
+    result = decompose_file(inp, tmp_path / "out.json")
+    assert set(result["bidegree_components"]) == {"0,3", "1,2", "2,1", "3,0"}
+    assert result["reconstruction_residuals"]["bidegree"] < 1e-12
+
+
+def test_decompose_cli_refuses_a_repeated_basis_element(tmp_path, capsys):
+    coeffs = [{"idx": [1], "re": 1.0, "im": 0.0}, {"idx": [1], "re": 5.0, "im": 0.0}]
+    bad = tmp_path / "repeat.json"
+    bad.write_text(json.dumps({"triple": {"standard": 1}, "form": {"n": 1, "k": 1, "coeffs": coeffs}}))
+    assert main(["decompose", str(bad), str(tmp_path / "o.json")]) == 2
+    assert "error: coeffs[1]: basis element [1] already given by coeffs[0]" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_decompose_cli_exit_codes(tmp_path):
     inp = _omega_input(tmp_path)
     assert main(["decompose", str(inp), str(tmp_path / "o.json")]) == 0

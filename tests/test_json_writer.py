@@ -55,16 +55,39 @@ json_objects = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple) | _dicts(inner),
     max_leaves=16,
 )
-# coefficient entries, which the writer frames from a cache
+# coefficient entries, which the writer frames from a cache, and dicts of
+# their shape whose 'idx', 're' or 'im' has another type: bools and floats
+# among the indices equal ints, so they would share a cached frame
 _coeffs = st.fixed_dictionaries(
     {"idx": st.lists(st.integers(1, 12), max_size=6), "re": _floats, "im": _floats | _ints}
 )
+_index_like = st.integers(1, 12) | st.booleans() | st.sampled_from([1.0, 2.0, np.int64(3)])
+_coefficient_like = st.fixed_dictionaries(
+    {
+        "idx": st.lists(_index_like, max_size=4) | st.lists(st.integers(1, 12), max_size=4).map(tuple)
+        | _scalars,
+        "re": _floats | _ints | st.booleans() | st.none() | _numpy,
+        "im": _floats | _ints | st.booleans() | _text,
+    }
+)
+_coefficient_lists = st.lists(_coeffs | _coefficient_like | _dicts(_scalars), max_size=4)
 
 
 @FUZZ
-@given(json_objects | st.lists(_coeffs, max_size=3) | _dicts(_coeffs))
+@given(
+    json_objects | st.lists(_coeffs, max_size=3) | _dicts(_coeffs) | _coefficient_lists | _dicts(_coefficient_lists)
+)
 def test_writer_matches_stdlib_bytes(obj):
     assert dump_json_deterministic(obj) == _stdlib(obj)
+
+
+@pytest.mark.parametrize("idx", [[True, 2], [1.0, 2], [np.int64(1), 2]])
+def test_an_index_equal_to_an_int_does_not_take_its_frame(idx):
+    # the look-alike first, then the int entry, then the look-alike again:
+    # neither may be written with the other's cached text
+    for first in (idx, [1, 2], idx):
+        obj = [{"idx": first, "im": 0.5, "re": -1.5}, {"idx": [3], "im": 0.0, "re": 2.0}]
+        assert dump_json_deterministic(obj) == _stdlib(obj)
 
 
 def test_writer_refuses_what_stdlib_refuses():

@@ -21,9 +21,10 @@ from llab.reports import load_report
 SMALL = {
     "verify-identities": ["verify-identities", "--n", "1,2", "--cases", "8", "--cross-cases", "4"],
     "torus": ["torus", "--n", "2", "--N", "1", "--samples", "4"],
-    # h = 0.1 puts the Stokes gate 50 h^2 = 0.5 below the relative defect 2
-    # of a d theta of the wrong sign; from h = 0.2 up the gate is 2 or more
-    "hyperbolic": ["hyperbolic", "--R", "2", "--h", "0.2,0.1"],
+    # the Stokes gate 0.5 h^2 is under the relative defect 2 of a d theta of
+    # the wrong sign for every h < 2, so this coarse sweep catches it; the
+    # defect of the right sign measured at most 0.104 h^2 over R = 2..8
+    "hyperbolic": ["hyperbolic", "--R", "2", "--h", "0.4,0.3"],
 }
 
 # check (its name with the nK. block and the [p,q] cell stripped) -> what
