@@ -605,17 +605,25 @@ class Ops:
     @_block
     def frame(self) -> np.ndarray:
         """Columns: a (1,0) coframe phi^1..phi^n followed by its conjugates,
-        expressed in the real covector basis.  J phi = i phi."""
+        expressed in the real covector basis.  J phi = i phi.  The n
+        eigenvectors of J^T for +i are orthonormalized, so that the frame,
+        and the frame compounds solved with, stay well conditioned: the Q
+        of their QR, by Gram-Schmidt run twice per column, so that phi^1 is
+        the first eigenvector normalized and R has a positive diagonal."""
         n = self.t.n
         w, v = np.linalg.eig(self.t.J.T)
-        cols = [v[:, i] for i in range(2 * n) if abs(w[i] - 1j) < 1e-9]
-        if len(cols) != n:
+        plus_i = np.abs(w - 1j) < 1e-9
+        if plus_i.sum() != n:
             raise ValueError("J action on covectors does not split into +/- i eigenspaces")
+        V = v[:, plus_i]
         P = np.empty((2 * n, 2 * n), dtype=complex)
-        for a, c in enumerate(cols):
-            c = c / np.linalg.norm(c)
-            P[:, a] = c
-            P[:, n + a] = np.conj(c)
+        for a in range(n):
+            c, Q = V[:, a], P[:, :a]
+            if a:
+                for _ in range(2):
+                    c = c - Q @ (Q.conj().T @ c)
+            P[:, a] = c / np.linalg.norm(c)
+        P[:, n:] = P[:, :n].conj()
         return P
 
     @_block

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from llab.reports import DEFAULT_TOLERANCE, ReportBundle, SuiteConfig, dump_json_deterministic
+from llab.reports import DEFAULT_SEED, DEFAULT_TOLERANCE, ReportBundle, SuiteConfig, dump_json_deterministic
 
 
 def _int_list(s: str) -> list[int]:
@@ -44,9 +44,9 @@ def run_suite(cfg: SuiteConfig) -> ReportBundle:
     """Dispatch a SuiteConfig to its module suite and bundle the result.
 
     The params are the suite function's keyword arguments, its defaults
-    filling the rest; seed and tol come from the config's own fields.
-    Raises ValueError for a param the function does not take, which would
-    enter the config hash and change nothing.
+    filling the rest; seed (for a suite that takes one) and tol come from
+    the config's own fields.  Raises ValueError for a param the function
+    does not take, which would enter the config hash and change nothing.
     """
     from llab import suites
 
@@ -60,7 +60,8 @@ def run_suite(cfg: SuiteConfig) -> ReportBundle:
             f"suite {cfg.suite} takes no param(s) {', '.join(map(repr, unknown))}; "
             f"it takes {', '.join(sorted(takes))}"
         )
-    payload = run(**cfg.params, seed=cfg.seed, tol=cfg.tolerance)
+    seed = {} if cfg.seed is None else {"seed": cfg.seed}
+    payload = run(**cfg.params, **seed, tol=cfg.tolerance)
 
     bundle = ReportBundle(suite=cfg.suite, config=cfg, payload=payload, passed=bool(payload["passed"]))
     if cfg.out_dir is not None:
@@ -132,7 +133,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, suite):
-        sp.add_argument("--seed", type=int, default=7, help="seed of every random draw")
+        if suite in DEFAULT_SEED:
+            sp.add_argument("--seed", type=int, default=DEFAULT_SEED[suite], help="seed of every random draw")
+        else:  # accepted, as scripts pass it to every suite, and ignored
+            sp.add_argument("--seed", type=int, default=None,
+                            help="ignored: this suite draws nothing a seed chooses")
         sp.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE[suite],
                         help="gate on the verdict's max residual")
         sp.add_argument("--out", type=str, default=None, help="report output directory")
@@ -189,7 +194,9 @@ def _run_decompose(args) -> int:
     return 0
 
 
-def _run_suite(args) -> int:
+def _suite_config(args) -> SuiteConfig:
+    """The SuiteConfig of a suite's command line.  A --seed given to a
+    suite that takes none is left out of it."""
     params: dict = {}
     if args.command == "verify-identities":
         params = {
@@ -208,14 +215,20 @@ def _run_suite(args) -> int:
             "rel_tol": args.rel_tol,
         }
 
-    cfg = SuiteConfig(
+    return SuiteConfig(
         suite=args.command,
-        seed=args.seed,
+        seed=args.seed if args.command in DEFAULT_SEED else None,
         tolerance=args.tol,
         params=params,
         out_dir=args.out,
         formats=tuple(x.strip() for x in args.format.split(",") if x.strip()),
     )
+
+
+def _run_suite(args) -> int:
+    if args.command not in DEFAULT_SEED and args.seed is not None:
+        print(f"note: --seed is ignored: suite {args.command} draws nothing a seed chooses", file=sys.stderr)
+    cfg = _suite_config(args)
     bundle = run_suite(cfg)
 
     status = "PASS" if bundle.passed else "FAIL"

@@ -77,18 +77,23 @@ def edge_structure(mesh: DiscMesh) -> EdgeStructure:
     """
     t = mesh.triangles.T  # (3, nt): corner i of every triangle in one row
     ends = t[[1, 2, 0]]  # local edge e runs from corner e to corner e + 1
-    lo = np.minimum(t, ends).astype(np.int64)
-    hi = np.maximum(t, ends).astype(np.int64)
-    signs = np.where(t < ends, 1, -1).astype(np.int8)
+    signs = np.where(t < ends, np.int8(1), np.int8(-1))
     nv = np.int64(mesh.n_vertices)
-    keys = (lo * nv + hi).ravel()
+    # the keys lo * nv + hi, built in place in one int64 array
+    keys = np.empty(t.shape, dtype=np.int64)
+    np.minimum(t, ends, out=keys)
+    keys *= nv
+    keys += np.maximum(t, ends)
+    keys = keys.ravel()
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
     first = np.empty(len(keys), dtype=bool)
     first[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    position = np.cumsum(first)
+    position -= 1
     inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
+    inverse[order] = position
     starts = np.flatnonzero(first)
     edges = np.column_stack(np.divmod(ordered[starts], nv))
     counts = np.diff(starts, append=len(keys))  # triangles on each edge
@@ -185,9 +190,9 @@ def _stiffness_local(geo):
     return lambda i, j: geo.area * (gx[i] * gx[j] + gy[i] * gy[j])
 
 
-def _mass_local(geo):
-    w = geo.area / 3.0
-    return lambda i, j: w * ((_PHI_MID[:, i] * _PHI_MID[:, j]) @ geo.mu)
+def _mass_local(mesh: DiscMesh):
+    w, mu = mesh.geometry.area / 3.0, mesh.midpoint_mu
+    return lambda i, j: w * ((_PHI_MID[:, i] * _PHI_MID[:, j]) @ mu)
 
 
 def stiffness_p1(mesh: DiscMesh, vertices: np.ndarray | None = None) -> sp.csr_matrix:
@@ -199,7 +204,7 @@ def stiffness_p1(mesh: DiscMesh, vertices: np.ndarray | None = None) -> sp.csr_m
 def mass_p1(mesh: DiscMesh, vertices: np.ndarray | None = None) -> sp.csr_matrix:
     """mu-weighted consistent P1 mass, edge-midpoint quadrature.  `vertices`
     restricts it as in `_p1_matrices`."""
-    return _p1_matrices(mesh, [_mass_local(mesh.geometry)], vertices)[0]
+    return _p1_matrices(mesh, [_mass_local(mesh)], vertices)[0]
 
 
 def incidence_d0(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
@@ -243,7 +248,7 @@ def mass_whitney1(mesh: DiscMesh, es: EdgeStructure) -> sp.csr_matrix:
 
 def mass_whitney2(mesh: DiscMesh) -> sp.dia_matrix:
     """Diagonal 2-form mass: M2[T] = (1/area^2) * int_T mu^{-1} dA."""
-    area, mu = mesh.geometry.area, mesh.geometry.mu
+    area, mu = mesh.geometry.area, mesh.midpoint_mu
     diag = (1.0 / mu).sum(axis=0) / (3.0 * area)
     return sp.diags(diag)
 
@@ -277,8 +282,7 @@ def assemble_hodge_laplacian(mesh: DiscMesh, k: int) -> tuple[sp.csr_matrix, sp.
     `indptr` and `indices`, and A keeps the entries that sum to zero.
     """
     if k == 0:
-        geo = mesh.geometry
-        A, M = _p1_matrices(mesh, [_stiffness_local(geo), _mass_local(geo)], mesh.interior)
+        A, M = _p1_matrices(mesh, [_stiffness_local(mesh.geometry), _mass_local(mesh)], mesh.interior)
         return A, M
     if k == 1:
         es = mesh.edge_structure

@@ -16,24 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from llab.hyperbolic.assembly import EdgeStructure
-from llab.hyperbolic.mesh import DiscMesh
+from llab.hyperbolic.mesh import DiscMesh, _blocks
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _GL_T = 0.5 * (_GL_NODES + 1.0)  # nodes on [0, 1]
 _GL_W = 0.5 * _GL_WEIGHTS
-
-# Elements (edges or triangles) per block of the elementwise chains below:
-# about 8k keeps each chain's temporaries in L2.  Every reduction (dot,
-# sum, max, bincount) still runs once over the whole array, and each
-# element's value does not depend on the block it falls in, so the results
-# do not depend on this size.
-_BLOCK = 8192
-
-
-def _blocks(n: int):
-    """Slices of at most _BLOCK consecutive elements covering range(n)."""
-    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
-
 
 def _theta_uv(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean (a_u, a_v) of the pulled-back -dx/y at the disc points (u, v).
@@ -128,7 +115,7 @@ def bounded_primitive(mesh: DiscMesh, midpoints: np.ndarray | None = None) -> Pr
 
     # continuum 2-form: d theta = -mu du dv (measured sign -1 in CCW (u,v))
     sign = -1
-    triangle_omega = sign * geo.area / 3.0 * geo.mu.sum(axis=0)
+    triangle_omega = sign * geo.area / 3.0 * mesh.midpoint_mu.sum(axis=0)
 
     # the discrete d of the edge integrals: each triangle's signed sum
     circulation = (edge_integrals[es.tri_edges] * es.tri_signs).sum(axis=0)
@@ -271,126 +258,36 @@ def _whitney_midpoint_major(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _crossterm_fields(mesh: DiscMesh, profile: CutoffProfile, mid: np.ndarray):
-    """The sample-independent midpoint fields of `crossterm_constant`.
+def crossterm_constant(mesh: DiscMesh, profile: CutoffProfile, midpoints: np.ndarray | None = None) -> dict:
+    """The premise of the bound on the cross term |<d a, 2 f df ^ a>|.
 
-    Returns (wf, wf2, pair_u, pair_v, wf_mu, wf2_mu, df_over_eps): with w
-    the midpoint quadrature weight, f the cutoff and grad f its Euclidean
-    gradient at the 3 edge midpoints of every triangle, the (3, nt)
-    midpoint-major arrays w f, w f^2, 2 w f (d f / d u) / mu,
-    2 w f (d f / d v) / mu, the per-triangle sums over midpoints of w f / mu
-    and w f^2 / mu, and max |df|_g / eps = |grad f| / (sqrt(mu) eps) over
-    the midpoints.  f, grad f and that maximum are evaluated once per edge
-    (`mid`, the edge midpoints), and the fields gathered per triangle; both
-    passes run block by block.
+    The bound C_sqrtf <= 2, that is |<d a, 2 f df ^ a>| <= 2 eps
+    ||sqrt f a|| ||sqrt f d a||, is a theorem: 2 f |df| <= 2 eps f = 2 eps
+    sqrt(f) sqrt(f) pointwise wherever |df|_g <= eps, then Cauchy-Schwarz.
+    The edge-midpoint quadrature of the pairing and of the norms has
+    positive weights, so the bound holds for every discrete 1-form a once
+    |df|_g <= eps at every edge midpoint.  `max_df_over_eps` is that
+    premise: max |df|_g / eps = |grad f| / (sqrt(mu) eps) over `midpoints`
+    (`mesh.edge_midpoints()`, built here when not given), with the mu of
+    `DiscMesh.mu` there, in one pass over blocks of `_BLOCK` midpoints.
     """
-    geo, es = mesh.geometry, mesh.edge_structure
-    f_edge, grad_u, grad_v = np.empty((3, es.n_edges))
+    if midpoints is None:
+        midpoints = mesh.edge_midpoints()
     df_sq = 0.0  # max |df|_g^2 so far
-    for b in _blocks(es.n_edges):
-        u, v = mid[b, 0], mid[b, 1]
+    for b in _blocks(len(midpoints)):
+        u, v = midpoints[b, 0], midpoints[b, 1]
         r = np.hypot(u, v)
-        rho = mesh.geodesic_radius_of(r)
         # Euclidean gradient of rho: d rho/d r_eucl * radial unit vector
         if mesh.metric == "hyperbolic":
             drho_dr = 2.0 / (1.0 - r**2)
         else:
             drho_dr = np.ones_like(r)
         with np.errstate(invalid="ignore", divide="ignore"):
-            radial_scale = np.where(r > 0, profile.df_at(rho) * drho_dr / r, 0.0)
-        f_edge[b] = profile.f_at(rho)
-        grad_u[b], grad_v[b] = radial_scale * u, radial_scale * v
-        gu, gv = grad_u[b], grad_v[b]
-        # |df|_g^2 = |grad f|^2 / mu, with the mu that geometry gathers at
-        # the edge midpoints
-        df_sq = max(df_sq, float(((gu * gu + gv * gv) / mesh.mu(mid[b])).max()))
-
-    nt = mesh.n_triangles
-    wf, wf2, pair_u, pair_v = np.empty((4, 3, nt))
-    wf_mu, wf2_mu = np.empty((2, nt))
-    for b in _blocks(nt):
-        per_triangle = es.tri_edges[:, b]  # (3, nb), midpoint-major
-        f = np.take(f_edge, per_triangle)
-        w = geo.area[b] / 3.0  # quadrature weight of each midpoint
-        w_mu = w / geo.mu[:, b]
-        pair = 2.0 * f * w_mu
-        pair_u[:, b] = pair * np.take(grad_u, per_triangle)
-        pair_v[:, b] = pair * np.take(grad_v, per_triangle)
-        wf[:, b] = w * f
-        wf2[:, b] = wf[:, b] * f
-        wf_mu[b] = (f * w_mu).sum(axis=0)
-        wf2_mu[b] = (f * f * w_mu).sum(axis=0)
-    return wf, wf2, pair_u, pair_v, wf_mu, wf2_mu, float(np.sqrt(df_sq)) / profile.eps
-
-
-def crossterm_constant(
-    mesh: DiscMesh,
-    profile: CutoffProfile,
-    n_samples: int = 8,
-    seed: int = 20260302,
-    midpoints: np.ndarray | None = None,
-) -> dict:
-    """The cross term |<d a, 2 f df ^ a>| against cutoff-weighted norms:
-    the premise of its bound, and measured constants.
-
-    The bound C_sqrtf <= 2 is a theorem: 2 f |df| <= 2 eps f <= 2 eps
-    sqrt(f) sqrt(f) pointwise wherever |df|_g <= eps, then Cauchy-Schwarz.
-    The quadrature below has positive weights, so the bound holds for every
-    discrete 1-form once |df|_g <= eps at every midpoint it reads;
-    `max_df_over_eps` is that premise, max |df|_g / eps over those
-    midpoints, with the same mu.  For each of n_samples random discrete
-    1-forms a, the pairing is evaluated by quadrature and reported as data:
-        C_f     = |<..>| / (eps ||f a|| ||f d a||)
-        C_sqrtf = |<..>| / (eps ||sqrt f a|| ||sqrt f d a||)
-
-    The midpoint fields that do not depend on a are built once, on
-    `midpoints` (`mesh.edge_midpoints()`, built here when not given).  Each
-    sample interpolates its edge dofs and forms the per-triangle integrands
-    block by block (`_BLOCK` triangles), so that those temporaries stay in
-    cache, and then reduces each integrand over the whole mesh at once.
-    """
-    es = mesh.edge_structure
-    rng = np.random.default_rng(seed)
-    eps = profile.eps
-    area = mesh.geometry.area
-    if midpoints is None:
-        midpoints = mesh.edge_midpoints()
-    wf, wf2, pair_u, pair_v, wf_mu, wf2_mu, df_over_eps = _crossterm_fields(mesh, profile, midpoints)
-    g = mesh.geometry.grad
-    nt = mesh.n_triangles
-    d_uv, wedge, alpha_sq = np.empty(nt), np.empty(nt), np.empty((3, nt))
-
-    out_cf, out_csqrt = [], []
-    for _ in range(n_samples):
-        alpha = rng.standard_normal(es.n_edges)
-        for b in _blocks(nt):
-            d = _local_dofs(es, alpha, b)
-            vals = _whitney_midpoint_major(g[:, :, b], d)
-            d_uv[b] = (d[0] + d[1] + d[2]) / area[b]
-            # <d alpha, 2 f df ^ alpha>_g dvol = (d_uv * wedge_uv / mu^2) * mu dA,
-            # the weights w / mu folded into pair_u and pair_v
-            wedge[b] = np.einsum("mt,mt->t", pair_u[:, b], vals[:, 1]) - np.einsum(
-                "mt,mt->t", pair_v[:, b], vals[:, 0])
-            alpha_sq[:, b] = np.einsum("mct,mct->mt", vals, vals)  # |alpha|^2_eucl, conformally exact
-        pairing = float(d_uv @ wedge)
-        d_sq = d_uv**2
-        n_fa = np.sqrt(wf2.ravel() @ alpha_sq.ravel())
-        n_fda = np.sqrt(wf2_mu @ d_sq)
-        n_sfa = np.sqrt(wf.ravel() @ alpha_sq.ravel())
-        n_sfda = np.sqrt(wf_mu @ d_sq)
-
-        tiny = 1e-300
-        out_cf.append(abs(pairing) / (eps * n_fa * n_fda + tiny))
-        out_csqrt.append(abs(pairing) / (eps * n_sfa * n_sfda + tiny))
-
-    return {
-        "eps": eps,
-        "n_samples": n_samples,
-        "C_f_max": float(max(out_cf)),
-        "C_sqrtf_max": float(max(out_csqrt)),
-        "C_sqrtf_bound": 2.0,
-        "max_df_over_eps": df_over_eps,
-    }
+            radial_scale = np.where(r > 0, profile.df_at(mesh.geodesic_radius_of(r)) * drho_dr / r, 0.0)
+        gu, gv = radial_scale * u, radial_scale * v
+        # |df|_g^2 = |grad f|^2 / mu
+        df_sq = max(df_sq, float(((gu * gu + gv * gv) / mesh.mu(midpoints[b])).max()))
+    return {"eps": profile.eps, "C_sqrtf_bound": 2.0, "max_df_over_eps": float(np.sqrt(df_sq)) / profile.eps}
 
 
 # -- annulus decay ----------------------------------------------------------

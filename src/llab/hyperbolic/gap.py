@@ -50,6 +50,9 @@ from llab.lefschetz import lefschetz_power_matrix
 
 _IDENTITY_TOL = 1e-10
 _SIGMA_TOL = 1e-10
+# the fixed seed of the random compatible triple the operator identities
+# are proven on
+_ARENA_SEED = 20260303
 # a ring mesh of at most this many vertices is small enough to factor: the
 # coarsest of its R's multigrid hierarchy
 _BOTTOM_VERTICES = 3000
@@ -119,7 +122,7 @@ def _relative_frobenius(pairs) -> float:
     return float(np.max(diff / (1.0 + a + b)))
 
 
-def _operator_identity_residuals(n_arena: int, m: int, seed: int = 20260303) -> dict:
+def _operator_identity_residuals(n_arena: int, m: int) -> dict:
     """Prove the three operator identities, and the wedge bound, on the
     xi-coefficients of the Fourier complex of a random compatible triple,
     whose metric is not the identity, so that an adjoint blind to it shows.
@@ -134,7 +137,7 @@ def _operator_identity_residuals(n_arena: int, m: int, seed: int = 20260303) -> 
     """
     from llab.torus import _adjoint_stack, _symmetric_product, _weitzenbock, build_fourier_complex
 
-    fc = build_fourier_complex(n_arena, 0, random_compatible_triple(n_arena, np.random.default_rng(seed)))
+    fc = build_fourier_complex(n_arena, 0, random_compatible_triple(n_arena, np.random.default_rng(_ARENA_SEED)))
     ops, top = fc.triple.ops, 2 * n_arena
 
     def lpow(k, r):  # L^r on Lambda^k, nothing outside 0..2n
@@ -259,8 +262,9 @@ def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8) -> Spectral
     factorization.  k = 0 starts from the constant vector and stops only
     once `ground_state_lower` proves, within rel_tol, that the returned
     eigenvalue is the pencil's smallest; that bound is reported.  k = 1
-    starts from the solver's seeded draw, stops on its residual alone and
-    carries no lower bound.
+    starts from the solver's fixed-seed draw (`eigensolve._SEED`), the only
+    random draw of a k = 1 sweep, stops on its residual alone and carries
+    no lower bound.
 
     derived_bound carries gromov_bound(1, k) for k != 1 (the surface is
     n = 1; theta has measured sup norm 1) and None at the middle degree.

@@ -33,6 +33,19 @@ class MeshBudgetError(ValueError):
     """Requested mesh would exceed the vertex budget."""
 
 
+# Triangles or edges per block of the elementwise chains over a mesh (the
+# geometry here, the form checks in `forms`): about 8k keeps each chain's
+# temporaries in L2.  Every reduction (dot, sum, max, bincount) still runs
+# once over the whole array, and each element's value does not depend on
+# the block it falls in, so the results do not depend on this size.
+_BLOCK = 8192
+
+
+def _blocks(n: int):
+    """Slices of at most _BLOCK consecutive elements covering range(n)."""
+    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
+
+
 @dataclass(frozen=True)
 class TriangleGeometry:
     """Per-triangle quantities shared by assembly and quadrature, stored
@@ -41,16 +54,16 @@ class TriangleGeometry:
     area : (nt,) Euclidean areas, checked positive
     grad : (3, 2, nt) Euclidean gradients of the three P1 hats, by corner
         and component
-    mu : (3, nt) conformal factor at the midpoints of edges (01, 12, 20)
+    max_cos : the largest cosine of an angle of any triangle, that of the
+        smallest angle
 
-    The midpoints themselves are not kept: every mesh holds its geometry
-    for life, and `DiscMesh.edge_midpoints` rebuilds them, once per edge,
-    for whoever samples there.
+    The conformal factor at the edge midpoints is `DiscMesh.midpoint_mu`,
+    evaluated only when a mass or a form check first reads it.
     """
 
     area: np.ndarray
     grad: np.ndarray
-    mu: np.ndarray
+    max_cos: float
 
 
 def _signed_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -71,9 +84,9 @@ class DiscMesh:
     metric : "hyperbolic" or "euclidean" (the latter only for oracle patches)
 
     What is derived from the arrays is built on first use and kept on the
-    mesh, so it dies with it: `geometry` (areas, P1 gradients, mu at the
-    edge midpoints) and `edge_structure` (the edge complex of
-    `assembly.edge_structure`).
+    mesh, so it dies with it: `geometry` (areas, P1 gradients and the
+    smallest angle), `midpoint_mu` (mu at the edge midpoints) and
+    `edge_structure` (the edge complex of `assembly.edge_structure`).
     """
 
     vertices: np.ndarray
@@ -134,22 +147,41 @@ class DiscMesh:
     def geometry(self) -> TriangleGeometry:
         """The mesh's `TriangleGeometry`; raises on a non-CCW triangle.
 
-        One gather of the corner coordinates gives the areas and the hat
-        gradients; mu is evaluated once per edge midpoint and gathered per
-        triangle.
+        One pass over blocks of `_BLOCK` triangles: each block gathers its
+        corners, checks its areas before dividing by them, and gives its
+        hat gradients and its largest angle cosine.
         """
-        x, y = self._corners()  # (3, nt) each
-        area = _signed_areas(x, y)
-        if area.min() <= 0:
-            raise ArithmeticError("degenerate or clockwise triangle in the mesh")
+        nt = self.n_triangles
+        area, grad = np.empty(nt), np.empty((3, 2, nt))
+        max_cos = -1.0
         # grad(lambda_i) = perp(p_{i+2} - p_{i+1}) / (2 area), perp(x, y) = (-y, x)
         nxt, prev = [1, 2, 0], [2, 0, 1]
-        two_area = 2.0 * area
-        grad = np.empty((3, 2, len(area)))
-        np.divide(-(y[prev] - y[nxt]), two_area, out=grad[:, 0])
-        np.divide(x[prev] - x[nxt], two_area, out=grad[:, 1])
-        mu = self.mu(self.edge_midpoints())[self.edge_structure.tri_edges]
-        return TriangleGeometry(*_read_only(area, grad, mu))
+        for b in _blocks(nt):
+            corners = self.vertices.take(self.triangles[b], axis=0)  # (nb, 3, 2)
+            x, y = corners[:, :, 0].T, corners[:, :, 1].T  # (3, nb) each
+            a = _signed_areas(x, y)
+            if a.min() <= 0:
+                raise ArithmeticError("degenerate or clockwise triangle in the mesh")
+            area[b] = a
+            two_area = 2.0 * a
+            gx, gy = grad[:, 0, b], grad[:, 1, b]
+            np.divide(-(y[prev] - y[nxt]), two_area, out=gx)
+            np.divide(x[prev] - x[nxt], two_area, out=gy)
+            # grad(lambda_i) is the inward normal of the edge opposite corner
+            # i, scaled, so the angle at corner i is pi minus the angle
+            # between the gradients of i+1 and i+2
+            sq = gx * gx + gy * gy
+            cos = -(gx[nxt] * gx[prev] + gy[nxt] * gy[prev]) / np.sqrt(sq[nxt] * sq[prev])
+            max_cos = max(max_cos, float(cos.max()))
+        return TriangleGeometry(*_read_only(area, grad), max_cos)
+
+    @cached_property
+    def midpoint_mu(self) -> np.ndarray:
+        """(3, nt) conformal factor at the midpoints of the edges (01, 12,
+        20) of every triangle: evaluated once per edge midpoint, on first
+        read, and gathered per triangle."""
+        mu = np.take(self.mu(self.edge_midpoints()), self.edge_structure.tri_edges)
+        return _read_only(mu)[0]
 
     @cached_property
     def edge_structure(self):
@@ -163,7 +195,7 @@ class DiscMesh:
     def edge_midpoints(self) -> np.ndarray:
         """(ne, 2) midpoints of the edges of `edge_structure`, in its order."""
         v, e = self.vertices, self.edge_structure.edges
-        return 0.5 * (v[e[:, 0]] + v[e[:, 1]])
+        return 0.5 * (v.take(e[:, 0], axis=0) + v.take(e[:, 1], axis=0))
 
     def centroids(self, rows: slice = slice(None)) -> np.ndarray:
         """(nt, 2) centroids of the triangles `rows` (every triangle by default)."""
@@ -171,16 +203,8 @@ class DiscMesh:
         return np.column_stack([(x[0] + x[1] + x[2]) / 3.0, (y[0] + y[1] + y[2]) / 3.0])
 
     def min_angle_degrees(self) -> float:
-        """Smallest angle, read from the hat gradients: grad(lambda_i) is the
-        inward normal of the edge opposite corner i, scaled, so the angle at
-        corner i is pi minus the angle between the gradients of i+1 and i+2."""
-        g = self.geometry.grad
-        gx, gy = g[:, 0], g[:, 1]  # (3, nt) each
-        nxt, prev = [1, 2, 0], [2, 0, 1]
-        sq = gx * gx + gy * gy
-        # the smallest angle has the largest cosine, so one arccos is enough
-        cos = -(gx[nxt] * gx[prev] + gy[nxt] * gy[prev]) / np.sqrt(sq[nxt] * sq[prev])
-        return float(np.degrees(np.arccos(np.clip(cos.max(), -1.0, 1.0))))
+        """Smallest angle, from the largest cosine that `geometry` found."""
+        return float(np.degrees(np.arccos(np.clip(self.geometry.max_cos, -1.0, 1.0))))
 
 
 def _read_only(*arrays):
@@ -228,8 +252,10 @@ def ring_prolongation(coarse: DiscMesh, fine: DiscMesh):
     from coarse ring a to a + 1; both are computed exactly as rationals, and
     so is the angular position on each coarse ring.  The centre is a ring of
     one vertex.  So a function of rho alone that is linear between the
-    coarse rings is reproduced exactly.  ValueError for meshes of different
-    R or not laid out in rings (`square_patch`).
+    coarse rings is reproduced exactly.  Each fine row has at most four
+    nonzero weights, whose columns are known in order, so the CSR arrays
+    are filled directly.  ValueError for meshes of different R or not laid
+    out in rings (`square_patch`).
     """
     import scipy.sparse as sp
 
@@ -250,25 +276,45 @@ def ring_prolongation(coarse: DiscMesh, fine: DiscMesh):
     n_f = per_ring[m - 1]
     a = m * Mc // Mf
     t = (m * Mc - a * Mf) / Mf
-    # the centres coincide
-    rows, cols, vals = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)], [np.ones(1)]
-    for ring, weight in ((a, 1.0 - t), (a + 1, t)):
-        # fine vertex j of ring m is at angle pi (2j + m % 2) / n_f, coarse
-        # vertex q of ring r at pi (2q + r % 2) / sizes[r]: the fine vertex
-        # sits num / den coarse spacings past coarse vertex 0
+    # fine vertex j of ring m is at angle pi (2j + m % 2) / n_f, coarse
+    # vertex q of ring r at pi (2q + r % 2) / sizes[r]: the fine vertex sits
+    # num / den coarse spacings past coarse vertex 0
+    twice_j, den = 2 * j + (m & 1), 2 * n_f
+    # the four candidates of each fine row, ring a's two and then ring
+    # a + 1's, in ascending column order: a ring's pair is (q, q + 1), but
+    # (0, q) where it wraps at q = n_c - 1
+    cols = np.empty((len(m), 4), dtype=np.int64)
+    vals = np.empty((len(m), 4))
+    for lo, (ring, weight) in zip((0, 2), ((a, 1.0 - t), (a + 1, t))):
+        hi = lo + 1
         n_c = sizes[ring]
-        num = (2 * j + m % 2) * n_c - (ring % 2) * n_f
-        den = 2 * n_f
+        num = twice_j * n_c - (ring & 1) * n_f
         q = num // den
         frac = (num - q * den) / den
-        for col, w in ((q % n_c, 1.0 - frac), ((q + 1) % n_c, frac)):
-            rows.append(1 + np.arange(len(m)))
-            cols.append(starts[ring] + col)
-            vals.append(np.where(ring < Mc, weight * w, 0.0))  # ring Mc is the Dirichlet ring
-    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
-    nonzero = vals != 0
-    shape = (1 + int(per_ring.sum()), int(starts[Mc]))
-    return sp.csr_matrix((vals[nonzero], (rows[nonzero], cols[nonzero])), shape=shape)
+        behind = np.flatnonzero(q < 0)  # q = -1: past coarse vertex n_c - 1
+        q[behind] += n_c[behind]
+        np.add(starts[ring], q, out=cols[:, lo])
+        np.add(cols[:, lo], 1, out=cols[:, hi])
+        np.multiply(weight, 1.0 - frac, out=vals[:, lo])
+        np.multiply(weight, frac, out=vals[:, hi])
+        vals[ring == Mc, lo:hi + 1] = 0.0  # ring Mc is the Dirichlet ring
+        wraps = np.flatnonzero(q == n_c - 1)
+        cols[wraps, hi] = cols[wraps, lo]
+        cols[wraps, lo] -= q[wraps]
+        vals[wraps, lo], vals[wraps, hi] = vals[wraps, hi], vals[wraps, lo]
+    # ring a = 0, the centre, is one vertex: its two candidates share a
+    # column, and the second takes the sum
+    centre = slice(0, int(np.searchsorted(a, 1)))
+    vals[centre, 1] += vals[centre, 0]
+    vals[centre, 0] = 0.0
+    # row 0 maps the fine centre to the coarse centre; zero weights are dropped
+    keep = vals != 0
+    indptr = np.empty(len(m) + 2, dtype=np.int64)
+    indptr[:2] = 0, 1
+    np.add(np.cumsum(keep.ravel())[3::4], 1, out=indptr[2:])
+    indices = np.concatenate([[0], cols[keep]])
+    data = np.concatenate([[1.0], vals[keep]])
+    return sp.csr_matrix((data, indices, indptr), shape=(1 + len(m), int(starts[Mc])))
 
 
 def _stitch_rings(counts: list[int]) -> np.ndarray:

@@ -31,6 +31,9 @@ CSV_COLUMNS = ("schema_version", "suite", "group", "name", "value")
 # SuiteConfig built without one: the identity and torus checks are exact
 # algebra, the hyperbolic residual is an eigenpair certificate at rel_tol 1e-8
 DEFAULT_TOLERANCE = {"verify-identities": 1e-10, "torus": 1e-10, "hyperbolic": 1e-8}
+# the default seed of each suite that draws random numbers; the hyperbolic
+# suite draws none that a seed could choose, and takes no seed
+DEFAULT_SEED = {"verify-identities": 7, "torus": 7}
 
 
 def code_version() -> str:
@@ -48,10 +51,13 @@ class SuiteConfig:
     the semantic content -- and ignores routing: output directory and
     formats.  A tolerance left at None becomes the suite's
     DEFAULT_TOLERANCE; one that is not finite, or negative, is a ValueError.
+    A seed left at None becomes the suite's DEFAULT_SEED; a suite with
+    none (hyperbolic) takes no seed, and its hash and config block carry
+    none.
     """
 
     suite: str
-    seed: int = 7
+    seed: int | None = None
     tolerance: float | None = None
     params: dict = field(default_factory=dict)
     out_dir: str | None = None
@@ -62,6 +68,10 @@ class SuiteConfig:
             if self.suite not in DEFAULT_TOLERANCE:
                 raise ValueError(f"unknown suite id {self.suite!r}")
             object.__setattr__(self, "tolerance", DEFAULT_TOLERANCE[self.suite])
+        if self.seed is None:
+            object.__setattr__(self, "seed", DEFAULT_SEED.get(self.suite))
+        elif self.suite in DEFAULT_TOLERANCE and self.suite not in DEFAULT_SEED:
+            raise ValueError(f"suite {self.suite} draws nothing a seed chooses: it takes no seed")
         # 0 is legal and fails every residual; inf or nan would pass vacuously
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
@@ -70,12 +80,8 @@ class SuiteConfig:
             raise ValueError(f"unknown format(s) {bad}; expected json|csv")
 
     def semantic_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "params": dict(self.params),
-        }
+        seed = {} if self.seed is None else {"seed": self.seed}
+        return {"suite": self.suite, **seed, "tolerance": self.tolerance, "params": dict(self.params)}
 
     def config_hash(self) -> str:
         payload = json.dumps(self.semantic_dict(), sort_keys=True, separators=(",", ":"))

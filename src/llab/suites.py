@@ -1,9 +1,10 @@
 """Deterministic randomized verification suites.
 
-Each suite draws every random object from numpy Generators seeded by
-spawn-key lists ([seed, n, k] style), so a config fully determines the
-draws and two runs of the same config produce identical residuals, bit
-for bit.  Residuals are max-abs, relative to the input scale.
+The identity and torus suites draw every random object from numpy
+Generators seeded by spawn-key lists ([seed, n, k] style), so a config
+fully determines the draws and two runs of the same config produce
+identical residuals, bit for bit.  The hyperbolic suite takes no seed.
+Residuals are max-abs, relative to the input scale.
 
 The identity suite checks, per (n, k) cell and per random batch, the
 identities implemented once in `llab.lefschetz` as residual operators on
@@ -342,7 +343,6 @@ def hyperbolic_suite(
     h_values=(0.2, 0.1),
     k: int = 0,
     eps: float = 0.6,
-    seed: int = 7,
     rel_tol: float = 1e-8,
     tol: float = DEFAULT_TOLERANCE["hyperbolic"],
 ) -> dict:
@@ -353,8 +353,9 @@ def hyperbolic_suite(
     are the derivation's proofs, theta's sup norm and Stokes defect, the
     cross term's premise |df|_g <= eps at the pairing's quadrature points,
     lambda1 against the derived bound, and the extrapolation against the
-    oracle.  `seed` draws only the cross term's measured constants, which
-    are data; the annulus table is data too."""
+    oracle; the annulus table is data.  The suite takes no seed: at k = 0
+    its one draw is the derivation's fixed-seed arena triple, and at k = 1
+    the eigensolver's fixed-seed start is the other."""
     from llab.hyperbolic import (
         annulus_decay,
         bounded_primitive,
@@ -379,7 +380,7 @@ def hyperbolic_suite(
     midpoints = mesh.edge_midpoints()
     theta = bounded_primitive(mesh, midpoints)
     profile = cutoff_family(mesh, eps)
-    cross = crossterm_constant(mesh, profile, n_samples=4, seed=seed, midpoints=midpoints)
+    cross = crossterm_constant(mesh, profile, midpoints)
     del midpoints
 
     # d Re z on the canonical edges, (d phi)_(lo, hi) = phi_hi - phi_lo
@@ -415,7 +416,6 @@ def hyperbolic_suite(
         "h_values": [float(h) for h in h_values],
         "k": k,
         "eps": eps,
-        "seed": seed,
         "derivation": derivation,
         "sweep": sweep,
         "theta": theta.to_json_dict(),

@@ -17,8 +17,11 @@ the evaluation that the residual operators of `llab.lefschetz` replace.
 
 So are the whole-array evaluations of the hyperbolic form checks
 (`whole_bounded_primitive`, `whole_crossterm_constant`,
-`whole_annulus_decay`): every per-edge and per-triangle chain over the
-whole mesh at once, which `llab.hyperbolic.forms` runs block by block.
+`whole_annulus_decay`) and of the mesh geometry (`whole_geometry`): every
+per-edge and per-triangle chain over the whole mesh at once, which
+`llab.hyperbolic.forms` and `DiscMesh.geometry` run block by block; and
+the COO build of `ring_prolongation` (`whole_ring_prolongation`), which
+the mesh module now fills straight into CSR.
 """
 
 from __future__ import annotations
@@ -53,10 +56,10 @@ from llab.hyperbolic.forms import (
     _GL_W,
     AnnulusDecayTable,
     PrimitiveOneForm,
-    _crossterm_fields,
     _theta_components,
     _whitney_midpoint_major,
 )
+from llab.hyperbolic.mesh import _ring_counts
 from llab.lefschetz import (
     _power,
     _rel_max,
@@ -469,7 +472,7 @@ def whole_bounded_primitive(mesh):
     """`forms.bounded_primitive`, each chain over the whole mesh."""
     es, geo = mesh.edge_structure, mesh.geometry
     edge_integrals = whole_edge_line_integrals(mesh)
-    triangle_omega = -1 * geo.area / 3.0 * geo.mu.sum(axis=0)
+    triangle_omega = -1 * geo.area / 3.0 * mesh.midpoint_mu.sum(axis=0)
     circulation = (edge_integrals[es.tri_edges.T] * es.tri_signs.T).sum(axis=1)
     scale = np.abs(triangle_omega)
     rel = np.abs(circulation - triangle_omega) / np.maximum(scale, np.median(scale))
@@ -486,42 +489,18 @@ def whole_bounded_primitive(mesh):
     )
 
 
-def whole_crossterm_constant(mesh, profile, n_samples, seed):
-    """`forms.crossterm_constant`, each sample interpolated and reduced over
-    the whole mesh at once."""
-    es = mesh.edge_structure
-    rng = np.random.default_rng(seed)
-    eps = profile.eps
+def whole_crossterm_constant(mesh, profile):
+    """`forms.crossterm_constant`, its premise evaluated over every edge
+    midpoint at once."""
     mid = mesh.edge_midpoints()
-    wf, wf2, pair_u, pair_v, wf_mu, wf2_mu, _ = _crossterm_fields(mesh, profile, mid)
     u, v = mid[:, 0], mid[:, 1]
     r = np.hypot(u, v)
     drho_dr = 2.0 / (1.0 - r**2) if mesh.metric == "hyperbolic" else np.ones_like(r)
     with np.errstate(invalid="ignore", divide="ignore"):
         radial_scale = np.where(r > 0, profile.df_at(mesh.geodesic_radius_of(r)) * drho_dr / r, 0.0)
     gu, gv = radial_scale * u, radial_scale * v
-    df_over_eps = float(np.sqrt(((gu * gu + gv * gv) / mesh.mu(mid)).max())) / eps
-    out_cf, out_csqrt = [], []
-    for _ in range(n_samples):
-        d = rng.standard_normal(es.n_edges)[es.tri_edges] * es.tri_signs
-        vals = _whitney_midpoint_major(mesh.geometry.grad, d)
-        d_uv = (d[0] + d[1] + d[2]) / mesh.geometry.area
-        wedge = np.einsum("mt,mt->t", pair_u, vals[:, 1]) - np.einsum("mt,mt->t", pair_v, vals[:, 0])
-        pairing = float(d_uv @ wedge)
-        alpha_sq = np.einsum("mct,mct->mt", vals, vals).ravel()
-        d_sq = d_uv**2
-        n_fa, n_fda = np.sqrt(wf2.ravel() @ alpha_sq), np.sqrt(wf2_mu @ d_sq)
-        n_sfa, n_sfda = np.sqrt(wf.ravel() @ alpha_sq), np.sqrt(wf_mu @ d_sq)
-        out_cf.append(abs(pairing) / (eps * n_fa * n_fda + 1e-300))
-        out_csqrt.append(abs(pairing) / (eps * n_sfa * n_sfda + 1e-300))
-    return {
-        "eps": eps,
-        "n_samples": n_samples,
-        "C_f_max": float(max(out_cf)),
-        "C_sqrtf_max": float(max(out_csqrt)),
-        "C_sqrtf_bound": 2.0,
-        "max_df_over_eps": df_over_eps,
-    }
+    df_over_eps = float(np.sqrt(((gu * gu + gv * gv) / mesh.mu(mid)).max())) / profile.eps
+    return {"eps": profile.eps, "C_sqrtf_bound": 2.0, "max_df_over_eps": df_over_eps}
 
 
 def whole_annulus_decay(alpha, mesh, jmax=None):
@@ -534,3 +513,56 @@ def whole_annulus_decay(alpha, mesh, jmax=None):
     bins = np.floor(mesh.geodesic_radius(mesh.centroids())).astype(np.int64)
     masses = np.bincount(bins, weights=tri_energy, minlength=jmax)[:jmax]
     return AnnulusDecayTable(masses=masses, total_norm_sq=float(tri_energy.sum()), jmax=jmax)
+
+
+# -- mesh geometry and ring prolongation, whole-array ------------------------
+
+
+def whole_geometry(mesh):
+    """(area, grad, midpoint mu, smallest angle in degrees) of a mesh, each
+    chain over the whole mesh at once from one 2-D gather of the corners."""
+    x, y = mesh.vertices.T[:, mesh.triangles.T]  # (3, nt) each
+    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
+    nxt, prev = [1, 2, 0], [2, 0, 1]
+    two_area = 2.0 * area
+    grad = np.empty((3, 2, len(area)))
+    np.divide(-(y[prev] - y[nxt]), two_area, out=grad[:, 0])
+    np.divide(x[prev] - x[nxt], two_area, out=grad[:, 1])
+    v, es = mesh.vertices, mesh.edge_structure
+    mu = mesh.mu(0.5 * (v[es.edges[:, 0]] + v[es.edges[:, 1]]))[es.tri_edges]
+    gx, gy = grad[:, 0], grad[:, 1]
+    sq = gx * gx + gy * gy
+    cos = -(gx[nxt] * gx[prev] + gy[nxt] * gy[prev]) / np.sqrt(sq[nxt] * sq[prev])
+    return area, grad, mu, float(np.degrees(np.arccos(np.clip(cos.max(), -1.0, 1.0))))
+
+
+def whole_ring_prolongation(coarse, fine):
+    """`mesh.ring_prolongation` built as COO triplets, zeros dropped, and
+    converted to CSR by scipy."""
+    import scipy.sparse as sp
+
+    Mc, counts_c = _ring_counts(coarse.R, coarse.h)
+    Mf, counts_f = _ring_counts(fine.R, fine.h)
+    sizes = np.array([1] + counts_c)
+    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
+    per_ring = np.array(counts_f[:-1])
+    m = np.repeat(np.arange(1, Mf), per_ring)
+    j = np.arange(len(m)) - np.repeat(np.cumsum(per_ring) - per_ring, per_ring)
+    n_f = per_ring[m - 1]
+    a = m * Mc // Mf
+    t = (m * Mc - a * Mf) / Mf
+    rows, cols, vals = [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)], [np.ones(1)]
+    for ring, weight in ((a, 1.0 - t), (a + 1, t)):
+        n_c = sizes[ring]
+        num = (2 * j + m % 2) * n_c - (ring % 2) * n_f
+        den = 2 * n_f
+        q = num // den
+        frac = (num - q * den) / den
+        for col, w in ((q % n_c, 1.0 - frac), ((q + 1) % n_c, frac)):
+            rows.append(1 + np.arange(len(m)))
+            cols.append(starts[ring] + col)
+            vals.append(np.where(ring < Mc, weight * w, 0.0))
+    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
+    nonzero = vals != 0
+    shape = (1 + int(per_ring.sum()), int(starts[Mc]))
+    return sp.csr_matrix((vals[nonzero], (rows[nonzero], cols[nonzero])), shape=shape)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import llab
-from llab.cli import _build_parser, decompose_file, main, run_suite
+from llab.cli import _build_parser, _suite_config, decompose_file, main, run_suite
 from llab.reports import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
@@ -65,6 +65,36 @@ def test_run_suite_rejects_a_param_its_suite_does_not_take():
         run_suite(SuiteConfig(suite="torus", params={"n": [2], "samples": 5}))
     with pytest.raises(ValueError, match="'seed'"):
         run_suite(SuiteConfig(suite="torus", params={"n_values": [2], "seed": 3}))
+    # the hyperbolic suite draws nothing a seed chooses, and takes none
+    with pytest.raises(ValueError, match="takes no param\\(s\\) 'seed';"):
+        run_suite(SuiteConfig(suite="hyperbolic", params={"R_values": [2.0], "h_values": [0.4, 0.3], "seed": 3}))
+    with pytest.raises(ValueError, match="hyperbolic .* takes no seed"):
+        SuiteConfig(suite="hyperbolic", seed=3)
+
+
+@pytest.mark.parametrize("argv, config_hash", [
+    (["verify-identities", "--n", "1,2,3,4", "--cases", "1000", "--cross-cases", "500"], "125a70abe68af584"),
+    (["torus", "--n", "2,3", "--N", "1", "--samples", "20"], "7756a5f790596bd2"),
+    (["hyperbolic", "--R", "2,4,6", "--h", "0.2,0.1"], "fa53ae57249f5428"),
+])
+def test_config_hash_of_the_benchmark_command_lines(argv, config_hash):
+    # the seeded suites hash their seed as before; the hyperbolic config
+    # carries none, with or without a --seed on its command line
+    for extra in ([], ["--seed", "3"]):
+        cfg = _suite_config(_build_parser().parse_args(argv + extra))
+        assert ("seed" in cfg.semantic_dict()) == (argv[0] != "hyperbolic")
+        if not extra or argv[0] == "hyperbolic":
+            assert cfg.config_hash() == config_hash
+
+
+def test_cli_hyperbolic_ignores_a_seed_and_says_so(tmp_path, capsys):
+    # scripts pass --seed to every suite; the hyperbolic report does not move
+    assert main(["hyperbolic", "--R", "2", "--h", "0.4,0.3", "--out", str(tmp_path / "a")]) == 0
+    assert "note" not in capsys.readouterr().err
+    assert main(["hyperbolic", "--R", "2", "--h", "0.4,0.3", "--seed", "3", "--out", str(tmp_path / "b")]) == 0
+    assert "note: --seed is ignored" in capsys.readouterr().err
+    a, b = (strip_timestamp(load_report(tmp_path / x / "hyperbolic.json")) for x in "ab")
+    assert a == b and "seed" not in a["config"] and "seed" not in a["report"]
 
 
 def test_default_tolerance_is_one_table_per_suite():
@@ -74,7 +104,7 @@ def test_default_tolerance_is_one_table_per_suite():
         assert SuiteConfig(suite=suite).tolerance == tol
     # a config built without a tolerance hashes as the CLI's default did
     params = {"R_values": (2.0,), "h_values": (0.3, 0.2), "k": 0, "eps": 0.8}
-    assert SuiteConfig(suite="hyperbolic", params=params).config_hash() == "09086a6e3c6dba82"
+    assert SuiteConfig(suite="hyperbolic", params=params).config_hash() == "20db52c6750adc83"
     with pytest.raises(ValueError):
         SuiteConfig(suite="nonsense")
 

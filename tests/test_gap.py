@@ -630,6 +630,28 @@ def test_hyperbolic_suite_builds_each_mesh_and_edge_complex_once(monkeypatch, k)
     # both degrees assemble on the edge complex of every mesh (k = 0 sums
     # its P1 matrices per edge), and the forms reuse the finest one
     assert edged == grid
-    # each mesh's geometry builds its edge midpoints and lets them go; after
-    # the sweep, both form checks of the finest mesh share one more build
+    # each row mesh's mass reads mu, which builds its edge midpoints and
+    # lets them go; after the sweep, the form checks of the finest mesh
+    # share one more build
     assert midpoints == grid + [(3.0, 0.3)]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_hyperbolic_suite_draws_only_from_its_fixed_seeds(monkeypatch, k):
+    # no seed reaches the suite: numpy's generator raises on any seed but
+    # the derivation's arena triple and, at k = 1, the eigensolver's start
+    from llab.hyperbolic import eigensolve, gap
+    from llab.suites import hyperbolic_suite
+
+    fixed = {gap._ARENA_SEED} | ({eigensolve._SEED} if k == 1 else set())
+    real, seeds = np.random.default_rng, []
+
+    def fixed_only(seed=None):
+        seeds.append(seed)
+        if seed not in fixed:
+            raise AssertionError(f"hyperbolic suite drew with seed {seed!r}")
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", fixed_only)
+    assert hyperbolic_suite(R_values=(2.0,), h_values=(0.4, 0.3), k=k)["passed"]
+    assert set(seeds) == fixed

@@ -72,6 +72,8 @@ from reference_loops import (
     whole_annulus_decay,
     whole_bounded_primitive,
     whole_crossterm_constant,
+    whole_geometry,
+    whole_ring_prolongation,
 )
 
 
@@ -140,10 +142,41 @@ def test_geometry_and_min_angle_match_the_reference_loops(request, which):
     area, grads, mu_mid = _geometry_reference(mesh)
     assert np.array_equal(geo.area, area)
     assert np.array_equal(geo.grad, grads.transpose(1, 2, 0))
-    assert np.array_equal(geo.mu, mu_mid.T)
-    assert geo.grad.flags.c_contiguous and geo.mu.flags.c_contiguous
+    assert np.array_equal(mesh.midpoint_mu, mu_mid.T)
+    assert geo.grad.flags.c_contiguous and mesh.midpoint_mu.flags.c_contiguous
     assert mesh.min_angle_degrees() == pytest.approx(_min_angle_reference(mesh), abs=1e-9)
     assert np.array_equal(mesh.centroids(), mesh.vertices[mesh.triangles].mean(axis=1))
+
+
+@pytest.mark.parametrize("build", [lambda: build_disc_mesh(6.0, 0.2), lambda: square_patch(40)],
+                         ids=["R6 h0.2", "square40"])
+def test_blocked_geometry_equals_the_whole_array_evaluation(build):
+    # build_disc_mesh(6, 0.2) has 63,265 triangles, seven full blocks and a
+    # short eighth, and square_patch(40) 3,200, one short block
+    mesh = build()
+    area, grad, mu, min_angle = whole_geometry(mesh)
+    assert np.array_equal(mesh.geometry.area, area)
+    assert np.array_equal(mesh.geometry.grad, grad)
+    assert np.array_equal(mesh.midpoint_mu, mu)
+    assert mesh.min_angle_degrees() == min_angle
+    assert np.array_equal(mesh.edge_midpoints(), 0.5 * (mesh.vertices[mesh.edge_structure.edges].sum(axis=1)))
+
+
+def test_mu_is_evaluated_only_on_meshes_whose_mass_is_read(monkeypatch):
+    # the sweep's chain-only meshes precondition with their stiffness alone
+    from llab.hyperbolic import gap, mesh as mesh_mod
+
+    built = []
+    real_build = mesh_mod.build_disc_mesh
+
+    def keeping_build(R, h):
+        built.append(real_build(R, h))
+        return built[-1]
+
+    monkeypatch.setattr(mesh_mod, "build_disc_mesh", keeping_build)
+    gap.gap_sweep(R_values=(4.0,), h_values=(0.2, 0.1))
+    assert [m.h for m in built] == [0.4, 0.2, 0.1]
+    assert [("midpoint_mu" in vars(m)) for m in built] == [False, True, True]
 
 
 @pytest.mark.parametrize("h", [0.2, 0.1])
@@ -221,6 +254,7 @@ def test_mesh_derived_quantities_are_kept_and_die_with_the_mesh():
     assert all(r() is None for r in refs)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("fault", ["clockwise", "degenerate"])
 def test_mesh_geometry_refuses_a_clockwise_or_degenerate_triangle(fault, square24):
     triangles = square24.triangles.copy()
@@ -282,6 +316,21 @@ def test_ring_prolongation_interpolates_between_rings_and_along_them(coarse_h, f
         return m.R - m.geodesic_radius(m.vertices[m.interior])
 
     assert np.abs(P @ f(coarse) - f(fine)).max() < 1e-13
+
+
+@pytest.mark.parametrize("R", [2.0, 4.0, 6.0])
+def test_ring_prolongation_fills_the_csr_arrays_of_the_coo_build(R):
+    # every (coarse, fine) pair the benchmark sweep --h 0.2,0.1 prolongs
+    # between: the meshes below the sweep, then its two rows
+    from llab.hyperbolic.gap import _coarser_meshes
+
+    meshes = _coarser_meshes(R, 0.2) + [build_disc_mesh(R, 0.2), build_disc_mesh(R, 0.1)]
+    for coarse, fine in zip(meshes, meshes[1:]):
+        got, want = ring_prolongation(coarse, fine), whole_ring_prolongation(coarse, fine)
+        assert got.shape == want.shape and got.has_canonical_format
+        for name in ("data", "indices", "indptr"):
+            ours, theirs = getattr(got, name), getattr(want, name)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), (coarse.h, fine.h, name)
 
 
 def test_ring_prolongation_needs_two_ring_meshes_of_one_radius(small_mesh):
@@ -829,57 +878,41 @@ def test_cutoff_validation(fine_mesh):
 def test_crossterm_constant_within_proved_bound(fine_mesh):
     prof = cutoff_family(fine_mesh, eps=0.8)
     out = crossterm_constant(fine_mesh, prof)
+    # the premise and the bound it proves, and nothing sampled
+    assert out.keys() == {"eps", "C_sqrtf_bound", "max_df_over_eps"}
     assert out["C_sqrtf_bound"] == 2.0
     # the bound's premise |df|_g <= eps at the pairing's midpoints: |df|_g
     # is |f'(rho)|, since the distance rho has |grad rho|_g = 1
     rho = fine_mesh.geodesic_radius(fine_mesh.edge_midpoints())
     assert out["max_df_over_eps"] == pytest.approx(np.abs(prof.df_at(rho)).max() / 0.8, rel=1e-12)
     assert out["max_df_over_eps"] <= 1.0 + 1e-9
-    assert out["C_sqrtf_max"] <= 2.0
-    assert np.isfinite(out["C_f_max"])
 
 
-def _crossterm_reference(mesh, profile, n_samples, seed):
-    """The per-sample loop, every midpoint field rebuilt for each sample."""
-    es = mesh.edge_structure
-    rng = np.random.default_rng(seed)
-    eps = profile.eps
-    area, mu_mid = mesh.geometry.area, mesh.geometry.mu.T
+def _crossterm_premise_reference(mesh, profile):
+    """max |df|_g / eps over the 3 edge midpoints of every triangle, each
+    edge's midpoint once per triangle on it."""
     p = mesh.vertices[mesh.triangles]
-    mids = 0.5 * np.stack([p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1)
-    out_cf, out_csqrt = [], []
-    for _ in range(n_samples):
-        alpha = rng.standard_normal(es.n_edges)
-        w = area[:, None] / 3.0
-        p_mid = mids.reshape(-1, 2)
-        rho_mid = mesh.geodesic_radius(p_mid)
-        f_mid = profile.f_at(rho_mid).reshape(-1, 3)
-        r = np.hypot(p_mid[:, 0], p_mid[:, 1])
-        drho_dr = 2.0 / (1.0 - r**2) if mesh.metric == "hyperbolic" else np.ones_like(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            radial = np.where(r[:, None] > 0, p_mid / np.maximum(r, 1e-300)[:, None], 0.0)
-        grad_f = ((profile.df_at(rho_mid) * drho_dr)[:, None] * radial).reshape(-1, 3, 2)
-        vals, d_uv = whitney_at_midpoints(mesh, es, alpha)
-        wedge_uv = 2.0 * f_mid * (grad_f[:, :, 0] * vals[:, :, 1] - grad_f[:, :, 1] * vals[:, :, 0])
-        pairing = float((w * d_uv[:, None] * wedge_uv / mu_mid).sum())
-        alpha_sq = (vals**2).sum(axis=2)
-        n_fa = np.sqrt((w * f_mid**2 * alpha_sq).sum())
-        n_fda = np.sqrt((w * f_mid**2 * d_uv[:, None] ** 2 / mu_mid).sum())
-        n_sfa = np.sqrt((w * f_mid * alpha_sq).sum())
-        n_sfda = np.sqrt((w * f_mid * d_uv[:, None] ** 2 / mu_mid).sum())
-        out_cf.append(abs(pairing) / (eps * n_fa * n_fda))
-        out_csqrt.append(abs(pairing) / (eps * n_sfa * n_sfda))
-    return max(out_cf), max(out_csqrt)
+    p_mid = 0.5 * np.stack([p[:, 0] + p[:, 1], p[:, 1] + p[:, 2], p[:, 2] + p[:, 0]], axis=1).reshape(-1, 2)
+    r = np.hypot(p_mid[:, 0], p_mid[:, 1])
+    drho_dr = 2.0 / (1.0 - r**2) if mesh.metric == "hyperbolic" else np.ones_like(r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        radial = np.where(r[:, None] > 0, p_mid / np.maximum(r, 1e-300)[:, None], 0.0)
+    grad_f = (profile.df_at(mesh.geodesic_radius(p_mid)) * drho_dr)[:, None] * radial
+    return float(np.sqrt(((grad_f**2).sum(axis=1) / mesh.mu(p_mid)).max())) / profile.eps
 
 
 @pytest.mark.parametrize("which", ["small_mesh", "fine_mesh", "square24"])
-def test_crossterm_constant_matches_the_per_sample_loop(request, which):
+def test_crossterm_premise_matches_the_triangle_midpoints(request, which, monkeypatch):
+    # no random draw: numpy's generator raises if asked for
+    def no_draw(*args, **kwargs):
+        raise AssertionError("crossterm_constant drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
     mesh = request.getfixturevalue(which)
     profile = cutoff_family(mesh, eps=0.8 if mesh.metric == "hyperbolic" else 1.0)
-    out = crossterm_constant(mesh, profile, n_samples=3, seed=11)
-    c_f, c_sqrtf = _crossterm_reference(mesh, profile, n_samples=3, seed=11)
-    assert out["C_f_max"] == pytest.approx(c_f, rel=1e-13)
-    assert out["C_sqrtf_max"] == pytest.approx(c_sqrtf, rel=1e-13)
+    out = crossterm_constant(mesh, profile)
+    assert out["max_df_over_eps"] == pytest.approx(_crossterm_premise_reference(mesh, profile), rel=1e-13)
+    assert out == crossterm_constant(mesh, profile, mesh.edge_midpoints())
 
 
 @pytest.mark.parametrize("which", ["small_mesh", "fine_mesh"])
@@ -959,19 +992,18 @@ def test_blocked_form_checks_equal_the_whole_array_evaluation(monkeypatch, reque
     # a prime block size that divides neither nt nor ne puts block
     # boundaries everywhere and leaves a short last block; the values must
     # not move by a bit, since every reduction still runs over the whole mesh
-    from llab.hyperbolic import forms
+    from llab.hyperbolic import mesh as mesh_mod
 
     mesh = request.getfixturevalue(which)
     if block is not None:
-        monkeypatch.setattr(forms, "_BLOCK", block)
+        monkeypatch.setattr(mesh_mod, "_BLOCK", block)
         assert all(n % block for n in (mesh.n_triangles, mesh.edge_structure.n_edges, mesh.n_vertices))
     theta, ref = bounded_primitive(mesh), whole_bounded_primitive(mesh)
     assert np.array_equal(theta.edge_integrals, ref.edge_integrals)
     assert np.array_equal(theta.triangle_omega, ref.triangle_omega)
     assert theta.to_json_dict() == ref.to_json_dict()
     profile = cutoff_family(mesh, eps=0.8)
-    assert crossterm_constant(mesh, profile, n_samples=3, seed=11) == whole_crossterm_constant(
-        mesh, profile, n_samples=3, seed=11)
+    assert crossterm_constant(mesh, profile) == whole_crossterm_constant(mesh, profile)
     x = mesh.vertices[:, 0]
     lo, hi = mesh.edge_structure.edges.T
     for alpha in (x[hi] - x[lo], np.random.default_rng(3).standard_normal(len(lo))):  # d Re z, and noise
