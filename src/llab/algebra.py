@@ -422,6 +422,15 @@ def _basis_indices(dim: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(mask_to_indices(m) for m in basis_masks(dim, k))
 
 
+@lru_cache(maxsize=None)
+def _pair_rows_cols(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based (rows, columns) (i, j), i < j, of the degree-2 basis forms
+    e^{i+1} ^ e^{j+1}, in basis order: where a 2-form's coefficients sit in
+    its antisymmetric matrix."""
+    i, j = np.array(_basis_indices(dim, 2), dtype=np.intp).T - 1
+    return _read_only(i), _read_only(j)
+
+
 def wedge(a: KForm, b: KForm) -> KForm:
     """Graded-anticommutative product of two single forms, sign by
     transposition counting."""
@@ -463,11 +472,15 @@ def _compound(M: np.ndarray, dim: int, k: int, lower: np.ndarray | None) -> np.n
     size = math.comb(dim, k)
     p = _wedge_table(dim, 1, k - 1)
     gen, rest, sign = (x.reshape(size, k) for x in (p.left, p.right, p.sign))
-    # per row mask I: row i0 of M, and the row of `lower` for the other rows
+    # per row mask I: row i0 of M, and the row of `lower` for the other rows;
+    # row i0 sits beside its negative, so that one column gather reads
+    # s M[i0, j], bit for bit the product by s = +-1
     first, others = M[gen[:, 0]], lower[rest[:, 0]]
+    first = np.concatenate((first, -first), axis=1)
+    signed = gen + dim * (sign < 0)
     out = np.zeros((size, size), dtype=np.result_type(M, lower))
     for t in range(k):  # the t-th generator of each column mask J
-        out += first.take(gen[:, t], axis=1) * sign[:, t] * others.take(rest[:, t], axis=1)
+        out += first.take(signed[:, t], axis=1) * others.take(rest[:, t], axis=1)
     return out
 
 
@@ -550,8 +563,7 @@ class Ops:
 
     def _two_form(self, w: np.ndarray) -> np.ndarray:
         """The entries w[i, j], i < j, in the order of the degree-2 basis."""
-        i, j = np.array(_basis_indices(self.dim, 2)).T - 1
-        return w[i, j]
+        return w[_pair_rows_cols(self.dim)]
 
     @_block
     def gram(self, k: int) -> np.ndarray:
@@ -731,6 +743,24 @@ def norm(a: KForm, t: CompatibleTriple):
     return float(out) if a.data.ndim == 1 else out
 
 
+def _complement_norm(a: KForm, t: CompatibleTriple):
+    """`norm(a, t)` read from the Gram matrix of the complementary degree
+    2n - p, p = a.k, so that a form above the middle degree needs no Gram
+    block above it.  The Hodge star is an isometry, and star(b) on
+    Lambda^{2n-p} is vol times the signed complement of G_{2n-p} b, so
+    ||a||^2 = y^H G_{2n-p}^{-1} y / vol^2 with y the signed complement of a
+    (`_wedge_table(2n, 2n - p, p)`) and vol^2 = det omega."""
+    p = _wedge_table(2 * a.n, 2 * a.n - a.k, a.k)
+    y = np.empty(a.data.shape, dtype=complex)
+    y[p.left] = (p.sign * a.data[p.right].T).T
+    # G is real symmetric: y^H G^-1 y is the sum over the (Re, Im) columns
+    # of y, which one real solve takes together
+    Y = y.reshape(len(y), -1).view(np.float64)
+    sq = np.sum(Y * np.linalg.solve(metric_gram(t, 2 * a.n - a.k), Y), axis=0).reshape(-1, 2).sum(axis=1)
+    out = np.sqrt(np.maximum(sq / np.linalg.det(t.omega), 0.0))
+    return float(out[0]) if a.data.ndim == 1 else out
+
+
 def hodge_star(a: KForm, t: CompatibleTriple) -> KForm:
     """Riemannian Hodge star (complex-linear extension): <a,b> dvol = a ^ *b."""
     return KForm._own(a.n, 2 * a.n - a.k, _apply(t.ops.star(a.k), a.data))
@@ -804,10 +834,11 @@ def form_to_json(a: KForm) -> dict:
 
 # The largest n either wire format accepts.  A decomposition holds dense
 # C(2n, k) x C(2n, k) blocks (the complex frame compounds up to degree k, the
-# real Gram, L^r and Lambda blocks) but no (p,q) projector: a cold `llab
-# decompose` at n = 6, k = 6 takes 0.7 s and 144 MB peak RSS (one process,
-# 1 BLAS thread), while at n = 7 each block of the middle degree alone is
-# 188 MB.
+# real Gram blocks up to degree k, L^r and Lambda blocks) but no
+# (p,q) projector: a cold `llab decompose` at n = 6, k = 6 takes 0.43-0.55 s,
+# 0.30-0.38 s of it in `decompose_file`, and 136 MB peak RSS (one process,
+# 1 BLAS thread, 2 CPUs), while at n = 7 each block of the middle degree
+# alone is 188 MB.
 WIRE_MAX_N = 6
 
 

@@ -83,7 +83,7 @@ def decompose_file(in_path, out_path) -> dict:
         pq_decompose,
         triple_from_json,
     )
-    from llab.lefschetz import dual_lefschetz, is_primitive, primitive_decompose
+    from llab.lefschetz import _primitivity, dual_lefschetz, primitive_decompose
 
     try:
         obj = json.loads(Path(in_path).read_text())
@@ -108,7 +108,7 @@ def decompose_file(in_path, out_path) -> dict:
         lef_out[str(r)] = {
             "form": form_to_json(beta),
             "primitivity_residual": float(np.max(np.abs(lam.data), initial=0.0)) / scale,
-            "is_primitive": bool(is_primitive(beta, t, tol=1e-9)),
+            "is_primitive": bool(_primitivity(beta, lam, t, tol=1e-9)),
         }
 
     big = pq_decompose(a, t)

@@ -40,6 +40,7 @@ from llab.algebra import (
     CompatibleTriple,
     KForm,
     _apply,
+    _complement_norm,
     hodge_star,
     j_action,
     metric_gram,
@@ -137,14 +138,22 @@ def is_primitive(a: KForm, t: CompatibleTriple, tol: float = 1e-12) -> Primitivi
     conditions are equivalent by sl(2) representation theory; the check
     raises ArithmeticError if they ever disagree.
     """
+    return _primitivity(a, dual_lefschetz(a, t), t, tol)
+
+
+def _primitivity(a: KForm, lam: KForm, t: CompatibleTriple, tol: float) -> PrimitivityResult:
+    """:func:`is_primitive` of a, given lam = Lambda(a), for a caller that
+    reads Lambda(a) itself.  L^{n-k+1} a lies in degree 2n-k+2 > n, and its
+    norm is read from the Gram block of degree k-2, the one ||Lambda a||
+    reads (`_complement_norm`): no Gram block above degree n is built."""
     n, k = a.n, a.k
     if k > n:
         raise ValueError(f"primitivity is defined for degrees k <= n, got k={k}, n={n}")
     scale = max(1.0, norm(a, t))
-    lam_norm = norm(dual_lefschetz(a, t), t)
+    lam_norm = norm(lam, t)
     ok = lam_norm <= tol * scale
     if 2 * n - k + 2 <= 2 * n:  # k >= 2: L^{n-k+1} stays inside the algebra
-        power_norm = norm(_power(a, n - k + 1, t), t)
+        power_norm = _complement_norm(_power(a, n - k + 1, t), t)
     else:
         power_norm = 0.0  # L^{n-k+1} overflows the top degree: the zero map
     ok_power = power_norm <= tol * scale * 4.0 ** n

@@ -231,33 +231,41 @@ def _write_json(o, parts: list, nl: str) -> None:
 
 def _write_coefficients(o: list, parts: list, nl: str) -> bool:
     """Write `o`, a list of form coefficients `{"idx": [int, ...], "im": float,
-    "re": float}` with finite floats, in one loop over their cached texts;
-    False, writing nothing, if any item is something else.  Coefficient
-    lists make up most of a decompose output, and the cached texts spare
-    the generic writer's key sort and per-item calls on each entry."""
-    rows = []
-    for v in o:
-        if type(v) is not dict or len(v) != 3:
-            return False
-        idx, im, re = v.get("idx"), v.get("im"), v.get("re")
-        if not (type(idx) is list and type(im) is float and type(re) is float):
-            return False
-        if not (math.isfinite(im) and math.isfinite(re)):
-            return False
-        rows.append((idx, im, re))
-    # exact ints: an index tuple keys the frame cache, and (True,) == (1,) == (1.0,)
-    if not {*map(type, itertools.chain.from_iterable(row[0] for row in rows))} <= {int}:
-        return False
+    "re": float}` with finite floats, in one loop that checks each entry and
+    writes it from its cached texts; False, writing nothing, if any item is
+    something else.  Coefficient lists make up most of a decompose output,
+    and the cached texts spare the generic writer's key sort and per-item
+    calls on each entry."""
     inner = nl + "  "
     mid, tail = f',{inner}  "re": ', inner + "}"
-    texts = [f"{_coefficient_head(inner, tuple(idx))}{im!r}{mid}{re!r}{tail}" for idx, im, re in rows]
+    texts, indices = [], []
+    try:
+        for v in o:
+            if type(v) is not dict or len(v) != 3:
+                return False
+            idx, im, re = v.get("idx"), v.get("im"), v.get("re")
+            if not (type(idx) is list and type(im) is float and type(re) is float
+                    and math.isfinite(im) and math.isfinite(re)):
+                return False
+            indices.append(idx)
+            texts.append(f"{_coefficient_head(inner, tuple(idx))}{im!r}{mid}{re!r}{tail}")
+    except TypeError:  # indices that are not all ints, and not cached
+        return False
+    # an index tuple keys the cache, and (True,) == (1,) == (1.0,): a bool or
+    # float index may have read an int entry's text, so only exact ints pass
+    if not {*map(type, itertools.chain.from_iterable(indices))} <= {int}:
+        return False
     parts.append("[" + inner + ("," + inner).join(texts) + nl + "]")
     return True
 
 
 @functools.lru_cache(maxsize=4096)
 def _coefficient_head(nl: str, idx: tuple) -> str:
-    """The text of a coefficient entry at indent `nl` up to its "im" value."""
+    """The text of a coefficient entry at indent `nl` up to its "im" value;
+    TypeError, which the cache keeps no entry for, unless every index is an
+    exact int."""
+    if not {*map(type, idx)} <= {int}:
+        raise TypeError("coefficient indices must be ints")
     inner = nl + "  "
     parts = ["{" + inner + '"idx": ']
     _write_json(list(idx), parts, inner)

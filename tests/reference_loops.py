@@ -7,9 +7,18 @@ LAPACK determinant per minor.
 Tests compare the fast code against them; nothing in those loops reads
 `Ops` except the (1,0) coframe, whose choice of basis is not unique.
 
+`ref_is_primitive` is the primitivity test as it was first written: the
+norm of L^{n-k+1} a, a form above the middle degree, taken by `norm` from
+the Gram compound of that degree, which `llab.lefschetz.is_primitive` now
+reads from the complementary one.
+
 `ref_form_from_json` is the wire-format parser that puts every
 coefficient entry through every check, in order, the path that the exact
 type tests of `llab.algebra.form_from_json` now spare well-formed entries.
+
+`product_compound` is the cofactor step of the compounds with each term's
+sign applied by a product, which `llab.algebra._compound` now reads with
+the gather; the two must agree bit for bit.
 
 The identity cell of `verify-identities` is kept here too as chains of
 operator products applied to each seeded batch (`chain_cell_residuals`),
@@ -41,6 +50,7 @@ from llab.algebra import (
     _field,
     _is_finite,
     _is_number,
+    _wedge_table,
     basis_masks,
     hodge_star,
     indices_to_mask,
@@ -61,6 +71,7 @@ from llab.hyperbolic.forms import (
 )
 from llab.hyperbolic.mesh import _ring_counts
 from llab.lefschetz import (
+    PrimitivityResult,
     _power,
     _rel_max,
     dual_lefschetz,
@@ -74,6 +85,22 @@ from llab.lefschetz import (
 
 def minor_sets(dim: int, k: int) -> list[np.ndarray]:
     return [np.array(mask_to_indices(m), dtype=int) - 1 for m in basis_masks(dim, k)]
+
+
+def product_compound(M, dim, k, lower):
+    """`llab.algebra._compound` with the sign of each cofactor term applied
+    by a product, as it was first written; the signed gather there must
+    give the same bits."""
+    if k == 0:
+        return np.ones((1, 1), dtype=M.dtype)
+    size = math.comb(dim, k)
+    p = _wedge_table(dim, 1, k - 1)
+    gen, rest, sign = (x.reshape(size, k) for x in (p.left, p.right, p.sign))
+    first, others = M[gen[:, 0]], lower[rest[:, 0]]
+    out = np.zeros((size, size), dtype=np.result_type(M, lower))
+    for t in range(k):
+        out += first.take(gen[:, t], axis=1) * sign[:, t] * others.take(rest[:, t], axis=1)
+    return out
 
 
 def ref_compound(M, dim, k):
@@ -315,6 +342,19 @@ def chain_roundtrip(a: KForm, t: CompatibleTriple) -> np.ndarray:
 def chain_primitivity(beta: KForm, t: CompatibleTriple) -> tuple:
     n, k = beta.n, beta.k
     return dual_lefschetz(beta, t).data, _apply(lefschetz_power_matrix(t, k, n - k + 1), beta.data)
+
+
+def ref_is_primitive(a: KForm, t: CompatibleTriple, tol: float = 1e-12) -> PrimitivityResult:
+    n, k = a.n, a.k
+    if k > n:
+        raise ValueError(f"primitivity is defined for degrees k <= n, got k={k}, n={n}")
+    scale = max(1.0, norm(a, t))
+    lam_norm = norm(dual_lefschetz(a, t), t)
+    ok = lam_norm <= tol * scale
+    power_norm = norm(_power(a, n - k + 1, t), t) if k >= 2 else 0.0
+    if ok != (power_norm <= tol * scale * 4.0 ** n):
+        raise ArithmeticError(f"primitivity tests disagree (k={k}, n={n})")
+    return PrimitivityResult(ok, lam_norm, power_norm)
 
 
 def chain_weil_relation(B: Ladder) -> dict:

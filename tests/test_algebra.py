@@ -40,7 +40,7 @@ from llab.algebra import (
     weil_operator,
     wedge,
 )
-from reference_loops import ReferenceOps, minor_sets, ref_wedge, ref_wedge_table
+from reference_loops import ReferenceOps, minor_sets, product_compound, ref_wedge, ref_wedge_table
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +296,26 @@ def test_pq_decompose_matches_the_projectors_at_the_wire_cap():
     _assert_pq_parts_are_the_projections(random_compatible_triple(6, rng), 6, rng)
 
 
+def _two_norm_estimate(W: np.ndarray, rng, steps: int = 10) -> float:
+    """||W||_2 from below: ||W x|| / ||x|| after `steps` power iterations of
+    W^H W from a random x."""
+    x = rng.standard_normal(W.shape[1]).astype(complex)
+    for _ in range(steps):
+        x = W.conj().T @ (W @ x)
+        x /= np.linalg.norm(x)
+    return float(np.linalg.norm(W @ x))
+
+
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_orthonormal_coframe_keeps_the_n6_frame_compound_well_conditioned(s):
     # with the eigenvectors of J^T normalized one by one, cond(C) of these
     # triples was 7.4e3-6.8e4; orthonormalized it is 59-152.  The Weil
-    # operator W = C diag(i^(p-q)) C^-1 has 2-norm 59-152 here whatever the
-    # frame (the real basis is not g-orthonormal), and that sets the
-    # rounding floor of the Weil relation: 2.0e-12 on s = 1
+    # operator W = C diag(i^(p-q)) C^-1 has 2-norm 58.9, 151.7 and 145.8 here
+    # whatever the frame (the real basis is not g-orthonormal), and the
+    # Weil relation's rounding floor is about 1e-14 ||W||_2 of the form's
+    # largest coefficient: 4.5e-13, 2.0e-12 and 8.1e-13 measured, under
+    # gates of 1.12e-12, 2.88e-12 and 2.69e-12 (||W||_2 estimated from below
+    # as 58.9, 151.7 and 141.6), each tighter than the flat 3e-12 it replaces
     t = random_compatible_triple(6, np.random.default_rng([s, 6]))
     frame = t.ops.frame
     phi = frame[:, :6]
@@ -312,9 +325,11 @@ def test_orthonormal_coframe_keeps_the_n6_frame_compound_well_conditioned(s):
     assert np.linalg.cond(t.ops.frame_compound(6)) < 200
     rng = np.random.default_rng([s, 66])
     a = KForm(6, 6, rng.standard_normal(924) + 1j * rng.standard_normal(924))
+    gate = 1.9e-14 * _two_norm_estimate(t.ops.weil(6), np.random.default_rng([s, 7])) * np.max(np.abs(a.data))
+    assert gate < 3e-12 * np.max(np.abs(a.data))
     for (p, q), part in pq_decompose(a, t).components.items():
         eigen = (1j) ** ((p - q) % 4) * part.data
-        assert np.max(np.abs(weil_operator(part, t).data - eigen)) <= 3e-12 * np.max(np.abs(a.data)), p
+        assert np.max(np.abs(weil_operator(part, t).data - eigen)) <= gate, p
 
 
 def test_weil_operator_squares_to_parity(std2, rng):
@@ -456,6 +471,17 @@ def test_compound_matches_minor_loop(rng):
             ref = np.array([[np.linalg.det(M[np.ix_(I, J)]) if k else 1.0 for J in sets] for I in sets])
             C = _compound(M, dim, k, C)
             assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref)), (n, k)
+    # (c) the signed gather gives the bits of the product by the sign, on
+    # real and complex matrices and on a zero row (0 * -1 is -0.0)
+    for n in (2, 3, 4):
+        dim = 2 * n
+        for M in (rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))):
+            M[0] = 0.0
+            C = None
+            for k in range(dim + 1):
+                want = product_compound(M, dim, k, C)
+                C = _compound(M, dim, k, C)
+                assert C.dtype == want.dtype and C.tobytes() == want.tobytes(), (n, k)
 
 
 # ---------------------------------------------------------------------------

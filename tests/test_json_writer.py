@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from llab.algebra import KForm, form_to_json, random_compatible_triple, triple_to_json
 from llab.cli import decompose_file, run_suite
-from llab.reports import SuiteConfig, _json_default, dump_json_deterministic
+from llab.reports import SuiteConfig, _json_default, _write_coefficients, dump_json_deterministic
 
 # derandomized and without an example database: the same examples on every run
 FUZZ = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -71,13 +71,39 @@ _coefficient_like = st.fixed_dictionaries(
     }
 )
 _coefficient_lists = st.lists(_coeffs | _coefficient_like | _dicts(_scalars), max_size=4)
+# well-formed entries, as form_to_json writes them, then one broken in one
+# place: the writer checks every entry, the last one included
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_well_formed = st.fixed_dictionaries(
+    {"idx": st.lists(st.integers(1, 12), max_size=6), "re": _finite, "im": _finite}
+)
+_BREAKS = {
+    "nan_im": lambda e: {**e, "im": math.nan},
+    "bool_in_idx": lambda e: {**e, "idx": e["idx"] + [True]},
+    "fourth_key": lambda e: {**e, "x": 0.0},
+}
+_bad_last = st.tuples(st.lists(_well_formed, max_size=4), _well_formed, st.sampled_from(sorted(_BREAKS))).map(
+    lambda c: c[0] + [_BREAKS[c[2]](c[1])]
+)
 
 
 @FUZZ
 @given(
     json_objects | st.lists(_coeffs, max_size=3) | _dicts(_coeffs) | _coefficient_lists | _dicts(_coefficient_lists)
+    | _bad_last
 )
 def test_writer_matches_stdlib_bytes(obj):
+    assert dump_json_deterministic(obj) == _stdlib(obj)
+
+
+@pytest.mark.parametrize("kind", sorted(_BREAKS))
+def test_a_malformed_last_entry_takes_the_generic_path(kind):
+    good = [{"idx": [1, 2], "im": 0.5, "re": -1.5}, {"idx": [1], "im": 0.0, "re": 2.0}]
+    obj = good + [_BREAKS[kind]({"idx": [1], "im": 0.25, "re": 3.0})]
+    parts = []
+    assert _write_coefficients(good, parts, "\n") and parts
+    parts = []
+    assert not _write_coefficients(obj, parts, "\n") and parts == []
     assert dump_json_deterministic(obj) == _stdlib(obj)
 
 

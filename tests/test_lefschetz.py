@@ -43,6 +43,7 @@ from llab.lefschetz import (
     weil_relation_operators,
     weil_specialization_constant,
 )
+from reference_loops import ref_is_primitive
 
 
 def _omega(t):
@@ -307,6 +308,80 @@ def test_primitivity_residuals_reject_degree_above_n(std2):
         primitivity_operators(std2, 4)
     with pytest.raises(ValueError, match="degree 3 > n"):
         weil_relation_operators(std2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the L-power certificate through the complementary Gram block
+# ---------------------------------------------------------------------------
+
+
+def _three_triples(n):
+    """The standard triple of R^{2n} and two random ones."""
+    return [build_standard_triple(n)] + [random_compatible_triple(n, np.random.default_rng([n, s])) for s in (1, 2)]
+
+
+def _worst_complement_error(n_values) -> float:
+    """Worst relative gap between `_complement_norm` and `norm` over every
+    degree p > n, on single forms and on a batch, for each of
+    `_three_triples(n)`."""
+    import llab.algebra as algebra
+
+    worst = 0.0
+    for n in n_values:
+        rng = np.random.default_rng(32 + n)
+        for t in _three_triples(n):
+            for p in range(n + 1, 2 * n + 1):
+                a = _batch(n, p, rng, m=3)
+                want = norm(a, t)
+                got = algebra._complement_norm(a, t)
+                singles = [algebra._complement_norm(KForm(n, p, col), t) for col in a.data.T]
+                worst = max(worst, float(np.max(np.abs(np.r_[got, singles] - np.r_[want, want]) / np.r_[want, want])))
+    return worst
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_complement_norm_is_the_metric_norm_above_the_middle(n):
+    assert _worst_complement_error([n]) <= 1e-13
+
+
+@pytest.mark.parametrize("old, new", [
+    ("(p.sign * a.data[p.right].T).T", "a.data[p.right]"),
+    ("metric_gram(t, 2 * a.n - a.k)", "metric_gram(t, a.k)"),
+], ids=["complement sign dropped", "Gram block of the form's own degree"])
+def test_a_broken_complement_norm_fails_loudly(mutant, old, new):
+    # the standard triple's Gram blocks are identities, so only the random
+    # triples can tell either mutant
+    import llab.algebra as algebra
+
+    mutant(algebra, "_complement_norm", old, new)
+    assert _worst_complement_error([2, 3]) > 1e-3
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_is_primitive_matches_the_compound_gram_reference(n):
+    rng = np.random.default_rng(320 + n)
+    for t in _three_triples(n):
+        for k in range(n + 1):
+            dim = math.comb(2 * n, k)
+            generic = KForm(n, k, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            for a in (random_primitive(t, k, rng), generic):
+                got, want = is_primitive(a, t), ref_is_primitive(a, t)
+                assert got.primitive == want.primitive and got.lambda_norm == want.lambda_norm, (k, want)
+                assert abs(got.power_norm - want.power_norm) <= 1e-12 * max(1.0, want.power_norm), (k, got, want)
+
+
+def test_primitivity_builds_no_gram_block_above_the_middle_degree():
+    # at n = 6 the L-power certificate of the 4-form and of its components
+    # of degrees 4 and 2 lands in degrees 10 and 12; read from the
+    # complementary Gram blocks, it builds none above the middle degree
+    rng = np.random.default_rng(326)
+    t = random_compatible_triple(6, rng)
+    a = KForm(6, 4, rng.standard_normal(495) + 1j * rng.standard_normal(495))
+    assert not is_primitive(a, t)
+    for beta in primitive_decompose(a, t).components.values():
+        assert is_primitive(beta, t, tol=1e-9)
+    grams = sorted(key[1] for key in t.ops._blocks if key[0] == "gram")
+    assert grams and max(grams) <= 6, grams
 
 
 def test_lefschetz_power_rejects_a_negative_power(std2):
