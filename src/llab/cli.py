@@ -163,8 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=0, choices=(0, 1), help="form degree of the Laplacian")
     sp.add_argument("--eps", type=float, default=0.6, help="cutoff parameter, ramp width 2/eps")
     sp.add_argument("--rel-tol", type=float, default=1e-8,
-                    help="eigenpair certificate: residual < rel_tol*lambda, and at k = 0 a "
-                         "proven lower bound within rel_tol*lambda")
+                    help="eigenpair certificate: residual < rel_tol*lambda")
     common(sp, "hyperbolic")
 
     sp = sub.add_parser("decompose", help="Lefschetz + bidegree decomposition of a form file")
@@ -241,7 +240,7 @@ def _run_suite(args) -> int:
     if not bundle.passed:
         # name what failed: the residual when it is over, the cell it sits
         # in, and every false check
-        from llab.suites import worst_cell
+        from llab.suites import failure_notes, worst_cell
 
         tol = verdict.get("tolerance")
         if mr_s and tol is not None and not mr < tol:
@@ -253,6 +252,9 @@ def _run_suite(args) -> int:
         if names:
             failed = "; failed: " + ", ".join(names)
     _say(f"[{status}] suite {cfg.suite}{mr_s}{extra}{failed}; config {cfg.config_hash()}")
+    if not bundle.passed:
+        for note in failure_notes(bundle.payload):
+            _say(note)
     if cfg.out_dir:
         _say(f"reports written to {cfg.out_dir}/")
     return 0 if bundle.passed else 1

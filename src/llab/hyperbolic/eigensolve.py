@@ -1,20 +1,21 @@
-"""The smallest eigenpair of the symmetric-definite pencil (A, M), certified.
+"""The smallest eigenpair of the symmetric-definite pencil (A, M), with its
+residual certificate.
 
 One solver, single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001),
 takes whatever preconditioner T ~ A^{-1} its caller passes: a multigrid
 V-cycle (`multigrid_preconditioner`) through coarser meshes down to the
 sparse LU (`stiffness_lu`) of the coarsest one, which with no level above
 it is that LU's solve.  Every pencil, of any dimension, takes that one
-route.  A singular stiffness matrix is refused
-where it is factored: its smallest eigenvalue is 0, and no residual is
-below rel_tol * 0.  The certificates are the point, not the step count:
-the returned pair carries the directly recomputed residual
-||A x - lambda M x|| / ||x||, and the solve refuses to return a pair whose
-residual is not below rel_tol * lambda.  A residual shows that a Ritz pair
-is accurate, not which eigenvalue it is; `ground_state_lower` proves, for a
-positive approximate ground state, that nothing lies below it, and a
-ground-state solve stops only once that proof holds within rel_tol too,
-and returns the bound it proved.
+route.  A singular stiffness matrix is refused where it is factored: its
+smallest eigenvalue is 0, and no residual is below rel_tol * 0.  The
+certificate is the point, not the step count: the returned pair carries
+the directly recomputed residual ||A x - lambda M x|| / ||x||, and the
+solve refuses to return a pair whose residual is not below
+rel_tol * lambda.  A residual shows that a Ritz pair
+is accurate, not which eigenvalue it is, and a conforming eigenvalue is an
+upper bound on the continuum one: the eigenvalues here are estimates.  The
+hyperbolic gap's lower bound is proven elsewhere, on an enclosing polygon
+(`bounds`).
 
 scipy supplies the LU factorization and sparse matvecs; the LOBPCG step and
 certification are explicit here so that nothing about convergence is taken
@@ -37,7 +38,7 @@ _SEED = 20260301  # the start draw of a solve given no start vector
 
 @dataclass
 class SpectralResult:
-    """The certified smallest eigenpair of a generalized pencil."""
+    """The smallest eigenpair of a generalized pencil, with its residual."""
 
     k: int
     eigenvalue: float
@@ -46,7 +47,6 @@ class SpectralResult:
     n_dofs: int
     rel_tol: float
     derived_bound: float | None = None
-    ground_state_lower: float | None = None  # `ground_state_lower` of the pair
     solver: str = "lu"  # the preconditioner: "lu" (the pencil's own LU) or "multigrid"
 
 
@@ -69,20 +69,17 @@ def smallest_eigenpairs(
     x0: np.ndarray | None = None,
     rel_tol: float = DEFAULT_REL_TOL,
     maxiter: int = 40,
-    ground_state: bool = False,
-) -> tuple[float, np.ndarray, int, float | None, float]:
-    """The smallest eigenpair of A x = lambda M x, with its certificates, by
-    single-vector LOBPCG preconditioned with precondition: r -> T r,
-    T ~ A^{-1}.
+) -> tuple[float, np.ndarray, int, float]:
+    """The smallest eigenpair of A x = lambda M x, with its residual
+    certificate, by single-vector LOBPCG preconditioned with precondition:
+    r -> T r, T ~ A^{-1}.
 
-    Returns (eigenvalue, eigenvector, steps, lower, residual): lambda, the
-    1-D x, the LOBPCG steps taken, with ground_state the bound mu that
-    `ground_state_lower` proved for the pair (None without), and the
-    residual ||A x - lambda M x|| / ||x|| that the stop rule certified,
-    computed from the returned x.  A pencil of any dimension, 1 included,
-    takes this route; a start that already meets the stop rule returns
-    after 0 steps.  The solve starts from x0, or from a standard normal
-    draw with a fixed seed when x0 is None.
+    Returns (eigenvalue, eigenvector, steps, residual): lambda, the 1-D x,
+    the LOBPCG steps taken, and the residual ||A x - lambda M x|| / ||x||
+    that the stop rule certified, computed from the returned x.  A pencil
+    of any dimension, 1 included, takes this route; a start that already
+    meets the stop rule returns after 0 steps.  The solve starts from x0,
+    or from a standard normal draw with a fixed seed when x0 is None.
 
     Each step is a Rayleigh-Ritz on {x, w, p} in the M-inner product: the
     iterate x, the preconditioned residual w = precondition(A x - lambda M x)
@@ -94,11 +91,9 @@ def smallest_eigenpairs(
     drift from the true ones by rounding, so when they meet the stop rule,
     A x and M x are recomputed from x and the rule is checked again on
     them.  It stops only when the residual ||A x - lambda M x|| / ||x||,
-    so recomputed, is below rel_tol * lambda and, with ground_state,
-    `ground_state_lower` proves lambda - mu <= rel_tol * lambda.  A and M
-    are symmetric, and with ground_state CSR or CSC on one pattern, as
-    `ground_state_lower` takes them.  Raises EigenNonConvergence, carrying
-    the last estimate, when maxiter steps end without that.
+    so recomputed, is below rel_tol * lambda.  A and M are symmetric.
+    Raises EigenNonConvergence, carrying the last estimate, when maxiter
+    steps end without that.
     """
     A = A if sp.issparse(A) and A.format in ("csr", "csc") else sp.csr_matrix(A)
     M = M if sp.issparse(M) and M.format in ("csr", "csc") else sp.csr_matrix(M)
@@ -120,28 +115,20 @@ def smallest_eigenpairs(
     x = S[0]
 
     def rayleigh():
-        """(lambda, r, residual, whether x meets the stop rule so far), from the kept A x and M x."""
+        """(lambda, r, residual), from the kept A x and M x."""
         Ax, Mx = AS[0], MS[0]
         lam = float(x @ Ax) / float(x @ Mx)
         r = Ax - lam * Mx
-        res = float(np.linalg.norm(r) / np.linalg.norm(x))
-        ready = res < rel_tol * lam
-        if ground_state:
-            # the proof's slack is at least max(-r / M x), so a larger one
-            # cannot meet the rule: only then does x earn the O(nnz) proof
-            ready = ready and np.all(x > 0) and np.max(-r / Mx) <= rel_tol * lam
-        return lam, r, res, ready
+        return lam, r, float(np.linalg.norm(r) / np.linalg.norm(x))
 
     lam, res = float("nan"), float("nan")
     for step in range(maxiter + 1):
-        lam, r, res, ready = rayleigh()
-        if ready:  # the carried products met the rule: check it on true ones
+        lam, r, res = rayleigh()
+        if res < rel_tol * lam:  # the carried products met the rule: check it on true ones
             AS[0], MS[0] = A @ x, M @ x
-            lam, r, res, ready = rayleigh()
-        if ready:
-            lower = _proven_lower(A, M, lam, x, rel_tol) if ground_state else None
-            if not ground_state or lower is not None:
-                return lam, x.copy(), step, lower, res
+            lam, r, res = rayleigh()
+            if res < rel_tol * lam:
+                return lam, x.copy(), step, res
         if step == maxiter:
             break
         S[1] = precondition(r)
@@ -170,18 +157,8 @@ def smallest_eigenpairs(
         Y[:, 2] = c[1:] @ Y[:, keep[1] : keep[len(c) - 1] + 1]
         Y[:, 0] *= c[0]
         Y[:, 0] += Y[:, 2]
-    met = "no ground state proven within rel_tol" if res < rel_tol * lam else "residual certificates not met"
-    raise _not_met(met, lam, res, step)
-
-
-def _proven_lower(A, M, lam: float, x: np.ndarray, rel_tol: float) -> float | None:
-    """`ground_state_lower`'s mu when it proves lam - mu <= rel_tol * lam, else None."""
-    lower = ground_state_lower(A, M, lam, x)
-    return lower if lower is not None and lam - lower <= rel_tol * lam else None
-
-
-def _not_met(what: str, lam: float, res: float, steps: int) -> EigenNonConvergence:
-    return EigenNonConvergence(f"{what} after {steps} steps: eigenvalue {lam}, residual {res}", lam, res, steps)
+    raise EigenNonConvergence(
+        f"residual certificates not met after {step} steps: eigenvalue {lam}, residual {res}", lam, res, step)
 
 
 def stiffness_lu(A):
@@ -245,74 +222,3 @@ def multigrid_preconditioner(levels, bottom_lu):
         return e
 
     return apply
-
-
-def ground_state_lower(A, M, lam: float, x: np.ndarray) -> float | None:
-    """A proven lower bound mu <= lambda_min(A, M) from an approximate
-    ground state (lam, x), or None when the proof fails.
-
-    With x's sign fixed by its sum and r = A x - lam M x, take
-    mu = lam - max_i((-r_i + a_i) / (M x)_i)_+, less a few rounding units,
-    where a_i bounds the rounding of the computed r_i: then (A - mu M) x
-    >= 0.  If moreover x > 0 and every off-diagonal of A - mu M is <= 0,
-    A - mu M is a symmetric Z-matrix mapping a positive vector to a
-    nonnegative one, hence an M-matrix (Collatz-Wielandt; Berman &
-    Plemmons, ch. 6), hence positive semidefinite: y^T A y >= mu y^T M y
-    for every y.  So only a positive vector, the ground state's, can be
-    certified; a sign-changing one gets None, and so do a positive
-    off-diagonal and an A or M that is not exactly symmetric.
-
-    A and M are two CSR or two CSC matrices on one pattern (equal `indptr`
-    and `indices`), M positive definite, as `assemble_hodge_laplacian`
-    builds the degree-0 pencil; ValueError otherwise.  The claim is about
-    the discrete pencil, not the continuum operator.
-    """
-    if A.format not in ("csr", "csc") or A.format != M.format or A.shape != M.shape:
-        raise ValueError("the pencil must be two CSR or two CSC matrices of one shape")
-    if not (np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices)):
-        raise ValueError("the pencil's matrices must share one sparsity pattern")
-
-    def like(data):
-        return type(A)((data, A.indices, A.indptr), shape=A.shape)
-
-    # exact symmetry: the transpose, as positions into the pattern, is the
-    # pattern itself, and reads the same values
-    idx = A.indices.dtype  # wide enough for a position: scipy sizes it by nnz
-    swap = like(np.arange(len(A.indices), dtype=idx)).T.asformat(A.format)
-    if not (np.array_equal(swap.indptr, A.indptr) and np.array_equal(swap.indices, A.indices)):
-        return None
-    if not all(np.array_equal(B.data[swap.data], B.data) for B in (A, M)):
-        return None
-    del swap
-
-    x = np.asarray(x, dtype=float)
-    if x.sum() < 0:
-        x = -x
-    if not np.all(x > 0):
-        return None
-    eps = np.finfo(float).eps
-    absA, absM = like(np.abs(A.data)), like(np.abs(M.data))
-    Mx, absMx = M @ x, absM @ x
-    r = A @ x - lam * Mx
-    # a sum of k products rounds by less than k eps times the sum of their
-    # magnitudes; k counts the longest row, the subtraction and the scaling,
-    # and is doubled for the rounding of the magnitudes themselves
-    k = 2 * (int(np.diff(A.indptr).max(initial=0)) + 2)
-    allowance = k * eps * (absA @ x + abs(lam) * absMx)
-    floor = Mx - k * eps * absMx  # below the exact (M x)_i
-    if not np.all(floor > 0):
-        return None
-    slack = max(float(np.max((allowance - r) / floor)), 0.0)
-    mu = lam - slack * (1 + 4 * eps) - 4 * eps * abs(lam)
-    # Z-matrix: every off-diagonal of A - mu M is <= 0, net of its rounding.
-    # upper = (A - mu M) + 4 eps (|A| + |mu| |M|), formed in the buffers of
-    # |M| and |A|, whose products are done
-    upper = absM.data
-    upper *= abs(mu)
-    upper += absA.data
-    upper *= 4 * eps
-    upper += np.subtract(A.data, np.multiply(mu, M.data, out=absA.data), out=absA.data)
-    outer = np.repeat(np.arange(A.shape[0], dtype=idx), np.diff(A.indptr))  # the row (CSR) or column (CSC)
-    if np.any((upper > 0) & (outer != A.indices)):
-        return None
-    return float(mu)

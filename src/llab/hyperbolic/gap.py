@@ -43,6 +43,7 @@ from llab.hyperbolic.eigensolve import (
     stiffness_lu,
 )
 from llab.hyperbolic import mesh as mesh_mod
+from llab.hyperbolic.bounds import lower_bound_gate
 from llab.hyperbolic.assembly import assemble_hodge_laplacian, stiffness_p1
 from llab.hyperbolic.mesh import DiscMesh
 from llab.hyperbolic.oracle import SHOOTING_LAMBDA1
@@ -254,17 +255,15 @@ def gromov_bound_report(n: int, k: int, theta_sup: float = 1.0) -> dict:
 
 
 def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8) -> SpectralResult:
-    """Certified smallest Dirichlet eigenvalue of the degree-k Laplacian.
+    """Smallest Dirichlet eigenvalue of the degree-k Laplacian's pencil,
+    with its residual certificate.
 
     The solve is LOBPCG (`eigensolve.smallest_eigenpairs`) preconditioned
     with the LU of the mesh's own stiffness matrix, and `iterations` counts
     its steps; a singular stiffness matrix raises EigenNonConvergence at its
-    factorization.  k = 0 starts from the constant vector and stops only
-    once `ground_state_lower` proves, within rel_tol, that the returned
-    eigenvalue is the pencil's smallest; that bound is reported.  k = 1
-    starts from the solver's fixed-seed draw (`eigensolve._SEED`), the only
-    random draw of a k = 1 sweep, stops on its residual alone and carries
-    no lower bound.
+    factorization.  Either degree stops on its residual alone.  k = 0
+    starts from the constant vector; k = 1 from the solver's fixed-seed
+    draw (`eigensolve._SEED`), the only random draw of a k = 1 sweep.
 
     derived_bound carries gromov_bound(1, k) for k != 1 (the surface is
     n = 1; theta has measured sup norm 1) and None at the middle degree.
@@ -291,8 +290,8 @@ def _coarser_meshes(R: float, h: float) -> list[DiscMesh]:
 
 
 def _ring_ground_states(R: float, h_values, rel_tol: float):
-    """Yield (mesh, result) for each k = 0 row of R, from the coarsest h
-    to the finest.
+    """Yield (mesh, result, gate) for each k = 0 row of R, from the coarsest
+    h to the finest.
 
     The ring meshes of R are walked coarse to fine: first
     `_coarser_meshes` below the sweep, which only precondition and get
@@ -303,10 +302,20 @@ def _ring_ground_states(R: float, h_values, rel_tol: float):
     (solver "lu", else "multigrid"), started from the previous row's ground
     state, prolonged, or from the constant vector.  A row whose V-cycle
     solve fails is solved again, from the same start, on its own LU.
+
+    gate is R's record of `bounds.lower_bound_gate`, which tries each mesh
+    of the walk, from the coarsest, until one proves lambda_1(B_R) >= b,
+    b = gromov_bound(1, 0): {bound: b, certified, meshes: the record of
+    each mesh tried}.  It is one dict, complete once the walk ends.
     """
+    bound = gromov_bound(1, 0, 1.0)
+    gate = {"bound": bound, "certified": False, "meshes": []}
     levels, lu, below, x = [], None, None, None  # levels finest first
     rows = (mesh_mod.build_disc_mesh(R, h) for h in sorted(h_values, reverse=True))
     for mesh in itertools.chain(_coarser_meshes(R, max(h_values)), rows):
+        if not gate["certified"]:
+            gate["meshes"].append(lower_bound_gate(mesh, bound))
+            gate["certified"] = gate["meshes"][-1]["status"] == "certified"
         row = mesh.h in h_values
         A, M = assemble_hodge_laplacian(mesh, 0) if row else (stiffness_p1(mesh, mesh.interior), None)
         if below is None:
@@ -324,13 +333,12 @@ def _ring_ground_states(R: float, h_values, rel_tol: float):
             if not levels:  # that was this mesh's own LU
                 raise
             result, x = _solved(mesh, 0, A, M, stiffness_lu(A).solve, x0, rel_tol, "lu")
-        yield mesh, result
+        yield mesh, result, gate
 
 
 def _solved(mesh, k, A, M, precondition, x0, rel_tol, solver) -> tuple[SpectralResult, np.ndarray]:
-    """(result, eigenvector) of `smallest_eigenpairs` on the degree-k pencil
-    (A, M); at k = 0 the result carries the lower bound its stop rule proved."""
-    lam, x, steps, lower, res = smallest_eigenpairs(A, M, precondition, x0, rel_tol, ground_state=k == 0)
+    """(result, eigenvector) of `smallest_eigenpairs` on the degree-k pencil (A, M)."""
+    lam, x, steps, res = smallest_eigenpairs(A, M, precondition, x0, rel_tol)
     bound = None
     if mesh.metric == "hyperbolic" and k != 1:
         bound = gromov_bound(1, k, 1.0)
@@ -342,7 +350,6 @@ def _solved(mesh, k, A, M, precondition, x0, rel_tol, solver) -> tuple[SpectralR
         n_dofs=A.shape[0],
         rel_tol=rel_tol,
         derived_bound=bound,
-        ground_state_lower=lower,
         solver=solver,
     )
     return result, x
@@ -354,12 +361,18 @@ def gap_sweep(
     k: int = 0,
     rel_tol: float = 1e-8,
 ) -> dict:
-    """lambda_1 over an (R, h) grid with Richardson extrapolation per R.
+    """lambda_1 over an (R, h) grid: P1 estimates with Richardson
+    extrapolation per R and, at k = 0, a proven lower bound per R.
 
-    Rows carry the certified eigenvalue, the shooting oracle when R is in
-    the frozen table, and the derived bound.  With >= 2 mesh sizes per R
-    the h -> 0 limit is extrapolated (measured order when >= 3 sizes are
-    log-uniform, otherwise the P1 rate 2).
+    Rows carry the P1 eigenvalue, the shooting oracle when R is in the
+    frozen table, and the derived bound.  A P1 eigenvalue lies above the
+    continuum lambda_1, so it and its extrapolation are estimates.  With
+    >= 2 mesh sizes per R the h -> 0 limit is extrapolated (measured order
+    when >= 3 sizes are log-uniform, otherwise the P1 rate 2).  At k = 0,
+    "lower_bound" holds for each R the record of the gate that proves
+    lambda_1(B_R) >= gromov_bound(1, 0) on a polygon enclosing B_R
+    (`bounds.lower_bound_gate`, run by `_ring_ground_states` on R's meshes
+    from the coarsest until one certifies); it is empty at k = 1.
 
     Every row is one LOBPCG solve (`smallest_eigenpairs`).  At k = 0 the
     rows of each R are solved from the coarsest h to the finest by
@@ -367,23 +380,21 @@ def gap_sweep(
     a mesh has at most `_BOTTOM_VERTICES` predicted vertices, until 2h >= R,
     or until the next mesh fails its quality check; those meshes only
     precondition and are neither solved nor reported.  The coarsest mesh of
-    R is the only one factored, and every row takes the multigrid V-cycle
+    R is the only one whose stiffness matrix is factored, and every row takes the multigrid V-cycle
     through the meshes coarser than it down to that LU: on the coarsest
     mesh, the LU solve itself (solver "lu"), elsewhere "multigrid".  A
     row starts from the previous row's ground state, prolonged, or from the
     constant vector, and a row whose V-cycle solve fails is solved again on
     its own LU.  So a row's numbers do not depend on the order of h_values,
     and rows are reported in that order.  Every k = 1 row is solved on its
-    own LU (`dirichlet_lambda1`).  A k = 0 solve stops only on a residual
-    below rel_tol * lambda and a proven lower bound within rel_tol of
-    lambda, which the row carries as `ground_state_lower` (None at k = 1);
-    a k = 1 solve stops on the residual alone.  "iterations" counts the
-    row's one solve's steps.  A singular stiffness matrix raises
-    EigenNonConvergence where it is factored.  Raises ValueError, before
-    any mesh is built, on an empty list of R or of h, an R or h that is
-    not finite and positive, a repeated R or h, a rel_tol outside (0, 1),
-    or an (R, h) pair that `mesh.check_disc_request` refuses: out of range
-    or over the vertex budget, whatever the order of h_values.
+    own LU (`dirichlet_lambda1`).  Every solve stops on a residual below
+    rel_tol * lambda.  "iterations" counts the row's one solve's steps.  A
+    singular stiffness matrix raises EigenNonConvergence where it is
+    factored.  Raises ValueError, before any mesh is built, on an empty
+    list of R or of h, an R or h that is not finite and positive, a
+    repeated R or h, a rel_tol outside (0, 1), or an (R, h) pair that
+    `mesh.check_disc_request` refuses: out of range or over the vertex
+    budget, whatever the order of h_values.
 
     "finest_mesh" holds the (max R, min h) mesh, with what its solve
     derived from it, for callers that measure more on it; it is not JSON
@@ -405,6 +416,7 @@ def gap_sweep(
         for h in h_values:
             mesh_mod.check_disc_request(R, h)
     rows = []
+    gates = {}
     per_R: dict[float, list[tuple[float, float]]] = {}
     R_star, h_star = max(R_values), min(h_values)
     finest_mesh = None
@@ -413,10 +425,12 @@ def gap_sweep(
             solves = _ring_ground_states(R, h_values, rel_tol)
         else:  # built through its module, so a wrapped build_disc_mesh is the one called
             meshes = map(partial(mesh_mod.build_disc_mesh, R), h_values)
-            solves = ((mesh, dirichlet_lambda1(mesh, k, rel_tol)) for mesh in meshes)
+            solves = ((mesh, dirichlet_lambda1(mesh, k, rel_tol), None) for mesh in meshes)
         results = {}
-        for mesh, result in solves:
+        for mesh, result, gate in solves:
             results[mesh.h] = result
+            if gate is not None:
+                gates[float(R)] = gate
             if R == R_star and mesh.h == h_star:
                 finest_mesh = mesh
         for h in h_values:
@@ -436,7 +450,6 @@ def gap_sweep(
                     "oracle": oracle,
                     "rel_err_vs_oracle": (abs(lam - oracle) / oracle) if oracle else None,
                     "derived_bound": result.derived_bound,
-                    "ground_state_lower": result.ground_state_lower,
                 }
             )
             per_R.setdefault(float(R), []).append((float(h), lam))
@@ -466,4 +479,6 @@ def gap_sweep(
             "oracle": oracle,
             "rel_err_vs_oracle": (abs(lam_ext - oracle) / oracle) if oracle else None,
         }
-    return {"rows": rows, "extrapolation": extrapolation, "k": k, "finest_mesh": finest_mesh}
+    return {
+        "rows": rows, "extrapolation": extrapolation, "lower_bound": gates, "k": k, "finest_mesh": finest_mesh,
+    }

@@ -166,6 +166,21 @@ def _hyperbolic_residuals(rows: list) -> dict[str, float]:
     return {f"R{r['R']}.h{r['h']}": r["residual"] / r["lambda1"] for r in rows}
 
 
+def failure_notes(payload: dict) -> list[str]:
+    """For a hyperbolic report, one line per R whose lower-bound gate
+    certified no mesh: the check's name and the status of each mesh tried,
+    which names the smallest pivot when a pivot failed.  None for the
+    other suites."""
+    if payload["suite"] != "hyperbolic":
+        return []
+    return [
+        f"above_derived_bound: R = {R}: "
+        + "; ".join(f"h = {m['h']}: {m['status']}" for m in gate["meshes"])
+        for R, gate in payload["sweep"]["lower_bound"].items()
+        if not gate["certified"]
+    ]
+
+
 def worst_cell(payload: dict) -> tuple[str, float] | None:
     """The cell that sets a suite report's max_residual, and its residual;
     None when the suite checked nothing."""
@@ -352,8 +367,11 @@ def hyperbolic_suite(
     residual (residual / lambda1) over the sweep, gated by tol.  Its checks
     are the derivation's proofs, theta's sup norm and Stokes defect, the
     cross term's premise |df|_g <= eps at the pairing's quadrature points,
-    lambda1 against the derived bound, and the extrapolation against the
-    oracle; the annulus table is data.  The suite takes no seed: at k = 0
+    lambda_1(B_R) >= the derived bound, proven for each R on a polygon
+    enclosing B_R (`above_derived_bound`, k = 0 only), and the
+    extrapolation against the oracle.  The P1 lambda1 of each row and its
+    Richardson extrapolation are estimates, from above, not bounds; the
+    annulus table is data.  The suite takes no seed: at k = 0
     its one draw is the derivation's fixed-seed arena triple, and at k = 1
     the eigensolver's fixed-seed start is the other."""
     from llab.hyperbolic import (
@@ -397,10 +415,10 @@ def hyperbolic_suite(
         # the premise of C_sqrtf <= 2, up to rounding
         "crossterm_within_proved_bound": bool(cross["max_df_over_eps"] <= 1.0 + 1e-9),
     }
-    # absent, not vacuously True, when no row carries a derived bound (k = 1)
-    bounded = [r for r in sweep["rows"] if r["derived_bound"] is not None]
-    if bounded:
-        checks["above_derived_bound"] = all(r["lambda1"] >= r["derived_bound"] for r in bounded)
+    # proven per R on a polygon enclosing B_R; absent, not vacuously True,
+    # when no R ran the gate (k = 1)
+    if sweep["lower_bound"]:
+        checks["above_derived_bound"] = all(gate["certified"] for gate in sweep["lower_bound"].values())
     oracle_errs = [
         e["rel_err_vs_oracle"] for e in sweep["extrapolation"].values() if e["rel_err_vs_oracle"] is not None
     ]

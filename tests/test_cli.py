@@ -453,7 +453,7 @@ def test_cli_hyperbolic_h_past_every_ring_count_exits_two_in_one_short_line(tmp_
 
 @pytest.mark.parametrize("k, bounded", [(0, True), (1, False)])
 def test_cli_hyperbolic_checks_the_derived_bound_only_where_a_row_carries_one(tmp_path, capsys, k, bounded):
-    # every k = 1 row has derived_bound None, so a check over them would be
+    # k = 1 runs no lower-bound gate, so a check over the gates would be
     # all() over nothing: it is absent, and the run still warns vacuous
     argv = ["hyperbolic", "--R", "2", "--h", "0.5,0.4", "--k", str(k), "--format", "json,csv"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
@@ -467,6 +467,17 @@ def test_cli_hyperbolic_checks_the_derived_bound_only_where_a_row_carries_one(tm
     assert verdict_from_report(report) == report["passed"] is True
     # k = 1 has no oracle to extrapolate against
     assert body.get("warning") == (None if bounded else "vacuous")
+
+
+def test_cli_hyperbolic_fails_a_lower_bound_that_no_mesh_proves_and_names_its_pivot(capsys):
+    # at R = 6, h = 1.2 the CR bound on the enclosing polygon is 0.225 < 1/4:
+    # a verdict, not an error, so exit 1 and no traceback
+    assert main(["hyperbolic", "--R", "6", "--h", "1.2"]) == 1
+    out, err = capsys.readouterr()
+    status, note = out.splitlines()
+    assert status.startswith("[FAIL]") and "; failed: above_derived_bound; config " in status
+    assert note == "above_derived_bound: R = 6.0: h = 1.2: not certified: a pivot <= 0 (smallest -5.53)"
+    assert "Traceback" not in out + err
 
 
 def test_cli_hyperbolic_eps_above_one_exits_two_and_names_it(tmp_path, capsys):

@@ -38,7 +38,6 @@ from llab.hyperbolic.assembly import (
 from llab.hyperbolic.eigensolve import (
     EigenNonConvergence,
     grid_level,
-    ground_state_lower,
     multigrid_preconditioner,
     smallest_eigenpairs,
     stiffness_lu,
@@ -581,8 +580,7 @@ def test_an_explicit_pencil_on_its_own_lu_matches_eigh(rng):
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     A = sp.csr_matrix(Q @ np.diag(np.linspace(1, 50, n)) @ Q.T)
     M = sp.identity(n, format="csr")
-    lam, x, _, lower, res = smallest_eigenpairs(A, M, stiffness_lu(A).solve)
-    assert lower is None  # proven only for a ground state
+    lam, x, _, res = smallest_eigenpairs(A, M, stiffness_lu(A).solve)
     ref = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
     assert lam == pytest.approx(ref, rel=1e-10)
     assert x.shape == (n,)
@@ -601,7 +599,7 @@ def test_the_smallest_sweep_rows_take_the_lobpcg_route():
         lam = row["lambda1"]
         A, M = assemble_hodge_laplacian(build_disc_mesh(2.0, row["h"]), 0)
         assert lam == pytest.approx(scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0], rel=1e-10)
-        assert 0 <= lam - row["ground_state_lower"] <= rel_tol * lam
+        assert row["residual"] < rel_tol * lam
 
 
 def test_a_one_dof_pencil_returns_at_step_0_with_its_proof():
@@ -614,7 +612,7 @@ def test_a_one_dof_pencil_returns_at_step_0_with_its_proof():
     assert (result.n_dofs, result.solver, result.iterations) == (1, "lu", 0)
     lam = result.eigenvalue
     assert lam == pytest.approx(A[0, 0] / M[0, 0], rel=1e-15)
-    assert 0 <= lam - result.ground_state_lower <= result.rel_tol * lam
+    assert result.residual < result.rel_tol * lam
 
 
 def test_a_singular_pencil_is_refused_at_its_factorization(monkeypatch, capsys):
@@ -681,24 +679,17 @@ def test_lobpcg_ground_state_stops_only_on_a_proof(small_mesh):
     T = multigrid_preconditioner([grid_level(A, P)], scipy.sparse.linalg.splu(Ac.tocsc()))
     exact = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
     ones = np.ones(A.shape[0])
-    # from the constant vector, a long way from the ground state
-    lam, x, steps, lower, res = smallest_eigenpairs(A, M, T, ones, ground_state=True)
+    # from the constant vector, a long way from the ground state: the proof
+    # is the residual, recomputed from the x returned
+    lam, x, steps, res = smallest_eigenpairs(A, M, T, ones)
     assert lam == pytest.approx(exact, rel=1e-12)
     assert res == np.linalg.norm(A @ x - lam * (M @ x)) / np.linalg.norm(x) < 1e-8 * lam
-    # the bound the stop rule proved is returned: the proof run again on
-    # the returned pair gives it to the last bit
-    assert lower == ground_state_lower(A, M, lam, x)
-    assert lower <= exact and (lam - lower) / lam <= 1e-8
     # one step short of that, it refuses, carrying its estimate
-    with pytest.raises(EigenNonConvergence) as exc:
-        smallest_eigenpairs(A, M, T, ones, maxiter=steps - 1, ground_state=True)
+    with pytest.raises(EigenNonConvergence, match="residual certificates not met") as exc:
+        smallest_eigenpairs(A, M, T, ones, maxiter=steps - 1)
     assert exc.value.iterations == steps - 1
     assert exc.value.eigenvalue == pytest.approx(exact, rel=1e-6)
-    # at rel_tol = 1e-13 the residual gets below it, but the proof's
-    # rounding allowance leaves a gap near 5e-13: no proof, no result
-    with pytest.raises(EigenNonConvergence, match="no ground state proven"):
-        smallest_eigenpairs(A, M, T, x, rel_tol=1e-13, maxiter=20, ground_state=True)
-    # without the proof, the residual alone stops it
+    # at rel_tol = 1e-13 the residual alone stops it too
     assert smallest_eigenpairs(A, M, T, x, rel_tol=1e-13, maxiter=20)[2] < 20
 
 
@@ -733,49 +724,6 @@ def test_multigrid_v_cycle_is_the_two_grid_cycle_on_one_level_and_symmetric_on_t
     r0 = U[0].copy()
     T(U[0])
     assert np.array_equal(U[0], r0)
-
-
-def _ground_pair(A, M, pairs=1):
-    return scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, pairs - 1])
-
-
-@pytest.mark.parametrize("which", ["small_mesh", "square12"])
-def test_ground_state_lower_brackets_the_smallest_eigenvalue(request, which):
-    mesh = request.getfixturevalue(which) if which == "small_mesh" else square_patch(12)
-    A, M = assemble_hodge_laplacian(mesh, 0)
-    lams, X = _ground_pair(A, M)
-    lower = ground_state_lower(A, M, lams[0], X[:, 0])
-    exact = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
-    assert lower is not None
-    assert lower <= exact <= lams[0] * (1 + 1e-13)
-    assert 0 <= (lams[0] - lower) / lams[0] < 1e-6
-    # the sign of the vector is immaterial
-    assert ground_state_lower(A, M, lams[0], -X[:, 0]) == lower
-
-
-def test_ground_state_lower_refuses_what_it_cannot_prove(small_mesh):
-    A, M = assemble_hodge_laplacian(small_mesh, 0)
-    lams, X = _ground_pair(A, M, pairs=2)
-    # the second eigenvector changes sign: no certificate
-    assert ground_state_lower(A, M, lams[1], X[:, 1]) is None
-    # one off-diagonal pair of A made positive, beyond what lambda M offsets
-    # there: the ground state stays positive, but A - mu M is no Z-matrix
-    bad = A.copy()
-    i, j = int(A.indices[A.indptr[0] + 1]), 0  # dof 0 and a neighbour
-    assert i != j and A[i, j] < 0
-    bad[i, j] = bad[j, i] = 3 * lams[0] * M[i, j]
-    assert np.array_equal(bad.indices, A.indices)  # the pattern is unchanged
-    bad_M = sp.csr_matrix((M.data, bad.indices, bad.indptr), shape=M.shape)
-    lam_b, X_b = _ground_pair(bad, bad_M)
-    x = X_b[:, 0] * np.sign(X_b[:, 0].sum())
-    assert np.all(x > 0)
-    assert ground_state_lower(bad, bad_M, lam_b[0], X_b[:, 0]) is None
-    # an asymmetric pencil proves nothing either
-    skew = A.copy()
-    skew[i, j] = 0.5 * skew[i, j]
-    assert ground_state_lower(skew, M, lams[0], X[:, 0]) is None
-    with pytest.raises(ValueError, match="pattern"):
-        ground_state_lower(A, sp.identity(A.shape[0], format="csr"), lams[0], X[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ MUTANTS = {
                      "sign = -1", "sign = 1"),
     "crossterm_within_proved_bound": ("cutoff with |df| = 1.1 eps", "hyperbolic", "llab.hyperbolic.forms",
                                       "_cutoff_df", "-eps * base", "-1.1 * eps * base"),
-    "above_derived_bound": ("bound read at sup|theta| = 0.1", "hyperbolic", "llab.hyperbolic.gap", "_solved",
-                            "gromov_bound(1, k, 1.0)", "gromov_bound(1, k, 0.1)"),
+    "above_derived_bound": ("bound read at sup|theta| = 0.1", "hyperbolic", "llab.hyperbolic.gap",
+                            "_ring_ground_states", "gromov_bound(1, 0, 1.0)", "gromov_bound(1, 0, 0.1)"),
     "oracle_agreement_3pct": ("oracle 5% off", "hyperbolic", "llab.hyperbolic.gap", "gap_sweep",
                               "oracle = SHOOTING_LAMBDA1.get(R) if", "oracle = 1.05 * SHOOTING_LAMBDA1.get(R) if"),
 }
