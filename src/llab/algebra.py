@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple
@@ -550,7 +551,10 @@ class Ops:
     """
 
     def __init__(self, t: CompatibleTriple):
-        self.t = t
+        # a proxy: the triple holds its bundle, and a plain reference back
+        # would make a cycle that only the garbage collector frees, keeping a
+        # dropped triple's blocks alive until a full collection runs
+        self.t = weakref.proxy(t)
         self.dim = 2 * t.n
         self.size = 1 << self.dim
         self._blocks: dict = {}
@@ -819,15 +823,26 @@ def weil_operator(a: KForm, t: CompatibleTriple) -> KForm:
 # JSON wire format
 # ---------------------------------------------------------------------------
 
-def form_to_json(a: KForm) -> dict:
-    """`{"n":, "k":, "coeffs": [{"idx": [...], "re":, "im":}]}`; exact floats."""
+def _wire_data(a: KForm) -> np.ndarray:
+    """The coefficients the wire format writes of `a`: a.data for a single
+    form; a batch, which the format cannot hold, is a ValueError."""
     if a.data.ndim != 1:
         raise ValueError(f"the wire format holds one form, got a batch of {a.data.shape[1]}")
+    return a.data
+
+
+def form_to_json(a: KForm) -> dict:
+    """`{"n":, "k":, "coeffs": [{"idx": [...], "re":, "im":}]}`; exact floats.
+
+    One entry per nonzero coefficient, in basis order.  A KForm is also a
+    value of the report writer (`reports.dump_json_deterministic`), which
+    writes the text of this dict straight from a.data."""
+    data = _wire_data(a)
     indices = _basis_indices(2 * a.n, a.k)
-    nz = np.flatnonzero(a.data)
+    nz = np.flatnonzero(data)
     coeffs = [
         {"idx": list(indices[i]), "re": re, "im": im}
-        for i, re, im in zip(nz.tolist(), a.data.real[nz].tolist(), a.data.imag[nz].tolist())
+        for i, re, im in zip(nz.tolist(), data.real[nz].tolist(), data.imag[nz].tolist())
     ]
     return {"n": a.n, "k": a.k, "coeffs": coeffs}
 

@@ -75,6 +75,11 @@ def decompose_file(in_path, out_path) -> dict:
     Input: {"triple": {...} | {"standard": n}, "form": {n, k, coeffs}}.
     Output carries the Lefschetz components (with primitivity residuals)
     and the bidegree components, each with reconstruction residuals.
+
+    The document written holds the KForms themselves, which
+    `dump_json_deterministic` writes from their arrays as `form_to_json`
+    would; the dict returned is the same document with every form
+    converted by `form_to_json`, so `json.loads` of the file equals it.
     """
     from llab.algebra import (
         form_from_json,
@@ -106,17 +111,15 @@ def decompose_file(in_path, out_path) -> dict:
             continue  # structurally absent level
         lam = dual_lefschetz(beta, t)
         lef_out[str(r)] = {
-            "form": form_to_json(beta),
+            "form": beta,
             "primitivity_residual": float(np.max(np.abs(lam.data), initial=0.0)) / scale,
             "is_primitive": bool(_primitivity(beta, lam, t, tol=1e-9)),
         }
 
     big = pq_decompose(a, t)
-    big_out = {
-        f"{p},{q}": form_to_json(c) for (p, q), c in sorted(big.components.items()) if np.any(c.data)
-    }
+    big_out = {f"{p},{q}": c for (p, q), c in sorted(big.components.items()) if np.any(c.data)}
     out = {
-        "input": {"form": form_to_json(a), "n": n, "k": k},
+        "input": {"form": a, "n": n, "k": k},
         "lefschetz_components": lef_out,
         "bidegree_components": big_out,
         "reconstruction_residuals": {
@@ -125,6 +128,10 @@ def decompose_file(in_path, out_path) -> dict:
         },
     }
     Path(out_path).write_bytes(dump_json_deterministic(out))
+    out["input"]["form"] = form_to_json(a)
+    for comp in lef_out.values():
+        comp["form"] = form_to_json(comp["form"])
+    out["bidegree_components"] = {key: form_to_json(c) for key, c in big_out.items()}
     return out
 
 

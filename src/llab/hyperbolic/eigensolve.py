@@ -46,7 +46,6 @@ class SpectralResult:
     iterations: int
     n_dofs: int
     rel_tol: float
-    derived_bound: float | None = None
     solver: str = "lu"  # the preconditioner: "lu" (the pencil's own LU) or "multigrid"
 
 

@@ -264,15 +264,12 @@ def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8) -> Spectral
     factorization.  Either degree stops on its residual alone.  k = 0
     starts from the constant vector; k = 1 from the solver's fixed-seed
     draw (`eigensolve._SEED`), the only random draw of a k = 1 sweep.
-
-    derived_bound carries gromov_bound(1, k) for k != 1 (the surface is
-    n = 1; theta has measured sup norm 1) and None at the middle degree.
     """
     A, M = assemble_hodge_laplacian(mesh, k)
     # the Dirichlet ground state of the scalar Laplacian is positive, so the
     # constant vector leans on it far more than a random one does
     x0 = np.ones(A.shape[0]) if k == 0 else None
-    return _solved(mesh, k, A, M, stiffness_lu(A).solve, x0, rel_tol, "lu")[0]
+    return _solved(k, A, M, stiffness_lu(A).solve, x0, rel_tol, "lu")[0]
 
 
 def _coarser_meshes(R: float, h: float) -> list[DiscMesh]:
@@ -327,21 +324,18 @@ def _ring_ground_states(R: float, h_values, rel_tol: float):
             continue
         x0 = np.ones(A.shape[0]) if x is None else levels[0].P @ x
         try:
-            result, x = _solved(mesh, 0, A, M, multigrid_preconditioner(levels, lu), x0, rel_tol,
+            result, x = _solved(0, A, M, multigrid_preconditioner(levels, lu), x0, rel_tol,
                                 "multigrid" if levels else "lu")
         except EigenNonConvergence:
             if not levels:  # that was this mesh's own LU
                 raise
-            result, x = _solved(mesh, 0, A, M, stiffness_lu(A).solve, x0, rel_tol, "lu")
+            result, x = _solved(0, A, M, stiffness_lu(A).solve, x0, rel_tol, "lu")
         yield mesh, result, gate
 
 
-def _solved(mesh, k, A, M, precondition, x0, rel_tol, solver) -> tuple[SpectralResult, np.ndarray]:
+def _solved(k, A, M, precondition, x0, rel_tol, solver) -> tuple[SpectralResult, np.ndarray]:
     """(result, eigenvector) of `smallest_eigenpairs` on the degree-k pencil (A, M)."""
     lam, x, steps, res = smallest_eigenpairs(A, M, precondition, x0, rel_tol)
-    bound = None
-    if mesh.metric == "hyperbolic" and k != 1:
-        bound = gromov_bound(1, k, 1.0)
     result = SpectralResult(
         k=k,
         eigenvalue=lam,
@@ -349,7 +343,6 @@ def _solved(mesh, k, A, M, precondition, x0, rel_tol, solver) -> tuple[SpectralR
         iterations=steps,
         n_dofs=A.shape[0],
         rel_tol=rel_tol,
-        derived_bound=bound,
         solver=solver,
     )
     return result, x
@@ -364,11 +357,11 @@ def gap_sweep(
     """lambda_1 over an (R, h) grid: P1 estimates with Richardson
     extrapolation per R and, at k = 0, a proven lower bound per R.
 
-    Rows carry the P1 eigenvalue, the shooting oracle when R is in the
-    frozen table, and the derived bound.  A P1 eigenvalue lies above the
-    continuum lambda_1, so it and its extrapolation are estimates.  With
-    >= 2 mesh sizes per R the h -> 0 limit is extrapolated (measured order
-    when >= 3 sizes are log-uniform, otherwise the P1 rate 2).  At k = 0,
+    Rows carry the P1 eigenvalue and the shooting oracle when R is in the
+    frozen table.  A P1 eigenvalue lies above the continuum lambda_1, so it
+    and its extrapolation are estimates.  With >= 2 mesh sizes per R the
+    h -> 0 limit is extrapolated (measured order when >= 3 sizes are
+    log-uniform, otherwise the P1 rate 2).  At k = 0,
     "lower_bound" holds for each R the record of the gate that proves
     lambda_1(B_R) >= gromov_bound(1, 0) on a polygon enclosing B_R
     (`bounds.lower_bound_gate`, run by `_ring_ground_states` on R's meshes
@@ -449,7 +442,6 @@ def gap_sweep(
                     "iterations": result.iterations,
                     "oracle": oracle,
                     "rel_err_vs_oracle": (abs(lam - oracle) / oracle) if oracle else None,
-                    "derived_bound": result.derived_bound,
                 }
             )
             per_R.setdefault(float(R), []).append((float(h), lam))

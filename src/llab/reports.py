@@ -24,6 +24,10 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
+from llab import algebra
+
 CSV_SCHEMA_VERSION = 1
 CSV_COLUMNS = ("schema_version", "suite", "group", "name", "value")
 
@@ -140,8 +144,8 @@ class ReportBundle:
 
 
 def _json_default(o):
-    import numpy as np
-
+    if isinstance(o, algebra.KForm):
+        return algebra.form_to_json(o)
     if isinstance(o, (np.integer,)):
         return int(o)
     if isinstance(o, (np.floating,)):
@@ -158,7 +162,9 @@ def dump_json_deterministic(obj: dict) -> bytes:
 
     The bytes of `json.dumps(obj, sort_keys=True, indent=2,
     default=_json_default) + "\\n"`, written without the pure-Python encoder
-    that `indent` selects in the standard library.
+    that `indent` selects in the standard library.  A single KForm anywhere
+    in `obj` is written as `form_to_json` of it, straight from its array
+    (`_write_form`); a batch raises form_to_json's ValueError.
     """
     parts: list[str] = []
     _write_json(obj, parts, "\n")
@@ -207,8 +213,6 @@ def _write_json(o, parts: list, nl: str) -> None:
         if not o:
             parts.append("[]")
             return
-        if type(o) is list and _write_coefficients(o, parts, nl):
-            return
         inner = nl + "  "
         parts.append("[")
         for i, v in enumerate(o):
@@ -225,52 +229,65 @@ def _write_json(o, parts: list, nl: str) -> None:
             parts.append(("," + inner if i else inner) + _key_str(key) + ": ")
             _write_json(v, parts, inner)
         parts.append(nl + "}")
+    elif isinstance(o, algebra.KForm):
+        _write_form(o, parts, nl)
     else:
         _write_json(_json_default(o), parts, nl)
 
 
-def _write_coefficients(o: list, parts: list, nl: str) -> bool:
-    """Write `o`, a list of form coefficients `{"idx": [int, ...], "im": float,
-    "re": float}` with finite floats, in one loop that checks each entry and
-    writes it from its cached texts; False, writing nothing, if any item is
-    something else.  Coefficient lists make up most of a decompose output,
-    and the cached texts spare the generic writer's key sort and per-item
-    calls on each entry."""
+def _write_form(a, parts: list, nl: str) -> None:
+    """Append the text of `algebra.form_to_json(a)` at `nl`, written from
+    a.data without building it: one pass finds the nonzero coefficients,
+    then each is written as its basis element's cached head and the two
+    float texts.  A batch raises form_to_json's ValueError."""
+    data = algebra._wire_data(a)
     inner = nl + "  "
-    mid, tail = f',{inner}  "re": ', inner + "}"
-    texts, indices = [], []
-    try:
-        for v in o:
-            if type(v) is not dict or len(v) != 3:
-                return False
-            idx, im, re = v.get("idx"), v.get("im"), v.get("re")
-            if not (type(idx) is list and type(im) is float and type(re) is float
-                    and math.isfinite(im) and math.isfinite(re)):
-                return False
-            indices.append(idx)
-            texts.append(f"{_coefficient_head(inner, tuple(idx))}{im!r}{mid}{re!r}{tail}")
-    except TypeError:  # indices that are not all ints, and not cached
-        return False
-    # an index tuple keys the cache, and (True,) == (1,) == (1.0,): a bool or
-    # float index may have read an int entry's text, so only exact ints pass
-    if not {*map(type, itertools.chain.from_iterable(indices))} <= {int}:
-        return False
-    parts.append("[" + inner + ("," + inner).join(texts) + nl + "]")
-    return True
+    nz = data.nonzero()[0]  # np.flatnonzero of a 1-D array, without its ravel
+    if nz.size:
+        opening, heads, mid, sep, closing = _form_frame(2 * a.n, a.k, nl)
+        values = data[nz]
+        re, im = values.real.tolist(), values.imag.tolist()
+        # a sum is not finite if a term is not; a finite sum that overflows
+        # only sends finite values through the exact, slower _float_str
+        text = float.__repr__ if math.isfinite(sum(re) + sum(im)) else _float_str
+        parts.append(opening)
+        parts.extend(itertools.chain.from_iterable(zip(
+            map(heads.__getitem__, nz.tolist()), map(text, im), itertools.repeat(mid), map(text, re),
+            itertools.repeat(sep),
+        )))
+        parts[-1] = closing  # in place of the last separator
+    else:
+        parts.append("{" + inner + '"coeffs": [],')
+    parts.append(inner + '"k": ')
+    _write_json(a.k, parts, inner)
+    parts.append("," + inner + '"n": ')
+    _write_json(a.n, parts, inner)
+    parts.append(nl + "}")
 
 
-@functools.lru_cache(maxsize=4096)
-def _coefficient_head(nl: str, idx: tuple) -> str:
-    """The text of a coefficient entry at indent `nl` up to its "im" value;
-    TypeError, which the cache keeps no entry for, unless every index is an
-    exact int."""
-    if not {*map(type, idx)} <= {int}:
-        raise TypeError("coefficient indices must be ints")
+@functools.lru_cache(maxsize=256)
+def _form_frame(dim: int, k: int, nl: str) -> tuple[str, tuple[str, ...], str, str, str]:
+    """The fixed texts of a degree-k form on R^dim written at `nl`:
+    (opening up to the first coefficient entry, the head of each basis
+    element's entry up to its "im" value, the text between "im" and "re",
+    the text between two entries, the text after the last entry up to the
+    "k" line)."""
     inner = nl + "  "
-    parts = ["{" + inner + '"idx": ']
-    _write_json(list(idx), parts, inner)
-    parts.append("," + inner + '"im": ')
-    return "".join(parts)
+    entry = inner + "  "
+    member = entry + "  "
+    heads = []
+    for idx in algebra._basis_indices(dim, k):
+        head = ["{" + member + '"idx": ']
+        _write_json(list(idx), head, member)
+        head.append("," + member + '"im": ')
+        heads.append("".join(head))
+    return (
+        "{" + inner + '"coeffs": [' + entry,
+        tuple(heads),
+        "," + member + '"re": ',
+        entry + "}," + entry,
+        entry + "}" + inner + "],",
+    )
 
 
 def _csv_value(v) -> str:
@@ -297,12 +314,9 @@ def flatten_residuals(suite: str, payload: dict) -> list[tuple[str, str, object]
         elif isinstance(node, (int, float, bool, str)) or node is None:
             group, _, name = path.rpartition(".")
             rows.append((group, name, node))
-        else:
-            import numpy as np
-
-            if isinstance(node, (np.integer, np.floating, np.bool_)):
-                group, _, name = path.rpartition(".")
-                rows.append((group, name, node.item()))
+        elif isinstance(node, (np.integer, np.floating, np.bool_)):
+            group, _, name = path.rpartition(".")
+            rows.append((group, name, node.item()))
 
     walk(payload, "")
     return rows

@@ -174,15 +174,16 @@ def test_a_scaled_wedge_fails_only_the_weitzenbock_link(mutant):
 def test_dirichlet_lambda1_k0(small_mesh):
     res = dirichlet_lambda1(small_mesh, k=0)
     assert res.k == 0
-    assert res.derived_bound == 0.25
     assert res.eigenvalue == pytest.approx(SHOOTING_LAMBDA1[2.0], rel=3e-2)
-    assert res.eigenvalue > res.derived_bound
+    assert res.eigenvalue > gromov_bound(1, 0)
     assert res.residual < res.rel_tol * res.eigenvalue
 
 
 def test_dirichlet_lambda1_k1_no_bound(small_mesh):
     res = dirichlet_lambda1(small_mesh, k=1)
-    assert res.derived_bound is None  # middle degree of the surface
+    # no result carries a bound: the sweep's per-R gate holds the k = 0 one,
+    # and the middle degree of the surface has none
+    assert not hasattr(res, "derived_bound")
     assert res.eigenvalue > 0
 
 
@@ -384,8 +385,8 @@ def test_a_k0_row_is_the_positive_ground_state_of_its_pencil(monkeypatch):
 
     solved = []
 
-    def recording(mesh, k, A, M, *args):
-        result, x = real(mesh, k, A, M, *args)
+    def recording(k, A, M, *args):
+        result, x = real(k, A, M, *args)
         solved.append((A, M, result, x))
         return result, x
 
@@ -607,9 +608,11 @@ def test_gap_sweep_small():
     assert len(out["rows"]) == 2
     for row in out["rows"]:
         assert row["lambda1"] >= 0.25
-        assert row["derived_bound"] == 0.25
+        assert "derived_bound" not in row
         assert row["residual"] < 1e-8 * row["lambda1"]
         assert row["oracle"] == SHOOTING_LAMBDA1[2.0]
+    # the bound the rows are checked against is the gate's, one per R
+    assert out["lower_bound"][2.0]["bound"] == 0.25
     ext = out["extrapolation"][2.0]
     assert ext["order"] == 2.0 and not ext["order_measured"]
     assert ext["oracle"] == pytest.approx(SHOOTING_LAMBDA1[2.0], rel=1e-12)
