@@ -202,16 +202,17 @@ def _run_decompose(args) -> int:
 
 def _suite_config(args) -> SuiteConfig:
     """The SuiteConfig of a suite's command line.  A --seed given to a
-    suite that takes none is left out of it."""
+    suite that takes none is left out of it.  --n enters it ascending, so
+    that its order does not change the config hash."""
     params: dict = {}
     if args.command == "verify-identities":
         params = {
-            "n_values": args.n,
+            "n_values": sorted(args.n),
             "cases": args.cases,
             "cross_cases": args.cross_cases,
         }
     elif args.command == "torus":
-        params = {"n_values": args.n, "N": args.N, "samples": args.samples}
+        params = {"n_values": sorted(args.n), "N": args.N, "samples": args.samples}
     elif args.command == "hyperbolic":
         params = {
             "R_values": args.R,

@@ -55,9 +55,9 @@ class SuiteConfig:
     the semantic content -- and ignores routing: output directory and
     formats.  A tolerance left at None becomes the suite's
     DEFAULT_TOLERANCE; one that is not finite, or negative, is a ValueError.
-    A seed left at None becomes the suite's DEFAULT_SEED; a suite with
-    none (hyperbolic) takes no seed, and its hash and config block carry
-    none.
+    A seed left at None becomes the suite's DEFAULT_SEED; one that is not
+    a non-negative integer is a ValueError.  A suite with none
+    (hyperbolic) takes no seed, and its hash and config block carry none.
     """
 
     suite: str
@@ -76,6 +76,9 @@ class SuiteConfig:
             object.__setattr__(self, "seed", DEFAULT_SEED.get(self.suite))
         elif self.suite in DEFAULT_TOLERANCE and self.suite not in DEFAULT_SEED:
             raise ValueError(f"suite {self.suite} draws nothing a seed chooses: it takes no seed")
+        elif not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            # numpy's own refusal would name neither the seed nor its value
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # 0 is legal and fails every residual; inf or nan would pass vacuously
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")

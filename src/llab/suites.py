@@ -9,7 +9,10 @@ Residuals are max-abs, relative to the input scale.
 The identity suite checks, per (n, k) cell and per random batch, the
 identities implemented once in `llab.lefschetz` as residual operators on
 the degree's basis (or Gram blocks on primitive bases), each built once per
-cell and applied to the batch in one product:
+cell and applied to the batch in one product.  An operator with no nonzero
+entry proves its identity on every form, and scores 0.0 without a product;
+the batch's column scale is computed once, for the first operator that
+needs it.  The identities:
   * Weil relation on primitive forms (star vs Lefschetz power of J(beta))
   * Lambda = star_s L star_s and star_s involutivity
   * Lambda = (-1)^k star L star
@@ -29,7 +32,6 @@ import numpy as np
 
 from llab.algebra import CompatibleTriple, _apply, build_standard_triple, random_compatible_triple
 from llab.lefschetz import (
-    _rel_max,
     commutator_operators,
     cross_term_residual,
     inner_scaling_residuals,
@@ -58,6 +60,32 @@ def _random_batch(rng: np.random.Generator, dim: int, cases: int) -> np.ndarray:
     return out
 
 
+class _Batch:
+    """A seeded batch x and the scale of each column, max(1, max|ref|),
+    ref being x itself or, with `forms`, the forms forms @ x whose
+    coefficients x holds.  The scale, and so the forms, are made once, when
+    the first operator with a nonzero entry is scored."""
+
+    __slots__ = ("x", "_forms", "_scale")
+
+    def __init__(self, x: np.ndarray, forms: np.ndarray | None = None):
+        self.x = x
+        self._forms = forms
+        self._scale = None
+
+    def score(self, R: np.ndarray) -> float:
+        """The worst column of max|R x| / scale, as `_rel_max` gives it.  An
+        operator with no nonzero entry scores 0.0 without a product: R x is
+        exactly zero for every finite x.  A NaN entry counts as nonzero."""
+        if not R.any():
+            return 0.0
+        if self._scale is None:
+            ref = self.x if self._forms is None else _apply(self._forms, self.x)
+            self._scale = np.maximum(np.max(np.abs(ref), axis=0, initial=0.0), 1.0)
+        num = np.max(np.abs(_apply(R, self.x)), axis=0, initial=0.0)
+        return float(np.max(num / self._scale, initial=0.0))
+
+
 def _cell_residuals(
     t: CompatibleTriple,
     n: int,
@@ -69,13 +97,13 @@ def _cell_residuals(
     """All identity residuals for one (triple, degree) cell, each the worst
     column of one seeded batch under the identity's residual operator.  The
     operators are built once per cell; a batch costs one product per
-    identity.  Primitive batches are drawn as coefficients on the primitive
+    identity whose operator has a nonzero entry, and an exactly-zero
+    operator, which proves its identity on every form, scores 0.0 with
+    none.  Primitive batches are drawn as coefficients on the primitive
     basis, and the bilinear identities read them through Gram blocks."""
     out: dict[str, float] = {}
     X = _random_batch(rng, math.comb(2 * n, k), cases)
-
-    def score(R, x=X, ref=X):
-        return _rel_max(_apply(R, x), ref)
+    score = _Batch(X).score
 
     out["symplectic_star_involution"] = score(star_involution_operator(t, k))
     conj = lambda_conjugation_operators(t, k)
@@ -85,18 +113,20 @@ def _cell_residuals(
     levels = [i for i in (1, 2, 3) if k + 2 * i <= 2 * n]  # inside the algebra
     for i, R in commutator_operators(t, k, levels).items():
         out[f"commutator_i{i}"] = score(R)
-    A = X[:, :ROUNDTRIP_CASES]
-    roundtrip = score(roundtrip_operator(t, k), A, A)
+    # the round trip reads the first ROUNDTRIP_CASES forms: X, and X's
+    # scale, unless the batch is larger
+    on_A = score if cases <= ROUNDTRIP_CASES else _Batch(X[:, :ROUNDTRIP_CASES]).score
+    roundtrip = on_A(roundtrip_operator(t, k))
 
     # primitive-only identities, on coefficients b in the primitive basis;
     # the forms P b set each column's scale
     if k <= n:
         P = primitive_basis(t, k)
         b = _random_batch(rng, P.shape[1], cases)
-        B = _apply(P, b)
+        on_b = _Batch(b, P).score
         lam, power = primitivity_operators(t, k)
-        out["primitivity_lambda"], out["primitivity_power"] = score(lam, b, B), score(power, b, B)
-        out["weil_relation"] = max(score(R, b, B) for R in weil_relation_operators(t, k).values())
+        out["primitivity_lambda"], out["primitivity_power"] = on_b(lam), on_b(power)
+        out["weil_relation"] = max(on_b(R) for R in weil_relation_operators(t, k).values())
         b2 = _random_batch(rng, P.shape[1], cases)
         out["inner_scaling"] = max(inner_scaling_residuals(t, k, b, b2).values())
 
@@ -199,6 +229,17 @@ def worst_cell(payload: dict) -> tuple[str, float] | None:
     return name, named[name]
 
 
+def _distinct_n(n_values) -> tuple[int, ...]:
+    """A suite's half-dimensions, ascending, so that their order changes
+    neither the run nor the report.  A repeated n raises ValueError naming
+    it: it would add nothing to a run and change its config."""
+    n_values = tuple(int(n) for n in n_values)
+    for i, n in enumerate(n_values):
+        if n in n_values[:i]:
+            raise ValueError(f"repeated n value {n}: each n may appear once")
+    return tuple(sorted(n_values))
+
+
 def identity_suite(
     n_values=(1, 2, 3, 4),
     cases: int = 1000,
@@ -212,7 +253,7 @@ def identity_suite(
     at full batch size, one random compatible triple at a reduced batch),
     the overall max residual, and the verdict against tol.
     """
-    n_values = tuple(int(n) for n in n_values)
+    n_values = _distinct_n(n_values)
     if any(n < 1 for n in n_values):
         raise ValueError("n >= 1 required")
     if cases < 0 or cross_cases < 0:
@@ -239,7 +280,7 @@ def identity_suite(
             cell[f"k{k}"] = merged
         return cell
 
-    cells = {f"n{n}": run_n(n) for n in sorted(set(n_values))}
+    cells = {f"n{n}": run_n(n) for n in n_values}
 
     residuals = _identity_residuals(cells)
     max_residual = max(residuals.values()) if residuals else None
@@ -290,6 +331,7 @@ def torus_suite(
         verify_p7_decomposition,
     )
 
+    n_values = _distinct_n(n_values)
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
 
@@ -314,7 +356,7 @@ def torus_suite(
         block["self_dual"] = self_dual_invariant_relation(fc, samples, tol)
         return block
 
-    blocks = {f"n{n}": run_n(n) for n in sorted(set(n_values))}
+    blocks = {f"n{n}": run_n(n) for n in n_values}
 
     residuals = _torus_residuals(blocks)
     checks: dict[str, bool] = {}

@@ -22,7 +22,11 @@ the gather; the two must agree bit for bit.
 
 The identity cell of `verify-identities` is kept here too as chains of
 operator products applied to each seeded batch (`chain_cell_residuals`),
-the evaluation that the residual operators of `llab.lefschetz` replace.
+the evaluation that the residual operators of `llab.lefschetz` replace;
+and as those operators each applied to its batch, exactly zero or not,
+with the batch's scale taken afresh every time (`product_cell_residuals`),
+the evaluation whose numbers `llab.suites._cell_residuals` keeps bit for
+bit.
 
 So are the whole-array evaluations of the hyperbolic form checks
 (`whole_bounded_primitive`, `whole_crossterm_constant`,
@@ -436,6 +440,47 @@ def chain_cell_residuals(t: CompatibleTriple, n: int, k: int, cases: int, cross_
         out["cross_term_orthogonality"] = worst
     return out
 
+
+
+def product_cell_residuals(t: CompatibleTriple, n: int, k: int, cases: int, cross_cases: int, rng) -> dict:
+    """An identity cell with every residual operator applied to its batch
+    and scored by `_rel_max` against the batch's forms, with the draws,
+    keys and operators of `llab.suites._cell_residuals`."""
+    from llab import lefschetz as lf
+    from llab import suites
+
+    out = {}
+    X = suites._random_batch(rng, math.comb(2 * n, k), cases)
+    out["symplectic_star_involution"] = _rel_max(_apply(lf.star_involution_operator(t, k), X), X)
+    conj = lf.lambda_conjugation_operators(t, k)
+    out["symplectic_star_conjugation"] = _rel_max(_apply(conj["symplectic_star"], X), X)
+    out["hodge_star_conjugation"] = _rel_max(_apply(conj["hodge_star"], X), X)
+    out["weil_operator_consistency"] = _rel_max(_apply(lf.weil_consistency_operator(t, k), X), X)
+    levels = [i for i in (1, 2, 3) if k + 2 * i <= 2 * n]
+    for i, R in lf.commutator_operators(t, k, levels).items():
+        out[f"commutator_i{i}"] = _rel_max(_apply(R, X), X)
+    A = X[:, : suites.ROUNDTRIP_CASES]
+    roundtrip = _rel_max(_apply(lf.roundtrip_operator(t, k), A), A)
+    if k <= n:
+        P = primitive_basis(t, k)
+        b = suites._random_batch(rng, P.shape[1], cases)
+        B = _apply(P, b)
+        lam, power = lf.primitivity_operators(t, k)
+        out["primitivity_lambda"], out["primitivity_power"] = _rel_max(_apply(lam, b), B), _rel_max(_apply(power, b), B)
+        out["weil_relation"] = max(_rel_max(_apply(R, b), B) for R in lf.weil_relation_operators(t, k).values())
+        b2 = suites._random_batch(rng, P.shape[1], cases)
+        out["inner_scaling"] = max(lf.inner_scaling_residuals(t, k, b, b2).values())
+    out["decomposition_roundtrip"] = roundtrip
+    levels = range(max(0, k - n), k // 2 + 1)
+    pairs = [(p, q) for p in levels for q in levels if p != q]
+    if pairs and cross_cases > 0:
+        worst = 0.0
+        for p, q in pairs:
+            x = suites._random_batch(rng, primitive_basis(t, k - 2 * p).shape[1], cross_cases)
+            y = suites._random_batch(rng, primitive_basis(t, k - 2 * q).shape[1], cross_cases)
+            worst = max(worst, lf.cross_term_residual(t, k, p, x, q, y))
+        out["cross_term_orthogonality"] = worst
+    return out
 
 # -- the wire-format parser, every check on every entry -----------------------
 

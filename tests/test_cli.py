@@ -503,6 +503,47 @@ def test_cli_negative_sample_count_exits_two_and_names_it(capsys):
     assert err.startswith("error: ") and "samples" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-identities", "--n", "1", "--seed", "-1"],
+    ["torus", "--n", "2", "--seed", "-3"],
+])
+def test_cli_negative_seed_exits_two_and_names_it(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be a non-negative integer, got {argv[-1]}\n"
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        SuiteConfig(suite=argv[0], seed=-1)
+
+
+@pytest.mark.parametrize("suite, ns, extra", [
+    ("verify-identities", ("1,2", "2,1"), ["--cases", "6", "--cross-cases", "3"]),
+    ("torus", ("2,3", "3,2"), ["--samples", "2"]),
+])
+def test_cli_the_order_of_n_changes_neither_hash_nor_report(tmp_path, capsys, suite, ns, extra):
+    # both suites run the n values ascending; the config and its hash now
+    # read them so too
+    lines, reports = [], []
+    for i, n in enumerate(ns):
+        out = tmp_path / str(i)
+        assert main([suite, "--n", n, *extra, "--out", str(out)]) == 0
+        lines.append(capsys.readouterr().out.splitlines()[0])
+        reports.append(strip_timestamp(load_report(out / f"{suite}.json")))
+    assert lines[0] == lines[1] and reports[0] == reports[1]
+    assert reports[0]["config"]["params"]["n_values"] == reports[0]["report"]["n_values"] == sorted(
+        map(int, ns[0].split(","))
+    )
+
+
+@pytest.mark.parametrize("suite, n", [("verify-identities", "2,2"), ("torus", "2,2"), ("verify-identities", "1,2,1")])
+def test_cli_repeated_n_exits_two_and_names_it(tmp_path, capsys, suite, n):
+    # `--n 2,2` ran the cells of `--n 2` under another config hash
+    assert main([suite, "--n", n, "--cases" if suite != "torus" else "--samples", "4", "--out", str(tmp_path)]) == 2
+    repeated = max(n.split(","), key=n.split(",").count)
+    assert capsys.readouterr().err == f"error: repeated n value {repeated}: each n may appear once\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(suite="nonsense"))
@@ -781,3 +822,18 @@ def test_identity_suite_orientation_reversing_seed():
     rep = identity_suite(n_values=(2,), cases=30, cross_cases=15, seed=11)
     assert rep["passed"] is True
     assert rep["max_residual"] < 1e-10
+
+
+def test_the_modules_outside_hyperbolic_load_no_scipy():
+    # a CLI start pays scipy's import only for the hyperbolic suite, which
+    # imports it on its own
+    modules = ("llab.cli", "llab.suites", "llab.torus", "llab.lefschetz", "llab.reports")
+    code = f"import sys; import {', '.join(modules)}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(llab.__file__).resolve().parents[1])},
+    )
+    assert out.stdout.strip() == "[]"

@@ -5,11 +5,14 @@ residual operator (or Gram block), and the suite scores a seeded batch with
 one product per identity.  `tests/reference_loops.py` keeps the evaluation
 those operators replace: chains of products applied to each batch.  Here
 the two see the same draws, and every operator column is checked against
-the chain run on that one basis vector.
+the chain run on that one basis vector.  The suite scores an exactly-zero
+operator without a product; that must give the very numbers every product
+gives.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -24,6 +27,7 @@ from reference_loops import (
     chain_star_involution,
     chain_weil_consistency,
     chain_weil_relation,
+    product_cell_residuals,
 )
 
 from llab import suites
@@ -50,11 +54,21 @@ def _triple(which, n):
     return random_compatible_triple(n, np.random.default_rng([SEED, n, 10_000]))
 
 
+def _suite_cells(which, n):
+    """Each cell's (t, n, k, cases, cross_cases, seed) as the suite runs it:
+    1000 forms and 500 cross pairs on the standard triple,
+    RANDOM_TRIPLE_CASES of each on the random one."""
+    t = _triple(which, n)
+    if which == "standard":
+        cases, cross, key = 1000, 500, []
+    else:
+        cases, cross, key = suites.RANDOM_TRIPLE_CASES, suites.RANDOM_TRIPLE_CASES, [1]
+    return [(t, n, k, cases, cross, [SEED, n, k, *key]) for k in range(2 * n + 1)]
+
+
 @pytest.mark.parametrize("which", ["standard", "random"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_operator_cells_match_the_chain_evaluation(monkeypatch, n, which):
-    # the suite's seeds and batch sizes: 1000 forms and 500 cross pairs on the
-    # standard triple, RANDOM_TRIPLE_CASES of each on the random one
     shapes = []
     real = suites._random_batch
 
@@ -63,13 +77,7 @@ def test_operator_cells_match_the_chain_evaluation(monkeypatch, n, which):
         return real(rng, dim, cases)
 
     monkeypatch.setattr(suites, "_random_batch", recorded)
-    t = _triple(which, n)
-    if which == "standard":
-        cases, cross, key = 1000, 500, []
-    else:
-        cases, cross, key = suites.RANDOM_TRIPLE_CASES, suites.RANDOM_TRIPLE_CASES, [1]
-    for k in range(2 * n + 1):
-        seed = [SEED, n, k, *key]
+    for t, n, k, cases, cross, seed in _suite_cells(which, n):
         got = suites._cell_residuals(t, n, k, cases, cross, np.random.default_rng(seed))
         got_shapes = shapes[:]
         del shapes[:]
@@ -143,3 +151,81 @@ def test_every_gram_block_column_is_its_form_level_pairing(n, which):
                     y = _power(KForm(n, i, np.repeat(Pi[:, c : c + 1], x.data.shape[1], axis=1)), q, t)
                     want = inner(x, y, t)
                     assert np.max(np.abs(K[:, c] - want)) <= 1e-13 * max(1.0, np.max(np.abs(K))), (m, p, q, c)
+
+
+@pytest.mark.parametrize("which", ["standard", "random"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_skipped_products_leave_every_residual_bit_for_bit(n, which):
+    for t, n, k, cases, cross, seed in _suite_cells(which, n):
+        got = suites._cell_residuals(t, n, k, cases, cross, np.random.default_rng(seed))
+        want = product_cell_residuals(t, n, k, cases, cross, np.random.default_rng(seed))
+        # as JSON, so that a -0.0 for 0.0 shows too
+        assert list(got) == list(want), k
+        assert got == want and json.dumps(got) == json.dumps(want), k
+
+
+def test_a_round_trip_on_part_of_the_batch_keeps_its_residual_bit_for_bit(monkeypatch):
+    # with more forms than the round trip reads, it scores the first
+    # ROUNDTRIP_CASES columns on their own scale
+    monkeypatch.setattr(suites, "ROUNDTRIP_CASES", 5)
+    for which in ("standard", "random"):
+        t = _triple(which, 2)
+        for k in range(5):
+            got = suites._cell_residuals(t, 2, k, 40, 4, np.random.default_rng([SEED, 2, k]))
+            want = product_cell_residuals(t, 2, k, 40, 4, np.random.default_rng([SEED, 2, k]))
+            assert json.dumps(got) == json.dumps(want), (which, k)
+
+
+@pytest.mark.parametrize("which", ["standard", "random"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_zero_operator_reads_no_batch(monkeypatch, n, which):
+    # every product in the cell records its operator; every scored operator
+    # records whether it is zero and which batch it read
+    products, scored = [], []
+    real_apply, real_score = suites._apply, suites._Batch.score
+
+    def applied(M, x):
+        products.append(M)
+        return real_apply(M, x)
+
+    def spied(batch, R):
+        scored.append((R, batch._forms))
+        return real_score(batch, R)
+
+    monkeypatch.setattr(suites, "_apply", applied)
+    monkeypatch.setattr(suites._Batch, "score", spied)
+    zeros = 0
+    for t, n, k, cases, cross, seed in _suite_cells(which, n):
+        del products[:], scored[:]
+        suites._cell_residuals(t, n, k, cases, cross, np.random.default_rng(seed))
+        nonzero = [(R, forms) for R, forms in scored if R.any()]
+        zeros += len(scored) - len(nonzero)
+        # one product per nonzero operator, and P b once, only when a nonzero
+        # primitive operator needs its scale
+        P = [forms for _, forms in nonzero if forms is not None]
+        assert all(M.any() for M in products), k
+        assert len(products) == len(nonzero) + bool(P), k
+        if P:
+            assert sum(M is P[0] for M in products) == 1, k
+    # the skip is not vacuous here: most of the standard triple's operators
+    # are exactly zero, and some of the random triple's at k = 0 and 1
+    assert zeros > 0
+
+
+@pytest.mark.parametrize("entry, scores", [(0.0, lambda v: v == 0.0), (1e-3, lambda v: v > 0), (np.nan, math.isnan)])
+def test_one_nonzero_entry_is_scored(monkeypatch, entry, scores):
+    # a broken operator still shows: one entry of 1e-3 (or NaN) in an
+    # otherwise zero operator, on the batch and on the primitive batch (at
+    # n = 2 both primitivity operators have rows only at k = 2)
+    t = build_standard_triple(2)
+
+    def patched(R):
+        R = np.zeros_like(R)
+        R[0, 0] = entry
+        return R
+
+    monkeypatch.setattr(suites, "star_involution_operator", lambda t, k: patched(star_involution_operator(t, k)))
+    monkeypatch.setattr(suites, "primitivity_operators", lambda t, k: tuple(map(patched, primitivity_operators(t, k))))
+    out = suites._cell_residuals(t, 2, 2, 50, 10, np.random.default_rng([SEED, 2, 2]))
+    for name in ("symplectic_star_involution", "primitivity_lambda", "primitivity_power"):
+        assert scores(out[name]), (name, out[name])
