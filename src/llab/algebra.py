@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import numbers
 import weakref
@@ -100,23 +99,6 @@ def indices_to_mask(indices: Iterable[int]) -> int:
             raise ValueError(f"repeated index {i}")
         mask |= bit
     return mask
-
-
-def merge_sign(mask_a: int, mask_b: int) -> int:
-    """Sign of sorting the concatenation e^A wedge e^B into ascending order.
-
-    Counts transpositions: pairs (a in A, b in B) with a > b.
-    """
-    sign = 1
-    b = mask_b
-    while b:
-        low = b & -b
-        # generators of A strictly above this generator of B
-        above = mask_a >> low.bit_length()
-        if above.bit_count() & 1:
-            sign = -sign
-        b ^= low
-    return sign
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -849,7 +831,7 @@ def form_to_json(a: KForm) -> dict:
 
 # The largest n either wire format accepts.  A decomposition holds dense
 # C(2n, k) x C(2n, k) blocks (the complex frame compounds up to degree k, the
-# real Gram blocks up to degree k, L^r and Lambda blocks) but no
+# real Gram blocks up to degree min(k, n), L^r and Lambda blocks) but no
 # (p,q) projector: a cold `llab decompose` at n = 6, k = 6 takes 0.43-0.55 s,
 # 0.30-0.38 s of it in `decompose_file`, and 136 MB peak RSS (one process,
 # 1 BLAS thread, 2 CPUs), while at n = 7 each block of the middle degree
@@ -998,7 +980,3 @@ def triple_from_json(obj: dict) -> CompatibleTriple:
         t.validate()
         return t
     return triple_from_omega_j(omega, J)
-
-
-def roundtrip_form_json(a: KForm) -> KForm:
-    return form_from_json(json.loads(json.dumps(form_to_json(a))))

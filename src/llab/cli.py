@@ -76,14 +76,16 @@ def decompose_file(in_path, out_path) -> dict:
     Output carries the Lefschetz components (with primitivity residuals)
     and the bidegree components, each with reconstruction residuals.
 
-    The document written holds the KForms themselves, which
+    Returns the document it wrote, its forms left as KForms, which
     `dump_json_deterministic` writes from their arrays as `form_to_json`
-    would; the dict returned is the same document with every form
-    converted by `form_to_json`, so `json.loads` of the file equals it.
+    would: the file's bytes are `dump_json_deterministic(result)`.  The
+    residuals are scaled by the input's norm; above the middle degree it
+    is read through the complementary Gram block (`_complement_norm`), so
+    that no Gram block above degree n is built.
     """
     from llab.algebra import (
+        _complement_norm,
         form_from_json,
-        form_to_json,
         norm,
         pq_decompose,
         triple_from_json,
@@ -104,7 +106,7 @@ def decompose_file(in_path, out_path) -> dict:
         raise ValueError(f"form dimension n={n} does not match triple n={t.n}")
 
     lef = primitive_decompose(a, t)
-    scale = max(norm(a, t), 1e-300)
+    scale = max((norm if k <= n else _complement_norm)(a, t), 1e-300)
     lef_out = {}
     for r, beta in lef.components.items():
         if not np.any(np.abs(beta.data) > 1e-14 * scale):
@@ -128,10 +130,6 @@ def decompose_file(in_path, out_path) -> dict:
         },
     }
     Path(out_path).write_bytes(dump_json_deterministic(out))
-    out["input"]["form"] = form_to_json(a)
-    for comp in lef_out.values():
-        comp["form"] = form_to_json(comp["form"])
-    out["bidegree_components"] = {key: form_to_json(c) for key, c in big_out.items()}
     return out
 
 

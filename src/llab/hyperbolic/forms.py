@@ -175,9 +175,6 @@ class CutoffProfile:
     sup_df: float
     sup_df_sq_over_f: float
 
-    def f_at(self, rho: np.ndarray) -> np.ndarray:
-        return _cutoff_f(rho, self.eps, self.r_plateau)
-
     def df_at(self, rho: np.ndarray) -> np.ndarray:
         """Radial derivative f'(rho) (signed; nonpositive)."""
         return _cutoff_df(rho, self.eps, self.r_plateau)

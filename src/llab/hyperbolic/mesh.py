@@ -139,10 +139,6 @@ class DiscMesh:
         (every triangle by default), one gather."""
         return self.vertices.T[:, self.triangles[rows].T]
 
-    def triangle_areas(self) -> np.ndarray:
-        """Signed Euclidean areas (positive for the stored CCW orientation)."""
-        return _signed_areas(*self._corners())
-
     @cached_property
     def geometry(self) -> TriangleGeometry:
         """The mesh's `TriangleGeometry`; raises on a non-CCW triangle.

@@ -35,14 +35,23 @@ per-edge and per-triangle chain over the whole mesh at once, which
 `llab.hyperbolic.forms` and `DiscMesh.geometry` run block by block; and
 the COO build of `ring_prolongation` (`whole_ring_prolongation`), which
 the mesh module now fills straight into CSR.
+
+`ref_decompose_file` is `llab decompose` as it was before it returned the
+document it writes: its residuals scaled by `norm`, its result converted
+with `form_to_json`.  `merge_sign`, the sign of one basis product by
+transposition counting, and the wire round trip, the triangle areas and
+the cutoff f that only tests read (`roundtrip_form_json`,
+`triangle_areas`, `cutoff_f`) live here too.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import numbers
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -56,27 +65,34 @@ from llab.algebra import (
     _is_number,
     _wedge_table,
     basis_masks,
+    form_from_json,
+    form_to_json,
     hodge_star,
     indices_to_mask,
     inner,
     j_action,
     mask_to_indices,
-    merge_sign,
     norm,
+    pq_decompose,
+    triple_from_json,
     weil_operator,
 )
 from llab.hyperbolic.forms import (
     _GL_T,
     _GL_W,
     AnnulusDecayTable,
+    CutoffProfile,
     PrimitiveOneForm,
+    _cutoff_f,
     _theta_components,
     _whitney_midpoint_major,
 )
-from llab.hyperbolic.mesh import _ring_counts
+from llab.hyperbolic.mesh import DiscMesh, _ring_counts, _signed_areas
+from llab.reports import dump_json_deterministic
 from llab.lefschetz import (
     PrimitivityResult,
     _power,
+    _primitivity,
     _rel_max,
     dual_lefschetz,
     lefschetz_L,
@@ -85,6 +101,23 @@ from llab.lefschetz import (
     primitive_decompose,
     symplectic_star,
 )
+
+
+def merge_sign(mask_a: int, mask_b: int) -> int:
+    """Sign of sorting the concatenation e^A wedge e^B into ascending order.
+
+    Counts transpositions: pairs (a in A, b in B) with a > b.
+    """
+    sign = 1
+    b = mask_b
+    while b:
+        low = b & -b
+        # generators of A strictly above this generator of B
+        above = mask_a >> low.bit_length()
+        if above.bit_count() & 1:
+            sign = -sign
+        b ^= low
+    return sign
 
 
 def minor_sets(dim: int, k: int) -> list[np.ndarray]:
@@ -651,3 +684,60 @@ def whole_ring_prolongation(coarse, fine):
     nonzero = vals != 0
     shape = (1 + int(per_ring.sum()), int(starts[Mc]))
     return sp.csr_matrix((vals[nonzero], (rows[nonzero], cols[nonzero])), shape=shape)
+
+
+def ref_decompose_file(in_path, out_path) -> dict:
+    """`llab.cli.decompose_file` as it was before it returned the document
+    it writes: the residuals scaled by `norm` of the input, which above the
+    middle degree builds the Gram block of the input's degree, and the
+    document returned with every form converted by `form_to_json`, so that
+    `json.loads` of the file equals it."""
+    obj = json.loads(Path(in_path).read_text())
+    t = triple_from_json(obj["triple"])
+    a = form_from_json(obj["form"])
+    n, k = a.n, a.k
+    lef = primitive_decompose(a, t)
+    scale = max(norm(a, t), 1e-300)
+    lef_out = {}
+    for r, beta in lef.components.items():
+        if not np.any(np.abs(beta.data) > 1e-14 * scale):
+            continue
+        lam = dual_lefschetz(beta, t)
+        lef_out[str(r)] = {
+            "form": beta,
+            "primitivity_residual": float(np.max(np.abs(lam.data), initial=0.0)) / scale,
+            "is_primitive": bool(_primitivity(beta, lam, t, tol=1e-9)),
+        }
+    big = pq_decompose(a, t)
+    big_out = {f"{p},{q}": c for (p, q), c in sorted(big.components.items()) if np.any(c.data)}
+    out = {
+        "input": {"form": a, "n": n, "k": k},
+        "lefschetz_components": lef_out,
+        "bidegree_components": big_out,
+        "reconstruction_residuals": {
+            "lefschetz": lef.residual(a, t),
+            "bidegree": float(np.max(np.abs((big.reconstruct() - a).data), initial=0.0)) / scale,
+        },
+    }
+    Path(out_path).write_bytes(dump_json_deterministic(out))
+    out["input"]["form"] = form_to_json(a)
+    for comp in lef_out.values():
+        comp["form"] = form_to_json(comp["form"])
+    out["bidegree_components"] = {key: form_to_json(c) for key, c in big_out.items()}
+    return out
+
+
+def roundtrip_form_json(a: KForm) -> KForm:
+    """a through the wire format and the standard library's JSON text."""
+    return form_from_json(json.loads(json.dumps(form_to_json(a))))
+
+
+def triangle_areas(mesh: DiscMesh) -> np.ndarray:
+    """Signed Euclidean areas of the mesh's triangles (positive for the
+    stored CCW orientation), straight from their corners."""
+    return _signed_areas(*mesh._corners())
+
+
+def cutoff_f(profile: CutoffProfile, rho: np.ndarray) -> np.ndarray:
+    """The cutoff f(rho) of `profile`."""
+    return _cutoff_f(rho, profile.eps, profile.r_plateau)

@@ -27,20 +27,26 @@ from llab.algebra import (
     inner,
     j_action,
     mask_to_indices,
-    merge_sign,
     metric_gram,
     norm,
     pq_decompose,
     pq_projector_matrices,
     random_compatible_triple,
-    roundtrip_form_json,
     triple_from_json,
     triple_from_omega_j,
     triple_to_json,
     weil_operator,
     wedge,
 )
-from reference_loops import ReferenceOps, minor_sets, product_compound, ref_wedge, ref_wedge_table
+from reference_loops import (
+    ReferenceOps,
+    merge_sign,
+    minor_sets,
+    product_compound,
+    ref_wedge,
+    ref_wedge_table,
+    roundtrip_form_json,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -572,17 +572,18 @@ def _omega_input(tmp_path):
 
 
 def test_decompose_omega_example(tmp_path):
+    from llab.algebra import form_to_json
+
     inp = _omega_input(tmp_path)
     outp = tmp_path / "out.json"
     result = decompose_file(inp, outp)
-    written = json.loads(outp.read_text())
-    assert written == result
+    assert outp.read_bytes() == dump_json_deterministic(result)
     # omega = L(1): single Lefschetz component at r = 1, the constant 1
     assert set(result["lefschetz_components"]) == {"1"}
     r1 = result["lefschetz_components"]["1"]
     assert r1["is_primitive"] is True
-    assert r1["form"]["k"] == 0
-    assert r1["form"]["coeffs"] == [{"idx": [], "re": 1.0, "im": 0.0}]
+    assert r1["form"].k == 0
+    assert form_to_json(r1["form"])["coeffs"] == [{"idx": [], "re": 1.0, "im": 0.0}]
     # pure (1,1) bidegree
     assert set(result["bidegree_components"]) == {"1,1"}
     assert result["reconstruction_residuals"]["lefschetz"] < 1e-12
@@ -636,6 +637,90 @@ def test_decompose_forms_no_pq_projector(tmp_path, monkeypatch):
     result = decompose_file(inp, tmp_path / "out.json")
     assert set(result["bidegree_components"]) == {"0,3", "1,2", "2,1", "3,0"}
     assert result["reconstruction_residuals"]["bidegree"] < 1e-12
+
+
+def _decompose_stream(tmp_path):
+    """The inputs of 36 decompose calls, each on a fresh random triple: n
+    cycles through 1..4, and each n through its degrees 0..2n."""
+    from llab.algebra import KForm, form_to_json, random_compatible_triple, triple_to_json
+
+    rng = np.random.default_rng(36)
+    for i in range(36):
+        n = 1 + i % 4
+        k = (i // 4) % (2 * n + 1)
+        t = random_compatible_triple(n, rng)
+        size = math.comb(2 * n, k)
+        a = KForm(n, k, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        inp = tmp_path / f"in{i}.json"
+        inp.write_text(json.dumps({"triple": triple_to_json(t), "form": form_to_json(a)}))
+        yield n, k, inp
+
+
+def test_decompose_builds_no_gram_block_above_the_middle_degree(tmp_path, monkeypatch):
+    from llab.algebra import Ops
+
+    real_gram, built = Ops.gram, set()
+
+    def gram(self, k):
+        if k > self.dim // 2:
+            raise AssertionError(f"Ops.gram({k}) built at n = {self.dim // 2}")
+        built.add((self.dim // 2, k))
+        return real_gram(self, k)
+
+    monkeypatch.setattr(Ops, "gram", gram)
+    for n, k, inp in _decompose_stream(tmp_path):
+        decompose_file(inp, tmp_path / "out.json")
+    # the middle degree itself is read, by the inputs of degree n
+    assert {(n, n) for n in range(1, 5)} <= built
+
+
+def _residuals(doc: dict) -> dict:
+    """Pop a decompose document's residual numbers, keyed by their path."""
+    out = {f"reconstruction_residuals.{key}": v for key, v in doc.pop("reconstruction_residuals").items()}
+    for r, comp in doc["lefschetz_components"].items():
+        out[f"lefschetz_components.{r}.primitivity_residual"] = comp.pop("primitivity_residual")
+    return out
+
+
+def test_decompose_writes_what_the_reference_writes(tmp_path):
+    # the reference scales by norm(a, t) and returns form_to_json dicts: a
+    # k <= n file is byte for byte its file, and a k > n file differs at
+    # most in its residuals' last bits, the scale being read through the
+    # complementary Gram block
+    from reference_loops import ref_decompose_file
+
+    above = 0
+    for n, k, inp in _decompose_stream(tmp_path):
+        out, ref = tmp_path / "out.json", tmp_path / "ref.json"
+        result = decompose_file(inp, out)
+        ref_result = ref_decompose_file(inp, ref)
+        assert out.read_bytes() == dump_json_deterministic(result)
+        if k <= n:
+            assert out.read_bytes() == ref.read_bytes(), (n, k)
+            continue
+        above += 1
+        doc, ref_doc = json.loads(out.read_bytes()), json.loads(ref.read_bytes())
+        assert ref_doc == ref_result
+        got, want = _residuals(doc), _residuals(ref_doc)
+        assert doc == ref_doc, (n, k)  # forms, keys and flags
+        assert got.keys() == want.keys()
+        for key, v in want.items():
+            assert abs(got[key] - v) <= 1e-14 * abs(v), (n, k, key, got[key], v)
+    assert above == 13
+
+
+def test_decompose_cli_prints_the_reference_line(tmp_path, capsys):
+    from reference_loops import ref_decompose_file
+
+    for n, k, inp in _decompose_stream(tmp_path):
+        ref = ref_decompose_file(inp, tmp_path / "ref.json")
+        rs = ref["reconstruction_residuals"]
+        assert main(["decompose", str(inp), str(tmp_path / "out.json")]) == 0
+        assert capsys.readouterr().out == (
+            f"decomposed: {len(ref['lefschetz_components'])} Lefschetz component(s), "
+            f"{len(ref['bidegree_components'])} bidegree component(s); "
+            f"reconstruction residuals {rs['lefschetz']:.3e} / {rs['bidegree']:.3e}\n"
+        ), (n, k)
 
 
 def test_decompose_cli_refuses_a_repeated_basis_element(tmp_path, capsys):
@@ -805,6 +890,64 @@ def test_cli_maps_memory_error_to_exit_two(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(llab.cli, "run_suite", exhausted)
     assert main(["verify-identities", "--n", "1", "--cases", "2"]) == 2
     assert "error: out of memory" in capsys.readouterr().err
+
+
+def _block_bytes(blocks: dict) -> int:
+    return sum(
+        sum(M.nbytes for M in v.values()) if isinstance(v, dict) else getattr(v, "nbytes", 0)
+        for v in blocks.values()
+    )
+
+
+@pytest.mark.parametrize("suite", ["verify-identities", "torus"])
+def test_the_block_prediction_bounds_the_blocks_held(monkeypatch, suite):
+    # the blocks t.ops (and, for torus, the Fourier complex) hold after a
+    # run at one n: the prediction is not below them, and within 2x of them
+    import llab.suites
+    import llab.torus
+    from llab.suites import predicted_block_bytes
+
+    made = []
+
+    def keep(build):
+        def built(*args, **kwargs):
+            made.append(build(*args, **kwargs))
+            return made[-1]
+
+        return built
+
+    for module, name in ((llab.suites, "build_standard_triple"), (llab.suites, "random_compatible_triple"),
+                         (llab.torus, "build_fourier_complex")):
+        monkeypatch.setattr(module, name, keep(getattr(module, name)))
+    for n in (1, 2, 3, 4) if suite == "verify-identities" else (2, 3, 4):
+        made.clear()
+        if suite == "verify-identities":
+            llab.suites.identity_suite(n_values=(n,), cases=4, cross_cases=2)
+        else:
+            llab.suites.torus_suite(n_values=(n,), N=1, samples=2)
+        held = sum(_block_bytes(x._cache if isinstance(x, llab.torus.FourierComplex) else x.ops._blocks)
+                   for x in made)
+        assert len(made) == 2
+        assert held <= predicted_block_bytes(suite, n) <= 2 * held, (n, held)
+
+
+@pytest.mark.parametrize("argv", [["verify-identities", "--n", "1,9", "--cases", "1"], ["torus", "--n", "9"]])
+def test_an_n_past_the_block_budget_exits_two_before_any_block(monkeypatch, capsys, argv):
+    import time
+
+    import llab.suites
+    from llab.suites import BLOCK_BYTES_BUDGET, predicted_block_bytes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a triple was built")
+
+    monkeypatch.setattr(llab.suites, "build_standard_triple", refuse)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"{argv[0]} at n = 9 would hold {predicted_block_bytes(argv[0], 9):,} bytes" in err
+    assert f"over the budget of {BLOCK_BYTES_BUDGET:,} bytes" in err
 
 
 def test_form_to_json_rejects_batches():

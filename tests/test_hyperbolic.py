@@ -67,6 +67,8 @@ from llab.hyperbolic.oracle import (
     lambda1_square_k1,
 )
 from reference_loops import (
+    cutoff_f,
+    triangle_areas,
     whitney_at_midpoints,
     whole_annulus_decay,
     whole_bounded_primitive,
@@ -86,7 +88,7 @@ def test_mesh_invariants(small_mesh):
     assert m.metric == "hyperbolic"
     assert m.triangles.dtype == np.int32
     # all triangles CCW: positive signed areas
-    assert m.triangle_areas().min() > 0
+    assert triangle_areas(m).min() > 0
     # quality floor enforced by the builder
     assert m.min_angle_degrees() >= 15.0
     # boundary ring sits at geodesic radius R
@@ -182,7 +184,7 @@ def test_mu_is_evaluated_only_on_meshes_whose_mass_is_read(monkeypatch):
 @pytest.mark.parametrize("R", [2.0, 6.0])
 def test_stitched_disc_mesh_triangulates_the_outer_polygon(R, h):
     m = build_disc_mesh(R, h)
-    assert m.triangle_areas().min() > 0  # every triangle CCW
+    assert triangle_areas(m).min() > 0  # every triangle CCW
     t = m.triangles.astype(np.int64)
     local = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     key = local.min(axis=1) * m.n_vertices + local.max(axis=1)
@@ -197,7 +199,7 @@ def test_stitched_disc_mesh_triangulates_the_outer_polygon(R, h):
     assert m.n_vertices - len(edges) + m.n_triangles == 1
     # the triangles tile the outer polygon: their areas add up to its area
     N, r = len(ring), float(np.hypot(*m.vertices[ring[0]]))
-    assert m.triangle_areas().sum() == pytest.approx(0.5 * N * r**2 * np.sin(2 * np.pi / N), rel=1e-12)
+    assert triangle_areas(m).sum() == pytest.approx(0.5 * N * r**2 * np.sin(2 * np.pi / N), rel=1e-12)
     assert m.min_angle_degrees() >= 15.0
     assert m.min_angle_degrees() == pytest.approx(_min_angle_reference(m), abs=1e-9)
 
@@ -244,7 +246,7 @@ def test_mesh_derived_quantities_are_kept_and_die_with_the_mesh():
     mesh = build_disc_mesh(R=1.5, h=0.3)
     geo, es = mesh.geometry, mesh.edge_structure
     assert mesh.geometry is geo and mesh.edge_structure is es
-    assert np.array_equal(geo.area, mesh.triangle_areas())
+    assert np.array_equal(geo.area, triangle_areas(mesh))
     # shared by every reader, so nobody may write into them
     assert not geo.grad.flags.writeable and not es.tri_edges.flags.writeable
     refs = [weakref.ref(x) for x in (mesh, geo, es)]
@@ -370,7 +372,7 @@ def test_square_patch_is_euclidean():
     sq = square_patch(8)
     assert sq.metric == "euclidean"
     assert np.allclose(sq.mu(sq.vertices), 1.0)
-    assert sq.triangle_areas().min() > 0
+    assert triangle_areas(sq).min() > 0
     assert sq.n_vertices == 81
 
 
@@ -813,8 +815,8 @@ def test_cutoff_gradient_bounds(fine_mesh):
         assert prof.sup_df_sq_over_f <= eps**2 * (1 + 1e-9)
         assert prof.sup_df_sq_over_f <= eps * (1 + 1e-9)  # the bound the argument uses
         # plateau value is exactly 1, support edge decays to 0
-        assert prof.f_at(np.array([0.0]))[0] == 1.0
-        assert prof.f_at(np.array([prof.r_plateau + 2.0 / eps + 0.1]))[0] == 0.0
+        assert cutoff_f(prof, np.array([0.0]))[0] == 1.0
+        assert cutoff_f(prof, np.array([prof.r_plateau + 2.0 / eps + 0.1]))[0] == 0.0
 
 
 def test_cutoff_validation(fine_mesh):

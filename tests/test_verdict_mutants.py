@@ -5,7 +5,9 @@ Each row of MUTANTS breaks the program in one place, by a source mutant
 the CLI must then exit 1 and name the check on its `failed:` list.  The
 guard runs every suite at its small configuration and fails when a check
 in its verdict has no row here, so that no check enters a verdict without
-a mutant that shows it can fail.
+a mutant that shows it can fail.  The hyperbolic residual gate, which is
+the verdict's max_residual against --tol and no named check, has its own
+mutant: a solver that understates its residual.
 """
 
 from __future__ import annotations
@@ -82,3 +84,15 @@ def test_every_verdict_check_has_a_mutant(tmp_path, capsys, suite):
     checks = load_report(tmp_path / f"{suite}.json")["report"]["verdict"]["checks"]
     missing = sorted({_check_family(name) for name in checks} - set(MUTANTS))
     assert not missing, f"{suite} verdict checks with no mutant row: {missing}"
+
+
+def test_a_solver_that_understates_its_residual_fails_the_gate(mutant, capsys):
+    # the solver returns a perturbed eigenvector and claims residual 0.0:
+    # the suite recomputes each row's residual from its pencil, lambda and
+    # x, so the verdict's residual gate fails at the default --tol
+    mutant(importlib.import_module("llab.hyperbolic.eigensolve"), "smallest_eigenpairs",
+           "return lam, x.copy(), step, res", "return lam, x + 1e-3 * x.max(), step, 0.0")
+    assert main(SMALL["hyperbolic"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL]" in out
+    assert re.search(r"max residual \S+ > tol 1e-08", out), out
