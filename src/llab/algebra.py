@@ -234,11 +234,11 @@ class CompatibleTriple:
         """Residuals of the compatibility invariants; raises on violation."""
         eye = np.eye(2 * self.n)
         res = {
-            "J_squared": float(np.max(np.abs(self.J @ self.J + eye))),
-            "omega_antisymmetric": float(np.max(np.abs(self.omega + self.omega.T))),
-            "omega_J_invariant": float(np.max(np.abs(self.J.T @ self.omega @ self.J - self.omega))),
-            "g_equals_omega_J": float(np.max(np.abs(self.g - self.omega @ self.J))),
-            "g_symmetric": float(np.max(np.abs(self.g - self.g.T))),
+            "J_squared": float(np.abs(self.J @ self.J + eye).max()),
+            "omega_antisymmetric": float(np.abs(self.omega + self.omega.T).max()),
+            "omega_J_invariant": float(np.abs(self.J.T @ self.omega @ self.J - self.omega).max()),
+            "g_equals_omega_J": float(np.abs(self.g - self.omega @ self.J).max()),
+            "g_symmetric": float(np.abs(self.g - self.g.T).max()),
         }
         # `not v <= tol` also catches NaN, which compares false either way
         bad = {k: v for k, v in res.items() if not v <= tol}
@@ -246,7 +246,7 @@ class CompatibleTriple:
             raise ValueError(f"triple violates compatibility: {bad}")
         if abs(np.linalg.det(self.omega)) <= TOL:
             raise ValueError("omega is degenerate")
-        if np.min(np.linalg.eigvalsh(self.g)) <= 0:
+        if np.linalg.eigvalsh(self.g).min() <= 0:
             raise ValueError("g is not positive definite")
         return res
 
@@ -821,10 +821,11 @@ def form_to_json(a: KForm) -> dict:
     writes the text of this dict straight from a.data."""
     data = _wire_data(a)
     indices = _basis_indices(2 * a.n, a.k)
-    nz = np.flatnonzero(data)
+    nz = data.nonzero()[0]  # np.flatnonzero of a 1-D array, without its ravel
+    values = data[nz]
     coeffs = [
         {"idx": list(indices[i]), "re": re, "im": im}
-        for i, re, im in zip(nz.tolist(), data.real[nz].tolist(), data.imag[nz].tolist())
+        for i, re, im in zip(nz.tolist(), values.real.tolist(), values.imag.tolist())
     ]
     return {"n": a.n, "k": a.k, "coeffs": coeffs}
 

@@ -76,16 +76,18 @@ def decompose_file(in_path, out_path) -> dict:
     Output carries the Lefschetz components (with primitivity residuals)
     and the bidegree components, each with reconstruction residuals.
 
-    Returns the document it wrote, its forms left as KForms, which
+    The document written holds the KForms themselves, which
     `dump_json_deterministic` writes from their arrays as `form_to_json`
-    would: the file's bytes are `dump_json_deterministic(result)`.  The
-    residuals are scaled by the input's norm; above the middle degree it
-    is read through the complementary Gram block (`_complement_norm`), so
-    that no Gram block above degree n is built.
+    would; the dict returned is the same document with every form
+    converted by `form_to_json`, so `json.loads` of the file equals it.
+    The residuals are scaled by the input's norm; above the middle degree
+    it is read through the complementary Gram block (`_complement_norm`),
+    so that no Gram block above degree n is built.
     """
     from llab.algebra import (
         _complement_norm,
         form_from_json,
+        form_to_json,
         norm,
         pq_decompose,
         triple_from_json,
@@ -109,27 +111,31 @@ def decompose_file(in_path, out_path) -> dict:
     scale = max((norm if k <= n else _complement_norm)(a, t), 1e-300)
     lef_out = {}
     for r, beta in lef.components.items():
-        if not np.any(np.abs(beta.data) > 1e-14 * scale):
+        if not (np.abs(beta.data) > 1e-14 * scale).any():
             continue  # structurally absent level
         lam = dual_lefschetz(beta, t)
         lef_out[str(r)] = {
             "form": beta,
-            "primitivity_residual": float(np.max(np.abs(lam.data), initial=0.0)) / scale,
+            "primitivity_residual": float(np.abs(lam.data).max(initial=0.0)) / scale,
             "is_primitive": bool(_primitivity(beta, lam, t, tol=1e-9)),
         }
 
     big = pq_decompose(a, t)
-    big_out = {f"{p},{q}": c for (p, q), c in sorted(big.components.items()) if np.any(c.data)}
+    big_out = {f"{p},{q}": c for (p, q), c in sorted(big.components.items()) if c.data.any()}
     out = {
         "input": {"form": a, "n": n, "k": k},
         "lefschetz_components": lef_out,
         "bidegree_components": big_out,
         "reconstruction_residuals": {
             "lefschetz": lef.residual(a, t),
-            "bidegree": float(np.max(np.abs((big.reconstruct() - a).data), initial=0.0)) / scale,
+            "bidegree": float(np.abs((big.reconstruct() - a).data).max(initial=0.0)) / scale,
         },
     }
     Path(out_path).write_bytes(dump_json_deterministic(out))
+    out["input"]["form"] = form_to_json(a)
+    for comp in lef_out.values():
+        comp["form"] = form_to_json(comp["form"])
+    out["bidegree_components"] = {key: form_to_json(c) for key, c in big_out.items()}
     return out
 
 

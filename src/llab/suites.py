@@ -50,69 +50,27 @@ from llab.reports import DEFAULT_TOLERANCE
 RANDOM_TRIPLE_CASES = 64
 ROUNDTRIP_CASES = 1000
 
-# The most bytes of operator blocks a verify-identities or torus run may
-# be predicted to hold (`predicted_block_bytes`); an n past it is refused
-# before any block is built.  Linux overcommits memory, so a run past the
-# host's memory is not a MemoryError the CLI can report but a kernel kill
-# with no message.  2 GiB admits verify-identities up to n = 6 and torus
-# up to n = 5.
-BLOCK_BYTES_BUDGET = 2 * 2**30
+# The largest n verify-identities and torus run.  Each keeps the dense
+# C(2n, k) x C(2n, k) operator blocks of every degree, verify-identities
+# those of two triples and torus those of one triple and of its Fourier
+# complex, and their bytes grow 15- to 24-fold per step of n.  Held after a
+# run at n = 5 (one process, 1 BLAS thread): 63 MB for verify-identities,
+# so about 1 GiB at n = 6, and 548 MB for torus (955 MB peak RSS), about
+# 12 GiB at n = 6.  Linux overcommits memory, so a run past the host's
+# memory is not a MemoryError the CLI can report but a kernel kill with no
+# message; an n past these is refused before any block is built.
+IDENTITIES_MAX_N = 6
+TORUS_MAX_N = 5
 
 
-def _triple_block_bytes(n: int) -> int:
-    """An upper bound on the bytes of the blocks `t.ops` holds once the
-    identities of every degree have been read off one triple, c_k =
-    C(2n, k) being the size of degree k:
-      * c_k^2 real entries for each of the Gram, omega-Gram, J-pullback,
-        star and symplectic-star blocks, and for the primitive basis;
-      * c_k^2 complex entries for the frame compound, the Weil operator and
-        each (p,q) projector, min(k, 2n - k) + 1 of them;
-      * L^r of every degree k and power r >= 0 (the identity at r = 0), and
-        Lambda, c_{k+2r} c_k and c_{k-2} c_k real entries;
-      * the (2n)^2 complex coframe."""
-    top = 2 * n
-    c = [math.comb(top, k) for k in range(top + 1)]
-    real = sum(c[k] ** 2 for k in range(top + 1)) * 6
-    real += sum(c[k] * c[j] for k in range(top + 1) for j in range(k, top + 1, 2))
-    real += sum(c[k - 2] * c[k] for k in range(2, top + 1))
-    cplx = sum(c[k] ** 2 * (min(k, top - k) + 3) for k in range(top + 1)) + top * top
-    return 8 * real + 16 * cplx
-
-
-def _fourier_block_bytes(n: int) -> int:
-    """The bytes of the real coefficient stacks a `FourierComplex` keeps
-    (`block`, `quadratic`): 2n (c_{k+-1}, c_k) blocks for each of d, d*,
-    d^Lambda and d^{Lambda*}; (2n, 2n, c_k, c_k) for the Laplacian and D, and
-    (2n, 2n, c_{k+-2}, c_k) for d^2 and (d^Lambda)^2, on every degree k."""
-    top = 2 * n
-    c = [math.comb(top, k) for k in range(top + 1)]
-    first = 4 * top * sum(c[k] * c[k + 1] for k in range(top))
-    second = 2 * top * top * (sum(x * x for x in c) + sum(c[k] * c[k + 2] for k in range(top - 1)))
-    return 8 * (first + second)
-
-
-def predicted_block_bytes(suite: str, n: int) -> int:
-    """The bytes of operator blocks `suite` holds at half-dimension n, from
-    n alone: verify-identities keeps the blocks of two triples (the
-    standard one and a random one), torus those of the standard triple and
-    of its Fourier complex.  The blocks of one n are freed before the next
-    n runs, so a run's peak is the largest n's."""
-    if suite == "verify-identities":
-        return 2 * _triple_block_bytes(n)
-    if suite == "torus":
-        return _triple_block_bytes(n) + _fourier_block_bytes(n)
-    raise ValueError(f"no block prediction for suite {suite!r}")
-
-
-def _check_block_budget(suite: str, n_values) -> None:
-    """Raise ValueError, naming n, the predicted bytes and the budget, for
-    the first n whose blocks would pass BLOCK_BYTES_BUDGET."""
+def _check_max_n(suite: str, n_values, max_n: int, held: str) -> None:
+    """Raise ValueError for an n past max_n, naming n, max_n and `held`,
+    the bytes of the suite's operator blocks at max_n."""
     for n in n_values:
-        need = predicted_block_bytes(suite, n)
-        if need > BLOCK_BYTES_BUDGET:
+        if n > max_n:
             raise ValueError(
-                f"{suite} at n = {n} would hold {need:,} bytes ({need / 2**30:.3g} GiB) of operator "
-                f"blocks, over the budget of {BLOCK_BYTES_BUDGET:,} bytes ({BLOCK_BYTES_BUDGET / 2**30:g} GiB)"
+                f"{suite} at n = {n} is past its largest n, {max_n}: its operator blocks hold "
+                f"{held} at n = {max_n} and grow at least 15-fold per step of n"
             )
 
 
@@ -323,7 +281,7 @@ def identity_suite(
         raise ValueError("n >= 1 required")
     if cases < 0 or cross_cases < 0:
         raise ValueError("case counts must be nonnegative")
-    _check_block_budget("verify-identities", n_values)
+    _check_max_n("verify-identities", n_values, IDENTITIES_MAX_N, "about 1 GiB")
 
     def run_n(n: int) -> dict:
         t_std = build_standard_triple(n)
@@ -400,7 +358,7 @@ def torus_suite(
     n_values = _distinct_n(n_values)
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    _check_block_budget("torus", n_values)
+    _check_max_n("torus", n_values, TORUS_MAX_N, "548 MB")
 
     def run_n(n: int) -> dict:
         t = build_standard_triple(n)

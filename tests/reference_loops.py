@@ -687,11 +687,9 @@ def whole_ring_prolongation(coarse, fine):
 
 
 def ref_decompose_file(in_path, out_path) -> dict:
-    """`llab.cli.decompose_file` as it was before it returned the document
-    it writes: the residuals scaled by `norm` of the input, which above the
-    middle degree builds the Gram block of the input's degree, and the
-    document returned with every form converted by `form_to_json`, so that
-    `json.loads` of the file equals it."""
+    """`llab.cli.decompose_file` with the residuals scaled by `norm` of the
+    input, which above the middle degree builds the Gram block of the
+    input's degree."""
     obj = json.loads(Path(in_path).read_text())
     t = triple_from_json(obj["triple"])
     a = form_from_json(obj["form"])

@@ -572,18 +572,17 @@ def _omega_input(tmp_path):
 
 
 def test_decompose_omega_example(tmp_path):
-    from llab.algebra import form_to_json
-
     inp = _omega_input(tmp_path)
     outp = tmp_path / "out.json"
     result = decompose_file(inp, outp)
-    assert outp.read_bytes() == dump_json_deterministic(result)
+    written = json.loads(outp.read_text())
+    assert written == result
     # omega = L(1): single Lefschetz component at r = 1, the constant 1
     assert set(result["lefschetz_components"]) == {"1"}
     r1 = result["lefschetz_components"]["1"]
     assert r1["is_primitive"] is True
-    assert r1["form"].k == 0
-    assert form_to_json(r1["form"])["coeffs"] == [{"idx": [], "re": 1.0, "im": 0.0}]
+    assert r1["form"]["k"] == 0
+    assert r1["form"]["coeffs"] == [{"idx": [], "re": 1.0, "im": 0.0}]
     # pure (1,1) bidegree
     assert set(result["bidegree_components"]) == {"1,1"}
     assert result["reconstruction_residuals"]["lefschetz"] < 1e-12
@@ -683,10 +682,9 @@ def _residuals(doc: dict) -> dict:
 
 
 def test_decompose_writes_what_the_reference_writes(tmp_path):
-    # the reference scales by norm(a, t) and returns form_to_json dicts: a
-    # k <= n file is byte for byte its file, and a k > n file differs at
-    # most in its residuals' last bits, the scale being read through the
-    # complementary Gram block
+    # the reference scales by norm(a, t): a k <= n file is byte for byte
+    # its file, and a k > n file differs at most in its residuals' last
+    # bits, the scale being read through the complementary Gram block
     from reference_loops import ref_decompose_file
 
     above = 0
@@ -694,13 +692,12 @@ def test_decompose_writes_what_the_reference_writes(tmp_path):
         out, ref = tmp_path / "out.json", tmp_path / "ref.json"
         result = decompose_file(inp, out)
         ref_result = ref_decompose_file(inp, ref)
-        assert out.read_bytes() == dump_json_deterministic(result)
+        doc, ref_doc = json.loads(out.read_bytes()), json.loads(ref.read_bytes())
+        assert (doc, ref_doc) == (result, ref_result)
         if k <= n:
             assert out.read_bytes() == ref.read_bytes(), (n, k)
             continue
         above += 1
-        doc, ref_doc = json.loads(out.read_bytes()), json.loads(ref.read_bytes())
-        assert ref_doc == ref_result
         got, want = _residuals(doc), _residuals(ref_doc)
         assert doc == ref_doc, (n, k)  # forms, keys and flags
         assert got.keys() == want.keys()
@@ -892,51 +889,19 @@ def test_cli_maps_memory_error_to_exit_two(tmp_path, capsys, monkeypatch):
     assert "error: out of memory" in capsys.readouterr().err
 
 
-def _block_bytes(blocks: dict) -> int:
-    return sum(
-        sum(M.nbytes for M in v.values()) if isinstance(v, dict) else getattr(v, "nbytes", 0)
-        for v in blocks.values()
-    )
-
-
-@pytest.mark.parametrize("suite", ["verify-identities", "torus"])
-def test_the_block_prediction_bounds_the_blocks_held(monkeypatch, suite):
-    # the blocks t.ops (and, for torus, the Fourier complex) hold after a
-    # run at one n: the prediction is not below them, and within 2x of them
-    import llab.suites
-    import llab.torus
-    from llab.suites import predicted_block_bytes
-
-    made = []
-
-    def keep(build):
-        def built(*args, **kwargs):
-            made.append(build(*args, **kwargs))
-            return made[-1]
-
-        return built
-
-    for module, name in ((llab.suites, "build_standard_triple"), (llab.suites, "random_compatible_triple"),
-                         (llab.torus, "build_fourier_complex")):
-        monkeypatch.setattr(module, name, keep(getattr(module, name)))
-    for n in (1, 2, 3, 4) if suite == "verify-identities" else (2, 3, 4):
-        made.clear()
-        if suite == "verify-identities":
-            llab.suites.identity_suite(n_values=(n,), cases=4, cross_cases=2)
-        else:
-            llab.suites.torus_suite(n_values=(n,), N=1, samples=2)
-        held = sum(_block_bytes(x._cache if isinstance(x, llab.torus.FourierComplex) else x.ops._blocks)
-                   for x in made)
-        assert len(made) == 2
-        assert held <= predicted_block_bytes(suite, n) <= 2 * held, (n, held)
-
-
-@pytest.mark.parametrize("argv", [["verify-identities", "--n", "1,9", "--cases", "1"], ["torus", "--n", "9"]])
-def test_an_n_past_the_block_budget_exits_two_before_any_block(monkeypatch, capsys, argv):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-identities", "--n", "1,9", "--cases", "1"],
+        ["torus", "--n", "9"],
+        ["verify-identities", "--n", "100000"],
+        ["torus", "--n", "100000"],
+    ],
+)
+def test_an_n_past_the_largest_exits_two_before_any_block(monkeypatch, capsys, argv):
     import time
 
     import llab.suites
-    from llab.suites import BLOCK_BYTES_BUDGET, predicted_block_bytes
 
     def refuse(*args, **kwargs):
         raise AssertionError("a triple was built")
@@ -945,9 +910,26 @@ def test_an_n_past_the_block_budget_exits_two_before_any_block(monkeypatch, caps
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0
+    largest = llab.suites.IDENTITIES_MAX_N if argv[0] == "verify-identities" else llab.suites.TORUS_MAX_N
     err = capsys.readouterr().err
-    assert f"{argv[0]} at n = 9 would hold {predicted_block_bytes(argv[0], 9):,} bytes" in err
-    assert f"over the budget of {BLOCK_BYTES_BUDGET:,} bytes" in err
+    assert f"{argv[0]} at n = {argv[2].split(',')[-1]} is past its largest n, {largest}: its operator blocks hold" in err
+
+
+@pytest.mark.parametrize("suite", ["verify-identities", "torus"])
+def test_the_largest_n_is_admitted(monkeypatch, suite):
+    import llab.suites
+
+    class Built(Exception):
+        pass
+
+    def built(n, *args, **kwargs):
+        raise Built(n)
+
+    monkeypatch.setattr(llab.suites, "build_standard_triple", built)
+    run = llab.suites.identity_suite if suite == "verify-identities" else llab.suites.torus_suite
+    largest = llab.suites.IDENTITIES_MAX_N if suite == "verify-identities" else llab.suites.TORUS_MAX_N
+    with pytest.raises(Built):
+        run(n_values=(largest,))
 
 
 def test_form_to_json_rejects_batches():
