@@ -21,47 +21,29 @@ from pathlib import Path
 
 import numpy as np
 
-from llab.reports import DEFAULT_SEED, DEFAULT_TOLERANCE, ReportBundle, SuiteConfig, dump_json_deterministic
+from llab.reports import ReportBundle, SuiteConfig, dump_json_deterministic
+from llab.suites import failure_notes, suite_function, worst_cell
 
 
-def _int_list(s: str) -> list[int]:
-    return [int(x) for x in str(s).split(",") if x.strip() != ""]
+def _comma_list(kind):
+    """The option type of a comma list of `kind`, empty items skipped."""
+    def parse(s: str) -> tuple:
+        return tuple(kind(x) for x in s.split(",") if x.strip() != "")
+
+    parse.__name__ = f"{kind.__name__} list"  # argparse names a bad value's type by it
+    return parse
 
 
-def _float_list(s: str) -> list[float]:
-    return [float(x) for x in str(s).split(",") if x.strip() != ""]
-
-
-# suite id -> the llab.suites function that runs it
-_SUITE_FUNCTIONS = {
-    "verify-identities": "identity_suite",
-    "torus": "torus_suite",
-    "hyperbolic": "hyperbolic_suite",
-}
+def _takes_seed(suite: str) -> bool:
+    return "seed" in inspect.signature(suite_function(suite)).parameters
 
 
 def run_suite(cfg: SuiteConfig) -> ReportBundle:
-    """Dispatch a SuiteConfig to its module suite and bundle the result.
-
-    The params are the suite function's keyword arguments, its defaults
-    filling the rest; seed (for a suite that takes one) and tol come from
-    the config's own fields.  Raises ValueError for a param the function
-    does not take, which would enter the config hash and change nothing.
-    """
-    from llab import suites
-
-    if cfg.suite not in _SUITE_FUNCTIONS:
-        raise ValueError(f"unknown suite id {cfg.suite!r}")
-    run = getattr(suites, _SUITE_FUNCTIONS[cfg.suite])
-    takes = set(inspect.signature(run).parameters) - {"seed", "tol"}
-    unknown = sorted(set(cfg.params) - takes)
-    if unknown:
-        raise ValueError(
-            f"suite {cfg.suite} takes no param(s) {', '.join(map(repr, unknown))}; "
-            f"it takes {', '.join(sorted(takes))}"
-        )
+    """Run a SuiteConfig's suite on its params, seed (for a suite that
+    takes one) and tolerance, and bundle the report; write it when the
+    config names an output directory."""
     seed = {} if cfg.seed is None else {"seed": cfg.seed}
-    payload = run(**cfg.params, **seed, tol=cfg.tolerance)
+    payload = suite_function(cfg.suite)(**cfg.params, **seed, tol=cfg.tolerance)
 
     bundle = ReportBundle(suite=cfg.suite, config=cfg, payload=payload, passed=bool(payload["passed"]))
     if cfg.out_dir is not None:
@@ -143,39 +125,38 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="llab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, suite):
-        if suite in DEFAULT_SEED:
-            sp.add_argument("--seed", type=int, default=DEFAULT_SEED[suite], help="seed of every random draw")
+    # each suite option's dest is the suite parameter or SuiteConfig field
+    # it sets; an option not given is left out, and the suite's signature
+    # supplies its default
+    def suite_parser(suite, help):
+        sp = sub.add_parser(suite, help=help, argument_default=argparse.SUPPRESS)
+        if _takes_seed(suite):
+            sp.add_argument("--seed", type=int, help="seed of every random draw")
         else:  # accepted, as scripts pass it to every suite, and ignored
-            sp.add_argument("--seed", type=int, default=None,
-                            help="ignored: this suite draws nothing a seed chooses")
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE[suite],
-                        help="gate on the verdict's max residual")
-        sp.add_argument("--out", type=str, default=None, help="report output directory")
-        sp.add_argument("--format", type=str, default="json", help="comma list: json,csv")
+            sp.add_argument("--seed", type=int, help="ignored: this suite draws nothing a seed chooses")
+        sp.add_argument("--tol", dest="tolerance", type=float, help="gate on the verdict's max residual")
+        sp.add_argument("--out", dest="out_dir", type=str, help="report output directory")
+        sp.add_argument("--format", dest="formats", type=_comma_list(str.strip), help="comma list: json,csv")
+        return sp
 
-    sp = sub.add_parser("verify-identities", help="pointwise algebra/Lefschetz identity suite")
-    sp.add_argument("--n", type=_int_list, default=[1, 2, 3, 4], help="comma list of half-dimensions n")
-    sp.add_argument("--cases", type=int, default=1000, help="random forms per (n, k) cell")
-    sp.add_argument("--cross-cases", type=int, default=500,
+    sp = suite_parser("verify-identities", "pointwise algebra/Lefschetz identity suite")
+    sp.add_argument("--n", dest="n_values", type=_comma_list(int), help="comma list of half-dimensions n")
+    sp.add_argument("--cases", type=int, help="random forms per (n, k) cell")
+    sp.add_argument("--cross-cases", type=int,
                     help="random primitive pairs per cell for the cross-degree orthogonality")
-    common(sp, "verify-identities")
 
-    sp = sub.add_parser("torus", help="Fourier-model harmonic/identity suite")
-    sp.add_argument("--n", type=_int_list, default=[2, 3], help="comma list of half-dimensions n")
-    sp.add_argument("--N", type=int, default=1, help="frequency cutoff per coordinate")
-    sp.add_argument("--samples", type=int, default=100,
+    sp = suite_parser("torus", "Fourier-model harmonic/identity suite")
+    sp.add_argument("--n", dest="n_values", type=_comma_list(int), help="comma list of half-dimensions n")
+    sp.add_argument("--N", type=int, help="frequency cutoff per coordinate")
+    sp.add_argument("--samples", type=int,
                     help="random forms for L10's measured constants and modes for the self-dual relation")
-    common(sp, "torus")
 
-    sp = sub.add_parser("hyperbolic", help="FEM spectral-gap suite on the disc")
-    sp.add_argument("--R", type=_float_list, default=[2.0, 4.0], help="comma list of disc radii")
-    sp.add_argument("--h", type=_float_list, default=[0.2, 0.1], help="comma list of mesh sizes")
-    sp.add_argument("--k", type=int, default=0, choices=(0, 1), help="form degree of the Laplacian")
-    sp.add_argument("--eps", type=float, default=0.6, help="cutoff parameter, ramp width 2/eps")
-    sp.add_argument("--rel-tol", type=float, default=1e-8,
-                    help="eigenpair certificate: residual < rel_tol*lambda")
-    common(sp, "hyperbolic")
+    sp = suite_parser("hyperbolic", "FEM spectral-gap suite on the disc")
+    sp.add_argument("--R", dest="R_values", type=_comma_list(float), help="comma list of disc radii")
+    sp.add_argument("--h", dest="h_values", type=_comma_list(float), help="comma list of mesh sizes")
+    sp.add_argument("--k", type=int, choices=(0, 1), help="form degree of the Laplacian")
+    sp.add_argument("--eps", type=float, help="cutoff parameter, ramp width 2/eps")
+    sp.add_argument("--rel-tol", type=float, help="eigenpair certificate: residual < rel_tol*lambda")
 
     sp = sub.add_parser("decompose", help="Lefschetz + bidegree decomposition of a form file")
     sp.add_argument("input", type=str)
@@ -205,67 +186,43 @@ def _run_decompose(args) -> int:
 
 
 def _suite_config(args) -> SuiteConfig:
-    """The SuiteConfig of a suite's command line.  A --seed given to a
-    suite that takes none is left out of it.  --n enters it ascending, so
-    that its order does not change the config hash."""
-    params: dict = {}
-    if args.command == "verify-identities":
-        params = {
-            "n_values": sorted(args.n),
-            "cases": args.cases,
-            "cross_cases": args.cross_cases,
-        }
-    elif args.command == "torus":
-        params = {"n_values": sorted(args.n), "N": args.N, "samples": args.samples}
-    elif args.command == "hyperbolic":
-        params = {
-            "R_values": args.R,
-            "h_values": args.h,
-            "k": args.k,
-            "eps": args.eps,
-            "rel_tol": args.rel_tol,
-        }
-
-    return SuiteConfig(
-        suite=args.command,
-        seed=args.seed if args.command in DEFAULT_SEED else None,
-        tolerance=args.tol,
-        params=params,
-        out_dir=args.out,
-        formats=tuple(x.strip() for x in args.format.split(",") if x.strip()),
-    )
+    """The SuiteConfig of a suite's command line: the options given, by
+    dest, as its fields and its params.  A --seed given to a suite that
+    takes none is left out of it, with a note on stderr."""
+    params = dict(vars(args))
+    suite = params.pop("command")
+    fields = {name: params.pop(name) for name in ("seed", "tolerance", "out_dir", "formats") if name in params}
+    if "seed" in fields and not _takes_seed(suite):
+        del fields["seed"]
+        print(f"note: --seed is ignored: suite {suite} draws nothing a seed chooses", file=sys.stderr)
+    return SuiteConfig(suite=suite, params=params, **fields)
 
 
 def _run_suite(args) -> int:
-    if args.command not in DEFAULT_SEED and args.seed is not None:
-        print(f"note: --seed is ignored: suite {args.command} draws nothing a seed chooses", file=sys.stderr)
     cfg = _suite_config(args)
     bundle = run_suite(cfg)
+    body = bundle.payload
 
     status = "PASS" if bundle.passed else "FAIL"
-    warn = bundle.payload.get("warning")
+    warn = body.get("warning")
     extra = f" (warning: {warn})" if warn else ""
-    verdict = bundle.payload.get("verdict", {})
-    mr = bundle.payload.get("max_residual", verdict.get("max_residual"))
-    mr_s = f", max residual {mr:.3e}" if isinstance(mr, float) else ""
+    mr = body["max_residual"]
+    mr_s = "" if mr is None else f", max residual {mr:.3e}"
     failed = ""
     if not bundle.passed:
         # name what failed: the residual when it is over, the cell it sits
         # in, and every false check
-        from llab.suites import failure_notes, worst_cell
-
-        tol = verdict.get("tolerance")
-        if mr_s and tol is not None and not mr < tol:
-            mr_s += f" > tol {tol:g}"
-        worst = worst_cell(bundle.payload)
+        if mr is not None and not mr < body["tolerance"]:
+            mr_s += f" > tol {body['tolerance']:g}"
+        worst = worst_cell(body)
         if worst is not None:
             mr_s += f"; worst: {worst[0]} {worst[1]:.1e}"
-        names = [name for name, ok in verdict.get("checks", {}).items() if not ok]
+        names = [name for name, ok in body["checks"].items() if not ok]
         if names:
             failed = "; failed: " + ", ".join(names)
     _say(f"[{status}] suite {cfg.suite}{mr_s}{extra}{failed}; config {cfg.config_hash()}")
     if not bundle.passed:
-        for note in failure_notes(bundle.payload):
+        for note in failure_notes(body):
             _say(note)
     if cfg.out_dir:
         _say(f"reports written to {cfg.out_dir}/")

@@ -35,6 +35,7 @@ import numpy as np
 
 from llab.algebra import build_standard_triple, random_compatible_triple
 from llab.hyperbolic.eigensolve import (
+    DEFAULT_REL_TOL,
     EigenNonConvergence,
     SpectralResult,
     grid_level,
@@ -254,7 +255,7 @@ def gromov_bound_report(n: int, k: int, theta_sup: float = 1.0) -> dict:
     }
 
 
-def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = 1e-8) -> SpectralResult:
+def dirichlet_lambda1(mesh: DiscMesh, k: int, rel_tol: float = DEFAULT_REL_TOL) -> SpectralResult:
     """Smallest Dirichlet eigenvalue of the degree-k Laplacian's pencil,
     with its residual certificate.
 
@@ -357,7 +358,7 @@ def gap_sweep(
     R_values,
     h_values,
     k: int = 0,
-    rel_tol: float = 1e-8,
+    rel_tol: float = DEFAULT_REL_TOL,
 ) -> dict:
     """lambda_1 over an (R, h) grid: P1 estimates with Richardson
     extrapolation per R and, at k = 0, a proven lower bound per R.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -27,17 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from llab import algebra
+from llab.suites import evaluate_verdict, suite_function
 
 CSV_SCHEMA_VERSION = 1
 CSV_COLUMNS = ("schema_version", "suite", "group", "name", "value")
-
-# the default tolerance of each suite's verdict, for the CLI and for a
-# SuiteConfig built without one: the identity and torus checks are exact
-# algebra, the hyperbolic residual is an eigenpair certificate at rel_tol 1e-8
-DEFAULT_TOLERANCE = {"verify-identities": 1e-10, "torus": 1e-10, "hyperbolic": 1e-8}
-# the default seed of each suite that draws random numbers; the hyperbolic
-# suite draws none that a seed could choose, and takes no seed
-DEFAULT_SEED = {"verify-identities": 7, "torus": 7}
 
 
 def code_version() -> str:
@@ -48,16 +42,18 @@ def code_version() -> str:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Everything that determines a suite run's numbers.
+    """Everything that determines a suite run's numbers, completed from
+    the signature of the suite's function (`llab.suites.suite_function`).
 
-    `params` holds the suite-specific knobs (n values, cutoffs, mesh
-    sizes, ...).  The hash covers suite, params, seed and tolerance --
-    the semantic content -- and ignores routing: output directory and
-    formats.  A tolerance left at None becomes the suite's
-    DEFAULT_TOLERANCE; one that is not finite, or negative, is a ValueError.
-    A seed left at None becomes the suite's DEFAULT_SEED; one that is not
-    a non-negative integer is a ValueError.  A suite with none
-    (hyperbolic) takes no seed, and its hash and config block carry none.
+    `params` holds every parameter but `seed` and `tol`, given or
+    defaulted, `n_values` ascending and a whole number given for a float
+    default as that float (`_like`): one run has one hash.  A param the
+    function does not take, a tolerance that is not finite or is negative,
+    a seed that is not a non-negative integer, any seed for a suite that
+    takes none (hyperbolic), and no format are ValueErrors.  A tolerance or
+    seed left at None is the default of `tol` or `seed`.  The hash covers
+    suite, params, seed and tolerance -- the semantic content -- and ignores
+    routing: output directory and formats.
     """
 
     suite: str
@@ -68,20 +64,33 @@ class SuiteConfig:
     formats: tuple[str, ...] = ("json",)
 
     def __post_init__(self):
+        signature = inspect.signature(suite_function(self.suite)).parameters
+        defaults = {name: p.default for name, p in signature.items() if name not in ("seed", "tol")}
+        unknown = sorted(set(self.params) - set(defaults))
+        if unknown:
+            raise ValueError(
+                f"suite {self.suite} takes no param(s) {', '.join(map(repr, unknown))}; "
+                f"it takes {', '.join(sorted(defaults))}"
+            )
+        params = {name: _like(self.params.get(name, default), default) for name, default in defaults.items()}
+        if "n_values" in params:
+            params["n_values"] = sorted(params["n_values"])
+        object.__setattr__(self, "params", params)
         if self.tolerance is None:
-            if self.suite not in DEFAULT_TOLERANCE:
-                raise ValueError(f"unknown suite id {self.suite!r}")
-            object.__setattr__(self, "tolerance", DEFAULT_TOLERANCE[self.suite])
-        if self.seed is None:
-            object.__setattr__(self, "seed", DEFAULT_SEED.get(self.suite))
-        elif self.suite in DEFAULT_TOLERANCE and self.suite not in DEFAULT_SEED:
-            raise ValueError(f"suite {self.suite} draws nothing a seed chooses: it takes no seed")
+            object.__setattr__(self, "tolerance", signature["tol"].default)
+        if "seed" not in signature:
+            if self.seed is not None:
+                raise ValueError(f"suite {self.suite} draws nothing a seed chooses: it takes no seed")
+        elif self.seed is None:
+            object.__setattr__(self, "seed", signature["seed"].default)
         elif not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             # numpy's own refusal would name neither the seed nor its value
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # 0 is legal and fails every residual; inf or nan would pass vacuously
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
+        if not self.formats:
+            raise ValueError("no report format given; expected json|csv")
         bad = [f for f in self.formats if f not in ("json", "csv")]
         if bad:
             raise ValueError(f"unknown format(s) {bad}; expected json|csv")
@@ -93,6 +102,16 @@ class SuiteConfig:
     def config_hash(self) -> str:
         payload = json.dumps(self.semantic_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _like(value, default):
+    """`value` with each whole number whose default is a float made that
+    float: R_values [2, 4] and [2.0, 4.0] are one run, and hash alike."""
+    if isinstance(default, float) and isinstance(value, int):
+        return float(value)
+    if isinstance(default, tuple) and default and isinstance(value, (list, tuple)):
+        return [_like(v, default[0]) for v in value]
+    return value
 
 
 @dataclass
@@ -336,30 +355,14 @@ def strip_timestamp(report: dict) -> dict:
     return out
 
 
-def evaluate_verdict(verdict: dict) -> bool:
-    """The one verdict rule, shared by suite authors and report consumers.
-
-    verdict = {"max_residual": float|None, "tolerance": float|None,
-               "checks": {name: bool, ...}}
-    passes iff the residual clears the tolerance (when both are present)
-    and every named check is True.
-    """
-    ok = all(bool(v) for v in verdict.get("checks", {}).values())
-    mr = verdict.get("max_residual")
-    tol = verdict.get("tolerance")
-    if mr is not None and tol is not None:
-        ok = ok and (mr < tol)
-    return ok
-
-
 def verdict_from_report(report: dict) -> bool:
     """Recompute the verdict from a parsed report (parser/emitter closure).
 
-    Reports carry their verdict inputs in report["report"]["verdict"];
-    re-evaluating them must reproduce the recorded `passed` flag exactly.
+    A report body carries its verdict's inputs, `max_residual`,
+    `tolerance` and `checks`, at its top beside the recorded `passed`;
+    `evaluate_verdict` of them must reproduce that flag exactly.
     """
     body = report.get("report", {})
-    verdict = body.get("verdict")
-    if verdict is None:
-        raise ValueError("report has no verdict block")
-    return evaluate_verdict(verdict)
+    if not {"max_residual", "tolerance", "checks"} <= body.keys():
+        raise ValueError("report body carries no verdict: it lacks max_residual, tolerance or checks")
+    return evaluate_verdict(body)

@@ -43,7 +43,6 @@ from llab.lefschetz import (
     weil_consistency_operator,
     weil_relation_operators,
 )
-from llab.reports import DEFAULT_TOLERANCE
 
 # the random triple's cells draw at most RANDOM_TRIPLE_CASES forms per batch,
 # and the decomposition round trip reads at most ROUNDTRIP_CASES of them
@@ -171,6 +170,27 @@ def _cell_residuals(
     return out
 
 
+# -- the verdict ----------------------------------------------------------
+
+
+def evaluate_verdict(body: dict) -> bool:
+    """The one verdict rule, shared by suite authors and report consumers.
+
+    A report body carries {"max_residual": float|None, "tolerance":
+    float|None, "checks": {name: bool, ...}} at its top; it passes iff the
+    residual clears the tolerance (when both are present) and every named
+    check is True.
+    """
+    mr, tol = body["max_residual"], body["tolerance"]
+    return all(map(bool, body["checks"].values())) and (mr is None or tol is None or mr < tol)
+
+
+def _verdict(max_residual: float | None, tol: float, checks: dict) -> dict:
+    """A report body's verdict keys: evaluate_verdict's inputs and `passed`."""
+    body = {"max_residual": max_residual, "tolerance": tol, "checks": checks}
+    return {**body, "passed": evaluate_verdict(body)}
+
+
 # -- the residuals each verdict's max_residual is the max of, by cell ----
 
 
@@ -268,7 +288,7 @@ def identity_suite(
     cases: int = 1000,
     cross_cases: int = 500,
     seed: int = 7,
-    tol: float = DEFAULT_TOLERANCE["verify-identities"],
+    tol: float = 1e-10,
 ) -> dict:
     """Criteria-level identity verification over (n, k) cells.
 
@@ -307,21 +327,14 @@ def identity_suite(
     cells = {f"n{n}": run_n(n) for n in n_values}
 
     residuals = _identity_residuals(cells)
-    max_residual = max(residuals.values()) if residuals else None
-    verdict = {"max_residual": max_residual, "tolerance": tol, "checks": {}}
-    from llab.reports import evaluate_verdict
-
     report = {
         "suite": "verify-identities",
         "n_values": list(n_values),
         "cases": cases,
         "cross_cases": cross_cases,
         "seed": seed,
-        "tolerance": tol,
         "cells": cells,
-        "max_residual": max_residual,
-        "verdict": verdict,
-        "passed": evaluate_verdict(verdict),
+        **_verdict(max(residuals.values()) if residuals else None, tol, {}),
     }
     if not residuals or cases == 0:
         report["warning"] = "vacuous"
@@ -337,7 +350,7 @@ def torus_suite(
     N: int = 1,
     samples: int = 100,
     seed: int = 7,
-    tol: float = DEFAULT_TOLERANCE["torus"],
+    tol: float = 1e-10,
 ) -> dict:
     """Fourier-model verification: harmonic dimensions, the bigraded
     refinement, the two norm identities, the anti-invariant measurement,
@@ -347,6 +360,7 @@ def torus_suite(
         anti_invariant_suite,
         build_fourier_complex,
         check_complex,
+        check_modes,
         harmonic_space,
         self_dual_invariant_relation,
         verify_kahler_identity,
@@ -359,6 +373,8 @@ def torus_suite(
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     _check_max_n("torus", n_values, TORUS_MAX_N, "548 MB")
+    for n in n_values:  # every n, before any complex is built
+        check_modes(n, N)
 
     def run_n(n: int) -> dict:
         t = build_standard_triple(n)
@@ -391,21 +407,14 @@ def torus_suite(
             checks[f"{key}.p7[{pq}]"] = bool(r["passed"])
         checks[f"{key}.anti_invariant"] = bool(b["anti_invariant"]["passed"])
         checks[f"{key}.self_dual"] = bool(b["self_dual"]["passed"])
-    max_residual = max(residuals.values()) if residuals else None
-    verdict = {"max_residual": max_residual, "tolerance": tol, "checks": checks}
-    from llab.reports import evaluate_verdict
-
     report = {
         "suite": "torus",
         "n_values": list(n_values),
         "N": N,
         "samples": samples,
         "seed": seed,
-        "tolerance": tol,
         "blocks": blocks,
-        "max_residual": max_residual,
-        "verdict": verdict,
-        "passed": evaluate_verdict(verdict),
+        **_verdict(max(residuals.values()) if residuals else None, tol, checks),
     }
     # zero samples, sampled modes that all missed a nontrivial self-dual
     # case, or an L8 proof over no type or an L10 cross term over no pair of
@@ -425,8 +434,10 @@ def hyperbolic_suite(
     h_values=(0.2, 0.1),
     k: int = 0,
     eps: float = 0.6,
+    # eigensolve.DEFAULT_REL_TOL, pinned equal by a test: importing it here
+    # would load scipy for every suite.  tol gates what rel_tol certifies.
     rel_tol: float = 1e-8,
-    tol: float = DEFAULT_TOLERANCE["hyperbolic"],
+    tol: float = 1e-8,
 ) -> dict:
     """FEM gap verification: derivation report, theta texture, the (R, h)
     sweep with extrapolation, cutoff feasibility, the cross term, and
@@ -491,10 +502,6 @@ def hyperbolic_suite(
     ]
     if oracle_errs:
         checks["oracle_agreement_3pct"] = all(e < 0.03 for e in oracle_errs)
-    max_residual = max(_hyperbolic_residuals(sweep["rows"]).values())
-    verdict = {"max_residual": max_residual, "tolerance": tol, "checks": checks}
-    from llab.reports import evaluate_verdict
-
     report = {
         "suite": "hyperbolic",
         "R_values": [float(R) for R in R_values],
@@ -507,11 +514,23 @@ def hyperbolic_suite(
         "cutoff": profile.to_json_dict(),
         "crossterm": cross,
         "annulus_decay": decay.to_json_dict(),
-        "checks": checks,
-        "verdict": verdict,
-        "passed": evaluate_verdict(verdict),
+        **_verdict(max(_hyperbolic_residuals(sweep["rows"]).values()), tol, checks),
     }
     if not oracle_errs:
         # no extrapolated eigenvalue met an oracle: nothing checked convergence
         report["warning"] = "vacuous"
     return report
+
+
+# suite id -> the name of the function that runs it, whose signature is the
+# suite's contract: its parameters and defaults, its tolerance `tol`, and its
+# `seed` if it draws one
+SUITES = {"verify-identities": "identity_suite", "torus": "torus_suite", "hyperbolic": "hyperbolic_suite"}
+
+
+def suite_function(suite: str):
+    """The function that runs `suite`, looked up by name at each call, so
+    that a wrapper bound to the module attribute is the one called."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite id {suite!r}")
+    return globals()[SUITES[suite]]

@@ -238,12 +238,29 @@ def _weitzenbock(fc: FourierComplex, k: int) -> tuple[float, bool]:
     return e / max(1.0, float(np.max(np.abs(g_inv)))), 2 * fc.n * Q.shape[-1] * e < lam_min
 
 
+# The most modes a complex is built with: its mode tuple holds about 96 B a
+# mode (tracemalloc, n = 3, N = 3), and --n 3 --N 10 would ask for 85.8 M, or
+# 7.7 GiB.  The tests and benchmark build at most 5^6 (n = 3, N = 2); the
+# xi-linear proofs do not depend on N, which only chooses the sampled modes.
+MAX_MODES = 10**6
+
+
+def check_modes(n: int, N: int) -> None:
+    """Raise ValueError unless n >= 1, N >= 0 and the (2N+1)^(2n) modes of
+    the complex are at most MAX_MODES, naming n, N, the count and the cap."""
+    if n < 1 or N < 0:
+        raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
+    count = (2 * N + 1) ** (2 * n)
+    if count > MAX_MODES:
+        raise ValueError(f"torus at n = {n}, N = {N} has (2N+1)^(2n) = {count} modes, past the cap of {MAX_MODES}")
+
+
 def build_fourier_complex(n: int, N: int, t: CompatibleTriple) -> FourierComplex:
     """Assemble the truncated complex; validates the triple and the
     differential structure: d^2 = 0 and (d^Lambda)^2 = 0 on every mode, i.e.
-    the 2n coefficient matrices of each pairwise anticommute (`_squares`)."""
-    if n < 1 or N < 0:
-        raise ValueError(f"need n >= 1 and N >= 0, got n={n}, N={N}")
+    the 2n coefficient matrices of each pairwise anticommute (`_squares`).
+    Refuses an (n, N) that `check_modes` refuses, before any mode is built."""
+    check_modes(n, N)
     if t.n != n:
         raise ValueError(f"triple has n={t.n}, complex wants n={n}")
     t.validate(tol=1e-10)

@@ -8,6 +8,7 @@ be recomputed from the report alone, and exit codes encode pass/fail.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -25,7 +26,6 @@ from llab.cli import _build_parser, _suite_config, decompose_file, main, run_sui
 from llab.reports import (
     CSV_COLUMNS,
     CSV_SCHEMA_VERSION,
-    DEFAULT_TOLERANCE,
     ReportBundle,
     SuiteConfig,
     dump_json_deterministic,
@@ -35,6 +35,7 @@ from llab.reports import (
     strip_timestamp,
     verdict_from_report,
 )
+from llab.suites import SUITES, suite_function
 
 
 TINY = {"n_values": (1, 2), "cases": 40, "cross_cases": 20}
@@ -58,16 +59,17 @@ def test_config_hash_ignores_routing(tmp_path):
     assert a.config_hash() != c.config_hash()
 
 
-def test_run_suite_rejects_a_param_its_suite_does_not_take():
+def test_config_rejects_a_param_its_suite_does_not_take():
     # torus_suite takes "n_values", not "n": dropped, "n" would still enter
-    # the config hash while the run used the default n values
+    # the config hash while the run used the default n values; the config
+    # refuses it when it is built, before any run
     with pytest.raises(ValueError, match="takes no param\\(s\\) 'n';"):
-        run_suite(SuiteConfig(suite="torus", params={"n": [2], "samples": 5}))
+        SuiteConfig(suite="torus", params={"n": [2], "samples": 5})
     with pytest.raises(ValueError, match="'seed'"):
-        run_suite(SuiteConfig(suite="torus", params={"n_values": [2], "seed": 3}))
+        SuiteConfig(suite="torus", params={"n_values": [2], "seed": 3})
     # the hyperbolic suite draws nothing a seed chooses, and takes none
     with pytest.raises(ValueError, match="takes no param\\(s\\) 'seed';"):
-        run_suite(SuiteConfig(suite="hyperbolic", params={"R_values": [2.0], "h_values": [0.4, 0.3], "seed": 3}))
+        SuiteConfig(suite="hyperbolic", params={"R_values": [2.0], "h_values": [0.4, 0.3], "seed": 3})
     with pytest.raises(ValueError, match="hyperbolic .* takes no seed"):
         SuiteConfig(suite="hyperbolic", seed=3)
 
@@ -87,6 +89,33 @@ def test_config_hash_of_the_benchmark_command_lines(argv, config_hash):
             assert cfg.config_hash() == config_hash
 
 
+@pytest.mark.parametrize("argv, params", [
+    (["verify-identities", "--n", "1,2,3,4", "--cases", "1000", "--cross-cases", "500"], {"n_values": [4, 2, 3, 1]}),
+    (["torus", "--n", "3,2", "--N", "1", "--samples", "20"], {"n_values": (2, 3), "samples": 20}),
+    (["hyperbolic", "--R", "2,4,6", "--h", "0.2,0.1"], {"R_values": [2, 4, 6], "h_values": [0.2, 0.1]}),
+    (["hyperbolic", "--R", "2", "--eps", "1", "--k", "1"], {"R_values": (2.0,), "eps": 1, "k": 1, "rel_tol": 1e-8}),
+])
+def test_one_run_has_one_hash(argv, params):
+    # a command line and a config built through the API for the same run
+    # hash alike: the suite's signature supplies what neither gives, the n
+    # values may come in any order, and a whole number is its float
+    cli = _suite_config(_build_parser().parse_args(argv))
+    api = SuiteConfig(suite=argv[0], params=params)
+    assert api.semantic_dict() == cli.semantic_dict()
+    assert api.config_hash() == cli.config_hash()
+
+
+def test_every_suite_parameter_is_the_dest_of_one_option():
+    # a suite parameter cannot ship without a flag that sets it, nor a flag
+    # without a parameter or config field it sets
+    suites = _build_parser()._subparsers._group_actions[0].choices
+    for suite in SUITES:
+        params = set(inspect.signature(suite_function(suite)).parameters) - {"seed", "tol"}
+        dests = [action.dest for action in suites[suite]._actions]
+        assert len(dests) == len(set(dests))
+        assert set(dests) - {"help", "seed", "tolerance", "out_dir", "formats"} == params, suite
+
+
 def test_cli_hyperbolic_ignores_a_seed_and_says_so(tmp_path, capsys):
     # scripts pass --seed to every suite; the hyperbolic report does not move
     assert main(["hyperbolic", "--R", "2", "--h", "0.4,0.3", "--out", str(tmp_path / "a")]) == 0
@@ -98,13 +127,16 @@ def test_cli_hyperbolic_ignores_a_seed_and_says_so(tmp_path, capsys):
 
 
 def test_default_tolerance_is_one_table_per_suite():
+    # the default of each suite function's tol, for the CLI and the API alike
     parser = _build_parser()
-    for suite, tol in DEFAULT_TOLERANCE.items():
-        assert parser.parse_args([suite]).tol == tol
+    for suite in SUITES:
+        tol = inspect.signature(suite_function(suite)).parameters["tol"].default
+        assert _suite_config(parser.parse_args([suite])).tolerance == tol
         assert SuiteConfig(suite=suite).tolerance == tol
-    # a config built without a tolerance hashes as the CLI's default did
+    # a config built without a tolerance hashes as the CLI's default does
     params = {"R_values": (2.0,), "h_values": (0.3, 0.2), "k": 0, "eps": 0.8}
-    assert SuiteConfig(suite="hyperbolic", params=params).config_hash() == "20db52c6750adc83"
+    cli = _suite_config(parser.parse_args(["hyperbolic", "--R", "2", "--h", "0.3,0.2", "--eps", "0.8"]))
+    assert SuiteConfig(suite="hyperbolic", params=params).config_hash() == cli.config_hash() == "b616aed5930da884"
     with pytest.raises(ValueError):
         SuiteConfig(suite="nonsense")
 
@@ -114,7 +146,7 @@ def test_programmatic_hyperbolic_run_uses_its_suite_tolerance():
     # 1e-10, well below the hyperbolic default 1e-8 the CLI also uses
     params = {"R_values": (2.0,), "h_values": (0.3, 0.2), "k": 0, "eps": 0.8}
     bundle = run_suite(SuiteConfig(suite="hyperbolic", params=params))
-    assert bundle.payload["verdict"]["tolerance"] == 1e-8
+    assert bundle.payload["tolerance"] == 1e-8
     assert bundle.passed
 
 
@@ -200,7 +232,7 @@ def test_verdict_roundtrip_from_report(tmp_path):
     assert verdict_from_report(stored) == stored["passed"]
 
 
-def test_verdict_from_report_requires_verdict_block():
+def test_verdict_from_report_requires_the_verdict_keys():
     with pytest.raises(ValueError):
         verdict_from_report({"report": {"numbers": [1, 2, 3]}})
 
@@ -281,7 +313,7 @@ def test_cli_meaningless_tolerance_exits_two_and_names_it(capsys, tol):
 
 def test_every_suite_option_is_documented():
     suites = _build_parser()._subparsers._group_actions[0].choices
-    for suite in DEFAULT_TOLERANCE:
+    for suite in SUITES:
         for action in suites[suite]._actions:
             assert action.help, f"{suite} {'/'.join(action.option_strings)} has no help"
 
@@ -338,8 +370,8 @@ def test_cli_hyperbolic_honours_tol(capsys):
     assert main(argv + ["--tol", "1e-300"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out
-    # the worst residual lives in the verdict and is printed from there,
-    # with the tolerance it is over; every named check still holds
+    # the worst residual lives at the top of the report body and is printed
+    # from there, with the tolerance it is over; every named check still holds
     assert re.search(r"max residual \d\.\d{3}e-\d+ > tol 1e-300;", out)
     assert "failed:" not in out
     # ... and the sweep row it sits on
@@ -370,7 +402,7 @@ def test_worst_cell_holds_the_max_residual(suite):
     else:
         payload = hyperbolic_suite(R_values=(2.0,), h_values=(0.4, 0.3))
     name, value = worst_cell(payload)
-    assert value == payload["verdict"]["max_residual"]
+    assert value == payload["max_residual"]
     # the name is the report path of the residual (a sweep row for hyperbolic)
     if suite == "verify-identities":
         n, k, check = name.split(".", 2)
@@ -461,7 +493,6 @@ def test_cli_hyperbolic_checks_the_derived_bound_only_where_a_row_carries_one(tm
     report = load_report(tmp_path / "hyperbolic.json")
     body = report["report"]
     assert ("above_derived_bound" in body["checks"]) == bounded
-    assert ("above_derived_bound" in body["verdict"]["checks"]) == bounded
     assert ("above_derived_bound" in (tmp_path / "hyperbolic.csv").read_text()) == bounded
     # the bound is the per-R gate's; no row carries a copy of it
     assert (body["sweep"]["lower_bound"] != {}) == bounded
@@ -495,6 +526,19 @@ def test_cli_bad_format_exits_two_and_names_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "xml" in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("formats", [",", " , ,"])
+def test_cli_empty_format_list_exits_two_and_writes_nothing(tmp_path, capsys, formats):
+    # it used to print "reports written to" and exit 0 with no file written
+    out_dir = tmp_path / "fmt"
+    argv = ["verify-identities", "--n", "1", "--cases", "2", "--cross-cases", "1", "--out", str(out_dir)]
+    assert main([*argv, "--format", formats]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: no report format given; expected json|csv\n" and "reports written" not in out
+    assert not out_dir.exists()
+    with pytest.raises(ValueError, match="no report format given"):
+        SuiteConfig(suite="torus", formats=())
 
 
 def test_cli_negative_sample_count_exits_two_and_names_it(capsys):
@@ -930,6 +974,34 @@ def test_the_largest_n_is_admitted(monkeypatch, suite):
     largest = llab.suites.IDENTITIES_MAX_N if suite == "verify-identities" else llab.suites.TORUS_MAX_N
     with pytest.raises(Built):
         run(n_values=(largest,))
+
+
+def test_cli_torus_past_the_mode_cap_exits_two_before_any_complex(monkeypatch, tmp_path, capsys):
+    # --N 10 admits n = 2 (21^4 modes) and not n = 3 (21^6, 85.8 M modes,
+    # about 7.7 GiB of mode tuple): refused before either complex is built
+    import llab.torus
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(llab.torus, "build_fourier_complex", refuse)
+    assert main(["torus", "--n", "2,3", "--N", "10", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: torus at n = 3, N = 10 has (2N+1)^(2n) = {21**6} modes, past the cap of {llab.torus.MAX_MODES}\n"
+    )
+    assert not any(tmp_path.iterdir())
+    llab.torus.check_modes(2, 10)  # n = 2 alone is admitted
+
+
+def test_the_largest_torus_complexes_in_use_are_admitted():
+    from llab.suites import TORUS_MAX_N
+    from llab.torus import MAX_MODES, check_modes
+
+    # 5^6 modes at n = 3, N = 2 is the most any test or benchmark builds;
+    # the largest n runs at N = 1
+    assert max(5**6, 3 ** (2 * TORUS_MAX_N)) <= MAX_MODES
+    check_modes(3, 2)
+    check_modes(TORUS_MAX_N, 1)
 
 
 def test_form_to_json_rejects_batches():

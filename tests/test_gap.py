@@ -674,3 +674,16 @@ def test_hyperbolic_suite_draws_only_from_its_fixed_seeds(monkeypatch, k):
     monkeypatch.setattr(np.random, "default_rng", fixed_only)
     assert hyperbolic_suite(R_values=(2.0,), h_values=(0.4, 0.3), k=k)["passed"]
     assert set(seeds) == fixed
+
+
+def test_every_rel_tol_default_is_the_eigensolvers():
+    # hyperbolic_suite states it as a literal, since llab.suites loads no
+    # scipy; this pins it to the one default
+    import inspect
+
+    from llab.hyperbolic.eigensolve import DEFAULT_REL_TOL, smallest_eigenpairs
+    from llab.hyperbolic.gap import dirichlet_lambda1, gap_sweep
+    from llab.suites import hyperbolic_suite
+
+    for f in (smallest_eigenpairs, dirichlet_lambda1, gap_sweep, hyperbolic_suite):
+        assert inspect.signature(f).parameters["rel_tol"].default == DEFAULT_REL_TOL, f.__name__

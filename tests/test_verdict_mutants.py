@@ -81,7 +81,7 @@ def test_the_mutant_fails_its_check_and_the_cli_names_it(mutant, capsys, check):
 def test_every_verdict_check_has_a_mutant(tmp_path, capsys, suite):
     assert main([*SMALL[suite], "--out", str(tmp_path)]) == 0
     assert "[PASS]" in capsys.readouterr().out
-    checks = load_report(tmp_path / f"{suite}.json")["report"]["verdict"]["checks"]
+    checks = load_report(tmp_path / f"{suite}.json")["report"]["checks"]
     missing = sorted({_check_family(name) for name in checks} - set(MUTANTS))
     assert not missing, f"{suite} verdict checks with no mutant row: {missing}"
 
