@@ -527,8 +527,7 @@ class Ops:
     Gram matrices, the two stars, the J-pullback, the (p,q) projectors and
     Weil operator, L^r, Lambda and the primitive basis.  Every operator is
     kept once, per degree: there is no matrix on the whole 4^n-dimensional
-    algebra; `masks` and `size` only place a degree among the 4^n basis
-    forms.  Nothing is built eagerly, and the bundle is freed with its
+    algebra.  Nothing is built eagerly, and the bundle is freed with its
     triple.
     """
 
@@ -538,7 +537,6 @@ class Ops:
         # dropped triple's blocks alive until a full collection runs
         self.t = weakref.proxy(t)
         self.dim = 2 * t.n
-        self.size = 1 << self.dim
         self._blocks: dict = {}
 
     # -- metric and symplectic pairings -------------------------------------
@@ -684,11 +682,6 @@ class Ops:
         _, s, Vt = np.linalg.svd(self.lam(k))  # kernel of Lambda
         rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
         return Vt[rank:].T.copy()
-
-    @_block
-    def masks(self, k: int) -> np.ndarray:
-        """Positions (the masks) of the degree-k basis forms among all 4^n."""
-        return np.array(basis_masks(self.dim, k), dtype=int)
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = suite_parser("torus", "Fourier-model harmonic/identity suite")
     sp.add_argument("--n", dest="n_values", type=_comma_list(int), help="comma list of half-dimensions n")
     sp.add_argument("--N", type=int, help="frequency cutoff per coordinate")
-    sp.add_argument("--samples", type=int,
-                    help="random forms for L10's measured constants and modes for the self-dual relation")
+    sp.add_argument("--samples", type=int, help="modes the self-dual relation samples")
 
     sp = suite_parser("hyperbolic", "FEM spectral-gap suite on the disc")
     sp.add_argument("--R", dest="R_values", type=_comma_list(float), help="comma list of disc radii")

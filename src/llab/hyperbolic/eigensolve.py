@@ -33,7 +33,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DEFAULT_REL_TOL = 1e-8
-_SEED = 20260301  # the start draw of a solve given no start vector
 
 
 @dataclass
@@ -65,7 +64,7 @@ def smallest_eigenpairs(
     A,
     M,
     precondition,
-    x0: np.ndarray | None = None,
+    x0: np.ndarray,
     rel_tol: float = DEFAULT_REL_TOL,
     maxiter: int = 40,
 ) -> tuple[float, np.ndarray, int, float]:
@@ -78,7 +77,7 @@ def smallest_eigenpairs(
     that the stop rule certified, computed from the returned x.  A pencil
     of any dimension, 1 included, takes this route; a start that already
     meets the stop rule returns after 0 steps.  The solve starts from x0,
-    or from a standard normal draw with a fixed seed when x0 is None.
+    which its caller chooses: nothing is drawn.
 
     Each step is a Rayleigh-Ritz on {x, w, p} in the M-inner product: the
     iterate x, the preconditioned residual w = precondition(A x - lambda M x)
@@ -99,7 +98,7 @@ def smallest_eigenpairs(
     n = A.shape[0]
     if n != M.shape[0]:
         raise ValueError("pencil dimension mismatch")
-    x = np.random.default_rng(_SEED).standard_normal(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"start vector has shape {x.shape}, need ({n},)")
     if not x @ (M @ x) > 0:

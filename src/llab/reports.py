@@ -46,11 +46,12 @@ class SuiteConfig:
     the signature of the suite's function (`llab.suites.suite_function`).
 
     `params` holds every parameter but `seed` and `tol`, given or
-    defaulted, `n_values` ascending and a whole number given for a float
-    default as that float (`_like`): one run has one hash.  A param the
-    function does not take, a tolerance that is not finite or is negative,
-    a seed that is not a non-negative integer, any seed for a suite that
-    takes none (hyperbolic), and no format are ValueErrors.  A tolerance or
+    defaulted, `n_values` ascending, a whole number given for a float
+    default as that float (`_like`) and a numpy value as its Python value
+    (`_plain`): one run has one hash.  A param the function does not
+    take, a tolerance that is not finite or is negative, a seed that is
+    not a non-negative integer, any seed for a suite that takes none
+    (torus, hyperbolic), and no format are ValueErrors.  A tolerance or
     seed left at None is the default of `tol` or `seed`.  The hash covers
     suite, params, seed and tolerance -- the semantic content -- and ignores
     routing: output directory and formats.
@@ -72,10 +73,12 @@ class SuiteConfig:
                 f"suite {self.suite} takes no param(s) {', '.join(map(repr, unknown))}; "
                 f"it takes {', '.join(sorted(defaults))}"
             )
-        params = {name: _like(self.params.get(name, default), default) for name, default in defaults.items()}
+        params = {name: _like(_plain(self.params.get(name, default)), default) for name, default in defaults.items()}
         if "n_values" in params:
             params["n_values"] = sorted(params["n_values"])
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "seed", _plain(self.seed))
+        object.__setattr__(self, "tolerance", _plain(self.tolerance))
         if self.tolerance is None:
             object.__setattr__(self, "tolerance", signature["tol"].default)
         if "seed" not in signature:
@@ -83,7 +86,7 @@ class SuiteConfig:
                 raise ValueError(f"suite {self.suite} draws nothing a seed chooses: it takes no seed")
         elif self.seed is None:
             object.__setattr__(self, "seed", signature["seed"].default)
-        elif not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        elif not (isinstance(self.seed, int) and self.seed >= 0):
             # numpy's own refusal would name neither the seed nor its value
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # 0 is legal and fails every residual; inf or nan would pass vacuously
@@ -102,6 +105,17 @@ class SuiteConfig:
     def config_hash(self) -> str:
         payload = json.dumps(self.semantic_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _plain(value):
+    """`value` with every numpy scalar and array in it made the Python
+    value it holds, so that a config given numpy values hashes as its
+    plain twin does."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    return value
 
 
 def _like(value, default):

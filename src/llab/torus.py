@@ -14,11 +14,12 @@ coefficients satisfy it: `check_complex`, the Weitzenbock identity
 Delta_d(xi) = 4 pi^2 |xi|^2_g I (which confines harmonic content to the
 xi = 0 block), the Kahler Laplacian comparison, the d^Lambda/d* norm
 identity L8, the L10 cross term and "closed anti-invariant => harmonic" are
-proven there.  Two numbers are measured, not proven: L10's equivalence
-constants, over mode-sparse random forms taken as one column batch per
-degree, and the self-dual relation, which samples modes and reads their
-operators on Lambda^0 and Lambda^2 off `FourierComplex.mode_ops`.  No
-operator on the whole 4^n-dimensional algebra is formed.
+proven there.  L10's equivalence constants are computed, not sampled: the
+extreme eigenvalues of one pencil at xi = e_1, whose spectrum is the same
+at every xi != 0.  One relation is measured, not proven: the self-dual
+relation, which samples modes from a fixed seed and reads their operators
+on Lambda^0 and Lambda^2 off `FourierComplex.mode_ops`.  No operator on
+the whole 4^n-dimensional algebra is formed.
 """
 
 from __future__ import annotations
@@ -167,51 +168,6 @@ class FourierComplex:
                     Q = Q + _symmetric_product(self.block(first, mid), self.block(second, k))
             self._cache[key] = Q
         return self._cache[key]
-
-    def apply(self, name: str, k: int, xi: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """A first-order operator on a batch of degree-k columns, column c at
-        mode xi[c]: op(xi) v = 2 pi i sum_j xi_j (A_j v), with A the
-        Lambda^k -> Lambda^{k +- 1} slice of the stack.  One real product of
-        the reshaped slice with (Re, Im) of every column; no per-mode matrix."""
-        A = self.block(name, k)
-        V = np.ascontiguousarray(V, dtype=complex)
-        AV = (A.reshape(A.shape[0] * A.shape[1], A.shape[2]) @ V.view(float)).view(complex)
-        return (2j * np.pi) * np.einsum("jsm,mj->sm", AV.reshape(A.shape[0], A.shape[1], V.shape[1]), xi)
-
-    def random_form(self, k: int, rng: np.random.Generator, active_modes: int = 8) -> dict:
-        """Mode-sparse random k-form {xi: Lambda^k coefficient vector}.  The
-        active modes' real and imaginary parts are one draw, in the order of
-        the modes."""
-        alg = self.triple.ops
-        n_active = min(active_modes, len(self.modes))
-        chosen = np.sort(rng.choice(len(self.modes), size=n_active, replace=False))
-        z = rng.standard_normal((n_active, 2, alg.size))
-        V = (z[:, 0] + 1j * z[:, 1])[:, alg.masks(k)]
-        return {self.modes[ci]: v for ci, v in zip(chosen, V)}
-
-
-class _Columns:
-    """Forms of one degree k as a column batch: `V` holds the Lambda^k
-    coefficients of every (form, active mode) pair (C(2n, k), m), `xi` the
-    pair's mode (m, 2n) and `owner` its form (m,)."""
-
-    def __init__(self, fc: FourierComplex, forms: list, k: int):
-        cols = [(i, xi, v) for i, a in enumerate(forms) for xi, v in a.items()]
-        self.fc, self.count = fc, len(forms)
-        self.owner = np.array([c[0] for c in cols], dtype=int)
-        self.xi = np.array([c[1] for c in cols], dtype=float).reshape(len(cols), 2 * fc.n)
-        self.V = np.array([c[2] for c in cols], dtype=complex).reshape(len(cols), math.comb(2 * fc.n, k)).T
-
-    def apply(self, name: str, k: int, X: np.ndarray) -> np.ndarray:
-        return self.fc.apply(name, k, self.xi, X)
-
-    def norm_sq(self, k: int, X: np.ndarray) -> np.ndarray:
-        """||x||^2 = sum over modes of x^T G conj(x), one per form: the column
-        sums of X * (G_k conj(X)), reduced by owner.  Zero outside 0 <= k <= 2n."""
-        if not 0 <= k <= 2 * self.fc.n:
-            return np.zeros(self.count)
-        col = np.einsum("sm,sm->m", X, self.fc.triple.ops.gram(k) @ X.conj())
-        return np.bincount(self.owner, col.real, self.count)
 
 
 def _squares(fc: FourierComplex, op: str) -> dict:
@@ -484,9 +440,17 @@ def verify_lemma_L8(fc: FourierComplex, tol: float = 1e-10) -> dict:
     return {"max_residual": worst, "proven_types": int(types), "passed": bool(worst < tol)}
 
 
-def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1e-10) -> dict:
-    """Cross-term orthogonality, proven, and norm equivalence, measured, over
-    Lefschetz components.
+def _energy(fc: FourierComplex, name: str, k: int) -> np.ndarray:
+    """A^T G A, A the first coefficient of a first-order operator on
+    Lambda^k: the quadratic form of ||op(e_1) a||^2 / 4 pi^2 on Lambda^k,
+    zero where op leaves 0..2n."""
+    A, to = fc.block(name, k)[0], k + _SHIFT[name]
+    return A.T @ fc.triple.ops.gram(to) @ A if A.size else np.zeros((fc.dim(k),) * 2)
+
+
+def verify_lemma_L10(fc: FourierComplex, tol: float = 1e-10) -> dict:
+    """Cross-term orthogonality and norm equivalence over Lefschetz
+    components, both computed at every xi, nothing sampled.
 
     A k-form a = sum_r L^r b_r has components b_r = C_r a, C_r the r-th
     component map of one `primitive_decompose` of the identity on Lambda^k.
@@ -495,11 +459,16 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1
         every pair (j, l); `max_cross_term` is its largest entry, relative to
         max(1, max|Q_D|), and `cross_pairs` counts the (degree, p != q)
         pairs of Lefschetz levels it is proven on.
-      * ||d a||^2 + ||d^Lambda a||^2 is bounded between measured multiples
-        c_min, c_max of sum_r ||d b_r||^2 (the constants are reported, not
-        asserted, per degree), over random finite-mode forms: the samples of
-        one degree are one column batch, decomposed by a single
-        `primitive_decompose`.
+      * ||d a||^2 + ||d^Lambda a||^2 lies between c_min and c_max times
+        sum_r ||d b_r||^2 (reported per degree, not asserted).  Both sides
+        are quadratic forms N(xi), D(xi) on Lambda^k, and their ratio is
+        homogeneous of degree 0 in xi.  Every operator in it is natural
+        under the unitary group of the triple, which is transitive on the
+        directions of xi, so the pencil (N, D) has one spectrum at every
+        xi != 0; a form of several modes sums its modes' quotients.  The
+        constants are the extreme eigenvalues of the pencil at xi = e_1,
+        where each operator is its first coefficient block, restricted to
+        the range of D.
     """
     from llab.lefschetz import primitive_decompose
 
@@ -511,27 +480,23 @@ def verify_lemma_L10(fc: FourierComplex, samples: int, seed: int, tol: float = 1
     for k in range(2 * fc.n + 1):
         maps = primitive_decompose(KForm(fc.n, k, np.eye(fc.dim(k))), fc.triple).components
         LC, LQC = {}, {}
+        den = 0.0
         for r, b in maps.items():
             j, C = k - 2 * r, b.data.real  # a real triple has real component maps
             Q = fc.quadratic("dee", j)[pairs]
             scale = max(scale, float(np.max(np.abs(Q))))
             LC[r], LQC[r] = alg.lpow(j, r) @ C, alg.lpow(j, r) @ Q @ C
+            den = den + C.T @ _energy(fc, "d", j) @ C
         for p, q in itertools.permutations(maps, 2):
             cross_pairs += 1
             worst_cross = max(worst_cross, float(np.max(np.abs(LC[q].T @ alg.gram(k) @ LQC[p]))))
 
-        forms = [fc.random_form(k, np.random.default_rng([seed, k, idx])) for idx in range(samples)]
-        B = _Columns(fc, forms, k)
-        comps = primitive_decompose(KForm(fc.n, k, B.V), fc.triple).components
-        num = B.norm_sq(k + 1, B.apply("d", k, B.V)) + B.norm_sq(k - 1, B.apply("d_lambda", k, B.V))
-        den = np.zeros(samples)
-        for r, b in comps.items():
-            den += B.norm_sq(k - 2 * r + 1, B.apply("d", k - 2 * r, b.data))
-        keep = den > 1e-12
+        w, U = np.linalg.eigh(den)
+        keep = w > 1e-10 * w[-1]
         if keep.any():
-            ratios = num[keep] / den[keep]
-            results[k] = {"c_min": float(ratios.min()), "c_max": float(ratios.max()),
-                          "samples": int(keep.sum())}
+            W = U[:, keep] / np.sqrt(w[keep])  # W^T D W = I on the range of D
+            c = np.linalg.eigvalsh(W.T @ (_energy(fc, "d", k) + _energy(fc, "d_lambda", k)) @ W)
+            results[k] = {"c_min": float(c[0]), "c_max": float(c[-1])}
     worst_cross /= max(1.0, scale)
     return {
         "max_cross_term": worst_cross,

@@ -67,6 +67,8 @@ def test_config_rejects_a_param_its_suite_does_not_take():
         SuiteConfig(suite="torus", params={"n": [2], "samples": 5})
     with pytest.raises(ValueError, match="'seed'"):
         SuiteConfig(suite="torus", params={"n_values": [2], "seed": 3})
+    with pytest.raises(ValueError, match="torus .* takes no seed"):
+        SuiteConfig(suite="torus", seed=3)
     # the hyperbolic suite draws nothing a seed chooses, and takes none
     with pytest.raises(ValueError, match="takes no param\\(s\\) 'seed';"):
         SuiteConfig(suite="hyperbolic", params={"R_values": [2.0], "h_values": [0.4, 0.3], "seed": 3})
@@ -76,16 +78,17 @@ def test_config_rejects_a_param_its_suite_does_not_take():
 
 @pytest.mark.parametrize("argv, config_hash", [
     (["verify-identities", "--n", "1,2,3,4", "--cases", "1000", "--cross-cases", "500"], "125a70abe68af584"),
-    (["torus", "--n", "2,3", "--N", "1", "--samples", "20"], "7756a5f790596bd2"),
+    (["torus", "--n", "2,3", "--N", "1", "--samples", "20"], "3775e73ade3a5e08"),
     (["hyperbolic", "--R", "2,4,6", "--h", "0.2,0.1"], "fa53ae57249f5428"),
 ])
 def test_config_hash_of_the_benchmark_command_lines(argv, config_hash):
-    # the seeded suites hash their seed as before; the hyperbolic config
-    # carries none, with or without a --seed on its command line
+    # the identity suite hashes its seed as before; the torus and
+    # hyperbolic configs carry none, with or without a --seed on their
+    # command line
     for extra in ([], ["--seed", "3"]):
         cfg = _suite_config(_build_parser().parse_args(argv + extra))
-        assert ("seed" in cfg.semantic_dict()) == (argv[0] != "hyperbolic")
-        if not extra or argv[0] == "hyperbolic":
+        assert ("seed" in cfg.semantic_dict()) == (argv[0] == "verify-identities")
+        if not extra or argv[0] != "verify-identities":
             assert cfg.config_hash() == config_hash
 
 
@@ -124,6 +127,36 @@ def test_cli_hyperbolic_ignores_a_seed_and_says_so(tmp_path, capsys):
     assert "note: --seed is ignored" in capsys.readouterr().err
     a, b = (strip_timestamp(load_report(tmp_path / x / "hyperbolic.json")) for x in "ab")
     assert a == b and "seed" not in a["config"] and "seed" not in a["report"]
+
+
+def test_cli_torus_ignores_a_seed_and_says_so(tmp_path, capsys):
+    # the torus suite's one draw, the self-dual relation's modes, has a
+    # fixed seed of its own: a --seed, negative or not, moves nothing
+    argv = ["torus", "--n", "2", "--N", "1", "--samples", "4"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert "note" not in capsys.readouterr().err
+    assert main(argv + ["--seed", "-3", "--out", str(tmp_path / "b")]) == 0
+    assert "note: --seed is ignored" in capsys.readouterr().err
+    a, b = (strip_timestamp(load_report(tmp_path / x / "torus.json")) for x in "ab")
+    assert a == b and "seed" not in a["config"] and "seed" not in a["report"]
+
+
+@pytest.mark.parametrize("suite, numpy_params, plain_params", [
+    ("torus", {"n_values": np.array([3, 2]), "samples": np.int64(5)}, {"n_values": [2, 3], "samples": 5}),
+    ("hyperbolic", {"R_values": np.array([2.0, 4.0]), "h_values": (np.float32(0.5), 0.25), "k": np.int64(0)},
+     {"R_values": [2, 4], "h_values": [0.5, 0.25], "k": 0}),
+])
+def test_a_config_given_numpy_values_hashes_as_its_plain_twin(suite, numpy_params, plain_params):
+    # numpy scalars and arrays are made Python values when the config is
+    # built, so the hash, which a run reaches only after the whole suite,
+    # cannot raise on them
+    cfg = SuiteConfig(suite, params=numpy_params, tolerance=np.float64(1e-8))
+    twin = SuiteConfig(suite, params=plain_params, tolerance=1e-8)
+    assert cfg.semantic_dict() == twin.semantic_dict()
+    assert cfg.config_hash() == twin.config_hash()
+    seeded = SuiteConfig("verify-identities", seed=np.int64(3))
+    assert seeded.seed == 3 and type(seeded.seed) is int
+    assert seeded.config_hash() == SuiteConfig("verify-identities", seed=3).config_hash()
 
 
 def test_default_tolerance_is_one_table_per_suite():
@@ -549,7 +582,6 @@ def test_cli_negative_sample_count_exits_two_and_names_it(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify-identities", "--n", "1", "--seed", "-1"],
-    ["torus", "--n", "2", "--seed", "-3"],
 ])
 def test_cli_negative_seed_exits_two_and_names_it(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -188,9 +188,9 @@ def test_dirichlet_lambda1_k1_no_bound(small_mesh):
 
 
 def test_dirichlet_lambda1_k1_matches_dense_eigh_and_repeats():
-    # k = 1 starts from the solver's seeded draw and stops on its residual
-    # alone: the eigenvalue is the pencil's smallest, and a second call
-    # repeats the first bit for bit
+    # k = 1 starts from the edge integrals of (1 + x) dy and stops on its
+    # residual alone: the eigenvalue is the pencil's smallest, and a second
+    # call repeats the first bit for bit
     import scipy.linalg as sla
 
     from llab.hyperbolic.assembly import assemble_hodge_laplacian
@@ -658,11 +658,12 @@ def test_hyperbolic_suite_builds_each_mesh_and_edge_complex_once(monkeypatch, k)
 @pytest.mark.parametrize("k", [0, 1])
 def test_hyperbolic_suite_draws_only_from_its_fixed_seeds(monkeypatch, k):
     # no seed reaches the suite: numpy's generator raises on any seed but
-    # the derivation's arena triple and, at k = 1, the eigensolver's start
-    from llab.hyperbolic import eigensolve, gap
+    # the derivation's arena triple, at either degree; the eigensolver
+    # draws no start
+    from llab.hyperbolic import gap
     from llab.suites import hyperbolic_suite
 
-    fixed = {gap._ARENA_SEED} | ({eigensolve._SEED} if k == 1 else set())
+    fixed = {gap._ARENA_SEED}
     real, seeds = np.random.default_rng, []
 
     def fixed_only(seed=None):

@@ -50,7 +50,6 @@ from llab.hyperbolic.forms import (
     cutoff_family,
 )
 from llab.hyperbolic import assembly as assembly_mod
-from llab.hyperbolic import eigensolve as eigensolve_mod
 from llab.hyperbolic.mesh import (
     DiscMesh,
     MeshBudgetError,
@@ -382,8 +381,9 @@ def test_square_patch_is_euclidean():
 
 
 def _lu_eigenvalue(A, M) -> float:
-    """The smallest eigenvalue of (A, M), preconditioned with its own LU."""
-    return smallest_eigenpairs(A, M, stiffness_lu(A).solve)[0]
+    """The smallest eigenvalue of (A, M), preconditioned with its own LU,
+    from a seeded standard normal start."""
+    return smallest_eigenpairs(A, M, stiffness_lu(A).solve, np.random.default_rng(0).standard_normal(A.shape[0]))[0]
 
 
 def test_square_lambda1_k0(square24):
@@ -582,7 +582,7 @@ def test_an_explicit_pencil_on_its_own_lu_matches_eigh(rng):
     Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     A = sp.csr_matrix(Q @ np.diag(np.linspace(1, 50, n)) @ Q.T)
     M = sp.identity(n, format="csr")
-    lam, x, _, res = smallest_eigenpairs(A, M, stiffness_lu(A).solve)
+    lam, x, _, res = smallest_eigenpairs(A, M, stiffness_lu(A).solve, np.ones(n))
     ref = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
     assert lam == pytest.approx(ref, rel=1e-10)
     assert x.shape == (n,)
@@ -651,21 +651,22 @@ def test_lanczos_start_vector_is_checked(small_mesh):
         smallest_eigenpairs(As, Ms, T, np.ones(3))
     with pytest.raises(ValueError, match="zero M-norm"):
         smallest_eigenpairs(As, Ms, T, np.zeros(As.shape[0]))
-    # the default start is the fixed-seed draw
-    default = smallest_eigenpairs(As, Ms, T)
-    drawn = smallest_eigenpairs(As, Ms, T, np.random.default_rng(eigensolve_mod._SEED).standard_normal(As.shape[0]))
-    assert default[0] == drawn[0] and np.array_equal(default[1], drawn[1]) and default[2] == drawn[2]
+    # there is no default start: the caller chooses one, and nothing is drawn
+    with pytest.raises(TypeError):
+        smallest_eigenpairs(As, Ms, T)
+    ones = np.ones(As.shape[0])
+    csr = smallest_eigenpairs(As, Ms, T, ones)
     # the CSC view of the symmetric pencil is solved as it is, to the same pair
-    viewed = smallest_eigenpairs(As.T, Ms.T, T)
+    viewed = smallest_eigenpairs(As.T, Ms.T, T, ones)
     assert As.T.format == "csc" and np.shares_memory(As.T.data, As.data)
-    assert viewed[0] == pytest.approx(default[0], rel=1e-12)
+    assert viewed[0] == pytest.approx(csr[0], rel=1e-12)
 
 
 def test_lanczos_nonconvergence_carries_best(small_mesh):
     A, M = assemble_hodge_laplacian(small_mesh, k=0)
     with pytest.raises(EigenNonConvergence) as exc:
         # an impossible certificate: residual < 1e-300 * lambda
-        smallest_eigenpairs(A, M, stiffness_lu(A).solve, rel_tol=1e-300, maxiter=6)
+        smallest_eigenpairs(A, M, stiffness_lu(A).solve, np.ones(A.shape[0]), rel_tol=1e-300, maxiter=6)
     err = exc.value
     assert err.iterations == 6
     assert isinstance(err.eigenvalue, float) and isinstance(err.residual, float) and err.residual > 0
