@@ -625,13 +625,18 @@ class Ops:
     @_block
     def frame_compound(self, k: int) -> np.ndarray:
         """Columns: the degree-k products of `frame`, in the real basis.  The
-        (p,q) forms are the columns whose mask has p bits below n."""
+        (p,q) forms are the columns whose mask has p bits below n.  Degree
+        0, the empty product [[1]], reads no frame."""
+        if k == 0:
+            return np.ones((1, 1), dtype=complex)
         return self._compound_block(self.frame_compound, self.frame, k)
 
     @_block
     def pq(self, k: int) -> dict:
         """Matrices of Pi^{p,q} on Lambda^k for each p+q = k: dense, for the
-        Weil operator and `pq_projector_matrices`; `pq_decompose` forms none."""
+        Weil operator and `pq_projector_matrices`, from `frame_compound(k)`
+        in every degree.  `pq_decompose` forms none, and above the middle
+        degree builds no frame compound of the form's degree."""
         C = self.frame_compound(k)
         Cinv = np.linalg.inv(C)
         return {pq: C[:, S] @ Cinv[S] for pq, S in _bidegree_columns(self.dim, k).items()}
@@ -722,6 +727,20 @@ def norm(a: KForm, t: CompatibleTriple):
     return float(out) if a.data.ndim == 1 else out
 
 
+def _complement(x: np.ndarray, dim: int, k: int, back: bool = False) -> np.ndarray:
+    """The signed complement sigma : Lambda^k -> Lambda^{dim-k} applied to
+    the coefficient rows of x (a form, a batch, or a stack of them):
+    (sigma x)_{J^c} = s x_J, where e^{J^c} ^ e^J = s e^{1..dim}
+    (`_wedge_table(dim, dim - k, k)`), so that b ^ a is (b . sigma a)
+    e^{1..dim}.  With `back`, x lies on Lambda^{dim-k} and gets sigma^T,
+    which is sigma^-1: sigma is a signed permutation."""
+    p = _wedge_table(dim, dim - k, k)
+    src, dst = (p.left, p.right) if back else (p.right, p.left)
+    y = np.empty(x.shape, dtype=complex)
+    y[dst] = (p.sign * x[src].T).T
+    return y
+
+
 def _complement_norm(a: KForm, t: CompatibleTriple):
     """`norm(a, t)` read from the Gram matrix of the complementary degree
     2n - p, p = a.k, so that a form above the middle degree needs no Gram
@@ -729,9 +748,7 @@ def _complement_norm(a: KForm, t: CompatibleTriple):
     Lambda^{2n-p} is vol times the signed complement of G_{2n-p} b, so
     ||a||^2 = y^H G_{2n-p}^{-1} y / vol^2 with y the signed complement of a
     (`_wedge_table(2n, 2n - p, p)`) and vol^2 = det omega."""
-    p = _wedge_table(2 * a.n, 2 * a.n - a.k, a.k)
-    y = np.empty(a.data.shape, dtype=complex)
-    y[p.left] = (p.sign * a.data[p.right].T).T
+    y = _complement(a.data, 2 * a.n, a.k)
     # G is real symmetric: y^H G^-1 y is the sum over the (Re, Im) columns
     # of y, which one real solve takes together
     Y = y.reshape(len(y), -1).view(np.float64)
@@ -775,13 +792,36 @@ class BigradedForm:
 def pq_decompose(a: KForm, t: CompatibleTriple) -> BigradedForm:
     """Split a into its Pi^{p,q} projections with respect to t's J.
 
-    One solve C c = a puts a on the frame products, the columns of C =
-    `frame_compound(k)`; the (p,q) part is the sum of the columns of type
-    (p,q), each times its coefficient.  No projector is formed."""
-    C = t.ops.frame_compound(a.k)
-    c = np.linalg.solve(C, a.data)
-    comps = {pq: KForm._own(a.n, a.k, C[:, S] @ c[S]) for pq, S in _bidegree_columns(2 * a.n, a.k).items()}
-    return BigradedForm(k=a.k, components=comps)
+    Up to the middle degree, one solve C c = a puts a on the frame
+    products, the columns of C = `frame_compound(k)`; the (p,q) part is the
+    sum of the columns of type (p,q), each times its coefficient.  Above
+    it, a is read through the complementary degree m = 2n - k, so that no
+    frame compound above degree n is built: under the wedge pairing,
+    Lambda^{p,q} pairs only with Lambda^{n-p,n-q}, hence Pi^{p,q}_k =
+    sigma^T (Pi^{n-p,n-q}_m)^T sigma with sigma the signed complement
+    (`_complement`).  With C = `frame_compound(m)`, (Pi_m^{p',q'})^T y is
+    C^-T z_S for z = C^T y restricted to the columns S of type (p',q'):
+    one solve with C^T takes every type's right-hand side at once.  No
+    projector is formed.  A batch (2-D a.data) is split column by column."""
+    n, k, dim = a.n, a.k, 2 * a.n
+    cols = _bidegree_columns(dim, k)
+    if k <= n:
+        C = t.ops.frame_compound(k)
+        c = np.linalg.solve(C, a.data)
+        parts = [C[:, S] @ c[S] for S in cols.values()]
+    else:
+        m = dim - k
+        C = t.ops.frame_compound(m)
+        z = (C.T @ _complement(a.data, dim, k)).reshape(len(C), -1)
+        # a row of type (p', m - p') is the right-hand side of the type
+        # (n - p', n - m + p') of degree k, the (m - p')-th of `cols`
+        rhs = np.zeros((len(C), len(cols), z.shape[1]), dtype=complex)
+        rhs[np.arange(len(C)), m - _holomorphic_degree(dim, m)] = z
+        x = np.linalg.solve(C.T, rhs.reshape(len(C), -1)).reshape(rhs.shape)
+        y = np.ascontiguousarray(np.moveaxis(_complement(x, dim, k, back=True), 1, 0))
+        parts = list(y.reshape(len(cols), *a.data.shape))
+    comps = {pq: KForm._own(n, k, part) for pq, part in zip(cols, parts)}
+    return BigradedForm(k=k, components=comps)
 
 
 def pq_projector_matrices(t: CompatibleTriple, k: int) -> dict:
@@ -824,12 +864,12 @@ def form_to_json(a: KForm) -> dict:
 
 
 # The largest n either wire format accepts.  A decomposition holds dense
-# C(2n, k) x C(2n, k) blocks (the complex frame compounds up to degree k, the
-# real Gram blocks up to degree min(k, n), L^r and Lambda blocks) but no
-# (p,q) projector: a cold `llab decompose` at n = 6, k = 6 takes 0.43-0.55 s,
-# 0.30-0.38 s of it in `decompose_file`, and 136 MB peak RSS (one process,
-# 1 BLAS thread, 2 CPUs), while at n = 7 each block of the middle degree
-# alone is 188 MB.
+# C(2n, k) x C(2n, k) blocks (the complex frame compounds up to degree
+# min(k, 2n - k), the real Gram blocks up to degree min(k, n), L^r and
+# Lambda blocks) but no (p,q) projector: a cold `llab decompose` at n = 6,
+# k = 6 takes 0.43-0.55 s, 0.30-0.38 s of it in `decompose_file`, and 136 MB
+# peak RSS (one process, 1 BLAS thread, 2 CPUs), while at n = 7 each block
+# of the middle degree alone is 188 MB.
 WIRE_MAX_N = 6
 
 

@@ -48,11 +48,12 @@ class SuiteConfig:
     `params` holds every parameter but `seed` and `tol`, given or
     defaulted, `n_values` ascending, a whole number given for a float
     default as that float (`_like`) and a numpy value as its Python value
-    (`_plain`): one run has one hash.  A param the function does not
-    take, a tolerance that is not finite or is negative, a seed that is
-    not a non-negative integer, any seed for a suite that takes none
-    (torus, hyperbolic), and no format are ValueErrors.  A tolerance or
-    seed left at None is the default of `tol` or `seed`.  The hash covers
+    (`_plain`), and the tolerance is a float: one run has one hash.  A
+    param the function does not take, a bool seed or tolerance, a
+    tolerance that is not finite or is negative, a seed that is not a
+    non-negative integer, any seed for a suite that takes none (torus,
+    hyperbolic), and no format are ValueErrors.  A tolerance or seed left
+    at None is the default of `tol` or `seed`.  The hash covers
     suite, params, seed and tolerance -- the semantic content -- and ignores
     routing: output directory and formats.
     """
@@ -79,6 +80,10 @@ class SuiteConfig:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "seed", _plain(self.seed))
         object.__setattr__(self, "tolerance", _plain(self.tolerance))
+        for name in ("seed", "tolerance"):
+            # a bool is an int to Python, and True would run as seed 1
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got the bool {getattr(self, name)!r}")
         if self.tolerance is None:
             object.__setattr__(self, "tolerance", signature["tol"].default)
         if "seed" not in signature:
@@ -92,6 +97,7 @@ class SuiteConfig:
         # 0 is legal and fails every residual; inf or nan would pass vacuously
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", float(self.tolerance))
         if not self.formats:
             raise ValueError("no report format given; expected json|csv")
         bad = [f for f in self.formats if f not in ("json", "csv")]

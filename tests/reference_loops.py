@@ -36,6 +36,12 @@ per-edge and per-triangle chain over the whole mesh at once, which
 the COO build of `ring_prolongation` (`whole_ring_prolongation`), which
 the mesh module now fills straight into CSR.
 
+`ref_pq_decompose` is the type split as it was first written: one solve
+with the frame compound of the form's own degree, which above the middle
+degree `llab.algebra.pq_decompose` replaces by a solve in the
+complementary degree.  It reads `Ops.frame_compound`, so that up to the
+middle degree the two agree bit for bit.
+
 `ref_decompose_file` is `llab decompose` as it was before it returned the
 document it writes: its residuals scaled by `norm`, its result converted
 with `form_to_json`.  `merge_sign`, the sign of one basis product by
@@ -56,9 +62,11 @@ from pathlib import Path
 import numpy as np
 
 from llab.algebra import (
+    BigradedForm,
     CompatibleTriple,
     KForm,
     _apply,
+    _bidegree_columns,
     _check_wire_n,
     _field,
     _is_finite,
@@ -684,6 +692,16 @@ def whole_ring_prolongation(coarse, fine):
     nonzero = vals != 0
     shape = (1 + int(per_ring.sum()), int(starts[Mc]))
     return sp.csr_matrix((vals[nonzero], (rows[nonzero], cols[nonzero])), shape=shape)
+
+
+def ref_pq_decompose(a: KForm, t: CompatibleTriple) -> BigradedForm:
+    """The (p,q) split of a (a form or a batch) in its own degree k: one
+    solve C c = a with C = `frame_compound(k)`, and the (p,q) part the sum
+    of the columns of C of that type, each times its coefficient."""
+    C = t.ops.frame_compound(a.k)
+    c = np.linalg.solve(C, a.data)
+    comps = {pq: KForm._own(a.n, a.k, C[:, S] @ c[S]) for pq, S in _bidegree_columns(2 * a.n, a.k).items()}
+    return BigradedForm(k=a.k, components=comps)
 
 
 def ref_decompose_file(in_path, out_path) -> dict:

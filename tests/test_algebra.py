@@ -43,6 +43,7 @@ from reference_loops import (
     merge_sign,
     minor_sets,
     product_compound,
+    ref_pq_decompose,
     ref_wedge,
     ref_wedge_table,
     roundtrip_form_json,
@@ -298,8 +299,72 @@ def test_pq_decompose_matches_the_projectors_in_every_degree(n):
 
 
 def test_pq_decompose_matches_the_projectors_at_the_wire_cap():
+    # the middle degree, and two above it, read through degrees 5 and 4
     rng = np.random.default_rng(296)
-    _assert_pq_parts_are_the_projections(random_compatible_triple(6, rng), 6, rng)
+    t = random_compatible_triple(6, rng)
+    for k in (6, 7, 8):
+        _assert_pq_parts_are_the_projections(t, k, rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("which", ["standard", "random"])
+def test_pq_decompose_matches_the_split_in_the_forms_own_degree(n, which):
+    # up to the middle degree pq_decompose is the reference split; above it
+    # the complementary route differs in rounding only, to the 1e-12 of
+    # the form's largest coefficient that the projector comparison allows
+    rng = np.random.default_rng(390 + n)
+    t = build_standard_triple(n) if which == "standard" else random_compatible_triple(n, rng)
+    for k in range(2 * n + 1):
+        size = math.comb(2 * n, k)
+        for shape in ((size,), (size, 3)):
+            a = KForm(n, k, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            got, want = pq_decompose(a, t).components, ref_pq_decompose(a, t).components
+            assert list(got) == list(want), (n, k)
+            for pq, part in want.items():
+                if k <= n:
+                    assert np.array_equal(got[pq].data, part.data), (n, k, pq, shape)
+                else:
+                    assert got[pq].data.shape == shape
+                    assert np.max(np.abs(got[pq].data - part.data)) <= 1e-12 * np.max(np.abs(a.data)), (n, k, pq)
+
+
+def test_the_split_of_a_function_or_a_top_form_reads_no_frame(monkeypatch):
+    # Lambda^0 and Lambda^2n are one type each, (0,0) and (n,n): the split
+    # hands the form back, through the degree-0 frame compound [[1]]
+    from llab.algebra import Ops
+
+    def refuse(self):
+        raise AssertionError("Ops.frame built")
+
+    monkeypatch.setattr(Ops, "frame", property(refuse))
+    rng = np.random.default_rng(39)
+    for n in range(1, 7):
+        t = random_compatible_triple(n, rng)
+        for k in (0, 2 * n):
+            a = KForm(n, k, rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2)))
+            parts = pq_decompose(a, t).components
+            assert list(parts) == [(k // 2, k // 2)]
+            assert np.array_equal(parts[(k // 2, k // 2)].data, a.data)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_batch_above_the_middle_degree_splits_as_its_columns(n):
+    rng = np.random.default_rng(490 + n)
+    t = random_compatible_triple(n, rng)
+    for k in range(n + 1, 2 * n + 1):
+        size = math.comb(2 * n, k)
+        data = rng.standard_normal((size, 4)) + 1j * rng.standard_normal((size, 4))
+        tol = 1e-12 * np.max(np.abs(data))
+        parts = pq_decompose(KForm(n, k, data), t).components
+        projectors = pq_projector_matrices(t, k)
+        assert list(parts) == list(projectors)
+        for c in range(4):
+            single = pq_decompose(KForm(n, k, data[:, c]), t).components
+            assert list(single) == list(parts)
+            for pq, part in parts.items():
+                assert np.max(np.abs(part.data[:, c] - single[pq].data)) <= tol, (k, pq, c)
+        for pq, part in parts.items():
+            assert np.max(np.abs(part.data - projectors[pq] @ data)) <= tol, (k, pq)
 
 
 def _two_norm_estimate(W: np.ndarray, rng, steps: int = 10) -> float:

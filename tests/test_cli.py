@@ -159,6 +159,27 @@ def test_a_config_given_numpy_values_hashes_as_its_plain_twin(suite, numpy_param
     assert seeded.config_hash() == SuiteConfig("verify-identities", seed=3).config_hash()
 
 
+@pytest.mark.parametrize("suite", ["verify-identities", "torus", "hyperbolic"])
+def test_a_whole_number_tolerance_hashes_as_its_float(suite):
+    # `--tol 0` reaches the config as the float 0.0; the API's int 0 is the
+    # same run
+    cli = _suite_config(_build_parser().parse_args([suite, "--tol", "0"]))
+    for tol in (0, np.int64(0)):
+        api = SuiteConfig(suite=suite, tolerance=tol)
+        assert type(api.tolerance) is float
+        assert api.config_hash() == cli.config_hash()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", True), ("seed", False), ("seed", np.bool_(True)),
+    ("tolerance", True), ("tolerance", False), ("tolerance", np.bool_(False)),
+], ids=["seed-True", "seed-False", "seed-numpy-True", "tolerance-True", "tolerance-False", "tolerance-numpy-False"])
+def test_config_refuses_a_bool_seed_or_tolerance(field, value):
+    # True is the int 1 to Python: it would run as seed 1, or tolerance 1
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got the bool (True|False)$"):
+        SuiteConfig(suite="verify-identities", **{field: value})
+
+
 def test_default_tolerance_is_one_table_per_suite():
     # the default of each suite function's tol, for the CLI and the API alike
     parser = _build_parser()
@@ -746,6 +767,23 @@ def test_decompose_builds_no_gram_block_above_the_middle_degree(tmp_path, monkey
     for n, k, inp in _decompose_stream(tmp_path):
         decompose_file(inp, tmp_path / "out.json")
     # the middle degree itself is read, by the inputs of degree n
+    assert {(n, n) for n in range(1, 5)} <= built
+
+
+def test_decompose_builds_no_frame_compound_above_the_middle_degree(tmp_path, monkeypatch):
+    from llab.algebra import Ops
+
+    real_frame_compound, built = Ops.frame_compound, set()
+
+    def frame_compound(self, k):
+        built.add((self.dim // 2, k))
+        return real_frame_compound(self, k)
+
+    monkeypatch.setattr(Ops, "frame_compound", frame_compound)
+    for n, k, inp in _decompose_stream(tmp_path):
+        decompose_file(inp, tmp_path / "out.json")
+    assert [(n, k) for n, k in sorted(built) if k > n] == []
+    # the middle degree itself is built, by the inputs of degree n
     assert {(n, n) for n in range(1, 5)} <= built
 
 

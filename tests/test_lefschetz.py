@@ -344,16 +344,16 @@ def test_the_complement_norm_is_the_metric_norm_above_the_middle(n):
     assert _worst_complement_error([n]) <= 1e-13
 
 
-@pytest.mark.parametrize("old, new", [
-    ("(p.sign * a.data[p.right].T).T", "a.data[p.right]"),
-    ("metric_gram(t, 2 * a.n - a.k)", "metric_gram(t, a.k)"),
+@pytest.mark.parametrize("name, old, new", [
+    ("_complement", "(p.sign * x[src].T).T", "x[src]"),
+    ("_complement_norm", "metric_gram(t, 2 * a.n - a.k)", "metric_gram(t, a.k)"),
 ], ids=["complement sign dropped", "Gram block of the form's own degree"])
-def test_a_broken_complement_norm_fails_loudly(mutant, old, new):
+def test_a_broken_complement_norm_fails_loudly(mutant, name, old, new):
     # the standard triple's Gram blocks are identities, so only the random
     # triples can tell either mutant
     import llab.algebra as algebra
 
-    mutant(algebra, "_complement_norm", old, new)
+    mutant(algebra, name, old, new)
     assert _worst_complement_error([2, 3]) > 1e-3
 
 

@@ -7,7 +7,8 @@ traced run when one is missing, or when a probe its workload expects
 edit nothing, and resolve every target the same way, so that renaming,
 deleting or bypassing a probed name fails here rather than only in a
 traced run.  The suite workloads also run once, at their benchmark argv,
-through the benchmark's own report oracles, so that a report change the
+through the benchmark's own report oracles, and the decompose workload's
+first calls through its per-call oracle, so that an output change the
 benchmark would reject fails here first.
 """
 
@@ -156,3 +157,21 @@ def test_suite_workload_reports_pass_their_benchmark_oracles(workload, tmp_path)
             (379, "lu"), (1625, "multigrid"), (3718, "multigrid"),
             (15687, "multigrid"), (28465, "multigrid"), (119885, "multigrid"),
         ]
+
+
+def test_decompose_workload_outputs_pass_their_benchmark_oracle(tmp_path):
+    # one call in each (n, k) cell of the stream, at the benchmark's seed,
+    # each output read back from its file as the benchmark reads it
+    import json
+
+    from llab.cli import decompose_file
+
+    workloads = _load("workloads")
+    check = workloads.WORKLOADS["decompose"].checks["call"]
+    assert check is workloads.check_decompose
+    inputs = workloads.write_decompose_inputs(tmp_path / "inputs", 7, workloads.DECOMPOSE_COVER)
+    assert len(inputs) == 36
+    for i, inp in enumerate(inputs):
+        out = tmp_path / f"out{i:05d}.json"
+        decompose_file(inp, out)
+        assert check(json.loads(inp.read_text()), json.loads(out.read_text())) == [], (i, workloads.decompose_cell(i))
