@@ -524,8 +524,9 @@ class Ops:
     """Every operator matrix of one triple, built block by block on first use.
 
     Per-degree blocks act on Lambda^k coefficient vectors (or column batches):
-    Gram matrices, the two stars, the J-pullback, the (p,q) projectors and
-    Weil operator, L^r, Lambda and the primitive basis.  Every operator is
+    Gram matrices, the two stars, the J-pullback, the coframe and its
+    compounds, the (p,q) projectors (the `pq_decompose` split of the basis),
+    L^r, Lambda and the primitive basis.  Every operator is
     kept once, per degree: there is no matrix on the whole 4^n-dimensional
     algebra.  Nothing is built eagerly, and the bundle is freed with its
     triple.
@@ -604,23 +605,17 @@ class Ops:
         expressed in the real covector basis.  J phi = i phi.  The n
         eigenvectors of J^T for +i are orthonormalized, so that the frame,
         and the frame compounds solved with, stay well conditioned: the Q
-        of their QR, by Gram-Schmidt run twice per column, so that phi^1 is
-        the first eigenvector normalized and R has a positive diagonal."""
-        n = self.t.n
+        of their QR, each column times d/|d| for d the diagonal of R, so
+        that phi^1 is the first eigenvector normalized and R has a positive
+        diagonal."""
         w, v = np.linalg.eig(self.t.J.T)
         plus_i = np.abs(w - 1j) < 1e-9
-        if plus_i.sum() != n:
+        if plus_i.sum() != self.t.n:
             raise ValueError("J action on covectors does not split into +/- i eigenspaces")
-        V = v[:, plus_i]
-        P = np.empty((2 * n, 2 * n), dtype=complex)
-        for a in range(n):
-            c, Q = V[:, a], P[:, :a]
-            if a:
-                for _ in range(2):
-                    c = c - Q @ (Q.conj().T @ c)
-            P[:, a] = c / np.linalg.norm(c)
-        P[:, n:] = P[:, :n].conj()
-        return P
+        Q, R = np.linalg.qr(v[:, plus_i])
+        d = np.diag(R)
+        Q = Q * (d / np.abs(d))
+        return np.concatenate((Q, Q.conj()), axis=1)
 
     @_block
     def frame_compound(self, k: int) -> np.ndarray:
@@ -633,21 +628,12 @@ class Ops:
 
     @_block
     def pq(self, k: int) -> dict:
-        """Matrices of Pi^{p,q} on Lambda^k for each p+q = k: dense, for the
-        Weil operator and `pq_projector_matrices`, from `frame_compound(k)`
-        in every degree.  `pq_decompose` forms none, and above the middle
-        degree builds no frame compound of the form's degree."""
-        C = self.frame_compound(k)
-        Cinv = np.linalg.inv(C)
-        return {pq: C[:, S] @ Cinv[S] for pq, S in _bidegree_columns(self.dim, k).items()}
-
-    @_block
-    def weil(self, k: int) -> np.ndarray:
-        """J-Weil operator on Lambda^k: i^{p-q} on the (p,q)-part."""
-        out = np.zeros((math.comb(self.dim, k),) * 2, dtype=complex)
-        for (p, q), M in self.pq(k).items():
-            out = out + (1j ** ((p - q) % 4)) * M
-        return out
+        """Matrices of Pi^{p,q} on Lambda^k for each p+q = k: the
+        `pq_decompose` split of the basis of Lambda^k, dense, for
+        `pq_projector_matrices`.  Like that split, it builds no frame
+        compound above the middle degree."""
+        basis = KForm._own(self.t.n, k, np.eye(math.comb(self.dim, k), dtype=complex))
+        return {pq: part.data for pq, part in pq_decompose(basis, self.t).components.items()}
 
     # -- the Lefschetz sl(2) ------------------------------------------------
 
@@ -790,7 +776,9 @@ class BigradedForm:
 
 
 def pq_decompose(a: KForm, t: CompatibleTriple) -> BigradedForm:
-    """Split a into its Pi^{p,q} projections with respect to t's J.
+    """Split a into its Pi^{p,q} projections with respect to t's J: the
+    one implementation of the type split, which the projector blocks
+    (`Ops.pq`) and the Weil operator read.
 
     Up to the middle degree, one solve C c = a puts a on the frame
     products, the columns of C = `frame_compound(k)`; the (p,q) part is the
@@ -802,7 +790,8 @@ def pq_decompose(a: KForm, t: CompatibleTriple) -> BigradedForm:
     (`_complement`).  With C = `frame_compound(m)`, (Pi_m^{p',q'})^T y is
     C^-T z_S for z = C^T y restricted to the columns S of type (p',q'):
     one solve with C^T takes every type's right-hand side at once.  No
-    projector is formed.  A batch (2-D a.data) is split column by column."""
+    projector is formed, nor any inverse.  A batch (2-D a.data) is split
+    column by column."""
     n, k, dim = a.n, a.k, 2 * a.n
     cols = _bidegree_columns(dim, k)
     if k <= n:
@@ -830,8 +819,10 @@ def pq_projector_matrices(t: CompatibleTriple, k: int) -> dict:
 
 
 def weil_operator(a: KForm, t: CompatibleTriple) -> KForm:
-    """J-Weil operator: multiplies the (p,q)-part by i^{p-q}."""
-    return KForm._own(a.n, a.k, t.ops.weil(a.k) @ a.data)
+    """J-Weil operator: multiplies the (p,q)-part by i^{p-q}, the phase sum
+    of the parts of `pq_decompose` (a batch column by column)."""
+    parts = pq_decompose(a, t).components.items()
+    return KForm._own(a.n, a.k, sum((1j ** ((p - q) % 4)) * part.data for (p, q), part in parts))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from functools import partial
 
 import numpy as np
 
-from llab.algebra import build_standard_triple, random_compatible_triple
+from llab.algebra import KForm, build_standard_triple, random_compatible_triple, weil_operator
 from llab.hyperbolic.eigensolve import (
     DEFAULT_REL_TOL,
     EigenNonConvergence,
@@ -152,7 +152,8 @@ def _operator_identity_residuals(n_arena: int, m: int) -> dict:
         for k in range(top + 1)
     ]
     # d^{Lambda*} = W^{-1} d W, and the Laplacian of d^c = W^{-1} d W against Delta_d
-    dc = [np.linalg.inv(ops.weil(k + 1)) @ fc.block("d", k) @ ops.weil(k) for k in range(top)]
+    W = [weil_operator(KForm(n_arena, k, np.eye(fc.dim(k))), fc.triple).data for k in range(top + 1)]
+    dc = [np.linalg.inv(W[k + 1]) @ fc.block("d", k) @ W[k] for k in range(top)]
     dc_star = [None] + [_adjoint_stack(ops, dc[k - 1], k - 1, k) for k in range(1, top + 1)]
     lap_dc = []
     for k in range(top + 1):

@@ -377,6 +377,9 @@ def torus_suite(
         raise ValueError(f"samples must be nonnegative, got {samples}")
     _check_max_n("torus", n_values, TORUS_MAX_N, "548 MB")
     for n in n_values:  # every n, before any complex is built
+        if n < 2:
+            raise ValueError(f"torus at n = {n} is below its smallest n, 2: "
+                             "the anti-invariant and self-dual relations need n >= 2")
         check_modes(n, N)
 
     def run_n(n: int) -> dict:

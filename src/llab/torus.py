@@ -352,10 +352,8 @@ def verify_p7_decomposition(fc: FourierComplex, p: int, q: int, tol: float = 1e-
     projs = pq_projector_matrices(t, k)
     if (p, q) not in projs:
         raise ValueError(f"empty bidegree ({p},{q}) for n={n}")
-    P_pq = projs[(p, q)]
     # harmonic (p,q) block at xi = 0 is the full image of the projector
-    w, V = np.linalg.eigh(P_pq @ P_pq.conj().T)
-    H_basis = V[:, w > 0.5]
+    H_basis = _image_basis(projs[(p, q)])
     dim_h = H_basis.shape[1]
 
     blocks = {}
@@ -372,12 +370,9 @@ def verify_p7_decomposition(fc: FourierComplex, p: int, q: int, tol: float = 1e-
         sub_projs = pq_projector_matrices(t, j)
         if (pp, qq) not in sub_projs:
             continue
-        ppq = sub_projs[(pp, qq)] @ Pb
-        rank = np.linalg.matrix_rank(ppq, tol=1e-8)
-        if rank == 0:
+        prim_pq = _image_basis(sub_projs[(pp, qq)] @ Pb)
+        if prim_pq.shape[1] == 0:
             continue
-        u, s, _ = np.linalg.svd(ppq, full_matrices=False)
-        prim_pq = u[:, :rank]
         img = lefschetz_power_matrix(t, j, r) @ prim_pq
         blocks[r] = img
 
@@ -634,12 +629,9 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int, tol: float = 
 
     # coefficient space: f (1 complex dof) + primitive (1,1) basis
     Pb = primitive_basis(t, 2)
-    p11 = pq_projector_matrices(t, 2)[(1, 1)] @ Pb
-    rank = np.linalg.matrix_rank(p11, tol=1e-8)
-    u, s, _ = np.linalg.svd(p11, full_matrices=False)
-    prim11 = u[:, :rank]                       # basis of P^{1,1}, dim n^2 - 1
+    prim11 = _image_basis(pq_projector_matrices(t, 2)[(1, 1)] @ Pb)  # basis of P^{1,1}, dim n^2 - 1
 
-    cand = np.empty((len(prim11), 1 + rank), dtype=complex)  # on Lambda^2
+    cand = np.empty((len(prim11), 1 + prim11.shape[1]), dtype=complex)  # on Lambda^2
     cand[:, 0] = t.omega_form().data
     cand[:, 1:] = prim11
     G1, G3 = alg.gram(1), alg.gram(3)

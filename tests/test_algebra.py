@@ -347,6 +347,30 @@ def test_the_split_of_a_function_or_a_top_form_reads_no_frame(monkeypatch):
             assert np.array_equal(parts[(k // 2, k // 2)].data, a.data)
 
 
+def test_no_frame_compound_above_the_middle_degree(monkeypatch):
+    # the projectors, and the Weil operator the identity suite reads, are
+    # the pq_decompose split, which reads a k > n form through degree 2n - k
+    from llab.algebra import Ops
+    from llab.suites import identity_suite
+
+    real_frame_compound, above = Ops.frame_compound, []
+
+    def frame_compound(self, k):
+        if k > self.dim // 2:
+            above.append((self.dim // 2, k))
+        return real_frame_compound(self, k)
+
+    monkeypatch.setattr(Ops, "frame_compound", frame_compound)
+    rng = np.random.default_rng(40)
+    for n in range(1, 5):
+        for t in (build_standard_triple(n), random_compatible_triple(n, rng)):
+            for k in range(2 * n + 1):
+                pq_projector_matrices(t, k)
+    assert above == []
+    assert identity_suite(n_values=(1, 2, 3), cases=4, cross_cases=2)["passed"]
+    assert above == []
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_a_batch_above_the_middle_degree_splits_as_its_columns(n):
     rng = np.random.default_rng(490 + n)
@@ -396,7 +420,8 @@ def test_orthonormal_coframe_keeps_the_n6_frame_compound_well_conditioned(s):
     assert np.linalg.cond(t.ops.frame_compound(6)) < 200
     rng = np.random.default_rng([s, 66])
     a = KForm(6, 6, rng.standard_normal(924) + 1j * rng.standard_normal(924))
-    gate = 1.9e-14 * _two_norm_estimate(t.ops.weil(6), np.random.default_rng([s, 7])) * np.max(np.abs(a.data))
+    W = weil_operator(KForm(6, 6, np.eye(924)), t).data
+    gate = 1.9e-14 * _two_norm_estimate(W, np.random.default_rng([s, 7])) * np.max(np.abs(a.data))
     assert gate < 3e-12 * np.max(np.abs(a.data))
     for (p, q), part in pq_decompose(a, t).components.items():
         eigen = (1j) ** ((p - q) % 4) * part.data
@@ -575,8 +600,10 @@ def test_operator_blocks_match_the_reference_loops(n):
         ops, ref = t.ops, ReferenceOps(t)
         for k in range(dim + 1):
             where = (which, k)
-            for name in ("gram", "omega_gram", "star", "sstar", "jpull", "frame_compound", "weil"):
+            for name in ("gram", "omega_gram", "star", "sstar", "jpull", "frame_compound"):
                 _assert_close(getattr(ops, name)(k), getattr(ref, name)(k), (name,) + where)
+            basis = KForm(n, k, np.eye(math.comb(dim, k)))
+            _assert_close(weil_operator(basis, t).data, ref.weil(k), ("weil",) + where)
             pq = ops.pq(k)
             for key, M in ref.pq(k).items():
                 _assert_close(pq[key], M, ("pq", key) + where)

@@ -1063,6 +1063,24 @@ def test_cli_torus_past_the_mode_cap_exits_two_before_any_complex(monkeypatch, t
     llab.torus.check_modes(2, 10)  # n = 2 alone is admitted
 
 
+@pytest.mark.parametrize("values, n", [("1", 1), ("1,2", 1), ("0,3", 0)])
+def test_cli_torus_below_n2_exits_two_before_any_complex(monkeypatch, tmp_path, capsys, values, n):
+    # the anti-invariant and self-dual relations need n >= 2: an n below it
+    # is refused, with every other n, before any complex is built
+    import llab.torus
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(llab.torus, "build_fourier_complex", refuse)
+    assert main(["torus", "--n", values, "--N", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: torus at n = {n} is below its smallest n, 2: "
+        "the anti-invariant and self-dual relations need n >= 2\n"
+    )
+    assert not any(tmp_path.iterdir())
+
+
 def test_the_largest_torus_complexes_in_use_are_admitted():
     from llab.suites import TORUS_MAX_N
     from llab.torus import MAX_MODES, check_modes

@@ -136,7 +136,7 @@ def test_report_surface_case():
 
 @pytest.mark.parametrize("old, new, broken", [
     ("- m * (", "+ m * (", "commutation_d_star_Lm"),
-    ("np.linalg.inv(ops.weil(k + 1))", "ops.weil(k + 1)", "d_lambda_star_is_conjugated_d"),
+    ("np.linalg.inv(W[k + 1])", "W[k + 1]", "d_lambda_star_is_conjugated_d"),
     ("_adjoint_stack(ops, dc[k - 1], k - 1, k)", "-dc[k - 1].conj().transpose(0, 2, 1)",
      "laplacian_dc_equals_laplacian_d"),
 ], ids=["sign of m flipped", "W for W^-1", "metric-blind adjoint"])
