@@ -434,8 +434,12 @@ def contract_vector(a: KForm, v: np.ndarray) -> KForm:
     """Interior product i_v(a) for a vector v = sum v^i e_i (complex allowed)."""
     if a.k == 0:
         return KForm(a.n, 0, [0.0])
-    dim = 2 * a.n
-    M = sum(v[i] * _contraction_matrix(dim, a.k, i) for i in range(dim))
+    # e^{target} = sign e^{left} ^ e^{right}, so i_{e_left} e^{target} = sign e^{right}:
+    # one entry per product of the a = 1 table, as for L and Lambda
+    dim, v = 2 * a.n, np.asarray(v)
+    p = _wedge_table(dim, 1, a.k - 1)
+    M = np.zeros((math.comb(dim, a.k - 1), math.comb(dim, a.k)), dtype=np.result_type(v, float))
+    M[p.right, p.target] = v[p.left] * p.sign
     return KForm(a.n, a.k - 1, M @ a.data)
 
 
@@ -482,19 +486,6 @@ def _bidegree_columns(dim: int, k: int) -> dict:
     that span the (p, k - p) forms."""
     n, p_of = dim // 2, _holomorphic_degree(dim, k)
     return {(p, k - p): _read_only(np.flatnonzero(p_of == p)) for p in range(max(0, k - n), min(k, n) + 1)}
-
-
-@lru_cache(maxsize=None)
-def _contraction_matrix(dim: int, k: int, axis: int) -> np.ndarray:
-    """Matrix of the interior product with the basis vector e_{axis+1} on Lambda^k."""
-    rows = _mask_index(dim, k - 1)
-    M = np.zeros((len(rows), math.comb(dim, k)))
-    bit = 1 << axis
-    for c, m in enumerate(basis_masks(dim, k)):
-        if m & bit:
-            M[rows[m ^ bit], c] = -1.0 if (m & (bit - 1)).bit_count() & 1 else 1.0
-    M.flags.writeable = False
-    return M
 
 
 # ---------------------------------------------------------------------------

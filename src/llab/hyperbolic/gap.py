@@ -33,7 +33,7 @@ from functools import partial
 
 import numpy as np
 
-from llab.algebra import KForm, build_standard_triple, random_compatible_triple, weil_operator
+from llab.algebra import build_standard_triple, random_compatible_triple
 from llab.hyperbolic.eigensolve import (
     DEFAULT_REL_TOL,
     EigenNonConvergence,
@@ -132,12 +132,15 @@ def _operator_identity_residuals(n_arena: int, m: int) -> dict:
     d*, d^{Lambda*} and d^c = W^{-1} d W are linear in xi, Delta_d and
     Delta_{d^c} quadratic, so each identity holds at every xi exactly when
     it holds for every coefficient j, or every symmetric pair (j, l), degree
-    by degree.  The wedge bound is read off the Weitzenbock identity
-    Delta_d(xi) = 4 pi^2 |xi|^2_g I: as d(xi) = 2 pi i e_xi, it says
-    e_xi e_xi^* + e_xi^* e_xi = |xi|^2_g I for every covector xi, so at
-    xi = theta, |theta ^ a|^2 = <e_theta^* e_theta a, a> <= |theta|^2_g |a|^2.
+    by degree.  Every operator, adjoint and Laplacian is read off the
+    complex (`FourierComplex.block`, `FourierComplex.quadratic`), which
+    builds d^c with W the J-pullback.  The wedge bound is read off the
+    Weitzenbock identity Delta_d(xi) = 4 pi^2 |xi|^2_g I: as d(xi) =
+    2 pi i e_xi, it says e_xi e_xi^* + e_xi^* e_xi = |xi|^2_g I for every
+    covector xi, so at xi = theta,
+    |theta ^ a|^2 = <e_theta^* e_theta a, a> <= |theta|^2_g |a|^2.
     """
-    from llab.torus import _adjoint_stack, _symmetric_product, _weitzenbock, build_fourier_complex
+    from llab.torus import _weitzenbock, build_fourier_complex
 
     fc = build_fourier_complex(n_arena, 0, random_compatible_triple(n_arena, np.random.default_rng(_ARENA_SEED)))
     ops, top = fc.triple.ops, 2 * n_arena
@@ -151,25 +154,14 @@ def _operator_identity_residuals(n_arena: int, m: int) -> dict:
          lpow(k - 1, m) @ fc.block("d_star", k) - m * (lpow(k + 1, m - 1) @ fc.block("d_lambda_star", k)))
         for k in range(top + 1)
     ]
-    # d^{Lambda*} = W^{-1} d W, and the Laplacian of d^c = W^{-1} d W against Delta_d
-    W = [weil_operator(KForm(n_arena, k, np.eye(fc.dim(k))), fc.triple).data for k in range(top + 1)]
-    dc = [np.linalg.inv(W[k + 1]) @ fc.block("d", k) @ W[k] for k in range(top)]
-    dc_star = [None] + [_adjoint_stack(ops, dc[k - 1], k - 1, k) for k in range(1, top + 1)]
-    lap_dc = []
-    for k in range(top + 1):
-        Q = 0.0  # dc dc* through degree k - 1, dc* dc through k + 1
-        if k:
-            Q = Q + _symmetric_product(dc[k - 1], dc_star[k])
-        if k < top:
-            Q = Q + _symmetric_product(dc_star[k + 1], dc[k])
-        lap_dc.append((Q, fc.quadratic("laplacian", k)))
-
+    # d^{Lambda*} = W^{-1} d W = d^c, and Delta_{d^c} = Delta_d
     return {
         "arena_n": n_arena,
         "commutation_d_star_Lm": _relative_frobenius(comm),
         "d_lambda_star_is_conjugated_d": _relative_frobenius(
-            (fc.block("d_lambda_star", k), dc[k]) for k in range(top)),
-        "laplacian_dc_equals_laplacian_d": _relative_frobenius(lap_dc),
+            (fc.block("d_lambda_star", k), fc.block("dc", k)) for k in range(top)),
+        "laplacian_dc_equals_laplacian_d": _relative_frobenius(
+            (fc.quadratic("laplacian_dc", k), fc.quadratic("laplacian", k)) for k in range(top + 1)),
         "wedge_anticommutator_is_norm_sq": max(_weitzenbock(fc, k)[0] for k in range(top + 1)),
     }
 

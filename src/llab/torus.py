@@ -2,24 +2,28 @@
 
 A constant compatible triple makes every differential operator block-diagonal
 over Fourier modes xi in Z^{2n}: on the mode-xi block, d acts as the wedge
-with c(xi) = 2*pi*i * sum_j xi_j e^j.  The first-order operators d, d*
-(g-adjoint), d^Lambda = d Lambda - Lambda d and d^{Lambda*} are linear in xi,
-kept once per degree as 2n coefficient blocks Lambda^k -> Lambda^{k +- 1},
-built from the triple's per-degree operators (`triple.ops`); Delta_d = dd* +
-d*d and D = d* d + d^{Lambda*} d^Lambda (whose commutation with L and Lambda
-drives the primitive decomposition of harmonic forms) are quadratic in xi,
-with symmetric (j, l) coefficient blocks per degree.  An identity linear or
-quadratic in xi holds at every xi, in the cutoff or beyond, iff its
-coefficients satisfy it: `check_complex`, the Weitzenbock identity
-Delta_d(xi) = 4 pi^2 |xi|^2_g I (which confines harmonic content to the
-xi = 0 block), the Kahler Laplacian comparison, the d^Lambda/d* norm
-identity L8, the L10 cross term and "closed anti-invariant => harmonic" are
-proven there.  L10's equivalence constants are computed, not sampled: the
-extreme eigenvalues of one pencil at xi = e_1, whose spectrum is the same
-at every xi != 0.  One relation is measured, not proven: the self-dual
-relation, which samples modes from a fixed seed and reads their operators
-on Lambda^0 and Lambda^2 off `FourierComplex.mode_ops`.  No operator on
-the whole 4^n-dimensional algebra is formed.
+with c(xi) = 2*pi*i * sum_j xi_j e^j.  The first-order operators d,
+d^Lambda = d Lambda - Lambda d, d^c = W^{-1} d W and dbar, with their
+g-adjoints, are linear in xi, kept once per degree as 2n coefficient blocks
+Lambda^k -> Lambda^{k +- 1}, built from the triple's per-degree operators
+(`triple.ops`); Delta_d = dd* + d*d, Delta_{d^c}, Delta_dbar and
+D = d* d + d^{Lambda*} d^Lambda (whose commutation with L and Lambda drives
+the primitive decomposition of harmonic forms) are quadratic in xi, with
+symmetric (j, l) coefficient blocks per degree.  `FourierComplex` builds
+all of them, and every check, the spectral-gap derivation's among them,
+reads them there; types are read through the projectors Pi^{p,q}, never
+in frame coordinates.  An identity linear or quadratic in xi holds at
+every xi, in the cutoff or beyond, iff its coefficients satisfy it:
+`check_complex`, the Weitzenbock identity Delta_d(xi) = 4 pi^2 |xi|^2_g I
+(which confines harmonic content to the xi = 0 block), the Kahler
+Laplacian comparison, the d^Lambda/d* norm identity L8, the L10 cross term
+and "closed anti-invariant => harmonic" are proven there.  L10's
+equivalence constants are computed, not sampled: the extreme eigenvalues
+of one pencil at xi = e_1, whose spectrum is the same at every xi != 0.
+One relation is measured, not proven: the self-dual relation, which
+samples modes from a fixed seed and reads their operators on Lambda^0 and
+Lambda^2 off `FourierComplex.mode_ops`.  No operator on the whole
+4^n-dimensional algebra is formed.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import numpy as np
 from llab.algebra import (
     CompatibleTriple,
     Ops,
-    _holomorphic_degree,
     _wedge_table,
     KForm,
     pq_projector_matrices,
@@ -54,28 +57,29 @@ __all__ = [
 ]
 
 
-_SHIFT = {"d": 1, "d_star": -1, "d_lambda": -1, "d_lambda_star": 1}  # degree change
-_ADJOINT_OF = {"d_star": "d", "d_lambda_star": "d_lambda"}
+_SHIFT = {  # degree change
+    "d": 1, "d_star": -1, "d_lambda": -1, "d_lambda_star": 1, "dc": 1, "dc_star": -1, "dbar": 1, "dbar_star": -1,
+}
+_ADJOINT_OF = {"d_star": "d", "d_lambda_star": "d_lambda", "dc_star": "dc", "dbar_star": "dbar"}
 
 # second-order operators as sums of products first(xi) second(xi), `second` applied first
 _SECOND_ORDER = {
     "laplacian": (("d", "d_star"), ("d_star", "d")),  # Delta_d = d d* + d* d
+    "laplacian_dc": (("dc", "dc_star"), ("dc_star", "dc")),
+    "laplacian_dbar": (("dbar", "dbar_star"), ("dbar_star", "dbar")),
     "dee": (("d_star", "d"), ("d_lambda_star", "d_lambda")),  # D = d* d + d^{Lambda*} d^Lambda
     "d_squared": (("d", "d"),),
     "d_lambda_squared": (("d_lambda", "d_lambda"),),
 }
 
 
-def _symmetric_product(X: np.ndarray, Y: np.ndarray, pairs=None) -> np.ndarray:
+def _symmetric_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """The symmetric coefficients Q[j, l] = -4 pi^2 (X_j Y_l + X_l Y_j) / 2 of
     x(xi) y(xi) = sum_{j,l} xi_j xi_l Q[j, l], for the first-order operators
-    x(xi) = 2 pi i sum_j xi_j X_j and y(xi) alike.  A quadratic form in xi
-    vanishes at every xi exactly when its symmetric coefficients vanish.
-    With `pairs` = (j, l) index arrays, such as np.triu_indices(2n), only
-    those coefficients, stacked: Q[pairs] for the price of them alone."""
-    if pairs is not None:
-        j, l = pairs
-        return (-2 * np.pi ** 2) * (X[j] @ Y[l] + X[l] @ Y[j])
+    x(xi) = 2 pi i sum_j xi_j X_j and y(xi) alike: the one place
+    `FourierComplex.quadratic` multiplies two of its blocks.  A quadratic
+    form in xi vanishes at every xi exactly when its symmetric coefficients
+    vanish."""
     P = X[:, None] @ Y[None, :]
     return (-2 * np.pi ** 2) * (P + P.transpose(1, 0, 2, 3))
 
@@ -112,8 +116,11 @@ class FourierComplex:
     order.  Every first-order operator is linear in xi, so it is kept as
     its 2n coefficient matrices on each degree (`block`), built from the
     triple's per-degree operators (`triple.ops`); `mode_ops` reads the
-    operators of one mode off them, exact up to roundoff.  `block` and
-    `quadratic` are built on first use and kept in `_cache`.
+    operators of one mode off them, exact up to roundoff.  It is the one
+    place that builds d, d^Lambda, d^c and dbar, their adjoints and the
+    second-order operators made of them (`_SECOND_ORDER`): every check
+    reads them here.  `block` and `quadratic` are built on first use and
+    kept in `_cache`.
     """
 
     n: int
@@ -130,11 +137,14 @@ class FourierComplex:
         return math.comb(2 * self.n, k) if 0 <= k <= 2 * self.n else 0
 
     def block(self, name: str, k: int) -> np.ndarray:
-        """The real coefficients A (2n, rows, C(2n, k)) of a first-order
-        operator on Lambda^k, op(xi) = 2 pi i sum_j xi_j A[j] : Lambda^k ->
+        """The coefficients A (2n, rows, C(2n, k)) of a first-order operator
+        on Lambda^k, op(xi) = 2 pi i sum_j xi_j A[j] : Lambda^k ->
         Lambda^{k + shift}; no rows or no columns where a degree leaves 0..2n.
         Coefficient j of d is e^{j+1} ^ ., d^Lambda is d Lambda - Lambda d,
-        and d* and d^{Lambda*} are the adjoints of the blocks they pair with."""
+        d^c = W^{-1} d W for the Weil operator W, which is the J-pullback,
+        and dbar = sum Pi^{p,q+1} d Pi^{p,q}, the part of d that raises q
+        (it is complex); the starred names are the adjoints of the blocks
+        they pair with."""
         key = ("block", name, k)
         if key not in self._cache:
             top, to = 2 * self.n, k + _SHIFT[name]
@@ -148,6 +158,11 @@ class FourierComplex:
                     A += self.block("d", k - 2) @ alg.lam(k)
                 if k < top:
                     A -= alg.lam(k + 1) @ self.block("d", k)
+            elif A.size and name == "dc":  # W^2 = (-1)^(k+1) on Lambda^{k+1}: W^{-1} is W up to sign
+                A = (-1) ** (k + 1) * alg.jpull(k + 1) @ self.block("d", k) @ alg.jpull(k)
+            elif A.size and name == "dbar":
+                P, R = pq_projector_matrices(self.triple, k), pq_projector_matrices(self.triple, to)
+                A = sum(R[p, q + 1] @ self.block("d", k) @ P[p, q] for p, q in P if (p, q + 1) in R)
             elif A.size:
                 A = _adjoint_stack(alg, self.block(_ADJOINT_OF[name], to), to, k)
             A.flags.writeable = False
@@ -301,8 +316,6 @@ def harmonic_space(fc: FourierComplex, k: int) -> HarmonicSpaceReport:
     lefschetz = {}
     for r in range(max(0, k - fc.n), k // 2 + 1):
         j = k - 2 * r
-        if j > fc.n:
-            continue
         P = primitive_basis(fc.triple, j)
         img = lefschetz_power_matrix(fc.triple, j, r) @ P
         lefschetz[r] = int(np.linalg.matrix_rank(img, tol=1e-8)) if img.size else 0
@@ -356,25 +369,16 @@ def verify_p7_decomposition(fc: FourierComplex, p: int, q: int, tol: float = 1e-
     H_basis = _image_basis(projs[(p, q)])
     dim_h = H_basis.shape[1]
 
+    # from r = max(0, k - n) on, j = k - 2r <= n: (pp, qq) is a type of
+    # Lambda^j, and its primitive part is not empty
     blocks = {}
     for r in itertools.count(max(0, k - n)):
         pp, qq = p - r, q - r
         if pp < 0 or qq < 0:
             break
         j = pp + qq
-        if j > n:
-            continue
-        Pb = primitive_basis(t, j)
-        if Pb.shape[1] == 0:
-            continue
-        sub_projs = pq_projector_matrices(t, j)
-        if (pp, qq) not in sub_projs:
-            continue
-        prim_pq = _image_basis(sub_projs[(pp, qq)] @ Pb)
-        if prim_pq.shape[1] == 0:
-            continue
-        img = lefschetz_power_matrix(t, j, r) @ prim_pq
-        blocks[r] = img
+        prim_pq = _image_basis(pq_projector_matrices(t, j)[(pp, qq)] @ primitive_basis(t, j))
+        blocks[r] = lefschetz_power_matrix(t, j, r) @ prim_pq
 
     dim_sum = sum(b.shape[1] for b in blocks.values())
     # spanning: every block vector lies in H (residual), and ranks agree
@@ -414,11 +418,11 @@ def verify_lemma_L8(fc: FourierComplex, tol: float = 1e-10) -> dict:
     ||x(xi) a||^2 = a^H G_k x(xi)^* x(xi) a, so the gap is the quadratic form of
     M = G_k (d^{Lambda*} d^Lambda - d d*)(xi) = G_k (D - Delta_d)(xi); on type
     (p,q) it vanishes at every xi iff Pi^{p,q}^H M[j, l] Pi^{p,q} = 0 for every
-    pair (j, l).  Pi^{p,q} = F_pq F^{-1}_pq in the bigraded frame F_k
-    (`triple.ops.frame_compound(k)`), so that is F_pq^H M[j, l] F_pq = 0: the
-    entries of F^H M F joining two forms of one type.  The residual is
-    relative to max(1, largest coefficient of G_k Q_D and G_k Q_Delta);
-    `proven_types` counts the (degree, type) pairs the gap is proven on.
+    pair (j, l).  The projectors split Lambda^k, so the sum of these over the
+    types is zero exactly when each is: the residual is the largest entry of
+    that sum, relative to max(1, largest coefficient of G_k Q_D and
+    G_k Q_Delta); `proven_types` counts the (degree, type) pairs the gap is
+    proven on.
     """
     alg = fc.triple.ops
     top = 2 * fc.n
@@ -426,11 +430,12 @@ def verify_lemma_L8(fc: FourierComplex, tol: float = 1e-10) -> dict:
     worst = scale = 0.0
     types = 0
     for k in range(top + 1):
-        G, F, p = alg.gram(k), alg.frame_compound(k), _holomorphic_degree(top, k)
-        types += np.unique(p).size
+        G, projs = alg.gram(k), pq_projector_matrices(fc.triple, k)
+        types += len(projs)
         dee, lap = G @ fc.quadratic("dee", k)[pairs], G @ fc.quadratic("laplacian", k)[pairs]
         scale = max(scale, float(np.max(np.abs(dee))), float(np.max(np.abs(lap))))
-        worst = max(worst, float(np.max(np.abs(F.conj().T @ (dee - lap) @ F)[..., p[:, None] == p])))
+        gap = sum(P.conj().T @ (dee - lap) @ P for P in projs.values())
+        worst = max(worst, float(np.max(np.abs(gap))))
     worst /= max(1.0, scale)
     return {"max_residual": worst, "proven_types": int(types), "passed": bool(worst < tol)}
 
@@ -506,36 +511,23 @@ def verify_kahler_identity(fc: FourierComplex, tol: float = 1e-10) -> dict:
     T^{2n}), proven on the symmetric (j, l) coefficients of both Laplacians,
     one degree at a time.
 
-    In the bigraded frame F_k (`triple.ops.frame_compound(k)`), where
-    Pi^{p,q} selects the coordinates of type (p,q), dbar's coefficients keep
-    the entries of d's that keep p (so raise q by one); the bidegree leakage
-    of Delta_d and Delta_dbar is their largest coefficient entry joining two
-    types.  Residuals are relative to max(1, max|coefficient of Delta_d|).
+    Both are read off the complex (`quadratic("laplacian_dbar")` is built
+    from dbar = sum Pi^{p,q+1} d Pi^{p,q}).  An operator on Lambda^k keeps
+    every type exactly when it commutes with N = sum p Pi^{p,q}, as p tells
+    apart the types of one degree: the bidegree leakage of Delta_d and
+    Delta_dbar is the largest entry of [N, Q] over their coefficients Q.
+    Residuals are relative to max(1, max|coefficient of Delta_d|).
     """
-    alg = fc.triple.ops
     top = 2 * fc.n
-    F = [alg.frame_compound(k) for k in range(top + 1)]
-    Finv = [np.linalg.inv(f) for f in F]
-    p = [_holomorphic_degree(top, k) for k in range(top + 1)]
-    dbar, dbar_star = [], []
-    for k in range(top):
-        in_frame = Finv[k + 1] @ fc.block("d", k) @ F[k]
-        dbar.append(F[k + 1] @ np.where(p[k + 1][:, None] == p[k], in_frame, 0.0) @ Finv[k])
-        dbar_star.append(_adjoint_stack(alg, dbar[k], k, k + 1))
     pairs = np.triu_indices(top)  # Q[j, l] = Q[l, j]: n(2n + 1) distinct pairs
     worst = leak_dbar = leak_lap = scale = 0.0
     for k in range(top + 1):
-        lap = fc.quadratic("laplacian", k)[pairs]
-        lap_dbar = 0.0  # dbar dbar* through degree k - 1, dbar* dbar through k + 1
-        if k:
-            lap_dbar = lap_dbar + _symmetric_product(dbar[k - 1], dbar_star[k - 1], pairs)
-        if k < top:
-            lap_dbar = lap_dbar + _symmetric_product(dbar_star[k], dbar[k], pairs)
-        mixed = p[k][:, None] != p[k]
+        lap, lap_dbar = (fc.quadratic(name, k)[pairs] for name in ("laplacian", "laplacian_dbar"))
+        N = sum(p * P for (p, _), P in pq_projector_matrices(fc.triple, k).items())
         scale = max(scale, float(np.max(np.abs(lap))))
         worst = max(worst, float(np.max(np.abs(lap - 2.0 * lap_dbar))))
-        leak_dbar = max(leak_dbar, float(np.max(np.abs(Finv[k] @ lap_dbar @ F[k])[..., mixed], initial=0.0)))
-        leak_lap = max(leak_lap, float(np.max(np.abs(Finv[k] @ lap @ F[k])[..., mixed], initial=0.0)))
+        leak_dbar = max(leak_dbar, float(np.max(np.abs(N @ lap_dbar - lap_dbar @ N))))
+        leak_lap = max(leak_lap, float(np.max(np.abs(N @ lap - lap @ N))))
     worst, leak_dbar, leak_lap = (x / max(1.0, scale) for x in (worst, leak_dbar, leak_lap))
     return {
         "max_residual": worst,

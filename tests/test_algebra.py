@@ -349,9 +349,11 @@ def test_the_split_of_a_function_or_a_top_form_reads_no_frame(monkeypatch):
 
 def test_no_frame_compound_above_the_middle_degree(monkeypatch):
     # the projectors, and the Weil operator the identity suite reads, are
-    # the pq_decompose split, which reads a k > n form through degree 2n - k
+    # the pq_decompose split, which reads a k > n form through degree 2n - k;
+    # the torus checks and the derivation read types only through them
     from llab.algebra import Ops
-    from llab.suites import identity_suite
+    from llab.hyperbolic.gap import gromov_bound_report
+    from llab.suites import identity_suite, torus_suite
 
     real_frame_compound, above = Ops.frame_compound, []
 
@@ -368,6 +370,8 @@ def test_no_frame_compound_above_the_middle_degree(monkeypatch):
                 pq_projector_matrices(t, k)
     assert above == []
     assert identity_suite(n_values=(1, 2, 3), cases=4, cross_cases=2)["passed"]
+    assert torus_suite(n_values=(2, 3), N=1, samples=4)["passed"]
+    assert all(gromov_bound_report(n, k)["checks_pass"] for n, k in ((1, 0), (2, 1), (3, 0)))
     assert above == []
 
 

@@ -8,6 +8,7 @@ factorial ladder, an independent expansion of the same closed form.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 
@@ -134,16 +135,16 @@ def test_report_surface_case():
     assert rep["factors"]["sigma_min"] == 1.0
 
 
-@pytest.mark.parametrize("old, new, broken", [
-    ("- m * (", "+ m * (", "commutation_d_star_Lm"),
-    ("np.linalg.inv(W[k + 1])", "W[k + 1]", "d_lambda_star_is_conjugated_d"),
-    ("_adjoint_stack(ops, dc[k - 1], k - 1, k)", "-dc[k - 1].conj().transpose(0, 2, 1)",
-     "laplacian_dc_equals_laplacian_d"),
+@pytest.mark.parametrize("module, function, old, new, broken", [
+    ("llab.hyperbolic.gap", "_operator_identity_residuals", "- m * (", "+ m * (", "commutation_d_star_Lm"),
+    # d^c = W d W without the sign that makes the first W its inverse
+    ("llab.torus", "FourierComplex.block", "(-1) ** (k + 1) * alg.jpull(k + 1)", "alg.jpull(k + 1)",
+     "d_lambda_star_is_conjugated_d"),
+    ("llab.torus", "_adjoint_stack", "-np.linalg.inv(ops.gram(k)) @ B.conj().transpose(0, 2, 1) @ ops.gram(k_to)",
+     "-B.conj().transpose(0, 2, 1)", "laplacian_dc_equals_laplacian_d"),
 ], ids=["sign of m flipped", "W for W^-1", "metric-blind adjoint"])
-def test_a_broken_operator_identity_fails_loudly(mutant, old, new, broken):
-    import llab.hyperbolic.gap as gap
-
-    mutant(gap, "_operator_identity_residuals", old, new)
+def test_a_broken_operator_identity_fails_loudly(mutant, module, function, old, new, broken):
+    mutant(importlib.import_module(module), function, old, new)
     for n, k in ((1, 0), (2, 1)):
         rep = gromov_bound_report(n, k)
         idents = rep["checks"]["operator_identities"]

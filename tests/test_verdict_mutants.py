@@ -96,3 +96,15 @@ def test_a_solver_that_understates_its_residual_fails_the_gate(mutant, capsys):
     out = capsys.readouterr().out
     assert "[FAIL]" in out
     assert re.search(r"max residual \S+ > tol 1e-08", out), out
+
+
+def test_dbar_as_all_of_d_fails_the_kahler_residual(mutant, capsys):
+    # Delta_d = 2 Delta_dbar is no verdict check of its own: the torus
+    # verdict gates its residual, which reads 1 when dbar is all of d
+    mutant(importlib.import_module("llab.torus"), "FourierComplex.block",
+           'A = sum(R[p, q + 1] @ self.block("d", k) @ P[p, q] for p, q in P if (p, q + 1) in R)',
+           'A = self.block("d", k)')
+    assert main(SMALL["torus"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL]" in out
+    assert "worst: n2.kahler_identity.max_residual" in out, out
