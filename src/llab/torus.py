@@ -23,11 +23,14 @@ of one pencil at xi = e_1, whose spectrum is the same at every xi != 0.
 One relation is measured, not proven: the self-dual relation, which
 samples modes from a fixed seed and reads their operators on Lambda^0 and
 Lambda^2 off `FourierComplex.mode_ops`.  No operator on the whole
-4^n-dimensional algebra is formed.
+4^n-dimensional algebra is formed.  Every factorization the checks read
+(projector images, the J-split, the Weitzenbock proofs, ...) is built by
+one function, once per complex, and kept read-only in its memo (`_memo`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,7 +39,6 @@ import numpy as np
 
 from llab.algebra import (
     CompatibleTriple,
-    Ops,
     _wedge_table,
     KForm,
     pq_projector_matrices,
@@ -84,11 +86,48 @@ def _symmetric_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (-2 * np.pi ** 2) * (P + P.transpose(1, 0, 2, 3))
 
 
-def _adjoint_stack(ops: Ops, B: np.ndarray, k: int, k_to: int) -> np.ndarray:
+def _read_only(value):
+    """`value`, with every array in it, through dicts and tuples, made
+    read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (dict, tuple)):
+        for v in value.values() if isinstance(value, dict) else value:
+            _read_only(v)
+    return value
+
+
+_MISSING = object()
+
+
+def _memo(build):
+    """build(fc, *args), kept in the complex's `_cache` under (build's name,
+    *args) and read-only: each result is built once per complex, by the one
+    function that names it, and every reader shares it."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def memoized(fc, *args):
+        key = (name, *args)
+        value = fc._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = fc._cache[key] = _read_only(build(fc, *args))
+        return value
+
+    return memoized
+
+
+@_memo
+def _gram_inverse(fc: "FourierComplex", k: int) -> np.ndarray:
+    """G_k^{-1}, the inverse Gram matrix of Lambda^k."""
+    return np.linalg.inv(fc.triple.ops.gram(k))
+
+
+def _adjoint_stack(fc: "FourierComplex", B: np.ndarray, k: int, k_to: int) -> np.ndarray:
     """The coefficients of x(xi)^*, the g-adjoint of x(xi) = 2 pi i sum_j xi_j
     B[j] : Lambda^k -> Lambda^{k_to}: -G_k^{-1} B[j]^H G_{k_to}, the minus
     because conj(2 pi i xi_j) = -2 pi i xi_j."""
-    return -np.linalg.inv(ops.gram(k)) @ B.conj().transpose(0, 2, 1) @ ops.gram(k_to)
+    return -_gram_inverse(fc, k) @ B.conj().transpose(0, 2, 1) @ fc.triple.ops.gram(k_to)
 
 
 class _ModeOps:
@@ -101,7 +140,8 @@ class _ModeOps:
         self._fc = fc
 
     def __call__(self, name: str, k: int) -> np.ndarray:
-        return (2j * np.pi) * np.tensordot(np.asarray(self.xi, dtype=float), self._fc.block(name, k), axes=1)
+        A = self._fc.block(name, k)  # the product np.tensordot(xi, A, axes=1) forms, without its axis bookkeeping
+        return (2j * np.pi) * np.dot(np.asarray(self.xi, dtype=float)[None], A.reshape(len(A), -1)).reshape(A.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +159,10 @@ class FourierComplex:
     operators of one mode off them, exact up to roundoff.  It is the one
     place that builds d, d^Lambda, d^c and dbar, their adjoints and the
     second-order operators made of them (`_SECOND_ORDER`): every check
-    reads them here.  `block` and `quadratic` are built on first use and
-    kept in `_cache`.
+    reads them here.  `_cache` is the complex's one memo (`_memo`): `block`,
+    `quadratic` and every factorization the checks read (the projector
+    images, the J-split, the Weitzenbock proofs, ...) are built there on
+    first use, once, and kept read-only.
     """
 
     n: int
@@ -136,6 +178,7 @@ class FourierComplex:
         """C(2n, k), and 0 for a degree outside 0..2n."""
         return math.comb(2 * self.n, k) if 0 <= k <= 2 * self.n else 0
 
+    @_memo
     def block(self, name: str, k: int) -> np.ndarray:
         """The coefficients A (2n, rows, C(2n, k)) of a first-order operator
         on Lambda^k, op(xi) = 2 pi i sum_j xi_j A[j] : Lambda^k ->
@@ -145,46 +188,41 @@ class FourierComplex:
         and dbar = sum Pi^{p,q+1} d Pi^{p,q}, the part of d that raises q
         (it is complex); the starred names are the adjoints of the blocks
         they pair with."""
-        key = ("block", name, k)
-        if key not in self._cache:
-            top, to = 2 * self.n, k + _SHIFT[name]
-            alg = self.triple.ops
-            A = np.zeros((top, self.dim(to), self.dim(k)))  # empty when a degree leaves 0..2n
-            if A.size and name == "d":  # one entry per product e^j ^ e^R of the a = 1 table
-                p = _wedge_table(top, 1, k)
-                A[p.left, p.target, p.right] = p.sign
-            elif A.size and name == "d_lambda":
-                if k >= 2:
-                    A += self.block("d", k - 2) @ alg.lam(k)
-                if k < top:
-                    A -= alg.lam(k + 1) @ self.block("d", k)
-            elif A.size and name == "dc":  # W^2 = (-1)^(k+1) on Lambda^{k+1}: W^{-1} is W up to sign
-                A = (-1) ** (k + 1) * alg.jpull(k + 1) @ self.block("d", k) @ alg.jpull(k)
-            elif A.size and name == "dbar":
-                P, R = pq_projector_matrices(self.triple, k), pq_projector_matrices(self.triple, to)
-                A = sum(R[p, q + 1] @ self.block("d", k) @ P[p, q] for p, q in P if (p, q + 1) in R)
-            elif A.size:
-                A = _adjoint_stack(alg, self.block(_ADJOINT_OF[name], to), to, k)
-            A.flags.writeable = False
-            self._cache[key] = A
-        return self._cache[key]
+        top, to = 2 * self.n, k + _SHIFT[name]
+        alg = self.triple.ops
+        A = np.zeros((top, self.dim(to), self.dim(k)))  # empty when a degree leaves 0..2n
+        if A.size and name == "d":  # one entry per product e^j ^ e^R of the a = 1 table
+            p = _wedge_table(top, 1, k)
+            A[p.left, p.target, p.right] = p.sign
+        elif A.size and name == "d_lambda":
+            if k >= 2:
+                A += self.block("d", k - 2) @ alg.lam(k)
+            if k < top:
+                A -= alg.lam(k + 1) @ self.block("d", k)
+        elif A.size and name == "dc":  # W^2 = (-1)^(k+1) on Lambda^{k+1}: W^{-1} is W up to sign
+            A = (-1) ** (k + 1) * alg.jpull(k + 1) @ self.block("d", k) @ alg.jpull(k)
+        elif A.size and name == "dbar":
+            P, R = pq_projector_matrices(self.triple, k), pq_projector_matrices(self.triple, to)
+            A = sum(R[p, q + 1] @ self.block("d", k) @ P[p, q] for p, q in P if (p, q + 1) in R)
+        elif A.size:
+            A = _adjoint_stack(self, self.block(_ADJOINT_OF[name], to), to, k)
+        return A
 
+    @_memo
     def quadratic(self, name: str, k: int) -> np.ndarray:
         """The symmetric coefficients Q (2n, 2n, rows, C(2n, k)) of a
         second-order operator on Lambda^k (a key of `_SECOND_ORDER`):
         op(xi) = sum_{j,l} xi_j xi_l Q[j, l].  A product that passes
         through, or lands in, a degree outside 0..2n contributes nothing."""
-        key = ("quadratic", name, k)
-        if key not in self._cache:
-            Q = 0.0
-            for first, second in _SECOND_ORDER[name]:
-                mid = k + _SHIFT[second]
-                if 0 <= mid <= 2 * self.n and 0 <= mid + _SHIFT[first] <= 2 * self.n:
-                    Q = Q + _symmetric_product(self.block(first, mid), self.block(second, k))
-            self._cache[key] = Q
-        return self._cache[key]
+        Q = 0.0
+        for first, second in _SECOND_ORDER[name]:
+            mid = k + _SHIFT[second]
+            if 0 <= mid <= 2 * self.n and 0 <= mid + _SHIFT[first] <= 2 * self.n:
+                Q = Q + _symmetric_product(self.block(first, mid), self.block(second, k))
+        return Q
 
 
+@_memo
 def _squares(fc: FourierComplex, op: str) -> dict:
     """{k: per coefficient j, max over l of |Q[j, l]|} for op(xi)^2 on each
     Lambda^k it maps into 0..2n, relative to max(1, 2 pi max|op coefficient|)^2.
@@ -196,6 +234,7 @@ def _squares(fc: FourierComplex, op: str) -> dict:
     return {k: np.abs(fc.quadratic(f"{op}_squared", k)).max(axis=(1, 2, 3)) / scale for k in degrees}
 
 
+@_memo
 def _weitzenbock(fc: FourierComplex, k: int) -> tuple[float, bool]:
     """The residual of Delta_d(xi) = 4 pi^2 |xi|^2_g I on Lambda^k, i.e. of
     Q[j, l] = 4 pi^2 (g^{-1})_jl I, and whether it proves Delta_d(xi)
@@ -287,6 +326,48 @@ def _image_basis(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return u[:, :rank]
 
 
+# One function per factorization of the xi = 0 block, so that no two checks
+# build the same one: the harmonic scan and the p7 decomposition read the
+# (p,q) images, p7 and the self-dual relation the primitive (p,q) images,
+# the harmonic scan and the anti-invariant suite the J-split.
+
+@_memo
+def _pq_images(fc: FourierComplex, k: int) -> dict:
+    """{(p, q): orthonormal basis of the image of Pi^{p,q}} on Lambda^k: at
+    xi = 0, where every form is harmonic, a basis of H^{p,q}."""
+    return {pq: _image_basis(P) for pq, P in pq_projector_matrices(fc.triple, k).items()}
+
+
+@_memo
+def _primitive_pq_images(fc: FourierComplex, j: int) -> dict:
+    """{(p, q): orthonormal basis of P^{p,q}}, the primitive (p,q)-forms of
+    degree j <= n: the images of Pi^{p,q} on the primitive basis."""
+    from llab.lefschetz import primitive_basis
+
+    prim = primitive_basis(fc.triple, j)
+    return {pq: _image_basis(P @ prim) for pq, P in pq_projector_matrices(fc.triple, j).items()}
+
+
+@_memo
+def _j_split(fc: FourierComplex) -> dict:
+    """{s: orthonormal basis of the 2-forms with J a = s a}, s = +1
+    (J-invariant) and -1 (anti-invariant): the images of the projectors
+    (I + s J)/2 on Lambda^2, J the J-pullback, which squares to I there;
+    the projectors are oblique unless G_2 is the identity."""
+    J2 = fc.triple.ops.jpull(2)
+    eye = np.eye(len(J2))
+    return {s: _image_basis(0.5 * (eye + s * J2)) for s in (1, -1)}
+
+
+@_memo
+def _lefschetz_rank(fc: FourierComplex, j: int, r: int) -> int:
+    """The rank of L^r on the primitive j-forms."""
+    from llab.lefschetz import lefschetz_power_matrix, primitive_basis
+
+    img = lefschetz_power_matrix(fc.triple, j, r) @ primitive_basis(fc.triple, j)
+    return int(np.linalg.matrix_rank(img, tol=1e-8)) if img.size else 0
+
+
 def harmonic_space(fc: FourierComplex, k: int) -> HarmonicSpaceReport:
     """Find ker Delta_d over every mode and classify the harmonic space.
 
@@ -305,26 +386,17 @@ def harmonic_space(fc: FourierComplex, k: int) -> HarmonicSpaceReport:
                               "the harmonic space is not proven to be the xi = 0 block")
     total = math.comb(2 * fc.n, k)
 
-    projs = pq_projector_matrices(fc.triple, k)
+    projs, images = pq_projector_matrices(fc.triple, k), _pq_images(fc, k)
     bidegree = {pq: int(round(np.trace(P).real)) for pq, P in projs.items()}
     residuals = {"bidegree_trace_vs_rank": max(
-        abs(np.trace(P).real - np.linalg.matrix_rank(P, tol=1e-8)) for P in projs.values()),
+        abs(np.trace(P).real - images[pq].shape[1]) for pq, P in projs.items()),
         "weitzenbock": weitzenbock}
-
-    from llab.lefschetz import lefschetz_power_matrix, primitive_basis
-
-    lefschetz = {}
-    for r in range(max(0, k - fc.n), k // 2 + 1):
-        j = k - 2 * r
-        P = primitive_basis(fc.triple, j)
-        img = lefschetz_power_matrix(fc.triple, j, r) @ P
-        lefschetz[r] = int(np.linalg.matrix_rank(img, tol=1e-8)) if img.size else 0
+    lefschetz = {r: _lefschetz_rank(fc, k - 2 * r, r) for r in range(max(0, k - fc.n), k // 2 + 1)}
 
     inv_dim = anti_dim = None
     if k == 2:
-        Jk = fc.triple.ops.jpull(2)
-        inv_dim = int(np.linalg.matrix_rank(0.5 * (np.eye(total) + Jk), tol=1e-8))
-        anti_dim = int(np.linalg.matrix_rank(0.5 * (np.eye(total) - Jk), tol=1e-8))
+        split = _j_split(fc)
+        inv_dim, anti_dim = split[1].shape[1], split[-1].shape[1]
 
     rep = HarmonicSpaceReport(
         k=k,
@@ -347,27 +419,17 @@ def harmonic_space(fc: FourierComplex, k: int) -> HarmonicSpaceReport:
 # decomposition and identity suites
 # ---------------------------------------------------------------------------
 
-def verify_p7_decomposition(fc: FourierComplex, p: int, q: int, tol: float = 1e-10) -> dict:
-    """Check H^{p,q} = sum_r L^r (primitive H^{p-r,q-r}) on the harmonic block.
+@_memo
+def _lefschetz_spans(fc: FourierComplex, p: int, q: int) -> tuple:
+    """(dim H^{p,q}, {r: dim of block r}, rank of the blocks' union, the
+    residual of projecting them onto H^{p,q}, {"r1:r2": smallest principal
+    angle in degrees}) for H^{p,q} at xi = 0 and its Lefschetz blocks
+    L^r P^{p-r,q-r}: the factorizations of `verify_p7_decomposition`."""
+    from llab.lefschetz import lefschetz_power_matrix
 
-    Computes both sides as explicit bases at xi = 0, asserts equal dimension
-    and spanning (projection residual < tol), and reports the principal-angle
-    (Gram) spectrum between distinct L^r-blocks instead of asserting
-    orthogonality, which the source statement does not claim.
-    """
-    from llab.lefschetz import lefschetz_power_matrix, primitive_basis
-
-    n = fc.n
-    k = p + q
-    if k > 2 * n:
-        raise ValueError("p + q exceeds 2n")
-    t = fc.triple
-    projs = pq_projector_matrices(t, k)
-    if (p, q) not in projs:
-        raise ValueError(f"empty bidegree ({p},{q}) for n={n}")
+    n, k = fc.n, p + q
     # harmonic (p,q) block at xi = 0 is the full image of the projector
-    H_basis = _image_basis(projs[(p, q)])
-    dim_h = H_basis.shape[1]
+    H_basis = _pq_images(fc, k)[(p, q)]
 
     # from r = max(0, k - n) on, j = k - 2r <= n: (pp, qq) is a type of
     # Lambda^j, and its primitive part is not empty
@@ -377,10 +439,8 @@ def verify_p7_decomposition(fc: FourierComplex, p: int, q: int, tol: float = 1e-
         if pp < 0 or qq < 0:
             break
         j = pp + qq
-        prim_pq = _image_basis(pq_projector_matrices(t, j)[(pp, qq)] @ primitive_basis(t, j))
-        blocks[r] = lefschetz_power_matrix(t, j, r) @ prim_pq
+        blocks[r] = lefschetz_power_matrix(fc.triple, j, r) @ _primitive_pq_images(fc, j)[(pp, qq)]
 
-    dim_sum = sum(b.shape[1] for b in blocks.values())
     # spanning: every block vector lies in H (residual), and ranks agree
     residual, rank_total = 0.0, 0
     if blocks:  # each block has a column
@@ -391,22 +451,39 @@ def verify_p7_decomposition(fc: FourierComplex, p: int, q: int, tol: float = 1e-
 
     angles = {}
     keys = sorted(blocks)
+    bases = {r: np.linalg.qr(blocks[r])[0] for r in keys} if len(keys) > 1 else {}  # one QR per block
     for i, r1 in enumerate(keys):
         for r2 in keys[i + 1:]:
-            B1, _ = np.linalg.qr(blocks[r1])
-            B2, _ = np.linalg.qr(blocks[r2])
-            s = np.linalg.svd(B1.conj().T @ B2, compute_uv=False)
+            s = np.linalg.svd(bases[r1].conj().T @ bases[r2], compute_uv=False)
             angles[f"{r1}:{r2}"] = float(np.degrees(np.arccos(np.clip(np.max(s), 0, 1))))
+    return H_basis.shape[1], {str(r): int(b.shape[1]) for r, b in blocks.items()}, rank_total, residual, angles
 
+
+def verify_p7_decomposition(fc: FourierComplex, p: int, q: int, tol: float = 1e-10) -> dict:
+    """Check H^{p,q} = sum_r L^r (primitive H^{p-r,q-r}) on the harmonic block.
+
+    Computes both sides as explicit bases at xi = 0 (`_lefschetz_spans`),
+    asserts equal dimension and spanning (projection residual < tol), and
+    reports the principal-angle (Gram) spectrum between distinct L^r-blocks
+    instead of asserting orthogonality, which the source statement does not
+    claim.
+    """
+    k = p + q
+    if k > 2 * fc.n:
+        raise ValueError("p + q exceeds 2n")
+    if (p, q) not in _pq_images(fc, k):
+        raise ValueError(f"empty bidegree ({p},{q}) for n={fc.n}")
+    dim_h, dims, rank_total, residual, angles = _lefschetz_spans(fc, p, q)
+    dim_sum = sum(dims.values())
     return {
         "p": p,
         "q": q,
         "dim_hpq": dim_h,
-        "dims_by_r": {str(r): int(b.shape[1]) for r, b in blocks.items()},
+        "dims_by_r": dict(dims),
         "dim_sum": dim_sum,
         "rank_of_union": rank_total,
         "projection_residual": residual,
-        "min_principal_angle_deg": angles,
+        "min_principal_angle_deg": dict(angles),
         "passed": bool(dim_sum == dim_h == rank_total and residual < tol),
     }
 
@@ -434,12 +511,14 @@ def verify_lemma_L8(fc: FourierComplex, tol: float = 1e-10) -> dict:
         types += len(projs)
         dee, lap = G @ fc.quadratic("dee", k)[pairs], G @ fc.quadratic("laplacian", k)[pairs]
         scale = max(scale, float(np.max(np.abs(dee))), float(np.max(np.abs(lap))))
-        gap = sum(P.conj().T @ (dee - lap) @ P for P in projs.values())
+        M = (dee - lap).astype(complex)  # cast once, not in each complex sandwich
+        gap = sum(P.conj().T @ M @ P for P in projs.values())
         worst = max(worst, float(np.max(np.abs(gap))))
     worst /= max(1.0, scale)
     return {"max_residual": worst, "proven_types": int(types), "passed": bool(worst < tol)}
 
 
+@_memo
 def _energy(fc: FourierComplex, name: str, k: int) -> np.ndarray:
     """A^T G A, A the first coefficient of a first-order operator on
     Lambda^k: the quadratic form of ||op(e_1) a||^2 / 4 pi^2 on Lambda^k,
@@ -448,12 +527,41 @@ def _energy(fc: FourierComplex, name: str, k: int) -> np.ndarray:
     return A.T @ fc.triple.ops.gram(to) @ A if A.size else np.zeros((fc.dim(k),) * 2)
 
 
+@_memo
+def _component_maps(fc: FourierComplex, k: int) -> dict:
+    """{r: C_r}, the maps from a k-form a to its Lefschetz components b_r,
+    a = sum_r L^r b_r: one `primitive_decompose` of the identity on
+    Lambda^k.  A real triple has real component maps."""
+    from llab.lefschetz import primitive_decompose
+
+    parts = primitive_decompose(KForm(fc.n, k, np.eye(fc.dim(k))), fc.triple).components
+    return {r: b.data.real for r, b in parts.items()}
+
+
+@_memo
+def _equivalence_constants(fc: FourierComplex, k: int) -> tuple[float, float] | None:
+    """L10's (c_min, c_max) on Lambda^k: the extreme eigenvalues of the
+    pencil (||d a||^2 + ||d^Lambda a||^2, sum_r ||d b_r||^2) at xi = e_1 on
+    the range of its second form, None where that form vanishes."""
+    den = 0.0
+    for r, C in _component_maps(fc, k).items():
+        den = den + C.T @ _energy(fc, "d", k - 2 * r) @ C
+    w, U = np.linalg.eigh(den)
+    keep = w > 1e-10 * w[-1]
+    if not keep.any():
+        return None
+    W = U[:, keep] / np.sqrt(w[keep])  # W^T D W = I on the range of D
+    c = np.linalg.eigvalsh(W.T @ (_energy(fc, "d", k) + _energy(fc, "d_lambda", k)) @ W)
+    return float(c[0]), float(c[-1])
+
+
 def verify_lemma_L10(fc: FourierComplex, tol: float = 1e-10) -> dict:
     """Cross-term orthogonality and norm equivalence over Lefschetz
     components, both computed at every xi, nothing sampled.
 
     A k-form a = sum_r L^r b_r has components b_r = C_r a, C_r the r-th
-    component map of one `primitive_decompose` of the identity on Lambda^k.
+    component map of one `primitive_decompose` of the identity on Lambda^k
+    (`_component_maps`).
       * <L^p D b_p, L^q b_q> = 0 for p != q (D = d*d + d^{Lambda*}d^Lambda) at
         every xi and every a iff (L^q C_q)^T G_k L^p Q_D[j, l] C_p = 0 for
         every pair (j, l); `max_cross_term` is its largest entry, relative to
@@ -468,35 +576,27 @@ def verify_lemma_L10(fc: FourierComplex, tol: float = 1e-10) -> dict:
         xi != 0; a form of several modes sums its modes' quotients.  The
         constants are the extreme eigenvalues of the pencil at xi = e_1,
         where each operator is its first coefficient block, restricted to
-        the range of D.
+        the range of D (`_equivalence_constants`).
     """
-    from llab.lefschetz import primitive_decompose
-
     alg = fc.triple.ops
     pairs = np.triu_indices(2 * fc.n)
     results = {}
     worst_cross = scale = 0.0
     cross_pairs = 0
     for k in range(2 * fc.n + 1):
-        maps = primitive_decompose(KForm(fc.n, k, np.eye(fc.dim(k))), fc.triple).components
+        maps = _component_maps(fc, k)
         LC, LQC = {}, {}
-        den = 0.0
-        for r, b in maps.items():
-            j, C = k - 2 * r, b.data.real  # a real triple has real component maps
+        for r, C in maps.items():
+            j = k - 2 * r
             Q = fc.quadratic("dee", j)[pairs]
             scale = max(scale, float(np.max(np.abs(Q))))
             LC[r], LQC[r] = alg.lpow(j, r) @ C, alg.lpow(j, r) @ Q @ C
-            den = den + C.T @ _energy(fc, "d", j) @ C
         for p, q in itertools.permutations(maps, 2):
             cross_pairs += 1
             worst_cross = max(worst_cross, float(np.max(np.abs(LC[q].T @ alg.gram(k) @ LQC[p]))))
-
-        w, U = np.linalg.eigh(den)
-        keep = w > 1e-10 * w[-1]
-        if keep.any():
-            W = U[:, keep] / np.sqrt(w[keep])  # W^T D W = I on the range of D
-            c = np.linalg.eigvalsh(W.T @ (_energy(fc, "d", k) + _energy(fc, "d_lambda", k)) @ W)
-            results[k] = {"c_min": float(c[0]), "c_max": float(c[-1])}
+        constants = _equivalence_constants(fc, k)
+        if constants is not None:
+            results[k] = {"c_min": constants[0], "c_max": constants[1]}
     worst_cross /= max(1.0, scale)
     return {
         "max_cross_term": worst_cross,
@@ -559,11 +659,8 @@ def anti_invariant_suite(fc: FourierComplex, tol: float = 1e-10) -> dict:
     if n < 2:
         raise ValueError("anti-invariant star identity needs n >= 2")
     alg = fc.triple.ops
-    J2 = alg.jpull(2)
-    # J2^2 = I on 2-forms; split by the (possibly oblique) projectors (I -+ J2)/2
-    eye = np.eye(len(J2))
-    anti = _image_basis(0.5 * (eye - J2))
-    inv = _image_basis(0.5 * (eye + J2))
+    split = _j_split(fc)
+    anti, inv = split[-1], split[1]
     anti_dim, inv_dim = anti.shape[1], inv.shape[1]
 
     # (i) star normalization measurement, column by column of the basis
@@ -610,8 +707,6 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int, tol: float = 
       * residual of d^Lambda a+ = n df,
       * the coefficient in d^Lambda(f om) = c df (measured; c = 1).
     """
-    from llab.lefschetz import primitive_basis
-
     n = fc.n
     if n < 2:
         raise ValueError("needs n >= 2")
@@ -620,8 +715,7 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int, tol: float = 
     rng = np.random.default_rng(97 + 2 * n + fc.N)
 
     # coefficient space: f (1 complex dof) + primitive (1,1) basis
-    Pb = primitive_basis(t, 2)
-    prim11 = _image_basis(pq_projector_matrices(t, 2)[(1, 1)] @ Pb)  # basis of P^{1,1}, dim n^2 - 1
+    prim11 = _primitive_pq_images(fc, 2)[(1, 1)]  # basis of P^{1,1}, dim n^2 - 1
 
     cand = np.empty((len(prim11), 1 + prim11.shape[1]), dtype=complex)  # on Lambda^2
     cand[:, 0] = t.omega_form().data

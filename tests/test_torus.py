@@ -284,7 +284,7 @@ def _reference_kahler(fc, tol=1e-10):
     for k in range(top):
         in_frame = Finv[k + 1] @ fc.block("d", k) @ F[k]
         dbar.append(F[k + 1] @ np.where(p[k + 1][:, None] == p[k], in_frame, 0.0) @ Finv[k])
-        dbar_star.append(_adjoint_stack(alg, dbar[k], k, k + 1))
+        dbar_star.append(_adjoint_stack(fc, dbar[k], k, k + 1))
     worst = leak_dbar = leak_lap = scale = 0.0
     for k in range(top + 1):
         lap = fc.quadratic("laplacian", k)
@@ -645,7 +645,9 @@ def test_batched_anti_invariant_closedness_matches_the_per_mode_loop(fc_case):
     assert out["max_harmonicity_residual"] < 1e-10
 
 
-def test_L8_and_anti_invariant_draw_nothing_and_run_no_per_mode_svd(fc6, monkeypatch):
+def test_L8_and_anti_invariant_draw_nothing_and_run_no_per_mode_svd(std3, monkeypatch):
+    # a fresh complex: a shared one may already hold the J-split in its memo
+    fc6 = build_fourier_complex(3, 1, std3)
     svd = np.linalg.svd
     calls = []
 
@@ -835,3 +837,91 @@ def test_batched_checks_form_no_per_mode_matrix(fc4, monkeypatch):
     assert calls == []
     self_dual_invariant_relation(fc4, samples=2)  # the counter does see the per-mode matrix checks
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# the memo: each factorization once per complex
+# ---------------------------------------------------------------------------
+
+def _torus_checks(fc) -> dict:
+    """{check: a thunk that runs it on fc at every argument the torus suite
+    gives it}, its output as JSON text, which writes every float exactly."""
+    import json
+
+    def as_text(out):
+        return json.dumps(out, sort_keys=True, default=lambda r: r.to_json_dict())
+
+    top = 2 * fc.n
+    return {
+        "check_complex": lambda: as_text(check_complex(fc)),
+        "harmonic_space": lambda: as_text([harmonic_space(fc, k) for k in range(top + 1)]),
+        "p7": lambda: as_text([verify_p7_decomposition(fc, p, q) for p in range(fc.n + 1) for q in range(fc.n + 1)]),
+        "L8": lambda: as_text(verify_lemma_L8(fc)),
+        "L10": lambda: as_text(verify_lemma_L10(fc)),
+        "kahler": lambda: as_text(verify_kahler_identity(fc)),
+        "anti_invariant": lambda: as_text(anti_invariant_suite(fc)),
+        "self_dual": lambda: as_text(self_dual_invariant_relation(fc, samples=8)),
+    }
+
+
+def _fresh_fc6():
+    from llab.algebra import build_standard_triple
+
+    return build_fourier_complex(3, 1, build_standard_triple(3))
+
+
+@pytest.mark.parametrize("check", ["check_complex", "harmonic_space", "p7", "L8", "L10", "kahler",
+                                   "anti_invariant", "self_dual"])
+def test_a_check_reads_the_same_bits_from_a_memo_the_others_warmed(check):
+    cold = _torus_checks(_fresh_fc6())[check]()
+    warmed = _torus_checks(_fresh_fc6())
+    for name, run in warmed.items():
+        if name != check:
+            run()
+    assert warmed[check]() == cold
+
+
+def test_a_second_pass_factors_nothing_but_the_sampled_modes(monkeypatch):
+    # every factorization is kept on the complex: a second pass of every
+    # check makes none, except the self-dual relation's one kernel SVD per
+    # sampled mode, which it takes off that mode's operators
+    fc = _fresh_fc6()
+    checks = _torus_checks(fc)
+    first = {name: run() for name, run in checks.items()}
+    calls = []
+
+    def counting(name, real):
+        def factor(*args, **kwargs):
+            calls.append((name, np.shape(args[0])))
+            return real(*args, **kwargs)
+        return factor
+
+    for name in ("svd", "qr", "eigvalsh", "eigh", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    modes = []
+    mode_ops = FourierComplex.mode_ops
+    monkeypatch.setattr(FourierComplex, "mode_ops", lambda self, xi: modes.append(xi) or mode_ops(self, xi))
+    for name, run in checks.items():
+        assert run() == first[name], name
+        if name != "self_dual":
+            assert calls == [], (name, calls)
+    assert modes and calls == [("svd", (20, 9))] * len(modes)  # d(xi) on Lambda^2 against (f, P^{1,1})
+
+
+def test_every_memoized_array_is_read_only():
+    fc = _fresh_fc6()
+    for run in _torus_checks(fc).values():
+        run()
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (dict, tuple)):
+            for v in value.values() if isinstance(value, dict) else value:
+                yield from arrays(v)
+
+    kept = [(key, a) for key, value in fc._cache.items() for a in arrays(value)]
+    names = {key[0] for key, _ in kept}
+    assert {"block", "quadratic", "_pq_images", "_primitive_pq_images", "_j_split", "_energy", "_squares",
+            "_gram_inverse", "_component_maps"} <= names, names
+    assert all(not a.flags.writeable for _, a in kept), [key for key, a in kept if a.flags.writeable]

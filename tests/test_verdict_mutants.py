@@ -34,11 +34,12 @@ SMALL = {
 # source it replaces and by what
 MUTANTS = {
     "hodge_dims": ("d* off by 1%", "torus", "llab.torus", "FourierComplex.block",
-                   "A = _adjoint_stack(alg,", "A = 1.01 * _adjoint_stack(alg,"),
-    "p7": ("lowest Lefschetz level dropped", "torus", "llab.torus", "verify_p7_decomposition",
+                   "A = _adjoint_stack(self,", "A = 1.01 * _adjoint_stack(self,"),
+    "p7": ("lowest Lefschetz level dropped", "torus", "llab.torus", "_lefschetz_spans",
            "itertools.count(max(0, k - n))", "itertools.count(max(0, k - n) + 1)"),
-    "anti_invariant": ("invariant forms for anti-invariant", "torus", "llab.torus", "anti_invariant_suite",
-                       "_image_basis(0.5 * (eye - J2))", "_image_basis(0.5 * (eye + J2))"),
+    # the one J-split swapped: the anti-invariant suite reads the invariant forms
+    "anti_invariant": ("invariant forms for anti-invariant", "torus", "llab.torus", "_j_split",
+                       "0.5 * (eye + s * J2)", "0.5 * (eye - s * J2)"),
     "self_dual": ("omega doubled in f omega", "torus", "llab.torus", "self_dual_invariant_relation",
                   "cand[:, 0] = t.omega_form().data", "cand[:, 0] = 2 * t.omega_form().data"),
     "derivation_pass": ("e^j wedge scaled by 1.01", "hyperbolic", "llab.torus", "FourierComplex.block",
@@ -108,3 +109,17 @@ def test_dbar_as_all_of_d_fails_the_kahler_residual(mutant, capsys):
     out = capsys.readouterr().out
     assert "[FAIL]" in out
     assert "worst: n2.kahler_identity.max_residual" in out, out
+
+
+def test_a_short_pq_image_basis_fails_p7_and_the_residual_gate(mutant, capsys, tmp_path):
+    # the harmonic scan and the p7 decomposition read one basis of each
+    # image of Pi^{p,q}: one column short, the scan's rank falls one under
+    # the projector's trace, and H^{p,q} no longer holds its Lefschetz blocks
+    mutant(importlib.import_module("llab.torus"), "_pq_images", "_image_basis(P) for", "_image_basis(P)[:, :-1] for")
+    assert main([*SMALL["torus"], "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL]" in out
+    assert any(re.fullmatch(r"n2\.p7\[\d,\d\]", name) for name in _failed(out)), out
+    assert re.search(r"max residual \S+ > tol 1e-10", out), out
+    harmonic = load_report(tmp_path / "torus.json")["report"]["blocks"]["n2"]["harmonic"]
+    assert all(h["residuals"]["bidegree_trace_vs_rank"] == 1.0 for h in harmonic.values())
