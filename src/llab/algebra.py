@@ -8,10 +8,11 @@ one form per column; every linear operation acts column by column.  All
 operations are pure; `KForm` and `CompatibleTriple` are immutable after
 construction and safe to share across threads.
 
-Every operator matrix of a triple lives in its `Ops` bundle (`t.ops`), built
-block by block on first use and freed with the triple, so the per-form
-functions below are single matrix products; a real block acting on a
-complex batch is one real product on the batch's (Re, Im) view (`_apply`).
+Every operator matrix of a triple is a method of the triple (`t.gram(k)`,
+`t.star(k)`, ...), built block by block on first use, kept in the triple's
+own memo (`_kept`) and freed with it, so the per-form functions below are
+single matrix products; a real block acting on a complex batch is one real
+product on the batch's (Re, Im) view (`_apply`).
 The blocks are gathers and scatters of the triple's values over
 index-and-sign tables of basis products (`_wedge_table`), which depend only
 on (2n, k) and are built once per process, as whole-array operations on
@@ -28,9 +29,8 @@ import functools
 import itertools
 import math
 import numbers
-import weakref
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -38,7 +38,6 @@ import numpy as np
 __all__ = [
     "KForm",
     "CompatibleTriple",
-    "Ops",
     "BigradedForm",
     "basis_masks",
     "mask_to_indices",
@@ -101,9 +100,52 @@ def indices_to_mask(indices: Iterable[int]) -> int:
     return mask
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+# ---------------------------------------------------------------------------
+# kept values
+# ---------------------------------------------------------------------------
+
+def _read_only(value):
+    """`value`, with every array in it made read-only: the value itself, or
+    the arrays inside its dicts, tuples and dataclass fields, at any depth."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, dict):
+        for v in value.values():
+            _read_only(v)
+    elif isinstance(value, tuple):
+        for v in value:
+            _read_only(v)
+    elif is_dataclass(value):
+        for f in fields(value):
+            _read_only(getattr(value, f.name))
+    return value
+
+
+_ABSENT = object()
+
+
+def _kept(build):
+    """build(owner, *args), kept: built on first use, made read-only
+    (`_read_only`) and kept in the owner's own memo, its `_kept` dict, under
+    (build's name, *args).  Each derived block of a triple, a Fourier
+    complex or a mesh is built once, by the one function that names it,
+    shared by every reader, and freed with its owner, which the memo holds
+    no reference back to.  Threads that miss together each build; one
+    equal result is kept."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def kept(owner, *args):
+        key = (name, *args)
+        memo = owner.__dict__.get("_kept")
+        if memo is None:
+            memo = owner.__dict__.setdefault("_kept", {})
+        value = memo.get(key, _ABSENT)
+        if value is _ABSENT:
+            value = memo[key] = _read_only(build(owner, *args))
+        return value
+
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -205,85 +247,8 @@ class KForm:
 
 
 # ---------------------------------------------------------------------------
-# compatible triples
+# building compatible triples
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CompatibleTriple:
-    """An almost Kahler structure on R^{2n}: matrices (omega, J, g).
-
-    Invariants (checked by `validate`): J^2 = -I, omega(Ju, Jv) = omega(u, v),
-    g = omega . J symmetric positive definite, omega nondegenerate.
-    """
-
-    n: int
-    omega: np.ndarray
-    J: np.ndarray
-    g: np.ndarray
-
-    def __post_init__(self):
-        for name in ("omega", "J", "g"):
-            m = np.asarray(getattr(self, name), dtype=float)
-            if m.shape != (2 * self.n, 2 * self.n):
-                raise ValueError(f"{name} must be {2 * self.n}x{2 * self.n}")
-            m = m.copy()
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
-
-    def validate(self, tol: float = TOL) -> dict[str, float]:
-        """Residuals of the compatibility invariants; raises on violation."""
-        eye = np.eye(2 * self.n)
-        res = {
-            "J_squared": float(np.abs(self.J @ self.J + eye).max()),
-            "omega_antisymmetric": float(np.abs(self.omega + self.omega.T).max()),
-            "omega_J_invariant": float(np.abs(self.J.T @ self.omega @ self.J - self.omega).max()),
-            "g_equals_omega_J": float(np.abs(self.g - self.omega @ self.J).max()),
-            "g_symmetric": float(np.abs(self.g - self.g.T).max()),
-        }
-        # `not v <= tol` also catches NaN, which compares false either way
-        bad = {k: v for k, v in res.items() if not v <= tol}
-        if bad:
-            raise ValueError(f"triple violates compatibility: {bad}")
-        if abs(np.linalg.det(self.omega)) <= TOL:
-            raise ValueError("omega is degenerate")
-        if np.linalg.eigvalsh(self.g).min() <= 0:
-            raise ValueError("g is not positive definite")
-        return res
-
-    @cached_property
-    def ops(self) -> "Ops":
-        """This triple's operator bundle: blocks are built on first use and
-        live exactly as long as the triple."""
-        return Ops(self)
-
-    # the inverses are computed once per triple, read-only like the triple:
-    # every compound degree of the Gram matrices starts from them
-    @cached_property
-    def omega_inv(self) -> np.ndarray:
-        return _read_only(np.linalg.inv(self.omega))
-
-    @cached_property
-    def g_inv(self) -> np.ndarray:
-        return _read_only(np.linalg.inv(self.g))
-
-    def omega_form(self) -> KForm:
-        """omega as a 2-form: sum_{i<j} omega_ij e^i ^ e^j."""
-        n2 = 2 * self.n
-        coeffs = {}
-        for i in range(n2):
-            for j in range(i + 1, n2):
-                if self.omega[i, j] != 0:
-                    coeffs[(i + 1, j + 1)] = self.omega[i, j]
-        return KForm.from_coeffs(self.n, 2, coeffs)
-
-    def volume_form(self) -> KForm:
-        """omega^n / n!  (equals the metric volume form for compatible triples)."""
-        w = self.omega_form()
-        out = KForm(self.n, 0, [1.0])
-        for _ in range(self.n):
-            out = wedge(out, w)
-        return out * (1.0 / math.factorial(self.n))
-
 
 def build_standard_triple(n: int) -> CompatibleTriple:
     """The Darboux triple: omega = sum e^{2i-1} ^ e^{2i}, J e_{2i-1} = e_{2i}, g = I."""
@@ -489,108 +454,142 @@ def _bidegree_columns(dim: int, k: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the operator bundle of a triple
+# compatible triples and their operators
 # ---------------------------------------------------------------------------
 
-def _block(build):
-    """Make an `Ops` builder lazy: its result is kept, read-only, in the
-    bundle's block dict under (name, *args) and built only on first use."""
+@dataclass(frozen=True)
+class CompatibleTriple:
+    """An almost Kahler structure on R^{2n}: matrices (omega, J, g).
 
-    @functools.wraps(build)
-    def get(self, *args):
-        key = (build.__name__,) + args
-        out = self._blocks.get(key)
-        if out is None:
-            out = build(self, *args)
-            for M in out.values() if isinstance(out, dict) else [out]:
-                if isinstance(M, np.ndarray):
-                    M.flags.writeable = False
-            self._blocks[key] = out
-        return out
+    Invariants (checked by `validate`): J^2 = -I, omega(Ju, Jv) = omega(u, v),
+    g = omega . J symmetric positive definite, omega nondegenerate.
 
-    return get
-
-
-class Ops:
-    """Every operator matrix of one triple, built block by block on first use.
-
-    Per-degree blocks act on Lambda^k coefficient vectors (or column batches):
-    Gram matrices, the two stars, the J-pullback, the coframe and its
-    compounds, the (p,q) projectors (the `pq_decompose` split of the basis),
-    L^r, Lambda and the primitive basis.  Every operator is
-    kept once, per degree: there is no matrix on the whole 4^n-dimensional
-    algebra.  Nothing is built eagerly, and the bundle is freed with its
-    triple.
+    Its operator matrices are its methods, one block per degree acting on
+    Lambda^k coefficients (Gram matrices, the two stars, the J-pullback,
+    the coframe and its compounds, the (p,q) projectors, L^r, Lambda and
+    the primitive basis), each built on first use and kept (`_kept`) in
+    the triple's own memo; none acts on the whole 4^n-dimensional algebra.
     """
 
-    def __init__(self, t: CompatibleTriple):
-        # a proxy: the triple holds its bundle, and a plain reference back
-        # would make a cycle that only the garbage collector frees, keeping a
-        # dropped triple's blocks alive until a full collection runs
-        self.t = weakref.proxy(t)
-        self.dim = 2 * t.n
-        self._blocks: dict = {}
+    n: int
+    omega: np.ndarray
+    J: np.ndarray
+    g: np.ndarray
+
+    def __post_init__(self):
+        for name in ("omega", "J", "g"):
+            m = np.asarray(getattr(self, name), dtype=float)
+            if m.shape != (2 * self.n, 2 * self.n):
+                raise ValueError(f"{name} must be {2 * self.n}x{2 * self.n}")
+            m = m.copy()
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
+
+    def validate(self, tol: float = TOL) -> dict[str, float]:
+        """Residuals of the compatibility invariants; raises on violation."""
+        eye = np.eye(2 * self.n)
+        res = {
+            "J_squared": float(np.abs(self.J @ self.J + eye).max()),
+            "omega_antisymmetric": float(np.abs(self.omega + self.omega.T).max()),
+            "omega_J_invariant": float(np.abs(self.J.T @ self.omega @ self.J - self.omega).max()),
+            "g_equals_omega_J": float(np.abs(self.g - self.omega @ self.J).max()),
+            "g_symmetric": float(np.abs(self.g - self.g.T).max()),
+        }
+        # `not v <= tol` also catches NaN, which compares false either way
+        bad = {k: v for k, v in res.items() if not v <= tol}
+        if bad:
+            raise ValueError(f"triple violates compatibility: {bad}")
+        if abs(np.linalg.det(self.omega)) <= TOL:
+            raise ValueError("omega is degenerate")
+        if np.linalg.eigvalsh(self.g).min() <= 0:
+            raise ValueError("g is not positive definite")
+        return res
+
+    # the inverses are computed once per triple, read-only like the triple:
+    # every compound degree of the Gram matrices starts from them
+    @property
+    @_kept
+    def omega_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.omega)
+
+    @property
+    @_kept
+    def g_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.g)
+
+    def omega_form(self) -> KForm:
+        """omega as a 2-form: sum_{i<j} omega_ij e^i ^ e^j."""
+        n2 = 2 * self.n
+        coeffs = {}
+        for i in range(n2):
+            for j in range(i + 1, n2):
+                if self.omega[i, j] != 0:
+                    coeffs[(i + 1, j + 1)] = self.omega[i, j]
+        return KForm.from_coeffs(self.n, 2, coeffs)
+
+    def volume_form(self) -> KForm:
+        """omega^n / n!  (equals the metric volume form for compatible triples)."""
+        w = self.omega_form()
+        out = KForm(self.n, 0, [1.0])
+        for _ in range(self.n):
+            out = wedge(out, w)
+        return out * (1.0 / math.factorial(self.n))
 
     # -- metric and symplectic pairings -------------------------------------
 
     def _compound_block(self, block, M: np.ndarray, k: int) -> np.ndarray:
         """k-th compound of M, one cofactor step from `block`'s (k-1)-th."""
-        return _compound(M, self.dim, k, block(k - 1) if k else None)
+        return _compound(M, 2 * self.n, k, block(k - 1) if k else None)
 
     def _two_form(self, w: np.ndarray) -> np.ndarray:
         """The entries w[i, j], i < j, in the order of the degree-2 basis."""
-        return w[_pair_rows_cols(self.dim)]
+        return w[_pair_rows_cols(2 * self.n)]
 
-    @_block
+    @_kept
     def gram(self, k: int) -> np.ndarray:
         """Gram matrix of the g-inner product on Lambda^k (real symmetric PD)."""
-        return self._compound_block(self.gram, self.t.g_inv, k)
+        return self._compound_block(self.gram, self.g_inv, k)
 
-    @_block
+    @_kept
     def omega_gram(self, k: int) -> np.ndarray:
         """Gram-type matrix of the omega^{-1} pairing on Lambda^k."""
-        return self._compound_block(self.omega_gram, self.t.omega_inv, k)
+        return self._compound_block(self.omega_gram, self.omega_inv, k)
 
     @property
-    @_block
+    @_kept
     def vol(self) -> float:
         # The stars are taken w.r.t. the orientation induced by omega: the
         # volume form is omega^n/n!, whose top coefficient is the *signed*
         # Pfaffian of omega (= +/- sqrt(det g) for compatible triples).  Using
         # the positive coordinate orientation instead silently flips the star
         # on orientation-reversing triples and breaks every one-star identity.
-        return float(self.t.volume_form().data[0].real)
+        return float(self.volume_form().data[0].real)
 
-    def _star(self, gram: np.ndarray, k: int) -> np.ndarray:
-        """The star built from `gram` on Lambda^k: alpha ^ star(beta) =
-        gram(alpha, beta) vol: a signed row permutation of `gram`, each row
-        moved to its complement's."""
-        p = _wedge_table(self.dim, k, self.dim - k)
-        S = np.empty((len(p.right), gram.shape[1]))
-        S[p.right] = p.sign[:, None] * (gram[p.left] * self.vol)
-        return S
+    # a star from a Gram block G on Lambda^k, alpha ^ star(beta) = G(alpha,
+    # beta) vol, is vol times the signed complement of G, up to the sign
+    # (-1)^{k(2n-k)} = (-1)^k of moving e^J past e^{J^c}
 
-    @_block
+    @_kept
     def star(self, k: int) -> np.ndarray:
         """Hodge star Lambda^k -> Lambda^{2n-k}."""
-        if np.min(np.linalg.eigvalsh(self.t.g)) <= 0:
+        if np.min(np.linalg.eigvalsh(self.g)) <= 0:
             raise ValueError("degenerate metric")
-        return self._star(self.gram(k), k)
+        return (-1) ** k * self.vol * _complement(self.gram(k), 2 * self.n, k)
 
-    @_block
+    @_kept
     def sstar(self, k: int) -> np.ndarray:
         """Symplectic star Lambda^k -> Lambda^{2n-k}."""
-        return self._star(self.omega_gram(k), k)
+        return (-1) ** k * self.vol * _complement(self.omega_gram(k), 2 * self.n, k)
 
     # -- J and the type decomposition ---------------------------------------
 
-    @_block
+    @_kept
     def jpull(self, k: int) -> np.ndarray:
         """Pullback along J on Lambda^k; c -> c o J has coefficient matrix J^T."""
-        return self._compound_block(self.jpull, self.t.J.T, k)
+        return self._compound_block(self.jpull, self.J.T, k)
 
     @property
-    @_block
+    @_kept
     def frame(self) -> np.ndarray:
         """Columns: a (1,0) coframe phi^1..phi^n followed by its conjugates,
         expressed in the real covector basis.  J phi = i phi.  The n
@@ -599,16 +598,16 @@ class Ops:
         of their QR, each column times d/|d| for d the diagonal of R, so
         that phi^1 is the first eigenvector normalized and R has a positive
         diagonal."""
-        w, v = np.linalg.eig(self.t.J.T)
+        w, v = np.linalg.eig(self.J.T)
         plus_i = np.abs(w - 1j) < 1e-9
-        if plus_i.sum() != self.t.n:
+        if plus_i.sum() != self.n:
             raise ValueError("J action on covectors does not split into +/- i eigenspaces")
         Q, R = np.linalg.qr(v[:, plus_i])
         d = np.diag(R)
         Q = Q * (d / np.abs(d))
         return np.concatenate((Q, Q.conj()), axis=1)
 
-    @_block
+    @_kept
     def frame_compound(self, k: int) -> np.ndarray:
         """Columns: the degree-k products of `frame`, in the real basis.  The
         (p,q) forms are the columns whose mask has p bits below n.  Degree
@@ -617,57 +616,58 @@ class Ops:
             return np.ones((1, 1), dtype=complex)
         return self._compound_block(self.frame_compound, self.frame, k)
 
-    @_block
+    @_kept
     def pq(self, k: int) -> dict:
         """Matrices of Pi^{p,q} on Lambda^k for each p+q = k: the
         `pq_decompose` split of the basis of Lambda^k, dense, for
         `pq_projector_matrices`.  Like that split, it builds no frame
         compound above the middle degree."""
-        basis = KForm._own(self.t.n, k, np.eye(math.comb(self.dim, k), dtype=complex))
-        return {pq: part.data for pq, part in pq_decompose(basis, self.t).components.items()}
+        basis = KForm._own(self.n, k, np.eye(math.comb(2 * self.n, k), dtype=complex))
+        return {pq: part.data for pq, part in pq_decompose(basis, self).components.items()}
 
     # -- the Lefschetz sl(2) ------------------------------------------------
 
-    @_block
+    @_kept
     def lpow(self, k: int, r: int) -> np.ndarray:
         """L^r : Lambda^k -> Lambda^{k+2r}, r >= 0; degrees above 2n have no rows."""
         if r < 0:
             raise ValueError(f"need a power r >= 0 of L, got r={r}")
+        dim = 2 * self.n
         if r == 0:
-            return np.eye(math.comb(self.dim, k))
+            return np.eye(math.comb(dim, k))
         if r > 1:
             return self.lpow(k + 2 * (r - 1), 1) @ self.lpow(k, r - 1)
         # each (row, column) entry is one product e^{ij} ^ e^m of the table
-        p = _wedge_table(self.dim, 2, k)
-        M = np.zeros((math.comb(self.dim, k + 2), math.comb(self.dim, k)))
-        M[p.target, p.right] = self._two_form(self.t.omega)[p.left] * p.sign
+        p = _wedge_table(dim, 2, k)
+        M = np.zeros((math.comb(dim, k + 2), math.comb(dim, k)))
+        M[p.target, p.right] = self._two_form(self.omega)[p.left] * p.sign
         return M
 
-    @_block
+    @_kept
     def lam(self, k: int) -> np.ndarray:
         """Lambda = (1/2) (omega^{-1})^{ij} i_{e_i} i_{e_j} : Lambda^k -> Lambda^{k-2}, k >= 2."""
         # the i < j and j < i terms pair up as (w_ij - w_ji)/2 i_{e_i} i_{e_j}, and
         # i_{e_i} i_{e_j} takes e^{ij} ^ e^R to -e^R: the L table, transposed
-        w = self.t.omega_inv
-        p = _wedge_table(self.dim, 2, k - 2)
-        M = np.zeros((math.comb(self.dim, k - 2), math.comb(self.dim, k)))
+        w, dim = self.omega_inv, 2 * self.n
+        p = _wedge_table(dim, 2, k - 2)
+        M = np.zeros((math.comb(dim, k - 2), math.comb(dim, k)))
         M[p.right, p.target] = -0.5 * (self._two_form(w) - self._two_form(w.T))[p.left] * p.sign
         return M
 
-    @_block
+    @_kept
     def prim(self, k: int) -> np.ndarray:
         """Orthonormal (columns) basis of the primitive subspace P^k, k <= n."""
-        if k > self.t.n:
-            raise ValueError(f"no primitive forms in degree {k} > n = {self.t.n}")
+        if k > self.n:
+            raise ValueError(f"no primitive forms in degree {k} > n = {self.n}")
         if k < 2:
-            return np.eye(math.comb(self.dim, k))
+            return np.eye(math.comb(2 * self.n, k))
         _, s, Vt = np.linalg.svd(self.lam(k))  # kernel of Lambda
         rank = int(np.sum(s > 1e-10 * s[0])) if s.size else 0
         return Vt[rank:].T.copy()
 
 
 # ---------------------------------------------------------------------------
-# per-form operators: one product with a block of t.ops
+# per-form operators: one product with a block of the triple
 # ---------------------------------------------------------------------------
 
 def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -682,7 +682,7 @@ def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def metric_gram(t: CompatibleTriple, k: int) -> np.ndarray:
     """Gram matrix of the g-inner product on Lambda^k (real symmetric PD)."""
-    return t.ops.gram(k)
+    return t.gram(k)
 
 
 def _column_sums(x: np.ndarray):
@@ -713,7 +713,7 @@ def _complement(x: np.ndarray, dim: int, k: int, back: bool = False) -> np.ndarr
     which is sigma^-1: sigma is a signed permutation."""
     p = _wedge_table(dim, dim - k, k)
     src, dst = (p.left, p.right) if back else (p.right, p.left)
-    y = np.empty(x.shape, dtype=complex)
+    y = np.empty(x.shape, dtype=x.dtype)
     y[dst] = (p.sign * x[src].T).T
     return y
 
@@ -736,12 +736,12 @@ def _complement_norm(a: KForm, t: CompatibleTriple):
 
 def hodge_star(a: KForm, t: CompatibleTriple) -> KForm:
     """Riemannian Hodge star (complex-linear extension): <a,b> dvol = a ^ *b."""
-    return KForm._own(a.n, 2 * a.n - a.k, _apply(t.ops.star(a.k), a.data))
+    return KForm._own(a.n, 2 * a.n - a.k, _apply(t.star(a.k), a.data))
 
 
 def j_action(a: KForm, t: CompatibleTriple) -> KForm:
     """(J a)(u_1, ..., u_k) = a(J u_1, ..., J u_k): pullback along J."""
-    return KForm._own(a.n, a.k, _apply(t.ops.jpull(a.k), a.data))
+    return KForm._own(a.n, a.k, _apply(t.jpull(a.k), a.data))
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +769,7 @@ class BigradedForm:
 def pq_decompose(a: KForm, t: CompatibleTriple) -> BigradedForm:
     """Split a into its Pi^{p,q} projections with respect to t's J: the
     one implementation of the type split, which the projector blocks
-    (`Ops.pq`) and the Weil operator read.
+    (`CompatibleTriple.pq`) and the Weil operator read.
 
     Up to the middle degree, one solve C c = a puts a on the frame
     products, the columns of C = `frame_compound(k)`; the (p,q) part is the
@@ -786,12 +786,12 @@ def pq_decompose(a: KForm, t: CompatibleTriple) -> BigradedForm:
     n, k, dim = a.n, a.k, 2 * a.n
     cols = _bidegree_columns(dim, k)
     if k <= n:
-        C = t.ops.frame_compound(k)
+        C = t.frame_compound(k)
         c = np.linalg.solve(C, a.data)
         parts = [C[:, S] @ c[S] for S in cols.values()]
     else:
         m = dim - k
-        C = t.ops.frame_compound(m)
+        C = t.frame_compound(m)
         z = (C.T @ _complement(a.data, dim, k)).reshape(len(C), -1)
         # a row of type (p', m - p') is the right-hand side of the type
         # (n - p', n - m + p') of degree k, the (m - p')-th of `cols`
@@ -806,7 +806,7 @@ def pq_decompose(a: KForm, t: CompatibleTriple) -> BigradedForm:
 
 def pq_projector_matrices(t: CompatibleTriple, k: int) -> dict:
     """The Pi^{p,q} matrices on Lambda^k (read-only views)."""
-    return dict(t.ops.pq(k))
+    return dict(t.pq(k))
 
 
 def weil_operator(a: KForm, t: CompatibleTriple) -> KForm:

@@ -305,13 +305,6 @@ class AnnulusDecayTable:
     total_norm_sq: float
     jmax: int
 
-    @classmethod
-    def from_masses(cls, masses, total_norm_sq: float | None = None) -> "AnnulusDecayTable":
-        masses = np.asarray(masses, dtype=float)
-        if total_norm_sq is None:
-            total_norm_sq = float(masses.sum())
-        return cls(masses=masses, total_norm_sq=total_norm_sq, jmax=len(masses))
-
     @property
     def weighted(self) -> np.ndarray:
         return (np.arange(self.jmax) + 1.0) * self.masses
@@ -319,16 +312,6 @@ class AnnulusDecayTable:
     @property
     def min_weighted(self) -> float:
         return float(self.weighted.min()) if self.jmax else float("nan")
-
-    def divergence_certificate(self, a: float) -> dict:
-        """What total mass a uniform weighted lower bound a would force."""
-        harmonic = float(np.sum(1.0 / (np.arange(self.jmax) + 1.0)))
-        return {
-            "assumed_lower_bound": a,
-            "forced_mass": a * harmonic,
-            "actual_mass": float(self.masses.sum()),
-            "contradiction": a * harmonic > self.total_norm_sq + 1e-12,
-        }
 
     def to_json_dict(self) -> dict:
         return {

@@ -143,10 +143,10 @@ def _operator_identity_residuals(n_arena: int, m: int) -> dict:
     from llab.torus import _weitzenbock, build_fourier_complex
 
     fc = build_fourier_complex(n_arena, 0, random_compatible_triple(n_arena, np.random.default_rng(_ARENA_SEED)))
-    ops, top = fc.triple.ops, 2 * n_arena
+    triple, top = fc.triple, 2 * n_arena
 
     def lpow(k, r):  # L^r on Lambda^k, nothing outside 0..2n
-        return ops.lpow(k, r) if 0 <= k <= top else np.zeros((fc.dim(k + 2 * r), 0))
+        return triple.lpow(k, r) if 0 <= k <= top else np.zeros((fc.dim(k + 2 * r), 0))
 
     # d* L^m = L^m d* - m L^{m-1} d^{Lambda*}, on each Lambda^k
     comm = [

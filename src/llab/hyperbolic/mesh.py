@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
+
+from llab.algebra import _kept
 
 VERTEX_BUDGET = 2_000_000
 R_MAX = 12.0
@@ -83,10 +84,11 @@ class DiscMesh:
     R, h : requested geodesic radius / target edge length
     metric : "hyperbolic" or "euclidean" (the latter only for oracle patches)
 
-    What is derived from the arrays is built on first use and kept on the
-    mesh, so it dies with it: `geometry` (areas, P1 gradients and the
-    smallest angle), `midpoint_mu` (mu at the edge midpoints) and
-    `edge_structure` (the edge complex of `assembly.edge_structure`).
+    What is derived from the arrays is built on first use and kept,
+    read-only, in the mesh's own memo (`llab.algebra._kept`), so it dies
+    with it: `geometry` (areas, P1 gradients and the smallest angle),
+    `midpoint_mu` (mu at the edge midpoints) and `edge_structure` (the edge
+    complex of `assembly.edge_structure`).
     """
 
     vertices: np.ndarray
@@ -139,7 +141,8 @@ class DiscMesh:
         (every triangle by default), one gather."""
         return self.vertices.T[:, self.triangles[rows].T]
 
-    @cached_property
+    @property
+    @_kept
     def geometry(self) -> TriangleGeometry:
         """The mesh's `TriangleGeometry`; raises on a non-CCW triangle.
 
@@ -169,24 +172,23 @@ class DiscMesh:
             sq = gx * gx + gy * gy
             cos = -(gx[nxt] * gx[prev] + gy[nxt] * gy[prev]) / np.sqrt(sq[nxt] * sq[prev])
             max_cos = max(max_cos, float(cos.max()))
-        return TriangleGeometry(*_read_only(area, grad), max_cos)
+        return TriangleGeometry(area, grad, max_cos)
 
-    @cached_property
+    @property
+    @_kept
     def midpoint_mu(self) -> np.ndarray:
         """(3, nt) conformal factor at the midpoints of the edges (01, 12,
         20) of every triangle: evaluated once per edge midpoint, on first
         read, and gathered per triangle."""
-        mu = np.take(self.mu(self.edge_midpoints()), self.edge_structure.tri_edges)
-        return _read_only(mu)[0]
+        return np.take(self.mu(self.edge_midpoints()), self.edge_structure.tri_edges)
 
-    @cached_property
+    @property
+    @_kept
     def edge_structure(self):
         """The mesh's `assembly.EdgeStructure`."""
         from llab.hyperbolic import assembly
 
-        es = assembly.edge_structure(self)
-        _read_only(es.edges, es.tri_edges, es.tri_signs, es.boundary_edge)
-        return es
+        return assembly.edge_structure(self)
 
     def edge_midpoints(self) -> np.ndarray:
         """(ne, 2) midpoints of the edges of `edge_structure`, in its order."""
@@ -201,13 +203,6 @@ class DiscMesh:
     def min_angle_degrees(self) -> float:
         """Smallest angle, from the largest cosine that `geometry` found."""
         return float(np.degrees(np.arccos(np.clip(self.geometry.max_cos, -1.0, 1.0))))
-
-
-def _read_only(*arrays):
-    """Lock arrays that every reader of a mesh shares."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 def _ring_count(R: float, h: float) -> int:

@@ -15,7 +15,8 @@ tests, the primitive (Lefschetz) decomposition, and the identities that the
 
 Lambda is *defined* by double contraction with omega^{-1}; its agreement with
 the metric adjoint of L and with the star conjugation is verified, not
-assumed.  The operator matrices live in the triple's bundle `t.ops`.
+assumed.  The operator matrices are the triple's methods (`t.lpow`, `t.lam`,
+`t.sstar`, `t.prim`), each kept once per triple.
 
 Each linear identity is its residual operator R = lhs - rhs on one degree,
 built by applying the form-level functions to the basis of Lambda^k, or to
@@ -82,7 +83,7 @@ _TINY = 1e-300
 
 def lefschetz_power_matrix(t: CompatibleTriple, k: int, r: int) -> np.ndarray:
     """Matrix of L^r : Lambda^k -> Lambda^{k+2r} (r >= 0)."""
-    return t.ops.lpow(k, r)
+    return t.lpow(k, r)
 
 
 def _power(a: KForm, r: int, t: CompatibleTriple) -> KForm:
@@ -101,7 +102,7 @@ def dual_lefschetz(a: KForm, t: CompatibleTriple) -> KForm:
     """Lambda(a), the omega^{-1} double contraction.  Zero on degrees < 2."""
     if a.k < 2:
         return KForm._own(a.n, 0, np.zeros((1,) + a.data.shape[1:], dtype=complex))
-    return KForm._own(a.n, a.k - 2, _apply(t.ops.lam(a.k), a.data))
+    return KForm._own(a.n, a.k - 2, _apply(t.lam(a.k), a.data))
 
 
 def symplectic_star(a: KForm, t: CompatibleTriple) -> KForm:
@@ -110,7 +111,7 @@ def symplectic_star(a: KForm, t: CompatibleTriple) -> KForm:
     The pairing is extended to degree k by Gram minors of omega^{-1} and is
     complex-bilinear (no conjugation); star_s o star_s = id.
     """
-    return KForm._own(a.n, 2 * a.n - a.k, _apply(t.ops.sstar(a.k), a.data))
+    return KForm._own(a.n, 2 * a.n - a.k, _apply(t.sstar(a.k), a.data))
 
 
 class PrimitivityResult(NamedTuple):
@@ -241,7 +242,7 @@ def primitive_decompose(a: KForm, t: CompatibleTriple) -> LefschetzComponents:
 
 def primitive_basis(t: CompatibleTriple, k: int) -> np.ndarray:
     """Orthonormal (columns) basis of the primitive subspace P^k, k <= n."""
-    return t.ops.prim(k)
+    return t.prim(k)
 
 
 def random_primitive(t: CompatibleTriple, k: int, rng: np.random.Generator) -> KForm:

@@ -6,14 +6,15 @@ with c(xi) = 2*pi*i * sum_j xi_j e^j.  The first-order operators d,
 d^Lambda = d Lambda - Lambda d, d^c = W^{-1} d W and dbar, with their
 g-adjoints, are linear in xi, kept once per degree as 2n coefficient blocks
 Lambda^k -> Lambda^{k +- 1}, built from the triple's per-degree operators
-(`triple.ops`); Delta_d = dd* + d*d, Delta_{d^c}, Delta_dbar and
-D = d* d + d^{Lambda*} d^Lambda (whose commutation with L and Lambda drives
-the primitive decomposition of harmonic forms) are quadratic in xi, with
-symmetric (j, l) coefficient blocks per degree.  `FourierComplex` builds
-all of them, and every check, the spectral-gap derivation's among them,
-reads them there; types are read through the projectors Pi^{p,q}, never
-in frame coordinates.  An identity linear or quadratic in xi holds at
-every xi, in the cutoff or beyond, iff its coefficients satisfy it:
+(`triple.gram`, `triple.lam`, ...); Delta_d = dd* + d*d, Delta_{d^c},
+Delta_dbar and D = d* d + d^{Lambda*} d^Lambda (whose commutation with L and
+Lambda drives the primitive decomposition of harmonic forms) are quadratic
+in xi, with symmetric (j, l) coefficient blocks per degree.
+`FourierComplex` builds all of them, and every check, the spectral-gap
+derivation's among them, reads them there; types are read through the
+projectors Pi^{p,q}, never in frame coordinates.  An identity linear or
+quadratic in xi holds at every xi, in the cutoff or beyond, iff its
+coefficients satisfy it:
 `check_complex`, the Weitzenbock identity Delta_d(xi) = 4 pi^2 |xi|^2_g I
 (which confines harmonic content to the xi = 0 block), the Kahler
 Laplacian comparison, the d^Lambda/d* norm identity L8, the L10 cross term
@@ -25,12 +26,12 @@ samples modes from a fixed seed and reads their operators on Lambda^0 and
 Lambda^2 off `FourierComplex.mode_ops`.  No operator on the whole
 4^n-dimensional algebra is formed.  Every factorization the checks read
 (projector images, the J-split, the Weitzenbock proofs, ...) is built by
-one function, once per complex, and kept read-only in its memo (`_memo`).
+one function, once per complex, and kept read-only in the complex's own
+memo (`llab.algebra._kept`, as the triple keeps its blocks).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ import numpy as np
 
 from llab.algebra import (
     CompatibleTriple,
+    _kept,
     _wedge_table,
     KForm,
     pq_projector_matrices,
@@ -86,48 +88,17 @@ def _symmetric_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (-2 * np.pi ** 2) * (P + P.transpose(1, 0, 2, 3))
 
 
-def _read_only(value):
-    """`value`, with every array in it, through dicts and tuples, made
-    read-only."""
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    elif isinstance(value, (dict, tuple)):
-        for v in value.values() if isinstance(value, dict) else value:
-            _read_only(v)
-    return value
-
-
-_MISSING = object()
-
-
-def _memo(build):
-    """build(fc, *args), kept in the complex's `_cache` under (build's name,
-    *args) and read-only: each result is built once per complex, by the one
-    function that names it, and every reader shares it."""
-    name = build.__name__
-
-    @functools.wraps(build)
-    def memoized(fc, *args):
-        key = (name, *args)
-        value = fc._cache.get(key, _MISSING)
-        if value is _MISSING:
-            value = fc._cache[key] = _read_only(build(fc, *args))
-        return value
-
-    return memoized
-
-
-@_memo
+@_kept
 def _gram_inverse(fc: "FourierComplex", k: int) -> np.ndarray:
     """G_k^{-1}, the inverse Gram matrix of Lambda^k."""
-    return np.linalg.inv(fc.triple.ops.gram(k))
+    return np.linalg.inv(fc.triple.gram(k))
 
 
 def _adjoint_stack(fc: "FourierComplex", B: np.ndarray, k: int, k_to: int) -> np.ndarray:
     """The coefficients of x(xi)^*, the g-adjoint of x(xi) = 2 pi i sum_j xi_j
     B[j] : Lambda^k -> Lambda^{k_to}: -G_k^{-1} B[j]^H G_{k_to}, the minus
     because conj(2 pi i xi_j) = -2 pi i xi_j."""
-    return -_gram_inverse(fc, k) @ B.conj().transpose(0, 2, 1) @ fc.triple.ops.gram(k_to)
+    return -_gram_inverse(fc, k) @ B.conj().transpose(0, 2, 1) @ fc.triple.gram(k_to)
 
 
 class _ModeOps:
@@ -155,21 +126,20 @@ class FourierComplex:
     Modes are all integer vectors with sup-norm <= N, in lexicographic
     order.  Every first-order operator is linear in xi, so it is kept as
     its 2n coefficient matrices on each degree (`block`), built from the
-    triple's per-degree operators (`triple.ops`); `mode_ops` reads the
-    operators of one mode off them, exact up to roundoff.  It is the one
-    place that builds d, d^Lambda, d^c and dbar, their adjoints and the
-    second-order operators made of them (`_SECOND_ORDER`): every check
-    reads them here.  `_cache` is the complex's one memo (`_memo`): `block`,
-    `quadratic` and every factorization the checks read (the projector
-    images, the J-split, the Weitzenbock proofs, ...) are built there on
-    first use, once, and kept read-only.
+    triple's per-degree operators (`triple.gram`, `triple.lam`, ...);
+    `mode_ops` reads the operators of one mode off them, exact up to
+    roundoff.  It is the one place that builds d, d^Lambda, d^c and dbar,
+    their adjoints and the second-order operators made of them
+    (`_SECOND_ORDER`): every check reads them here.  `block`, `quadratic`
+    and every factorization the checks read (the projector images, the
+    J-split, the Weitzenbock proofs, ...) are kept (`_kept`): built on
+    first use, once, and held read-only in the complex's own memo.
     """
 
     n: int
     N: int
     triple: CompatibleTriple
     modes: tuple = field(repr=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def mode_ops(self, xi) -> _ModeOps:
         return _ModeOps(tuple(int(x) for x in xi), self)
@@ -178,7 +148,7 @@ class FourierComplex:
         """C(2n, k), and 0 for a degree outside 0..2n."""
         return math.comb(2 * self.n, k) if 0 <= k <= 2 * self.n else 0
 
-    @_memo
+    @_kept
     def block(self, name: str, k: int) -> np.ndarray:
         """The coefficients A (2n, rows, C(2n, k)) of a first-order operator
         on Lambda^k, op(xi) = 2 pi i sum_j xi_j A[j] : Lambda^k ->
@@ -188,27 +158,26 @@ class FourierComplex:
         and dbar = sum Pi^{p,q+1} d Pi^{p,q}, the part of d that raises q
         (it is complex); the starred names are the adjoints of the blocks
         they pair with."""
-        top, to = 2 * self.n, k + _SHIFT[name]
-        alg = self.triple.ops
+        top, to, t = 2 * self.n, k + _SHIFT[name], self.triple
         A = np.zeros((top, self.dim(to), self.dim(k)))  # empty when a degree leaves 0..2n
         if A.size and name == "d":  # one entry per product e^j ^ e^R of the a = 1 table
             p = _wedge_table(top, 1, k)
             A[p.left, p.target, p.right] = p.sign
         elif A.size and name == "d_lambda":
             if k >= 2:
-                A += self.block("d", k - 2) @ alg.lam(k)
+                A += self.block("d", k - 2) @ t.lam(k)
             if k < top:
-                A -= alg.lam(k + 1) @ self.block("d", k)
+                A -= t.lam(k + 1) @ self.block("d", k)
         elif A.size and name == "dc":  # W^2 = (-1)^(k+1) on Lambda^{k+1}: W^{-1} is W up to sign
-            A = (-1) ** (k + 1) * alg.jpull(k + 1) @ self.block("d", k) @ alg.jpull(k)
+            A = (-1) ** (k + 1) * t.jpull(k + 1) @ self.block("d", k) @ t.jpull(k)
         elif A.size and name == "dbar":
-            P, R = pq_projector_matrices(self.triple, k), pq_projector_matrices(self.triple, to)
+            P, R = pq_projector_matrices(t, k), pq_projector_matrices(t, to)
             A = sum(R[p, q + 1] @ self.block("d", k) @ P[p, q] for p, q in P if (p, q + 1) in R)
         elif A.size:
             A = _adjoint_stack(self, self.block(_ADJOINT_OF[name], to), to, k)
         return A
 
-    @_memo
+    @_kept
     def quadratic(self, name: str, k: int) -> np.ndarray:
         """The symmetric coefficients Q (2n, 2n, rows, C(2n, k)) of a
         second-order operator on Lambda^k (a key of `_SECOND_ORDER`):
@@ -222,7 +191,7 @@ class FourierComplex:
         return Q
 
 
-@_memo
+@_kept
 def _squares(fc: FourierComplex, op: str) -> dict:
     """{k: per coefficient j, max over l of |Q[j, l]|} for op(xi)^2 on each
     Lambda^k it maps into 0..2n, relative to max(1, 2 pi max|op coefficient|)^2.
@@ -234,7 +203,7 @@ def _squares(fc: FourierComplex, op: str) -> dict:
     return {k: np.abs(fc.quadratic(f"{op}_squared", k)).max(axis=(1, 2, 3)) / scale for k in degrees}
 
 
-@_memo
+@_kept
 def _weitzenbock(fc: FourierComplex, k: int) -> tuple[float, bool]:
     """The residual of Delta_d(xi) = 4 pi^2 |xi|^2_g I on Lambda^k, i.e. of
     Q[j, l] = 4 pi^2 (g^{-1})_jl I, and whether it proves Delta_d(xi)
@@ -331,14 +300,14 @@ def _image_basis(A: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 # (p,q) images, p7 and the self-dual relation the primitive (p,q) images,
 # the harmonic scan and the anti-invariant suite the J-split.
 
-@_memo
+@_kept
 def _pq_images(fc: FourierComplex, k: int) -> dict:
     """{(p, q): orthonormal basis of the image of Pi^{p,q}} on Lambda^k: at
     xi = 0, where every form is harmonic, a basis of H^{p,q}."""
     return {pq: _image_basis(P) for pq, P in pq_projector_matrices(fc.triple, k).items()}
 
 
-@_memo
+@_kept
 def _primitive_pq_images(fc: FourierComplex, j: int) -> dict:
     """{(p, q): orthonormal basis of P^{p,q}}, the primitive (p,q)-forms of
     degree j <= n: the images of Pi^{p,q} on the primitive basis."""
@@ -348,18 +317,18 @@ def _primitive_pq_images(fc: FourierComplex, j: int) -> dict:
     return {pq: _image_basis(P @ prim) for pq, P in pq_projector_matrices(fc.triple, j).items()}
 
 
-@_memo
+@_kept
 def _j_split(fc: FourierComplex) -> dict:
     """{s: orthonormal basis of the 2-forms with J a = s a}, s = +1
     (J-invariant) and -1 (anti-invariant): the images of the projectors
     (I + s J)/2 on Lambda^2, J the J-pullback, which squares to I there;
     the projectors are oblique unless G_2 is the identity."""
-    J2 = fc.triple.ops.jpull(2)
+    J2 = fc.triple.jpull(2)
     eye = np.eye(len(J2))
     return {s: _image_basis(0.5 * (eye + s * J2)) for s in (1, -1)}
 
 
-@_memo
+@_kept
 def _lefschetz_rank(fc: FourierComplex, j: int, r: int) -> int:
     """The rank of L^r on the primitive j-forms."""
     from llab.lefschetz import lefschetz_power_matrix, primitive_basis
@@ -419,7 +388,7 @@ def harmonic_space(fc: FourierComplex, k: int) -> HarmonicSpaceReport:
 # decomposition and identity suites
 # ---------------------------------------------------------------------------
 
-@_memo
+@_kept
 def _lefschetz_spans(fc: FourierComplex, p: int, q: int) -> tuple:
     """(dim H^{p,q}, {r: dim of block r}, rank of the blocks' union, the
     residual of projecting them onto H^{p,q}, {"r1:r2": smallest principal
@@ -501,13 +470,12 @@ def verify_lemma_L8(fc: FourierComplex, tol: float = 1e-10) -> dict:
     G_k Q_Delta); `proven_types` counts the (degree, type) pairs the gap is
     proven on.
     """
-    alg = fc.triple.ops
     top = 2 * fc.n
     pairs = np.triu_indices(top)
     worst = scale = 0.0
     types = 0
     for k in range(top + 1):
-        G, projs = alg.gram(k), pq_projector_matrices(fc.triple, k)
+        G, projs = fc.triple.gram(k), pq_projector_matrices(fc.triple, k)
         types += len(projs)
         dee, lap = G @ fc.quadratic("dee", k)[pairs], G @ fc.quadratic("laplacian", k)[pairs]
         scale = max(scale, float(np.max(np.abs(dee))), float(np.max(np.abs(lap))))
@@ -518,16 +486,16 @@ def verify_lemma_L8(fc: FourierComplex, tol: float = 1e-10) -> dict:
     return {"max_residual": worst, "proven_types": int(types), "passed": bool(worst < tol)}
 
 
-@_memo
+@_kept
 def _energy(fc: FourierComplex, name: str, k: int) -> np.ndarray:
     """A^T G A, A the first coefficient of a first-order operator on
     Lambda^k: the quadratic form of ||op(e_1) a||^2 / 4 pi^2 on Lambda^k,
     zero where op leaves 0..2n."""
     A, to = fc.block(name, k)[0], k + _SHIFT[name]
-    return A.T @ fc.triple.ops.gram(to) @ A if A.size else np.zeros((fc.dim(k),) * 2)
+    return A.T @ fc.triple.gram(to) @ A if A.size else np.zeros((fc.dim(k),) * 2)
 
 
-@_memo
+@_kept
 def _component_maps(fc: FourierComplex, k: int) -> dict:
     """{r: C_r}, the maps from a k-form a to its Lefschetz components b_r,
     a = sum_r L^r b_r: one `primitive_decompose` of the identity on
@@ -538,7 +506,7 @@ def _component_maps(fc: FourierComplex, k: int) -> dict:
     return {r: b.data.real for r, b in parts.items()}
 
 
-@_memo
+@_kept
 def _equivalence_constants(fc: FourierComplex, k: int) -> tuple[float, float] | None:
     """L10's (c_min, c_max) on Lambda^k: the extreme eigenvalues of the
     pencil (||d a||^2 + ||d^Lambda a||^2, sum_r ||d b_r||^2) at xi = e_1 on
@@ -578,7 +546,7 @@ def verify_lemma_L10(fc: FourierComplex, tol: float = 1e-10) -> dict:
         where each operator is its first coefficient block, restricted to
         the range of D (`_equivalence_constants`).
     """
-    alg = fc.triple.ops
+    t = fc.triple
     pairs = np.triu_indices(2 * fc.n)
     results = {}
     worst_cross = scale = 0.0
@@ -590,10 +558,10 @@ def verify_lemma_L10(fc: FourierComplex, tol: float = 1e-10) -> dict:
             j = k - 2 * r
             Q = fc.quadratic("dee", j)[pairs]
             scale = max(scale, float(np.max(np.abs(Q))))
-            LC[r], LQC[r] = alg.lpow(j, r) @ C, alg.lpow(j, r) @ Q @ C
+            LC[r], LQC[r] = t.lpow(j, r) @ C, t.lpow(j, r) @ Q @ C
         for p, q in itertools.permutations(maps, 2):
             cross_pairs += 1
-            worst_cross = max(worst_cross, float(np.max(np.abs(LC[q].T @ alg.gram(k) @ LQC[p]))))
+            worst_cross = max(worst_cross, float(np.max(np.abs(LC[q].T @ t.gram(k) @ LQC[p]))))
         constants = _equivalence_constants(fc, k)
         if constants is not None:
             results[k] = {"c_min": constants[0], "c_max": constants[1]}
@@ -658,13 +626,13 @@ def anti_invariant_suite(fc: FourierComplex, tol: float = 1e-10) -> dict:
     n = fc.n
     if n < 2:
         raise ValueError("anti-invariant star identity needs n >= 2")
-    alg = fc.triple.ops
+    t = fc.triple
     split = _j_split(fc)
     anti, inv = split[-1], split[1]
     anti_dim, inv_dim = anti.shape[1], inv.shape[1]
 
     # (i) star normalization measurement, column by column of the basis
-    star_a, power_a = alg.star(2) @ anti, alg.lpow(2, n - 2) @ anti
+    star_a, power_a = t.star(2) @ anti, t.lpow(2, n - 2) @ anti
     col_scale = np.maximum(1.0, np.max(np.abs(star_a), axis=0))
     res_a, res_b = (float(np.max(np.max(np.abs(star_a - (1.0 / math.factorial(m)) * power_a), axis=0) / col_scale))
                     for m in (n - 2, n - 1))
@@ -678,7 +646,7 @@ def anti_invariant_suite(fc: FourierComplex, tol: float = 1e-10) -> dict:
         matches = "neither"
 
     # (ii) closed anti-invariant => coclosed, per coefficient of d and d*
-    T = (1.0 / math.factorial(n - 2)) * np.linalg.solve(alg.star(1), alg.lpow(3, n - 2))
+    T = (1.0 / math.factorial(n - 2)) * np.linalg.solve(t.star(1), t.lpow(3, n - 2))
     d_star, d = fc.block("d_star", 2) @ anti, fc.block("d", 2) @ anti
     coclosed = float(np.max(np.abs(d_star - T @ d))) / max(1.0, float(np.max(np.abs(d_star))))
     proven = coclosed < tol and _weitzenbock(fc, 2)[1]
@@ -711,7 +679,6 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int, tol: float = 
     if n < 2:
         raise ValueError("needs n >= 2")
     t = fc.triple
-    alg = t.ops
     rng = np.random.default_rng(97 + 2 * n + fc.N)
 
     # coefficient space: f (1 complex dof) + primitive (1,1) basis
@@ -720,7 +687,7 @@ def self_dual_invariant_relation(fc: FourierComplex, samples: int, tol: float = 
     cand = np.empty((len(prim11), 1 + prim11.shape[1]), dtype=complex)  # on Lambda^2
     cand[:, 0] = t.omega_form().data
     cand[:, 1:] = prim11
-    G1, G3 = alg.gram(1), alg.gram(3)
+    G1, G3 = t.gram(1), t.gram(3)
 
     worst_ratio_dev = 0.0
     worst_dlam = 0.0
@@ -797,20 +764,20 @@ def check_complex(fc: FourierComplex) -> dict:
     the degrees where one of these premises fails (over 1e-8), and
     `harmonic_iff_closed_coclosed` is the worst Weitzenbock residual.
     """
-    alg = fc.triple.ops
+    t = fc.triple
     top = 2 * fc.n
     squares = {op: _squares(fc, op) for op in ("d", "d_lambda")}
     adjointness = []  # per edge k -> k + 1
     for k in range(top):
         # <d a, b> = <a, d* b> at every xi iff A_j^T G_{k+1} = -G_k conj(B_j) for every j
-        lhs = fc.block("d", k).transpose(0, 2, 1) @ alg.gram(k + 1)
-        rhs = -alg.gram(k) @ fc.block("d_star", k + 1).conj()
+        lhs = fc.block("d", k).transpose(0, 2, 1) @ t.gram(k + 1)
+        rhs = -t.gram(k) @ fc.block("d_star", k + 1).conj()
         adjointness.append(float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs)))))
     dee = [fc.quadratic("dee", k) for k in range(top + 1)]
     scale = max(1.0, max(float(np.max(np.abs(Q))) for Q in dee))
     comm_L = comm_Lambda = 0.0
     for k in range(2, top + 1):
-        L, Lam = alg.lpow(k - 2, 1), alg.lam(k)
+        L, Lam = t.lpow(k - 2, 1), t.lam(k)
         comm_L = max(comm_L, float(np.max(np.abs(dee[k] @ L - L @ dee[k - 2]))) / scale)
         comm_Lambda = max(comm_Lambda, float(np.max(np.abs(dee[k - 2] @ Lam - Lam @ dee[k]))) / scale)
     weitzenbock = [_weitzenbock(fc, k) for k in range(top + 1)]

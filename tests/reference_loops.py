@@ -1,11 +1,12 @@
 """Reference loops: the per-mask constructions of every operator block.
 
-These are the slow, obvious versions of the basis-product tables, of
-`llab.algebra.Ops` (index-and-sign tables, cofactor steps) and of the torus
-model's whole-algebra operators: one loop over basis masks per entry, one
-LAPACK determinant per minor.
-Tests compare the fast code against them; nothing in those loops reads
-`Ops` except the (1,0) coframe, whose choice of basis is not unique.
+These are the slow, obvious versions of the basis-product tables, of the
+operator blocks of `llab.algebra.CompatibleTriple` (index-and-sign tables,
+cofactor steps) and of the torus model's whole-algebra operators: one loop
+over basis masks per entry, one LAPACK determinant per minor.
+Tests compare the fast code against them; nothing in those loops reads a
+block of the triple except the (1,0) coframe, whose choice of basis is not
+unique.
 
 `ref_is_primitive` is the primitivity test as it was first written: the
 norm of L^{n-k+1} a, a form above the middle degree, taken by `norm` from
@@ -39,8 +40,8 @@ the mesh module now fills straight into CSR.
 `ref_pq_decompose` is the type split as it was first written: one solve
 with the frame compound of the form's own degree, which above the middle
 degree `llab.algebra.pq_decompose` replaces by a solve in the
-complementary degree.  It reads `Ops.frame_compound`, so that up to the
-middle degree the two agree bit for bit.
+complementary degree.  It reads `CompatibleTriple.frame_compound`, so that
+up to the middle degree the two agree bit for bit.
 
 `ref_decompose_file` is `llab decompose` as it was before it returned the
 document it writes: its residuals scaled by `norm`, its result converted
@@ -194,8 +195,8 @@ def ref_wedge(a: KForm, b: KForm) -> np.ndarray:
 
 
 class ReferenceOps:
-    """Every block of `Ops` as the per-mask loops built it, and the
-    whole-algebra (4^n x 4^n, indexed by mask) G, L, Lambda and e^j ^ ."""
+    """Every operator block of a triple as the per-mask loops built it, and
+    the whole-algebra (4^n x 4^n, indexed by mask) G, L, Lambda and e^j ^ ."""
 
     def __init__(self, t: CompatibleTriple):
         self.t, self.dim = t, 2 * t.n
@@ -226,7 +227,7 @@ class ReferenceOps:
         return ref_compound(self.t.J.T, self.dim, k)
 
     def frame_compound(self, k):
-        return ref_compound(self.t.ops.frame, self.dim, k)
+        return ref_compound(self.t.frame, self.dim, k)
 
     def pq(self, k):
         n = self.t.n
@@ -698,7 +699,7 @@ def ref_pq_decompose(a: KForm, t: CompatibleTriple) -> BigradedForm:
     """The (p,q) split of a (a form or a batch) in its own degree k: one
     solve C c = a with C = `frame_compound(k)`, and the (p,q) part the sum
     of the columns of C of that type, each times its coefficient."""
-    C = t.ops.frame_compound(a.k)
+    C = t.frame_compound(a.k)
     c = np.linalg.solve(C, a.data)
     comps = {pq: KForm._own(a.n, a.k, C[:, S] @ c[S]) for pq, S in _bidegree_columns(2 * a.n, a.k).items()}
     return BigradedForm(k=a.k, components=comps)

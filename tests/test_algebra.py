@@ -331,12 +331,12 @@ def test_pq_decompose_matches_the_split_in_the_forms_own_degree(n, which):
 def test_the_split_of_a_function_or_a_top_form_reads_no_frame(monkeypatch):
     # Lambda^0 and Lambda^2n are one type each, (0,0) and (n,n): the split
     # hands the form back, through the degree-0 frame compound [[1]]
-    from llab.algebra import Ops
+    from llab.algebra import CompatibleTriple
 
     def refuse(self):
-        raise AssertionError("Ops.frame built")
+        raise AssertionError("CompatibleTriple.frame built")
 
-    monkeypatch.setattr(Ops, "frame", property(refuse))
+    monkeypatch.setattr(CompatibleTriple, "frame", property(refuse))
     rng = np.random.default_rng(39)
     for n in range(1, 7):
         t = random_compatible_triple(n, rng)
@@ -351,18 +351,18 @@ def test_no_frame_compound_above_the_middle_degree(monkeypatch):
     # the projectors, and the Weil operator the identity suite reads, are
     # the pq_decompose split, which reads a k > n form through degree 2n - k;
     # the torus checks and the derivation read types only through them
-    from llab.algebra import Ops
+    from llab.algebra import CompatibleTriple
     from llab.hyperbolic.gap import gromov_bound_report
     from llab.suites import identity_suite, torus_suite
 
-    real_frame_compound, above = Ops.frame_compound, []
+    real_frame_compound, above = CompatibleTriple.frame_compound, []
 
     def frame_compound(self, k):
-        if k > self.dim // 2:
-            above.append((self.dim // 2, k))
+        if k > self.n:
+            above.append((self.n, k))
         return real_frame_compound(self, k)
 
-    monkeypatch.setattr(Ops, "frame_compound", frame_compound)
+    monkeypatch.setattr(CompatibleTriple, "frame_compound", frame_compound)
     rng = np.random.default_rng(40)
     for n in range(1, 5):
         for t in (build_standard_triple(n), random_compatible_triple(n, rng)):
@@ -416,12 +416,12 @@ def test_orthonormal_coframe_keeps_the_n6_frame_compound_well_conditioned(s):
     # gates of 1.12e-12, 2.88e-12 and 2.69e-12 (||W||_2 estimated from below
     # as 58.9, 151.7 and 141.6), each tighter than the flat 3e-12 it replaces
     t = random_compatible_triple(6, np.random.default_rng([s, 6]))
-    frame = t.ops.frame
+    frame = t.frame
     phi = frame[:, :6]
     assert np.abs(phi.conj().T @ phi - np.eye(6)).max() < 1e-14
     assert np.abs(t.J.T @ phi - 1j * phi).max() < 1e-12
     assert np.array_equal(frame[:, 6:], phi.conj())
-    assert np.linalg.cond(t.ops.frame_compound(6)) < 200
+    assert np.linalg.cond(t.frame_compound(6)) < 200
     rng = np.random.default_rng([s, 66])
     a = KForm(6, 6, rng.standard_normal(924) + 1j * rng.standard_normal(924))
     W = weil_operator(KForm(6, 6, np.eye(924)), t).data
@@ -601,7 +601,7 @@ def test_operator_blocks_match_the_reference_loops(n):
     triples = [build_standard_triple(n)] + [random_compatible_triple(n, rng) for _ in range(3)]
     dim = 2 * n
     for which, t in enumerate(triples):
-        ops, ref = t.ops, ReferenceOps(t)
+        ops, ref = t, ReferenceOps(t)
         for k in range(dim + 1):
             where = (which, k)
             for name in ("gram", "omega_gram", "star", "sstar", "jpull", "frame_compound"):
@@ -694,6 +694,34 @@ def test_complex_blocks_and_single_forms_take_the_plain_product(rng):
     assert np.array_equal(_apply(Mc, X), Mc @ X)
     assert np.array_equal(_apply(M, X[:, 0].copy()), M @ X[:, 0])
     assert np.array_equal(_apply(M, X.real.copy()), M @ X.real)
+
+
+def test_a_kept_value_is_built_once_per_owner_and_arguments():
+    # `_kept` keys each value by (builder name, *args) in its owner's own
+    # memo: a None result is kept like any other, a failed build is not,
+    # and the arrays of a result are frozen at any depth
+    from llab.algebra import _kept
+
+    calls = []
+
+    class Owner:
+        @_kept
+        def block(self, k):
+            calls.append(k)
+            if k < 0:
+                raise ValueError("no block")
+            return None if k == 0 else {"m": (np.zeros(k),)}
+
+    a, b = Owner(), Owner()
+    assert a.block(0) is None and a.block(0) is None
+    first = a.block(2)
+    assert a.block(2) is first and not first["m"][0].flags.writeable
+    assert b.block(2) is not first
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no block"):
+            a.block(-1)
+    assert calls == [0, 2, 2, -1, -1]
+    assert list(vars(a)["_kept"]) == [("block", 0), ("block", 2)]
 
 
 def test_operators_die_with_their_triple():

@@ -719,12 +719,12 @@ def test_decompose_round_trip_above_n4(tmp_path, n, k):
 
 
 def test_decompose_forms_no_pq_projector(tmp_path, monkeypatch):
-    from llab.algebra import KForm, Ops, form_to_json, random_compatible_triple, triple_to_json
+    from llab.algebra import CompatibleTriple, KForm, form_to_json, random_compatible_triple, triple_to_json
 
     def refuse(self, k):
-        raise AssertionError(f"Ops.pq({k}) built")
+        raise AssertionError(f"CompatibleTriple.pq({k}) built")
 
-    monkeypatch.setattr(Ops, "pq", refuse)
+    monkeypatch.setattr(CompatibleTriple, "pq", refuse)
     rng = np.random.default_rng(29)
     t = random_compatible_triple(3, rng)
     a = KForm(3, 3, rng.standard_normal(20) + 1j * rng.standard_normal(20))
@@ -753,17 +753,17 @@ def _decompose_stream(tmp_path):
 
 
 def test_decompose_builds_no_gram_block_above_the_middle_degree(tmp_path, monkeypatch):
-    from llab.algebra import Ops
+    from llab.algebra import CompatibleTriple
 
-    real_gram, built = Ops.gram, set()
+    real_gram, built = CompatibleTriple.gram, set()
 
     def gram(self, k):
-        if k > self.dim // 2:
-            raise AssertionError(f"Ops.gram({k}) built at n = {self.dim // 2}")
-        built.add((self.dim // 2, k))
+        if k > self.n:
+            raise AssertionError(f"CompatibleTriple.gram({k}) built at n = {self.n}")
+        built.add((self.n, k))
         return real_gram(self, k)
 
-    monkeypatch.setattr(Ops, "gram", gram)
+    monkeypatch.setattr(CompatibleTriple, "gram", gram)
     for n, k, inp in _decompose_stream(tmp_path):
         decompose_file(inp, tmp_path / "out.json")
     # the middle degree itself is read, by the inputs of degree n
@@ -771,15 +771,15 @@ def test_decompose_builds_no_gram_block_above_the_middle_degree(tmp_path, monkey
 
 
 def test_decompose_builds_no_frame_compound_above_the_middle_degree(tmp_path, monkeypatch):
-    from llab.algebra import Ops
+    from llab.algebra import CompatibleTriple
 
-    real_frame_compound, built = Ops.frame_compound, set()
+    real_frame_compound, built = CompatibleTriple.frame_compound, set()
 
     def frame_compound(self, k):
-        built.add((self.dim // 2, k))
+        built.add((self.n, k))
         return real_frame_compound(self, k)
 
-    monkeypatch.setattr(Ops, "frame_compound", frame_compound)
+    monkeypatch.setattr(CompatibleTriple, "frame_compound", frame_compound)
     for n, k, inp in _decompose_stream(tmp_path):
         decompose_file(inp, tmp_path / "out.json")
     assert [(n, k) for n, k in sorted(built) if k > n] == []

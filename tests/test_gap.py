@@ -138,9 +138,9 @@ def test_report_surface_case():
 @pytest.mark.parametrize("module, function, old, new, broken", [
     ("llab.hyperbolic.gap", "_operator_identity_residuals", "- m * (", "+ m * (", "commutation_d_star_Lm"),
     # d^c = W d W without the sign that makes the first W its inverse
-    ("llab.torus", "FourierComplex.block", "(-1) ** (k + 1) * alg.jpull(k + 1)", "alg.jpull(k + 1)",
+    ("llab.torus", "FourierComplex.block", "(-1) ** (k + 1) * t.jpull(k + 1)", "t.jpull(k + 1)",
      "d_lambda_star_is_conjugated_d"),
-    ("llab.torus", "_adjoint_stack", "-_gram_inverse(fc, k) @ B.conj().transpose(0, 2, 1) @ fc.triple.ops.gram(k_to)",
+    ("llab.torus", "_adjoint_stack", "-_gram_inverse(fc, k) @ B.conj().transpose(0, 2, 1) @ fc.triple.gram(k_to)",
      "-B.conj().transpose(0, 2, 1)", "laplacian_dc_equals_laplacian_d"),
 ], ids=["sign of m flipped", "W for W^-1", "metric-blind adjoint"])
 def test_a_broken_operator_identity_fails_loudly(mutant, module, function, old, new, broken):

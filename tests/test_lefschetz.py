@@ -380,7 +380,7 @@ def test_primitivity_builds_no_gram_block_above_the_middle_degree():
     assert not is_primitive(a, t)
     for beta in primitive_decompose(a, t).components.values():
         assert is_primitive(beta, t, tol=1e-9)
-    grams = sorted(key[1] for key in t.ops._blocks if key[0] == "gram")
+    grams = sorted(key[1] for key in vars(t)["_kept"] if key[0] == "gram")
     assert grams and max(grams) <= 6, grams
 
 
@@ -573,7 +573,7 @@ def test_batch_residual_finds_the_bad_column(std2, rng):
 
     # Lambda scores a primitive column 0 and omega n, max|omega| = 1
     mixed = np.stack([random_primitive(std2, 2, rng).data, _omega(std2).data], axis=1)
-    assert _score(std2.ops.lam(2), mixed, mixed) == pytest.approx(2.0, rel=1e-12)
+    assert _score(std2.lam(2), mixed, mixed) == pytest.approx(2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ J-anti-invariant n^2 - n.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
 import numpy as np
 import pytest
 
-from llab.algebra import KForm, Ops, basis_masks, random_compatible_triple
+from llab.algebra import CompatibleTriple, KForm, basis_masks, random_compatible_triple
 from llab.lefschetz import primitive_decompose
 from llab.torus import (
     FourierComplex,
@@ -276,8 +277,8 @@ def _reference_kahler(fc, tol=1e-10):
     from llab.algebra import _holomorphic_degree
     from llab.torus import _adjoint_stack, _symmetric_product
 
-    alg, top = fc.triple.ops, 2 * fc.n
-    F = [alg.frame_compound(k) for k in range(top + 1)]
+    top = 2 * fc.n
+    F = [fc.triple.frame_compound(k) for k in range(top + 1)]
     Finv = [np.linalg.inv(f) for f in F]
     p = [_holomorphic_degree(top, k) for k in range(top + 1)]
     dbar, dbar_star = [], []
@@ -353,8 +354,8 @@ def test_anti_invariant_closedness_with_a_wrong_T_fails_loudly(case, fc4, fc6, m
     # -1 flips its sign, 1/2 turns c = 1/(n-2)! into 1/(n-1)! at n = 3
     fc, factor = {"sign flipped at n=2": (fc4, -1.0), "sign flipped at n=3": (fc6, -1.0),
                   "1/(n-1)! at n=3": (fc6, 0.5)}[case]
-    real = Ops.lpow
-    monkeypatch.setattr(Ops, "lpow", lambda self, k, r: factor * real(self, k, r) if k == 3 else real(self, k, r))
+    real = CompatibleTriple.lpow
+    monkeypatch.setattr(CompatibleTriple, "lpow", lambda self, k, r: factor * real(self, k, r) if k == 3 else real(self, k, r))
     out = anti_invariant_suite(fc)
     assert not out["passed"] and out["max_harmonicity_residual"] > 0.1, out
     assert out["closed_anti_invariant_dim_nonzero_modes"] is None
@@ -814,7 +815,7 @@ def _reference_random_form(fc, k, rng, active_modes=8, pq=None):
     for ci in sorted(chosen):
         v = (rng.standard_normal(size) + 1j * rng.standard_normal(size))[masks]
         if pq is not None:
-            v = fc.triple.ops.pq(k)[pq] @ v
+            v = fc.triple.pq(k)[pq] @ v
         if np.max(np.abs(v)) > 0:
             comps[fc.modes[ci]] = v
     return comps
@@ -908,20 +909,94 @@ def test_a_second_pass_factors_nothing_but_the_sampled_modes(monkeypatch):
     assert modes and calls == [("svd", (20, 9))] * len(modes)  # d(xi) on Lambda^2 against (f, P^{1,1})
 
 
-def test_every_memoized_array_is_read_only():
+def _kept_arrays(value):
+    """Every array in a kept value, through dicts, tuples and dataclass fields."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _kept_arrays(v)
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _kept_arrays(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _kept_arrays(getattr(value, f.name))
+
+
+def _read_owners(tmp_path, monkeypatch) -> dict:
+    """{owner kind: (its owners, a thunk that reads them again)}, each
+    owner read once: a triple by one identity cell and one `decompose_file`
+    (and the complex's triple by the checks), a Fourier complex by every
+    torus check, and the meshes of a gap sweep by the sweep, read again
+    through each block they keep."""
+    import json
+
+    import llab.algebra as algebra
+    from llab.algebra import form_to_json, triple_to_json
+    from llab.cli import decompose_file
+    from llab.hyperbolic import gap, mesh as mesh_mod
+    from llab.suites import _cell_residuals
+
+    rng = np.random.default_rng(43)
+    t = random_compatible_triple(3, rng)
+    a = KForm(3, 4, rng.standard_normal(15) + 1j * rng.standard_normal(15))
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"triple": triple_to_json(t), "form": form_to_json(a)}))
+    monkeypatch.setattr(algebra, "triple_from_json", lambda obj: t)  # decompose_file reads t itself
+
+    def read_triple():
+        _cell_residuals(t, 3, 3, 8, 4, np.random.default_rng(44))
+        decompose_file(inp, tmp_path / "out.json")
+
     fc = _fresh_fc6()
-    for run in _torus_checks(fc).values():
+    checks = _torus_checks(fc).values()
+
+    meshes = []
+    real_build = mesh_mod.build_disc_mesh
+    monkeypatch.setattr(mesh_mod, "build_disc_mesh", lambda R, h: meshes.append(real_build(R, h)) or meshes[-1])
+    gap.gap_sweep(R_values=(2.0,), h_values=(0.2,))
+
+    def read_meshes():
+        for m in meshes:
+            for name, in vars(m)["_kept"]:
+                getattr(m, name)
+
+    read_triple()
+    for run in checks:
         run()
+    return {
+        "triple": ([t, fc.triple], read_triple),
+        "complex": ([fc], lambda: [run() for run in checks]),
+        "mesh": (meshes, read_meshes),
+    }
 
-    def arrays(value):
-        if isinstance(value, np.ndarray):
-            yield value
-        elif isinstance(value, (dict, tuple)):
-            for v in value.values() if isinstance(value, dict) else value:
-                yield from arrays(v)
 
-    kept = [(key, a) for key, value in fc._cache.items() for a in arrays(value)]
-    names = {key[0] for key, _ in kept}
-    assert {"block", "quadratic", "_pq_images", "_primitive_pq_images", "_j_split", "_energy", "_squares",
-            "_gram_inverse", "_component_maps"} <= names, names
-    assert all(not a.flags.writeable for _, a in kept), [key for key, a in kept if a.flags.writeable]
+def test_every_memoized_array_is_read_only(tmp_path, monkeypatch):
+    # a triple, a Fourier complex and a mesh keep every block they derive
+    # in their own memo (`llab.algebra._kept`), read-only at any depth, and
+    # build each once: `_kept` freezes each value it builds through
+    # `_read_only`, once, so a spy there sees every build
+    import llab.algebra as algebra
+
+    owners = _read_owners(tmp_path, monkeypatch)
+    expect = {
+        "triple": {"g_inv", "omega_inv", "vol", "gram", "omega_gram", "star", "sstar", "jpull", "frame",
+                   "frame_compound", "pq", "lpow", "lam", "prim"},
+        "complex": {"block", "quadratic", "_pq_images", "_primitive_pq_images", "_j_split", "_energy",
+                    "_squares", "_gram_inverse", "_component_maps"},
+        "mesh": {"geometry", "edge_structure", "midpoint_mu"},
+    }
+    for kind, (objs, _) in owners.items():
+        memos = [vars(obj)["_kept"] for obj in objs]
+        names = {key[0] for memo in memos for key in memo}
+        kept = [(key, a) for memo in memos for key, value in memo.items() for a in _kept_arrays(value)]
+        assert expect[kind] <= names, (kind, names)
+        assert all(not a.flags.writeable for _, a in kept), [key for key, a in kept if a.flags.writeable]
+
+    builds = []
+    read_only = algebra._read_only
+    monkeypatch.setattr(algebra, "_read_only", lambda value: builds.append(value) or read_only(value))
+    for kind, (_, read) in owners.items():
+        read()
+        assert builds == [], kind
